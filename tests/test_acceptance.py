@@ -159,6 +159,7 @@ def test_criterion_6_thm5_exhaustiveness(suite):
         checked += rep.checked
         if not rep.passed:
             failures.append((run["name"], rep.failures[:2]))
+    assert checked == 379
     _report(6, not failures, f"{checked} in-scope pairs classified")
 
 

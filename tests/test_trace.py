@@ -274,11 +274,62 @@ class TestDoneInsertionAudit:
         assert rep.passed
 
 
+# A lex system from the random small-system generator (n=3, p=3).  Pair
+# scope by signature alone lets pairs of a degree the loop has not reached
+# count as in scope at these insertions.
+LEX_SYSTEM_510 = (
+    3,
+    ["x0", "x1", "x2"],
+    [
+        "x0 + 2*x1 + 2*x2",
+        "x0^3 + x0^2*x2 + 2*x0*x1*x2 + x2^3",
+        "2*x0^2 + 2*x0*x1 + x0*x2 + 2*x1^2 + x1*x2 + 2*x2^2",
+    ],
+)
+
+
+def lex_run(p, names, texts):
+    ring = make_ring(p, names, "lex")
+    return ring, incremental_f5(polys(ring, *texts), EngineConfig())
+
+
 class TestThm5:
     def test_passes_on_runs(self, cyclic):
         ring, res = cyclic
         rep = check_thm5_exhaustive(res.events, ring)
         assert rep.passed and rep.checked > 0
+
+    def test_checked_count_pinned(self, cyclic):
+        ring, res = cyclic
+        assert check_thm5_exhaustive(res.events, ring).checked == 14
+
+    def test_lex_failure_list_pinned(self):
+        ring, res = lex_run(*LEX_SYSTEM_510)
+        rep = check_thm5_exhaustive(res.events, ring)
+        assert rep.checked == 71
+        assert rep.failures == [
+            (6, (2, 5), "unclassified"),
+            (6, (3, 5), "unclassified"),
+            (9, (4, 7), "unclassified"),
+            (9, (4, 8), "unclassified"),
+            (9, (7, 8), "unclassified"),
+        ]
+
+    @pytest.mark.parametrize("system", ["cyclic", "lex"])
+    def test_checked_is_sum_of_classified(self, system, cyclic):
+        ring, res = cyclic if system == "cyclic" else lex_run(*LEX_SYSTEM_510)
+        registry = build_registry(res.events)
+        classified = [
+            cls
+            for ev in res.events
+            if ev["kind"] == "DoneInserted"
+            for cls in classify_pairs_at_insertion(res.events, registry, ring, ev)
+        ]
+        rep = check_thm5_exhaustive(res.events, ring)
+        assert len(classified) == rep.checked
+        assert [
+            (c.g_pos, c.pair, c.outcome) for c in classified if c.outcome == "unclassified"
+        ] == rep.failures
 
     def test_threshold_disables(self, cyclic):
         ring, res = cyclic
