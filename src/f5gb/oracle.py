@@ -10,6 +10,7 @@ reductor that passes all four engine checks.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -619,16 +620,19 @@ def buchberger(inputs: Sequence[Polynomial]) -> list[Polynomial]:
         r = normal_form(f, basis)
         if not r.is_zero:
             basis.append(r.monic())
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+    # keyed by (lcm degree, lcm in the order, (i, j)); no two keys are equal,
+    # so the pops come in the order a full sort would give
+    pairs: list[tuple] = []
+
+    def push(i: int, j: int) -> None:
+        t = basis[i].head_mono.lcm(basis[j].head_mono)
+        heapq.heappush(pairs, (t.deg, ring.order.key(t), (i, j)))
+
+    for j in range(len(basis)):
+        for i in range(j):
+            push(i, j)
     while pairs:
-        pairs.sort(
-            key=lambda ij: (
-                basis[ij[0]].head_mono.lcm(basis[ij[1]].head_mono).deg,
-                ring.order.key(basis[ij[0]].head_mono.lcm(basis[ij[1]].head_mono)),
-                ij,
-            )
-        )
-        i, j = pairs.pop(0)
+        i, j = heapq.heappop(pairs)[2]
         f, g = basis[i], basis[j]
         if f.head_mono.gcd(g.head_mono).is_one:
             continue
@@ -637,7 +641,8 @@ def buchberger(inputs: Sequence[Polynomial]) -> list[Polynomial]:
             continue
         basis.append(r.monic())
         k = len(basis) - 1
-        pairs.extend((i2, k) for i2 in range(k))
+        for i2 in range(k):
+            push(i2, k)
     return reduced_basis(basis)
 
 
