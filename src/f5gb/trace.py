@@ -9,11 +9,14 @@ log round-trips through JSON Lines.
 from __future__ import annotations
 
 import json
+import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from operator import itemgetter
+from typing import NamedTuple, Optional, Sequence
 
 from .poly import GT, LT, Monomial, MonomialQuotient, Polynomial, Ring, quotient_cmp
-from .sig import Signature, sig_cmp, sig_divides, sig_mul
+from .sig import Signature, sig_cmp, sig_divides, sig_key, sig_mul
 
 EVENT_KINDS = (
     "CallBegin",
@@ -121,6 +124,10 @@ class Registry:
     entries: dict[int, RegistryEntry]
     calls: dict[int, dict]  # call index -> CallBegin payload
     call_ends: dict[int, dict]
+    # call index -> (seq, pos) of each DoneInserted, in log order
+    insertions: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
+    # signature index -> (seq, mono, pos) of each RuleAdded, in log order
+    rules: dict[int, list[tuple[int, Monomial, int]]] = field(default_factory=dict)
 
     def entry(self, pos: int) -> RegistryEntry:
         return self.entries[pos]
@@ -138,6 +145,8 @@ def build_registry(events: Sequence[dict]) -> Registry:
     entries: dict[int, RegistryEntry] = {}
     calls: dict[int, dict] = {}
     call_ends: dict[int, dict] = {}
+    insertions: dict[int, list[tuple[int, int]]] = {}
+    rules: dict[int, list[tuple[int, Monomial, int]]] = {}
     for ev in events:
         kind = ev["kind"]
         if kind == "CallBegin":
@@ -186,11 +195,16 @@ def build_registry(events: Sequence[dict]) -> Registry:
             e.done_seq = ev["seq"]
             e.final_poly = ev["poly"]
             e.trail = ev["trail"]
+            insertions.setdefault(ev["call"], []).append((ev["seq"], ev["pos"]))
         elif kind == "ReductionToZero":
             e = entries[ev["pos"]]
             e.zero_seq = ev["seq"]
             e.final_poly = []
-    return Registry(entries, calls, call_ends)
+        elif kind == "RuleAdded":
+            rules.setdefault(ev["index"], []).append(
+                (ev["seq"], Monomial(ev["mono"]), ev["pos"])
+            )
+    return Registry(entries, calls, call_ends, insertions, rules)
 
 
 def membership_at(registry: Registry, call: int, seq: int) -> list[int]:
@@ -201,12 +215,9 @@ def membership_at(registry: Registry, call: int, seq: int) -> list[int]:
     batch end, which never removes anything).
     """
     begin = registry.calls[call]
-    members = list(begin["g_next"])
-    members.append(begin["input_pos"])
-    for e in registry.entries.values():
-        if e.call == call and e.done_seq is not None and e.done_seq < seq:
-            members.append(e.pos)
-    return sorted(members)
+    done = registry.insertions.get(call, [])
+    done = done[: bisect_left(done, seq, key=itemgetter(0))]
+    return sorted(begin["g_next"] + [begin["input_pos"]] + [pos for _, pos in done])
 
 
 def member_since(registry: Registry, pos: int) -> int:
@@ -219,14 +230,20 @@ def member_since(registry: Registry, pos: int) -> int:
     return e.done_seq
 
 
-def rules_at(events: Sequence[dict], seq: int) -> dict[int, list[tuple[Monomial, int]]]:
-    tables: dict[int, list[tuple[Monomial, int]]] = {}
-    for ev in events:
-        if ev["seq"] >= seq:
-            break
-        if ev["kind"] == "RuleAdded":
-            tables.setdefault(ev["index"], []).append((Monomial(ev["mono"]), ev["pos"]))
+def rules_before(registry: Registry, seq: int) -> dict[int, list[tuple[Monomial, int]]]:
+    """Per index, the rule entries added before sequence number ``seq``;
+    indexes without one are absent."""
+    tables = {}
+    for index, table in registry.rules.items():
+        k = bisect_left(table, seq, key=itemgetter(0))
+        if k:
+            tables[index] = [(mono, pos) for _, mono, pos in table[:k]]
     return tables
+
+
+def rules_at(events: Sequence[dict], seq: int) -> dict[int, list[tuple[Monomial, int]]]:
+    """``rules_before`` on the registry of ``events``."""
+    return rules_before(build_registry(events), seq)
 
 
 # ---------------------------------------------------------------------------
@@ -239,12 +256,14 @@ class CheckReport:
     passed: bool
     checked: int
     failures: list = field(default_factory=list)
+    # the check did not run; a skipped report never passes
+    skipped: bool = False
 
     def __bool__(self) -> bool:
         return self.passed
 
     def line(self) -> str:
-        status = "pass" if self.passed else "FAIL"
+        status = "skipped" if self.skipped else "pass" if self.passed else "FAIL"
         extra = f" first_failure={self.failures[0]}" if self.failures else ""
         return f"{self.name}: {status} ({self.checked} checked){extra}"
 
@@ -314,10 +333,13 @@ def check_rule_degrees(events: Sequence[dict]) -> CheckReport:
     return _report("rule_degrees", checked, failures)
 
 
-def check_genealogy(events: Sequence[dict], order) -> CheckReport:
+def check_genealogy(
+    events: Sequence[dict], order, registry: Optional[Registry] = None
+) -> CheckReport:
     """Created elements: sig equals u_over * S(greater part) and strictly
     exceeds u_under * S(smaller part); Done events follow their creation."""
-    registry = build_registry(events)
+    if registry is None:
+        registry = build_registry(events)
     failures = []
     checked = 0
     for e in registry.entries.values():
@@ -353,9 +375,12 @@ def replay_trail(ring: Ring, registry: Registry, pos: int) -> Polynomial:
     return p
 
 
-def check_replay(events: Sequence[dict], ring: Ring) -> CheckReport:
+def check_replay(
+    events: Sequence[dict], ring: Ring, registry: Optional[Registry] = None
+) -> CheckReport:
     """Replaying each Done element's trail reproduces its final polynomial."""
-    registry = build_registry(events)
+    if registry is None:
+        registry = build_registry(events)
     failures = []
     checked = 0
     for e in registry.entries.values():
@@ -439,8 +464,11 @@ def extract_chain(pos: int, registry: Registry, ring: Ring) -> ChainReport:
     return ChainReport(chain, div_ok, quot_ok, distinct_ok)
 
 
-def check_chains(events: Sequence[dict], ring: Ring) -> CheckReport:
-    registry = build_registry(events)
+def check_chains(
+    events: Sequence[dict], ring: Ring, registry: Optional[Registry] = None
+) -> CheckReport:
+    if registry is None:
+        registry = build_registry(events)
     failures = []
     checked = 0
     for e in registry.entries.values():
@@ -544,29 +572,30 @@ def evaluate_reductor_checks(
     return None
 
 
-def done_insertion_audit(events: Sequence[dict], ring: Ring) -> CheckReport:
+def done_insertion_audit(
+    events: Sequence[dict], ring: Ring, registry: Optional[Registry] = None
+) -> CheckReport:
     """At every Done insertion, re-evaluate checks (a)-(d) from scratch for
     every candidate and confirm none passes all four."""
-    registry = build_registry(events)
+    if registry is None:
+        registry = build_registry(events)
     failures = []
     checked = 0
-    for ev in events:
-        if ev["kind"] != "DoneInserted":
-            continue
-        checked += 1
-        pos = ev["pos"]
-        e = registry.entries[pos]
-        members = membership_at(registry, ev["call"], ev["seq"])
-        rules = rules_at(events, ev["seq"])
-        head = Monomial(ev["poly"][0][1])
-        for cand in members:
-            if cand == pos:
-                continue
-            verdict = evaluate_reductor_checks(
-                ring, registry, members, rules, cand, head, e.sig
-            )
-            if verdict is None:
-                failures.append((pos, cand, "candidate passes all four checks"))
+    for call, done in registry.insertions.items():
+        for seq, pos in done:
+            checked += 1
+            e = registry.entries[pos]
+            members = membership_at(registry, call, seq)
+            rules = rules_before(registry, seq)
+            head = e.head()
+            for cand in members:
+                if cand == pos:
+                    continue
+                verdict = evaluate_reductor_checks(
+                    ring, registry, members, rules, cand, head, e.sig
+                )
+                if verdict is None:
+                    failures.append((pos, cand, "candidate passes all four checks"))
     return _report("done_insertion_audit", checked, failures)
 
 
@@ -583,7 +612,7 @@ class PairClassification:
     via: str = ""
 
 
-def _pair_event_index(events: Sequence[dict], registry: Registry):
+def _pair_event_index(events: Sequence[dict]):
     """Index classification evidence by pair identity."""
     crit: dict = {}
     isred: dict = {}
@@ -619,99 +648,152 @@ def _pair_event_index(events: Sequence[dict], registry: Registry):
     return crit, isred, created
 
 
+class _Pair(NamedTuple):
+    """One S-pair of members as the thm5 check sees it."""
+
+    key: tuple  # sig_key of the greater multiplied signature
+    # (from_seq, seq, outcome, via): an outcome logged at ``seq`` that
+    # classifies the pair at every insertion after ``from_seq``
+    evidence: list
+
+
+class _PairRules:
+    """How the log classifies S-pairs: the one place the evidence rules live.
+
+    A pair is rejected by the F5 or the rewritten criterion when the engine
+    logged that rejection, at pair creation, at S-polynomial creation or as a
+    rejected top-reduction of one part by the other.  It is completed once
+    the element built from it is Done-inserted.  An element built from it
+    that reduced to zero never enters the basis, but its rule, added at
+    creation, rewrites both parts from then on, so the pair counts as
+    rewritten once the zero reduction is logged.
+    """
+
+    def __init__(self, events: Sequence[dict], registry: Registry, order):
+        self.registry = registry
+        self.order = order
+        self.crit, self.isred, self.created = _pair_event_index(events)
+        self.heads: dict[int, Monomial] = {}
+
+    def head(self, pos: int) -> Monomial:
+        h = self.heads.get(pos)
+        if h is None:
+            h = self.heads[pos] = self.registry.entries[pos].head()
+        return h
+
+    def pair(self, a_pos: int, b_pos: int) -> _Pair:
+        entries = self.registry.entries
+        a, b = entries[a_pos], entries[b_pos]
+        ha, hb = self.head(a_pos), self.head(b_pos)
+        t = ha.lcm(hb)
+        ua = t.divide(ha)
+        ub = t.divide(hb)
+        sa = sig_mul(ua, a.sig)
+        sb = sig_mul(ub, b.sig)
+        sigma = sa if sig_cmp(sa, sb, self.order) != LT else sb
+        evidence = []
+        key = frozenset([(a_pos, ua.exps), (b_pos, ub.exps)])
+        for s, verdict in self.crit.get(key, ()):
+            evidence.append((s, s, verdict, "pair_check"))
+        for h_pos, hx, cand, u in ((b_pos, hb, a_pos, ua), (a_pos, ha, b_pos, ub)):
+            for s, verdict in self.isred.get((h_pos, hx.exps, cand, u.exps), ()):
+                evidence.append((s, s, verdict, "is_reducible"))
+        for s, new_pos in self.created.get(key, ()):
+            ne = entries[new_pos]
+            if ne.done_seq is not None:
+                evidence.append((max(s, ne.done_seq), s, "completed", "trail"))
+            elif ne.zero_seq is not None:
+                evidence.append((max(s, ne.zero_seq), s, "rewritten", "syzygy_rule"))
+        return _Pair(sig_key(sigma, self.order), evidence)
+
+
 def classify_pairs_at_insertion(
     events: Sequence[dict],
     registry: Registry,
     ring: Ring,
     done_event: dict,
-    indexes=None,
 ) -> list[PairClassification]:
     """Classify every S-pair of members with multiplied signature below the
     inserted element's signature by its first processing outcome."""
-    order = ring.order
+    rules = _PairRules(events, registry, ring.order)
     g_pos = done_event["pos"]
-    g_sig = registry.entries[g_pos].sig
+    g_key = sig_key(registry.entries[g_pos].sig, ring.order)
     seq = done_event["seq"]
     members = membership_at(registry, done_event["call"], seq)
-    crit, isred, created = indexes if indexes else _pair_event_index(events, registry)
     out = []
     for i, a_pos in enumerate(members):
-        a = registry.entries[a_pos]
-        ha = a.head()
         for b_pos in members[i + 1:]:
-            b = registry.entries[b_pos]
-            hb = b.head()
-            t = ha.lcm(hb)
-            ua = t.divide(ha)
-            ub = t.divide(hb)
-            sa = sig_mul(ua, a.sig)
-            sb = sig_mul(ub, b.sig)
-            sigma = sa if sig_cmp(sa, sb, order) != LT else sb
-            if sig_cmp(sigma, g_sig, order) != LT:
+            pair = rules.pair(a_pos, b_pos)
+            if not pair.key < g_key:
                 continue
-            evidence = []
-            key = frozenset([(a_pos, ua.exps), (b_pos, ub.exps)])
-            for s, verdict in crit.get(key, []):
-                if s < seq:
-                    evidence.append((s, verdict, "pair_check"))
-            for h_pos, hx, cand, u in (
-                (b_pos, hb, a_pos, ua),
-                (a_pos, ha, b_pos, ub),
-            ):
-                k2 = (h_pos, hx.exps, cand, u.exps)
-                for s, verdict in isred.get(k2, []):
-                    if s < seq:
-                        evidence.append((s, verdict, "is_reducible"))
-            for s, new_pos in created.get(key, []):
-                if s >= seq:
-                    continue
-                ne = registry.entries[new_pos]
-                if ne.done_seq is not None and ne.done_seq < seq:
-                    evidence.append((s, "completed", "trail"))
-                elif ne.zero_seq is not None and ne.zero_seq < seq:
-                    # the zero element never enters the basis, but its rule
-                    # (added at creation) rewrites both parts from then on,
-                    # so the pair satisfies the rewritten definition
-                    evidence.append((s, "rewritten", "syzygy_rule"))
-            evidence.sort()
-            if evidence:
-                seq0, outcome, via = evidence[0]
-            else:
-                seq0, outcome, via = None, "unclassified", ""
+            evidence = sorted(
+                (s, outcome, via) for first, s, outcome, via in pair.evidence if first < seq
+            )
+            seq0, outcome, via = evidence[0] if evidence else (None, "unclassified", "")
             out.append(PairClassification(g_pos, (a_pos, b_pos), outcome, seq0, via))
     return out
 
 
 def check_thm5_exhaustive(
-    events: Sequence[dict], ring: Ring, pair_threshold: int = 5000
+    events: Sequence[dict],
+    ring: Ring,
+    pair_threshold: int = 5000,
+    registry: Optional[Registry] = None,
 ) -> CheckReport:
     """Every in-scope pair at every insertion is classified into exactly one
-    of {f5, rewritten, completed} by its first processing outcome."""
-    registry = build_registry(events)
+    of {f5, rewritten, completed} by its first processing outcome.
+
+    The in-scope pairs at an insertion are those ``classify_pairs_at_insertion``
+    returns, and a failure is one it calls unclassified; ``checked`` counts
+    them over all insertions.  Each call is walked once: a pair is looked at
+    when its later member joins G ∪ Done, and compared right away with every
+    insertion still to come in that call.  A log with ``pair_threshold`` or
+    more created pairs is skipped.
+    """
     total_pairs = sum(1 for ev in events if ev["kind"] == "CritPairCreated")
     if total_pairs >= pair_threshold:
-        return CheckReport("thm5_exhaustive", True, 0, [])
-    indexes = _pair_event_index(events, registry)
-    failures = []
+        return CheckReport("thm5_exhaustive", False, 0, [], skipped=True)
+    if registry is None:
+        registry = build_registry(events)
+    order = ring.order
+    rules = _PairRules(events, registry, order)
+    unclassified = []
     checked = 0
-    for ev in events:
-        if ev["kind"] != "DoneInserted":
-            continue
-        for cls in classify_pairs_at_insertion(events, registry, ring, ev, indexes):
-            checked += 1
-            if cls.outcome not in ("f5", "rewritten", "completed"):
-                failures.append((cls.g_pos, cls.pair, cls.outcome))
+    for call, done in registry.insertions.items():
+        begin = registry.calls[call]
+        inserted = [
+            (seq, sig_key(registry.entries[pos].sig, order), pos) for seq, pos in done
+        ]
+        members: list[int] = []
+        joining = sorted(begin["g_next"] + [begin["input_pos"]])
+        for k in range(len(inserted)):
+            later = inserted[k:]
+            for b_pos in joining:
+                for a_pos in members:
+                    pair_id = (a_pos, b_pos) if a_pos < b_pos else (b_pos, a_pos)
+                    pair = rules.pair(*pair_id)
+                    first = min((ev[0] for ev in pair.evidence), default=math.inf)
+                    for seq, g_key, g_pos in later:
+                        if pair.key < g_key:
+                            checked += 1
+                            if first >= seq:
+                                unclassified.append((seq, pair_id, g_pos))
+                members.append(b_pos)
+            joining = [inserted[k][2]]
+    unclassified.sort()
+    failures = [(g_pos, pair_id, "unclassified") for _, pair_id, g_pos in unclassified]
     return _report("thm5_exhaustive", checked, failures)
 
 
 def run_all_checkers(events: Sequence[dict], ring: Ring) -> list[CheckReport]:
+    registry = build_registry(events)
     return [
         check_d_progression(events),
         check_signature_safety(events, ring.order),
         check_rule_degrees(events),
-        check_genealogy(events, ring.order),
-        check_replay(events, ring),
-        check_chains(events, ring),
-        done_insertion_audit(events, ring),
-        check_thm5_exhaustive(events, ring),
+        check_genealogy(events, ring.order, registry),
+        check_replay(events, ring, registry),
+        check_chains(events, ring, registry),
+        done_insertion_audit(events, ring, registry),
+        check_thm5_exhaustive(events, ring, registry=registry),
     ]

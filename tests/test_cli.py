@@ -1,10 +1,12 @@
 """Front end: problem parsing, commands, exit codes, trace files."""
 
+import functools
 import io
 import json
 
 import pytest
 
+from f5gb import trace
 from f5gb.cli import (
     NonPrimeModulus,
     ParseError,
@@ -128,9 +130,28 @@ class TestCommands:
         assert report["ok"] is True
         assert report["verdicts"]["ideal_equal"] is True
         assert report["verdicts"]["admissible"] is True
+        assert report["skipped"] == []
         # identical basis as the plain gb command: check is a superset
         code2, out2 = run_main(["gb", cyclic_file])
         assert report["basis"] == out2.splitlines()
+
+    def test_skipped_check_is_not_ok(self, cyclic_file, monkeypatch):
+        # a log at or past the pair threshold: thm5_exhaustive does not run
+        monkeypatch.setattr(
+            trace,
+            "check_thm5_exhaustive",
+            functools.partial(trace.check_thm5_exhaustive, pair_threshold=0),
+        )
+        code, out = run_main(["check", cyclic_file, "--json-report"])
+        report = json.loads(out)
+        assert code == 2 and report["ok"] is False
+        assert report["skipped"] == ["thm5_exhaustive"]
+        assert report["verdicts"]["thm5_exhaustive"] is False
+        assert "thm5_exhaustive: skipped (0 checked)" in report["checker_lines"]
+        code, out = run_main(["check", cyclic_file])
+        assert code == 2
+        assert "thm5_exhaustive: skipped (0 checked)" in out
+        assert "result: CHECK FAILURES" in out
 
     def test_budget_exit_code(self, cyclic_file):
         code, _ = run_main(["gb", cyclic_file, "--max-pairs", "1"])

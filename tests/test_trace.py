@@ -5,6 +5,7 @@ import io
 
 import pytest
 
+from f5gb import trace
 from f5gb.engine import EngineConfig, incremental_f5
 from f5gb.poly import Monomial, MonomialQuotient, quotient_cmp, GT
 from f5gb.sig import Signature
@@ -334,7 +335,8 @@ class TestThm5:
     def test_threshold_disables(self, cyclic):
         ring, res = cyclic
         rep = check_thm5_exhaustive(res.events, ring, pair_threshold=0)
-        assert rep.passed and rep.checked == 0
+        assert rep.skipped and not rep.passed and rep.checked == 0
+        assert rep.line() == "thm5_exhaustive: skipped (0 checked)"
 
     def test_tampered_log_detected(self, cyclic):
         ring, res = cyclic
@@ -401,6 +403,18 @@ class TestLogRoundTrip:
         assert events == res.events
         for rep in run_all_checkers(events, ring):
             assert rep.passed, rep.line()
+
+    def test_run_all_checkers_builds_one_registry(self, cyclic, monkeypatch):
+        ring, res = cyclic
+        calls = []
+
+        def counting(events):
+            calls.append(1)
+            return build_registry(events)
+
+        monkeypatch.setattr(trace, "build_registry", counting)
+        assert all(run_all_checkers(res.events, ring))
+        assert len(calls) == 1
 
     def test_membership_and_rules_match_engine_snapshots(self, cyclic):
         ring, res = cyclic
