@@ -652,9 +652,29 @@ class _Pair(NamedTuple):
     """One S-pair of members as the thm5 check sees it."""
 
     key: tuple  # sig_key of the greater multiplied signature
+    index: int  # index of that signature
+    deg: int  # degree of the lcm of the heads
     # (from_seq, seq, outcome, via): an outcome logged at ``seq`` that
     # classifies the pair at every insertion after ``from_seq``
     evidence: list
+
+
+def _in_scope(pair: _Pair, call: int, g_key: tuple, g_deg: int) -> bool:
+    """Whether ``pair`` must be classified when call ``call`` inserts an
+    element with signature key ``g_key`` and head degree ``g_deg``.
+
+    The claim covers the pairs whose signature lies below the inserted one.
+    For a pair of this call's index it also needs deg(lcm) <= deg(head(g)):
+    the input is homogeneous and the main loop is stepped by degree, so when
+    g is inserted in step d = deg(head(g)), no pair of a higher degree has
+    been processed, and none can have been classified yet.  Under degrevlex
+    and deglex the degree bound follows from the signature bound: a labeled
+    polynomial of index i has degree deg(sig) + deg(f_i), so within index i a
+    smaller signature has no larger degree.  Under lex it does not follow,
+    and a pair of a later step can have a smaller signature.  Pairs of a
+    higher index come from the basis of the previous call, which is complete.
+    """
+    return pair.key < g_key and (pair.index != call or pair.deg <= g_deg)
 
 
 class _PairRules:
@@ -704,7 +724,7 @@ class _PairRules:
                 evidence.append((max(s, ne.done_seq), s, "completed", "trail"))
             elif ne.zero_seq is not None:
                 evidence.append((max(s, ne.zero_seq), s, "rewritten", "syzygy_rule"))
-        return _Pair(sig_key(sigma, self.order), evidence)
+        return _Pair(sig_key(sigma, self.order), sigma.index, t.deg, evidence)
 
 
 def classify_pairs_at_insertion(
@@ -713,18 +733,21 @@ def classify_pairs_at_insertion(
     ring: Ring,
     done_event: dict,
 ) -> list[PairClassification]:
-    """Classify every S-pair of members with multiplied signature below the
-    inserted element's signature by its first processing outcome."""
+    """Classify every S-pair of members in scope at the insertion (see
+    ``_in_scope``) by its first processing outcome."""
     rules = _PairRules(events, registry, ring.order)
     g_pos = done_event["pos"]
-    g_key = sig_key(registry.entries[g_pos].sig, ring.order)
+    g = registry.entries[g_pos]
+    g_key = sig_key(g.sig, ring.order)
+    g_deg = g.head().deg
+    call = done_event["call"]
     seq = done_event["seq"]
-    members = membership_at(registry, done_event["call"], seq)
+    members = membership_at(registry, call, seq)
     out = []
     for i, a_pos in enumerate(members):
         for b_pos in members[i + 1:]:
             pair = rules.pair(a_pos, b_pos)
-            if not pair.key < g_key:
+            if not _in_scope(pair, call, g_key, g_deg):
                 continue
             evidence = sorted(
                 (s, outcome, via) for first, s, outcome, via in pair.evidence if first < seq
@@ -762,7 +785,8 @@ def check_thm5_exhaustive(
     for call, done in registry.insertions.items():
         begin = registry.calls[call]
         inserted = [
-            (seq, sig_key(registry.entries[pos].sig, order), pos) for seq, pos in done
+            (seq, sig_key(registry.entries[pos].sig, order), rules.head(pos).deg, pos)
+            for seq, pos in done
         ]
         members: list[int] = []
         joining = sorted(begin["g_next"] + [begin["input_pos"]])
@@ -773,13 +797,13 @@ def check_thm5_exhaustive(
                     pair_id = (a_pos, b_pos) if a_pos < b_pos else (b_pos, a_pos)
                     pair = rules.pair(*pair_id)
                     first = min((ev[0] for ev in pair.evidence), default=math.inf)
-                    for seq, g_key, g_pos in later:
-                        if pair.key < g_key:
+                    for seq, g_key, g_deg, g_pos in later:
+                        if _in_scope(pair, call, g_key, g_deg):
                             checked += 1
                             if first >= seq:
                                 unclassified.append((seq, pair_id, g_pos))
                 members.append(b_pos)
-            joining = [inserted[k][2]]
+            joining = [inserted[k][3]]
     unclassified.sort()
     failures = [(g_pos, pair_id, "unclassified") for _, pair_id, g_pos in unclassified]
     return _report("thm5_exhaustive", checked, failures)

@@ -275,9 +275,9 @@ class TestDoneInsertionAudit:
         assert rep.passed
 
 
-# A lex system from the random small-system generator (n=3, p=3).  Pair
-# scope by signature alone lets pairs of a degree the loop has not reached
-# count as in scope at these insertions.
+# Lex systems from the random small-system generator.  With pair scope by
+# signature alone, each had pairs of a degree the loop had not reached yet
+# counted as unclassified.
 LEX_SYSTEM_510 = (
     3,
     ["x0", "x1", "x2"],
@@ -287,6 +287,18 @@ LEX_SYSTEM_510 = (
         "2*x0^2 + 2*x0*x1 + x0*x2 + 2*x1^2 + x1*x2 + 2*x2^2",
     ],
 )
+LEX_SYSTEMS = {
+    "random510": (LEX_SYSTEM_510, 63),
+    "random328": (
+        (5, ["x0", "x1"], ["x1^2", "2*x0 + 4*x1", "3*x0*x1^2", "4*x0^2",
+                           "3*x0^3 + x0^2*x1 + 4*x1^3"]),
+        6,
+    ),
+    "random032": (
+        (3, ["x0", "x1", "x2"], ["x1", "2*x0*x1 + x0*x2 + x1^2", "2*x0^3 + 2*x2^3"]),
+        47,
+    ),
+}
 
 
 def lex_run(p, names, texts):
@@ -304,17 +316,12 @@ class TestThm5:
         ring, res = cyclic
         assert check_thm5_exhaustive(res.events, ring).checked == 14
 
-    def test_lex_failure_list_pinned(self):
-        ring, res = lex_run(*LEX_SYSTEM_510)
+    @pytest.mark.parametrize("name", sorted(LEX_SYSTEMS))
+    def test_lex_regressions_pass(self, name):
+        system, checked = LEX_SYSTEMS[name]
+        ring, res = lex_run(*system)
         rep = check_thm5_exhaustive(res.events, ring)
-        assert rep.checked == 71
-        assert rep.failures == [
-            (6, (2, 5), "unclassified"),
-            (6, (3, 5), "unclassified"),
-            (9, (4, 7), "unclassified"),
-            (9, (4, 8), "unclassified"),
-            (9, (7, 8), "unclassified"),
-        ]
+        assert rep.passed and rep.failures == [] and rep.checked == checked
 
     @pytest.mark.parametrize("system", ["cyclic", "lex"])
     def test_checked_is_sum_of_classified(self, system, cyclic):
@@ -338,8 +345,9 @@ class TestThm5:
         assert rep.skipped and not rep.passed and rep.checked == 0
         assert rep.line() == "thm5_exhaustive: skipped (0 checked)"
 
-    def test_tampered_log_detected(self, cyclic):
-        ring, res = cyclic
+    @pytest.mark.parametrize("system", ["cyclic", "lex"])
+    def test_tampered_log_detected(self, system, cyclic):
+        ring, res = cyclic if system == "cyclic" else lex_run(*LEX_SYSTEM_510)
         registry = build_registry(res.events)
         done_events = [ev for ev in res.events if ev["kind"] == "DoneInserted"]
         baseline = {}
