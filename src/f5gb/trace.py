@@ -693,18 +693,11 @@ class _PairRules:
         self.registry = registry
         self.order = order
         self.crit, self.isred, self.created = _pair_event_index(events)
-        self.heads: dict[int, Monomial] = {}
-
-    def head(self, pos: int) -> Monomial:
-        h = self.heads.get(pos)
-        if h is None:
-            h = self.heads[pos] = self.registry.entries[pos].head()
-        return h
 
     def pair(self, a_pos: int, b_pos: int) -> _Pair:
         entries = self.registry.entries
         a, b = entries[a_pos], entries[b_pos]
-        ha, hb = self.head(a_pos), self.head(b_pos)
+        ha, hb = a.head(), b.head()
         t = ha.lcm(hb)
         ua = t.divide(ha)
         ub = t.divide(hb)
@@ -784,10 +777,10 @@ def check_thm5_exhaustive(
     checked = 0
     for call, done in registry.insertions.items():
         begin = registry.calls[call]
-        inserted = [
-            (seq, sig_key(registry.entries[pos].sig, order), rules.head(pos).deg, pos)
-            for seq, pos in done
-        ]
+        inserted = []
+        for seq, pos in done:
+            g = registry.entries[pos]
+            inserted.append((seq, sig_key(g.sig, order), g.head().deg, pos))
         members: list[int] = []
         joining = sorted(begin["g_next"] + [begin["input_pos"]])
         for k in range(len(inserted)):
