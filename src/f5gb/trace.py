@@ -669,10 +669,11 @@ def _in_scope(pair: _Pair, call: int, g_key: tuple, g_deg: int) -> bool:
     g is inserted in step d = deg(head(g)), no pair of a higher degree has
     been processed, and none can have been classified yet.  Under degrevlex
     and deglex the degree bound follows from the signature bound: a labeled
-    polynomial of index i has degree deg(sig) + deg(f_i), so within index i a
-    smaller signature has no larger degree.  Under lex it does not follow,
-    and a pair of a later step can have a smaller signature.  Pairs of a
-    higher index come from the basis of the previous call, which is complete.
+    polynomial of index i has degree deg(sig.mono) + deg(f_i), so within
+    index i a smaller signature has no larger degree.  Under lex it does not
+    follow, and a pair of a later step can have a smaller signature.  Pairs
+    of a higher index come from the basis of the previous call, which is
+    complete.
     """
     return pair.key < g_key and (pair.index != call or pair.deg <= g_deg)
 

@@ -275,9 +275,9 @@ class TestDoneInsertionAudit:
         assert rep.passed
 
 
-# Lex systems from the random small-system generator.  With pair scope by
-# signature alone, each had pairs of a degree the loop had not reached yet
-# counted as unclassified.
+# Lex systems 510, 328 and 32 of the random small-system generator in
+# perfbench/workloads.py at seed 1.  With pair scope by signature alone, each
+# had pairs of a degree the loop had not reached yet counted as unclassified.
 LEX_SYSTEM_510 = (
     3,
     ["x0", "x1", "x2"],
@@ -345,9 +345,14 @@ class TestThm5:
         assert rep.skipped and not rep.passed and rep.checked == 0
         assert rep.line() == "thm5_exhaustive: skipped (0 checked)"
 
-    @pytest.mark.parametrize("system", ["cyclic", "lex"])
-    def test_tampered_log_detected(self, system, cyclic):
-        ring, res = cyclic if system == "cyclic" else lex_run(*LEX_SYSTEM_510)
+    def test_tampered_log_detected(self, cyclic):
+        self._check_stripped_log_fails(*cyclic)
+
+    def test_tampered_lex_log_detected(self):
+        self._check_stripped_log_fails(*lex_run(*LEX_SYSTEM_510))
+
+    @staticmethod
+    def _check_stripped_log_fails(ring, res):
         registry = build_registry(res.events)
         done_events = [ev for ev in res.events if ev["kind"] == "DoneInserted"]
         baseline = {}
