@@ -60,6 +60,17 @@ class BudgetExceeded(EngineError):
 
 @dataclass
 class EngineConfig:
+    """Budgets and the optional run-time checks of one engine run.
+
+    ``max_pairs``, ``max_degree`` and ``reduction_step_cap`` bound the run;
+    hitting one raises ``BudgetExceeded`` with the partial trace.
+    ``capture_snapshots`` records the state at every Done insertion for the
+    descent oracle; ``self_check`` checks the admissibility of every element
+    at creation.  Module vectors are carried only when one of these two is
+    set, since nothing else reads them; otherwise every element's ``mv`` is
+    None.  The event log is the same either way.
+    """
+
     max_pairs: int = 10**6
     max_degree: int = 80
     reduction_step_cap: int = 10**6
@@ -156,7 +167,7 @@ class Engine:
         self.d_histories: dict[int, list[int]] = {}
         self.snapshots: list[SnapshotRecord] = []
         self.member_since: dict[int, int] = {}
-        self.zero_positions: set[int] = set()
+        self.carry_vectors = self.config.self_check or self.config.capture_snapshots
         self.counters = {
             "pairs_created": 0,
             "f5_rejections": 0,
@@ -167,7 +178,7 @@ class Engine:
             "reduction_steps": 0,
             "phi_steps": 0,
         }
-        self._phi_head_cache: dict[int, list[tuple[Monomial, int]]] = {}
+        self._phi_head_cache: dict[int, list[tuple[int, Monomial, int]]] = {}
 
     # -- helpers ----------------------------------------------------------
 
@@ -175,7 +186,7 @@ class Engine:
         if cond:
             raise BudgetExceeded(what, self.trace.events, dict(self.counters))
 
-    def _new_labeled(self, sig: Signature, poly: Polynomial, mv: ModuleVector,
+    def _new_labeled(self, sig: Signature, poly: Polynomial, mv: Optional[ModuleVector],
                      genealogy: Optional[Genealogy]) -> LabeledPolynomial:
         lp = LabeledPolynomial(len(self.R), sig, poly, mv, genealogy)
         self.R.append(lp)
@@ -191,27 +202,30 @@ class Engine:
             return 1
         s = self.ring.inv(lp.poly.head_coeff)
         lp.poly = lp.poly.scale(s)
-        lp.mv = lp.mv.scale(s)
+        if lp.mv is not None:
+            lp.mv = lp.mv.scale(s)
         if trail is not None:
             trail.append(["monic", s])
         return s
 
-    def _monic_pair(self, poly: Polynomial, mv: ModuleVector) -> tuple[Polynomial, ModuleVector]:
+    def _monic_pair(
+        self, poly: Polynomial, mv: Optional[ModuleVector]
+    ) -> tuple[Polynomial, Optional[ModuleVector]]:
         if poly.is_zero or poly.head_coeff == 1:
             return poly, mv
         s = self.ring.inv(poly.head_coeff)
-        return poly.scale(s), mv.scale(s)
+        return poly.scale(s), None if mv is None else mv.scale(s)
 
-    def _phi_heads(self, index_plus_one: int) -> list[tuple[Monomial, int]]:
-        """Head monomials of the completed basis G_{index+1} (empty past m)."""
+    def _phi_heads(self, index_plus_one: int) -> list[tuple[int, Monomial, int]]:
+        """(mask, head, pos) of the completed basis G_{index+1} (empty past m)."""
         if index_plus_one > self.m:
             return []
         cached = self._phi_head_cache.get(index_plus_one)
         if cached is None:
-            cached = [
-                (self.R[p].poly.head_mono, p)
-                for p in self.basis_by_index[index_plus_one]
-            ]
+            cached = []
+            for p in self.basis_by_index[index_plus_one]:
+                head = self.R[p].poly.head_mono
+                cached.append((head.mask, head, p))
             self._phi_head_cache[index_plus_one] = cached
         return cached
 
@@ -219,8 +233,9 @@ class Engine:
         """Position of a G_{index+1} element whose head divides ``mono``."""
         if index >= self.m:
             return None
-        for head, pos in self._phi_heads(index + 1):
-            if head.divides(mono):
+        outside = ~mono.mask
+        for mask, head, pos in self._phi_heads(index + 1):
+            if not mask & outside and head.divides(mono):
                 return pos
         return None
 
@@ -231,9 +246,6 @@ class Engine:
     def _find_rewriter(self, u: Monomial, pos: int) -> int:
         lp = self.R[pos]
         return self.rules.find_rewriter(lp.index, u.mul(lp.sig.mono))
-
-    def rewritten(self, u: Monomial, pos: int) -> bool:
-        return self._find_rewriter(u, pos) != pos
 
     # -- driver -----------------------------------------------------------
 
@@ -265,7 +277,8 @@ class Engine:
     def _begin_call(self, i: int, g_next: list[int]) -> LabeledPolynomial:
         f = self.inputs[i - 1]
         sig = Signature(self.ring.one_mono(), i)
-        lp = self._new_labeled(sig, f, ModuleVector.unit(self.ring, self.m, i), None)
+        mv = ModuleVector.unit(self.ring, self.m, i) if self.carry_vectors else None
+        lp = self._new_labeled(sig, f, mv, None)
         seq = self.trace.emit(
             "CallBegin",
             call=i,
@@ -398,7 +411,9 @@ class Engine:
                 )
             a, b = self.R[cp.p1], self.R[cp.p2]
             poly = poly_axpy(a.poly.term_mul(1, cp.u1), 1, cp.u2, b.poly)
-            mv = a.mv.term_mul(1, cp.u1).axpy(1, cp.u2, b.mv)
+            mv = None
+            if self.carry_vectors:
+                mv = a.mv.term_mul(1, cp.u1).axpy(1, cp.u2, b.mv)
             poly, mv = self._monic_pair(poly, mv)
             lp = self._new_labeled(
                 cp.sig1, poly, mv, Genealogy(cp.p1, cp.p2, cp.u1, cp.u2)
@@ -451,28 +466,36 @@ class Engine:
         return list(self.done_now)
 
     def _phi_reduce(self, h: LabeledPolynomial, i: int) -> None:
-        """Full normal form of h modulo the previously computed basis."""
+        """Full normal form of h modulo the previously computed basis.
+
+        Each step cancels the greatest reducible term with the first reducer
+        whose head divides it.  Every term of u*b is at most u*head(b), so
+        the terms above the cancelled one never change, and the next scan
+        resumes at its place instead of at the head.
+        """
         reducers = self._phi_heads(i + 1)
         if not reducers:
             return
         trail = self.trails[h.pos]
         touched = False
-        while not h.poly.is_zero:
-            hit = None
-            for c, mono in h.poly.terms:
-                for head, pos in reducers:
+        terms = h.poly.terms
+        k = 0
+        while k < len(terms):
+            c, mono = terms[k]
+            outside = ~mono.mask
+            for mask, head, pos in reducers:
+                if not mask & outside:
                     u = mono.divide(head)
                     if u is not None:
-                        hit = (c, u, pos)
                         break
-                if hit is not None:
-                    break
-            if hit is None:
-                break
-            c, u, pos = hit
+            else:
+                k += 1
+                continue
             blp = self.R[pos]
             h.poly = poly_axpy(h.poly, c, u, blp.poly)
-            h.mv = h.mv.axpy(c, u, blp.mv)
+            terms = h.poly.terms
+            if h.mv is not None:
+                h.mv = h.mv.axpy(c, u, blp.mv)
             trail.append(["phi", c, list(u.exps), pos])
             self.counters["phi_steps"] += 1
             self.trace.emit(
@@ -494,7 +517,6 @@ class Engine:
         """Returns positions to requeue; a completed element joins Done."""
         if h.poly.is_zero:
             self.counters["reductions_to_zero"] += 1
-            self.zero_positions.add(h.pos)
             self.trace.emit(
                 "ReductionToZero", call=i, pos=h.pos, sig=sig_payload(h.sig)
             )
@@ -527,7 +549,8 @@ class Engine:
         if c == GT:
             trail = self.trails[h.pos]
             h.poly = poly_axpy(h.poly, 1, u, j.poly)
-            h.mv = h.mv.axpy(1, u, j.mv)
+            if h.mv is not None:
+                h.mv = h.mv.axpy(1, u, j.mv)
             trail.append(["top", 1, list(u.exps), j_pos])
             scale = self._monic_in_place(h, trail)
             self.counters["reduction_steps"] += 1
@@ -545,7 +568,9 @@ class Engine:
             return [h.pos]
         one = self.ring.one_mono()
         poly = poly_axpy(j.poly.term_mul(1, u), 1, one, h.poly)
-        mv = j.mv.term_mul(1, u).axpy(1, one, h.mv)
+        mv = None
+        if self.carry_vectors:
+            mv = j.mv.term_mul(1, u).axpy(1, one, h.mv)
         poly, mv = self._monic_pair(poly, mv)
         lp = self._new_labeled(msig, poly, mv, Genealogy(j_pos, h.pos, u, one))
         self._add_rule(lp.sig, lp.pos)

@@ -9,6 +9,7 @@ the checkers and the oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, le, neg, sub
 from typing import Iterable, Optional, Sequence
 
 LT, EQ, GT = -1, 0, 1
@@ -41,13 +42,21 @@ def is_prime(n: int) -> bool:
 
 
 class Monomial:
-    """A power product, stored as a tuple of non-negative exponents."""
+    """A power product, stored as a tuple of non-negative exponents.
 
-    __slots__ = ("exps", "deg")
+    Two values are computed on first use only: the divisibility mask
+    (``mask``) and the order key, stored with the kind of order it was
+    computed for (by ``MonomialOrder.key``).  Monomials built on paths that
+    never ask for them pay nothing.
+    """
+
+    __slots__ = ("exps", "deg", "_mask", "_key", "_key_kind")
 
     def __init__(self, exps: Sequence[int]):
         self.exps = tuple(exps)
         self.deg = sum(self.exps)
+        self._mask = None
+        self._key_kind = None
 
     @staticmethod
     def one(n: int) -> "Monomial":
@@ -58,24 +67,39 @@ class Monomial:
         return self.deg == 0
 
     def mul(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple(a + b for a, b in zip(self.exps, other.exps)))
+        return Monomial(tuple(map(add, self.exps, other.exps)))
 
     __mul__ = mul
 
     def divide(self, other: "Monomial") -> Optional["Monomial"]:
         """self / other, or None when some exponent would go negative."""
-        out = []
-        for a, b in zip(self.exps, other.exps):
-            if a < b:
-                return None
-            out.append(a - b)
-        return Monomial(tuple(out))
+        out = tuple(map(sub, self.exps, other.exps))
+        if out and min(out) < 0:
+            return None
+        return Monomial(out)
 
     def divides(self, other: "Monomial") -> bool:
-        return all(a <= b for a, b in zip(self.exps, other.exps))
+        return all(map(le, self.exps, other.exps))
+
+    @property
+    def mask(self) -> int:
+        """Two bits per variable, set when its exponent is >= 1 and >= 2.
+
+        If a divides b then every bit of ``a.mask`` is set in ``b.mask``, so
+        ``a.mask & ~b.mask`` rules out most non-divisors without a scan
+        (Roune & Stillman's divmask).
+        """
+        mask = self._mask
+        if mask is None:
+            mask = 0
+            for k, e in enumerate(self.exps):
+                if e:
+                    mask |= (1 if e == 1 else 3) << (2 * k)
+            self._mask = mask
+        return mask
 
     def lcm(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple(max(a, b) for a, b in zip(self.exps, other.exps)))
+        return Monomial(tuple(map(max, self.exps, other.exps)))
 
     def gcd(self, other: "Monomial") -> "Monomial":
         return Monomial(tuple(min(a, b) for a, b in zip(self.exps, other.exps)))
@@ -118,11 +142,19 @@ class MonomialOrder:
         self.n = n
 
     def key(self, m: Monomial):
-        if self.kind == "degrevlex":
-            return (m.deg, tuple(-e for e in reversed(m.exps)))
-        if self.kind == "deglex":
-            return (m.deg, m.exps)
-        return m.exps
+        """Cached on ``m`` with the order kind; a key of another kind replaces it."""
+        kind = self.kind
+        if m._key_kind == kind:
+            return m._key
+        if kind == "degrevlex":
+            key = (m.deg, tuple(map(neg, reversed(m.exps))))
+        elif kind == "deglex":
+            key = (m.deg, m.exps)
+        else:
+            key = m.exps
+        m._key = key
+        m._key_kind = kind
+        return key
 
     def cmp(self, a: Monomial, b: Monomial) -> int:
         ka, kb = self.key(a), self.key(b)
@@ -319,8 +351,42 @@ class Polynomial:
 
 
 def poly_axpy(p: Polynomial, c: int, t: Monomial, q: Polynomial) -> Polynomial:
-    """p - c*t*q with terms merged and order maintained."""
-    return p.sub(q.term_mul(c, t))
+    """p - c*t*q with terms merged and order maintained.
+
+    One linear merge of the two descending term lists: multiplying by t
+    keeps q's terms descending, so no sort is needed.
+    """
+    ring = p.ring
+    mod = ring.p
+    minus_c = -c % mod
+    if minus_c == 0 or not q.terms:
+        return p
+    key = ring.order.key
+    a = p.terms
+    na = len(a)
+    out = []
+    i = 0
+    ka = key(a[0][1]) if na else None
+    for cq, mq in q.terms:
+        m = mq.mul(t)
+        km = key(m)
+        while i < na and ka > km:
+            out.append(a[i])
+            i += 1
+            if i < na:
+                ka = key(a[i][1])
+        cm = cq * minus_c % mod
+        if i < na and ka == km:
+            cm = (a[i][0] + cm) % mod
+            if cm:
+                out.append((cm, a[i][1]))
+            i += 1
+            if i < na:
+                ka = key(a[i][1])
+        else:
+            out.append((cm, m))
+    out.extend(a[i:])
+    return Polynomial(ring, tuple(out))
 
 
 def validate_poly(p: Polynomial) -> None:
@@ -340,17 +406,6 @@ def is_homogeneous(p: Polynomial) -> bool:
         return True
     d = p.terms[0][1].deg
     return all(m.deg == d for _, m in p.terms)
-
-
-def find_top_reducer(
-    m: Monomial, heads: Sequence[tuple[Monomial, int]]
-) -> Optional[tuple[int, Monomial]]:
-    """First (index, multiplier) among ``heads`` whose head divides m."""
-    for idx, (h, tag) in enumerate(heads):
-        u = m.divide(h)
-        if u is not None:
-            return tag, u
-    return None
 
 
 def normal_form(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
@@ -382,10 +437,3 @@ def normal_form(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
             work = poly_axpy(work, factor, u, b)
     return Polynomial(ring, tuple(done))
 
-
-def poly_payload(p: Polynomial) -> list:
-    return [[c, list(m.exps)] for c, m in p.terms]
-
-
-def poly_from_payload(ring: Ring, payload: list) -> Polynomial:
-    return ring.poly([(c, Monomial(exps)) for c, exps in payload])

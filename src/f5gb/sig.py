@@ -2,9 +2,11 @@
 
 A signature is a module monomial (t, i) standing for t*F_i.  The order is
 index-dominant with smaller index greater: F_1 > F_2 > ... > F_m, and within
-one index monomials compare in the ambient ring order.  Every labeled
-polynomial carries its full module vector so admissibility is a checkable
-invariant rather than a bookkeeping assumption.
+one index monomials compare in the ambient ring order.  A labeled polynomial
+can carry its full module vector, so admissibility is a checkable invariant
+rather than a bookkeeping assumption; the engine carries vectors only when a
+run asks for checks or snapshots (the algorithm itself needs only
+signatures).
 """
 
 from __future__ import annotations
@@ -12,11 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-from .poly import EQ, GT, LT, Monomial, MonomialOrder, Polynomial, Ring
+from .poly import EQ, GT, LT, Monomial, MonomialOrder, Polynomial, Ring, poly_axpy
 
 
 class InconsistentModuleVector(Exception):
     """The module vector does not sum to the carried polynomial."""
+
+
+class MissingModuleVector(ValueError):
+    """A vector-level check was asked of an element that carries no vector."""
 
 
 @dataclass(frozen=True)
@@ -77,7 +83,7 @@ class ModuleVector:
     def axpy(self, c: int, t: Monomial, other: "ModuleVector") -> "ModuleVector":
         """self - c*t*other, coordinatewise."""
         return ModuleVector(
-            tuple(a.sub(b.term_mul(c, t)) for a, b in zip(self.coords, other.coords))
+            tuple(poly_axpy(a, c, t, b) for a, b in zip(self.coords, other.coords))
         )
 
     def term_mul(self, c: int, t: Monomial) -> "ModuleVector":
@@ -113,6 +119,7 @@ class LabeledPolynomial:
 
     ``poly`` and ``mv`` are replaced together during reduction (the head
     monomial only ever strictly decreases); ``sig`` is fixed at creation.
+    ``mv`` is None when the run carries no vectors.
     """
 
     __slots__ = ("pos", "sig", "poly", "mv", "genealogy")
@@ -122,7 +129,7 @@ class LabeledPolynomial:
         pos: int,
         sig: Signature,
         poly: Polynomial,
-        mv: ModuleVector,
+        mv: Optional[ModuleVector],
         genealogy: Optional[Genealogy] = None,
     ):
         self.pos = pos
@@ -139,6 +146,15 @@ class LabeledPolynomial:
         return f"LabeledPolynomial(pos={self.pos}, sig={self.sig!r}, poly={self.poly!r})"
 
 
+def _vector(lp: LabeledPolynomial) -> ModuleVector:
+    if lp.mv is None:
+        raise MissingModuleVector(
+            f"r{lp.pos} carries no module vector: run the engine with "
+            "EngineConfig(self_check=True) or EngineConfig(capture_snapshots=True)"
+        )
+    return lp.mv
+
+
 def check_admissible(
     lp: LabeledPolynomial, inputs: Sequence[Polynomial], order: MonomialOrder
 ) -> bool:
@@ -146,13 +162,14 @@ def check_admissible(
 
     Raises InconsistentModuleVector when the vector does not even sum to the
     carried polynomial: that is an engine bookkeeping bug, not a property of
-    the run.
+    the run.  Raises MissingModuleVector when the element carries no vector.
     """
-    if lp.mv.value(inputs) != lp.poly:
+    mv = _vector(lp)
+    if mv.value(inputs) != lp.poly:
         raise InconsistentModuleVector(
             f"module vector of r{lp.pos} does not sum to its polynomial"
         )
-    lead = lp.mv.lead(order)
+    lead = mv.lead(order)
     if lead is None:
         return False
     return lead[1] == lp.sig
@@ -167,7 +184,7 @@ def input_representation(
     first triple carries exactly the stored signature, and it is unique.
     """
     out = []
-    for k, g in enumerate(lp.mv.coords):
+    for k, g in enumerate(_vector(lp).coords):
         for c, m in g.terms:
             out.append((c, m, k + 1))
     out.sort(key=lambda e: sig_key(Signature(e[1], e[2]), order), reverse=True)

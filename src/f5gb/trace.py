@@ -520,41 +520,41 @@ def find_thm4_pairs(
 # reductor checks shared with the insertion audit
 
 
-def phi_heads_at(
-    registry: Registry, ring: Ring, members: Sequence[int], index: int
-) -> list[Monomial]:
-    """Heads of the completed basis for ``index + 1``: every member with a
-    strictly higher signature index (those calls finished earlier)."""
-    out = []
-    for p in members:
-        e = registry.entries[p]
-        if e.index > index:
-            h = e.head()
-            if h is not None:
-                out.append(h)
-    return out
+def phi_heads_by_index(
+    registry: Registry, heads: dict[int, Optional[Monomial]], members: Sequence[int]
+) -> dict[int, list[Monomial]]:
+    """For each signature index among ``members``, the heads of the completed
+    basis for ``index + 1``: every member with a strictly higher signature
+    index (those calls finished earlier).  ``heads`` maps a position to its
+    head monomial."""
+    indexed = [(registry.entries[p].index, heads[p]) for p in members]
+    return {
+        index: [h for i, h in indexed if i > index and h is not None]
+        for index in {i for i, _ in indexed}
+    }
 
 
 def evaluate_reductor_checks(
-    ring: Ring,
     registry: Registry,
-    members: Sequence[int],
+    heads: dict[int, Optional[Monomial]],
+    phi_heads: dict[int, list[Monomial]],
     rules: dict[int, list[tuple[Monomial, int]]],
     cand: int,
     target_head: Monomial,
     target_sig: Signature,
 ) -> Optional[str]:
     """Re-run checks (a)-(d) for one candidate; returns the failing check or
-    None when the candidate passes all four."""
+    None when the candidate passes all four.  ``phi_heads`` is the table
+    ``phi_heads_by_index`` builds for the members at this point."""
     e = registry.entries[cand]
-    h = e.head()
+    h = heads[cand]
     if h is None:
         return "a"
     u = target_head.divide(h)
     if u is None:
         return "a"
     msig_mono = u.mul(e.sig.mono)
-    for head in phi_heads_at(registry, ring, members, e.index):
+    for head in phi_heads[e.index]:
         if head.divides(msig_mono):
             return "b"
     table = rules.get(e.index, [])
@@ -581,18 +581,19 @@ def done_insertion_audit(
         registry = build_registry(events)
     failures = []
     checked = 0
+    heads = {pos: e.head() for pos, e in registry.entries.items()}
     for call, done in registry.insertions.items():
         for seq, pos in done:
             checked += 1
             e = registry.entries[pos]
             members = membership_at(registry, call, seq)
             rules = rules_before(registry, seq)
-            head = e.head()
+            phi_heads = phi_heads_by_index(registry, heads, members)
             for cand in members:
                 if cand == pos:
                     continue
                 verdict = evaluate_reductor_checks(
-                    ring, registry, members, rules, cand, head, e.sig
+                    registry, heads, phi_heads, rules, cand, heads[pos], e.sig
                 )
                 if verdict is None:
                     failures.append((pos, cand, "candidate passes all four checks"))

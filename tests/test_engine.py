@@ -1,6 +1,9 @@
 """Engine behavior: pair creation and rejection, S-polynomials, reduction,
 rule bookkeeping, budgets, and the run-level invariants."""
 
+import hashlib
+import io
+
 import pytest
 
 from f5gb.engine import (
@@ -14,11 +17,11 @@ from f5gb.engine import (
     incremental_f5,
 )
 from f5gb.poly import GT, Monomial
-from f5gb.sig import Signature, check_admissible, sig_cmp, sig_mul
+from f5gb.sig import MissingModuleVector, Signature, check_admissible, sig_cmp, sig_mul
 from systems import P
-from f5gb.trace import build_registry, sig_from_payload
+from f5gb.trace import Trace, build_registry, sig_from_payload
 
-from systems import P, make_ring, polys
+from systems import P, SUITE, make_ring, polys
 
 
 def M(*exps):
@@ -111,7 +114,7 @@ class TestMonomialIdeals:
         assert ev["poly"] == []
 
     def test_zero_elements_keep_rule_and_stay_out_of_basis(self, ring):
-        res = incremental_f5(polys(ring, "x^2*y", "x*y^2"))
+        res = incremental_f5(polys(ring, "x^2*y", "x*y^2"), EngineConfig(self_check=True))
         (zero_ev,) = events_of(res, "ReductionToZero")
         pos = zero_ev["pos"]
         assert pos not in res.basis
@@ -122,6 +125,24 @@ class TestMonomialIdeals:
         assert lp.poly.is_zero
         assert lp.mv.value(res.inputs).is_zero
         assert lp.mv.lead(res.ring.order)[1] == lp.sig
+
+
+class TestModuleVectors:
+    def test_not_carried_by_default(self, ring):
+        res = incremental_f5(polys(ring, "x^2 + y^2", "x*y"))
+        assert all(lp.mv is None for lp in res.R)
+
+    @pytest.mark.parametrize(
+        "config", [EngineConfig(self_check=True), EngineConfig(capture_snapshots=True)]
+    )
+    def test_carried_when_checked(self, ring, config):
+        res = incremental_f5(polys(ring, "x^2 + y^2", "x*y"), config)
+        assert all(check_admissible(lp, res.inputs, ring.order) for lp in res.R)
+
+    def test_admissibility_of_vectorless_element_names_the_flags(self, ring):
+        res = incremental_f5(polys(ring, "x^2 + y^2", "x*y"))
+        with pytest.raises(MissingModuleVector, match="self_check.*capture_snapshots"):
+            check_admissible(res.R[0], res.inputs, ring.order)
 
 
 class TestInputRetirement:
@@ -300,7 +321,7 @@ class TestNoCoprimeSkip:
         lp2 = eng._new_labeled(
             Signature(M(0, 1), 1),
             P(ring, "y^3"),
-            eng.R[0].mv.term_mul(1, M(0, 1)),
+            None,
             None,
         )
         eng._add_rule(lp2.sig, lp2.pos)
@@ -321,3 +342,47 @@ class TestReductionStepCap:
             )
         assert "reduction step cap" in str(exc.value)
         assert exc.value.events
+
+
+# sha256 of the compact JSON Lines log (``Trace.to_jsonl``) of each run.  Any
+# change to an engine decision changes them, so a change meant to keep the
+# engine's behaviour must keep them.  On homogeneous input deglex and lex
+# compare the monomials of one degree alike, so their logs agree.
+CYCLIC4 = (
+    ["x0", "x1", "x2", "x3", "h"],
+    [
+        "x0 + x1 + x2 + x3",
+        "x0*x1 + x1*x2 + x2*x3 + x3*x0",
+        "x0*x1*x2 + x1*x2*x3 + x2*x3*x0 + x3*x0*x1",
+        "x0*x1*x2*x3 - h^4",
+    ],
+)
+PINNED_LOGS = {
+    ("cyclic4", "degrevlex"): "a381d7ae70620e2aaa8b6c5519adba74687047373da0ab2b7edc66a0a59b9501",
+    ("cyclic4", "deglex"): "404572e87f929775f4566a7a7087f5ac674c8781a1a64511100074bb8f266f83",
+    ("cyclic4", "lex"): "404572e87f929775f4566a7a7087f5ac674c8781a1a64511100074bb8f266f83",
+    ("katsura3", "degrevlex"): "df377303a4fdafa6be42071a6dee94eb1158cd388f040c75d0148de49d2acd75",
+    ("katsura3", "deglex"): "49d57b5a2f3af0f2ccd945f479c37043e1e57361a3255baff6129a0f815debd4",
+    ("katsura3", "lex"): "49d57b5a2f3af0f2ccd945f479c37043e1e57361a3255baff6129a0f815debd4",
+}
+
+
+def log_digest(events) -> str:
+    trace = Trace()
+    trace.events = events
+    buf = io.StringIO()
+    trace.to_jsonl(buf)
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+class TestEventLogPin:
+    @pytest.mark.parametrize("system, order", sorted(PINNED_LOGS))
+    def test_log_hash_pinned_and_independent_of_checks(self, system, order):
+        names, texts = CYCLIC4 if system == "cyclic4" else SUITE["katsura3_homog"]
+        inputs = polys(make_ring(32003, names, order), *texts)
+        plain = incremental_f5(inputs, EngineConfig())
+        checked = incremental_f5(
+            inputs, EngineConfig(self_check=True, capture_snapshots=True)
+        )
+        assert log_digest(plain.events) == PINNED_LOGS[(system, order)]
+        assert checked.events == plain.events

@@ -8,6 +8,7 @@ from f5gb.poly import (
     EQ,
     GT,
     LT,
+    ORDER_KINDS,
     Monomial,
     MonomialOrder,
     MonomialQuotient,
@@ -87,6 +88,33 @@ class TestMonomial:
         assert M(1, 1).divides(M(2, 1))
         assert not M(2, 0).divides(M(1, 1))
 
+    def test_mask_bits(self):
+        # two bits per variable: exponent >= 1, exponent >= 2
+        assert M(0, 1, 2, 5).mask == 0b11_11_01_00
+        assert M(0, 0).mask == 0
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_mask_agrees_with_divides(self, data):
+        monos = st.builds(Monomial, st.tuples(*[st.integers(0, 3)] * 4))
+        a, b = data.draw(monos), data.draw(monos)
+        if a.divides(b):
+            assert a.mask & ~b.mask == 0
+        if a.mask & ~b.mask:
+            assert not a.divides(b)
+            assert b.divide(a) is None
+
+    def test_one_monomial_under_two_orders(self):
+        a, b = M(1, 0, 2), M(0, 2, 1)
+        revlex, lex = MonomialOrder("degrevlex", 3), MonomialOrder("lex", 3)
+        for _ in range(2):
+            assert revlex.key(a) == (3, (-2, 0, -1))
+            assert lex.key(a) == (1, 0, 2)
+            assert revlex.cmp(a, b) == LT and lex.cmp(a, b) == GT
+        # an equal order whose name is a separately built string
+        assert MonomialOrder("".join(["degrev", "lex"]), 3).key(a) == (3, (-2, 0, -1))
+        assert MonomialOrder("deglex", 3).key(a) == (3, (1, 0, 2))
+
 
 class TestQuotientOrder:
     def test_shrinking_denominators(self):
@@ -165,6 +193,69 @@ class TestPolynomial:
         q = ring.poly(list(zip(data.draw(coeffs), monos)))
         out = poly_axpy(p, data.draw(st.integers(1, 6)), Monomial((0, 0)), q)
         assert is_homogeneous(out)
+
+
+AXPY_PRIMES = (3, 5, 32003, 2**31 - 1)
+
+
+def axpy_reference(p, c, t, q):
+    return p.sub(q.term_mul(c, t))
+
+
+class TestAxpyKernel:
+    """The merge in ``poly_axpy`` against the sort-based reference."""
+
+    @given(
+        st.data(),
+        st.sampled_from(ORDER_KINDS),
+        st.sampled_from(AXPY_PRIMES),
+        st.sampled_from(["random", "zero", "cancel", "overlap"]),
+    )
+    @settings(max_examples=300)
+    def test_matches_reference(self, data, kind, prime, shape):
+        ring = make_ring(prime, ["x", "y", "z"], kind)
+        monos = st.builds(Monomial, st.tuples(*[st.integers(0, 3)] * 3))
+        terms = st.lists(st.tuples(st.integers(-prime, 2 * prime), monos), max_size=6)
+        q = ring.poly(data.draw(terms))
+        t = data.draw(monos)
+        c = data.draw(
+            st.one_of(
+                st.integers(-2 * prime, 2 * prime), st.sampled_from([0, prime, -prime])
+            )
+        )
+        if shape == "zero":
+            p = ring.zero
+        elif shape == "cancel":
+            p = q.term_mul(c, t)
+        elif shape == "overlap":
+            shared = q.term_mul(data.draw(st.integers(1, prime - 1)), t)
+            p = shared.add(ring.poly(data.draw(terms)))
+        else:
+            p = ring.poly(data.draw(terms))
+        out = poly_axpy(p, c, t, q)
+        validate_poly(out)
+        assert out == axpy_reference(p, c, t, q)
+        if shape == "cancel":
+            assert out.is_zero
+
+    @pytest.mark.parametrize("kind", ORDER_KINDS)
+    @pytest.mark.parametrize("prime", AXPY_PRIMES)
+    def test_degenerate_operands(self, kind, prime):
+        ring = make_ring(prime, ["x", "y"], kind)
+        p, q, t = P(ring, "x^2 + 2*x*y + y^2"), P(ring, "x + y"), M(1, 0)
+        cases = [
+            (p, 1, t, p.ring.zero),  # zero q
+            (ring.zero, 2, t, q),  # zero p
+            (p, 0, t, q),  # c = 0
+            (p, prime, t, q),  # c = 0 mod p
+            (q.term_mul(3, t), 3, t, q),  # total cancellation
+            (q.term_mul(3, t), 3 + prime, t, q),  # total cancellation, c mod p
+        ]
+        for a, c, u, b in cases:
+            out = poly_axpy(a, c, u, b)
+            validate_poly(out)
+            assert out == axpy_reference(a, c, u, b)
+        assert poly_axpy(q.term_mul(3, t), 3, t, q).is_zero
 
 
 class TestNormalForm:
