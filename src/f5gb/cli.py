@@ -43,7 +43,7 @@ from .oracle import (
 )
 from .poly import Monomial, MonomialOrder, Polynomial, Ring, is_homogeneous, is_prime
 from .sig import check_admissible
-from .trace import run_all_checkers
+from .trace import Trace, run_all_checkers
 
 
 class ParseError(Exception):
@@ -75,8 +75,6 @@ def _parse_poly(ring: Ring, text: str, lineno: int) -> Polynomial:
         if ch in "+-":
             if buf.strip():
                 chunks.append((sign, buf))
-            elif chunks or buf.strip():
-                pass
             sign = 1 if ch == "+" else -1
             buf = ""
         else:
@@ -173,7 +171,7 @@ def _config_from_args(args) -> EngineConfig:
     )
 
 
-def _print_basis(result_polys, ring, out):
+def _print_basis(result_polys, out):
     for q in result_polys:
         out.write(q.text() + "\n")
 
@@ -195,7 +193,7 @@ def cmd_gb(args, out=None) -> int:
         for key, val in sorted(exc.counters.items()):
             out.write(f"  {key}: {val}\n")
         return 3
-    _print_basis(result.basis_polynomials(), problem.ring, out)
+    _print_basis(result.basis_polynomials(), out)
     return 0
 
 
@@ -203,7 +201,7 @@ def cmd_oracle(args, out=None) -> int:
     out = out or sys.stdout
     problem = parse_problem(_read(args.file), args.allow_affine, args.order)
     basis = buchberger(problem.polynomials)
-    _print_basis(_basis_sorted(basis, problem.ring), problem.ring, out)
+    _print_basis(_basis_sorted(basis, problem.ring), out)
     return 0
 
 
@@ -214,19 +212,19 @@ def cmd_trace(args, out=None) -> int:
     try:
         result = incremental_f5(problem.polynomials, config)
     except BudgetExceeded as exc:
-        _write_events(args.trace_out, exc.events)
+        _write_trace(args.trace_out, exc.events)
         out.write(f"budget exceeded: {exc}\n")
         return 3
-    _write_events(args.trace_out, result.events)
-    _print_basis(result.basis_polynomials(), problem.ring, out)
+    _write_trace(args.trace_out, result.events)
+    _print_basis(result.basis_polynomials(), out)
     return 0
 
 
-def _write_events(path: str, events) -> None:
+def _write_trace(path: str, events) -> None:
+    log = Trace()
+    log.events = events
     with open(path, "w", encoding="utf-8") as fp:
-        for ev in events:
-            fp.write(json.dumps(ev, separators=(",", ":")))
-            fp.write("\n")
+        log.to_jsonl(fp)
 
 
 def _read(path: str) -> str:
@@ -237,7 +235,7 @@ def _read(path: str) -> str:
 def run_check(problem: ProblemFile, config: EngineConfig, descent_samples: int,
               descent_cap: int, seed: int) -> dict:
     """Engine + reference + checkers + sampled descents; machine-form report."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     config.capture_snapshots = True
     config.self_check = True
     result = incremental_f5(problem.polynomials, config)
@@ -287,7 +285,7 @@ def run_check(problem: ProblemFile, config: EngineConfig, descent_samples: int,
         "skipped": [rep.name for rep in reports if rep.skipped],
         "descents": descents,
         "thm4": thm4,
-        "elapsed_s": round(time.time() - t0, 3),
+        "elapsed_s": round(time.perf_counter() - t0, 3),
         "basis": [q.text() for q in f5_basis],
         "oracle_basis": [q.text() for q in _basis_sorted(oracle_basis, problem.ring)],
     }

@@ -172,9 +172,13 @@ class ReprElement(tuple):
 
 
 class Representation:
-    """A finite sum of elements with pairwise-distinct (mono, pos) keys."""
+    """A finite sum of elements with pairwise-distinct (mono, pos) keys.
 
-    __slots__ = ("elements",)
+    The elements never change, so ``ordered_form`` sorts them once per
+    snapshot and keeps that order in ``_form``.
+    """
+
+    __slots__ = ("elements", "_form", "_form_snap")
 
     def __init__(self, elements: Iterable[ReprElement]):
         elems = tuple(elements)
@@ -182,6 +186,7 @@ class Representation:
         if len(keys) != len(elems):
             raise ValueError("representation has duplicate (monomial, element) pairs")
         self.elements = elems
+        self._form_snap = None
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -218,12 +223,20 @@ def elem_cmp(e1: ReprElement, e2: ReprElement, snap: GgSnapshot) -> Optional[int
 
 
 def ordered_form(r: Representation, snap: GgSnapshot) -> list[ReprElement]:
-    """Elements sorted descending; total within one valid representation."""
-    return sorted(
-        r.elements,
-        key=lambda e: (sig_key(element_sig(e, snap), snap.order), -e.pos),
-        reverse=True,
-    )
+    """Elements sorted descending; total within one valid representation.
+
+    Returns a fresh list; the sort runs once per representation and snapshot.
+    """
+    if r._form_snap is not snap:
+        r._form = tuple(
+            sorted(
+                r.elements,
+                key=lambda e: (sig_key(element_sig(e, snap), snap.order), -e.pos),
+                reverse=True,
+            )
+        )
+        r._form_snap = snap
+    return list(r._form)
 
 
 INCOMPARABLE = None
@@ -249,10 +262,12 @@ def repr_cmp(r1: Representation, r2: Representation, snap: GgSnapshot) -> Option
 
 
 def repr_value(r: Representation, snap: GgSnapshot) -> Polynomial:
-    acc = snap.ring.zero
-    for e in r.elements:
-        acc = acc.add(snap.lp(e.pos).poly.term_mul(e.coeff, e.mono))
-    return acc
+    """The polynomial the representation sums to, built in one pass."""
+    return snap.ring.poly(
+        (e.coeff * c, m.mul(e.mono))
+        for e in r.elements
+        for c, m in snap.lp(e.pos).poly.terms
+    )
 
 
 def repr_sum_check(r: Representation, target: Polynomial, snap: GgSnapshot) -> bool:
@@ -609,41 +624,69 @@ def _spoly(f: Polynomial, g: Polynomial) -> Polynomial:
 
 
 def buchberger(inputs: Sequence[Polynomial]) -> list[Polynomial]:
-    """Reduced monic Groebner basis by the classic pair algorithm; the
-    coprime-head skip is the only shortcut taken."""
+    """Reduced monic Groebner basis by Buchberger's algorithm with the
+    Gebauer-Moeller pair update (Gebauer & Moeller, JSC 6, 1988; Becker &
+    Weispfenning, *Groebner Bases*, 5.5, UPDATE).
+
+    Pairs are taken by the normal strategy: smallest lcm first.  The update
+    shares no code with the engine's criteria, so the reference stays
+    independent of what it checks.
+    """
     work = [f.monic() for f in inputs if not f.is_zero]
     if not work:
         return []
-    ring = work[0].ring
+    key = work[0].ring.order.key
     basis: list[Polynomial] = []
-    for f in work:
-        r = normal_form(f, basis)
-        if not r.is_zero:
-            basis.append(r.monic())
+    live: list[int] = []  # positions in the current basis G, ascending
+    pending: dict[tuple[int, int], Monomial] = {}  # live pairs -> lcm
     # keyed by (lcm degree, lcm in the order, (i, j)); no two keys are equal,
-    # so the pops come in the order a full sort would give
-    pairs: list[tuple] = []
+    # so the pops come in the order a full sort would give.  Entries whose
+    # pair the update dropped stay in the heap and are skipped when popped.
+    heap: list[tuple] = []
 
-    def push(i: int, j: int) -> None:
-        t = basis[i].head_mono.lcm(basis[j].head_mono)
-        heapq.heappush(pairs, (t.deg, ring.order.key(t), (i, j)))
+    def update(h: Polynomial) -> None:
+        k = len(basis)
+        basis.append(h)
+        hm = h.head_mono
+        new = [(i, hm.lcm(basis[i].head_mono)) for i in live]
+        # chain criterion among the new pairs: keep one pair per minimal
+        # lcm; a pair with coprime heads is kept here, so that it can
+        # still drop others, and discarded below
+        kept: list[tuple[int, Monomial, bool]] = []
+        for n, (i, t) in enumerate(new):
+            coprime = t.deg == hm.deg + basis[i].head_mono.deg  # gcd of heads is 1
+            if coprime or not (
+                any(t2.divides(t) for _, t2 in new[n + 1:])
+                or any(t2.divides(t) for _, t2, _ in kept)
+            ):
+                kept.append((i, t, coprime))
+        # old pairs whose lcm the new head divides, strictly for both new lcms
+        for (i, j), t in list(pending.items()):
+            if (
+                hm.divides(t)
+                and hm.lcm(basis[i].head_mono) != t
+                and hm.lcm(basis[j].head_mono) != t
+            ):
+                del pending[(i, j)]
+        for i, t, coprime in kept:
+            if not coprime:
+                pending[(i, k)] = t
+                heapq.heappush(heap, (t.deg, key(t), (i, k)))
+        live[:] = [i for i in live if not hm.divides(basis[i].head_mono)]
+        live.append(k)
 
-    for j in range(len(basis)):
-        for i in range(j):
-            push(i, j)
-    while pairs:
-        i, j = heapq.heappop(pairs)[2]
-        f, g = basis[i], basis[j]
-        if f.head_mono.gcd(g.head_mono).is_one:
+    for f in work:
+        r = normal_form(f, [basis[i] for i in live])
+        if not r.is_zero:
+            update(r.monic())
+    while heap:
+        pair = heapq.heappop(heap)[2]
+        if pending.pop(pair, None) is None:
             continue
-        r = normal_form(_spoly(f, g), basis)
-        if r.is_zero:
-            continue
-        basis.append(r.monic())
-        k = len(basis) - 1
-        for i2 in range(k):
-            push(i2, k)
-    return reduced_basis(basis)
+        r = normal_form(_spoly(basis[pair[0]], basis[pair[1]]), [basis[i] for i in live])
+        if not r.is_zero:
+            update(r.monic())
+    return reduced_basis([basis[i] for i in live])
 
 
 def reduced_basis(polys: Sequence[Polynomial]) -> list[Polynomial]:

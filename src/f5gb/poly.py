@@ -8,6 +8,7 @@ the checkers and the oracle.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from operator import add, le, neg, sub
 from typing import Iterable, Optional, Sequence
@@ -310,13 +311,6 @@ class Polynomial:
         terms = tuple((ck * c % p, m.mul(t)) for ck, m in self.terms)
         return Polynomial(self.ring, terms)
 
-    def mul(self, other: "Polynomial") -> "Polynomial":
-        out = []
-        for c, m in self.terms:
-            for c2, m2 in other.terms:
-                out.append((c * c2, m.mul(m2)))
-        return self.ring.poly(out)
-
     def monic(self) -> "Polynomial":
         if self.is_zero or self.head_coeff == 1:
             return self
@@ -412,28 +406,58 @@ def normal_form(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     """Full remainder of p modulo ``basis`` (scanned in the given order).
 
     No term of the result is divisible by any basis head monomial, and the
-    result is congruent to p modulo the ideal the basis generates.
+    result is congruent to p modulo the ideal the basis generates.  Each
+    head term is reduced by the first basis element whose head divides it.
+
+    The remainder is kept ascending, its head at the end, as a list of order
+    keys with parallel coefficient and monomial lists: a reducer's tail is
+    inserted term by term with ``bisect``, so no step rebuilds the whole
+    remainder.  A reducer is tried only when its head's divmask fits.
     """
-    reducers = [b for b in basis if not b.is_zero]
-    if not reducers or p.is_zero:
-        return p
     ring = p.ring
+    mod = ring.p
+    # (head mask, head, -1/lc, tail) per nonzero reducer, in basis order
+    reducers = [
+        (b.head_mono.mask, b.head_mono, mod - ring.inv(b.head_coeff), b.terms[1:])
+        for b in basis
+        if b.terms
+    ]
+    if not reducers or not p.terms:
+        return p
+    key = ring.order.key
+    keys = [key(m) for _, m in reversed(p.terms)]
+    coeffs = [c for c, _ in reversed(p.terms)]
+    monos = [m for _, m in reversed(p.terms)]
     done: list[tuple[int, Monomial]] = []
-    work = p
-    while not work.is_zero:
-        c, m = work.terms[0]
-        hit = None
-        for b in reducers:
-            u = m.divide(b.head_mono)
-            if u is not None:
-                hit = (b, u)
-                break
-        if hit is None:
-            done.append((c, m))
-            work = Polynomial(ring, work.terms[1:])
+    while keys:
+        keys.pop()
+        c = coeffs.pop()
+        m = monos.pop()
+        mmask = m.mask
+        for hmask, head, neg_inv, tail in reducers:
+            if hmask & ~mmask:
+                continue
+            u = m.divide(head)
+            if u is None:
+                continue
+            factor = c * neg_inv % mod
+            hi = len(keys)
+            for cb, mb in tail:
+                t = mb.mul(u)
+                k = key(t)
+                hi = bisect_left(keys, k, 0, hi)
+                if hi < len(keys) and keys[hi] == k:
+                    cn = (coeffs[hi] + cb * factor) % mod
+                    if cn:
+                        coeffs[hi] = cn
+                    else:
+                        del keys[hi], coeffs[hi], monos[hi]
+                else:
+                    keys.insert(hi, k)
+                    coeffs.insert(hi, cb * factor % mod)
+                    monos.insert(hi, t)
+            break
         else:
-            b, u = hit
-            factor = c * ring.inv(b.head_coeff) % ring.p
-            work = poly_axpy(work, factor, u, b)
+            done.append((c, m))
     return Polynomial(ring, tuple(done))
 

@@ -93,12 +93,13 @@ class ModuleVector:
         return ModuleVector(tuple(a.scale(c) for a in self.coords))
 
     def value(self, inputs: Sequence[Polynomial]) -> Polynomial:
-        """Sum of coords[i] * f_i."""
-        acc = inputs[0].ring.zero
-        for g, f in zip(self.coords, inputs):
-            if not g.is_zero:
-                acc = acc.add(g.mul(f))
-        return acc
+        """Sum of coords[i] * f_i, built in one pass."""
+        return inputs[0].ring.poly(
+            (c * cf, m.mul(mf))
+            for g, f in zip(self.coords, inputs)
+            for c, m in g.terms
+            for cf, mf in f.terms
+        )
 
     def signature_terms(self, order: MonomialOrder) -> list[tuple[int, Signature]]:
         """All module terms as (coeff, signature), greatest signature first."""

@@ -123,14 +123,10 @@ class RegistryEntry:
 class Registry:
     entries: dict[int, RegistryEntry]
     calls: dict[int, dict]  # call index -> CallBegin payload
-    call_ends: dict[int, dict]
     # call index -> (seq, pos) of each DoneInserted, in log order
     insertions: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
     # signature index -> (seq, mono, pos) of each RuleAdded, in log order
     rules: dict[int, list[tuple[int, Monomial, int]]] = field(default_factory=dict)
-
-    def entry(self, pos: int) -> RegistryEntry:
-        return self.entries[pos]
 
     def final_poly(self, ring: Ring, pos: int) -> Polynomial:
         e = self.entries[pos]
@@ -144,7 +140,6 @@ class Registry:
 def build_registry(events: Sequence[dict]) -> Registry:
     entries: dict[int, RegistryEntry] = {}
     calls: dict[int, dict] = {}
-    call_ends: dict[int, dict] = {}
     insertions: dict[int, list[tuple[int, int]]] = {}
     rules: dict[int, list[tuple[int, Monomial, int]]] = {}
     for ev in events:
@@ -163,8 +158,6 @@ def build_registry(events: Sequence[dict]) -> Registry:
                 created_seq=ev["seq"],
                 is_input=True,
             )
-        elif kind == "CallEnd":
-            call_ends[ev["call"]] = ev
         elif kind in ("SPolCreated", "NewFromTopReduction"):
             sig = sig_from_payload(ev["sig"])
             if kind == "SPolCreated":
@@ -204,7 +197,7 @@ def build_registry(events: Sequence[dict]) -> Registry:
             rules.setdefault(ev["index"], []).append(
                 (ev["seq"], Monomial(ev["mono"]), ev["pos"])
             )
-    return Registry(entries, calls, call_ends, insertions, rules)
+    return Registry(entries, calls, insertions, rules)
 
 
 def membership_at(registry: Registry, call: int, seq: int) -> list[int]:
@@ -218,16 +211,6 @@ def membership_at(registry: Registry, call: int, seq: int) -> list[int]:
     done = registry.insertions.get(call, [])
     done = done[: bisect_left(done, seq, key=itemgetter(0))]
     return sorted(begin["g_next"] + [begin["input_pos"]] + [pos for _, pos in done])
-
-
-def member_since(registry: Registry, pos: int) -> int:
-    """Sequence number at which ``pos`` entered G ∪ Done."""
-    e = registry.entries[pos]
-    if e.is_input:
-        return e.created_seq
-    if e.done_seq is None:
-        raise BrokenGenealogy(f"r{pos} never entered G ∪ Done")
-    return e.done_seq
 
 
 def rules_before(registry: Registry, seq: int) -> dict[int, list[tuple[Monomial, int]]]:

@@ -36,7 +36,7 @@ from f5gb.oracle import (
     substitute_and_combine,
     violated_property,
 )
-from f5gb.poly import Monomial
+from f5gb.poly import Monomial, normal_form
 from f5gb.sig import Genealogy, LabeledPolynomial, ModuleVector, Signature, sig_mul
 
 from systems import P, make_ring, polys
@@ -109,6 +109,22 @@ class TestOrderedForm:
     def test_singleton(self, cmp_snap):
         r = Representation([E(5, M(1, 1), 1)])
         assert ordered_form(r, cmp_snap) == [E(5, M(1, 1), 1)]
+
+    def test_sorted_per_snapshot(self, cmp_snap):
+        # where the third element carries F1 instead of x*F1, y^2*F1 from
+        # the first beats y*F1: the order found under cmp_snap is not reused
+        entries = dict(cmp_snap.entries)
+        entries[2] = lp(2, Signature(M(0, 0), 1), entries[2].poly)
+        other = GgSnapshot(
+            cmp_snap.ring, entries, members=(0, 1, 2), g_pos=2, rules={},
+            trails={}, creation_polys={}, input_pos={1: 0, 2: 1}, m=2,
+        )
+        r = Representation([E(1, M(0, 2), 0), E(1, M(0, 1), 2)])
+        form = ordered_form(r, cmp_snap)
+        assert form == [E(1, M(0, 1), 2), E(1, M(0, 2), 0)]
+        form.clear()  # each call returns a fresh list
+        assert ordered_form(r, other) == [E(1, M(0, 2), 0), E(1, M(0, 1), 2)]
+        assert ordered_form(r, cmp_snap) == [E(1, M(0, 1), 2), E(1, M(0, 2), 0)]
 
 
 class TestRepresentationOrderExamples:
@@ -544,6 +560,13 @@ class TestEngineDescents:
 # reference algorithm
 
 
+def _monomials(n, d):
+    """All monomials of degree d in n variables."""
+    if n == 1:
+        return [M(d)]
+    return [M(a, *m.exps) for a in range(d + 1) for m in _monomials(n - 1, d - a)]
+
+
 class TestBuchberger:
     def test_demo_heads(self):
         ring = make_ring(7, ["x", "y"])
@@ -568,6 +591,38 @@ class TestBuchberger:
             )
         )
         assert spair_exhaustion_check(basis)
+
+    @pytest.mark.parametrize("order", ["lex", "deglex", "degrevlex"])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_systems(self, order, seed):
+        rng = random.Random(seed)
+        p = rng.choice([3, 7, 32003, 2**31 - 1])
+        affine = seed % 3 == 2  # the reference also takes affine input
+        n = 3 if affine else 4
+        ring = make_ring(p, ["x", "y", "z", "w"][:n], order)
+        system = []
+        for _ in range(2 if affine else rng.randint(2, 4)):
+            d = rng.randint(1, 3)
+            support = [
+                m for e in (range(d + 1) if affine else [d]) for m in _monomials(n, e)
+            ]
+            system.append(
+                ring.poly((rng.randrange(p), m) for m in support if rng.random() < 0.5)
+            )
+        basis = buchberger(system)
+        assert spair_exhaustion_check(basis)
+        assert reduced_basis(basis) == basis
+        for f in system:
+            assert normal_form(f, basis).is_zero
+
+    def test_update_keeps_pairs_with_an_equal_new_lcm(self):
+        # dropping an old pair whose lcm equals one of the new lcms loses
+        # z^4 here: the Gebauer-Moeller test must be strict
+        ring = make_ring(7, ["x", "y", "z"])
+        basis = buchberger(polys(ring, "x*y + z^2", "x*z + y^2", "y*z + x^2"))
+        assert [q.text() for q in basis] == [
+            "y^2 + x*z", "x*y + z^2", "x^2 + y*z", "y*z^2", "x*z^2", "z^4"
+        ]
 
     def test_reduced_basis_is_canonical(self):
         ring = make_ring(7, ["x", "y"])

@@ -12,6 +12,7 @@ from f5gb.poly import (
     Monomial,
     MonomialOrder,
     MonomialQuotient,
+    Polynomial,
     is_homogeneous,
     is_prime,
     mono_cmp,
@@ -258,7 +259,53 @@ class TestAxpyKernel:
         assert poly_axpy(q.term_mul(3, t), 3, t, q).is_zero
 
 
+def normal_form_reference(p, basis):
+    """Textbook division: reduce the head by the first basis element whose
+    head divides it, with the sort-based ``sub``; else move it to the result."""
+    ring = p.ring
+    reducers = [b for b in basis if not b.is_zero]
+    done = []
+    while not p.is_zero:
+        c, m = p.terms[0]
+        for b in reducers:
+            if b.head_mono.divides(m):
+                factor = c * ring.inv(b.head_coeff)
+                p = p.sub(b.term_mul(factor, m.divide(b.head_mono)))
+                break
+        else:
+            done.append((c, m))
+            p = Polynomial(ring, p.terms[1:])
+    return Polynomial(ring, tuple(done))
+
+
 class TestNormalForm:
+    @given(
+        st.data(),
+        st.sampled_from(ORDER_KINDS),
+        st.sampled_from(AXPY_PRIMES),
+    )
+    @settings(max_examples=300)
+    def test_matches_reference(self, data, kind, prime):
+        ring = make_ring(prime, ["x", "y", "z"], kind)
+        key = ring.order.key
+        monos = st.builds(Monomial, st.tuples(*[st.integers(0, 3)] * 3))
+        terms = st.lists(st.tuples(st.integers(-prime, 2 * prime), monos), max_size=6)
+        p = ring.poly(data.draw(terms))
+        basis = [ring.poly(data.draw(terms)) for _ in range(data.draw(st.integers(0, 4)))]
+        # zero reducers, and reducers sharing a head with an earlier one
+        if data.draw(st.booleans()):
+            basis.insert(data.draw(st.integers(0, len(basis))), ring.zero)
+        for b in [b for b in basis if not b.is_zero]:
+            if data.draw(st.booleans()):
+                lower = [(c, m) for c, m in data.draw(terms) if key(m) < key(b.head_mono)]
+                c = data.draw(st.integers(1, prime - 1))
+                basis.append(ring.poly([(c, b.head_mono)] + lower))
+        out = normal_form(p, basis)
+        validate_poly(out)
+        assert out == normal_form_reference(p, basis)
+        for _, m in out.terms:
+            assert not any(b.head_mono.divides(m) for b in basis if not b.is_zero)
+
     def test_head_reduction(self, ring):
         assert normal_form(P(ring, "x^2 + y^2"), [P(ring, "x^2")]) == P(ring, "y^2")
 

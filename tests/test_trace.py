@@ -190,7 +190,6 @@ class TestThm4Scan:
                 1: self._entry(1, Signature(M(1, 0), 1), (2, 1)),
             },
             {},
-            {},
         )
         assert find_thm4_pairs([0, 1], reg, ring) == []
 
@@ -201,7 +200,6 @@ class TestThm4Scan:
                 1: self._entry(1, Signature(M(1, 1), 1), (2, 1)),
             },
             {},
-            {},
         )
         assert find_thm4_pairs([0, 1], reg, ring) == [(0, 1)]
 
@@ -211,7 +209,6 @@ class TestThm4Scan:
                 0: self._entry(0, Signature(M(0, 0), 1), (2, 0)),
                 1: self._entry(1, Signature(M(0, 1), 1), (0, 2)),
             },
-            {},
             {},
         )
         assert find_thm4_pairs([0, 1], reg, ring) == []
