@@ -15,7 +15,6 @@ from .engine import (
     InternalInvariantError,
     MissingRule,
     NonHomogeneousInput,
-    SnapshotRecord,
     ZeroInputPolynomial,
     incremental_f5,
 )
@@ -73,7 +72,6 @@ from .trace import (
     check_thm5_exhaustive,
     done_insertion_audit,
     extract_chain,
-    find_thm4_pairs,
     run_all_checkers,
 )
 

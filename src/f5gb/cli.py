@@ -16,6 +16,7 @@ Terms are ``c*v1^e1*...*vk^ek`` joined with ``+``/``-``; the coefficient and
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import random
 import sys
@@ -25,16 +26,15 @@ from dataclasses import dataclass
 from .engine import (
     BudgetExceeded,
     EngineConfig,
-    EngineResult,
     NonHomogeneousInput,
     ZeroInputPolynomial,
     incremental_f5,
 )
 from .oracle import (
     DescentError,
-    GgSnapshot,
     buchberger,
     descend,
+    done_snapshots,
     find_thm4_pairs_in_snapshot,
     find_unrejected_reductor,
     harvest_descent_seeds,
@@ -43,7 +43,7 @@ from .oracle import (
 )
 from .poly import Monomial, MonomialOrder, Polynomial, Ring, is_homogeneous, is_prime
 from .sig import check_admissible
-from .trace import Trace, run_all_checkers
+from .trace import Trace, build_registry, run_all_checkers
 
 
 class ParseError(Exception):
@@ -163,12 +163,7 @@ def parse_problem(
 
 
 def _config_from_args(args) -> EngineConfig:
-    return EngineConfig(
-        max_pairs=args.max_pairs,
-        max_degree=args.max_degree,
-        capture_snapshots=getattr(args, "snapshots", False),
-        self_check=getattr(args, "self_check", False),
-    )
+    return EngineConfig(max_pairs=args.max_pairs, max_degree=args.max_degree)
 
 
 def _print_basis(result_polys, out):
@@ -234,15 +229,17 @@ def _read(path: str) -> str:
 
 def run_check(problem: ProblemFile, config: EngineConfig, descent_samples: int,
               descent_cap: int, seed: int) -> dict:
-    """Engine + reference + checkers + sampled descents; machine-form report."""
+    """Engine + reference + checkers + sampled descents; machine-form report.
+
+    The engine runs on a copy of ``config`` with ``self_check`` set."""
     t0 = time.perf_counter()
-    config.capture_snapshots = True
-    config.self_check = True
-    result = incremental_f5(problem.polynomials, config)
+    result = incremental_f5(problem.polynomials, dataclasses.replace(config, self_check=True))
     f5_basis = result.basis_polynomials()
     oracle_basis = buchberger(problem.polynomials)
     equal = ideal_equal(f5_basis, oracle_basis)
-    reports = run_all_checkers(result.events, problem.ring)
+    registry = build_registry(result.events)
+    snapshots = done_snapshots(result, registry)
+    reports = run_all_checkers(result.events, problem.ring, registry)
     verdicts = {rep.name: rep.passed for rep in reports}
     verdicts["ideal_equal"] = equal
     verdicts["admissible"] = all(
@@ -252,7 +249,7 @@ def run_check(problem: ProblemFile, config: EngineConfig, descent_samples: int,
     descents = {"attempted": 0, "completed": 0, "max_steps": 0, "failures": []}
     thm4 = {"pairs": 0, "reductor_ok": 0, "failures": []}
     rng = random.Random(seed)
-    seeds = harvest_descent_seeds(result, descent_samples, rng)
+    seeds = harvest_descent_seeds(snapshots, descent_samples, rng)
     for snap, coeff, mono, h_pos in seeds:
         descents["attempted"] += 1
         try:
@@ -261,7 +258,7 @@ def run_check(problem: ProblemFile, config: EngineConfig, descent_samples: int,
             descents["max_steps"] = max(descents["max_steps"], res.step_count)
         except DescentError as exc:
             descents["failures"].append(str(exc))
-    for snap in _snapshots(result):
+    for snap in snapshots:
         for fprime, f in find_thm4_pairs_in_snapshot(snap):
             thm4["pairs"] += 1
             try:
@@ -291,10 +288,6 @@ def run_check(problem: ProblemFile, config: EngineConfig, descent_samples: int,
     }
     report["ok"] = all(verdicts.values())
     return report
-
-
-def _snapshots(result: EngineResult):
-    return [GgSnapshot.from_result(result, rec) for rec in result.snapshots]
 
 
 def cmd_check(args, out=None) -> int:
@@ -329,20 +322,20 @@ def cmd_check(args, out=None) -> int:
 def cmd_descend(args, out=None) -> int:
     out = out or sys.stdout
     problem = parse_problem(_read(args.file), args.allow_affine, args.order)
-    config = _config_from_args(args)
-    config.capture_snapshots = True
+    config = dataclasses.replace(_config_from_args(args), self_check=True)
     try:
         result = incremental_f5(problem.polynomials, config)
     except BudgetExceeded as exc:
         out.write(f"budget exceeded: {exc}\n")
         return 3
-    if not result.snapshots:
+    snapshots = done_snapshots(result, build_registry(result.events))
+    if not snapshots:
         out.write("no snapshots captured (no Done insertions in this run)\n")
         return 2
-    if not 0 <= args.snapshot < len(result.snapshots):
-        out.write(f"snapshot index out of range (have {len(result.snapshots)})\n")
+    if not 0 <= args.snapshot < len(snapshots):
+        out.write(f"snapshot index out of range (have {len(snapshots)})\n")
         return 2
-    snap = GgSnapshot.from_result(result, result.snapshots[args.snapshot])
+    snap = snapshots[args.snapshot]
     h_pos = args.element if args.element is not None else snap.members[0]
     mono = Monomial([0] * problem.ring.n)
     if args.mult:

@@ -64,17 +64,16 @@ class EngineConfig:
 
     ``max_pairs``, ``max_degree`` and ``reduction_step_cap`` bound the run;
     hitting one raises ``BudgetExceeded`` with the partial trace.
-    ``capture_snapshots`` records the state at every Done insertion for the
-    descent oracle; ``self_check`` checks the admissibility of every element
-    at creation.  Module vectors are carried only when one of these two is
-    set, since nothing else reads them; otherwise every element's ``mv`` is
-    None.  The event log is the same either way.
+    ``self_check`` checks the admissibility of every element at creation.
+    Module vectors are carried only under ``self_check``: the admissibility
+    check and the descent oracle read them, the algorithm does not.
+    Otherwise every element's ``mv`` is None.  The event log is the same
+    either way.
     """
 
     max_pairs: int = 10**6
     max_degree: int = 80
     reduction_step_cap: int = 10**6
-    capture_snapshots: bool = False
     self_check: bool = False
 
 
@@ -87,16 +86,6 @@ class CriticalPair(NamedTuple):
     degree: int
     sig1: Signature
     sig2: Signature
-
-
-class SnapshotRecord(NamedTuple):
-    """State frozen at one Done insertion, in positions-and-rules form."""
-
-    seq: int
-    call: int
-    g_pos: int
-    members: tuple  # positions of G ∪ Done (g included), ascending
-    rules: dict  # index -> tuple of (Monomial, pos)
 
 
 class RuleTable:
@@ -115,9 +104,6 @@ class RuleTable:
                 return pos
         raise MissingRule(f"no rule in index {index} divides {target!r}")
 
-    def snapshot(self) -> dict[int, tuple]:
-        return {i: tuple(t) for i, t in self.tables.items()}
-
 
 @dataclass
 class EngineResult:
@@ -126,13 +112,6 @@ class EngineResult:
     R: list[LabeledPolynomial]
     basis: tuple[int, ...]
     events: list[dict]
-    trails: dict[int, list]
-    creation_polys: dict[int, Polynomial]
-    rules: RuleTable
-    basis_by_index: dict[int, tuple[int, ...]]
-    d_histories: dict[int, list[int]]
-    snapshots: list[SnapshotRecord]
-    member_since: dict[int, int]
     counters: dict
     config: EngineConfig
 
@@ -164,10 +143,6 @@ class Engine:
         self.trails: dict[int, list] = {}
         self.creation_polys: dict[int, Polynomial] = {}
         self.basis_by_index: dict[int, tuple[int, ...]] = {}
-        self.d_histories: dict[int, list[int]] = {}
-        self.snapshots: list[SnapshotRecord] = []
-        self.member_since: dict[int, int] = {}
-        self.carry_vectors = self.config.self_check or self.config.capture_snapshots
         self.counters = {
             "pairs_created": 0,
             "f5_rejections": 0,
@@ -263,13 +238,6 @@ class Engine:
             R=self.R,
             basis=tuple(self.G),
             events=self.trace.events,
-            trails=self.trails,
-            creation_polys=self.creation_polys,
-            rules=self.rules,
-            basis_by_index=self.basis_by_index,
-            d_histories=self.d_histories,
-            snapshots=self.snapshots,
-            member_since=self.member_since,
             counters=dict(self.counters),
             config=self.config,
         )
@@ -277,9 +245,9 @@ class Engine:
     def _begin_call(self, i: int, g_next: list[int]) -> LabeledPolynomial:
         f = self.inputs[i - 1]
         sig = Signature(self.ring.one_mono(), i)
-        mv = ModuleVector.unit(self.ring, self.m, i) if self.carry_vectors else None
+        mv = ModuleVector.unit(self.ring, self.m, i) if self.config.self_check else None
         lp = self._new_labeled(sig, f, mv, None)
-        seq = self.trace.emit(
+        self.trace.emit(
             "CallBegin",
             call=i,
             input_pos=lp.pos,
@@ -289,7 +257,6 @@ class Engine:
         )
         self._add_rule(sig, lp.pos)
         self.G.append(lp.pos)
-        self.member_since[lp.pos] = seq
         return lp
 
     def _algorithm_f5(self, i: int) -> None:
@@ -300,7 +267,6 @@ class Engine:
             cp = self._crit_pair(r_i.pos, p, i)
             if cp is not None:
                 pending.append(cp)
-        d_hist: list[int] = []
         while pending:
             d = min(cp.degree for cp in pending)
             self._budget(f"degree {d} exceeds max_degree", d > self.config.max_degree)
@@ -314,7 +280,6 @@ class Engine:
                     cp.p2,
                 )
             )
-            d_hist.append(d)
             self.trace.emit("DegreeStep", call=i, d=d, pairs=len(batch))
             new = self._spol(batch, i)
             done = self._reduction(new, i)
@@ -324,7 +289,6 @@ class Engine:
                     if cp is not None:
                         pending.append(cp)
                 self.G.append(r)
-        self.d_histories[i] = d_hist
         self.trace.emit("CallEnd", call=i, basis=list(self.G))
 
     # -- critical pairs ---------------------------------------------------
@@ -412,7 +376,7 @@ class Engine:
             a, b = self.R[cp.p1], self.R[cp.p2]
             poly = poly_axpy(a.poly.term_mul(1, cp.u1), 1, cp.u2, b.poly)
             mv = None
-            if self.carry_vectors:
+            if self.config.self_check:
                 mv = a.mv.term_mul(1, cp.u1).axpy(1, cp.u2, b.mv)
             poly, mv = self._monic_pair(poly, mv)
             lp = self._new_labeled(
@@ -523,7 +487,7 @@ class Engine:
             return []
         red = self._is_reducible(h, i)
         if red is None:
-            seq = self.trace.emit(
+            self.trace.emit(
                 "DoneInserted",
                 call=i,
                 pos=h.pos,
@@ -532,13 +496,7 @@ class Engine:
                 creation_poly=poly_payload(self.creation_polys[h.pos]),
                 trail=list(self.trails[h.pos]),
             )
-            self.member_since[h.pos] = seq
             self.done_now.append(h.pos)
-            if self.config.capture_snapshots:
-                members = tuple(sorted(set(self.G) | set(self.done_now)))
-                self.snapshots.append(
-                    SnapshotRecord(seq, i, h.pos, members, self.rules.snapshot())
-                )
             return []
         j_pos, u = red
         j = self.R[j_pos]
@@ -569,7 +527,7 @@ class Engine:
         one = self.ring.one_mono()
         poly = poly_axpy(j.poly.term_mul(1, u), 1, one, h.poly)
         mv = None
-        if self.carry_vectors:
+        if self.config.self_check:
             mv = j.mv.term_mul(1, u).axpy(1, one, h.mv)
         poly, mv = self._monic_pair(poly, mv)
         lp = self._new_labeled(msig, poly, mv, Genealogy(j_pos, h.pos, u, one))

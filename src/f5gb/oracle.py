@@ -14,7 +14,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .engine import EngineResult, SnapshotRecord
+from .engine import EngineResult
 from .poly import EQ, GT, LT, Monomial, Polynomial, Ring, normal_form, poly_axpy
 from .sig import (
     LabeledPolynomial,
@@ -24,6 +24,7 @@ from .sig import (
     sig_key,
     sig_mul,
 )
+from .trace import Registry, membership_at, rules_before
 
 
 class DescentError(Exception):
@@ -66,6 +67,8 @@ class GgSnapshot:
     ``members`` lists the positions of G ∪ Done ascending by creation order;
     representation elements refer to these positions directly (the list is
     creation-ordered, so position comparison doubles as list-rank comparison).
+    Reduction trails and creation-time polynomials are read from the
+    ``registry`` of the run's event log.
     """
 
     def __init__(
@@ -74,11 +77,9 @@ class GgSnapshot:
         entries: dict[int, LabeledPolynomial],
         members: Sequence[int],
         g_pos: int,
-        rules: dict[int, tuple],
-        trails: dict[int, list],
-        creation_polys: dict[int, Polynomial],
+        rules: dict[int, Sequence[tuple[Monomial, int]]],
+        registry: Registry,
         input_pos: dict[int, int],
-        m: int,
     ):
         self.ring = ring
         self.order = ring.order
@@ -87,26 +88,23 @@ class GgSnapshot:
         self.member_set = set(self.members)
         self.g_pos = g_pos
         self.rules = rules
-        self.trails = trails
-        self.creation_polys = creation_polys
+        self.registry = registry
         self.input_pos = input_pos
-        self.m = m
         self._phi_cache: dict[int, list[tuple[Monomial, int]]] = {}
 
     @classmethod
-    def from_result(cls, result: EngineResult, record: SnapshotRecord) -> "GgSnapshot":
-        entries = {lp.pos: lp for lp in result.R}
-        input_pos = {lp.index: lp.pos for lp in result.R if lp.genealogy is None}
+    def from_result(cls, result: EngineResult, registry: Registry, seq: int) -> "GgSnapshot":
+        """The snapshot of the ``DoneInserted`` event at ``seq``; ``registry``
+        is built from ``result.events``."""
+        done = result.events[seq]
         return cls(
             ring=result.ring,
-            entries=entries,
-            members=record.members,
-            g_pos=record.g_pos,
-            rules=record.rules,
-            trails=result.trails,
-            creation_polys=result.creation_polys,
-            input_pos=input_pos,
-            m=len(result.inputs),
+            entries={lp.pos: lp for lp in result.R},
+            members=membership_at(registry, done["call"], seq) + [done["pos"]],
+            g_pos=done["pos"],
+            rules=rules_before(registry, seq),
+            registry=registry,
+            input_pos={lp.index: lp.pos for lp in result.R if lp.genealogy is None},
         )
 
     def lp(self, pos: int) -> LabeledPolynomial:
@@ -439,7 +437,7 @@ def _trail_contributions(snap: GgSnapshot, pos: int) -> tuple[int, list]:
     p = snap.ring.p
     alpha = 1
     contribs: list[list] = []
-    for step in snap.trails.get(pos, []):
+    for step in snap.registry.entries[pos].trail or []:
         if step[0] == "monic":
             s = step[1]
             alpha = alpha * s % p
@@ -490,8 +488,7 @@ def rewrite_hm_case(
             f"no completed S-polynomial of r{K_prime.pos}, r{K2.pos} in the basis"
         )
     q_raw = poly_axpy(b1.poly.term_mul(1, u1), 1, u2, b2.poly)
-    creation = snap.creation_polys[e_pos]
-    if q_raw.is_zero or creation.is_zero:
+    if q_raw.is_zero or not snap.registry.entries[e_pos].creation_poly:
         raise TrailNotFound("completed S-polynomial collapsed to zero")
     lc_raw = q_raw.head_coeff
     alpha, contribs = _trail_contributions(snap, e_pos)
@@ -762,16 +759,25 @@ def find_thm4_pairs_in_snapshot(snap: GgSnapshot) -> list[tuple[int, int]]:
     return out
 
 
-def harvest_descent_seeds(result: EngineResult, samples: int, rng) -> list[tuple]:
+def done_snapshots(result: EngineResult, registry: Registry) -> list[GgSnapshot]:
+    """One snapshot per Done insertion of the run, in log order; ``registry``
+    is built from ``result.events``."""
+    return [
+        GgSnapshot.from_result(result, registry, seq)
+        for done in registry.insertions.values()
+        for seq, _ in done
+    ]
+
+
+def harvest_descent_seeds(snapshots: Sequence[GgSnapshot], samples: int, rng) -> list[tuple]:
     """Deterministically sample (snapshot, coeff, mono, position) descent
     seeds: identity multipliers plus single-variable shifts that stay below
     the snapshot signature."""
     seeds = []
-    ring = result.ring
-    one = ring.one_mono()
-    variables = [ring.variable(i) for i in range(ring.n)]
-    for record in result.snapshots:
-        snap = GgSnapshot.from_result(result, record)
+    for snap in snapshots:
+        ring = snap.ring
+        one = ring.one_mono()
+        variables = [ring.variable(i) for i in range(ring.n)]
         g_sig = snap.g_sig
         for pos in snap.members:
             if pos == snap.g_pos:

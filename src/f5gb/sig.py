@@ -5,8 +5,7 @@ index-dominant with smaller index greater: F_1 > F_2 > ... > F_m, and within
 one index monomials compare in the ambient ring order.  A labeled polynomial
 can carry its full module vector, so admissibility is a checkable invariant
 rather than a bookkeeping assumption; the engine carries vectors only when a
-run asks for checks or snapshots (the algorithm itself needs only
-signatures).
+run asks for checks (the algorithm itself needs only signatures).
 """
 
 from __future__ import annotations
@@ -151,7 +150,7 @@ def _vector(lp: LabeledPolynomial) -> ModuleVector:
     if lp.mv is None:
         raise MissingModuleVector(
             f"r{lp.pos} carries no module vector: run the engine with "
-            "EngineConfig(self_check=True) or EngineConfig(capture_snapshots=True)"
+            "EngineConfig(self_check=True)"
         )
     return lp.mv
 

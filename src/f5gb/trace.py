@@ -224,11 +224,6 @@ def rules_before(registry: Registry, seq: int) -> dict[int, list[tuple[Monomial,
     return tables
 
 
-def rules_at(events: Sequence[dict], seq: int) -> dict[int, list[tuple[Monomial, int]]]:
-    """``rules_before`` on the registry of ``events``."""
-    return rules_before(build_registry(events), seq)
-
-
 # ---------------------------------------------------------------------------
 # reports
 
@@ -462,41 +457,6 @@ def check_chains(
         if not rep.passed:
             failures.append((e.pos, rep))
     return _report("chains", checked, failures)
-
-
-# ---------------------------------------------------------------------------
-# pair scan from the termination argument
-
-
-def find_thm4_pairs(
-    members: Sequence[int], registry: Registry, ring: Ring
-) -> list[tuple[int, int]]:
-    """All ordered pairs (earlier, later) of members where the earlier head
-    divides the later head, the head/signature quotient strictly descends,
-    and the earlier signature divides the later one."""
-    order = ring.order
-    out = []
-    elems = [registry.entries[p] for p in members]
-    for a in elems:
-        ha = a.head()
-        if ha is None:
-            continue
-        for b in elems:
-            if a.pos >= b.pos:
-                continue
-            hb = b.head()
-            if hb is None:
-                continue
-            if not ha.divides(hb):
-                continue
-            qa = MonomialQuotient(ha, a.sig.mono)
-            qb = MonomialQuotient(hb, b.sig.mono)
-            if quotient_cmp(qa, qb, order) != GT:
-                continue
-            if not sig_divides(a.sig, b.sig):
-                continue
-            out.append((a.pos, b.pos))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -787,8 +747,11 @@ def check_thm5_exhaustive(
     return _report("thm5_exhaustive", checked, failures)
 
 
-def run_all_checkers(events: Sequence[dict], ring: Ring) -> list[CheckReport]:
-    registry = build_registry(events)
+def run_all_checkers(
+    events: Sequence[dict], ring: Ring, registry: Optional[Registry] = None
+) -> list[CheckReport]:
+    if registry is None:
+        registry = build_registry(events)
     return [
         check_d_progression(events),
         check_signature_safety(events, ring.order),

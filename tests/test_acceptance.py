@@ -19,6 +19,7 @@ from f5gb.oracle import (
     ReprElement,
     buchberger,
     descend,
+    done_snapshots,
     elem_cmp,
     find_thm4_pairs_in_snapshot,
     find_unrejected_reductor,
@@ -33,6 +34,7 @@ from f5gb.oracle import (
 from f5gb.poly import Monomial
 from f5gb.sig import LabeledPolynomial, Signature, check_admissible, sig_mul
 from f5gb.trace import (
+    Registry,
     build_registry,
     check_d_progression,
     check_signature_safety,
@@ -55,7 +57,7 @@ def suite():
     t0 = time.time()
     for name, ring, polys in suite_instances():
         result = incremental_f5(
-            polys, EngineConfig(capture_snapshots=True, self_check=True)
+            polys, EngineConfig(self_check=True)
         )
         oracle_basis = buchberger(polys)
         runs.append(
@@ -69,6 +71,13 @@ def suite():
         )
     elapsed = time.time() - t0
     return {"runs": runs, "elapsed": elapsed}
+
+
+def member_since(registry, pos):
+    """Sequence number at which ``pos`` joined G ∪ Done: its Done insertion,
+    or its CallBegin for an input."""
+    entry = registry.entries[pos]
+    return entry.created_seq if entry.done_seq is None else entry.done_seq
 
 
 def _report(criterion, ok, detail=""):
@@ -102,13 +111,6 @@ def test_criterion_2_degree_progression(suite):
         checked += rep.checked
         if not rep.passed:
             failures.append((run["name"], rep.failures[:2]))
-        for call, hist in run["result"].d_histories.items():
-            for j in range(len(hist) - 1):
-                if hist[j + 1] < hist[j]:
-                    failures.append((run["name"], call, "decrease"))
-            for j in range(len(hist) - 2):
-                if not hist[j + 2] > hist[j]:
-                    failures.append((run["name"], call, "stall"))
     _report(2, not failures, f"{checked} degree comparisons" + str(failures or ""))
 
 
@@ -171,7 +173,9 @@ def test_criterion_7_descents(suite):
     thm4_pairs = 0
     for run in suite["runs"]:
         result = run["result"]
-        seeds = harvest_descent_seeds(result, 0, rng)  # every seed, no sampling
+        registry = build_registry(result.events)
+        snapshots = done_snapshots(result, registry)
+        seeds = harvest_descent_seeds(snapshots, 0, rng)  # every seed, no sampling
         for snap, coeff, mono, pos in seeds:
             instances += 1
             try:
@@ -195,8 +199,7 @@ def test_criterion_7_descents(suite):
                 is not None
             ):
                 failures.append((run["name"], pos, "final representation violates"))
-        for rec in result.snapshots:
-            snap = GgSnapshot.from_result(result, rec)
+        for snap in snapshots:
             for fprime, f in find_thm4_pairs_in_snapshot(snap):
                 thm4_pairs += 1
                 try:
@@ -209,7 +212,7 @@ def test_criterion_7_descents(suite):
                     failures.append((run["name"], (fprime, f), f"check ({verdict})"))
                 # the reductor cannot have been available when f entered the
                 # basis, or the insertion audit would have caught it
-                if result.member_since[pos] <= result.member_since[f]:
+                if member_since(registry, pos) <= member_since(registry, f):
                     failures.append((run["name"], (fprime, f), "reductor predates f"))
     ok = instances >= 100 and max_steps <= DESCENT_CAP and not failures
     _report(
@@ -227,9 +230,7 @@ def test_criterion_8_comparator_worked_examples():
         1: LabeledPolynomial(1, Signature(M(0, 0), 2), P(ring, "x"), None),
         2: LabeledPolynomial(2, Signature(M(1, 0), 1), P(ring, "x"), None),
     }
-    snap = GgSnapshot(
-        ring, entries, (0, 1, 2), 2, {}, {}, {}, {1: 0, 2: 1}, 2
-    )
+    snap = GgSnapshot(ring, entries, (0, 1, 2), 2, {}, Registry({}, {}), {1: 0, 2: 1})
     E = ReprElement
     outcomes = [
         elem_cmp(E(1, M(0, 1), 0), E(100, M(0, 1), 1), snap) == GT,

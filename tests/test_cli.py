@@ -3,17 +3,20 @@
 import functools
 import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from f5gb import trace
+from f5gb import cli, oracle, trace
 from f5gb.cli import (
     NonPrimeModulus,
     ParseError,
     main,
     parse_problem,
+    run_check,
 )
-from f5gb.engine import NonHomogeneousInput
+from f5gb.engine import EngineConfig, NonHomogeneousInput
 from f5gb.trace import events_from_jsonl, run_all_checkers
 
 DEMO = """# two generators over GF(7)
@@ -135,6 +138,34 @@ class TestCommands:
         code2, out2 = run_main(["gb", cyclic_file])
         assert report["basis"] == out2.splitlines()
 
+    def test_run_check_leaves_the_callers_config_alone(self):
+        config = EngineConfig(max_degree=20)
+        report = run_check(parse_problem(CYCLIC), config, 5, 10**5, 0)
+        assert report["ok"] and report["descents"]["attempted"] == 5
+        assert config == EngineConfig(max_degree=20)
+
+    def test_run_check_builds_one_registry_and_each_snapshot_once(self, monkeypatch):
+        registries = []
+        build = trace.build_registry
+
+        def counting_registry(events):
+            registries.append(1)
+            return build(events)
+
+        snapshots = []
+        from_result = oracle.GgSnapshot.from_result.__func__
+
+        def counting_snapshot(cls, result, registry, seq):
+            snapshots.append(seq)
+            return from_result(cls, result, registry, seq)
+
+        monkeypatch.setattr(trace, "build_registry", counting_registry)
+        monkeypatch.setattr(cli, "build_registry", counting_registry)
+        monkeypatch.setattr(oracle.GgSnapshot, "from_result", classmethod(counting_snapshot))
+        run_check(parse_problem(CYCLIC), EngineConfig(), 5, 10**5, 0)
+        assert len(registries) == 1
+        assert snapshots and len(snapshots) == len(set(snapshots))
+
     def test_skipped_check_is_not_ok(self, cyclic_file, monkeypatch):
         # a log at or past the pair threshold: thm5_exhaustive does not run
         monkeypatch.setattr(
@@ -194,3 +225,17 @@ class TestCommands:
         code, out = run_main(["descend", str(path)])
         assert code == 2
         assert "no snapshots" in out
+
+
+class TestReadme:
+    def test_python_examples_run(self, tmp_path, monkeypatch, capsys):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        blocks = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)
+        assert len(blocks) == 2
+        (tmp_path / "demo.txt").write_text(DEMO)
+        monkeypatch.chdir(tmp_path)
+        namespace = {}
+        for block in blocks:
+            exec(compile(block, str(readme), "exec"), namespace)
+        assert namespace["out"].representation.elements
+        assert "['x*y', 'x^2 + y^2', 'y^3']" in capsys.readouterr().out

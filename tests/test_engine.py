@@ -37,12 +37,16 @@ def ring():
 def demo(ring):
     return incremental_f5(
         polys(ring, "x^2 + y^2", "x*y"),
-        EngineConfig(capture_snapshots=True, self_check=True),
+        EngineConfig(self_check=True),
     )
 
 
 def events_of(result, kind):
     return [ev for ev in result.events if ev["kind"] == kind]
+
+
+def degree_steps(result, call):
+    return [ev["d"] for ev in events_of(result, "DegreeStep") if ev["call"] == call]
 
 
 class TestValidation:
@@ -93,7 +97,7 @@ class TestDemoRun:
         # previous basis, so the run stops after the degree-3 batch
         rejects = events_of(demo, "F5CritPairReject")
         assert {ev["where"] for ev in rejects} == {"crit_pair"}
-        assert demo.d_histories[1] == [3]
+        assert degree_steps(demo, 1) == [3]
 
     def test_created_elements_carry_call_index(self, demo):
         for ev in events_of(demo, "SPolCreated"):
@@ -132,16 +136,14 @@ class TestModuleVectors:
         res = incremental_f5(polys(ring, "x^2 + y^2", "x*y"))
         assert all(lp.mv is None for lp in res.R)
 
-    @pytest.mark.parametrize(
-        "config", [EngineConfig(self_check=True), EngineConfig(capture_snapshots=True)]
-    )
+    @pytest.mark.parametrize("config", [EngineConfig(self_check=True)])
     def test_carried_when_checked(self, ring, config):
         res = incremental_f5(polys(ring, "x^2 + y^2", "x*y"), config)
         assert all(check_admissible(lp, res.inputs, ring.order) for lp in res.R)
 
     def test_admissibility_of_vectorless_element_names_the_flags(self, ring):
         res = incremental_f5(polys(ring, "x^2 + y^2", "x*y"))
-        with pytest.raises(MissingModuleVector, match="self_check.*capture_snapshots"):
+        with pytest.raises(MissingModuleVector, match=r"EngineConfig\(self_check=True\)$"):
             check_admissible(res.R[0], res.inputs, ring.order)
 
 
@@ -303,7 +305,7 @@ class TestAllPairsRejectedAtSeeding:
         # both seed pairs shift the new input's signature into the previous
         # basis heads, so the call does no degree work at all
         res = incremental_f5(polys(ring, "x^2", "x*y", "y"))
-        assert res.d_histories[1] == []
+        assert degree_steps(res, 1) == []
         assert [q.text() for q in res.basis_polynomials()] == ["y", "x*y", "x^2"]
         rejects = [
             ev for ev in events_of(res, "F5CritPairReject") if ev["call"] == 1
@@ -381,8 +383,6 @@ class TestEventLogPin:
         names, texts = CYCLIC4 if system == "cyclic4" else SUITE["katsura3_homog"]
         inputs = polys(make_ring(32003, names, order), *texts)
         plain = incremental_f5(inputs, EngineConfig())
-        checked = incremental_f5(
-            inputs, EngineConfig(self_check=True, capture_snapshots=True)
-        )
+        checked = incremental_f5(inputs, EngineConfig(self_check=True))
         assert log_digest(plain.events) == PINNED_LOGS[(system, order)]
         assert checked.events == plain.events

@@ -18,6 +18,7 @@ from f5gb.oracle import (
     descend,
     elem_cmp,
     find_thm4_pairs_in_snapshot,
+    done_snapshots,
     find_unrejected_reductor,
     harvest_descent_seeds,
     ideal_equal,
@@ -38,6 +39,7 @@ from f5gb.oracle import (
 )
 from f5gb.poly import Monomial, normal_form
 from f5gb.sig import Genealogy, LabeledPolynomial, ModuleVector, Signature, sig_mul
+from f5gb.trace import Registry, RegistryEntry, build_registry, poly_payload
 
 from systems import P, make_ring, polys
 
@@ -73,10 +75,8 @@ def cmp_snap():
         members=(0, 1, 2),
         g_pos=2,
         rules={1: ((M(0, 0), 0), (M(1, 0), 2)), 2: ((M(0, 0), 1),)},
-        trails={},
-        creation_polys={},
+        registry=Registry({}, {}),
         input_pos={1: 0, 2: 1},
-        m=2,
     )
 
 
@@ -117,7 +117,7 @@ class TestOrderedForm:
         entries[2] = lp(2, Signature(M(0, 0), 1), entries[2].poly)
         other = GgSnapshot(
             cmp_snap.ring, entries, members=(0, 1, 2), g_pos=2, rules={},
-            trails={}, creation_polys={}, input_pos={1: 0, 2: 1}, m=2,
+            registry=Registry({}, {}), input_pos={1: 0, 2: 1},
         )
         r = Representation([E(1, M(0, 2), 0), E(1, M(0, 1), 2)])
         form = ordered_form(r, cmp_snap)
@@ -204,10 +204,8 @@ def sum_snap():
         members=(0, 1),
         g_pos=1,
         rules={1: ((M(0, 0), 1),), 2: ((M(0, 0), 0),)},
-        trails={},
-        creation_polys={},
+        registry=Registry({}, {}),
         input_pos={1: 1, 2: 0},
-        m=2,
     )
     return ring, snap
 
@@ -257,10 +255,8 @@ def f5_case_snap():
         members=(0, 1, 2),
         g_pos=2,
         rules={1: ((M(0, 0), 1), (M(1, 0), 2)), 2: ((M(0, 0), 0),)},
-        trails={},
-        creation_polys={},
+        registry=Registry({}, {}),
         input_pos={1: 1, 2: 0},
-        m=2,
     )
     return ring, snap
 
@@ -296,10 +292,8 @@ class TestViolatedProperty:
             members=(0, 1, 2),
             g_pos=2,
             rules={1: ((M(0, 0), 1), (M(0, 0), 2)), 2: ((M(0, 0), 0),)},
-            trails={},
-            creation_polys={},
+            registry=Registry({}, {}),
             input_pos={1: 1, 2: 0},
-            m=2,
         )
         r = Representation([E(1, M(0, 0), 1)])
         got = violated_property(r, Signature(M(0, 0), 1), M(2, 0), snap)
@@ -352,11 +346,10 @@ class TestRewriteRewrittenZeroBranch:
                 "x + 2*y",
                 "x^3 + 2*x^2*y + 5*x*y^2 + 5*y^3",
             ),
-            EngineConfig(capture_snapshots=True, self_check=True),
+            EngineConfig(self_check=True),
         )
         hit = None
-        for rec in res.snapshots:
-            snap = GgSnapshot.from_result(res, rec)
+        for snap in done_snapshots(res, build_registry(res.events)):
             for pos in snap.members:
                 if pos == snap.g_pos:
                     continue
@@ -404,10 +397,20 @@ def hm_case_world():
         members=(0, 1, 2, 4),
         g_pos=4,
         rules={1: ((M(0, 0), 1), (M(1, 0), 4)), 2: ((M(0, 0), 0),)},
-        trails={2: []},
-        creation_polys={2: e_poly},
+        registry=Registry(
+            {
+                2: RegistryEntry(
+                    pos=2,
+                    call=1,
+                    index=1,
+                    sig=Signature(M(0, 0), 1),
+                    creation_poly=poly_payload(e_poly),
+                    trail=[],
+                )
+            },
+            {},
+        ),
         input_pos={1: 1, 2: 0},
-        m=2,
     )
     return ring, snap
 
@@ -472,10 +475,8 @@ def reductor_world():
             1: ((M(0, 0), 1), (M(0, 1), 3), (M(1, 0), 4)),
             2: ((M(0, 0), 0),),
         },
-        trails={},
-        creation_polys={},
+        registry=Registry({}, {}),
         input_pos={1: 1, 2: 0},
-        m=2,
     )
     return ring, snap
 
@@ -509,10 +510,8 @@ class TestFindUnrejectedReductor:
             members=(0, 1, 3),
             g_pos=3,
             rules={1: ((M(0, 0), 1), (M(1, 0), 3)), 2: ((M(0, 0), 0),)},
-            trails={},
-            creation_polys={},
+            registry=Registry({}, {}),
             input_pos={1: 1, 2: 0},
-            m=2,
         )
         # a genuine pair per the head/signature-quotient scan
         assert find_thm4_pairs_in_snapshot(snap) == [(1, 3)]
@@ -537,9 +536,10 @@ class TestEngineDescents:
                 "2*x0*x1 + 2*x1*x2 + 2*x2*x3 - x1*h",
                 "x1^2 + 2*x0*x2 + 2*x1*x3 - x2*h",
             ),
-            EngineConfig(capture_snapshots=True),
+            EngineConfig(self_check=True),
         )
-        seeds = harvest_descent_seeds(res, 30, random.Random(7))
+        snapshots = done_snapshots(res, build_registry(res.events))
+        seeds = harvest_descent_seeds(snapshots, 30, random.Random(7))
         assert seeds
         for snap, coeff, mono, pos in seeds:
             out = descend(coeff, mono, pos, snap)

@@ -50,7 +50,7 @@ def test_engine_matches_reference_and_passes_all_checkers(data):
     try:
         # lex runs can climb far in degree; a budget exit proves nothing here
         result = incremental_f5(
-            polys, EngineConfig(capture_snapshots=True, self_check=True, max_degree=12)
+            polys, EngineConfig(self_check=True, max_degree=12)
         )
     except BudgetExceeded:
         assume(False)

@@ -7,10 +7,10 @@ import pytest
 
 from f5gb import trace
 from f5gb.engine import EngineConfig, incremental_f5
+from f5gb.oracle import GgSnapshot, done_snapshots, find_thm4_pairs_in_snapshot
 from f5gb.poly import Monomial, MonomialQuotient, quotient_cmp, GT
-from f5gb.sig import Signature
+from f5gb.sig import LabeledPolynomial, Signature
 from f5gb.trace import (
-    RegistryEntry,
     Registry,
     Trace,
     build_registry,
@@ -25,9 +25,6 @@ from f5gb.trace import (
     done_insertion_audit,
     events_from_jsonl,
     extract_chain,
-    find_thm4_pairs,
-    membership_at,
-    rules_at,
     run_all_checkers,
 )
 
@@ -45,10 +42,7 @@ def ring():
 
 @pytest.fixture
 def demo(ring):
-    return incremental_f5(
-        polys(ring, "x^2 + y^2", "x*y"),
-        EngineConfig(capture_snapshots=True),
-    )
+    return incremental_f5(polys(ring, "x^2 + y^2", "x*y"), EngineConfig(self_check=True))
 
 
 @pytest.fixture
@@ -56,7 +50,7 @@ def cyclic(ring_unused=None):
     ring = make_ring(7, ["x", "y", "z", "h"])
     res = incremental_f5(
         polys(ring, "x + y + z", "x*y + y*z + x*z", "x*y*z - h^3"),
-        EngineConfig(capture_snapshots=True),
+        EngineConfig(self_check=True),
     )
     return ring, res
 
@@ -171,47 +165,26 @@ class TestChains:
 
 
 class TestThm4Scan:
-    def _entry(self, pos, sig, head_exps):
-        return RegistryEntry(
-            pos=pos,
-            call=1,
-            index=sig.index,
-            sig=sig,
-            creation_poly=[[1, list(head_exps)]],
-            final_poly=[[1, list(head_exps)]],
-        )
+    def _snap(self, ring, sig0, head0, sig1, head1):
+        entries = {
+            0: LabeledPolynomial(0, sig0, ring.poly([(1, head0)]), None),
+            1: LabeledPolynomial(1, sig1, ring.poly([(1, head1)]), None),
+        }
+        return GgSnapshot(ring, entries, (0, 1), 1, {}, Registry({}, {}), {1: 0})
 
     def test_negative_control_from_direct_definition(self, ring):
         # head divides and signature divides, but the quotient comparison
         # x*x > x^2*y*1 is false, so the pair must not be reported
-        reg = Registry(
-            {
-                0: self._entry(0, Signature(M(0, 0), 1), (1, 0)),
-                1: self._entry(1, Signature(M(1, 0), 1), (2, 1)),
-            },
-            {},
-        )
-        assert find_thm4_pairs([0, 1], reg, ring) == []
+        snap = self._snap(ring, Signature(M(0, 0), 1), M(1, 0), Signature(M(1, 0), 1), M(2, 1))
+        assert find_thm4_pairs_in_snapshot(snap) == []
 
     def test_positive_fabricated_pair(self, ring):
-        reg = Registry(
-            {
-                0: self._entry(0, Signature(M(0, 0), 1), (2, 0)),
-                1: self._entry(1, Signature(M(1, 1), 1), (2, 1)),
-            },
-            {},
-        )
-        assert find_thm4_pairs([0, 1], reg, ring) == [(0, 1)]
+        snap = self._snap(ring, Signature(M(0, 0), 1), M(2, 0), Signature(M(1, 1), 1), M(2, 1))
+        assert find_thm4_pairs_in_snapshot(snap) == [(0, 1)]
 
     def test_coprime_heads_empty(self, ring):
-        reg = Registry(
-            {
-                0: self._entry(0, Signature(M(0, 0), 1), (2, 0)),
-                1: self._entry(1, Signature(M(0, 1), 1), (0, 2)),
-            },
-            {},
-        )
-        assert find_thm4_pairs([0, 1], reg, ring) == []
+        snap = self._snap(ring, Signature(M(0, 0), 1), M(2, 0), Signature(M(0, 1), 1), M(0, 2))
+        assert find_thm4_pairs_in_snapshot(snap) == []
 
 
 def fabricated_audit_log(done_sig_mono):
@@ -427,12 +400,23 @@ class TestLogRoundTrip:
         assert len(calls) == 1
 
     def test_membership_and_rules_match_engine_snapshots(self, cyclic):
+        # (seq, g_pos, members, rule count per index) at every Done
+        # insertion, pinned to the values of the snapshot records the engine
+        # kept before snapshots were rebuilt from the log
         ring, res = cyclic
         registry = build_registry(res.events)
-        assert res.snapshots
-        for rec in res.snapshots:
-            members = membership_at(registry, rec.call, rec.seq)
-            assert sorted(members + [rec.g_pos]) == sorted(rec.members)
-            tables = rules_at(res.events, rec.seq)
-            for idx, entries in rec.rules.items():
-                assert tuple(tables.get(idx, ())) == entries
+        got = [
+            (
+                registry.entries[snap.g_pos].done_seq,
+                snap.g_pos,
+                snap.members,
+                tuple(len(snap.rules.get(i, ())) for i in (1, 2, 3)),
+            )
+            for snap in done_snapshots(res, registry)
+        ]
+        assert got == [
+            (9, 2, (0, 1, 2), (0, 2, 1)),
+            (16, 3, (0, 1, 2, 3), (0, 3, 1)),
+            (30, 5, (0, 1, 2, 3, 4, 5), (2, 3, 1)),
+            (40, 6, (0, 1, 2, 3, 4, 5, 6), (3, 3, 1)),
+        ]
