@@ -279,7 +279,6 @@ def run_check(problem: ProblemFile, config: EngineConfig, descent_samples: int,
         "counters": result.counters,
         "verdicts": verdicts,
         "checker_lines": [rep.line() for rep in reports],
-        "skipped": [rep.name for rep in reports if rep.skipped],
         "descents": descents,
         "thm4": thm4,
         "elapsed_s": round(time.perf_counter() - t0, 3),

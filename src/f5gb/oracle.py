@@ -15,7 +15,18 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .engine import EngineResult
-from .poly import EQ, GT, LT, Monomial, Polynomial, Ring, normal_form, poly_axpy
+from .poly import (
+    EQ,
+    GT,
+    LT,
+    Monomial,
+    Polynomial,
+    Ring,
+    normal_form,
+    normal_form_by,
+    poly_axpy,
+    prepare_reducers,
+)
 from .sig import (
     LabeledPolynomial,
     Signature,
@@ -24,7 +35,7 @@ from .sig import (
     sig_key,
     sig_mul,
 )
-from .trace import Registry, membership_at, rules_before
+from .trace import Registry, decode_trail, membership_at, rules_before
 
 
 class DescentError(Exception):
@@ -431,23 +442,6 @@ def rewrite_rewritten_case(
     return _finish_substitution(r, K, replacement, snap)
 
 
-def _trail_contributions(snap: GgSnapshot, pos: int) -> tuple[int, list]:
-    """Decompose the stored reduction of ``pos``: final = alpha * creation -
-    sum of c * t * poly(reductor).  Returns (alpha, [(c, t, reductor), ...])."""
-    p = snap.ring.p
-    alpha = 1
-    contribs: list[list] = []
-    for step in snap.registry.entries[pos].trail or []:
-        if step[0] == "monic":
-            s = step[1]
-            alpha = alpha * s % p
-            for entry in contribs:
-                entry[0] = entry[0] * s % p
-        else:
-            contribs.append([step[1], Monomial(step[2]), step[3]])
-    return alpha, contribs
-
-
 def rewrite_hm_case(
     r: Representation, K_prime: ReprElement, snap: GgSnapshot
 ) -> Representation:
@@ -491,7 +485,7 @@ def rewrite_hm_case(
     if q_raw.is_zero or not snap.registry.entries[e_pos].creation_poly:
         raise TrailNotFound("completed S-polynomial collapsed to zero")
     lc_raw = q_raw.head_coeff
-    alpha, contribs = _trail_contributions(snap, e_pos)
+    alpha, contribs = decode_trail(snap.registry.entries[e_pos].trail, p)
     # final(e) = alpha * creation - sum(contribs); creation = q_raw / lc_raw
     gamma = lc_raw * snap.ring.inv(alpha) % p
     one = snap.ring.one_mono()
@@ -718,8 +712,9 @@ def ideal_equal(g1: Sequence[Polynomial], g2: Sequence[Polynomial]) -> bool:
     l2 = [p for p in g2 if not p.is_zero]
     if not l1 or not l2:
         return not l1 and not l2
-    return all(normal_form(p, l2).is_zero for p in l1) and all(
-        normal_form(p, l1).is_zero for p in l2
+    r1, r2 = prepare_reducers(l1), prepare_reducers(l2)
+    return all(normal_form_by(p, r2).is_zero for p in l1) and all(
+        normal_form_by(p, r1).is_zero for p in l2
     )
 
 

@@ -127,33 +127,44 @@ class Monomial:
         return "*".join(parts)
 
 
+def _degrevlex_key(exps: tuple, deg: int):
+    return (deg, tuple(map(neg, reversed(exps))))
+
+
+def _deglex_key(exps: tuple, deg: int):
+    return (deg, exps)
+
+
+def _lex_key(exps: tuple, deg: int):
+    return exps
+
+
+_EXPS_KEYS = {"degrevlex": _degrevlex_key, "deglex": _deglex_key, "lex": _lex_key}
+
+
 class MonomialOrder:
     """A total degree-compatible-or-lex order on monomials over n variables.
 
     ``key`` returns a tuple sorting ascending in the order, so ``sorted`` and
-    ``min``/``max`` can be used directly.
+    ``min``/``max`` can be used directly.  ``exps_key(exps, deg)`` is the same
+    key for an exponent tuple and its total degree, with no ``Monomial``.
     """
 
-    __slots__ = ("kind", "n")
+    __slots__ = ("kind", "n", "exps_key")
 
     def __init__(self, kind: str, n: int):
         if kind not in ORDER_KINDS:
             raise ValueError(f"unknown monomial order {kind!r}")
         self.kind = kind
         self.n = n
+        self.exps_key = _EXPS_KEYS[kind]
 
     def key(self, m: Monomial):
         """Cached on ``m`` with the order kind; a key of another kind replaces it."""
         kind = self.kind
         if m._key_kind == kind:
             return m._key
-        if kind == "degrevlex":
-            key = (m.deg, tuple(map(neg, reversed(m.exps))))
-        elif kind == "deglex":
-            key = (m.deg, m.exps)
-        else:
-            key = m.exps
-        m._key = key
+        key = m._key = self.exps_key(m.exps, m.deg)
         m._key_kind = kind
         return key
 
@@ -402,28 +413,39 @@ def is_homogeneous(p: Polynomial) -> bool:
     return all(m.deg == d for _, m in p.terms)
 
 
+def prepare_reducers(basis: Sequence[Polynomial]) -> list[tuple]:
+    """(head mask, head, -1/lc, tail) per nonzero element of ``basis``, in
+    basis order: what ``normal_form_by`` reduces with.  Preparing a basis
+    once serves any number of normal forms modulo it."""
+    return [
+        (b.head_mono.mask, b.head_mono, b.ring.p - b.ring.inv(b.head_coeff), b.terms[1:])
+        for b in basis
+        if b.terms
+    ]
+
+
 def normal_form(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     """Full remainder of p modulo ``basis`` (scanned in the given order).
 
     No term of the result is divisible by any basis head monomial, and the
     result is congruent to p modulo the ideal the basis generates.  Each
     head term is reduced by the first basis element whose head divides it.
+    """
+    return normal_form_by(p, prepare_reducers(basis))
+
+
+def normal_form_by(p: Polynomial, reducers: Sequence[tuple]) -> Polynomial:
+    """``normal_form`` modulo a basis given as ``prepare_reducers`` made it.
 
     The remainder is kept ascending, its head at the end, as a list of order
     keys with parallel coefficient and monomial lists: a reducer's tail is
     inserted term by term with ``bisect``, so no step rebuilds the whole
     remainder.  A reducer is tried only when its head's divmask fits.
     """
-    ring = p.ring
-    mod = ring.p
-    # (head mask, head, -1/lc, tail) per nonzero reducer, in basis order
-    reducers = [
-        (b.head_mono.mask, b.head_mono, mod - ring.inv(b.head_coeff), b.terms[1:])
-        for b in basis
-        if b.terms
-    ]
     if not reducers or not p.terms:
         return p
+    ring = p.ring
+    mod = ring.p
     key = ring.order.key
     keys = [key(m) for _, m in reversed(p.terms)]
     coeffs = [c for c, _ in reversed(p.terms)]

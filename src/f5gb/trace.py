@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import add, itemgetter, sub
 from typing import NamedTuple, Optional, Sequence
 
-from .poly import GT, LT, Monomial, MonomialQuotient, Polynomial, Ring, quotient_cmp
+from .poly import GT, Monomial, MonomialQuotient, Polynomial, Ring, poly_axpy, quotient_cmp
 from .sig import Signature, sig_cmp, sig_divides, sig_key, sig_mul
 
 EVENT_KINDS = (
@@ -234,14 +234,12 @@ class CheckReport:
     passed: bool
     checked: int
     failures: list = field(default_factory=list)
-    # the check did not run; a skipped report never passes
-    skipped: bool = False
 
     def __bool__(self) -> bool:
         return self.passed
 
     def line(self) -> str:
-        status = "skipped" if self.skipped else "pass" if self.passed else "FAIL"
+        status = "pass" if self.passed else "FAIL"
         extra = f" first_failure={self.failures[0]}" if self.failures else ""
         return f"{self.name}: {status} ({self.checked} checked){extra}"
 
@@ -339,18 +337,43 @@ def check_genealogy(
     return _report("genealogy", checked, failures)
 
 
-def replay_trail(ring: Ring, registry: Registry, pos: int) -> Polynomial:
-    """Re-apply the stored reduction trail to the creation-time polynomial."""
-    e = registry.entries[pos]
-    p = poly_from_payload(ring, e.creation_poly)
-    for step in e.trail or []:
-        kind = step[0]
-        if kind == "monic":
-            p = p.scale(step[1])
+def decode_trail(trail: Optional[list], p: int) -> tuple[int, list]:
+    """Read a stored reduction trail as final = alpha * creation - sum of
+    c * t * final(reductor), and return (alpha, [[c, t, reductor], ...]).
+
+    A ``["monic", s]`` step scales everything so far by s; any other step
+    ``[kind, c, exps, reductor]`` subtracts c * x^exps * final(reductor).
+    """
+    alpha = 1
+    contribs: list[list] = []
+    for step in trail or []:
+        if step[0] == "monic":
+            s = step[1]
+            alpha = alpha * s % p
+            for entry in contribs:
+                entry[0] = entry[0] * s % p
         else:
-            c, u, j = step[1], Monomial(step[2]), step[3]
-            p = p.sub(registry.final_poly(ring, j).term_mul(c, u))
-    return p
+            contribs.append([step[1], Monomial(step[2]), step[3]])
+    return alpha, contribs
+
+
+def replay_trail(
+    ring: Ring, registry: Registry, pos: int, finals: Optional[dict] = None
+) -> Polynomial:
+    """Re-apply the stored reduction trail to the creation-time polynomial.
+
+    ``finals`` memoizes the reductors' final polynomials by position, so a
+    caller replaying many trails decodes each one once."""
+    if finals is None:
+        finals = {}
+    alpha, contribs = decode_trail(registry.entries[pos].trail, ring.p)
+    out = poly_from_payload(ring, registry.entries[pos].creation_poly).scale(alpha)
+    for c, t, j in contribs:
+        q = finals.get(j)
+        if q is None:
+            q = finals[j] = registry.final_poly(ring, j)
+        out = poly_axpy(out, c, t, q)
+    return out
 
 
 def check_replay(
@@ -361,13 +384,15 @@ def check_replay(
         registry = build_registry(events)
     failures = []
     checked = 0
+    finals: dict[int, Polynomial] = {}
     for e in registry.entries.values():
         if e.done_seq is None or e.is_input:
             continue
         checked += 1
-        got = replay_trail(ring, registry, e.pos)
-        want = poly_from_payload(ring, e.final_poly)
-        if got != want:
+        want = finals.get(e.pos)
+        if want is None:
+            want = finals[e.pos] = poly_from_payload(ring, e.final_poly)
+        if replay_trail(ring, registry, e.pos, finals) != want:
             failures.append((e.pos, "replay mismatch"))
     return _report("trail_replay", checked, failures)
 
@@ -544,7 +569,7 @@ def done_insertion_audit(
 
 
 # ---------------------------------------------------------------------------
-# exhaustive pair classification at sampled insertions
+# exhaustive pair classification at every insertion
 
 
 @dataclass
@@ -557,37 +582,44 @@ class PairClassification:
 
 
 def _pair_event_index(events: Sequence[dict]):
-    """Index classification evidence by pair identity."""
+    """Index classification evidence by pair identity.
+
+    A pair is keyed by its two (position, multiplier) parts, the lower
+    position first; a rejection during a top-reduction is keyed by the
+    reduced element, its head, the candidate and the multiplier.  A
+    rejection classifies its pair from its own sequence number on, so only
+    the earliest one per key is kept.  Multiplier tuples are shared between
+    keys.
+    """
     crit: dict = {}
     isred: dict = {}
     created: dict = {}
+    monos: dict = {}
+
+    def mono(exps):
+        t = tuple(exps)
+        return monos.setdefault(t, t)
+
+    def pair_key(a, ua, b, ub):
+        return (a, mono(ua), b, mono(ub)) if a < b else (b, mono(ub), a, mono(ua))
+
+    # where each kind of rejection is logged against a whole pair
+    pair_where = {"F5CritPairReject": "crit_pair", "RewrittenReject": "spol"}
     for ev in events:
         kind = ev["kind"]
-        if kind == "F5CritPairReject" and ev["where"] == "crit_pair":
-            key = frozenset(
-                [(ev["p1"], tuple(ev["u1"])), (ev["p2"], tuple(ev["u2"]))]
-            )
-            crit.setdefault(key, []).append((ev["seq"], "f5"))
-        elif kind == "RewrittenReject" and ev["where"] == "spol":
-            key = frozenset(
-                [(ev["p1"], tuple(ev["u1"])), (ev["p2"], tuple(ev["u2"]))]
-            )
-            crit.setdefault(key, []).append((ev["seq"], "rewritten"))
-        elif kind == "F5CritPairReject" and ev["where"] == "is_reducible":
-            key = (ev["h"], tuple(ev["h_head"]), ev["cand"], tuple(ev["mult"]))
-            isred.setdefault(key, []).append((ev["seq"], "f5"))
-        elif kind == "RewrittenReject" and ev["where"] == "is_reducible":
-            key = (ev["h"], tuple(ev["h_head"]), ev["cand"], tuple(ev["mult"]))
-            isred.setdefault(key, []).append((ev["seq"], "rewritten"))
+        if kind in pair_where:
+            verdict = "f5" if kind == "F5CritPairReject" else "rewritten"
+            if ev["where"] == pair_where[kind]:
+                key = pair_key(ev["p1"], ev["u1"], ev["p2"], ev["u2"])
+                crit.setdefault(key, (ev["seq"], verdict))
+            elif ev["where"] == "is_reducible":
+                key = (ev["h"], mono(ev["h_head"]), ev["cand"], mono(ev["mult"]))
+                isred.setdefault(key, (ev["seq"], verdict))
         elif kind == "SPolCreated":
-            key = frozenset(
-                [(ev["p1"], tuple(ev["u1"])), (ev["p2"], tuple(ev["u2"]))]
-            )
+            key = pair_key(ev["p1"], ev["u1"], ev["p2"], ev["u2"])
             created.setdefault(key, []).append((ev["seq"], ev["pos"]))
         elif kind == "NewFromTopReduction":
-            key = frozenset(
-                [(ev["j"], tuple(ev["u"])), (ev["h"], tuple(ev["u_under"]))]
-            )
+            key = pair_key(ev["j"], ev["u"], ev["h"], ev["u_under"])
             created.setdefault(key, []).append((ev["seq"], ev["pos"]))
     return crit, isred, created
 
@@ -598,9 +630,9 @@ class _Pair(NamedTuple):
     key: tuple  # sig_key of the greater multiplied signature
     index: int  # index of that signature
     deg: int  # degree of the lcm of the heads
-    # (from_seq, seq, outcome, via): an outcome logged at ``seq`` that
-    # classifies the pair at every insertion after ``from_seq``
-    evidence: list
+    # earliest sequence number after which some outcome classifies the pair
+    # at every insertion; inf when the log holds none
+    first: float
 
 
 def _in_scope(pair: _Pair, call: int, g_key: tuple, g_deg: int) -> bool:
@@ -632,37 +664,75 @@ class _PairRules:
     that reduced to zero never enters the basis, but its rule, added at
     creation, rewrites both parts from then on, so the pair counts as
     rewritten once the zero reduction is logged.
+
+    Pairs are worked out on exponent tuples: each entry's head and signature
+    are read once, and no ``Monomial`` or ``Signature`` is built per pair.
     """
 
     def __init__(self, events: Sequence[dict], registry: Registry, order):
         self.registry = registry
         self.order = order
         self.crit, self.isred, self.created = _pair_event_index(events)
+        self._parts: dict[int, tuple] = {}
+
+    def part(self, pos: int) -> tuple:
+        """(head exponents, head degree, signature monomial exponents,
+        signature degree, index) of an entry."""
+        part = self._parts.get(pos)
+        if part is None:
+            e = self.registry.entries[pos]
+            payload = e.final_poly if e.final_poly is not None else e.creation_poly
+            head = tuple(payload[0][1])
+            mono = e.sig.mono
+            part = self._parts[pos] = (head, sum(head), mono.exps, mono.deg, e.index)
+        return part
+
+    def _shape(self, a_pos: int, b_pos: int):
+        """The pair's signature key and lcm degree, and its two parts as
+        (position, head, multiplier) triples, the lower position first."""
+        if a_pos > b_pos:
+            a_pos, b_pos = b_pos, a_pos
+        ha, hdeg_a, ma, mdeg_a, ia = self.part(a_pos)
+        hb, hdeg_b, mb, mdeg_b, ib = self.part(b_pos)
+        # the multipliers taking each head to lcm(ha, hb), of degree deg
+        ua = tuple([y - x if y > x else 0 for x, y in zip(ha, hb)])
+        ub = tuple([x - y if x > y else 0 for x, y in zip(ha, hb)])
+        deg = hdeg_a + sum(ua)
+        exps_key = self.order.exps_key
+        ka = (-ia, exps_key(tuple(map(add, ua, ma)), deg - hdeg_a + mdeg_a))
+        kb = (-ib, exps_key(tuple(map(add, ub, mb)), deg - hdeg_b + mdeg_b))
+        return max(ka, kb), deg, (a_pos, ha, ua), (b_pos, hb, ub)
+
+    def _evidence(self, a: tuple, b: tuple) -> list[tuple]:
+        """(from_seq, seq, outcome, via) per outcome logged for the pair of
+        parts ``a`` and ``b``: the outcome, logged at ``seq``, classifies the
+        pair at every insertion after ``from_seq``."""
+        (a_pos, ha, ua), (b_pos, hb, ub) = a, b
+        out = []
+        key = (a_pos, ua, b_pos, ub)
+        hit = self.crit.get(key)
+        if hit is not None:
+            out.append((hit[0], hit[0], hit[1], "pair_check"))
+        for isred_key in ((b_pos, hb, a_pos, ua), (a_pos, ha, b_pos, ub)):
+            hit = self.isred.get(isred_key)
+            if hit is not None:
+                out.append((hit[0], hit[0], hit[1], "is_reducible"))
+        for s, new_pos in self.created.get(key, ()):
+            ne = self.registry.entries[new_pos]
+            if ne.done_seq is not None:
+                out.append((max(s, ne.done_seq), s, "completed", "trail"))
+            elif ne.zero_seq is not None:
+                out.append((max(s, ne.zero_seq), s, "rewritten", "syzygy_rule"))
+        return out
 
     def pair(self, a_pos: int, b_pos: int) -> _Pair:
-        entries = self.registry.entries
-        a, b = entries[a_pos], entries[b_pos]
-        ha, hb = a.head(), b.head()
-        t = ha.lcm(hb)
-        ua = t.divide(ha)
-        ub = t.divide(hb)
-        sa = sig_mul(ua, a.sig)
-        sb = sig_mul(ub, b.sig)
-        sigma = sa if sig_cmp(sa, sb, self.order) != LT else sb
-        evidence = []
-        key = frozenset([(a_pos, ua.exps), (b_pos, ub.exps)])
-        for s, verdict in self.crit.get(key, ()):
-            evidence.append((s, s, verdict, "pair_check"))
-        for h_pos, hx, cand, u in ((b_pos, hb, a_pos, ua), (a_pos, ha, b_pos, ub)):
-            for s, verdict in self.isred.get((h_pos, hx.exps, cand, u.exps), ()):
-                evidence.append((s, s, verdict, "is_reducible"))
-        for s, new_pos in self.created.get(key, ()):
-            ne = entries[new_pos]
-            if ne.done_seq is not None:
-                evidence.append((max(s, ne.done_seq), s, "completed", "trail"))
-            elif ne.zero_seq is not None:
-                evidence.append((max(s, ne.zero_seq), s, "rewritten", "syzygy_rule"))
-        return _Pair(sig_key(sigma, self.order), sigma.index, t.deg, evidence)
+        key, deg, a, b = self._shape(a_pos, b_pos)
+        evidence = self._evidence(a, b)
+        return _Pair(key, -key[0], deg, min(evidence)[0] if evidence else math.inf)
+
+    def evidence(self, a_pos: int, b_pos: int) -> list[tuple]:
+        _, _, a, b = self._shape(a_pos, b_pos)
+        return self._evidence(a, b)
 
 
 def classify_pairs_at_insertion(
@@ -672,7 +742,8 @@ def classify_pairs_at_insertion(
     done_event: dict,
 ) -> list[PairClassification]:
     """Classify every S-pair of members in scope at the insertion (see
-    ``_in_scope``) by its first processing outcome."""
+    ``_in_scope``) by its first processing outcome.  This is the brute-force
+    reference for ``check_thm5_exhaustive``."""
     rules = _PairRules(events, registry, ring.order)
     g_pos = done_event["pos"]
     g = registry.entries[g_pos]
@@ -684,21 +755,63 @@ def classify_pairs_at_insertion(
     out = []
     for i, a_pos in enumerate(members):
         for b_pos in members[i + 1:]:
-            pair = rules.pair(a_pos, b_pos)
-            if not _in_scope(pair, call, g_key, g_deg):
+            if not _in_scope(rules.pair(a_pos, b_pos), call, g_key, g_deg):
                 continue
             evidence = sorted(
-                (s, outcome, via) for first, s, outcome, via in pair.evidence if first < seq
+                (s, outcome, via)
+                for first, s, outcome, via in rules.evidence(a_pos, b_pos)
+                if first < seq
             )
             seq0, outcome, via = evidence[0] if evidence else (None, "unclassified", "")
             out.append(PairClassification(g_pos, (a_pos, b_pos), outcome, seq0, via))
     return out
 
 
+class _DominanceCount:
+    """Points (key, deg) added one at a time, counted by a lower bound on
+    each coordinate.
+
+    One Fenwick tree over key rank per distinct degree among ``degs``; the
+    tree of degree d holds the points of degree at least d.
+    """
+
+    def __init__(self, keys: Sequence[tuple], degs: Sequence[int]):
+        self.keys = sorted(set(keys))
+        self.degs = sorted(set(degs))
+        self.trees = [[0] * (len(self.keys) + 1) for _ in self.degs]
+        self.sizes = [0] * len(self.degs)
+
+    def add(self, key: tuple, deg: int) -> None:
+        n = len(self.keys)
+        rank = bisect_left(self.keys, key) + 1
+        for t, d in enumerate(self.degs):
+            if d > deg:
+                break
+            self.sizes[t] += 1
+            tree = self.trees[t]
+            i = rank
+            while i <= n:
+                tree[i] += 1
+                i += i & -i
+
+    def above(self, key: tuple, min_deg: Optional[int] = None) -> int:
+        """Points with key above ``key`` and, unless ``min_deg`` is None, a
+        degree of at least ``min_deg``."""
+        t = 0 if min_deg is None else bisect_left(self.degs, min_deg)
+        if t == len(self.degs):
+            return 0
+        tree = self.trees[t]
+        at_most = 0
+        i = bisect_right(self.keys, key)
+        while i:
+            at_most += tree[i]
+            i &= i - 1
+        return self.sizes[t] - at_most
+
+
 def check_thm5_exhaustive(
     events: Sequence[dict],
     ring: Ring,
-    pair_threshold: int = 5000,
     registry: Optional[Registry] = None,
 ) -> CheckReport:
     """Every in-scope pair at every insertion is classified into exactly one
@@ -706,42 +819,56 @@ def check_thm5_exhaustive(
 
     The in-scope pairs at an insertion are those ``classify_pairs_at_insertion``
     returns, and a failure is one it calls unclassified; ``checked`` counts
-    them over all insertions.  Each call is walked once: a pair is looked at
-    when its later member joins G ∪ Done, and compared right away with every
-    insertion still to come in that call.  A log with ``pair_threshold`` or
-    more created pairs is skipped.
+    them over all insertions.  The pairs are counted, not tested one
+    insertion at a time.  A pair is formed at the stage k of its call at
+    which its later member joins G ∪ Done: stage 0 for the members the call
+    starts with, stage k + 1 for insertion k (counting from 0).  It is in
+    scope at exactly the insertions j >= k whose signature key is above the
+    pair's and, for a pair of the call's index, whose head degree is at
+    least its lcm degree: a two-sided dominance count.  Each call's stages
+    are walked backwards, each insertion is added to a ``_DominanceCount``,
+    and the pairs formed at a stage are counted there.  A pair can be
+    unclassified at insertion j only if it is in scope somewhere and its
+    earliest evidence is logged no earlier than j, so only those insertions
+    are looked at one by one.  Each
+    pair's data is worked out once per log and shared by the calls.
     """
-    total_pairs = sum(1 for ev in events if ev["kind"] == "CritPairCreated")
-    if total_pairs >= pair_threshold:
-        return CheckReport("thm5_exhaustive", False, 0, [], skipped=True)
     if registry is None:
         registry = build_registry(events)
     order = ring.order
     rules = _PairRules(events, registry, order)
+    pairs: dict[tuple[int, int], _Pair] = {}
     unclassified = []
     checked = 0
     for call, done in registry.insertions.items():
         begin = registry.calls[call]
-        inserted = []
-        for seq, pos in done:
-            g = registry.entries[pos]
-            inserted.append((seq, sig_key(g.sig, order), g.head().deg, pos))
-        members: list[int] = []
-        joining = sorted(begin["g_next"] + [begin["input_pos"]])
-        for k in range(len(inserted)):
-            later = inserted[k:]
-            for b_pos in joining:
-                for a_pos in members:
+        g_seq = [seq for seq, _ in done]
+        g_pos = [pos for _, pos in done]
+        g_key = [sig_key(registry.entries[pos].sig, order) for pos in g_pos]
+        g_deg = [rules.part(pos)[1] for pos in g_pos]
+        # members in the order they join; the last insertion never joins
+        members = sorted(begin["g_next"] + [begin["input_pos"]])
+        start = len(members)
+        members += g_pos[:-1]
+        count = _DominanceCount(g_key, g_deg)
+        for k in range(len(done) - 1, -1, -1):
+            count.add(g_key[k], g_deg[k])
+            for i in range(start) if k == 0 else (start + k - 1,):
+                b_pos = members[i]
+                for a_pos in members[:i]:
                     pair_id = (a_pos, b_pos) if a_pos < b_pos else (b_pos, a_pos)
-                    pair = rules.pair(*pair_id)
-                    first = min((ev[0] for ev in pair.evidence), default=math.inf)
-                    for seq, g_key, g_deg, g_pos in later:
-                        if _in_scope(pair, call, g_key, g_deg):
-                            checked += 1
-                            if first >= seq:
-                                unclassified.append((seq, pair_id, g_pos))
-                members.append(b_pos)
-            joining = [inserted[k][3]]
+                    pair = pairs.get(pair_id)
+                    if pair is None:
+                        pair = pairs[pair_id] = rules.pair(*pair_id)
+                    in_scope = count.above(pair.key, pair.deg if pair.index == call else None)
+                    checked += in_scope
+                    if not in_scope:
+                        continue
+                    j = k
+                    while j < len(done) and g_seq[j] <= pair.first:
+                        if _in_scope(pair, call, g_key[j], g_deg[j]):
+                            unclassified.append((g_seq[j], pair_id, g_pos[j]))
+                        j += 1
     unclassified.sort()
     failures = [(g_pos, pair_id, "unclassified") for _, pair_id, g_pos in unclassified]
     return _report("thm5_exhaustive", checked, failures)
@@ -760,5 +887,5 @@ def run_all_checkers(
         check_replay(events, ring, registry),
         check_chains(events, ring, registry),
         done_insertion_audit(events, ring, registry),
-        check_thm5_exhaustive(events, ring, registry=registry),
+        check_thm5_exhaustive(events, ring, registry),
     ]

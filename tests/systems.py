@@ -1,9 +1,11 @@
-"""Shared rings, parsers and the acceptance suite of input systems."""
+"""Shared rings, parsers, the acceptance suite of input systems and the
+brute-force reference of the thm5 check."""
 
 from __future__ import annotations
 
 from f5gb.cli import _parse_poly
 from f5gb.poly import MonomialOrder, Polynomial, Ring
+from f5gb.trace import build_registry, classify_pairs_at_insertion
 
 
 def make_ring(p: int, names, order: str = "degrevlex") -> Ring:
@@ -16,6 +18,30 @@ def P(ring: Ring, text: str) -> Polynomial:
 
 def polys(ring: Ring, *texts: str) -> list[Polynomial]:
     return [P(ring, t) for t in texts]
+
+
+def thm5_brute_force(events, ring: Ring) -> tuple[int, list]:
+    """(checked, failures) as ``check_thm5_exhaustive`` should report them,
+    found by classifying every pair at every insertion one at a time."""
+    registry = build_registry(events)
+    classified = [
+        cls
+        for ev in events
+        if ev["kind"] == "DoneInserted"
+        for cls in classify_pairs_at_insertion(events, registry, ring, ev)
+    ]
+    failures = [
+        (c.g_pos, c.pair, "unclassified") for c in classified if c.outcome == "unclassified"
+    ]
+    return len(classified), failures
+
+
+def strip_rejections(events) -> list[dict]:
+    """The log without its criterion rejections: every pair they classified
+    becomes unclassified."""
+    return [
+        ev for ev in events if ev["kind"] not in ("F5CritPairReject", "RewrittenReject")
+    ]
 
 
 # Coefficients of the "generic" systems were drawn once from a fixed seed and

@@ -1,6 +1,5 @@
 """Front end: problem parsing, commands, exit codes, trace files."""
 
-import functools
 import io
 import json
 import re
@@ -18,6 +17,8 @@ from f5gb.cli import (
 )
 from f5gb.engine import EngineConfig, NonHomogeneousInput
 from f5gb.trace import events_from_jsonl, run_all_checkers
+
+from systems import strip_rejections
 
 DEMO = """# two generators over GF(7)
 p = 7
@@ -133,7 +134,7 @@ class TestCommands:
         assert report["ok"] is True
         assert report["verdicts"]["ideal_equal"] is True
         assert report["verdicts"]["admissible"] is True
-        assert report["skipped"] == []
+        assert "skipped" not in report
         # identical basis as the plain gb command: check is a superset
         code2, out2 = run_main(["gb", cyclic_file])
         assert report["basis"] == out2.splitlines()
@@ -166,22 +167,25 @@ class TestCommands:
         assert len(registries) == 1
         assert snapshots and len(snapshots) == len(set(snapshots))
 
-    def test_skipped_check_is_not_ok(self, cyclic_file, monkeypatch):
-        # a log at or past the pair threshold: thm5_exhaustive does not run
+    def test_failed_check_is_not_ok(self, cyclic_file, monkeypatch):
+        # thm5_exhaustive on the log without its criterion rejections: the
+        # pairs they classified are unclassified, and the check fails
+        check = trace.check_thm5_exhaustive
         monkeypatch.setattr(
             trace,
             "check_thm5_exhaustive",
-            functools.partial(trace.check_thm5_exhaustive, pair_threshold=0),
+            lambda events, ring, registry=None: check(strip_rejections(events), ring),
         )
         code, out = run_main(["check", cyclic_file, "--json-report"])
         report = json.loads(out)
         assert code == 2 and report["ok"] is False
-        assert report["skipped"] == ["thm5_exhaustive"]
         assert report["verdicts"]["thm5_exhaustive"] is False
-        assert "thm5_exhaustive: skipped (0 checked)" in report["checker_lines"]
+        assert any(
+            line.startswith("thm5_exhaustive: FAIL (") for line in report["checker_lines"]
+        )
         code, out = run_main(["check", cyclic_file])
         assert code == 2
-        assert "thm5_exhaustive: skipped (0 checked)" in out
+        assert "thm5_exhaustive: FAIL (" in out
         assert "result: CHECK FAILURES" in out
 
     def test_budget_exit_code(self, cyclic_file):

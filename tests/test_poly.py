@@ -17,7 +17,9 @@ from f5gb.poly import (
     is_prime,
     mono_cmp,
     normal_form,
+    normal_form_by,
     poly_axpy,
+    prepare_reducers,
     quotient_cmp,
     validate_poly,
 )
@@ -305,6 +307,12 @@ class TestNormalForm:
         assert out == normal_form_reference(p, basis)
         for _, m in out.terms:
             assert not any(b.head_mono.divides(m) for b in basis if not b.is_zero)
+        # one prepared basis serves several normal forms
+        reducers = prepare_reducers(basis)
+        q = ring.poly(data.draw(terms))
+        assert normal_form_by(p, reducers) == out
+        assert normal_form_by(q, reducers) == normal_form_reference(q, basis)
+        assert normal_form_by(p, reducers) == out
 
     def test_head_reduction(self, ring):
         assert normal_form(P(ring, "x^2 + y^2"), [P(ring, "x^2")]) == P(ring, "y^2")

@@ -11,9 +11,9 @@ from f5gb.engine import BudgetExceeded, EngineConfig, incremental_f5
 from f5gb.oracle import buchberger, ideal_equal
 from f5gb.poly import ORDER_KINDS, Monomial
 from f5gb.sig import check_admissible
-from f5gb.trace import run_all_checkers
+from f5gb.trace import check_thm5_exhaustive, run_all_checkers
 
-from systems import make_ring
+from systems import make_ring, strip_rejections, thm5_brute_force
 
 
 def homogeneous_polys(draw, ring, count):
@@ -58,3 +58,25 @@ def test_engine_matches_reference_and_passes_all_checkers(data):
     for rep in run_all_checkers(result.events, ring):
         assert rep.passed, rep.line()
     assert all(check_admissible(lp, result.inputs, ring.order) for lp in result.R)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_thm5_count_matches_brute_force(data):
+    # one system in all three orders; the log without its criterion
+    # rejections exercises the failure enumeration
+    n = data.draw(st.integers(2, 3))
+    m = data.draw(st.integers(2, 4))
+    names = [f"x{i}" for i in range(n)]
+    drawn = homogeneous_polys(data.draw, make_ring(7, names), m)
+    for order in ORDER_KINDS:
+        ring = make_ring(7, names, order)
+        try:
+            result = incremental_f5(
+                [ring.poly(q.terms) for q in drawn], EngineConfig(max_degree=12)
+            )
+        except BudgetExceeded:
+            continue
+        for events in (result.events, strip_rejections(result.events)):
+            rep = check_thm5_exhaustive(events, ring)
+            assert (rep.checked, rep.failures) == thm5_brute_force(events, ring)

@@ -22,13 +22,14 @@ from f5gb.trace import (
     check_signature_safety,
     check_thm5_exhaustive,
     classify_pairs_at_insertion,
+    decode_trail,
     done_insertion_audit,
     events_from_jsonl,
     extract_chain,
     run_all_checkers,
 )
 
-from systems import make_ring, polys
+from systems import SUITE, make_ring, polys, strip_rejections, thm5_brute_force
 
 
 def M(*exps):
@@ -276,6 +277,66 @@ def lex_run(p, names, texts):
     return ring, incremental_f5(polys(ring, *texts), EngineConfig())
 
 
+# Systems 578, 12 and 477 of the random small-system generator in
+# perfbench/workloads.py at seed 1, each in the order its name gives:
+# name -> (p, variables, polynomials, order).
+CHECK_SMALL_SYSTEMS = {
+    "random578-degrevlex": (
+        5,
+        ["x0", "x1", "x2"],
+        [
+            "x0^2 + x0*x1 + 4*x2^2",
+            "x1 + 2*x2",
+            "2*x0",
+            "4*x0^3 + 4*x0^2*x1 + 2*x0*x1^2 + 3*x0*x1*x2 + 2*x0*x2^2 + 2*x1^3"
+            " + 2*x1^2*x2 + x1*x2^2 + 3*x2^3",
+            "3*x0^3 + x0^2*x1 + x0^2*x2 + 2*x0*x1^2 + 2*x0*x1*x2 + 3*x0*x2^2 + 4*x1^3"
+            " + x1^2*x2 + 4*x1*x2^2 + 3*x2^3",
+        ],
+        "degrevlex",
+    ),
+    "random012-deglex": (
+        5,
+        ["x0", "x1", "x2"],
+        [
+            "3*x1^2*x2",
+            "x0^3 + 4*x0*x2^2",
+            "x0^2*x2 + 2*x0*x1^2 + 4*x0*x1*x2 + 3*x1^2*x2 + 4*x2^3",
+        ],
+        "deglex",
+    ),
+    "random477-lex": (
+        7,
+        ["x0", "x1", "x2"],
+        [
+            "5*x0^2 + 2*x2^2",
+            "5*x0^3 + 2*x0^2*x1 + 5*x0^2*x2 + x0*x1^2 + 2*x0*x1*x2 + 6*x0*x2^2"
+            " + 4*x1^3 + 3*x1^2*x2 + 6*x1*x2^2 + 2*x2^3",
+            "4*x0^2*x2 + 6*x0*x1*x2 + 3*x0*x2^2 + 4*x1^3 + 5*x1^2*x2 + 4*x1*x2^2",
+            "x0^3 + 3*x0*x2^2 + x1^2*x2 + 5*x1*x2^2 + 3*x2^3",
+            "6*x1^2 + 5*x1*x2 + 3*x2^2",
+        ],
+        "lex",
+    ),
+}
+CYCLIC3 = (7, ["x", "y", "z", "h"], ["x + y + z", "x*y + y*z + x*z", "x*y*z - h^3"])
+# the cyclic fixture's system and LEX_SYSTEM_510 in their own orders and in
+# the other degree order, and the check-small systems
+THM5_SYSTEMS = {
+    "cyclic": (*CYCLIC3, "degrevlex"),
+    "lex": (*LEX_SYSTEM_510, "lex"),
+    "deglex": (*CYCLIC3, "deglex"),
+    "degrevlex": (*LEX_SYSTEM_510, "degrevlex"),
+    **CHECK_SMALL_SYSTEMS,
+}
+
+
+def thm5_run(name):
+    p, names, texts, order = THM5_SYSTEMS[name]
+    ring = make_ring(p, names, order)
+    return ring, incremental_f5(polys(ring, *texts), EngineConfig())
+
+
 class TestThm5:
     def test_passes_on_runs(self, cyclic):
         ring, res = cyclic
@@ -293,27 +354,28 @@ class TestThm5:
         rep = check_thm5_exhaustive(res.events, ring)
         assert rep.passed and rep.failures == [] and rep.checked == checked
 
-    @pytest.mark.parametrize("system", ["cyclic", "lex"])
-    def test_checked_is_sum_of_classified(self, system, cyclic):
-        ring, res = cyclic if system == "cyclic" else lex_run(*LEX_SYSTEM_510)
-        registry = build_registry(res.events)
-        classified = [
-            cls
-            for ev in res.events
-            if ev["kind"] == "DoneInserted"
-            for cls in classify_pairs_at_insertion(res.events, registry, ring, ev)
-        ]
+    @pytest.mark.parametrize("system", THM5_SYSTEMS)
+    def test_checked_is_sum_of_classified(self, system):
+        ring, res = thm5_run(system)
         rep = check_thm5_exhaustive(res.events, ring)
-        assert len(classified) == rep.checked
-        assert [
-            (c.g_pos, c.pair, c.outcome) for c in classified if c.outcome == "unclassified"
-        ] == rep.failures
+        assert rep.passed and rep.checked > 0
+        assert (rep.checked, rep.failures) == thm5_brute_force(res.events, ring)
 
-    def test_threshold_disables(self, cyclic):
-        ring, res = cyclic
-        rep = check_thm5_exhaustive(res.events, ring, pair_threshold=0)
-        assert rep.skipped and not rep.passed and rep.checked == 0
-        assert rep.line() == "thm5_exhaustive: skipped (0 checked)"
+    def test_check_small_counts_pinned(self):
+        # (checked, failures on the stripped log), the values of the
+        # pair-by-insertion loop the dominance count replaced
+        got = {}
+        for name in CHECK_SMALL_SYSTEMS:
+            ring, res = thm5_run(name)
+            got[name] = (
+                check_thm5_exhaustive(res.events, ring).checked,
+                len(check_thm5_exhaustive(strip_rejections(res.events), ring).failures),
+            )
+        assert got == {
+            "random578-degrevlex": (249, 192),
+            "random012-deglex": (249, 177),
+            "random477-lex": (195, 144),
+        }
 
     def test_tampered_log_detected(self, cyclic):
         self._check_stripped_log_fails(*cyclic)
@@ -332,15 +394,15 @@ class TestThm5:
         assert baseline and all(
             v in ("f5", "rewritten", "completed") for v in baseline.values()
         )
+        assert any(v in ("f5", "rewritten") for v in baseline.values())
         # drop every pair-level rejection event: previously rejected pairs
         # can no longer be classified
-        stripped = [
-            ev
-            for ev in res.events
-            if ev["kind"] not in ("F5CritPairReject", "RewrittenReject")
-        ]
-        if any(v in ("f5", "rewritten") for v in baseline.values()):
-            assert not check_thm5_exhaustive(stripped, ring).passed
+        stripped = strip_rejections(res.events)
+        rep = check_thm5_exhaustive(stripped, ring)
+        assert not rep.passed
+        # the failures found without enumerating every pair are exactly the
+        # pairs the per-insertion classification calls unclassified
+        assert (rep.checked, rep.failures) == thm5_brute_force(stripped, ring)
 
 
 class TestReplay:
@@ -348,6 +410,26 @@ class TestReplay:
         ring, res = cyclic
         rep = check_replay(res.events, ring)
         assert rep.passed and rep.checked > 0
+
+    def test_decoded_trails_sum_to_final_polys(self):
+        # final = alpha * creation - sum of c * t * final(reductor), summed
+        # here with Ring.poly rather than the replay's poly_axpy.  The cyclic
+        # fixture's trails are empty; katsura-3's interleave phi and top
+        # reductions with monic scalings.
+        names, texts = SUITE["katsura3_homog"]
+        ring = make_ring(32003, names)
+        res = incremental_f5(polys(ring, *texts), EngineConfig())
+        registry = build_registry(res.events)
+        done = [e for e in registry.entries.values() if e.done_seq is not None and not e.is_input]
+        reductions = 0
+        for e in done:
+            alpha, contribs = decode_trail(e.trail, ring.p)
+            reductions += len(contribs)
+            terms = [(alpha * c, m) for c, m in registry.creation(ring, e.pos).terms]
+            for c, t, j in contribs:
+                terms += [(-c * cj, mj.mul(t)) for cj, mj in registry.final_poly(ring, j).terms]
+            assert ring.poly(terms) == registry.final_poly(ring, e.pos)
+        assert done and reductions > 0
 
     def test_corrupted_final_poly_detected(self, cyclic):
         ring, res = cyclic
