@@ -44,7 +44,6 @@ from .poly import (
     Polynomial,
     Ring,
     is_homogeneous,
-    mono_cmp,
     normal_form,
     poly_axpy,
     quotient_cmp,

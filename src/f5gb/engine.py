@@ -88,6 +88,19 @@ class CriticalPair(NamedTuple):
     sig2: Signature
 
 
+# each engine counter is the number of logged events of one kind
+COUNTED_EVENTS = {
+    "pairs_created": "CritPairCreated",
+    "f5_rejections": "F5CritPairReject",
+    "rewritten_rejections": "RewrittenReject",
+    "spol_created": "SPolCreated",
+    "new_from_top_reduction": "NewFromTopReduction",
+    "reductions_to_zero": "ReductionToZero",
+    "reduction_steps": "ReductionStep",
+    "phi_steps": "PhiPreReduce",
+}
+
+
 class RuleTable:
     """Per input index, the creation-ordered list of rule entries."""
 
@@ -113,7 +126,6 @@ class EngineResult:
     basis: tuple[int, ...]
     events: list[dict]
     counters: dict
-    config: EngineConfig
 
     def basis_polynomials(self) -> list[Polynomial]:
         polys = [self.R[p].poly for p in self.basis]
@@ -143,23 +155,18 @@ class Engine:
         self.trails: dict[int, list] = {}
         self.creation_polys: dict[int, Polynomial] = {}
         self.basis_by_index: dict[int, tuple[int, ...]] = {}
-        self.counters = {
-            "pairs_created": 0,
-            "f5_rejections": 0,
-            "rewritten_rejections": 0,
-            "spol_created": 0,
-            "new_from_top_reduction": 0,
-            "reductions_to_zero": 0,
-            "reduction_steps": 0,
-            "phi_steps": 0,
-        }
         self._phi_head_cache: dict[int, list[tuple[int, Monomial, int]]] = {}
 
     # -- helpers ----------------------------------------------------------
 
+    def counters(self) -> dict[str, int]:
+        """The engine counters, read off the event counts of the log."""
+        counts = self.trace.counts
+        return {name: counts[kind] for name, kind in COUNTED_EVENTS.items()}
+
     def _budget(self, what: str, cond: bool) -> None:
         if cond:
-            raise BudgetExceeded(what, self.trace.events, dict(self.counters))
+            raise BudgetExceeded(what, self.trace.events, self.counters())
 
     def _new_labeled(self, sig: Signature, poly: Polynomial, mv: Optional[ModuleVector],
                      genealogy: Optional[Genealogy]) -> LabeledPolynomial:
@@ -238,8 +245,7 @@ class Engine:
             R=self.R,
             basis=tuple(self.G),
             events=self.trace.events,
-            counters=dict(self.counters),
-            config=self.config,
+            counters=self.counters(),
         )
 
     def _begin_call(self, i: int, g_next: list[int]) -> LabeledPolynomial:
@@ -313,7 +319,6 @@ class Engine:
         for part, (lp, u, s) in enumerate(((a, u1, s1), (b, u2, s2)), start=1):
             blocked = self._f5_blocked(lp.index, u.mul(lp.sig.mono))
             if blocked is not None:
-                self.counters["f5_rejections"] += 1
                 self.trace.emit(
                     "F5CritPairReject",
                     call=i,
@@ -326,8 +331,10 @@ class Engine:
                     **pair_fields,
                 )
                 return None
-        self.counters["pairs_created"] += 1
-        self._budget("pair budget exhausted", self.counters["pairs_created"] > self.config.max_pairs)
+        self._budget(
+            "pair budget exhausted",
+            self.trace.counts["CritPairCreated"] >= self.config.max_pairs,
+        )
         self.trace.emit(
             "CritPairCreated",
             call=i,
@@ -349,7 +356,6 @@ class Engine:
             ):
                 rw = self._find_rewriter(u, pos)
                 if rw != pos:
-                    self.counters["rewritten_rejections"] += 1
                     self.trace.emit(
                         "RewrittenReject",
                         call=i,
@@ -383,7 +389,6 @@ class Engine:
                 cp.sig1, poly, mv, Genealogy(cp.p1, cp.p2, cp.u1, cp.u2)
             )
             self._add_rule(lp.sig, lp.pos)
-            self.counters["spol_created"] += 1
             self.trace.emit(
                 "SPolCreated",
                 call=i,
@@ -461,7 +466,6 @@ class Engine:
             if h.mv is not None:
                 h.mv = h.mv.axpy(c, u, blp.mv)
             trail.append(["phi", c, list(u.exps), pos])
-            self.counters["phi_steps"] += 1
             self.trace.emit(
                 "PhiPreReduce",
                 call=i,
@@ -480,7 +484,6 @@ class Engine:
     def _top_reduction(self, h: LabeledPolynomial, i: int) -> list[int]:
         """Returns positions to requeue; a completed element joins Done."""
         if h.poly.is_zero:
-            self.counters["reductions_to_zero"] += 1
             self.trace.emit(
                 "ReductionToZero", call=i, pos=h.pos, sig=sig_payload(h.sig)
             )
@@ -511,7 +514,6 @@ class Engine:
                 h.mv = h.mv.axpy(1, u, j.mv)
             trail.append(["top", 1, list(u.exps), j_pos])
             scale = self._monic_in_place(h, trail)
-            self.counters["reduction_steps"] += 1
             self.trace.emit(
                 "ReductionStep",
                 call=i,
@@ -532,7 +534,6 @@ class Engine:
         poly, mv = self._monic_pair(poly, mv)
         lp = self._new_labeled(msig, poly, mv, Genealogy(j_pos, h.pos, u, one))
         self._add_rule(lp.sig, lp.pos)
-        self.counters["new_from_top_reduction"] += 1
         self.trace.emit(
             "NewFromTopReduction",
             call=i,
@@ -558,7 +559,6 @@ class Engine:
             msig_mono = u.mul(j.sig.mono)
             blocked = self._f5_blocked(j.index, msig_mono)
             if blocked is not None:
-                self.counters["f5_rejections"] += 1
                 self.trace.emit(
                     "F5CritPairReject",
                     call=i,
@@ -573,7 +573,6 @@ class Engine:
                 continue
             rw = self.rules.find_rewriter(j.index, msig_mono)
             if rw != j_pos:
-                self.counters["rewritten_rejections"] += 1
                 self.trace.emit(
                     "RewrittenReject",
                     call=i,
@@ -588,7 +587,6 @@ class Engine:
                 )
                 continue
             if msig_mono == h.sig.mono and j.index == h.index:
-                self.counters["rewritten_rejections"] += 1
                 self.trace.emit(
                     "RewrittenReject",
                     call=i,

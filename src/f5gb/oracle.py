@@ -20,22 +20,25 @@ from .poly import (
     GT,
     LT,
     Monomial,
+    MonomialQuotient,
     Polynomial,
     Ring,
     normal_form,
     normal_form_by,
     poly_axpy,
     prepare_reducers,
+    quotient_cmp,
 )
 from .sig import (
     LabeledPolynomial,
     Signature,
     input_representation as _mv_input_triples,
     sig_cmp,
+    sig_divides,
     sig_key,
     sig_mul,
 )
-from .trace import Registry, decode_trail, membership_at, rules_before
+from .trace import InsertionView, Registry, decode_trail, membership_at, rules_before
 
 
 class DescentError(Exception):
@@ -72,87 +75,55 @@ class StepCapExceeded(DescentError):
 # snapshots
 
 
-class GgSnapshot:
-    """Basis state frozen at one Done insertion.
+class GgSnapshot(InsertionView):
+    """Basis state frozen at one Done insertion: the ``InsertionView`` of the
+    reductor checks, plus the polynomials, module vectors and input
+    positions the descent rewrites with.
 
-    ``members`` lists the positions of G ∪ Done ascending by creation order;
+    ``entries`` gives each position's ``LabeledPolynomial``.  ``members``
+    lists the positions of G ∪ Done ascending by creation order;
     representation elements refer to these positions directly (the list is
-    creation-ordered, so position comparison doubles as list-rank comparison).
-    Reduction trails and creation-time polynomials are read from the
-    ``registry`` of the run's event log.
+    creation-ordered, so position comparison doubles as list-rank
+    comparison).  Reduction trails and creation-time polynomials are read
+    from the ``registry`` of the run's event log.  ``input_pos`` maps an
+    input index to the position of its input polynomial.
     """
 
     def __init__(
         self,
         ring: Ring,
-        entries: dict[int, LabeledPolynomial],
+        entries: Sequence[LabeledPolynomial] | dict[int, LabeledPolynomial],
         members: Sequence[int],
         g_pos: int,
         rules: dict[int, Sequence[tuple[Monomial, int]]],
         registry: Registry,
         input_pos: dict[int, int],
     ):
+        super().__init__(entries, members, g_pos, rules)
         self.ring = ring
         self.order = ring.order
-        self.entries = entries
-        self.members = tuple(sorted(members))
         self.member_set = set(self.members)
-        self.g_pos = g_pos
-        self.rules = rules
         self.registry = registry
         self.input_pos = input_pos
-        self._phi_cache: dict[int, list[tuple[Monomial, int]]] = {}
 
     @classmethod
     def from_result(cls, result: EngineResult, registry: Registry, seq: int) -> "GgSnapshot":
         """The snapshot of the ``DoneInserted`` event at ``seq``; ``registry``
-        is built from ``result.events``."""
+        is built from ``result.events``.  The snapshot shares ``result.R``,
+        whose element at each position is the one created there."""
         done = result.events[seq]
         return cls(
             ring=result.ring,
-            entries={lp.pos: lp for lp in result.R},
+            entries=result.R,
             members=membership_at(registry, done["call"], seq) + [done["pos"]],
             g_pos=done["pos"],
             rules=rules_before(registry, seq),
             registry=registry,
-            input_pos={lp.index: lp.pos for lp in result.R if lp.genealogy is None},
+            input_pos={call: begin["input_pos"] for call, begin in registry.calls.items()},
         )
 
     def lp(self, pos: int) -> LabeledPolynomial:
         return self.entries[pos]
-
-    @property
-    def g_sig(self) -> Signature:
-        return self.entries[self.g_pos].sig
-
-    def phi_heads(self, index: int) -> list[tuple[Monomial, int]]:
-        """Heads of the completed basis for ``index + 1`` within the snapshot."""
-        cached = self._phi_cache.get(index)
-        if cached is None:
-            cached = [
-                (self.entries[p].poly.head_mono, p)
-                for p in self.members
-                if self.entries[p].index > index
-            ]
-            self._phi_cache[index] = cached
-        return cached
-
-    def f5_satisfied(self, t: Monomial, pos: int) -> bool:
-        """The shifted signature monomial of t * b_pos is top-reducible by the
-        previously computed basis for the next index."""
-        lp = self.entries[pos]
-        mono = t.mul(lp.sig.mono)
-        return any(head.divides(mono) for head, _ in self.phi_heads(lp.index))
-
-    def rewritten_satisfied(self, t: Monomial, pos: int) -> Optional[int]:
-        """Newest rule owner created after ``pos`` whose monomial divides the
-        shifted signature monomial; None when no such rule exists."""
-        lp = self.entries[pos]
-        mono = t.mul(lp.sig.mono)
-        for rmono, rpos in reversed(self.rules.get(lp.index, ())):
-            if rpos > pos and rmono.divides(mono):
-                return rpos
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -383,11 +354,10 @@ def rewrite_f5_case(r: Representation, K: ReprElement, snap: GgSnapshot) -> Repr
     """Replace an element whose shifted signature is reducible by the next
     basis: push the reduction into its input representation."""
     p = snap.ring.p
-    lp = snap.lp(K.pos)
     triples = _element_input_triples(snap, K.coeff, K.mono, K.pos)
-    c0, s0, j0 = triples[0][0], triples[0][1], triples[0][2]
+    c0, s0, j0 = triples[0]
     divisor_pos = None
-    for head, pos in snap.phi_heads(j0):
+    for head, pos in snap.phi_basis(j0):
         if head.divides(s0):
             divisor_pos = pos
             break
@@ -415,7 +385,6 @@ def rewrite_rewritten_case(
     """Replace an element rewritable by a newer rule with the rewriter (or,
     when the rewriter reduced to zero, with its syzygy expansion)."""
     p = snap.ring.p
-    lp = snap.lp(K.pos)
     triples = _element_input_triples(snap, K.coeff, K.mono, K.pos)
     c0, s0, j0 = triples[0]
     rw_pos = snap.rewritten_satisfied(K.mono, K.pos)
@@ -584,21 +553,13 @@ def find_unrejected_reductor(
 def reductor_passes_engine_checks(
     snap: GgSnapshot, cand_mono: Monomial, cand_pos: int, f_pos: int
 ) -> Optional[str]:
-    """Independent evaluation of checks (a)-(d) for the found reductor against
-    f; returns the failing check name or None when all four pass."""
+    """Checks (a)-(d) for the found reductor cand_mono * b_cand against f,
+    evaluated on the snapshot's view of the basis; returns the failing check
+    name or None when all four pass."""
     f = snap.lp(f_pos)
-    cand = snap.lp(cand_pos)
-    u = f.poly.head_mono.divide(cand.poly.head_mono)
-    if u is None or u != cand_mono:
+    if cand_mono.mul(snap.lp(cand_pos).head) != f.head:
         return "a"
-    if snap.f5_satisfied(u, cand_pos):
-        return "b"
-    if snap.rewritten_satisfied(u, cand_pos) is not None:
-        return "c"
-    msig = sig_mul(u, cand.sig)
-    if msig == f.sig:
-        return "d"
-    return None
+    return snap.failed_check(cand_pos, f.head, f.sig)
 
 
 # ---------------------------------------------------------------------------
@@ -731,9 +692,6 @@ def spair_exhaustion_check(basis: Sequence[Polynomial]) -> bool:
 def find_thm4_pairs_in_snapshot(snap: GgSnapshot) -> list[tuple[int, int]]:
     """Pairs (earlier, later) of snapshot members with dividing heads, a
     strictly descending head/signature quotient, and dividing signatures."""
-    from .poly import MonomialQuotient, quotient_cmp
-    from .sig import sig_divides
-
     order = snap.order
     out = []
     for a_pos in snap.members:

@@ -195,10 +195,6 @@ class MonomialQuotient:
     den: Monomial
 
 
-def mono_cmp(a: Monomial, b: Monomial, order: MonomialOrder) -> int:
-    return order.cmp(a, b)
-
-
 def quotient_cmp(q1: MonomialQuotient, q2: MonomialQuotient, order: MonomialOrder) -> int:
     """Transitive extension of the order to quotients: n1/d1 vs n2/d2 by n1*d2 vs n2*d1."""
     return order.cmp(q1.num.mul(q2.den), q2.num.mul(q1.den))
@@ -288,12 +284,6 @@ class Polynomial:
     def degree(self) -> int:
         """Total degree of the head monomial; -1 for the zero polynomial."""
         return self.terms[0][1].deg if self.terms else -1
-
-    def coeff_of(self, m: Monomial) -> int:
-        for c, t in self.terms:
-            if t == m:
-                return c
-        return 0
 
     def add(self, other: "Polynomial") -> "Polynomial":
         return self.ring.poly(list(self.terms) + list(other.terms))

@@ -142,6 +142,11 @@ class LabeledPolynomial:
     def index(self) -> int:
         return self.sig.index
 
+    @property
+    def head(self) -> Optional[Monomial]:
+        """Head monomial of the current polynomial; None when it is zero."""
+        return self.poly.terms[0][1] if self.poly.terms else None
+
     def __repr__(self) -> str:
         return f"LabeledPolynomial(pos={self.pos}, sig={self.sig!r}, poly={self.poly!r})"
 

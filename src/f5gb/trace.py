@@ -70,9 +70,11 @@ class Trace:
 
     def __init__(self):
         self.events: list[dict] = []
+        # events logged per kind; an unknown kind raises KeyError at emit
+        self.counts: dict[str, int] = dict.fromkeys(EVENT_KINDS, 0)
 
     def emit(self, kind: str, **payload) -> int:
-        assert kind in EVENT_KINDS, kind
+        self.counts[kind] += 1
         seq = len(self.events)
         ev = {"seq": seq, "kind": kind}
         ev.update(payload)
@@ -107,16 +109,13 @@ class RegistryEntry:
     final_poly: Optional[list] = None
     trail: Optional[list] = None
     is_input: bool = False
+    # head monomial of the final polynomial (the creation-time one while the
+    # log holds no outcome); None once reduced to zero
+    head: Optional[Monomial] = None
 
     @property
     def is_zero(self) -> bool:
         return self.zero_seq is not None
-
-    def head(self) -> Optional[Monomial]:
-        payload = self.final_poly if self.final_poly is not None else self.creation_poly
-        if not payload:
-            return None
-        return Monomial(payload[0][1])
 
 
 @dataclass
@@ -197,6 +196,9 @@ def build_registry(events: Sequence[dict]) -> Registry:
             rules.setdefault(ev["index"], []).append(
                 (ev["seq"], Monomial(ev["mono"]), ev["pos"])
             )
+    for e in entries.values():
+        payload = e.final_poly if e.final_poly is not None else e.creation_poly
+        e.head = Monomial(payload[0][1]) if payload else None
     return Registry(entries, calls, insertions, rules)
 
 
@@ -442,18 +444,18 @@ def extract_chain(pos: int, registry: Registry, ring: Ring) -> ChainReport:
         for a, b in zip(chain, chain[1:])
     )
 
-    withhm = [p for p in chain if registry.entries[p].head() is not None]
+    withhm = [p for p in chain if registry.entries[p].head is not None]
     quot_ok = True
     for i in range(len(withhm)):
         for j in range(i + 1, len(withhm)):
             a, b = registry.entries[withhm[i]], registry.entries[withhm[j]]
-            qa = MonomialQuotient(a.head(), a.sig.mono)
-            qb = MonomialQuotient(b.head(), b.sig.mono)
+            qa = MonomialQuotient(a.head, a.sig.mono)
+            qb = MonomialQuotient(b.head, b.sig.mono)
             if quotient_cmp(qa, qb, order) != GT:
                 quot_ok = False
 
     distinct_ok = True
-    heads = [registry.entries[p].head() for p in withhm]
+    heads = [registry.entries[p].head for p in withhm]
     for i in range(len(heads)):
         for j in range(len(heads)):
             if i == j:
@@ -485,59 +487,97 @@ def check_chains(
 
 
 # ---------------------------------------------------------------------------
-# reductor checks shared with the insertion audit
+# the basis at one insertion, as the reductor checks see it
 
 
-def phi_heads_by_index(
-    registry: Registry, heads: dict[int, Optional[Monomial]], members: Sequence[int]
-) -> dict[int, list[Monomial]]:
-    """For each signature index among ``members``, the heads of the completed
-    basis for ``index + 1``: every member with a strictly higher signature
-    index (those calls finished earlier).  ``heads`` maps a position to its
-    head monomial."""
-    indexed = [(registry.entries[p].index, heads[p]) for p in members]
-    return {
-        index: [h for i, h in indexed if i > index and h is not None]
-        for index in {i for i, _ in indexed}
-    }
+class InsertionView:
+    """The basis at one Done insertion, with checks (a)-(d).
 
+    ``entries`` gives, by position, a record with ``sig``, ``index`` and
+    ``head``: a ``RegistryEntry`` or a ``LabeledPolynomial``.  ``members``
+    are the positions of G ∪ Done at the insertion together with the
+    inserted element ``g_pos``.  ``rules`` holds, per signature index, the
+    (monomial, owner) rule entries added before the insertion, oldest first.
+    The insertion audit builds the view from the registry alone; the
+    descent's snapshot extends it.
+    """
 
-def evaluate_reductor_checks(
-    registry: Registry,
-    heads: dict[int, Optional[Monomial]],
-    phi_heads: dict[int, list[Monomial]],
-    rules: dict[int, list[tuple[Monomial, int]]],
-    cand: int,
-    target_head: Monomial,
-    target_sig: Signature,
-) -> Optional[str]:
-    """Re-run checks (a)-(d) for one candidate; returns the failing check or
-    None when the candidate passes all four.  ``phi_heads`` is the table
-    ``phi_heads_by_index`` builds for the members at this point."""
-    e = registry.entries[cand]
-    h = heads[cand]
-    if h is None:
-        return "a"
-    u = target_head.divide(h)
-    if u is None:
-        return "a"
-    msig_mono = u.mul(e.sig.mono)
-    for head in phi_heads[e.index]:
-        if head.divides(msig_mono):
+    def __init__(
+        self,
+        entries,
+        members: Sequence[int],
+        g_pos: int,
+        rules: dict[int, Sequence[tuple[Monomial, int]]],
+    ):
+        self.entries = entries
+        self.members = tuple(sorted(members))
+        self.g_pos = g_pos
+        self.rules = rules
+        self._phi: dict[int, list[tuple[Monomial, int]]] = {}
+
+    @property
+    def g_sig(self) -> Signature:
+        return self.entries[self.g_pos].sig
+
+    def phi_basis(self, index: int) -> list[tuple[Monomial, int]]:
+        """(head, position) of the completed basis for ``index + 1``: the
+        members of a higher signature index (their calls finished earlier),
+        ascending by position."""
+        basis = self._phi.get(index)
+        if basis is None:
+            entries = self.entries
+            basis = self._phi[index] = [
+                (entries[p].head, p) for p in self.members if entries[p].index > index
+            ]
+        return basis
+
+    def f5_satisfied(self, t: Monomial, pos: int) -> bool:
+        """The shifted signature monomial of t * b_pos is top-reducible by the
+        completed basis for the next index."""
+        e = self.entries[pos]
+        mono = t.mul(e.sig.mono)
+        return any(head.divides(mono) for head, _ in self.phi_basis(e.index))
+
+    def rewriter(self, t: Monomial, pos: int) -> Optional[int]:
+        """The newest rule owner, ``pos`` itself or a newer one, whose
+        monomial divides the shifted signature monomial of t * b_pos; None
+        when there is none, which means ``pos`` has no rule entry."""
+        e = self.entries[pos]
+        mono = t.mul(e.sig.mono)
+        for rmono, owner in reversed(self.rules.get(e.index, ())):
+            if owner < pos:  # the tables are in creation order
+                break
+            if rmono.divides(mono):
+                return owner
+        return None
+
+    def rewritten_satisfied(self, t: Monomial, pos: int) -> Optional[int]:
+        """Newest rule owner created after ``pos`` whose monomial divides the
+        shifted signature monomial of t * b_pos; None when no such rule
+        exists."""
+        owner = self.rewriter(t, pos)
+        return None if owner == pos else owner
+
+    def failed_check(
+        self, cand: int, target_head: Monomial, target_sig: Signature
+    ) -> Optional[str]:
+        """The first of checks (a)-(d) that member ``cand`` fails as a
+        reductor of a target with this head and signature, or None when it
+        passes all four."""
+        e = self.entries[cand]
+        u = target_head.divide(e.head)
+        if u is None:
+            return "a"
+        if self.f5_satisfied(u, cand):
             return "b"
-    table = rules.get(e.index, [])
-    rewriter = None
-    for mono, pos in reversed(table):
-        if mono.divides(msig_mono):
-            rewriter = pos
-            break
-    if rewriter is None:
-        raise BrokenGenealogy(f"r{cand} has no rule entry")
-    if rewriter != cand:
-        return "c"
-    if msig_mono == target_sig.mono and e.index == target_sig.index:
-        return "d"
-    return None
+        owner = self.rewriter(u, cand)
+        if owner is None:
+            raise BrokenGenealogy(f"r{cand} has no rule entry")
+        if owner != cand:
+            return "c"
+        if sig_mul(u, e.sig) == target_sig:
+            return "d"
+        return None
 
 
 def done_insertion_audit(
@@ -549,21 +589,18 @@ def done_insertion_audit(
         registry = build_registry(events)
     failures = []
     checked = 0
-    heads = {pos: e.head() for pos, e in registry.entries.items()}
     for call, done in registry.insertions.items():
         for seq, pos in done:
             checked += 1
-            e = registry.entries[pos]
-            members = membership_at(registry, call, seq)
-            rules = rules_before(registry, seq)
-            phi_heads = phi_heads_by_index(registry, heads, members)
-            for cand in members:
-                if cand == pos:
-                    continue
-                verdict = evaluate_reductor_checks(
-                    registry, heads, phi_heads, rules, cand, heads[pos], e.sig
-                )
-                if verdict is None:
+            g = registry.entries[pos]
+            view = InsertionView(
+                registry.entries,
+                membership_at(registry, call, seq) + [pos],
+                pos,
+                rules_before(registry, seq),
+            )
+            for cand in view.members:
+                if cand != pos and view.failed_check(cand, g.head, g.sig) is None:
                     failures.append((pos, cand, "candidate passes all four checks"))
     return _report("done_insertion_audit", checked, failures)
 
@@ -681,10 +718,8 @@ class _PairRules:
         part = self._parts.get(pos)
         if part is None:
             e = self.registry.entries[pos]
-            payload = e.final_poly if e.final_poly is not None else e.creation_poly
-            head = tuple(payload[0][1])
             mono = e.sig.mono
-            part = self._parts[pos] = (head, sum(head), mono.exps, mono.deg, e.index)
+            part = self._parts[pos] = (e.head.exps, e.head.deg, mono.exps, mono.deg, e.index)
         return part
 
     def _shape(self, a_pos: int, b_pos: int):
@@ -748,7 +783,7 @@ def classify_pairs_at_insertion(
     g_pos = done_event["pos"]
     g = registry.entries[g_pos]
     g_key = sig_key(g.sig, ring.order)
-    g_deg = g.head().deg
+    g_deg = g.head.deg
     call = done_event["call"]
     seq = done_event["seq"]
     members = membership_at(registry, call, seq)

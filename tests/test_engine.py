@@ -7,6 +7,7 @@ import io
 import pytest
 
 from f5gb.engine import (
+    COUNTED_EVENTS,
     BudgetExceeded,
     Engine,
     EngineConfig,
@@ -288,6 +289,51 @@ class TestBudgets:
             incremental_f5(
                 polys(ring, "x^2 + y^2", "x*y"), EngineConfig(max_degree=2)
             )
+
+
+def counted_events(events):
+    """The engine counters as the per-kind event counts of a log."""
+    return {
+        name: sum(1 for ev in events if ev["kind"] == kind)
+        for name, kind in COUNTED_EVENTS.items()
+    }
+
+
+class TestCountersFromLog:
+    def run(self, config):
+        names, texts = SUITE["katsura3_homog"]
+        return incremental_f5(polys(make_ring(32003, names), *texts), config)
+
+    def test_finished_run(self):
+        res = self.run(EngineConfig())
+        assert res.counters == counted_events(res.events)
+        assert list(res.counters) == list(COUNTED_EVENTS)
+        assert res.counters["pairs_created"] > 0 and res.counters["reduction_steps"] > 0
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            EngineConfig(max_pairs=1),
+            EngineConfig(max_pairs=3),
+            EngineConfig(max_degree=3),
+            EngineConfig(reduction_step_cap=1),
+        ],
+        ids=["pairs1", "pairs3", "degree", "step_cap"],
+    )
+    def test_budget_exit(self, config):
+        with pytest.raises(BudgetExceeded) as exc:
+            self.run(config)
+        counters = exc.value.counters
+        assert counters == counted_events(exc.value.events)
+        assert list(counters) == list(COUNTED_EVENTS)
+        # a pair the budget refused is neither logged nor counted
+        assert counters["pairs_created"] <= config.max_pairs
+
+    def test_unknown_kind_fails_at_emit(self):
+        log = Trace()
+        with pytest.raises(KeyError):
+            log.emit("NoSuchKind")
+        assert log.events == []
 
 
 class TestDeterminism:

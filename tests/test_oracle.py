@@ -324,6 +324,29 @@ class TestRewriteF5Case:
         # the divisor is a monomial: no second element family
         assert new == Representation([E(1, M(2, 0), 0), E(1, M(0, 2), 0)])
 
+    def test_first_divisor_in_position_order(self):
+        # both higher-index inputs divide the shifted signature x*y; the
+        # phi-basis lists them by position, and the rewrite takes the first
+        ring = make_ring(7, ["x", "y", "z"])
+        entries = {
+            0: lp(0, Signature(M(0, 0, 0), 3), P(ring, "y"), ModuleVector.unit(ring, 3, 3)),
+            1: lp(1, Signature(M(0, 0, 0), 2), P(ring, "x"), ModuleVector.unit(ring, 3, 2)),
+            2: lp(2, Signature(M(0, 0, 0), 1), P(ring, "z^2"), ModuleVector.unit(ring, 3, 1)),
+        }
+        snap = GgSnapshot(
+            ring,
+            entries,
+            members=(0, 1, 2),
+            g_pos=2,
+            rules={1: ((M(0, 0, 0), 2),), 2: ((M(0, 0, 0), 1),), 3: ((M(0, 0, 0), 0),)},
+            registry=Registry({}, {}),
+            input_pos={1: 2, 2: 1, 3: 0},
+        )
+        assert snap.phi_basis(1) == [(M(0, 1, 0), 0), (M(1, 0, 0), 1)]
+        K = E(1, M(1, 1, 0), 2)
+        new = rewrite_f5_case(Representation([K]), K, snap)
+        assert new == Representation([E(1, M(1, 0, 2), 0)])  # x*z^2 times y
+
     def test_descent_finishes_after_rewrite(self, f5_case_snap):
         ring, snap = f5_case_snap
         res = descend(1, M(0, 1), 1, snap)
@@ -519,6 +542,22 @@ class TestFindUnrejectedReductor:
         assert (mono, pos) == (M(0, 1), 1)
         assert res.step_count == 0
         assert reductor_passes_engine_checks(snap, mono, pos, 3) is None
+
+
+class TestReductorChecks:
+    @pytest.mark.parametrize(
+        "mono, cand, f, verdict",
+        [
+            (M(1, 0), 1, 3, "a"),  # x * x is not the head x*y of r3
+            (M(0, 1), 1, 3, "b"),  # y*F1 is top-reducible by the head y of F2
+            (M(1, 0), 1, 4, "c"),  # x*F1 is rewritten by the newer rule of r4
+            (M(0, 0), 4, 4, "d"),  # the target's own signature
+            (M(1, 0), 0, 3, None),
+        ],
+    )
+    def test_each_check_decides(self, mono, cand, f, verdict):
+        ring, snap = reductor_world()
+        assert reductor_passes_engine_checks(snap, mono, cand, f) == verdict
 
 
 # ---------------------------------------------------------------------------

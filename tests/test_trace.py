@@ -150,8 +150,8 @@ class TestChains:
         a, b = registry.entries[1], registry.entries[2]
         assert a.sig == Signature(M(0, 0), 1) and b.sig == Signature(M(0, 1), 1)
         assert quotient_cmp(
-            MonomialQuotient(a.head(), a.sig.mono),
-            MonomialQuotient(b.head(), b.sig.mono),
+            MonomialQuotient(a.head, a.sig.mono),
+            MonomialQuotient(b.head, b.sig.mono),
             ring.order,
         ) == GT
 
@@ -244,6 +244,26 @@ class TestDoneInsertionAudit:
     def test_check_d_rescues_equal_signature(self, ring):
         rep = done_insertion_audit(fabricated_audit_log((0, 1)), ring)
         assert rep.passed
+
+    def test_candidate_without_rule_entry_is_loud(self, ring):
+        # the input passes checks (a) and (b); with its RuleAdded gone there
+        # is no rule to decide check (c) by
+        events = [
+            ev for ev in fabricated_audit_log((1, 0))
+            if not (ev["kind"] == "RuleAdded" and ev["pos"] == 0)
+        ]
+        with pytest.raises(trace.BrokenGenealogy, match="r0 has no rule entry"):
+            done_insertion_audit(events, ring)
+
+
+class TestExtractChainBroken:
+    def test_missing_greater_part_ancestor(self, ring):
+        events = copy.deepcopy(fabricated_audit_log((1, 0)))
+        (spol,) = [ev for ev in events if ev["kind"] == "SPolCreated"]
+        spol["p1"] = 7  # no element was created at position 7
+        registry = build_registry(events)
+        with pytest.raises(trace.BrokenGenealogy, match="broken ancestor link at r1"):
+            extract_chain(1, registry, ring)
 
 
 # Lex systems 510, 328 and 32 of the random small-system generator in
