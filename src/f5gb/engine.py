@@ -154,8 +154,9 @@ class Engine:
         self.done_now: list[int] = []
         self.trails: dict[int, list] = {}
         self.creation_polys: dict[int, Polynomial] = {}
-        self.basis_by_index: dict[int, tuple[int, ...]] = {}
-        self._phi_head_cache: dict[int, list[tuple[int, Monomial, int]]] = {}
+        # index i -> (mask, head, pos) of the completed basis G_i, filled when
+        # call i ends; the calls of lower index reduce and reject by it
+        self.phi_heads: dict[int, list[tuple[int, Monomial, int]]] = {}
 
     # -- helpers ----------------------------------------------------------
 
@@ -198,25 +199,12 @@ class Engine:
         s = self.ring.inv(poly.head_coeff)
         return poly.scale(s), None if mv is None else mv.scale(s)
 
-    def _phi_heads(self, index_plus_one: int) -> list[tuple[int, Monomial, int]]:
-        """(mask, head, pos) of the completed basis G_{index+1} (empty past m)."""
-        if index_plus_one > self.m:
-            return []
-        cached = self._phi_head_cache.get(index_plus_one)
-        if cached is None:
-            cached = []
-            for p in self.basis_by_index[index_plus_one]:
-                head = self.R[p].poly.head_mono
-                cached.append((head.mask, head, p))
-            self._phi_head_cache[index_plus_one] = cached
-        return cached
-
     def _f5_blocked(self, index: int, mono: Monomial) -> Optional[int]:
         """Position of a G_{index+1} element whose head divides ``mono``."""
         if index >= self.m:
             return None
         outside = ~mono.mask
-        for mask, head, pos in self._phi_heads(index + 1):
+        for mask, head, pos in self.phi_heads[index + 1]:
             if not mask & outside and head.divides(mono):
                 return pos
         return None
@@ -233,12 +221,14 @@ class Engine:
 
     def run(self) -> EngineResult:
         m = self.m
-        self._begin_call(m, [])
-        self.basis_by_index[m] = tuple(self.G)
-        self.trace.emit("CallEnd", call=m, basis=list(self.G))
-        for i in range(m - 1, 0, -1):
-            self._algorithm_f5(i)
-            self.basis_by_index[i] = tuple(self.G)
+        for i in range(m, 0, -1):
+            if i == m:
+                self._begin_call(m, [])
+            else:
+                self._algorithm_f5(i)
+            self.trace.emit("CallEnd", call=i, basis=list(self.G))
+            heads = [self.R[p].poly.head_mono for p in self.G]
+            self.phi_heads[i] = [(h.mask, h, p) for h, p in zip(heads, self.G)]
         return EngineResult(
             ring=self.ring,
             inputs=self.inputs,
@@ -295,7 +285,6 @@ class Engine:
                     if cp is not None:
                         pending.append(cp)
                 self.G.append(r)
-        self.trace.emit("CallEnd", call=i, basis=list(self.G))
 
     # -- critical pairs ---------------------------------------------------
 
@@ -442,7 +431,7 @@ class Engine:
         the terms above the cancelled one never change, and the next scan
         resumes at its place instead of at the head.
         """
-        reducers = self._phi_heads(i + 1)
+        reducers = self.phi_heads[i + 1]
         if not reducers:
             return
         trail = self.trails[h.pos]

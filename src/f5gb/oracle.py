@@ -38,7 +38,7 @@ from .sig import (
     sig_key,
     sig_mul,
 )
-from .trace import InsertionView, Registry, decode_trail, membership_at, rules_before
+from .trace import InsertionView, Registry, decode_trail, in_scope, membership_at, rules_before
 
 
 class DescentError(Exception):
@@ -105,6 +105,8 @@ class GgSnapshot(InsertionView):
         self.member_set = set(self.members)
         self.registry = registry
         self.input_pos = input_pos
+        g = self.entries[g_pos]  # inserted by the call of its index
+        self._g_scope = (g.index, sig_key(g.sig, self.order), g.poly.head_mono.deg)
 
     @classmethod
     def from_result(cls, result: EngineResult, registry: Registry, seq: int) -> "GgSnapshot":
@@ -124,6 +126,15 @@ class GgSnapshot(InsertionView):
 
     def lp(self, pos: int) -> LabeledPolynomial:
         return self.entries[pos]
+
+    def in_scope(self, t: Monomial, pos: int) -> bool:
+        """Whether t * b_pos is in scope at the snapshot's insertion, by the
+        rule of the thm5 check (``trace.in_scope``)."""
+        e = self.entries[pos]
+        index, mono = e.sig.index, e.sig.mono
+        # sig_key of t * sig(b_pos), with no Signature built per target
+        key = (-index, self.order.key(mono if t.is_one else t.mul(mono)))
+        return in_scope(key, index, t.deg + e.poly.head_mono.deg, *self._g_scope)
 
 
 # ---------------------------------------------------------------------------
@@ -490,17 +501,21 @@ def descend(
     snap: GgSnapshot,
     step_cap: int = 10**5,
 ) -> DescentResult:
-    """Rewrite coeff * t * b_h until no property is violated.
+    """Rewrite coeff * t * b_h, a target in scope at the snapshot's
+    insertion (``GgSnapshot.in_scope``), until no property is violated.
 
     Every step must strictly decrease the representation order, preserve the
     represented value, and stay signature-safe; a cap overrun is an internal
     bug surfaced with the full log, never a silent loop."""
     if step_cap <= 0:
         raise ValueError("step_cap must be positive")
+    if not snap.in_scope(t, h_pos):
+        raise NotSignatureSafe(
+            "descent target out of scope: its signature is not below the inserted"
+            " element's, or in the inserting call's index its degree exceeds the head's"
+        )
     h = snap.lp(h_pos)
     mh_sig = sig_mul(t, h.sig)
-    if sig_cmp(mh_sig, snap.g_sig, snap.order) != LT:
-        raise NotSignatureSafe("descent target must sit strictly below the snapshot signature")
     target = h.poly.term_mul(coeff, t)
     mh_hm = t.mul(h.poly.head_mono)
     rep = Representation([ReprElement(coeff % snap.ring.p, t, h_pos)])
@@ -724,23 +739,18 @@ def done_snapshots(result: EngineResult, registry: Registry) -> list[GgSnapshot]
 
 def harvest_descent_seeds(snapshots: Sequence[GgSnapshot], samples: int, rng) -> list[tuple]:
     """Deterministically sample (snapshot, coeff, mono, position) descent
-    seeds: identity multipliers plus single-variable shifts that stay below
-    the snapshot signature."""
+    seeds: identity multipliers plus single-variable shifts of the members
+    whose target is in scope at the snapshot's insertion."""
     seeds = []
     for snap in snapshots:
         ring = snap.ring
-        one = ring.one_mono()
-        variables = [ring.variable(i) for i in range(ring.n)]
-        g_sig = snap.g_sig
+        multipliers = [ring.one_mono()] + [ring.variable(i) for i in range(ring.n)]
         for pos in snap.members:
             if pos == snap.g_pos:
                 continue
-            lp = snap.lp(pos)
-            if sig_cmp(lp.sig, g_sig, snap.order) == LT:
-                seeds.append((snap, 1, one, pos))
-            for v in variables:
-                if sig_cmp(sig_mul(v, lp.sig), g_sig, snap.order) == LT:
-                    seeds.append((snap, 1, v, pos))
+            for t in multipliers:
+                if snap.in_scope(t, pos):
+                    seeds.append((snap, 1, t, pos))
     if samples and len(seeds) > samples:
         idx = sorted(rng.sample(range(len(seeds)), samples))
         seeds = [seeds[k] for k in idx]

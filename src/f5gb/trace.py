@@ -515,10 +515,6 @@ class InsertionView:
         self.rules = rules
         self._phi: dict[int, list[tuple[Monomial, int]]] = {}
 
-    @property
-    def g_sig(self) -> Signature:
-        return self.entries[self.g_pos].sig
-
     def phi_basis(self, index: int) -> list[tuple[Monomial, int]]:
         """(head, position) of the completed basis for ``index + 1``: the
         members of a higher signature index (their calls finished earlier),
@@ -672,23 +668,26 @@ class _Pair(NamedTuple):
     first: float
 
 
-def _in_scope(pair: _Pair, call: int, g_key: tuple, g_deg: int) -> bool:
-    """Whether ``pair`` must be classified when call ``call`` inserts an
-    element with signature key ``g_key`` and head degree ``g_deg``.
+def in_scope(key: tuple, index: int, deg: int, call: int, g_key: tuple, g_deg: int) -> bool:
+    """Whether a target with signature key ``key``, signature index ``index``
+    and degree ``deg`` is covered when call ``call`` inserts an element with
+    signature key ``g_key`` and head degree ``g_deg``.  The thm5 check's
+    targets are S-pairs of members, of the degree of their lcm; the
+    descent's are multiplied members t * b.
 
-    The claim covers the pairs whose signature lies below the inserted one.
-    For a pair of this call's index it also needs deg(lcm) <= deg(head(g)):
-    the input is homogeneous and the main loop is stepped by degree, so when
-    g is inserted in step d = deg(head(g)), no pair of a higher degree has
-    been processed, and none can have been classified yet.  Under degrevlex
-    and deglex the degree bound follows from the signature bound: a labeled
-    polynomial of index i has degree deg(sig.mono) + deg(f_i), so within
-    index i a smaller signature has no larger degree.  Under lex it does not
-    follow, and a pair of a later step can have a smaller signature.  Pairs
-    of a higher index come from the basis of the previous call, which is
-    complete.
+    The claim covers the targets whose signature lies below the inserted
+    one.  For a target of this call's index it also needs deg <=
+    deg(head(g)): the input is homogeneous and the main loop is stepped by
+    degree, so when g is inserted in step d = deg(head(g)), no pair of a
+    higher degree has been processed, and none can have been classified or
+    completed yet.  Under degrevlex and deglex the degree bound follows from
+    the signature bound: a labeled polynomial of index i has degree
+    deg(sig.mono) + deg(f_i), so within index i a smaller signature has no
+    larger degree.  Under lex it does not follow, and a target of a later
+    step can have a smaller signature.  Targets of a higher index come from
+    the basis of the previous call, which is complete.
     """
-    return pair.key < g_key and (pair.index != call or pair.deg <= g_deg)
+    return key < g_key and (index != call or deg <= g_deg)
 
 
 class _PairRules:
@@ -777,7 +776,7 @@ def classify_pairs_at_insertion(
     done_event: dict,
 ) -> list[PairClassification]:
     """Classify every S-pair of members in scope at the insertion (see
-    ``_in_scope``) by its first processing outcome.  This is the brute-force
+    ``in_scope``) by its first processing outcome.  This is the brute-force
     reference for ``check_thm5_exhaustive``."""
     rules = _PairRules(events, registry, ring.order)
     g_pos = done_event["pos"]
@@ -790,7 +789,8 @@ def classify_pairs_at_insertion(
     out = []
     for i, a_pos in enumerate(members):
         for b_pos in members[i + 1:]:
-            if not _in_scope(rules.pair(a_pos, b_pos), call, g_key, g_deg):
+            pair = rules.pair(a_pos, b_pos)
+            if not in_scope(pair.key, pair.index, pair.deg, call, g_key, g_deg):
                 continue
             evidence = sorted(
                 (s, outcome, via)
@@ -857,16 +857,16 @@ def check_thm5_exhaustive(
     them over all insertions.  The pairs are counted, not tested one
     insertion at a time.  A pair is formed at the stage k of its call at
     which its later member joins G ∪ Done: stage 0 for the members the call
-    starts with, stage k + 1 for insertion k (counting from 0).  It is in
-    scope at exactly the insertions j >= k whose signature key is above the
-    pair's and, for a pair of the call's index, whose head degree is at
-    least its lcm degree: a two-sided dominance count.  Each call's stages
-    are walked backwards, each insertion is added to a ``_DominanceCount``,
-    and the pairs formed at a stage are counted there.  A pair can be
-    unclassified at insertion j only if it is in scope somewhere and its
-    earliest evidence is logged no earlier than j, so only those insertions
-    are looked at one by one.  Each
-    pair's data is worked out once per log and shared by the calls.
+    starts with, stage k + 1 for insertion k (counting from 0).  By
+    ``in_scope`` it is in scope at exactly the insertions j >= k whose
+    signature key is above the pair's and, for a pair of the call's index,
+    whose head degree is at least its lcm degree: a two-sided dominance
+    count.  Each call's stages are walked backwards, each insertion is added
+    to a ``_DominanceCount``, and the pairs formed at a stage are counted
+    there.  A pair can be unclassified at insertion j only if it is in scope
+    somewhere and its earliest evidence is logged no earlier than j, so only
+    those insertions are looked at one by one.  Each pair's data is worked
+    out once per log and shared by the calls.
     """
     if registry is None:
         registry = build_registry(events)
@@ -895,13 +895,13 @@ def check_thm5_exhaustive(
                     pair = pairs.get(pair_id)
                     if pair is None:
                         pair = pairs[pair_id] = rules.pair(*pair_id)
-                    in_scope = count.above(pair.key, pair.deg if pair.index == call else None)
-                    checked += in_scope
-                    if not in_scope:
+                    covering = count.above(pair.key, pair.deg if pair.index == call else None)
+                    checked += covering
+                    if not covering:
                         continue
                     j = k
                     while j < len(done) and g_seq[j] <= pair.first:
-                        if _in_scope(pair, call, g_key[j], g_deg[j]):
+                        if in_scope(pair.key, pair.index, pair.deg, call, g_key[j], g_deg[j]):
                             unclassified.append((g_seq[j], pair_id, g_pos[j]))
                         j += 1
     unclassified.sort()

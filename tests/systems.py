@@ -102,3 +102,53 @@ def suite_instances():
         for p in SUITE_PRIMES:
             ring = make_ring(p, names)
             yield f"{name}_gf{p}", ring, polys(ring, *texts)
+
+
+# Lex systems of the check-small benchmark (seed 0) whose harvest once
+# offered descent seeds outside the scope of their snapshot's insertion:
+# a signature below the inserted element's but, in the inserting call's
+# index, a degree above its head.  Some of those seeds could not be
+# descended (no stored trail for the head cancellation).
+LEX_SCOPE = {
+    "random147": """p = 32003
+vars: x0, x1, x2
+order: lex
+31413*x0
+7212*x0^3 + 18204*x0^2*x1 + 21390*x0^2*x2 + 5343*x0*x2^2 + 21655*x1^3 + 28806*x1*x2^2 + 16211*x2^3
+26518*x0^2 + 31239*x0*x1 + 24163*x0*x2 + 15759*x1^2 + 17893*x1*x2 + 10288*x2^2
+23077*x0^2 + 27781*x0*x1 + 2582*x0*x2 + 8493*x1^2 + 4504*x1*x2 + 19802*x2^2
+13168*x0^3 + 23050*x0^2*x2 + 6261*x0*x1^2 + 26926*x0*x2^2 + 10369*x1*x2^2 + 25735*x2^3
+""",
+    "random256": """p = 5
+vars: x0, x1, x2
+order: lex
+2*x0^2 + 2*x0*x1 + 3*x0*x2 + 4*x1^2 + 2*x2^2
+x0^3 + 4*x0^2*x1 + 4*x0^2*x2 + 4*x0*x1^2 + 4*x0*x1*x2 + 2*x0*x2^2 + 4*x1^3 + 3*x1^2*x2 + 4*x1*x2^2 + 2*x2^3
+3*x0*x1 + x1*x2 + x2^2
+""",
+    "random379": """p = 3
+vars: x0, x1, x2
+order: lex
+x0^2 + 2*x0*x1 + x0*x2 + x1*x2 + 2*x2^2
+2*x0^3 + 2*x0^2*x2
+x0^3 + 2*x0^2*x1 + x0^2*x2 + x0*x1^2 + 2*x0*x1*x2 + 2*x0*x2^2 + 2*x1^3 + 2*x1^2*x2 + 2*x1*x2^2 + x2^3
+2*x0^2 + 2*x0*x1 + x0*x2 + x1^2
+""",
+    "random397": """p = 2147483647
+vars: x0, x1, x2
+order: lex
+250770794*x0^2 + 2022462985*x0*x2 + 338823432*x1^2 + 299136440*x1*x2 + 947993986*x2^2
+1967246385*x1*x2 + 1823059599*x2^2
+1151539863*x0^3 + 910139517*x0^2*x1 + 2011995040*x0^2*x2 + 385416992*x0*x1^2 + 1801809825*x0*x1*x2 + 82278518*x0*x2^2 + 641836255*x1^3 + 1610729262*x1^2*x2 + 1009739615*x1*x2^2
+1230289084*x0^2 + 183143845*x0*x1 + 1465568035*x0*x2 + 787420726*x1^2 + 1390252485*x1*x2
+""",
+    "random540": """p = 2147483647
+vars: x0, x1, x2
+order: lex
+333338894*x0*x1 + 889281889*x0*x2 + 1734099702*x1*x2 + 57254115*x2^2
+641480080*x0^2*x1 + 1828326144*x2^3
+383114747*x0*x1
+2044191157*x0^2 + 1240434222*x0*x2 + 1733399003*x1^2
+1742975771*x0^3 + 336451883*x0^2*x2 + 168053481*x0*x1*x2 + 904474910*x1^3 + 1856728434*x1^2*x2 + 1625392556*x1*x2^2 + 1099353208*x2^3
+""",
+}

@@ -18,7 +18,7 @@ from f5gb.cli import (
 from f5gb.engine import EngineConfig, NonHomogeneousInput
 from f5gb.trace import events_from_jsonl, run_all_checkers
 
-from systems import strip_rejections
+from systems import LEX_SCOPE, strip_rejections
 
 DEMO = """# two generators over GF(7)
 p = 7
@@ -208,6 +208,17 @@ class TestCommands:
         assert code == 0
         lines = [json.loads(line) for line in out.splitlines()]
         assert lines[-1]["kind"] == "FinalRepresentation"
+
+    def test_descend_out_of_scope_target_exits_2(self, tmp_path):
+        # x1 * r8 lies below the signature of snapshot 7 but above its
+        # degree, so the insertion does not cover it
+        path = tmp_path / "random379.txt"
+        path.write_text(LEX_SCOPE["random379"])
+        code, out = run_main(
+            ["descend", str(path), "--snapshot", "7", "--element", "8", "--mult", "x1"]
+        )
+        assert code == 2
+        assert "out of scope" in out and "degree" in out
 
     def test_parse_error_exit_code(self, tmp_path):
         path = tmp_path / "bad.txt"

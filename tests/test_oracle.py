@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from f5gb.cli import parse_problem
 from f5gb.engine import EngineConfig, incremental_f5
 from f5gb.oracle import (
     EQ,
@@ -38,10 +39,10 @@ from f5gb.oracle import (
     violated_property,
 )
 from f5gb.poly import Monomial, normal_form
-from f5gb.sig import Genealogy, LabeledPolynomial, ModuleVector, Signature, sig_mul
+from f5gb.sig import Genealogy, LabeledPolynomial, ModuleVector, Signature, sig_cmp, sig_mul
 from f5gb.trace import Registry, RegistryEntry, build_registry, poly_payload
 
-from systems import P, make_ring, polys
+from systems import LEX_SCOPE, P, make_ring, polys
 
 
 def M(*exps):
@@ -593,6 +594,48 @@ class TestEngineDescents:
                 )
                 is None
             )
+
+
+class TestLexScope:
+    """Lex runs whose members have targets with a signature below the
+    inserted element's but a degree above its head: the harvest leaves them
+    out and ``descend`` refuses them."""
+
+    # system: (in-scope seeds of the full harvest, targets below the
+    # snapshot signature that the degree bound puts out of scope)
+    PINS = {
+        "random147": (1965, 60),
+        "random256": (682, 45),
+        "random379": (1073, 29),
+        "random397": (501, 7),
+        "random540": (1574, 58),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_every_seed_in_scope_descends(self, name):
+        count, excluded = self.PINS[name]
+        problem = parse_problem(LEX_SCOPE[name])
+        res = incremental_f5(problem.polynomials, EngineConfig(self_check=True))
+        snapshots = done_snapshots(res, build_registry(res.events))
+        seeds = harvest_descent_seeds(snapshots, 0, None)
+        assert len(seeds) == count
+        for snap, coeff, mono, pos in seeds:
+            assert snap.in_scope(mono, pos)
+            descend(coeff, mono, pos, snap)
+        ring = problem.ring
+        multipliers = [ring.one_mono()] + [ring.variable(i) for i in range(ring.n)]
+        below = [
+            (snap, t, pos)
+            for snap in snapshots
+            for pos in snap.members
+            for t in multipliers
+            if sig_cmp(sig_mul(t, snap.lp(pos).sig), snap.lp(snap.g_pos).sig, ring.order) == LT
+        ]
+        outside = [(snap, t, pos) for snap, t, pos in below if not snap.in_scope(t, pos)]
+        assert (len(below), len(outside)) == (count + excluded, excluded)
+        for snap, t, pos in outside:
+            with pytest.raises(NotSignatureSafe, match="degree"):
+                descend(1, t, pos, snap)
 
 
 # ---------------------------------------------------------------------------

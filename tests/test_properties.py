@@ -1,6 +1,6 @@
 """Randomized cross-validation: on arbitrary small homogeneous systems the
-engine output generates the same ideal as the reference algorithm and every
-logged invariant holds."""
+engine output generates the same ideal as the reference algorithm, every
+logged invariant holds and every harvested descent finishes."""
 
 import itertools
 
@@ -8,10 +8,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from f5gb.engine import BudgetExceeded, EngineConfig, incremental_f5
-from f5gb.oracle import buchberger, ideal_equal
+from f5gb.oracle import buchberger, descend, done_snapshots, harvest_descent_seeds, ideal_equal
 from f5gb.poly import ORDER_KINDS, Monomial
 from f5gb.sig import check_admissible
-from f5gb.trace import check_thm5_exhaustive, run_all_checkers
+from f5gb.trace import build_registry, check_thm5_exhaustive, run_all_checkers
 
 from systems import make_ring, strip_rejections, thm5_brute_force
 
@@ -55,9 +55,15 @@ def test_engine_matches_reference_and_passes_all_checkers(data):
     except BudgetExceeded:
         assume(False)
     assert ideal_equal(result.basis_polynomials(), buchberger(polys))
-    for rep in run_all_checkers(result.events, ring):
+    registry = build_registry(result.events)
+    for rep in run_all_checkers(result.events, ring, registry):
         assert rep.passed, rep.line()
     assert all(check_admissible(lp, result.inputs, ring.order) for lp in result.R)
+    # a DescentError fails the test
+    for snap, coeff, mono, pos in harvest_descent_seeds(
+        done_snapshots(result, registry), 0, None
+    ):
+        descend(coeff, mono, pos, snap)
 
 
 @given(st.data())

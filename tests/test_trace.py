@@ -11,6 +11,7 @@ from f5gb.oracle import GgSnapshot, done_snapshots, find_thm4_pairs_in_snapshot
 from f5gb.poly import Monomial, MonomialQuotient, quotient_cmp, GT
 from f5gb.sig import LabeledPolynomial, Signature
 from f5gb.trace import (
+    InsertionView,
     Registry,
     Trace,
     build_registry,
@@ -26,6 +27,8 @@ from f5gb.trace import (
     done_insertion_audit,
     events_from_jsonl,
     extract_chain,
+    membership_at,
+    rules_before,
     run_all_checkers,
 )
 
@@ -191,8 +194,11 @@ class TestThm4Scan:
 def fabricated_audit_log(done_sig_mono):
     """Minimal log: input x^2, then a Done element with head x^2*y.
 
-    With signature (x,1) the input passes all four reductor checks and the
-    audit must fail; with signature (y,1) check (d) fires and it must pass.
+    The input's head divides it with multiplier y.  With signature (x,1) the
+    input passes all four reductor checks and the audit must fail.  With
+    signature (y,1) the Done element's own rule, newer than the input's,
+    divides the shifted signature y: check (c) rejects the input and the
+    audit passes.
     """
     t = Trace()
     t.emit(
@@ -229,6 +235,67 @@ def fabricated_audit_log(done_sig_mono):
     return t.events
 
 
+def check_d_audit_log():
+    """Input x^2, then r1 with signature (x*y,1) and head x^3*y, then r2 with
+    signature (y,1) and head x^2*y.  r2 is newer than r1 but has the smaller
+    signature, so it is Done-inserted first.
+
+    At r1's insertion r2's head divides r1's with multiplier x.  r2 owns the
+    newest rule dividing x*y, so check (c) passes it, and x*y is r1's
+    signature: check (d) rejects it.  The input is rejected by r2's rule,
+    check (c).
+    """
+    t = Trace()
+    t.emit(
+        "CallBegin",
+        call=1,
+        input_pos=0,
+        sig={"mono": [0, 0], "index": 1},
+        poly=[[1, [2, 0]]],
+        g_next=[],
+    )
+    t.emit("RuleAdded", index=1, mono=[0, 0], pos=0)
+    elements = ((1, [1, 1], [3, 1]), (2, [0, 1], [2, 1]))
+    for pos, sig, head in elements:
+        t.emit(
+            "SPolCreated",
+            call=1,
+            pos=pos,
+            sig={"mono": sig, "index": 1},
+            poly=[[1, head]],
+            p1=0,
+            u1=sig,
+            p2=0,
+            u2=sig,
+            d=sum(head),
+        )
+        t.emit("RuleAdded", index=1, mono=sig, pos=pos)
+    for pos, sig, head in reversed(elements):
+        t.emit(
+            "DoneInserted",
+            call=1,
+            pos=pos,
+            sig={"mono": sig, "index": 1},
+            poly=[[1, head]],
+            creation_poly=[[1, head]],
+            trail=[],
+        )
+    return t.events
+
+
+def insertion_view(events, pos):
+    """The audit's view of the basis at the Done insertion of ``pos``."""
+    registry = build_registry(events)
+    seq = registry.entries[pos].done_seq
+    call = registry.entries[pos].call
+    return InsertionView(
+        registry.entries,
+        membership_at(registry, call, seq) + [pos],
+        pos,
+        rules_before(registry, seq),
+    )
+
+
 class TestDoneInsertionAudit:
     def test_passes_on_runs(self, demo, cyclic, ring):
         assert done_insertion_audit(demo.events, ring).passed
@@ -241,9 +308,22 @@ class TestDoneInsertionAudit:
         rep = done_insertion_audit(fabricated_audit_log((1, 0)), ring)
         assert not rep.passed
 
+    def test_check_c_rescues_rewritten_candidate(self, ring):
+        events = fabricated_audit_log((0, 1))
+        rep = done_insertion_audit(events, ring)
+        assert rep.passed and rep.checked == 1
+        g = build_registry(events).entries[1]
+        assert insertion_view(events, 1).failed_check(0, g.head, g.sig) == "c"
+
     def test_check_d_rescues_equal_signature(self, ring):
-        rep = done_insertion_audit(fabricated_audit_log((0, 1)), ring)
-        assert rep.passed
+        events = check_d_audit_log()
+        rep = done_insertion_audit(events, ring)
+        assert rep.passed and rep.checked == 2
+        view = insertion_view(events, 1)
+        assert view.members == (0, 1, 2)
+        g = build_registry(events).entries[1]
+        assert view.failed_check(0, g.head, g.sig) == "c"
+        assert view.failed_check(2, g.head, g.sig) == "d"
 
     def test_candidate_without_rule_entry_is_loud(self, ring):
         # the input passes checks (a) and (b); with its RuleAdded gone there
