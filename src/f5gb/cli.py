@@ -107,7 +107,11 @@ def _parse_poly(ring: Ring, text: str, lineno: int) -> Polynomial:
             if base not in var_index:
                 raise ParseError(f"unknown variable {base!r}", lineno)
             exps[var_index[base]] += e
-        terms.append((sgn * coeff, Monomial(exps)))
+        try:
+            mono = Monomial(exps)
+        except OverflowError as exc:
+            raise ParseError(f"bad exponent: {exc}", lineno) from None
+        terms.append((sgn * coeff, mono))
     return ring.poly(terms)
 
 

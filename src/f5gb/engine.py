@@ -9,7 +9,9 @@ re-verify the run independently.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import NamedTuple, Optional, Sequence
 
 from .poly import EQ, GT, LT, Monomial, Polynomial, Ring, is_homogeneous, poly_axpy
@@ -24,6 +26,9 @@ from .sig import (
     sig_mul,
 )
 from .trace import Trace, mono_payload, poly_payload, sig_payload
+
+
+_UNSEEN = object()  # a memo miss, where None is a cached answer
 
 
 class EngineError(Exception):
@@ -152,11 +157,15 @@ class Engine:
         self.rules = RuleTable(self.m)
         self.G: list[int] = []
         self.done_now: list[int] = []
+        # G ∪ Done of the running reduction, ascending: the reductor candidates
+        self.candidates: list[int] = []
         self.trails: dict[int, list] = {}
         self.creation_polys: dict[int, Polynomial] = {}
         # index i -> (mask, head, pos) of the completed basis G_i, filled when
         # call i ends; the calls of lower index reduce and reject by it
         self.phi_heads: dict[int, list[tuple[int, Monomial, int]]] = {}
+        # index i -> packed monomial -> _first_divisor's answer in G_i
+        self.divisor_memo: dict[int, dict[int, Optional[tuple[Monomial, int]]]] = {}
 
     # -- helpers ----------------------------------------------------------
 
@@ -199,15 +208,28 @@ class Engine:
         s = self.ring.inv(poly.head_coeff)
         return poly.scale(s), None if mv is None else mv.scale(s)
 
+    def _first_divisor(self, index: int, mono: Monomial) -> Optional[tuple[Monomial, int]]:
+        """(head, pos) of the first element of G_index whose head divides
+        ``mono``, or None.  ``phi_heads[index]`` never changes once call
+        ``index`` has ended, so the answer is memoized by the packed value."""
+        memo = self.divisor_memo[index]
+        found = memo.get(mono.v, _UNSEEN)
+        if found is _UNSEEN:
+            found = None
+            outside = ~mono.mask
+            for mask, head, pos in self.phi_heads[index]:
+                if not mask & outside and head.divides(mono):
+                    found = head, pos
+                    break
+            memo[mono.v] = found
+        return found
+
     def _f5_blocked(self, index: int, mono: Monomial) -> Optional[int]:
         """Position of a G_{index+1} element whose head divides ``mono``."""
         if index >= self.m:
             return None
-        outside = ~mono.mask
-        for mask, head, pos in self.phi_heads[index + 1]:
-            if not mask & outside and head.divides(mono):
-                return pos
-        return None
+        found = self._first_divisor(index + 1, mono)
+        return None if found is None else found[1]
 
     def _add_rule(self, sig: Signature, pos: int) -> None:
         self.rules.add(sig.index, sig.mono, pos)
@@ -229,6 +251,7 @@ class Engine:
             self.trace.emit("CallEnd", call=i, basis=list(self.G))
             heads = [self.R[p].poly.head_mono for p in self.G]
             self.phi_heads[i] = [(h.mask, h, p) for h, p in zip(heads, self.G)]
+            self.divisor_memo[i] = {}
         return EngineResult(
             ring=self.ring,
             inputs=self.inputs,
@@ -399,28 +422,29 @@ class Engine:
     # -- reduction --------------------------------------------------------
 
     def _reduction(self, new: list[int], i: int) -> list[int]:
-        todo = list(new)
+        """Reduce ToDo, smallest signature first: a heap on (signature key,
+        position)."""
+        todo = [(sig_key(self.R[p].sig, self.order), p) for p in new]
+        heapify(todo)
         self.done_now = []
+        self.candidates = sorted(self.G)
         steps = 0
         last_key = None
         while todo:
             steps += 1
             self._budget("reduction step cap exceeded", steps > self.config.reduction_step_cap)
-            keyed = sorted((sig_key(self.R[p].sig, self.order), p) for p in todo)
-            min_key = keyed[0][0]
-            if len(keyed) > 1 and keyed[1][0] == min_key:
+            min_key, h_pos = heappop(todo)
+            if todo and todo[0][0] == min_key:
                 raise InternalInvariantError(
-                    f"distinct ToDo elements share signature {self.R[keyed[0][1]].sig!r}"
+                    f"distinct ToDo elements share signature {self.R[h_pos].sig!r}"
                 )
             if last_key is not None and min_key < last_key:
                 raise InternalInvariantError("ToDo pops decreased in signature")
             last_key = min_key
-            h_pos = keyed[0][1]
-            todo.remove(h_pos)
             h = self.R[h_pos]
             self._phi_reduce(h, i)
-            requeue = self._top_reduction(h, i)
-            todo.extend(requeue)
+            for p in self._top_reduction(h, i):
+                heappush(todo, (sig_key(self.R[p].sig, self.order), p))
         return list(self.done_now)
 
     def _phi_reduce(self, h: LabeledPolynomial, i: int) -> None:
@@ -431,8 +455,7 @@ class Engine:
         the terms above the cancelled one never change, and the next scan
         resumes at its place instead of at the head.
         """
-        reducers = self.phi_heads[i + 1]
-        if not reducers:
+        if not self.phi_heads[i + 1]:
             return
         trail = self.trails[h.pos]
         touched = False
@@ -440,15 +463,12 @@ class Engine:
         k = 0
         while k < len(terms):
             c, mono = terms[k]
-            outside = ~mono.mask
-            for mask, head, pos in reducers:
-                if not mask & outside:
-                    u = mono.divide(head)
-                    if u is not None:
-                        break
-            else:
+            found = self._first_divisor(i + 1, mono)
+            if found is None:
                 k += 1
                 continue
+            head, pos = found
+            u = mono.divide(head)
             blp = self.R[pos]
             h.poly = poly_axpy(h.poly, c, u, blp.poly)
             terms = h.poly.terms
@@ -489,6 +509,7 @@ class Engine:
                 trail=list(self.trails[h.pos]),
             )
             self.done_now.append(h.pos)
+            insort(self.candidates, h.pos)
             return []
         j_pos, u = red
         j = self.R[j_pos]
@@ -538,9 +559,8 @@ class Engine:
 
     def _is_reducible(self, h: LabeledPolynomial, i: int) -> Optional[tuple[int, Monomial]]:
         """First candidate passing checks (a)-(d), scanning by creation order."""
-        candidates = sorted(set(self.G) | set(self.done_now))
         target = h.poly.head_mono
-        for j_pos in candidates:
+        for j_pos in self.candidates:
             j = self.R[j_pos]
             u = target.divide(j.poly.head_mono)
             if u is None:

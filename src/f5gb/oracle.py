@@ -24,9 +24,7 @@ from .poly import (
     Polynomial,
     Ring,
     normal_form,
-    normal_form_by,
     poly_axpy,
-    prepare_reducers,
     quotient_cmp,
 )
 from .sig import (
@@ -173,7 +171,7 @@ class Representation:
 
     def __init__(self, elements: Iterable[ReprElement]):
         elems = tuple(elements)
-        keys = {(e.mono.exps, e.pos) for e in elems}
+        keys = {(e.mono.v, e.pos) for e in elems}
         if len(keys) != len(elems):
             raise ValueError("representation has duplicate (monomial, element) pairs")
         self.elements = elems
@@ -332,9 +330,9 @@ def substitute_and_combine(
     for e in r.elements:
         if e == K:
             continue
-        acc[(e.mono.exps, e.pos)] = [e.coeff, e.mono, e.pos]
+        acc[(e.mono.v, e.pos)] = [e.coeff, e.mono, e.pos]
     for c, m, pos in replacement:
-        key = (m.exps, pos)
+        key = (m.v, pos)
         if key in acc:
             acc[key][0] = (acc[key][0] + c) % p
         else:
@@ -682,16 +680,17 @@ def reduced_basis(polys: Sequence[Polynomial]) -> list[Polynomial]:
 
 
 def ideal_equal(g1: Sequence[Polynomial], g2: Sequence[Polynomial]) -> bool:
-    """Mutual membership by normal form: valid when each set is a Groebner
-    basis of its own ideal."""
-    l1 = [p for p in g1 if not p.is_zero]
-    l2 = [p for p in g2 if not p.is_zero]
-    if not l1 or not l2:
-        return not l1 and not l2
-    r1, r2 = prepare_reducers(l1), prepare_reducers(l2)
-    return all(normal_form_by(p, r2).is_zero for p in l1) and all(
-        normal_form_by(p, r1).is_zero for p in l2
-    )
+    """Whether two Groebner bases generate the same ideal, by comparing their
+    reduced bases.
+
+    When each set is a Groebner basis of its own ideal, the test is exact:
+    ``reduced_basis`` keeps the ideal (it drops elements whose head another
+    head divides and replaces each element by its remainder modulo the
+    rest), the result is the reduced Groebner basis, and an ideal has only
+    one.  It is never weaker than mutual membership by normal form: a set
+    that is not a Groebner basis reads false even when it generates the same
+    ideal, since its reduced form is not the ideal's reduced basis."""
+    return reduced_basis(g1) == reduced_basis(g2)
 
 
 def spair_exhaustion_check(basis: Sequence[Polynomial]) -> bool:

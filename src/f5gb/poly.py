@@ -1,16 +1,22 @@
 """Exact multivariate polynomial arithmetic over a prime field GF(p).
 
-Monomials are dense exponent vectors, polynomials are term sequences kept
-strictly descending in the ambient monomial order.  Everything here is
-immutable and hashable so values can be shared freely between the engine,
-the checkers and the oracle.
+Monomials are exponent vectors packed into one int (Monagan & Pearce,
+CASC 2007): 16 bits per exponent, x_0 lowest, the total degree above them,
+and a guard bit atop each field, so every exponent and degree is below
+2^15 and an overflow raises instead of wrapping.  Multiplication is an
+addition, division a subtraction, and each order key is derived from the
+packed value.  Polynomials are term sequences kept strictly descending in
+the ambient monomial order.  Everything here is immutable and hashable so
+values can be shared freely between the engine, the checkers and the
+oracle.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import add, le, neg, sub
+from functools import cache
+from struct import Struct
 from typing import Iterable, Optional, Sequence
 
 LT, EQ, GT = -1, 0, 1
@@ -42,74 +48,165 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class Monomial:
-    """A power product, stored as a tuple of non-negative exponents.
+FIELD_BITS = 16
+BOUND = 1 << (FIELD_BITS - 1)  # every exponent and degree is below this
 
-    Two values are computed on first use only: the divisibility mask
-    (``mask``) and the order key, stored with the kind of order it was
-    computed for (by ``MonomialOrder.key``).  Monomials built on paths that
-    never ask for them pay nothing.
+
+class _Layout:
+    """The packed form of the monomials over n variables.
+
+    Field k (bits 16k to 16k + 15) holds the exponent of x_k for k < n, and
+    field n holds the total degree.  Bit 15 of each field is its guard bit,
+    zero in every valid monomial, so values stay below 2^15 and a field that
+    overflows in an addition, or borrows in a subtraction, shows in its guard
+    bit without touching its neighbour.
     """
 
-    __slots__ = ("exps", "deg", "_mask", "_key", "_key_kind")
+    __slots__ = ("n", "shift", "low", "guard", "exp_guard", "ones", "codec", "big")
+
+    def __init__(self, n: int):
+        self.n = n
+        self.shift = FIELD_BITS * n  # offset of the degree field
+        self.low = (1 << self.shift) - 1  # the n exponent fields
+        every = ((1 << (FIELD_BITS * (n + 1))) - 1) // 0xFFFF  # 1 in each field
+        self.guard = every << (FIELD_BITS - 1)
+        self.exp_guard = self.guard & self.low
+        self.ones = every & self.low
+        self.codec = Struct(f"<{n}H")  # exponent fields, x_0 first
+        self.big = Struct(f">{n}H")  # the same, big-endian: the lex key
+
+    def pack(self, exps: Sequence[int], deg: int) -> int:
+        return int.from_bytes(self.codec.pack(*exps), "little") | deg << self.shift
+
+
+@cache
+def _layout(n: int) -> _Layout:
+    return _Layout(n)
+
+
+def _overflow(what: str) -> OverflowError:
+    return OverflowError(f"{what}: exponents and degrees must be below 2^15 = {BOUND}")
+
+
+class Monomial:
+    """A power product over n variables, packed into one int ``v``.
+
+    ``v`` holds one 16-bit field per exponent, x_0 lowest, and the total
+    degree in the field above them (see ``_Layout``).  Each field keeps its
+    top bit as a guard, so every exponent and the degree must be below 2^15:
+    building a monomial past that bound, or a ``mul`` or ``lcm`` whose result
+    would pass it, raises ``OverflowError``; nothing wraps.  On this form
+    ``mul`` is one addition, ``divides`` and ``divide`` one subtraction with
+    a test of the guard bits, and ``lcm``/``gcd`` a fieldwise max/min.
+
+    Three values are computed on first use only: the exponent tuple
+    (``exps``), the divisibility mask (``mask``) and a deglex or lex order
+    key, stored with its kind (by ``MonomialOrder.key``).
+    """
+
+    __slots__ = ("v", "lay", "_exps", "_mask", "_key", "_key_kind")
 
     def __init__(self, exps: Sequence[int]):
-        self.exps = tuple(exps)
-        self.deg = sum(self.exps)
+        exps = tuple(exps)
+        if exps and min(exps) < 0:
+            raise ValueError(f"negative exponent in {exps}")
+        deg = sum(exps)
+        if deg >= BOUND:
+            raise _overflow(f"degree {deg} of {exps}")
+        lay = _layout(len(exps))
+        self.v = lay.pack(exps, deg)
+        self.lay = lay
+        self._exps = exps
         self._mask = None
         self._key_kind = None
 
     @staticmethod
     def one(n: int) -> "Monomial":
-        return Monomial((0,) * n)
+        return _packed(0, _layout(n))
+
+    @property
+    def exps(self) -> tuple[int, ...]:
+        exps = self._exps
+        if exps is None:
+            lay = self.lay
+            exps = self._exps = lay.codec.unpack_from(self.v.to_bytes(2 * lay.n + 2, "little"))
+        return exps
+
+    @property
+    def deg(self) -> int:
+        return self.v >> self.lay.shift
 
     @property
     def is_one(self) -> bool:
-        return self.deg == 0
+        return not self.v
 
     def mul(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple(map(add, self.exps, other.exps)))
+        v = self.v + other.v
+        lay = self.lay
+        if v & lay.guard:
+            raise _overflow(f"product of {self!r} and {other!r}")
+        return _packed(v, lay)
 
     __mul__ = mul
 
     def divide(self, other: "Monomial") -> Optional["Monomial"]:
         """self / other, or None when some exponent would go negative."""
-        out = tuple(map(sub, self.exps, other.exps))
-        if out and min(out) < 0:
+        lay = self.lay
+        guard = lay.guard
+        v = (self.v | guard) - other.v
+        if v & guard != guard:
             return None
-        return Monomial(out)
+        return _packed(v ^ guard, lay)
 
     def divides(self, other: "Monomial") -> bool:
-        return all(map(le, self.exps, other.exps))
+        guard = self.lay.guard
+        return ((other.v | guard) - self.v) & guard == guard
 
     @property
     def mask(self) -> int:
-        """Two bits per variable, set when its exponent is >= 1 and >= 2.
+        """Two bits per variable, bits 16k + 15 and 16k + 14, set when the
+        exponent of x_k is >= 1 and >= 2.
 
         If a divides b then every bit of ``a.mask`` is set in ``b.mask``, so
-        ``a.mask & ~b.mask`` rules out most non-divisors without a scan
+        ``a.mask & ~b.mask`` rules out most non-divisors without a division
         (Roune & Stillman's divmask).
         """
         mask = self._mask
         if mask is None:
-            mask = 0
-            for k, e in enumerate(self.exps):
-                if e:
-                    mask |= (1 if e == 1 else 3) << (2 * k)
-            self._mask = mask
+            lay = self.lay
+            v, ones, guard = self.v | lay.exp_guard, lay.ones, lay.exp_guard
+            mask = self._mask = (v - ones) & guard | ((v - 2 * ones) & guard) >> 1
         return mask
 
+    def _fieldwise(self, other: "Monomial", take_max: bool) -> "Monomial":
+        """The fieldwise max (lcm) or min (gcd) of the exponents.
+
+        The new degree is the sum of the exponent fields: as 2^16 = 1 modulo
+        2^16 - 1, that is their packed value modulo 2^16 - 1, and it is exact
+        because the sum is at most deg(a) + deg(b) < 2^16 - 1."""
+        lay = self.lay
+        a, b = self.v, other.v
+        ge = ((a | lay.guard) - b) & lay.guard  # guard bit set where a >= b
+        from_a = (ge - (ge >> (FIELD_BITS - 1))) & lay.low  # value bits of those fields
+        if not take_max:
+            a, b = b, a
+        exps = (b ^ ((a ^ b) & from_a)) & lay.low
+        deg = exps % 0xFFFF
+        if deg >= BOUND:
+            raise _overflow(f"lcm of {self!r} and {other!r}")
+        return _packed(exps | deg << lay.shift, lay)
+
     def lcm(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple(map(max, self.exps, other.exps)))
+        return self._fieldwise(other, True)
 
     def gcd(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple(min(a, b) for a, b in zip(self.exps, other.exps)))
+        return self._fieldwise(other, False)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Monomial) and self.exps == other.exps
+        return isinstance(other, Monomial) and self.v == other.v and self.lay.n == other.lay.n
 
     def __hash__(self) -> int:
-        return hash(self.exps)
+        return hash(self.v)
 
     def __repr__(self) -> str:
         return f"Monomial({self.exps})"
@@ -127,46 +224,56 @@ class Monomial:
         return "*".join(parts)
 
 
-def _degrevlex_key(exps: tuple, deg: int):
-    return (deg, tuple(map(neg, reversed(exps))))
-
-
-def _deglex_key(exps: tuple, deg: int):
-    return (deg, exps)
-
-
-def _lex_key(exps: tuple, deg: int):
-    return exps
-
-
-_EXPS_KEYS = {"degrevlex": _degrevlex_key, "deglex": _deglex_key, "lex": _lex_key}
+def _packed(v: int, lay: _Layout) -> Monomial:
+    """The monomial with packed value ``v``, known to be valid."""
+    m = object.__new__(Monomial)
+    m.v = v
+    m.lay = lay
+    m._exps = m._mask = m._key_kind = None
+    return m
 
 
 class MonomialOrder:
     """A total degree-compatible-or-lex order on monomials over n variables.
 
-    ``key`` returns a tuple sorting ascending in the order, so ``sorted`` and
+    ``key`` returns an int ascending in the order, so ``sorted`` and
     ``min``/``max`` can be used directly.  ``exps_key(exps, deg)`` is the same
     key for an exponent tuple and its total degree, with no ``Monomial``.
+
+    The keys are ints laid out like the packed form.  degrevlex: the packed
+    value with every exponent field complemented, so the degree decides
+    first and then a smaller exponent of the last variable wins.  lex: the
+    exponent fields in reverse, x_0 most significant.  deglex: the degree
+    above the lex key.
     """
 
-    __slots__ = ("kind", "n", "exps_key")
+    __slots__ = ("kind", "n", "_lay")
 
     def __init__(self, kind: str, n: int):
         if kind not in ORDER_KINDS:
             raise ValueError(f"unknown monomial order {kind!r}")
         self.kind = kind
         self.n = n
-        self.exps_key = _EXPS_KEYS[kind]
+        self._lay = _layout(n)
 
-    def key(self, m: Monomial):
-        """Cached on ``m`` with the order kind; a key of another kind replaces it."""
+    def key(self, m: Monomial) -> int:
+        """A degrevlex key is one XOR; a deglex or lex key is cached on ``m``
+        with the order kind, and a key of another kind replaces it."""
         kind = self.kind
+        if kind == "degrevlex":
+            return m.v ^ self._lay.low
         if m._key_kind == kind:
             return m._key
         key = m._key = self.exps_key(m.exps, m.deg)
         m._key_kind = kind
         return key
+
+    def exps_key(self, exps: Sequence[int], deg: int) -> int:
+        lay = self._lay
+        if self.kind == "degrevlex":
+            return lay.pack(exps, deg) ^ lay.low
+        lex = int.from_bytes(lay.big.pack(*exps), "big")
+        return lex if self.kind == "lex" else deg << lay.shift | lex
 
     def cmp(self, a: Monomial, b: Monomial) -> int:
         ka, kb = self.key(a), self.key(b)
@@ -222,10 +329,10 @@ class Ring:
 
     def poly(self, terms: Iterable[tuple[int, Monomial]]) -> "Polynomial":
         """Build a polynomial, merging duplicates and dropping zeros."""
-        acc: dict[tuple, int] = {}
-        monos: dict[tuple, Monomial] = {}
+        acc: dict[int, int] = {}
+        monos: dict[int, Monomial] = {}
         for c, m in terms:
-            key = m.exps
+            key = m.v
             acc[key] = (acc.get(key, 0) + c) % self.p
             monos[key] = m
         out = [
@@ -325,7 +432,7 @@ class Polynomial:
         )
 
     def __hash__(self) -> int:
-        return hash(tuple((c, m.exps) for c, m in self.terms))
+        return hash(tuple((c, m.v) for c, m in self.terms))
 
     def __repr__(self) -> str:
         return f"Polynomial({self.text()})"
@@ -403,35 +510,24 @@ def is_homogeneous(p: Polynomial) -> bool:
     return all(m.deg == d for _, m in p.terms)
 
 
-def prepare_reducers(basis: Sequence[Polynomial]) -> list[tuple]:
-    """(head mask, head, -1/lc, tail) per nonzero element of ``basis``, in
-    basis order: what ``normal_form_by`` reduces with.  Preparing a basis
-    once serves any number of normal forms modulo it."""
-    return [
-        (b.head_mono.mask, b.head_mono, b.ring.p - b.ring.inv(b.head_coeff), b.terms[1:])
-        for b in basis
-        if b.terms
-    ]
-
-
 def normal_form(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     """Full remainder of p modulo ``basis`` (scanned in the given order).
 
     No term of the result is divisible by any basis head monomial, and the
     result is congruent to p modulo the ideal the basis generates.  Each
     head term is reduced by the first basis element whose head divides it.
-    """
-    return normal_form_by(p, prepare_reducers(basis))
-
-
-def normal_form_by(p: Polynomial, reducers: Sequence[tuple]) -> Polynomial:
-    """``normal_form`` modulo a basis given as ``prepare_reducers`` made it.
 
     The remainder is kept ascending, its head at the end, as a list of order
     keys with parallel coefficient and monomial lists: a reducer's tail is
     inserted term by term with ``bisect``, so no step rebuilds the whole
     remainder.  A reducer is tried only when its head's divmask fits.
     """
+    # (head mask, head, -1/lc, tail) per nonzero element, in basis order
+    reducers = [
+        (b.head_mono.mask, b.head_mono, b.ring.p - b.ring.inv(b.head_coeff), b.terms[1:])
+        for b in basis
+        if b.terms
+    ]
     if not reducers or not p.terms:
         return p
     ring = p.ring

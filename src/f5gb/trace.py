@@ -13,7 +13,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from operator import add, itemgetter, sub
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .poly import GT, Monomial, MonomialQuotient, Polynomial, Ring, poly_axpy, quotient_cmp
 from .sig import Signature, sig_cmp, sig_divides, sig_key, sig_mul
@@ -657,17 +657,6 @@ def _pair_event_index(events: Sequence[dict]):
     return crit, isred, created
 
 
-class _Pair(NamedTuple):
-    """One S-pair of members as the thm5 check sees it."""
-
-    key: tuple  # sig_key of the greater multiplied signature
-    index: int  # index of that signature
-    deg: int  # degree of the lcm of the heads
-    # earliest sequence number after which some outcome classifies the pair
-    # at every insertion; inf when the log holds none
-    first: float
-
-
 def in_scope(key: tuple, index: int, deg: int, call: int, g_key: tuple, g_deg: int) -> bool:
     """Whether a target with signature key ``key``, signature index ``index``
     and degree ``deg`` is covered when call ``call`` inserts an element with
@@ -759,10 +748,16 @@ class _PairRules:
                 out.append((max(s, ne.zero_seq), s, "rewritten", "syzygy_rule"))
         return out
 
-    def pair(self, a_pos: int, b_pos: int) -> _Pair:
+    def pair(self, a_pos: int, b_pos: int) -> tuple[tuple, int, int, float]:
+        """One S-pair of members as the thm5 check sees it: (key, index,
+        deg, first), the sig_key of the greater multiplied signature, that
+        signature's index, the degree of the lcm of the heads, and the
+        earliest sequence number after which some outcome classifies the
+        pair at every insertion (inf when the log holds none).  A plain
+        tuple of ints and a float, which the garbage collector untracks."""
         key, deg, a, b = self._shape(a_pos, b_pos)
         evidence = self._evidence(a, b)
-        return _Pair(key, -key[0], deg, min(evidence)[0] if evidence else math.inf)
+        return key, -key[0], deg, min(evidence)[0] if evidence else math.inf
 
     def evidence(self, a_pos: int, b_pos: int) -> list[tuple]:
         _, _, a, b = self._shape(a_pos, b_pos)
@@ -789,8 +784,8 @@ def classify_pairs_at_insertion(
     out = []
     for i, a_pos in enumerate(members):
         for b_pos in members[i + 1:]:
-            pair = rules.pair(a_pos, b_pos)
-            if not in_scope(pair.key, pair.index, pair.deg, call, g_key, g_deg):
+            key, index, deg, _ = rules.pair(a_pos, b_pos)
+            if not in_scope(key, index, deg, call, g_key, g_deg):
                 continue
             evidence = sorted(
                 (s, outcome, via)
@@ -872,7 +867,7 @@ def check_thm5_exhaustive(
         registry = build_registry(events)
     order = ring.order
     rules = _PairRules(events, registry, order)
-    pairs: dict[tuple[int, int], _Pair] = {}
+    pairs: dict[tuple[int, int], tuple] = {}
     unclassified = []
     checked = 0
     for call, done in registry.insertions.items():
@@ -895,13 +890,14 @@ def check_thm5_exhaustive(
                     pair = pairs.get(pair_id)
                     if pair is None:
                         pair = pairs[pair_id] = rules.pair(*pair_id)
-                    covering = count.above(pair.key, pair.deg if pair.index == call else None)
+                    key, index, deg, first = pair
+                    covering = count.above(key, deg if index == call else None)
                     checked += covering
                     if not covering:
                         continue
                     j = k
-                    while j < len(done) and g_seq[j] <= pair.first:
-                        if in_scope(pair.key, pair.index, pair.deg, call, g_key[j], g_deg[j]):
+                    while j < len(done) and g_seq[j] <= first:
+                        if in_scope(key, index, deg, call, g_key[j], g_deg[j]):
                             unclassified.append((g_seq[j], pair_id, g_pos[j]))
                         j += 1
     unclassified.sort()

@@ -73,6 +73,12 @@ class TestParseProblem:
             parse_problem("p = 7\nvars: x\nx*q")
         assert exc.value.line == 3
 
+    @pytest.mark.parametrize("term", ["x^32768", "x^16384*y^16384", "x^20000*x^20000"])
+    def test_exponent_past_the_bound_is_a_parse_error(self, term):
+        with pytest.raises(ParseError, match="bad exponent.*2\\^15") as exc:
+            parse_problem(f"p = 7\nvars: x, y\nx*y\n{term} + y^2")
+        assert exc.value.line == 4
+
     def test_missing_pieces(self):
         with pytest.raises(ParseError):
             parse_problem("vars: x\nx")
@@ -224,6 +230,12 @@ class TestCommands:
         path = tmp_path / "bad.txt"
         path.write_text("p = 4\nvars: x\nx")
         assert main([str(path), "gb"][::-1]) == 1
+
+    def test_exponent_overflow_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "huge.txt"
+        path.write_text("p = 7\nvars: x, y\nx^40000 + y^40000\n")
+        assert main(["gb", str(path)]) == 1
+        assert "line 3" in capsys.readouterr().err
 
     def test_affine_oracle_works_engine_refuses(self, tmp_path):
         path = tmp_path / "affine.txt"

@@ -727,6 +727,28 @@ class TestIdealEqual:
         ring = make_ring(7, ["x", "y"])
         assert not ideal_equal(polys(ring, "x"), polys(ring, "y"))
 
+    def test_same_ideal_not_a_groebner_basis(self):
+        # x^2 + y^2 and x*y generate an ideal holding y^3, a head neither
+        # generator's head divides
+        ring = make_ring(7, ["x", "y"])
+        gens = polys(ring, "x^2 + y^2", "x*y")
+        assert not ideal_equal(gens, buchberger(gens))
+
+    def test_different_ideal_groebner_bases(self):
+        ring = make_ring(7, ["x", "y", "z"])
+        gens = polys(ring, "x*y + z^2", "x*z + y^2")
+        assert not ideal_equal(buchberger(gens), buchberger(gens + polys(ring, "y*z + x^2")))
+
+    def test_unreduced_groebner_basis(self):
+        # a redundant element and an unreduced tail keep the ideal and the
+        # Groebner property, and reduce away
+        ring = make_ring(7, ["x", "y", "z"])
+        basis = buchberger(polys(ring, "x*y + z^2", "x*z + y^2", "y*z + x^2"))
+        unreduced = [basis[0], basis[1].add(basis[0]), *basis[1:]]
+        unreduced += [basis[-1].term_mul(3, ring.variable(0))]
+        assert unreduced != basis
+        assert ideal_equal(unreduced, basis)
+
 
 def test_standard_monomial_count_no_heads():
     assert standard_monomial_count([], 3, 4) == 15  # C(4+2, 2)

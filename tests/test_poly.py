@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from f5gb.poly import (
+    BOUND,
     EQ,
     GT,
     LT,
@@ -16,9 +17,7 @@ from f5gb.poly import (
     is_homogeneous,
     is_prime,
     normal_form,
-    normal_form_by,
     poly_axpy,
-    prepare_reducers,
     quotient_cmp,
     validate_poly,
 )
@@ -90,9 +89,15 @@ class TestMonomial:
         assert M(1, 1).divides(M(2, 1))
         assert not M(2, 0).divides(M(1, 1))
 
+    def test_packed_layout(self):
+        # 16 bits per exponent, x_0 lowest, the degree in the field above
+        assert M(1, 2).v == 1 | 2 << 16 | 3 << 32
+        assert M(1, 2).exps == (1, 2) and M(1, 2).deg == 3
+        assert Monomial.one(3).v == 0 and Monomial.one(3).exps == (0, 0, 0)
+
     def test_mask_bits(self):
-        # two bits per variable: exponent >= 1, exponent >= 2
-        assert M(0, 1, 2, 5).mask == 0b11_11_01_00
+        # bits 16k + 15 and 16k + 14 of x_k: exponent >= 1, exponent >= 2
+        assert M(0, 1, 2, 5).mask == 0b10 << 30 | 0b11 << 46 | 0b11 << 62
         assert M(0, 0).mask == 0
 
     @given(st.data())
@@ -107,15 +112,115 @@ class TestMonomial:
             assert b.divide(a) is None
 
     def test_one_monomial_under_two_orders(self):
-        a, b = M(1, 0, 2), M(0, 2, 1)
-        revlex, lex = MonomialOrder("degrevlex", 3), MonomialOrder("lex", 3)
+        a, b, c, d = M(1, 0, 2), M(0, 2, 1), M(0, 3, 0), M(2, 0, 0)
+        revlex, deglex, lex = (MonomialOrder(k, 3) for k in ("degrevlex", "deglex", "lex"))
+        ascending = [(revlex, [d, a, b, c]), (deglex, [d, b, c, a]), (lex, [b, c, a, d])]
+        # each round keys the same monomials after another order's key was
+        # cached on them
         for _ in range(2):
-            assert revlex.key(a) == (3, (-2, 0, -1))
-            assert lex.key(a) == (1, 0, 2)
-            assert revlex.cmp(a, b) == LT and lex.cmp(a, b) == GT
+            for order, expected in ascending:
+                assert sorted([a, b, c, d], key=order.key) == expected
+                assert order.cmp(a, b) == (LT if order is revlex else GT)
         # an equal order whose name is a separately built string
-        assert MonomialOrder("".join(["degrev", "lex"]), 3).key(a) == (3, (-2, 0, -1))
-        assert MonomialOrder("deglex", 3).key(a) == (3, (1, 0, 2))
+        for kind, order in (("degrev", revlex), ("deg", deglex)):
+            same = MonomialOrder("".join([kind, "lex"]), 3)
+            assert same.key(a) == order.key(a) and same.key(d) == order.key(d)
+            assert same.exps_key(a.exps, a.deg) == order.key(a)
+
+    def test_overflow_raises(self):
+        top = BOUND - 1
+        assert M(top, 0).deg == top
+        with pytest.raises(OverflowError, match="2\\^15"):
+            M(BOUND, 0)
+        with pytest.raises(OverflowError, match="2\\^15"):
+            M(top, 1)  # each exponent fits, the degree does not
+        with pytest.raises(OverflowError, match="2\\^15"):
+            M(top, 0).mul(M(1, 0))
+        with pytest.raises(OverflowError, match="2\\^15"):
+            M(top, 0).mul(M(0, 1))  # the guard of the degree field
+        with pytest.raises(OverflowError, match="2\\^15"):
+            M(top, 0).lcm(M(0, 1))
+        with pytest.raises(ValueError):
+            M(-1, 2)
+
+
+# -- the tuple implementation the packed monomials must agree with ------------
+
+
+def ref_divide(a, b):
+    out = tuple(x - y for x, y in zip(a, b))
+    return out if min(out, default=0) >= 0 else None
+
+
+def ref_mask(a):
+    mask = 0
+    for k, e in enumerate(a):
+        mask |= (e >= 1) << (16 * k + 15) | (e >= 2) << (16 * k + 14)
+    return mask
+
+
+def ref_key(kind, a):
+    if kind == "degrevlex":
+        return (sum(a), tuple(-e for e in reversed(a)))
+    if kind == "deglex":
+        return (sum(a), a)
+    return a
+
+
+def sign(x, y):
+    return (x > y) - (x < y)
+
+
+@st.composite
+def exponent_vectors(draw, n):
+    """n exponents in [0, 2^15 - 1] with a degree below 2^15."""
+    budget = draw(st.integers(0, BOUND - 1))
+    exps = []
+    for _ in range(n):
+        e = draw(st.integers(0, budget))
+        exps.append(e)
+        budget -= e
+    return tuple(draw(st.permutations(exps)))
+
+
+class TestPackedAgainstTuples:
+    @given(st.data(), st.integers(1, 8))
+    @settings(max_examples=400)
+    def test_operations_match_the_tuple_reference(self, data, n):
+        ea, eb = data.draw(exponent_vectors(n)), data.draw(exponent_vectors(n))
+        a, b = Monomial(ea), Monomial(eb)
+        assert (a.exps, a.deg) == (ea, sum(ea))
+        assert Monomial(a.exps) == a and hash(Monomial(a.exps)) == hash(a)
+        assert a.mask == ref_mask(ea)
+        prod = tuple(x + y for x, y in zip(ea, eb))
+        pairs = [(a, b, ea, eb)]
+        if sum(prod) >= BOUND:
+            with pytest.raises(OverflowError):
+                a.mul(b)
+        else:
+            ab = a.mul(b)
+            assert ab.exps == prod and ab.deg == sum(prod)
+            pairs += [(a, ab, ea, prod), (ab, b, prod, eb)]
+        for x, y, ex, ey in pairs:
+            for p, q, ep, eq in ((x, y, ex, ey), (y, x, ey, ex)):
+                quo = ref_divide(ep, eq)
+                got = p.divide(q)
+                assert (got.exps if got is not None else None) == quo
+                assert q.divides(p) == (quo is not None)
+                if q.divides(p):
+                    assert q.mask & ~p.mask == 0
+            hi = tuple(map(max, ex, ey))
+            if sum(hi) >= BOUND:
+                with pytest.raises(OverflowError):
+                    x.lcm(y)
+            else:
+                assert x.lcm(y).exps == hi and x.lcm(y).deg == sum(hi)
+            lo = tuple(map(min, ex, ey))
+            assert x.gcd(y).exps == lo and x.gcd(y).deg == sum(lo)
+            for kind in ORDER_KINDS:
+                order = MonomialOrder(kind, n)
+                assert order.exps_key(ex, sum(ex)) == order.key(x)
+                assert sign(order.key(x), order.key(y)) == sign(ref_key(kind, ex), ref_key(kind, ey))
 
 
 class TestQuotientOrder:
@@ -306,12 +411,6 @@ class TestNormalForm:
         assert out == normal_form_reference(p, basis)
         for _, m in out.terms:
             assert not any(b.head_mono.divides(m) for b in basis if not b.is_zero)
-        # one prepared basis serves several normal forms
-        reducers = prepare_reducers(basis)
-        q = ring.poly(data.draw(terms))
-        assert normal_form_by(p, reducers) == out
-        assert normal_form_by(q, reducers) == normal_form_reference(q, basis)
-        assert normal_form_by(p, reducers) == out
 
     def test_head_reduction(self, ring):
         assert normal_form(P(ring, "x^2 + y^2"), [P(ring, "x^2")]) == P(ring, "y^2")
