@@ -680,17 +680,19 @@ def reduced_basis(polys: Sequence[Polynomial]) -> list[Polynomial]:
 
 
 def ideal_equal(g1: Sequence[Polynomial], g2: Sequence[Polynomial]) -> bool:
-    """Whether two Groebner bases generate the same ideal, by comparing their
-    reduced bases.
+    """Whether two Groebner bases generate the same ideal.
 
-    When each set is a Groebner basis of its own ideal, the test is exact:
-    ``reduced_basis`` keeps the ideal (it drops elements whose head another
-    head divides and replaces each element by its remainder modulo the
-    rest), the result is the reduced Groebner basis, and an ideal has only
-    one.  It is never weaker than mutual membership by normal form: a set
-    that is not a Groebner basis reads false even when it generates the same
-    ideal, since its reduced form is not the ideal's reduced basis."""
-    return reduced_basis(g1) == reduced_basis(g2)
+    Both sets must reduce to the same basis ``R`` (``reduced_basis``), and
+    every element of either set must have normal form zero modulo ``R``.
+    ``reduced_basis`` drops an element whose head an earlier head divides
+    without showing that it lies in the ideal, so the membership half is
+    what catches a stray redundant element: ``[x^2, x^2 + y]`` and
+    ``[x^2]`` reduce alike but generate different ideals.  A true verdict
+    means ``(g1) = (R) = (g2)``.  When each set is a Groebner basis of its
+    own ideal the converse holds too: ``R`` is then the unique reduced
+    Groebner basis and every ideal element reduces to zero modulo it."""
+    r1 = reduced_basis(g1)
+    return r1 == reduced_basis(g2) and all(normal_form(p, r1).is_zero for p in [*g1, *g2])
 
 
 def spair_exhaustion_check(basis: Sequence[Polynomial]) -> bool:

@@ -749,6 +749,13 @@ class TestIdealEqual:
         assert unreduced != basis
         assert ideal_equal(unreduced, basis)
 
+    def test_stray_redundant_element(self):
+        # x^2 + y drops out of the reduced basis as redundant by its head,
+        # but y is not in (x^2)
+        ring = make_ring(7, ["x", "y"])
+        assert not ideal_equal(polys(ring, "x^2", "x^2 + y"), polys(ring, "x^2"))
+        assert not ideal_equal(polys(ring, "x^2"), polys(ring, "x^2", "x^2 + y"))
+
 
 def test_standard_monomial_count_no_heads():
     assert standard_monomial_count([], 3, 4) == 15  # C(4+2, 2)
