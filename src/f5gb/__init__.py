@@ -49,7 +49,6 @@ from .poly import (
     quotient_cmp,
 )
 from .sig import (
-    Genealogy,
     LabeledPolynomial,
     ModuleVector,
     Signature,

@@ -262,6 +262,10 @@ def run_check(problem: ProblemFile, config: EngineConfig, descent_samples: int,
             descents["max_steps"] = max(descents["max_steps"], res.step_count)
         except DescentError as exc:
             descents["failures"].append(str(exc))
+    # A thm4 pair yields, by descent, a reductor of f that every criterion
+    # permits, so f's insertion would have reduced by it: on a correct run
+    # the scan finds none.  Each pair fails the verdict, and its reductor is
+    # the witness.
     for snap in snapshots:
         for fprime, f in find_thm4_pairs_in_snapshot(snap):
             thm4["pairs"] += 1
@@ -270,12 +274,14 @@ def run_check(problem: ProblemFile, config: EngineConfig, descent_samples: int,
                 verdict = reductor_passes_engine_checks(snap, mono, pos, f)
                 if verdict is None:
                     thm4["reductor_ok"] += 1
+                    witness = f"reductor {mono.text(problem.ring.names)}*r{pos} passes (a)-(d)"
                 else:
-                    thm4["failures"].append(f"pair ({fprime},{f}): check ({verdict}) failed")
+                    witness = f"check ({verdict}) failed"
             except DescentError as exc:
-                thm4["failures"].append(f"pair ({fprime},{f}): {exc}")
+                witness = str(exc)
+            thm4["failures"].append(f"pair ({fprime},{f}): {witness}")
     verdicts["descents"] = not descents["failures"]
-    verdicts["thm4_reductors"] = not thm4["failures"]
+    verdicts["thm4_reductors"] = thm4["pairs"] == 0
 
     report = {
         "basis_size": len(f5_basis),
@@ -316,7 +322,9 @@ def cmd_check(args, out=None) -> int:
             f" (max steps {d['max_steps']})\n"
         )
         t = report["thm4"]
-        out.write(f"thm4 pairs: {t['pairs']} found, {t['reductor_ok']} reductors verified\n")
+        out.write(f"thm4 pairs: {t['pairs']} found, {t['reductor_ok']} reductors pass (a)-(d)\n")
+        for line in t["failures"]:
+            out.write(f"  {line}\n")
         out.write(f"elapsed: {report['elapsed_s']}s\n")
         out.write("result: " + ("ok" if report["ok"] else "CHECK FAILURES") + "\n")
     return 0 if report["ok"] else 2

@@ -16,7 +16,6 @@ from typing import NamedTuple, Optional, Sequence
 
 from .poly import EQ, GT, LT, Monomial, Polynomial, Ring, is_homogeneous, poly_axpy
 from .sig import (
-    Genealogy,
     LabeledPolynomial,
     ModuleVector,
     Signature,
@@ -178,9 +177,9 @@ class Engine:
         if cond:
             raise BudgetExceeded(what, self.trace.events, self.counters())
 
-    def _new_labeled(self, sig: Signature, poly: Polynomial, mv: Optional[ModuleVector],
-                     genealogy: Optional[Genealogy]) -> LabeledPolynomial:
-        lp = LabeledPolynomial(len(self.R), sig, poly, mv, genealogy)
+    def _new_labeled(self, sig: Signature, poly: Polynomial,
+                     mv: Optional[ModuleVector]) -> LabeledPolynomial:
+        lp = LabeledPolynomial(len(self.R), sig, poly, mv)
         self.R.append(lp)
         self.creation_polys[lp.pos] = poly
         self.trails[lp.pos] = []
@@ -265,7 +264,7 @@ class Engine:
         f = self.inputs[i - 1]
         sig = Signature(self.ring.one_mono(), i)
         mv = ModuleVector.unit(self.ring, self.m, i) if self.config.self_check else None
-        lp = self._new_labeled(sig, f, mv, None)
+        lp = self._new_labeled(sig, f, mv)
         self.trace.emit(
             "CallBegin",
             call=i,
@@ -397,9 +396,7 @@ class Engine:
             if self.config.self_check:
                 mv = a.mv.term_mul(1, cp.u1).axpy(1, cp.u2, b.mv)
             poly, mv = self._monic_pair(poly, mv)
-            lp = self._new_labeled(
-                cp.sig1, poly, mv, Genealogy(cp.p1, cp.p2, cp.u1, cp.u2)
-            )
+            lp = self._new_labeled(cp.sig1, poly, mv)
             self._add_rule(lp.sig, lp.pos)
             self.trace.emit(
                 "SPolCreated",
@@ -542,7 +539,7 @@ class Engine:
         if self.config.self_check:
             mv = j.mv.term_mul(1, u).axpy(1, one, h.mv)
         poly, mv = self._monic_pair(poly, mv)
-        lp = self._new_labeled(msig, poly, mv, Genealogy(j_pos, h.pos, u, one))
+        lp = self._new_labeled(msig, poly, mv)
         self._add_rule(lp.sig, lp.pos)
         self.trace.emit(
             "NewFromTopReduction",

@@ -3,9 +3,10 @@
 A representation writes a multiplied basis element as a sum of coefficient *
 monomial * basis-element products over a frozen snapshot of the engine state.
 The descent repeatedly rewrites offending elements (shifted-signature
-reducible, rewritable by a newer rule, or head above the target) into strictly
-smaller representations until none is left; the final representation yields a
-reductor that passes all four engine checks.
+reducible, or rewritable by a newer rule) into strictly smaller
+representations until none is left; the final representation yields a
+reductor that passes all four engine checks.  A head above the target is not
+rewritten: it is reported as the descent's form of a thm5 failure.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .sig import (
     sig_key,
     sig_mul,
 )
-from .trace import InsertionView, Registry, decode_trail, in_scope, membership_at, rules_before
+from .trace import InsertionView, Registry, in_scope, membership_at, rules_before
 
 
 class DescentError(Exception):
@@ -53,10 +54,6 @@ class NoDivisorFound(DescentError):
 
 class RewriterNotFound(DescentError):
     pass
-
-
-class TrailNotFound(DescentError):
-    """The completed S-pair a rewrite relies on has no stored trail."""
 
 
 class NoHeadMatch(DescentError):
@@ -82,9 +79,8 @@ class GgSnapshot(InsertionView):
     lists the positions of G ∪ Done ascending by creation order;
     representation elements refer to these positions directly (the list is
     creation-ordered, so position comparison doubles as list-rank
-    comparison).  Reduction trails and creation-time polynomials are read
-    from the ``registry`` of the run's event log.  ``input_pos`` maps an
-    input index to the position of its input polynomial.
+    comparison).  ``input_pos`` maps an input index to the position of its
+    input polynomial.
     """
 
     def __init__(
@@ -94,14 +90,12 @@ class GgSnapshot(InsertionView):
         members: Sequence[int],
         g_pos: int,
         rules: dict[int, Sequence[tuple[Monomial, int]]],
-        registry: Registry,
         input_pos: dict[int, int],
     ):
         super().__init__(entries, members, g_pos, rules)
         self.ring = ring
         self.order = ring.order
         self.member_set = set(self.members)
-        self.registry = registry
         self.input_pos = input_pos
         g = self.entries[g_pos]  # inserted by the call of its index
         self._g_scope = (g.index, sig_key(g.sig, self.order), g.poly.head_mono.deg)
@@ -118,7 +112,6 @@ class GgSnapshot(InsertionView):
             members=membership_at(registry, done["call"], seq) + [done["pos"]],
             g_pos=done["pos"],
             rules=rules_before(registry, seq),
-            registry=registry,
             input_pos={call: begin["input_pos"] for call, begin in registry.calls.items()},
         )
 
@@ -289,10 +282,21 @@ def _element_input_triples(
 def violated_property(
     r: Representation, mh_sig: Signature, mh_hm: Monomial, snap: GgSnapshot
 ) -> Optional[tuple[str, ReprElement]]:
-    """First violated target property, scanning elements in ordered form.
+    """First violated target property, scanning elements in ordered form:
+    P1 (shifted signature reducible) or P2 (rewritable by a newer rule).
 
-    P1/P2 are checked per element; P3 fires only after every element passed
-    both, and selects the greatest element attaining the maximal head."""
+    When every element passes both, no element's head may exceed the
+    target's (P3).  Let K' = m*u1*b1 and K2 = m*u2*b2 be the two greatest
+    elements attaining the maximal head.  Their S-pair was
+    - completed: ``_spol`` added the rule (u1*sig(b1), e) when it created e,
+      with e > b1, so ``rewritten_satisfied(K')`` holds and P2 fires first;
+      the rule stays when e reduced to zero;
+    - rejected: the F5 and rewritten criteria are monotone under a
+      multiple, so P1 or P2 fires on K' or K2;
+    - never formed: the pair is out of scope, which ``in_scope`` excludes.
+    So on a log whose ``thm5_exhaustive`` check passes P3 never fires in
+    scope.  When it does, that is the descent's form of a thm5 failure, and
+    a ``DescentError`` names the head pair."""
     order = snap.order
     form = ordered_form(r, snap)
     for e in form:
@@ -305,17 +309,18 @@ def violated_property(
             return ("P2", e)
     if not form:
         return None
-    m_max = None
-    for e in form:
-        h = element_head(e, snap)
-        if m_max is None or order.cmp(h, m_max) == GT:
-            m_max = h
+    heads = [(element_head(e, snap), e) for e in form]
+    m_max = max((h for h, _ in heads), key=order.key)
     if order.cmp(m_max, mh_hm) != GT:
         return None
-    for e in form:
-        if element_head(e, snap) == m_max:
-            return ("P3", e)
-    raise AssertionError("unreachable")
+    names = snap.ring.names
+    top = [f"{e.coeff}*{e.mono.text(names)}*r{e.pos}" for h, e in heads if h == m_max]
+    attained = f"only by {top[0]}" if len(top) == 1 else f"by the head pair {top[0]}, {top[1]}"
+    raise DescentError(
+        f"P3: head {m_max.text(names)} above the target head {mh_hm.text(names)} is"
+        f" attained {attained}, with no element F5-rejectable or rewritable"
+        " (a thm5 failure)"
+    )
 
 
 def substitute_and_combine(
@@ -356,7 +361,7 @@ def _finish_substitution(
 
 
 # ---------------------------------------------------------------------------
-# the three rewrites
+# the two rewrites
 
 
 def rewrite_f5_case(r: Representation, K: ReprElement, snap: GgSnapshot) -> Representation:
@@ -420,64 +425,6 @@ def rewrite_rewritten_case(
     return _finish_substitution(r, K, replacement, snap)
 
 
-def rewrite_hm_case(
-    r: Representation, K_prime: ReprElement, snap: GgSnapshot
-) -> Representation:
-    """Cancel the top head via the completed S-pair of the two greatest
-    elements attaining it, replayed from the stored reduction trail."""
-    p = snap.ring.p
-    order = snap.order
-    m_max = element_head(K_prime, snap)
-    form = ordered_form(r, snap)
-    h_max = [e for e in form if element_head(e, snap) == m_max]
-    if not h_max or h_max[0] != K_prime:
-        raise DescentError("P3 rewrite must start from the greatest head attainer")
-    if len(h_max) < 2:
-        raise DescentError("maximal head is attained once; the sum cannot cancel it")
-    K2 = h_max[1]
-    b1, b2 = snap.lp(K_prime.pos), snap.lp(K2.pos)
-    m_gcd = K_prime.mono.gcd(K2.mono)
-    u1 = K_prime.mono.divide(m_gcd)
-    u2 = K2.mono.divide(m_gcd)
-    sigma = sig_mul(u1, b1.sig)
-    if sig_cmp(sigma, sig_mul(u2, b2.sig), order) != GT:
-        raise DescentError("S-pair of the head pair has no strict greater part")
-    e_pos = None
-    for pos in snap.members:
-        gen = snap.entries[pos].genealogy
-        if gen is None:
-            continue
-        if (
-            gen.greater == K_prime.pos
-            and gen.smaller == K2.pos
-            and gen.u_over == u1
-            and gen.u_under == u2
-        ):
-            e_pos = pos
-            break
-    if e_pos is None:
-        raise TrailNotFound(
-            f"no completed S-polynomial of r{K_prime.pos}, r{K2.pos} in the basis"
-        )
-    q_raw = poly_axpy(b1.poly.term_mul(1, u1), 1, u2, b2.poly)
-    if q_raw.is_zero or not snap.registry.entries[e_pos].creation_poly:
-        raise TrailNotFound("completed S-polynomial collapsed to zero")
-    lc_raw = q_raw.head_coeff
-    alpha, contribs = decode_trail(snap.registry.entries[e_pos].trail, p)
-    # final(e) = alpha * creation - sum(contribs); creation = q_raw / lc_raw
-    gamma = lc_raw * snap.ring.inv(alpha) % p
-    one = snap.ring.one_mono()
-    replacement: list[tuple[int, Monomial, int]] = [
-        (K_prime.coeff, K2.mono, K2.pos),
-        (K_prime.coeff * gamma % p, m_gcd.mul(one), e_pos),
-    ]
-    for c, t, red_pos in contribs:
-        replacement.append(
-            (K_prime.coeff * gamma * c % p, m_gcd.mul(t), red_pos)
-        )
-    return _finish_substitution(r, K_prime, replacement, snap)
-
-
 # ---------------------------------------------------------------------------
 # descent
 
@@ -503,8 +450,9 @@ def descend(
     insertion (``GgSnapshot.in_scope``), until no property is violated.
 
     Every step must strictly decrease the representation order, preserve the
-    represented value, and stay signature-safe; a cap overrun is an internal
-    bug surfaced with the full log, never a silent loop."""
+    represented value, and stay signature-safe; a head above the target's
+    raises (``violated_property``), and a cap overrun is an internal bug
+    surfaced with the full log, never a silent loop."""
     if step_cap <= 0:
         raise ValueError("step_cap must be positive")
     if not snap.in_scope(t, h_pos):
@@ -524,12 +472,8 @@ def descend(
             log.append({"kind": "DescentDone", "step": step, "size": len(rep)})
             return DescentResult(rep, log)
         which, element = violation
-        if which == "P1":
-            new = rewrite_f5_case(rep, element, snap)
-        elif which == "P2":
-            new = rewrite_rewritten_case(rep, element, snap)
-        else:
-            new = rewrite_hm_case(rep, element, snap)
+        rewrite = rewrite_f5_case if which == "P1" else rewrite_rewritten_case
+        new = rewrite(rep, element, snap)
         if not repr_sum_check(new, target, snap):
             raise DescentError("rewrite changed the represented value")
         log.append(
@@ -695,16 +639,6 @@ def ideal_equal(g1: Sequence[Polynomial], g2: Sequence[Polynomial]) -> bool:
     return r1 == reduced_basis(g2) and all(normal_form(p, r1).is_zero for p in [*g1, *g2])
 
 
-def spair_exhaustion_check(basis: Sequence[Polynomial]) -> bool:
-    """Definitional Groebner test: every S-polynomial reduces to zero."""
-    basis = [p for p in basis if not p.is_zero]
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            if not normal_form(_spoly(basis[i], basis[j]), basis).is_zero:
-                return False
-    return True
-
-
 def find_thm4_pairs_in_snapshot(snap: GgSnapshot) -> list[tuple[int, int]]:
     """Pairs (earlier, later) of snapshot members with dividing heads, a
     strictly descending head/signature quotient, and dividing signatures."""
@@ -756,26 +690,3 @@ def harvest_descent_seeds(snapshots: Sequence[GgSnapshot], samples: int, rng) ->
         idx = sorted(rng.sample(range(len(seeds)), samples))
         seeds = [seeds[k] for k in idx]
     return seeds
-
-
-def standard_monomial_count(heads: Sequence[Monomial], n: int, degree: int) -> int:
-    """Number of degree-d monomials not divisible by any head: the Hilbert
-    function of the quotient by the head ideal."""
-    count = 0
-
-    def rec(i: int, remaining: int, exps: list[int]):
-        nonlocal count
-        if i == n - 1:
-            exps.append(remaining)
-            m = Monomial(exps)
-            if not any(h.divides(m) for h in heads):
-                count += 1
-            exps.pop()
-            return
-        for e in range(remaining + 1):
-            exps.append(e)
-            rec(i + 1, remaining - e, exps)
-            exps.pop()
-
-    rec(0, degree, [])
-    return count

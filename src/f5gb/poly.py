@@ -491,17 +491,6 @@ def poly_axpy(p: Polynomial, c: int, t: Monomial, q: Polynomial) -> Polynomial:
     return Polynomial(ring, tuple(out))
 
 
-def validate_poly(p: Polynomial) -> None:
-    """Structural check: descending distinct monomials, coefficients in (0, p)."""
-    order = p.ring.order
-    for c, m in p.terms:
-        if not (0 < c < p.ring.p):
-            raise AssertionError(f"coefficient {c} out of range")
-    for (c1, m1), (c2, m2) in zip(p.terms, p.terms[1:]):
-        if order.cmp(m1, m2) != GT:
-            raise AssertionError("terms out of order")
-
-
 def is_homogeneous(p: Polynomial) -> bool:
     """True when all terms share one total degree; vacuously true for 0."""
     if p.is_zero:

@@ -11,7 +11,7 @@ run asks for checks (the algorithm itself needs only signatures).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .poly import EQ, GT, LT, Monomial, MonomialOrder, Polynomial, Ring, poly_axpy
 
@@ -53,15 +53,6 @@ def sig_mul(t: Monomial, s: Signature) -> Signature:
 
 def sig_divides(s1: Signature, s2: Signature) -> bool:
     return s1.index == s2.index and s1.mono.divides(s2.mono)
-
-
-class Genealogy(NamedTuple):
-    """How a labeled polynomial arose as an S-polynomial of two others."""
-
-    greater: int  # position of the part with greater multiplied signature
-    smaller: int
-    u_over: Monomial  # multiplier of the greater part; sig = u_over * S(greater)
-    u_under: Monomial
 
 
 class ModuleVector:
@@ -115,28 +106,20 @@ class ModuleVector:
 
 
 class LabeledPolynomial:
-    """A polynomial with its creation-time signature, module vector and origin.
+    """A polynomial with its creation-time signature and module vector.
 
     ``poly`` and ``mv`` are replaced together during reduction (the head
     monomial only ever strictly decreases); ``sig`` is fixed at creation.
     ``mv`` is None when the run carries no vectors.
     """
 
-    __slots__ = ("pos", "sig", "poly", "mv", "genealogy")
+    __slots__ = ("pos", "sig", "poly", "mv")
 
-    def __init__(
-        self,
-        pos: int,
-        sig: Signature,
-        poly: Polynomial,
-        mv: Optional[ModuleVector],
-        genealogy: Optional[Genealogy] = None,
-    ):
+    def __init__(self, pos: int, sig: Signature, poly: Polynomial, mv: Optional[ModuleVector]):
         self.pos = pos
         self.sig = sig
         self.poly = poly
         self.mv = mv
-        self.genealogy = genealogy
 
     @property
     def index(self) -> int:

@@ -37,8 +37,9 @@ EVENT_KINDS = (
 )
 
 
-class BrokenGenealogy(Exception):
-    """A genealogy link points at a missing or inconsistent ancestor."""
+class BrokenLink(Exception):
+    """An ancestor link or rule entry of the registry is missing or
+    inconsistent."""
 
 
 # ---------------------------------------------------------------------------
@@ -430,10 +431,10 @@ def extract_chain(pos: int, registry: Registry, ring: Ring) -> ChainReport:
     seen = {pos}
     while not cur.is_input:
         if cur.genealogy is None:
-            raise BrokenGenealogy(f"r{cur.pos} has no genealogy and is not an input")
+            raise BrokenLink(f"r{cur.pos} has no genealogy and is not an input")
         parent = cur.genealogy[0]
         if parent not in registry.entries or parent in seen:
-            raise BrokenGenealogy(f"broken ancestor link at r{cur.pos}")
+            raise BrokenLink(f"broken ancestor link at r{cur.pos}")
         chain.append(parent)
         seen.add(parent)
         cur = registry.entries[parent]
@@ -568,7 +569,7 @@ class InsertionView:
             return "b"
         owner = self.rewriter(u, cand)
         if owner is None:
-            raise BrokenGenealogy(f"r{cand} has no rule entry")
+            raise BrokenLink(f"r{cand} has no rule entry")
         if owner != cand:
             return "c"
         if sig_mul(u, e.sig) == target_sig:

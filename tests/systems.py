@@ -1,10 +1,12 @@
-"""Shared rings, parsers, the acceptance suite of input systems and the
-brute-force reference of the thm5 check."""
+"""Shared rings, parsers, the acceptance suite of input systems, the
+brute-force reference of the thm5 check and the Hilbert-function count."""
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from f5gb.cli import _parse_poly
-from f5gb.poly import MonomialOrder, Polynomial, Ring
+from f5gb.poly import Monomial, MonomialOrder, Polynomial, Ring
 from f5gb.trace import build_registry, classify_pairs_at_insertion
 
 
@@ -18,6 +20,11 @@ def P(ring: Ring, text: str) -> Polynomial:
 
 def polys(ring: Ring, *texts: str) -> list[Polynomial]:
     return [P(ring, t) for t in texts]
+
+
+def problem_text(p: int, names, texts) -> str:
+    """A degrevlex problem file over GF(p)."""
+    return "\n".join([f"p = {p}", "vars: " + ", ".join(names), *texts]) + "\n"
 
 
 def thm5_brute_force(events, ring: Ring) -> tuple[int, list]:
@@ -34,6 +41,29 @@ def thm5_brute_force(events, ring: Ring) -> tuple[int, list]:
         (c.g_pos, c.pair, "unclassified") for c in classified if c.outcome == "unclassified"
     ]
     return len(classified), failures
+
+
+def standard_monomial_count(heads: Sequence[Monomial], n: int, degree: int) -> int:
+    """Number of degree-d monomials not divisible by any head: the Hilbert
+    function of the quotient by the head ideal."""
+    count = 0
+
+    def rec(i: int, remaining: int, exps: list[int]):
+        nonlocal count
+        if i == n - 1:
+            exps.append(remaining)
+            m = Monomial(exps)
+            if not any(h.divides(m) for h in heads):
+                count += 1
+            exps.pop()
+            return
+        for e in range(remaining + 1):
+            exps.append(e)
+            rec(i + 1, remaining - e, exps)
+            exps.pop()
+
+    rec(0, degree, [])
+    return count
 
 
 def strip_rejections(events) -> list[dict]:
@@ -95,6 +125,17 @@ SUITE = {
 }
 
 SUITE_PRIMES = (7, 32003)
+
+# cyclic-4, homogenized by h
+CYCLIC4 = (
+    ["x0", "x1", "x2", "x3", "h"],
+    [
+        "x0 + x1 + x2 + x3",
+        "x0*x1 + x1*x2 + x2*x3 + x3*x0",
+        "x0*x1*x2 + x1*x2*x3 + x2*x3*x0 + x3*x0*x1",
+        "x0*x1*x2*x3 - h^4",
+    ],
+)
 
 
 def suite_instances():

@@ -28,13 +28,11 @@ from f5gb.oracle import (
     reductor_passes_engine_checks,
     repr_cmp,
     repr_sum_check,
-    standard_monomial_count,
     violated_property,
 )
 from f5gb.poly import Monomial
 from f5gb.sig import LabeledPolynomial, Signature, check_admissible, sig_mul
 from f5gb.trace import (
-    Registry,
     build_registry,
     check_d_progression,
     check_signature_safety,
@@ -42,7 +40,7 @@ from f5gb.trace import (
     extract_chain,
 )
 
-from systems import P, make_ring, suite_instances
+from systems import P, make_ring, standard_monomial_count, suite_instances
 
 DESCENT_CAP = 10**5
 
@@ -230,7 +228,7 @@ def test_criterion_8_comparator_worked_examples():
         1: LabeledPolynomial(1, Signature(M(0, 0), 2), P(ring, "x"), None),
         2: LabeledPolynomial(2, Signature(M(1, 0), 1), P(ring, "x"), None),
     }
-    snap = GgSnapshot(ring, entries, (0, 1, 2), 2, {}, Registry({}, {}), {1: 0, 2: 1})
+    snap = GgSnapshot(ring, entries, (0, 1, 2), 2, {}, {1: 0, 2: 1})
     E = ReprElement
     outcomes = [
         elem_cmp(E(1, M(0, 1), 0), E(100, M(0, 1), 1), snap) == GT,

@@ -1,5 +1,6 @@
 """Front end: problem parsing, commands, exit codes, trace files."""
 
+import hashlib
 import io
 import json
 import re
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from f5gb import cli, oracle, trace
+from f5gb import cli, engine, oracle, trace
 from f5gb.cli import (
     NonPrimeModulus,
     ParseError,
@@ -18,7 +19,7 @@ from f5gb.cli import (
 from f5gb.engine import EngineConfig, NonHomogeneousInput
 from f5gb.trace import events_from_jsonl, run_all_checkers
 
-from systems import LEX_SCOPE, strip_rejections
+from systems import CYCLIC4, LEX_SCOPE, SUITE, SUITE_PRIMES, problem_text, strip_rejections
 
 DEMO = """# two generators over GF(7)
 p = 7
@@ -194,6 +195,33 @@ class TestCommands:
         assert "thm5_exhaustive: FAIL (" in out
         assert "result: CHECK FAILURES" in out
 
+    def test_skipped_top_reduction_fails_thm4(self, tmp_path, monkeypatch):
+        # the engine inserts one element that a permitted reductor should
+        # have reduced; every later snapshot holding both is a thm4 pair
+        is_reducible = engine.Engine._is_reducible
+        skipped = []
+
+        def skip_first(self, h, i):
+            red = is_reducible(self, h, i)
+            if red is not None and not skipped:
+                skipped.append(red)
+                return None
+            return red
+
+        monkeypatch.setattr(engine.Engine, "_is_reducible", skip_first)
+        path = tmp_path / "cyclic4.txt"
+        path.write_text(problem_text(32003, *CYCLIC4))
+        code, out = run_main(["check", str(path), "--json-report"])
+        report = json.loads(out)
+        thm4 = report["thm4"]
+        assert code == 2 and report["verdicts"]["thm4_reductors"] is False
+        assert (thm4["pairs"], thm4["reductor_ok"]) == (12, 12)
+        witness = "pair (5,8): reductor x0*x3*r5 passes (a)-(d)"
+        assert thm4["failures"][0] == witness
+        skipped.clear()
+        code, out = run_main(["check", str(path)])
+        assert "thm4 pairs: 12 found, 12 reductors pass (a)-(d)\n  " + witness in out
+
     def test_budget_exit_code(self, cyclic_file):
         code, _ = run_main(["gb", cyclic_file, "--max-pairs", "1"])
         assert code == 3
@@ -266,3 +294,21 @@ class TestReadme:
             exec(compile(block, str(readme), "exec"), namespace)
         assert namespace["out"].representation.elements
         assert "['x*y', 'x^2 + y^2', 'y^3']" in capsys.readouterr().out
+
+
+# sha256 over the ``run_check`` reports of the 18 suite systems, with
+# ``elapsed_s`` removed and keys sorted.  Verdicts, descent counts and step
+# counts all enter it, so a change meant to keep them must keep the digest.
+PINNED_REPORTS = "7799e2711d8c4b3a2dc6a7c77b0369231b4cb910f66806f32d212245cddac462"
+
+
+class TestReportPin:
+    def test_suite_reports_pinned(self):
+        reports = []
+        for names, texts in SUITE.values():
+            for p in SUITE_PRIMES:
+                report = run_check(parse_problem(problem_text(p, names, texts)), EngineConfig(), 25, 10**5, 0)
+                del report["elapsed_s"]
+                reports.append(report)
+        digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
+        assert digest == PINNED_REPORTS

@@ -22,7 +22,7 @@ from f5gb.sig import MissingModuleVector, Signature, check_admissible, sig_cmp, 
 from systems import P
 from f5gb.trace import Trace, build_registry, sig_from_payload
 
-from systems import P, SUITE, make_ring, polys
+from systems import CYCLIC4, P, SUITE, make_ring, polys
 
 
 def M(*exps):
@@ -366,12 +366,7 @@ class TestNoCoprimeSkip:
         # is created like any other
         eng = Engine(ring, polys(ring, "x^2"))
         eng.run()
-        lp2 = eng._new_labeled(
-            Signature(M(0, 1), 1),
-            P(ring, "y^3"),
-            None,
-            None,
-        )
+        lp2 = eng._new_labeled(Signature(M(0, 1), 1), P(ring, "y^3"), None)
         eng._add_rule(lp2.sig, lp2.pos)
         pair = eng._crit_pair(0, lp2.pos, 1)
         assert pair is not None
@@ -396,15 +391,6 @@ class TestReductionStepCap:
 # change to an engine decision changes them, so a change meant to keep the
 # engine's behaviour must keep them.  On homogeneous input deglex and lex
 # compare the monomials of one degree alike, so their logs agree.
-CYCLIC4 = (
-    ["x0", "x1", "x2", "x3", "h"],
-    [
-        "x0 + x1 + x2 + x3",
-        "x0*x1 + x1*x2 + x2*x3 + x3*x0",
-        "x0*x1*x2 + x1*x2*x3 + x2*x3*x0 + x3*x0*x1",
-        "x0*x1*x2*x3 - h^4",
-    ],
-)
 PINNED_LOGS = {
     ("cyclic4", "degrevlex"): "a381d7ae70620e2aaa8b6c5519adba74687047373da0ab2b7edc66a0a59b9501",
     ("cyclic4", "deglex"): "404572e87f929775f4566a7a7087f5ac674c8781a1a64511100074bb8f266f83",

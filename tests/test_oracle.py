@@ -1,6 +1,7 @@
-"""Representation order, the three rewrites, descent, reference algorithm."""
+"""Representation order, the two rewrites, descent, reference algorithm."""
 
 import random
+import re
 
 import pytest
 
@@ -10,11 +11,11 @@ from f5gb.oracle import (
     EQ,
     GT,
     LT,
+    DescentError,
     GgSnapshot,
     NotSignatureSafe,
     Representation,
     ReprElement,
-    TrailNotFound,
     buchberger,
     descend,
     elem_cmp,
@@ -31,18 +32,16 @@ from f5gb.oracle import (
     repr_sum_check,
     repr_value,
     rewrite_f5_case,
-    rewrite_hm_case,
     rewrite_rewritten_case,
-    spair_exhaustion_check,
-    standard_monomial_count,
     substitute_and_combine,
     violated_property,
 )
+from f5gb.oracle import _spoly
 from f5gb.poly import Monomial, normal_form
-from f5gb.sig import Genealogy, LabeledPolynomial, ModuleVector, Signature, sig_cmp, sig_mul
-from f5gb.trace import Registry, RegistryEntry, build_registry, poly_payload
+from f5gb.sig import LabeledPolynomial, ModuleVector, Signature, sig_cmp, sig_mul
+from f5gb.trace import build_registry
 
-from systems import LEX_SCOPE, P, make_ring, polys
+from systems import LEX_SCOPE, SUITE, P, make_ring, polys, standard_monomial_count
 
 
 def M(*exps):
@@ -53,8 +52,8 @@ def E(c, mono, pos):
     return ReprElement(c, mono, pos)
 
 
-def lp(pos, sig, poly, mv=None, genealogy=None):
-    return LabeledPolynomial(pos, sig, poly, mv, genealogy)
+def lp(pos, sig, poly, mv=None):
+    return LabeledPolynomial(pos, sig, poly, mv)
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +75,6 @@ def cmp_snap():
         members=(0, 1, 2),
         g_pos=2,
         rules={1: ((M(0, 0), 0), (M(1, 0), 2)), 2: ((M(0, 0), 1),)},
-        registry=Registry({}, {}),
         input_pos={1: 0, 2: 1},
     )
 
@@ -118,7 +116,7 @@ class TestOrderedForm:
         entries[2] = lp(2, Signature(M(0, 0), 1), entries[2].poly)
         other = GgSnapshot(
             cmp_snap.ring, entries, members=(0, 1, 2), g_pos=2, rules={},
-            registry=Registry({}, {}), input_pos={1: 0, 2: 1},
+            input_pos={1: 0, 2: 1},
         )
         r = Representation([E(1, M(0, 2), 0), E(1, M(0, 1), 2)])
         form = ordered_form(r, cmp_snap)
@@ -205,7 +203,6 @@ def sum_snap():
         members=(0, 1),
         g_pos=1,
         rules={1: ((M(0, 0), 1),), 2: ((M(0, 0), 0),)},
-        registry=Registry({}, {}),
         input_pos={1: 1, 2: 0},
     )
     return ring, snap
@@ -256,7 +253,6 @@ def f5_case_snap():
         members=(0, 1, 2),
         g_pos=2,
         rules={1: ((M(0, 0), 1), (M(1, 0), 2)), 2: ((M(0, 0), 0),)},
-        registry=Registry({}, {}),
         input_pos={1: 1, 2: 0},
     )
     return ring, snap
@@ -293,7 +289,6 @@ class TestViolatedProperty:
             members=(0, 1, 2),
             g_pos=2,
             rules={1: ((M(0, 0), 1), (M(0, 0), 2)), 2: ((M(0, 0), 0),)},
-            registry=Registry({}, {}),
             input_pos={1: 1, 2: 0},
         )
         r = Representation([E(1, M(0, 0), 1)])
@@ -340,7 +335,6 @@ class TestRewriteF5Case:
             members=(0, 1, 2),
             g_pos=2,
             rules={1: ((M(0, 0, 0), 2),), 2: ((M(0, 0, 0), 1),), 3: ((M(0, 0, 0), 0),)},
-            registry=Registry({}, {}),
             input_pos={1: 2, 2: 1, 3: 0},
         )
         assert snap.phi_basis(1) == [(M(0, 1, 0), 0), (M(1, 0, 0), 1)]
@@ -394,82 +388,78 @@ class TestRewriteRewrittenZeroBranch:
 
 
 # ---------------------------------------------------------------------------
-# the head-cancellation rewrite, on a consistent fabricated snapshot
+# a head above the target, on a consistent fabricated snapshot
 
 
 def hm_case_world():
-    """Members: second input x+y, first input x, and their reduced S-pair y.
+    """Members: second input x+y, first input x, y = (x+y) - x, a vector
+    (-y, x) of signature y*F1 with value x^2, and the inserted x*F1.
 
-    The completed element's own rule is left out of the table so the
-    head-cancellation case is reachable (with it, the pair's parts would be
-    rewritten first and the representation would never reach this state)."""
+    No element of the S-pair of x^2 and x*(x+y) stands in the basis, nor a
+    rule for it, so a head above the target is reachable: with that rule,
+    P2 would rewrite the pair's greater part first."""
     ring = make_ring(7, ["x", "y"])
-    f2 = P(ring, "x + y")
-    f1 = P(ring, "x")
-    e_poly = P(ring, "y")
-    e_mv = ModuleVector((P(ring, "-1"), P(ring, "1")))
-    g = P(ring, "x^2")
     entries = {
-        0: lp(0, Signature(M(0, 0), 2), f2, ModuleVector.unit(ring, 2, 2)),
-        1: lp(1, Signature(M(0, 0), 1), f1, ModuleVector.unit(ring, 2, 1)),
-        2: lp(2, Signature(M(0, 0), 1), e_poly, e_mv, genealogy=Genealogy(1, 0, M(0, 0), M(0, 0))),
-        4: lp(4, Signature(M(1, 0), 1), g, ModuleVector((P(ring, "x"), ring.zero))),
+        0: lp(0, Signature(M(0, 0), 2), P(ring, "x + y"), ModuleVector.unit(ring, 2, 2)),
+        1: lp(1, Signature(M(0, 0), 1), P(ring, "x"), ModuleVector.unit(ring, 2, 1)),
+        2: lp(2, Signature(M(0, 0), 1), P(ring, "y"), ModuleVector((P(ring, "-1"), P(ring, "1")))),
+        3: lp(3, Signature(M(0, 1), 1), P(ring, "x^2"), ModuleVector((P(ring, "-y"), P(ring, "x")))),
+        4: lp(4, Signature(M(1, 0), 1), P(ring, "x^2"), ModuleVector((P(ring, "x"), ring.zero))),
     }
     snap = GgSnapshot(
         ring,
         entries,
-        members=(0, 1, 2, 4),
+        members=(0, 1, 2, 3, 4),
         g_pos=4,
-        rules={1: ((M(0, 0), 1), (M(1, 0), 4)), 2: ((M(0, 0), 0),)},
-        registry=Registry(
-            {
-                2: RegistryEntry(
-                    pos=2,
-                    call=1,
-                    index=1,
-                    sig=Signature(M(0, 0), 1),
-                    creation_poly=poly_payload(e_poly),
-                    trail=[],
-                )
-            },
-            {},
-        ),
+        rules={1: ((M(0, 0), 1), (M(0, 0), 2), (M(0, 1), 3), (M(1, 0), 4)), 2: ((M(0, 0), 0),)},
         input_pos={1: 1, 2: 0},
     )
     return ring, snap
 
 
 class TestRewriteHmCase:
-    def test_head_pair_resolved_through_trail(self):
-        ring, snap = hm_case_world()
-        K1 = E(1, M(0, 1), 1)  # y * x
-        K2 = E(6, M(0, 1), 0)  # -y * (x + y)
-        r = Representation([K1, K2])
-        target = repr_value(r, snap)  # = -y^2
-        assert target == P(ring, "6*y^2")
-        violation = violated_property(r, Signature(M(0, 1), 1), M(0, 2), snap)
-        assert violation == ("P3", K1)
-        new = rewrite_hm_case(r, K1, snap)
-        assert repr_sum_check(new, target, snap)
-        assert repr_cmp(new, r, snap) == LT
-        assert new == Representation([E(6, M(0, 1), 2)])
-        # and nothing is violated afterwards
-        assert violated_property(new, Signature(M(0, 1), 1), M(0, 2), snap) is None
+    """A head above the target is reported, not rewritten."""
 
-    def test_missing_trail_is_loud(self):
-        ring, snap = hm_case_world()
-        snap.entries[2].genealogy = None  # sever the recorded origin
-        K1 = E(1, M(0, 1), 1)
-        K2 = E(6, M(0, 1), 0)
-        r = Representation([K1, K2])
-        with pytest.raises(TrailNotFound):
-            rewrite_hm_case(r, K1, snap)
+    HEAD_PAIR = "P3: head x^2 above the target head y^2 is attained by the head pair 1*1*r3, 6*x*r0"
 
-    def test_full_descent_reaches_fixpoint(self):
+    def test_head_pair_is_a_descent_error(self):
         ring, snap = hm_case_world()
-        res = descend(1, M(0, 1), 1, snap)
-        # y * x ends as y * (reduced S-pair element): value preserved
-        assert repr_sum_check(res.representation, P(ring, "x*y"), snap)
+        # y * y, rewritten by the newer rule of r3: r3 - x*(x+y) + y*(x+y)
+        K1, K2 = E(1, M(0, 0), 3), E(6, M(1, 0), 0)
+        r = Representation([K1, K2, E(1, M(0, 1), 0)])
+        assert repr_value(r, snap) == P(ring, "y^2")
+        with pytest.raises(DescentError, match=re.escape(self.HEAD_PAIR)):
+            violated_property(r, Signature(M(0, 1), 1), M(0, 2), snap)
+        with pytest.raises(DescentError, match=re.escape("attained only by 1*1*r3")):
+            violated_property(Representation([K1]), Signature(M(0, 1), 1), M(0, 2), snap)
+
+    def test_descend_raises_naming_the_pair(self):
+        ring, snap = hm_case_world()
+        with pytest.raises(DescentError, match=re.escape(self.HEAD_PAIR)):
+            descend(1, M(0, 1), 2, snap)
+
+    def test_withheld_spair_rules_on_a_real_log(self):
+        # with the rules of the other S-polynomials withheld, their pairs
+        # count as neither rejected nor completed, and heads above the
+        # target stay
+        names, texts = SUITE["katsura3_homog"]
+        ring = make_ring(32003, names)
+        res = incremental_f5(polys(ring, *texts), EngineConfig(self_check=True))
+        spol = {ev["pos"] for ev in res.events if ev["kind"] == "SPolCreated"}
+        snapshots = done_snapshots(res, build_registry(res.events))
+        for snap in snapshots:
+            snap.rules = {
+                index: [(m, owner) for m, owner in table if owner == snap.g_pos or owner not in spol]
+                for index, table in snap.rules.items()
+            }
+        raised = 0
+        for snap, coeff, mono, pos in harvest_descent_seeds(snapshots, 0, None):
+            try:
+                descend(coeff, mono, pos, snap)
+            except DescentError as exc:
+                assert str(exc).startswith("P3: head ")
+                raised += 1
+        assert raised
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +489,6 @@ def reductor_world():
             1: ((M(0, 0), 1), (M(0, 1), 3), (M(1, 0), 4)),
             2: ((M(0, 0), 0),),
         },
-        registry=Registry({}, {}),
         input_pos={1: 1, 2: 0},
     )
     return ring, snap
@@ -534,7 +523,6 @@ class TestFindUnrejectedReductor:
             members=(0, 1, 3),
             g_pos=3,
             rules={1: ((M(0, 0), 1), (M(1, 0), 3)), 2: ((M(0, 0), 0),)},
-            registry=Registry({}, {}),
             input_pos={1: 1, 2: 0},
         )
         # a genuine pair per the head/signature-quotient scan
@@ -640,6 +628,16 @@ class TestLexScope:
 
 # ---------------------------------------------------------------------------
 # reference algorithm
+
+
+def spair_exhaustion_check(basis):
+    """Definitional Groebner test: every S-polynomial reduces to zero."""
+    basis = [p for p in basis if not p.is_zero]
+    return all(
+        normal_form(_spoly(basis[i], basis[j]), basis).is_zero
+        for i in range(len(basis))
+        for j in range(i + 1, len(basis))
+    )
 
 
 def _monomials(n, d):

@@ -19,7 +19,6 @@ from f5gb.poly import (
     normal_form,
     poly_axpy,
     quotient_cmp,
-    validate_poly,
 )
 
 from systems import P, make_ring
@@ -32,6 +31,17 @@ def ring():
 
 def M(*exps):
     return Monomial(exps)
+
+
+def validate_poly(p: Polynomial) -> None:
+    """Structural check: descending distinct monomials, coefficients in (0, p)."""
+    order = p.ring.order
+    for c, m in p.terms:
+        if not (0 < c < p.ring.p):
+            raise AssertionError(f"coefficient {c} out of range")
+    for (c1, m1), (c2, m2) in zip(p.terms, p.terms[1:]):
+        if order.cmp(m1, m2) != GT:
+            raise AssertionError("terms out of order")
 
 
 class TestMonomialOrder:

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from f5gb.poly import EQ, GT, LT, Monomial
 from f5gb.sig import (
-    Genealogy,
     InconsistentModuleVector,
     LabeledPolynomial,
     ModuleVector,
@@ -149,10 +148,3 @@ class TestInputRepresentation:
         triples = input_representation(lp, ring.order)
         c, m, idx = triples[0]
         assert Signature(m, idx) == lp.sig
-
-
-class TestGenealogy:
-    def test_fields(self):
-        g = Genealogy(3, 1, M(1, 0), M(0, 1))
-        assert g.greater == 3 and g.smaller == 1
-        assert g.u_over == M(1, 0) and g.u_under == M(0, 1)

@@ -12,7 +12,6 @@ from f5gb.poly import Monomial, MonomialQuotient, quotient_cmp, GT
 from f5gb.sig import LabeledPolynomial, Signature
 from f5gb.trace import (
     InsertionView,
-    Registry,
     Trace,
     build_registry,
     check_chains,
@@ -174,7 +173,7 @@ class TestThm4Scan:
             0: LabeledPolynomial(0, sig0, ring.poly([(1, head0)]), None),
             1: LabeledPolynomial(1, sig1, ring.poly([(1, head1)]), None),
         }
-        return GgSnapshot(ring, entries, (0, 1), 1, {}, Registry({}, {}), {1: 0})
+        return GgSnapshot(ring, entries, (0, 1), 1, {}, {1: 0})
 
     def test_negative_control_from_direct_definition(self, ring):
         # head divides and signature divides, but the quotient comparison
@@ -332,7 +331,7 @@ class TestDoneInsertionAudit:
             ev for ev in fabricated_audit_log((1, 0))
             if not (ev["kind"] == "RuleAdded" and ev["pos"] == 0)
         ]
-        with pytest.raises(trace.BrokenGenealogy, match="r0 has no rule entry"):
+        with pytest.raises(trace.BrokenLink, match="r0 has no rule entry"):
             done_insertion_audit(events, ring)
 
 
@@ -342,7 +341,7 @@ class TestExtractChainBroken:
         (spol,) = [ev for ev in events if ev["kind"] == "SPolCreated"]
         spol["p1"] = 7  # no element was created at position 7
         registry = build_registry(events)
-        with pytest.raises(trace.BrokenGenealogy, match="broken ancestor link at r1"):
+        with pytest.raises(trace.BrokenLink, match="broken ancestor link at r1"):
             extract_chain(1, registry, ring)
 
 
