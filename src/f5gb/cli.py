@@ -265,9 +265,14 @@ def run_check(problem: ProblemFile, config: EngineConfig, descent_samples: int,
     # A thm4 pair yields, by descent, a reductor of f that every criterion
     # permits, so f's insertion would have reduced by it: on a correct run
     # the scan finds none.  Each pair fails the verdict, and its reductor is
-    # the witness.
+    # the witness.  Members only grow from one snapshot to the next, so
+    # scanning the pairs with a member new since the previous snapshot
+    # reports each pair once.
+    old: set[int] = set()
     for snap in snapshots:
-        for fprime, f in find_thm4_pairs_in_snapshot(snap):
+        pairs = find_thm4_pairs_in_snapshot(snap, old)
+        old = snap.member_set
+        for fprime, f in pairs:
             thm4["pairs"] += 1
             try:
                 mono, pos, _ = find_unrejected_reductor(f, fprime, snap, descent_cap)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 from .engine import EngineResult
 from .poly import (
@@ -80,7 +80,8 @@ class GgSnapshot(InsertionView):
     representation elements refer to these positions directly (the list is
     creation-ordered, so position comparison doubles as list-rank
     comparison).  ``input_pos`` maps an input index to the position of its
-    input polynomial.
+    input polynomial.  ``input_triples`` caches each position's expansion
+    over the inputs, which the rewrites ask for again and again.
     """
 
     def __init__(
@@ -98,7 +99,8 @@ class GgSnapshot(InsertionView):
         self.member_set = set(self.members)
         self.input_pos = input_pos
         g = self.entries[g_pos]  # inserted by the call of its index
-        self._g_scope = (g.index, sig_key(g.sig, self.order), g.poly.head_mono.deg)
+        self.g_scope = (g.index, sig_key(g.sig, self.order), g.poly.head_mono.deg)
+        self._triples: dict[int, list[tuple[int, Monomial, int]]] = {}
 
     @classmethod
     def from_result(cls, result: EngineResult, registry: Registry, seq: int) -> "GgSnapshot":
@@ -118,14 +120,28 @@ class GgSnapshot(InsertionView):
     def lp(self, pos: int) -> LabeledPolynomial:
         return self.entries[pos]
 
+    def input_triples(self, pos: int) -> list[tuple[int, Monomial, int]]:
+        """(coeff, mono, input index) of b_pos over the inputs, greatest
+        signature first (``sig.input_representation``); cached."""
+        triples = self._triples.get(pos)
+        if triples is None:
+            triples = self._triples[pos] = _mv_input_triples(self.entries[pos], self.order)
+        return triples
+
+    def target(self, t: Monomial, pos: int) -> tuple[tuple, int, int]:
+        """(signature key, index, degree) of t * b_pos, the arguments of
+        ``trace.in_scope`` that depend on the target; no ``Signature`` is
+        built.  Snapshots of one run share their entries, so it is the same
+        in all of them."""
+        e = self.entries[pos]
+        index, mono = e.sig.index, e.sig.mono
+        key = (-index, self.order.key(mono if t.is_one else t.mul(mono)))
+        return key, index, t.deg + e.poly.head_mono.deg
+
     def in_scope(self, t: Monomial, pos: int) -> bool:
         """Whether t * b_pos is in scope at the snapshot's insertion, by the
         rule of the thm5 check (``trace.in_scope``)."""
-        e = self.entries[pos]
-        index, mono = e.sig.index, e.sig.mono
-        # sig_key of t * sig(b_pos), with no Signature built per target
-        key = (-index, self.order.key(mono if t.is_one else t.mul(mono)))
-        return in_scope(key, index, t.deg + e.poly.head_mono.deg, *self._g_scope)
+        return in_scope(*self.target(t, pos), *self.g_scope)
 
 
 # ---------------------------------------------------------------------------
@@ -208,15 +224,17 @@ def ordered_form(r: Representation, snap: GgSnapshot) -> list[ReprElement]:
     """Elements sorted descending; total within one valid representation.
 
     Returns a fresh list; the sort runs once per representation and snapshot.
+    Each key is ``sig_key`` of the multiplied signature flattened with -pos,
+    computed with no ``Signature`` built.
     """
     if r._form_snap is not snap:
-        r._form = tuple(
-            sorted(
-                r.elements,
-                key=lambda e: (sig_key(element_sig(e, snap), snap.order), -e.pos),
-                reverse=True,
-            )
-        )
+        entries, key = snap.entries, snap.order.key
+
+        def elem_key(e: ReprElement) -> tuple:
+            s = entries[e.pos].sig
+            return (-s.index, key(e.mono.mul(s.mono)), -e.pos)
+
+        r._form = tuple(sorted(r.elements, key=elem_key, reverse=True))
         r._form_snap = snap
     return list(r._form)
 
@@ -244,12 +262,11 @@ def repr_cmp(r1: Representation, r2: Representation, snap: GgSnapshot) -> Option
 
 
 def repr_value(r: Representation, snap: GgSnapshot) -> Polynomial:
-    """The polynomial the representation sums to, built in one pass."""
-    return snap.ring.poly(
-        (e.coeff * c, m.mul(e.mono))
-        for e in r.elements
-        for c, m in snap.lp(e.pos).poly.terms
-    )
+    """The polynomial the representation sums to, built in one pass by
+    ``Ring.product_sum``: its terms are summed on packed monomials and
+    sorted once, so the elements need no order of their own."""
+    entries = snap.entries
+    return snap.ring.product_sum((c, t, entries[pos].poly) for c, t, pos in r.elements)
 
 
 def repr_sum_check(r: Representation, target: Polynomial, snap: GgSnapshot) -> bool:
@@ -259,9 +276,8 @@ def repr_sum_check(r: Representation, target: Polynomial, snap: GgSnapshot) -> b
 def input_representation(pos: int, snap: GgSnapshot) -> Representation:
     """The representation of b_pos over the input polynomials, expanded from
     its module vector; its greatest element carries exactly the signature."""
-    triples = _mv_input_triples(snap.lp(pos), snap.order)
     return Representation(
-        ReprElement(c, m, snap.input_pos[idx]) for c, m, idx in triples
+        ReprElement(c, m, snap.input_pos[idx]) for c, m, idx in snap.input_triples(pos)
     )
 
 
@@ -271,8 +287,7 @@ def _element_input_triples(
     """Input triples of coeff * t * b_pos: (coeff, mono, input index), greatest
     signature first (unique by admissibility)."""
     p = snap.ring.p
-    base = _mv_input_triples(snap.entries[pos], snap.order)
-    return [(coeff * c % p, t.mul(m), idx) for c, m, idx in base]
+    return [(coeff * c % p, t.mul(m), idx) for c, m, idx in snap.input_triples(pos)]
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +314,9 @@ def violated_property(
     a ``DescentError`` names the head pair."""
     order = snap.order
     form = ordered_form(r, snap)
-    for e in form:
-        if sig_cmp(element_sig(e, snap), mh_sig, order) == GT:
-            raise NotSignatureSafe(f"element {e!r} exceeds the target signature")
+    # the form descends, so its first element has the greatest signature
+    if form and sig_cmp(element_sig(form[0], snap), mh_sig, order) == GT:
+        raise NotSignatureSafe(f"element {form[0]!r} exceeds the target signature")
     for e in form:
         if snap.f5_satisfied(e.mono, e.pos):
             return ("P1", e)
@@ -639,15 +654,23 @@ def ideal_equal(g1: Sequence[Polynomial], g2: Sequence[Polynomial]) -> bool:
     return r1 == reduced_basis(g2) and all(normal_form(p, r1).is_zero for p in [*g1, *g2])
 
 
-def find_thm4_pairs_in_snapshot(snap: GgSnapshot) -> list[tuple[int, int]]:
+def find_thm4_pairs_in_snapshot(
+    snap: GgSnapshot, old: Collection[int] = ()
+) -> list[tuple[int, int]]:
     """Pairs (earlier, later) of snapshot members with dividing heads, a
-    strictly descending head/signature quotient, and dividing signatures."""
+    strictly descending head/signature quotient, and dividing signatures.
+
+    Pairs of two members in ``old`` are skipped.  A pair's test reads only
+    its two elements, and members only grow from one snapshot of a run to
+    the next, so passing the previous snapshot's members as ``old`` reports
+    each pair once, at the first snapshot that holds both."""
     order = snap.order
     out = []
     for a_pos in snap.members:
         a = snap.lp(a_pos)
+        a_old = a_pos in old
         for b_pos in snap.members:
-            if a_pos >= b_pos:
+            if a_pos >= b_pos or a_old and b_pos in old:
                 continue
             b = snap.lp(b_pos)
             if not a.poly.head_mono.divides(b.poly.head_mono):
@@ -675,16 +698,25 @@ def done_snapshots(result: EngineResult, registry: Registry) -> list[GgSnapshot]
 def harvest_descent_seeds(snapshots: Sequence[GgSnapshot], samples: int, rng) -> list[tuple]:
     """Deterministically sample (snapshot, coeff, mono, position) descent
     seeds: identity multipliers plus single-variable shifts of the members
-    whose target is in scope at the snapshot's insertion."""
+    whose target is in scope at the snapshot's insertion.
+
+    A target's signature key and degree (``GgSnapshot.target``) are the same
+    in every snapshot that shares its entries, so each is computed once."""
     seeds = []
+    entries = None
     for snap in snapshots:
-        ring = snap.ring
-        multipliers = [ring.one_mono()] + [ring.variable(i) for i in range(ring.n)]
+        if snap.entries is not entries:  # a new run: new multipliers and targets
+            entries, ring = snap.entries, snap.ring
+            multipliers = [ring.one_mono()] + [ring.variable(i) for i in range(ring.n)]
+            targets: dict[tuple[int, int], tuple] = {}  # (pos, k) -> target of t_k * b_pos
         for pos in snap.members:
             if pos == snap.g_pos:
                 continue
-            for t in multipliers:
-                if snap.in_scope(t, pos):
+            for k, t in enumerate(multipliers):
+                target = targets.get((pos, k))
+                if target is None:
+                    target = targets[(pos, k)] = snap.target(t, pos)
+                if in_scope(*target, *snap.g_scope):
                     seeds.append((snap, 1, t, pos))
     if samples and len(seeds) > samples:
         idx = sorted(rng.sample(range(len(seeds)), samples))

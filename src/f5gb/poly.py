@@ -343,6 +343,35 @@ class Ring:
         out.sort(key=lambda t: self.order.key(t[1]), reverse=True)
         return Polynomial(self, tuple(out))
 
+    def product_sum(self, products: Iterable[tuple[int, Monomial, "Polynomial"]]) -> "Polynomial":
+        """The sum of c * t * q over the (c, t, q) triples, in one pass.
+
+        Each product monomial is one addition of packed values, used as the
+        dict key with no ``Monomial`` built; a key with a guard bit set is an
+        exponent or degree that reached 2^15 and raises ``OverflowError`` as
+        ``mul`` does.  Coefficients are reduced modulo p once per key, and
+        monomials are built only for the terms that survive, then sorted once.
+        """
+        acc: dict[int, int] = {}
+        get = acc.get
+        for c, t, q in products:
+            tv = t.v
+            for cq, m in q.terms:
+                v = tv + m.v
+                acc[v] = get(v, 0) + c * cq
+        lay = _layout(self.n)
+        guard, p = lay.guard, self.p
+        out = []
+        for v, c in acc.items():
+            if v & guard:
+                raise _overflow("a product in product_sum")
+            c %= p
+            if c:
+                out.append((c, _packed(v, lay)))
+        key = self.order.key
+        out.sort(key=lambda t: key(t[1]), reverse=True)
+        return Polynomial(self, tuple(out))
+
     @property
     def zero(self) -> "Polynomial":
         return Polynomial(self, ())

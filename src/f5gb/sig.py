@@ -83,26 +83,24 @@ class ModuleVector:
         return ModuleVector(tuple(a.scale(c) for a in self.coords))
 
     def value(self, inputs: Sequence[Polynomial]) -> Polynomial:
-        """Sum of coords[i] * f_i, built in one pass."""
-        return inputs[0].ring.poly(
-            (c * cf, m.mul(mf))
-            for g, f in zip(self.coords, inputs)
-            for c, m in g.terms
-            for cf, mf in f.terms
+        """Sum of coords[i] * f_i, built in one pass (``Ring.product_sum``)."""
+        return inputs[0].ring.product_sum(
+            (c, m, f) for g, f in zip(self.coords, inputs) for c, m in g.terms
         )
 
-    def signature_terms(self, order: MonomialOrder) -> list[tuple[int, Signature]]:
-        """All module terms as (coeff, signature), greatest signature first."""
-        out = []
-        for k, g in enumerate(self.coords):
-            for c, m in g.terms:
-                out.append((c, Signature(m, k + 1)))
-        out.sort(key=lambda cs: sig_key(cs[1], order), reverse=True)
-        return out
-
     def lead(self, order: MonomialOrder) -> Optional[tuple[int, Signature]]:
-        terms = self.signature_terms(order)
-        return terms[0] if terms else None
+        """The greatest module term as (coeff, signature), None for zero.
+
+        No sort is needed, and ``order`` is not consulted: a smaller index is
+        greater, so every term of a coordinate beats every term of a later
+        one, and each coordinate's terms already descend in the ring order
+        that ``order`` names.  The lead is the head term of the first nonzero
+        coordinate."""
+        for k, g in enumerate(self.coords):
+            if g.terms:
+                c, m = g.terms[0]
+                return c, Signature(m, k + 1)
+        return None
 
 
 class LabeledPolynomial:
@@ -168,14 +166,12 @@ def input_representation(
 ) -> list[tuple[int, Monomial, int]]:
     """Expand the module vector into (coeff, mono, input index) triples.
 
-    Sorted by descending signature; for an admissible labeled polynomial the
-    first triple carries exactly the stored signature, and it is unique.
+    Descending in the signature order with no sort: the coordinates come in
+    index order, a smaller index is greater, and each coordinate's terms
+    already descend.  For an admissible labeled polynomial the first triple
+    carries exactly the stored signature, and it is unique.
     """
-    out = []
-    for k, g in enumerate(_vector(lp).coords):
-        for c, m in g.terms:
-            out.append((c, m, k + 1))
-    out.sort(key=lambda e: sig_key(Signature(e[1], e[2]), order), reverse=True)
+    out = [(c, m, k + 1) for k, g in enumerate(_vector(lp).coords) for c, m in g.terms]
     if len(out) >= 2:
         s0 = Signature(out[0][1], out[0][2])
         s1 = Signature(out[1][1], out[1][2])

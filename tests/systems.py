@@ -3,6 +3,8 @@ brute-force reference of the thm5 check and the Hilbert-function count."""
 
 from __future__ import annotations
 
+import itertools
+import random
 from typing import Sequence
 
 from f5gb.cli import _parse_poly
@@ -23,8 +25,36 @@ def polys(ring: Ring, *texts: str) -> list[Polynomial]:
 
 
 def problem_text(p: int, names, texts) -> str:
-    """A degrevlex problem file over GF(p)."""
+    """A problem file over GF(p): degrevlex unless ``texts`` holds an
+    ``order:`` line."""
     return "\n".join([f"p = {p}", "vars: " + ", ".join(names), *texts]) + "\n"
+
+
+PIN_PRIMES = (3, 5, 2**31 - 1)
+
+
+def random_problem_texts(count: int, seed: int) -> list[str]:
+    """``count`` small random homogeneous problem files: 2-3 variables, 2-5
+    polynomials of degree 1-3 with random supports.  System k is over
+    ``PIN_PRIMES[k % 3]`` and alternates deglex and lex with k, so every
+    prime meets both orders."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        p = PIN_PRIMES[k % 3]
+        order = ("deglex", "lex")[k % 2]
+        names = [f"x{i}" for i in range(rng.randint(2, 3))]
+        texts = []
+        for _ in range(rng.randint(2, 5)):
+            d = rng.randint(1, 3)
+            monos = [c for c in itertools.product(range(d + 1), repeat=len(names)) if sum(c) == d]
+            terms = []
+            for exps in rng.sample(monos, rng.randint(1, len(monos))):
+                factors = [f"{x}^{e}" for x, e in zip(names, exps) if e]
+                terms.append("*".join([str(rng.randrange(1, p))] + factors))
+            texts.append(" + ".join(terms))
+        out.append(problem_text(p, names, [f"order: {order}", *texts]))
+    return out
 
 
 def thm5_brute_force(events, ring: Ring) -> tuple[int, list]:

@@ -19,7 +19,15 @@ from f5gb.cli import (
 from f5gb.engine import EngineConfig, NonHomogeneousInput
 from f5gb.trace import events_from_jsonl, run_all_checkers
 
-from systems import CYCLIC4, LEX_SCOPE, SUITE, SUITE_PRIMES, problem_text, strip_rejections
+from systems import (
+    CYCLIC4,
+    LEX_SCOPE,
+    SUITE,
+    SUITE_PRIMES,
+    problem_text,
+    random_problem_texts,
+    strip_rejections,
+)
 
 DEMO = """# two generators over GF(7)
 p = 7
@@ -197,7 +205,8 @@ class TestCommands:
 
     def test_skipped_top_reduction_fails_thm4(self, tmp_path, monkeypatch):
         # the engine inserts one element that a permitted reductor should
-        # have reduced; every later snapshot holding both is a thm4 pair
+        # have reduced; the pair is reported once, at the first snapshot
+        # holding both
         is_reducible = engine.Engine._is_reducible
         skipped = []
 
@@ -215,12 +224,12 @@ class TestCommands:
         report = json.loads(out)
         thm4 = report["thm4"]
         assert code == 2 and report["verdicts"]["thm4_reductors"] is False
-        assert (thm4["pairs"], thm4["reductor_ok"]) == (12, 12)
+        assert (thm4["pairs"], thm4["reductor_ok"]) == (1, 1)
         witness = "pair (5,8): reductor x0*x3*r5 passes (a)-(d)"
         assert thm4["failures"][0] == witness
         skipped.clear()
         code, out = run_main(["check", str(path)])
-        assert "thm4 pairs: 12 found, 12 reductors pass (a)-(d)\n  " + witness in out
+        assert "thm4 pairs: 1 found, 1 reductors pass (a)-(d)\n  " + witness in out
 
     def test_budget_exit_code(self, cyclic_file):
         code, _ = run_main(["gb", cyclic_file, "--max-pairs", "1"])
@@ -301,14 +310,30 @@ class TestReadme:
 # counts all enter it, so a change meant to keep them must keep the digest.
 PINNED_REPORTS = "7799e2711d8c4b3a2dc6a7c77b0369231b4cb910f66806f32d212245cddac462"
 
+# The same digest over 36 small random systems under deglex and lex, over
+# GF(3), GF(5) and GF(2^31 - 1) (``random_problem_texts(36, 0)``), where the
+# suite has degrevlex only and p in {7, 32003}.
+PINNED_RANDOM_REPORTS = "a85a09682f727d59de1863dd44a1bec95f44d1a446fe1717d6e15e510d531373"
+
+
+def _reports_digest(texts, config) -> str:
+    reports = []
+    for text in texts:
+        report = run_check(parse_problem(text), config, 25, 10**5, 0)
+        del report["elapsed_s"]
+        reports.append(report)
+    return hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
+
 
 class TestReportPin:
     def test_suite_reports_pinned(self):
-        reports = []
-        for names, texts in SUITE.values():
-            for p in SUITE_PRIMES:
-                report = run_check(parse_problem(problem_text(p, names, texts)), EngineConfig(), 25, 10**5, 0)
-                del report["elapsed_s"]
-                reports.append(report)
-        digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
-        assert digest == PINNED_REPORTS
+        texts = [
+            problem_text(p, names, texts)
+            for names, texts in SUITE.values()
+            for p in SUITE_PRIMES
+        ]
+        assert _reports_digest(texts, EngineConfig()) == PINNED_REPORTS
+
+    def test_random_reports_pinned(self):
+        texts = random_problem_texts(36, 0)
+        assert _reports_digest(texts, EngineConfig(max_degree=12)) == PINNED_RANDOM_REPORTS

@@ -1,5 +1,7 @@
 """Arithmetic layer: orders, monomials, polynomials, normal forms."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -373,6 +375,55 @@ class TestAxpyKernel:
             validate_poly(out)
             assert out == axpy_reference(a, c, u, b)
         assert poly_axpy(q.term_mul(3, t), 3, t, q).is_zero
+
+
+SUM_PRIMES = (3, 7, 32003, 2**31 - 1)
+
+
+def product_sum_reference(ring, products):
+    """The sum of c*t*q expanded term by term through ``Ring.poly``."""
+    return ring.poly((c * cq, t.mul(m)) for c, t, q in products for cq, m in q.terms)
+
+
+class TestProductSum:
+    """``Ring.product_sum`` against a term-by-term ``Ring.poly`` expansion."""
+
+    @pytest.mark.parametrize("kind", ORDER_KINDS)
+    @pytest.mark.parametrize("prime", SUM_PRIMES)
+    def test_matches_reference(self, kind, prime):
+        ring = make_ring(prime, ["x", "y", "z"], kind)
+        rng = random.Random(f"{kind}/{prime}")
+
+        def mono():
+            return Monomial([rng.randint(0, 3) for _ in range(3)])
+
+        def poly():
+            return ring.poly((rng.randint(-prime, 2 * prime), mono()) for _ in range(rng.randint(0, 6)))
+
+        for _ in range(60):
+            products = [
+                (rng.randint(-prime, 2 * prime), mono(), poly()) for _ in range(rng.randint(0, 6))
+            ]
+            out = ring.product_sum(products)
+            validate_poly(out)
+            assert out == product_sum_reference(ring, products)
+            # every product cancelled by its negative, in a shuffled order
+            cancel = products + [(-c, t, q) for c, t, q in products]
+            rng.shuffle(cancel)
+            assert ring.product_sum(cancel).is_zero
+        assert ring.product_sum([]) == ring.zero
+
+    def test_overflow_raises(self):
+        ring = make_ring(7, ["x", "y"])
+        top = P(ring, f"x^{BOUND - 1}")
+        assert ring.product_sum([(1, M(0, 0), top)]) == top
+        with pytest.raises(OverflowError, match="2\\^15"):
+            ring.product_sum([(1, M(1, 0), top)])  # the exponent field of x
+        with pytest.raises(OverflowError, match="2\\^15"):
+            ring.product_sum([(1, M(0, 1), top)])  # the degree field only
+        with pytest.raises(OverflowError, match="2\\^15"):
+            # the guard is tested on every key, also one whose terms cancel
+            ring.product_sum([(1, M(0, 1), top), (6, M(0, 1), top)])
 
 
 def normal_form_reference(p, basis):

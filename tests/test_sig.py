@@ -1,10 +1,12 @@
 """Signature order, divisibility, module vectors, admissibility."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from f5gb.poly import EQ, GT, LT, Monomial
+from f5gb.poly import EQ, GT, LT, ORDER_KINDS, Monomial
 from f5gb.sig import (
     InconsistentModuleVector,
     LabeledPolynomial,
@@ -14,6 +16,7 @@ from f5gb.sig import (
     input_representation,
     sig_cmp,
     sig_divides,
+    sig_key,
     sig_mul,
 )
 
@@ -148,3 +151,32 @@ class TestInputRepresentation:
         triples = input_representation(lp, ring.order)
         c, m, idx = triples[0]
         assert Signature(m, idx) == lp.sig
+
+
+class TestLeadWithoutSort:
+    """``ModuleVector.lead`` and ``input_representation`` read the vector in
+    coordinate order; a brute-force sort of all module terms agrees."""
+
+    @pytest.mark.parametrize("kind", ORDER_KINDS)
+    def test_match_brute_force(self, kind):
+        ring = make_ring(32003, ["x", "y", "z"], kind)
+        rng = random.Random(kind)
+        for _ in range(200):
+            coords = [
+                ring.poly(
+                    (rng.randint(1, 32002), Monomial([rng.randint(0, 3) for _ in range(3)]))
+                    for _ in range(rng.choice((0, 0, 1, 4)))
+                )
+                for _ in range(rng.randint(1, 4))
+            ]
+            mv = ModuleVector(coords)
+            terms = sorted(
+                ((c, Signature(m, k + 1)) for k, g in enumerate(coords) for c, m in g.terms),
+                key=lambda cs: sig_key(cs[1], ring.order),
+                reverse=True,
+            )
+            assert mv.lead(ring.order) == (terms[0] if terms else None)
+            lp = LabeledPolynomial(0, Signature(Monomial([0, 0, 0]), 1), ring.zero, mv)
+            assert input_representation(lp, ring.order) == [
+                (c, s.mono, s.index) for c, s in terms
+            ]
