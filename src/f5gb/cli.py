@@ -175,12 +175,6 @@ def _print_basis(result_polys, out):
         out.write(q.text() + "\n")
 
 
-def _basis_sorted(polys, ring):
-    return sorted(
-        [q for q in polys if not q.is_zero], key=lambda q: ring.order.key(q.head_mono)
-    )
-
-
 def cmd_gb(args, out=None) -> int:
     out = out or sys.stdout
     problem = parse_problem(_read(args.file), args.allow_affine, args.order)
@@ -200,7 +194,7 @@ def cmd_oracle(args, out=None) -> int:
     out = out or sys.stdout
     problem = parse_problem(_read(args.file), args.allow_affine, args.order)
     basis = buchberger(problem.polynomials)
-    _print_basis(_basis_sorted(basis, problem.ring), out)
+    _print_basis(basis, out)
     return 0
 
 
@@ -246,9 +240,7 @@ def run_check(problem: ProblemFile, config: EngineConfig, descent_samples: int,
     reports = run_all_checkers(result.events, problem.ring, registry)
     verdicts = {rep.name: rep.passed for rep in reports}
     verdicts["ideal_equal"] = equal
-    verdicts["admissible"] = all(
-        check_admissible(lp, result.inputs, problem.ring.order) for lp in result.R
-    )
+    verdicts["admissible"] = all(check_admissible(lp, result.inputs) for lp in result.R)
 
     descents = {"attempted": 0, "completed": 0, "max_steps": 0, "failures": []}
     thm4 = {"pairs": 0, "reductor_ok": 0, "failures": []}
@@ -298,7 +290,7 @@ def run_check(problem: ProblemFile, config: EngineConfig, descent_samples: int,
         "thm4": thm4,
         "elapsed_s": round(time.perf_counter() - t0, 3),
         "basis": [q.text() for q in f5_basis],
-        "oracle_basis": [q.text() for q in _basis_sorted(oracle_basis, problem.ring)],
+        "oracle_basis": [q.text() for q in oracle_basis],
     }
     report["ok"] = all(verdicts.values())
     return report
@@ -338,6 +330,12 @@ def cmd_check(args, out=None) -> int:
 def cmd_descend(args, out=None) -> int:
     out = out or sys.stdout
     problem = parse_problem(_read(args.file), args.allow_affine, args.order)
+    mono = Monomial([0] * problem.ring.n)
+    if args.mult is not None:
+        mult = _parse_poly(problem.ring, args.mult, 0)
+        if len(mult.terms) != 1:
+            raise ParseError(f"--mult {args.mult!r} is not exactly one nonzero term", 0)
+        mono = mult.head_mono
     config = dataclasses.replace(_config_from_args(args), self_check=True)
     try:
         result = incremental_f5(problem.polynomials, config)
@@ -353,9 +351,10 @@ def cmd_descend(args, out=None) -> int:
         return 2
     snap = snapshots[args.snapshot]
     h_pos = args.element if args.element is not None else snap.members[0]
-    mono = Monomial([0] * problem.ring.n)
-    if args.mult:
-        mono = _parse_poly(problem.ring, args.mult, 0).head_mono
+    if h_pos not in snap.member_set:
+        out.write(f"element {h_pos} is not a member of snapshot {args.snapshot}"
+                  f" (members {list(snap.members)})\n")
+        return 2
     try:
         res = descend(1, mono, h_pos, snap, args.descent_cap)
     except DescentError as exc:

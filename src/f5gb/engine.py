@@ -183,7 +183,7 @@ class Engine:
         self.R.append(lp)
         self.creation_polys[lp.pos] = poly
         self.trails[lp.pos] = []
-        if self.config.self_check and not check_admissible(lp, self.inputs, self.order):
+        if self.config.self_check and not check_admissible(lp, self.inputs):
             raise InternalInvariantError(f"r{lp.pos} created non-admissible")
         return lp
 

@@ -62,7 +62,7 @@ class _Layout:
     bit without touching its neighbour.
     """
 
-    __slots__ = ("n", "shift", "low", "guard", "exp_guard", "ones", "codec", "big")
+    __slots__ = ("n", "shift", "low", "guard", "exp_guard", "ones", "low_bytes", "codec", "big")
 
     def __init__(self, n: int):
         self.n = n
@@ -72,6 +72,7 @@ class _Layout:
         self.guard = every << (FIELD_BITS - 1)
         self.exp_guard = self.guard & self.low
         self.ones = every & self.low
+        self.low_bytes = self.ones * 0xFF  # the low byte of each exponent field
         self.codec = Struct(f"<{n}H")  # exponent fields, x_0 first
         self.big = Struct(f">{n}H")  # the same, big-endian: the lex key
 
@@ -99,12 +100,12 @@ class Monomial:
     ``mul`` is one addition, ``divides`` and ``divide`` one subtraction with
     a test of the guard bits, and ``lcm``/``gcd`` a fieldwise max/min.
 
-    Three values are computed on first use only: the exponent tuple
-    (``exps``), the divisibility mask (``mask``) and a deglex or lex order
-    key, stored with its kind (by ``MonomialOrder.key``).
+    Two values are computed on first use only: the exponent tuple (``exps``)
+    and the divisibility mask (``mask``).  Order keys are not stored: each
+    ``MonomialOrder.key`` is computed from ``v``.
     """
 
-    __slots__ = ("v", "lay", "_exps", "_mask", "_key", "_key_kind")
+    __slots__ = ("v", "lay", "_exps", "_mask")
 
     def __init__(self, exps: Sequence[int]):
         exps = tuple(exps)
@@ -118,7 +119,6 @@ class Monomial:
         self.lay = lay
         self._exps = exps
         self._mask = None
-        self._key_kind = None
 
     @staticmethod
     def one(n: int) -> "Monomial":
@@ -229,7 +229,7 @@ def _packed(v: int, lay: _Layout) -> Monomial:
     m = object.__new__(Monomial)
     m.v = v
     m.lay = lay
-    m._exps = m._mask = m._key_kind = None
+    m._exps = m._mask = None
     return m
 
 
@@ -240,11 +240,13 @@ class MonomialOrder:
     ``min``/``max`` can be used directly.  ``exps_key(exps, deg)`` is the same
     key for an exponent tuple and its total degree, with no ``Monomial``.
 
-    The keys are ints laid out like the packed form.  degrevlex: the packed
+    The keys are ints laid out like the packed form, and each is computed
+    from the packed value with no exponent decode.  degrevlex: the packed
     value with every exponent field complemented, so the degree decides
     first and then a smaller exponent of the last variable wins.  lex: the
-    exponent fields in reverse, x_0 most significant.  deglex: the degree
-    above the lex key.
+    exponent fields in reverse, x_0 most significant; that is the exponent
+    fields with the two bytes of each swapped, read as a big-endian int.
+    deglex: the degree above the lex key.
     """
 
     __slots__ = ("kind", "n", "_lay")
@@ -257,16 +259,15 @@ class MonomialOrder:
         self._lay = _layout(n)
 
     def key(self, m: Monomial) -> int:
-        """A degrevlex key is one XOR; a deglex or lex key is cached on ``m``
-        with the order kind, and a key of another kind replaces it."""
-        kind = self.kind
-        if kind == "degrevlex":
-            return m.v ^ self._lay.low
-        if m._key_kind == kind:
-            return m._key
-        key = m._key = self.exps_key(m.exps, m.deg)
-        m._key_kind = kind
-        return key
+        lay = self._lay
+        v = m.v
+        if self.kind == "degrevlex":
+            return v ^ lay.low
+        exps = v & lay.low
+        low_bytes = lay.low_bytes
+        swapped = (exps & low_bytes) << 8 | (exps >> 8) & low_bytes
+        lex = int.from_bytes(swapped.to_bytes(2 * lay.n, "little"), "big")
+        return lex if self.kind == "lex" else v - exps | lex
 
     def exps_key(self, exps: Sequence[int], deg: int) -> int:
         lay = self._lay

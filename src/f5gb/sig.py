@@ -88,14 +88,13 @@ class ModuleVector:
             (c, m, f) for g, f in zip(self.coords, inputs) for c, m in g.terms
         )
 
-    def lead(self, order: MonomialOrder) -> Optional[tuple[int, Signature]]:
+    def lead(self) -> Optional[tuple[int, Signature]]:
         """The greatest module term as (coeff, signature), None for zero.
 
-        No sort is needed, and ``order`` is not consulted: a smaller index is
-        greater, so every term of a coordinate beats every term of a later
-        one, and each coordinate's terms already descend in the ring order
-        that ``order`` names.  The lead is the head term of the first nonzero
-        coordinate."""
+        No sort is needed: a smaller index is greater, so every term of a
+        coordinate beats every term of a later one, and each coordinate's
+        terms already descend in the ring order.  The lead is the head term
+        of the first nonzero coordinate."""
         for k, g in enumerate(self.coords):
             if g.terms:
                 c, m = g.terms[0]
@@ -141,9 +140,7 @@ def _vector(lp: LabeledPolynomial) -> ModuleVector:
     return lp.mv
 
 
-def check_admissible(
-    lp: LabeledPolynomial, inputs: Sequence[Polynomial], order: MonomialOrder
-) -> bool:
+def check_admissible(lp: LabeledPolynomial, inputs: Sequence[Polynomial]) -> bool:
     """The stored signature equals the leading module term of the vector.
 
     Raises InconsistentModuleVector when the vector does not even sum to the
@@ -155,7 +152,7 @@ def check_admissible(
         raise InconsistentModuleVector(
             f"module vector of r{lp.pos} does not sum to its polynomial"
         )
-    lead = mv.lead(order)
+    lead = mv.lead()
     if lead is None:
         return False
     return lead[1] == lp.sig

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
-from operator import add, itemgetter, sub
+from operator import add, itemgetter
 from typing import Optional, Sequence
 
 from .poly import GT, Monomial, MonomialQuotient, Polynomial, Ring, poly_axpy, quotient_cmp
@@ -109,10 +109,13 @@ class RegistryEntry:
     zero_seq: Optional[int] = None
     final_poly: Optional[list] = None
     trail: Optional[list] = None
-    is_input: bool = False
     # head monomial of the final polynomial (the creation-time one while the
     # log holds no outcome); None once reduced to zero
     head: Optional[Monomial] = None
+
+    @property
+    def is_input(self) -> bool:
+        return self.genealogy is None
 
     @property
     def is_zero(self) -> bool:
@@ -156,7 +159,6 @@ def build_registry(events: Sequence[dict]) -> Registry:
                 creation_poly=ev["poly"],
                 final_poly=ev["poly"],
                 created_seq=ev["seq"],
-                is_input=True,
             )
         elif kind in ("SPolCreated", "NewFromTopReduction"):
             sig = sig_from_payload(ev["sig"])
@@ -312,13 +314,9 @@ def check_rule_degrees(events: Sequence[dict]) -> CheckReport:
     return _report("rule_degrees", checked, failures)
 
 
-def check_genealogy(
-    events: Sequence[dict], order, registry: Optional[Registry] = None
-) -> CheckReport:
+def check_genealogy(registry: Registry, order) -> CheckReport:
     """Created elements: sig equals u_over * S(greater part) and strictly
     exceeds u_under * S(smaller part); Done events follow their creation."""
-    if registry is None:
-        registry = build_registry(events)
     failures = []
     checked = 0
     for e in registry.entries.values():
@@ -379,12 +377,8 @@ def replay_trail(
     return out
 
 
-def check_replay(
-    events: Sequence[dict], ring: Ring, registry: Optional[Registry] = None
-) -> CheckReport:
+def check_replay(registry: Registry, ring: Ring) -> CheckReport:
     """Replaying each Done element's trail reproduces its final polynomial."""
-    if registry is None:
-        registry = build_registry(events)
     failures = []
     checked = 0
     finals: dict[int, Polynomial] = {}
@@ -430,8 +424,6 @@ def extract_chain(pos: int, registry: Registry, ring: Ring) -> ChainReport:
     cur = registry.entries[pos]
     seen = {pos}
     while not cur.is_input:
-        if cur.genealogy is None:
-            raise BrokenLink(f"r{cur.pos} has no genealogy and is not an input")
         parent = cur.genealogy[0]
         if parent not in registry.entries or parent in seen:
             raise BrokenLink(f"broken ancestor link at r{cur.pos}")
@@ -470,11 +462,7 @@ def extract_chain(pos: int, registry: Registry, ring: Ring) -> ChainReport:
     return ChainReport(chain, div_ok, quot_ok, distinct_ok)
 
 
-def check_chains(
-    events: Sequence[dict], ring: Ring, registry: Optional[Registry] = None
-) -> CheckReport:
-    if registry is None:
-        registry = build_registry(events)
+def check_chains(registry: Registry, ring: Ring) -> CheckReport:
     failures = []
     checked = 0
     for e in registry.entries.values():
@@ -577,13 +565,9 @@ class InsertionView:
         return None
 
 
-def done_insertion_audit(
-    events: Sequence[dict], ring: Ring, registry: Optional[Registry] = None
-) -> CheckReport:
+def done_insertion_audit(registry: Registry) -> CheckReport:
     """At every Done insertion, re-evaluate checks (a)-(d) from scratch for
     every candidate and confirm none passes all four."""
-    if registry is None:
-        registry = build_registry(events)
     failures = []
     checked = 0
     for call, done in registry.insertions.items():
@@ -802,28 +786,19 @@ class _DominanceCount:
     """Points (key, deg) added one at a time, counted by a lower bound on
     each coordinate.
 
-    One Fenwick tree over key rank per distinct degree among ``degs``; the
-    tree of degree d holds the points of degree at least d.
+    One sorted key list per distinct degree among ``degs``; the list of
+    degree d holds the keys of the points of degree at least d.
     """
 
-    def __init__(self, keys: Sequence[tuple], degs: Sequence[int]):
-        self.keys = sorted(set(keys))
+    def __init__(self, degs: Sequence[int]):
         self.degs = sorted(set(degs))
-        self.trees = [[0] * (len(self.keys) + 1) for _ in self.degs]
-        self.sizes = [0] * len(self.degs)
+        self.keys: list[list[tuple]] = [[] for _ in self.degs]
 
     def add(self, key: tuple, deg: int) -> None:
-        n = len(self.keys)
-        rank = bisect_left(self.keys, key) + 1
-        for t, d in enumerate(self.degs):
+        for d, keys in zip(self.degs, self.keys):
             if d > deg:
                 break
-            self.sizes[t] += 1
-            tree = self.trees[t]
-            i = rank
-            while i <= n:
-                tree[i] += 1
-                i += i & -i
+            insort(keys, key)
 
     def above(self, key: tuple, min_deg: Optional[int] = None) -> int:
         """Points with key above ``key`` and, unless ``min_deg`` is None, a
@@ -831,20 +806,11 @@ class _DominanceCount:
         t = 0 if min_deg is None else bisect_left(self.degs, min_deg)
         if t == len(self.degs):
             return 0
-        tree = self.trees[t]
-        at_most = 0
-        i = bisect_right(self.keys, key)
-        while i:
-            at_most += tree[i]
-            i &= i - 1
-        return self.sizes[t] - at_most
+        keys = self.keys[t]
+        return len(keys) - bisect_right(keys, key)
 
 
-def check_thm5_exhaustive(
-    events: Sequence[dict],
-    ring: Ring,
-    registry: Optional[Registry] = None,
-) -> CheckReport:
+def check_thm5_exhaustive(events: Sequence[dict], registry: Registry, ring: Ring) -> CheckReport:
     """Every in-scope pair at every insertion is classified into exactly one
     of {f5, rewritten, completed} by its first processing outcome.
 
@@ -864,8 +830,6 @@ def check_thm5_exhaustive(
     those insertions are looked at one by one.  Each pair's data is worked
     out once per log and shared by the calls.
     """
-    if registry is None:
-        registry = build_registry(events)
     order = ring.order
     rules = _PairRules(events, registry, order)
     pairs: dict[tuple[int, int], tuple] = {}
@@ -881,7 +845,7 @@ def check_thm5_exhaustive(
         members = sorted(begin["g_next"] + [begin["input_pos"]])
         start = len(members)
         members += g_pos[:-1]
-        count = _DominanceCount(g_key, g_deg)
+        count = _DominanceCount(g_deg)
         for k in range(len(done) - 1, -1, -1):
             count.add(g_key[k], g_deg[k])
             for i in range(start) if k == 0 else (start + k - 1,):
@@ -915,9 +879,9 @@ def run_all_checkers(
         check_d_progression(events),
         check_signature_safety(events, ring.order),
         check_rule_degrees(events),
-        check_genealogy(events, ring.order, registry),
-        check_replay(events, ring, registry),
-        check_chains(events, ring, registry),
-        done_insertion_audit(events, ring, registry),
-        check_thm5_exhaustive(events, ring, registry),
+        check_genealogy(registry, ring.order),
+        check_replay(registry, ring),
+        check_chains(registry, ring),
+        done_insertion_audit(registry),
+        check_thm5_exhaustive(events, registry, ring),
     ]

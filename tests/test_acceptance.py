@@ -133,10 +133,9 @@ def test_criterion_5_admissibility(suite):
     failures = []
     checked = 0
     for run in suite["runs"]:
-        order = run["ring"].order
         for lp in run["result"].R:
             checked += 1
-            if not check_admissible(lp, run["result"].inputs, order):
+            if not check_admissible(lp, run["result"].inputs):
                 failures.append((run["name"], lp.pos))
     _report(5, not failures, f"{checked} labeled polynomials, 100% admissible")
 
@@ -146,7 +145,8 @@ def test_criterion_6_thm5_exhaustiveness(suite):
     checked = 0
     for run in suite["runs"]:
         assert run["result"].counters["pairs_created"] < 5000
-        rep = check_thm5_exhaustive(run["result"].events, run["ring"])
+        events = run["result"].events
+        rep = check_thm5_exhaustive(events, build_registry(events), run["ring"])
         checked += rep.checked
         if not rep.passed:
             failures.append((run["name"], rep.failures[:2]))

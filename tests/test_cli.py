@@ -186,11 +186,12 @@ class TestCommands:
         # thm5_exhaustive on the log without its criterion rejections: the
         # pairs they classified are unclassified, and the check fails
         check = trace.check_thm5_exhaustive
-        monkeypatch.setattr(
-            trace,
-            "check_thm5_exhaustive",
-            lambda events, ring, registry=None: check(strip_rejections(events), ring),
-        )
+
+        def check_stripped(events, registry, ring):
+            stripped = strip_rejections(events)
+            return check(stripped, trace.build_registry(stripped), ring)
+
+        monkeypatch.setattr(trace, "check_thm5_exhaustive", check_stripped)
         code, out = run_main(["check", cyclic_file, "--json-report"])
         report = json.loads(out)
         assert code == 2 and report["ok"] is False
@@ -262,6 +263,23 @@ class TestCommands:
         )
         assert code == 2
         assert "out of scope" in out and "degree" in out
+
+    @pytest.mark.parametrize("element", ["3", "9999", "-1"])
+    def test_descend_non_member_element_exits_2(self, cyclic_file, element):
+        # snapshot 0 of the cyclic run holds r0, r1 and r2
+        code, out = run_main(["descend", cyclic_file, "--element", element])
+        assert code == 2
+        assert out == f"element {element} is not a member of snapshot 0 (members [0, 1, 2])\n"
+
+    @pytest.mark.parametrize("mult", ["0", "x+y", "x - x", "7*x", ""])
+    def test_descend_mult_must_be_one_nonzero_term(self, cyclic_file, mult, capsys):
+        assert main(["descend", cyclic_file, "--mult", mult]) == 1
+        assert "error: line 0" in capsys.readouterr().err
+
+    def test_descend_mult_coefficient_is_ignored(self, cyclic_file):
+        plain = run_main(["descend", cyclic_file, "--element", "1", "--mult", "h"])
+        assert plain == run_main(["descend", cyclic_file, "--element", "1", "--mult", "3*h"])
+        assert plain[0] == 0 and '"elements":[[1,[0,0,0,1],1]]' in plain[1]
 
     def test_parse_error_exit_code(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -104,10 +104,8 @@ class TestDemoRun:
         for ev in events_of(demo, "SPolCreated"):
             assert sig_from_payload(ev["sig"]).index == ev["call"]
 
-    def test_admissible_throughout(self, demo, ring):
-        assert all(
-            check_admissible(lp, demo.inputs, ring.order) for lp in demo.R
-        )
+    def test_admissible_throughout(self, demo):
+        assert all(check_admissible(lp, demo.inputs) for lp in demo.R)
 
 
 class TestMonomialIdeals:
@@ -129,7 +127,7 @@ class TestMonomialIdeals:
         lp = res.R[pos]
         assert lp.poly.is_zero
         assert lp.mv.value(res.inputs).is_zero
-        assert lp.mv.lead(res.ring.order)[1] == lp.sig
+        assert lp.mv.lead()[1] == lp.sig
 
 
 class TestModuleVectors:
@@ -140,12 +138,12 @@ class TestModuleVectors:
     @pytest.mark.parametrize("config", [EngineConfig(self_check=True)])
     def test_carried_when_checked(self, ring, config):
         res = incremental_f5(polys(ring, "x^2 + y^2", "x*y"), config)
-        assert all(check_admissible(lp, res.inputs, ring.order) for lp in res.R)
+        assert all(check_admissible(lp, res.inputs) for lp in res.R)
 
     def test_admissibility_of_vectorless_element_names_the_flags(self, ring):
         res = incremental_f5(polys(ring, "x^2 + y^2", "x*y"))
         with pytest.raises(MissingModuleVector, match=r"EngineConfig\(self_check=True\)$"):
-            check_admissible(res.R[0], res.inputs, ring.order)
+            check_admissible(res.R[0], res.inputs)
 
 
 class TestInputRetirement:

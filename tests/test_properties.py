@@ -58,7 +58,7 @@ def test_engine_matches_reference_and_passes_all_checkers(data):
     registry = build_registry(result.events)
     for rep in run_all_checkers(result.events, ring, registry):
         assert rep.passed, rep.line()
-    assert all(check_admissible(lp, result.inputs, ring.order) for lp in result.R)
+    assert all(check_admissible(lp, result.inputs) for lp in result.R)
     # a DescentError fails the test
     for snap, coeff, mono, pos in harvest_descent_seeds(
         done_snapshots(result, registry), 0, None
@@ -84,5 +84,5 @@ def test_thm5_count_matches_brute_force(data):
         except BudgetExceeded:
             continue
         for events in (result.events, strip_rejections(result.events)):
-            rep = check_thm5_exhaustive(events, ring)
+            rep = check_thm5_exhaustive(events, build_registry(events), ring)
             assert (rep.checked, rep.failures) == thm5_brute_force(events, ring)

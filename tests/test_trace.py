@@ -2,6 +2,7 @@
 
 import copy
 import io
+import random
 
 import pytest
 
@@ -164,7 +165,7 @@ class TestChains:
 
     def test_all_chains_pass_on_runs(self, cyclic):
         ring, res = cyclic
-        assert check_chains(res.events, ring).passed
+        assert check_chains(build_registry(res.events), ring).passed
 
 
 class TestThm4Scan:
@@ -296,35 +297,37 @@ def insertion_view(events, pos):
 
 
 class TestDoneInsertionAudit:
-    def test_passes_on_runs(self, demo, cyclic, ring):
-        assert done_insertion_audit(demo.events, ring).passed
-        cring, res = cyclic
-        assert done_insertion_audit(res.events, cring).passed
+    def test_passes_on_runs(self, demo, cyclic):
+        assert done_insertion_audit(build_registry(demo.events)).passed
+        _, res = cyclic
+        assert done_insertion_audit(build_registry(res.events)).passed
 
-    def test_negative_control_skipped_check(self, ring):
+    def test_negative_control_skipped_check(self):
         # candidate multiplier y shifts the input signature to (y,1) != (x,1):
         # nothing rejects it, which the audit must flag as an engine bug
-        rep = done_insertion_audit(fabricated_audit_log((1, 0)), ring)
+        rep = done_insertion_audit(build_registry(fabricated_audit_log((1, 0))))
         assert not rep.passed
 
-    def test_check_c_rescues_rewritten_candidate(self, ring):
+    def test_check_c_rescues_rewritten_candidate(self):
         events = fabricated_audit_log((0, 1))
-        rep = done_insertion_audit(events, ring)
+        registry = build_registry(events)
+        rep = done_insertion_audit(registry)
         assert rep.passed and rep.checked == 1
-        g = build_registry(events).entries[1]
+        g = registry.entries[1]
         assert insertion_view(events, 1).failed_check(0, g.head, g.sig) == "c"
 
-    def test_check_d_rescues_equal_signature(self, ring):
+    def test_check_d_rescues_equal_signature(self):
         events = check_d_audit_log()
-        rep = done_insertion_audit(events, ring)
+        registry = build_registry(events)
+        rep = done_insertion_audit(registry)
         assert rep.passed and rep.checked == 2
         view = insertion_view(events, 1)
         assert view.members == (0, 1, 2)
-        g = build_registry(events).entries[1]
+        g = registry.entries[1]
         assert view.failed_check(0, g.head, g.sig) == "c"
         assert view.failed_check(2, g.head, g.sig) == "d"
 
-    def test_candidate_without_rule_entry_is_loud(self, ring):
+    def test_candidate_without_rule_entry_is_loud(self):
         # the input passes checks (a) and (b); with its RuleAdded gone there
         # is no rule to decide check (c) by
         events = [
@@ -332,7 +335,7 @@ class TestDoneInsertionAudit:
             if not (ev["kind"] == "RuleAdded" and ev["pos"] == 0)
         ]
         with pytest.raises(trace.BrokenLink, match="r0 has no rule entry"):
-            done_insertion_audit(events, ring)
+            done_insertion_audit(build_registry(events))
 
 
 class TestExtractChainBroken:
@@ -436,27 +439,48 @@ def thm5_run(name):
     return ring, incremental_f5(polys(ring, *texts), EngineConfig())
 
 
+class TestDominanceCount:
+    def test_matches_brute_force(self):
+        # keys shaped like signature keys, drawn from few values so that
+        # equal keys are common; min_deg runs past every degree
+        rng = random.Random(0)
+        for _ in range(100):
+            degs = [rng.randint(1, 5) for _ in range(rng.randint(1, 6))]
+            count = trace._DominanceCount(degs)
+            points = []
+            for _ in range(rng.randint(1, 10)):
+                points.append(((-rng.randint(1, 2), rng.randint(0, 4)), rng.choice(degs)))
+                count.add(*points[-1])
+                queries = [key for key, _ in points] + [(-rng.randint(1, 2), rng.randint(0, 4))]
+                for key in queries:
+                    for min_deg in (None, *range(7)):
+                        want = sum(
+                            k > key and (min_deg is None or d >= min_deg) for k, d in points
+                        )
+                        assert count.above(key, min_deg) == want
+
+
 class TestThm5:
     def test_passes_on_runs(self, cyclic):
         ring, res = cyclic
-        rep = check_thm5_exhaustive(res.events, ring)
+        rep = check_thm5_exhaustive(res.events, build_registry(res.events), ring)
         assert rep.passed and rep.checked > 0
 
     def test_checked_count_pinned(self, cyclic):
         ring, res = cyclic
-        assert check_thm5_exhaustive(res.events, ring).checked == 14
+        assert check_thm5_exhaustive(res.events, build_registry(res.events), ring).checked == 14
 
     @pytest.mark.parametrize("name", sorted(LEX_SYSTEMS))
     def test_lex_regressions_pass(self, name):
         system, checked = LEX_SYSTEMS[name]
         ring, res = lex_run(*system)
-        rep = check_thm5_exhaustive(res.events, ring)
+        rep = check_thm5_exhaustive(res.events, build_registry(res.events), ring)
         assert rep.passed and rep.failures == [] and rep.checked == checked
 
     @pytest.mark.parametrize("system", THM5_SYSTEMS)
     def test_checked_is_sum_of_classified(self, system):
         ring, res = thm5_run(system)
-        rep = check_thm5_exhaustive(res.events, ring)
+        rep = check_thm5_exhaustive(res.events, build_registry(res.events), ring)
         assert rep.passed and rep.checked > 0
         assert (rep.checked, rep.failures) == thm5_brute_force(res.events, ring)
 
@@ -466,9 +490,10 @@ class TestThm5:
         got = {}
         for name in CHECK_SMALL_SYSTEMS:
             ring, res = thm5_run(name)
+            stripped = strip_rejections(res.events)
             got[name] = (
-                check_thm5_exhaustive(res.events, ring).checked,
-                len(check_thm5_exhaustive(strip_rejections(res.events), ring).failures),
+                check_thm5_exhaustive(res.events, build_registry(res.events), ring).checked,
+                len(check_thm5_exhaustive(stripped, build_registry(stripped), ring).failures),
             )
         assert got == {
             "random578-degrevlex": (249, 192),
@@ -497,7 +522,7 @@ class TestThm5:
         # drop every pair-level rejection event: previously rejected pairs
         # can no longer be classified
         stripped = strip_rejections(res.events)
-        rep = check_thm5_exhaustive(stripped, ring)
+        rep = check_thm5_exhaustive(stripped, build_registry(stripped), ring)
         assert not rep.passed
         # the failures found without enumerating every pair are exactly the
         # pairs the per-insertion classification calls unclassified
@@ -507,7 +532,7 @@ class TestThm5:
 class TestReplay:
     def test_passes_on_runs(self, cyclic):
         ring, res = cyclic
-        rep = check_replay(res.events, ring)
+        rep = check_replay(build_registry(res.events), ring)
         assert rep.passed and rep.checked > 0
 
     def test_decoded_trails_sum_to_final_polys(self):
@@ -537,13 +562,13 @@ class TestReplay:
             if ev["kind"] == "DoneInserted" and ev["poly"]:
                 ev["poly"][0][0] = (ev["poly"][0][0] % 7) + 1
                 break
-        assert not check_replay(events, ring).passed
+        assert not check_replay(build_registry(events), ring).passed
 
 
 class TestGenealogyChecker:
     def test_passes_on_runs(self, cyclic):
         ring, res = cyclic
-        assert check_genealogy(res.events, ring.order).passed
+        assert check_genealogy(build_registry(res.events), ring.order).passed
 
     def test_tampered_signature_detected(self, cyclic):
         ring, res = cyclic
@@ -552,7 +577,7 @@ class TestGenealogyChecker:
             if ev["kind"] == "SPolCreated":
                 ev["sig"] = {"mono": [9, 9, 9, 9], "index": ev["sig"]["index"]}
                 break
-        assert not check_genealogy(events, ring.order).passed
+        assert not check_genealogy(build_registry(events), ring.order).passed
 
 
 class TestLogRoundTrip:
