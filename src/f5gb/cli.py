@@ -423,7 +423,8 @@ def main(argv=None) -> int:
             "descend": cmd_descend,
         }[args.command]
         return handler(args)
-    except (ParseError, NonPrimeModulus, NonHomogeneousInput, ZeroInputPolynomial) as exc:
+    except (ParseError, NonPrimeModulus, NonHomogeneousInput, ZeroInputPolynomial,
+            OverflowError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except OSError as exc:

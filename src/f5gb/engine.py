@@ -14,7 +14,17 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import NamedTuple, Optional, Sequence
 
-from .poly import EQ, GT, LT, Monomial, Polynomial, Ring, is_homogeneous, poly_axpy
+from .poly import (
+    EQ,
+    GT,
+    Monomial,
+    Polynomial,
+    Ring,
+    is_homogeneous,
+    overflow_error,
+    packed_monomial,
+    poly_axpy,
+)
 from .sig import (
     LabeledPolynomial,
     ModuleVector,
@@ -24,7 +34,7 @@ from .sig import (
     sig_key,
     sig_mul,
 )
-from .trace import Trace, mono_payload, poly_payload, sig_payload
+from .trace import Trace
 
 
 _UNSEEN = object()  # a memo miss, where None is a cached answer
@@ -148,10 +158,11 @@ class Engine:
                 raise NonHomogeneousInput(f"input {k + 1} is not homogeneous")
         self.ring = ring
         self.order = ring.order
+        self.lay = ring.order.lay  # the packed form of the ring's monomials
         self.inputs = [f.monic() for f in inputs]
         self.m = len(inputs)
         self.config = config or EngineConfig()
-        self.trace = Trace()
+        self.trace = Trace(self.lay)
         self.R: list[LabeledPolynomial] = []
         self.rules = RuleTable(self.m)
         self.G: list[int] = []
@@ -207,32 +218,37 @@ class Engine:
         s = self.ring.inv(poly.head_coeff)
         return poly.scale(s), None if mv is None else mv.scale(s)
 
-    def _first_divisor(self, index: int, mono: Monomial) -> Optional[tuple[Monomial, int]]:
-        """(head, pos) of the first element of G_index whose head divides
-        ``mono``, or None.  ``phi_heads[index]`` never changes once call
-        ``index`` has ended, so the answer is memoized by the packed value."""
+    def _first_divisor(self, index: int, v: int) -> Optional[tuple[Monomial, int]]:
+        """(head, pos) of the first element of G_index whose head divides the
+        monomial of packed value ``v``, or None.  ``phi_heads[index]`` never
+        changes once call ``index`` has ended, so the answer is memoized by
+        ``v``, and the monomial is built only on a miss."""
         memo = self.divisor_memo[index]
-        found = memo.get(mono.v, _UNSEEN)
+        found = memo.get(v, _UNSEEN)
         if found is _UNSEEN:
             found = None
+            mono = packed_monomial(v, self.lay)
             outside = ~mono.mask
             for mask, head, pos in self.phi_heads[index]:
                 if not mask & outside and head.divides(mono):
                     found = head, pos
                     break
-            memo[mono.v] = found
+            memo[v] = found
         return found
 
-    def _f5_blocked(self, index: int, mono: Monomial) -> Optional[int]:
-        """Position of a G_{index+1} element whose head divides ``mono``."""
+    def _f5_blocked(self, index: int, v: int) -> Optional[int]:
+        """Position of a G_{index+1} element whose head divides the monomial
+        of packed value ``v``."""
         if index >= self.m:
             return None
-        found = self._first_divisor(index + 1, mono)
+        found = self._first_divisor(index + 1, v)
         return None if found is None else found[1]
 
     def _add_rule(self, sig: Signature, pos: int) -> None:
         self.rules.add(sig.index, sig.mono, pos)
-        self.trace.emit("RuleAdded", index=sig.index, mono=mono_payload(sig.mono), pos=pos)
+        self.trace.emit(
+            "RuleAdded", index=sig.index, mono=self.trace.mono_payload(sig.mono), pos=pos
+        )
 
     def _find_rewriter(self, u: Monomial, pos: int) -> int:
         lp = self.R[pos]
@@ -269,8 +285,8 @@ class Engine:
             "CallBegin",
             call=i,
             input_pos=lp.pos,
-            sig=sig_payload(sig),
-            poly=poly_payload(f),
+            sig=self.trace.sig_payload(sig),
+            poly=self.trace.poly_payload(f),
             g_next=list(g_next),
         )
         self._add_rule(sig, lp.pos)
@@ -311,24 +327,41 @@ class Engine:
     # -- critical pairs ---------------------------------------------------
 
     def _crit_pair(self, ra: int, rb: int, i: int) -> Optional[CriticalPair]:
+        """The critical pair of r_ra and r_rb, or None when the F5 criterion
+        rejects it.
+
+        The pair is worked out on packed values: t is the lcm of the heads,
+        u_k = t - head_k is exact because t is a multiple of head_k, and each
+        signature multiple is u_k + sig_k, with one guard test for both.  The
+        part with the greater multiplied signature comes first: the smaller
+        index, then the greater order key.  Monomials and signatures are
+        built only for a pair that is created."""
         a, b = self.R[ra], self.R[rb]
-        t = a.poly.head_mono.lcm(b.poly.head_mono)
-        u1 = t.divide(a.poly.head_mono)
-        u2 = t.divide(b.poly.head_mono)
-        s1 = sig_mul(u1, a.sig)
-        s2 = sig_mul(u2, b.sig)
-        c = sig_cmp(s1, s2, self.order)
-        if c == LT or (c == EQ and a.pos < b.pos):
-            a, b, u1, u2, s1, s2 = b, a, u2, u1, s2, s1
+        lay = self.lay
+        ha, hb = a.poly.head_mono.v, b.poly.head_mono.v
+        t = lay.fieldwise(ha, hb, True)
+        u1, u2 = t - ha, t - hb
+        m1, m2 = u1 + a.sig.mono.v, u2 + b.sig.mono.v
+        if (m1 | m2) & lay.guard:
+            raise overflow_error(f"a signature multiple of the pair of r{ra} and r{rb}")
+        if a.index == b.index:
+            vkey = self.order.vkey
+            k1, k2 = vkey(m1), vkey(m2)
+            swap = k1 < k2 or (k1 == k2 and a.pos < b.pos)
+        else:
+            swap = a.index > b.index
+        if swap:
+            a, b, u1, u2, m1, m2 = b, a, u2, u1, m2, m1
+        exps = self.trace.exps
         pair_fields = dict(
-            t=mono_payload(t),
-            u1=mono_payload(u1),
+            t=list(exps[t]),
+            u1=list(exps[u1]),
             p1=a.pos,
-            u2=mono_payload(u2),
+            u2=list(exps[u2]),
             p2=b.pos,
         )
-        for part, (lp, u, s) in enumerate(((a, u1, s1), (b, u2, s2)), start=1):
-            blocked = self._f5_blocked(lp.index, u.mul(lp.sig.mono))
+        for part, (lp, u, msig) in enumerate(((a, u1, m1), (b, u2, m2)), start=1):
+            blocked = self._f5_blocked(lp.index, msig)
             if blocked is not None:
                 self.trace.emit(
                     "F5CritPairReject",
@@ -336,8 +369,8 @@ class Engine:
                     where="crit_pair",
                     part=part,
                     pos=lp.pos,
-                    mult=mono_payload(u),
-                    msig=sig_payload(s),
+                    mult=list(exps[u]),
+                    msig={"mono": list(exps[msig]), "index": lp.index},
                     blocked_by=blocked,
                     **pair_fields,
                 )
@@ -346,15 +379,25 @@ class Engine:
             "pair budget exhausted",
             self.trace.counts["CritPairCreated"] >= self.config.max_pairs,
         )
+        deg = t >> lay.shift
         self.trace.emit(
             "CritPairCreated",
             call=i,
-            deg=t.deg,
-            sig1=sig_payload(s1),
-            sig2=sig_payload(s2),
+            deg=deg,
+            sig1={"mono": list(exps[m1]), "index": a.index},
+            sig2={"mono": list(exps[m2]), "index": b.index},
             **pair_fields,
         )
-        return CriticalPair(t, u1, a.pos, u2, b.pos, t.deg, s1, s2)
+        return CriticalPair(
+            packed_monomial(t, lay),
+            packed_monomial(u1, lay),
+            a.pos,
+            packed_monomial(u2, lay),
+            b.pos,
+            deg,
+            Signature(packed_monomial(m1, lay), a.index),
+            Signature(packed_monomial(m2, lay), b.index),
+        )
 
     # -- S-polynomials ----------------------------------------------------
 
@@ -373,13 +416,13 @@ class Engine:
                         where="spol",
                         part=part,
                         pos=pos,
-                        mult=mono_payload(u),
-                        msig=sig_payload(s),
+                        mult=self.trace.mono_payload(u),
+                        msig=self.trace.sig_payload(s),
                         rewriter=rw,
-                        t=mono_payload(cp.t),
-                        u1=mono_payload(cp.u1),
+                        t=self.trace.mono_payload(cp.t),
+                        u1=self.trace.mono_payload(cp.u1),
                         p1=cp.p1,
-                        u2=mono_payload(cp.u2),
+                        u2=self.trace.mono_payload(cp.u2),
                         p2=cp.p2,
                     )
                     rejected = True
@@ -402,12 +445,12 @@ class Engine:
                 "SPolCreated",
                 call=i,
                 pos=lp.pos,
-                sig=sig_payload(lp.sig),
-                poly=poly_payload(lp.poly),
+                sig=self.trace.sig_payload(lp.sig),
+                poly=self.trace.poly_payload(lp.poly),
                 p1=cp.p1,
-                u1=mono_payload(cp.u1),
+                u1=self.trace.mono_payload(cp.u1),
                 p2=cp.p2,
-                u2=mono_payload(cp.u2),
+                u2=self.trace.mono_payload(cp.u2),
                 d=cp.degree,
             )
             out.append(lp.pos)
@@ -460,7 +503,7 @@ class Engine:
         k = 0
         while k < len(terms):
             c, mono = terms[k]
-            found = self._first_divisor(i + 1, mono)
+            found = self._first_divisor(i + 1, mono.v)
             if found is None:
                 k += 1
                 continue
@@ -471,16 +514,16 @@ class Engine:
             terms = h.poly.terms
             if h.mv is not None:
                 h.mv = h.mv.axpy(c, u, blp.mv)
-            trail.append(["phi", c, list(u.exps), pos])
+            trail.append(["phi", c, self.trace.mono_payload(u), pos])
             self.trace.emit(
                 "PhiPreReduce",
                 call=i,
                 h=h.pos,
-                h_sig=sig_payload(h.sig),
+                h_sig=self.trace.sig_payload(h.sig),
                 h_index=h.index,
                 reductor=pos,
                 reductor_index=blp.index,
-                mult=mono_payload(u),
+                mult=self.trace.mono_payload(u),
                 coeff=c,
             )
             touched = True
@@ -491,7 +534,7 @@ class Engine:
         """Returns positions to requeue; a completed element joins Done."""
         if h.poly.is_zero:
             self.trace.emit(
-                "ReductionToZero", call=i, pos=h.pos, sig=sig_payload(h.sig)
+                "ReductionToZero", call=i, pos=h.pos, sig=self.trace.sig_payload(h.sig)
             )
             return []
         red = self._is_reducible(h, i)
@@ -500,9 +543,9 @@ class Engine:
                 "DoneInserted",
                 call=i,
                 pos=h.pos,
-                sig=sig_payload(h.sig),
-                poly=poly_payload(h.poly),
-                creation_poly=poly_payload(self.creation_polys[h.pos]),
+                sig=self.trace.sig_payload(h.sig),
+                poly=self.trace.poly_payload(h.poly),
+                creation_poly=self.trace.poly_payload(self.creation_polys[h.pos]),
                 trail=list(self.trails[h.pos]),
             )
             self.done_now.append(h.pos)
@@ -519,16 +562,16 @@ class Engine:
             h.poly = poly_axpy(h.poly, 1, u, j.poly)
             if h.mv is not None:
                 h.mv = h.mv.axpy(1, u, j.mv)
-            trail.append(["top", 1, list(u.exps), j_pos])
+            trail.append(["top", 1, self.trace.mono_payload(u), j_pos])
             scale = self._monic_in_place(h, trail)
             self.trace.emit(
                 "ReductionStep",
                 call=i,
                 h=h.pos,
-                h_sig=sig_payload(h.sig),
+                h_sig=self.trace.sig_payload(h.sig),
                 reductor=j_pos,
-                mult=mono_payload(u),
-                msig=sig_payload(msig),
+                mult=self.trace.mono_payload(u),
+                msig=self.trace.sig_payload(msig),
                 coeff=1,
                 post_scale=scale,
             )
@@ -545,12 +588,12 @@ class Engine:
             "NewFromTopReduction",
             call=i,
             pos=lp.pos,
-            sig=sig_payload(lp.sig),
-            poly=poly_payload(lp.poly),
+            sig=self.trace.sig_payload(lp.sig),
+            poly=self.trace.poly_payload(lp.poly),
             j=j_pos,
             h=h.pos,
-            u=mono_payload(u),
-            u_under=mono_payload(one),
+            u=self.trace.mono_payload(u),
+            u_under=self.trace.mono_payload(one),
         )
         return [h.pos, lp.pos]
 
@@ -563,17 +606,17 @@ class Engine:
             if u is None:
                 continue
             msig_mono = u.mul(j.sig.mono)
-            blocked = self._f5_blocked(j.index, msig_mono)
+            blocked = self._f5_blocked(j.index, msig_mono.v)
             if blocked is not None:
                 self.trace.emit(
                     "F5CritPairReject",
                     call=i,
                     where="is_reducible",
                     h=h.pos,
-                    h_head=mono_payload(target),
+                    h_head=self.trace.mono_payload(target),
                     cand=j_pos,
-                    mult=mono_payload(u),
-                    msig=sig_payload(Signature(msig_mono, j.index)),
+                    mult=self.trace.mono_payload(u),
+                    msig=self.trace.sig_payload(Signature(msig_mono, j.index)),
                     blocked_by=blocked,
                 )
                 continue
@@ -585,10 +628,10 @@ class Engine:
                     where="is_reducible",
                     check="c",
                     h=h.pos,
-                    h_head=mono_payload(target),
+                    h_head=self.trace.mono_payload(target),
                     cand=j_pos,
-                    mult=mono_payload(u),
-                    msig=sig_payload(Signature(msig_mono, j.index)),
+                    mult=self.trace.mono_payload(u),
+                    msig=self.trace.sig_payload(Signature(msig_mono, j.index)),
                     rewriter=rw,
                 )
                 continue
@@ -599,10 +642,10 @@ class Engine:
                     where="is_reducible",
                     check="d",
                     h=h.pos,
-                    h_head=mono_payload(target),
+                    h_head=self.trace.mono_payload(target),
                     cand=j_pos,
-                    mult=mono_payload(u),
-                    msig=sig_payload(Signature(msig_mono, j.index)),
+                    mult=self.trace.mono_payload(u),
+                    msig=self.trace.sig_payload(Signature(msig_mono, j.index)),
                     rewriter=h.pos,
                 )
                 continue

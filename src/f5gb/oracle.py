@@ -81,7 +81,9 @@ class GgSnapshot(InsertionView):
     creation-ordered, so position comparison doubles as list-rank
     comparison).  ``input_pos`` maps an input index to the position of its
     input polynomial.  ``input_triples`` caches each position's expansion
-    over the inputs, which the rewrites ask for again and again.
+    over the inputs, which the rewrites ask for again and again, in
+    ``triples``: an expansion reads only the position's entry, so the
+    snapshots of one run, which share their entries, can share one cache.
     """
 
     def __init__(
@@ -92,6 +94,7 @@ class GgSnapshot(InsertionView):
         g_pos: int,
         rules: dict[int, Sequence[tuple[Monomial, int]]],
         input_pos: dict[int, int],
+        triples: Optional[dict[int, list[tuple[int, Monomial, int]]]] = None,
     ):
         super().__init__(entries, members, g_pos, rules)
         self.ring = ring
@@ -100,13 +103,15 @@ class GgSnapshot(InsertionView):
         self.input_pos = input_pos
         g = self.entries[g_pos]  # inserted by the call of its index
         self.g_scope = (g.index, sig_key(g.sig, self.order), g.poly.head_mono.deg)
-        self._triples: dict[int, list[tuple[int, Monomial, int]]] = {}
+        self._triples = {} if triples is None else triples
 
     @classmethod
-    def from_result(cls, result: EngineResult, registry: Registry, seq: int) -> "GgSnapshot":
+    def from_result(cls, result: EngineResult, registry: Registry, seq: int,
+                    triples: Optional[dict] = None) -> "GgSnapshot":
         """The snapshot of the ``DoneInserted`` event at ``seq``; ``registry``
         is built from ``result.events``.  The snapshot shares ``result.R``,
-        whose element at each position is the one created there."""
+        whose element at each position is the one created there, and the
+        cache ``triples`` of input expansions when one is given."""
         done = result.events[seq]
         return cls(
             ring=result.ring,
@@ -115,6 +120,7 @@ class GgSnapshot(InsertionView):
             g_pos=done["pos"],
             rules=rules_before(registry, seq),
             input_pos={call: begin["input_pos"] for call, begin in registry.calls.items()},
+            triples=triples,
         )
 
     def lp(self, pos: int) -> LabeledPolynomial:
@@ -125,7 +131,7 @@ class GgSnapshot(InsertionView):
         signature first (``sig.input_representation``); cached."""
         triples = self._triples.get(pos)
         if triples is None:
-            triples = self._triples[pos] = _mv_input_triples(self.entries[pos], self.order)
+            triples = self._triples[pos] = _mv_input_triples(self.entries[pos])
         return triples
 
     def target(self, t: Monomial, pos: int) -> tuple[tuple, int, int]:
@@ -687,9 +693,11 @@ def find_thm4_pairs_in_snapshot(
 
 def done_snapshots(result: EngineResult, registry: Registry) -> list[GgSnapshot]:
     """One snapshot per Done insertion of the run, in log order; ``registry``
-    is built from ``result.events``."""
+    is built from ``result.events``.  The snapshots share one cache of input
+    expansions."""
+    triples: dict[int, list[tuple[int, Monomial, int]]] = {}
     return [
-        GgSnapshot.from_result(result, registry, seq)
+        GgSnapshot.from_result(result, registry, seq, triples)
         for done in registry.insertions.values()
         for seq, _ in done
     ]

@@ -52,7 +52,7 @@ FIELD_BITS = 16
 BOUND = 1 << (FIELD_BITS - 1)  # every exponent and degree is below this
 
 
-class _Layout:
+class Layout:
     """The packed form of the monomials over n variables.
 
     Field k (bits 16k to 16k + 15) holds the exponent of x_k for k < n, and
@@ -79,13 +79,32 @@ class _Layout:
     def pack(self, exps: Sequence[int], deg: int) -> int:
         return int.from_bytes(self.codec.pack(*exps), "little") | deg << self.shift
 
+    def unpack(self, v: int) -> tuple[int, ...]:
+        """The exponent tuple of the packed value v."""
+        return self.codec.unpack_from(v.to_bytes(2 * self.n + 2, "little"))
+
+    def fieldwise(self, a: int, b: int, take_max: bool) -> int:
+        """The fieldwise max (lcm) or min (gcd) of the packed values a, b.
+
+        The new degree is the sum of the exponent fields: as 2^16 = 1 modulo
+        2^16 - 1, that is their packed value modulo 2^16 - 1, and it is exact
+        because the sum is at most deg(a) + deg(b) < 2^16 - 1."""
+        ge = ((a | self.guard) - b) & self.guard  # guard bit set where a >= b
+        from_a = (ge - (ge >> (FIELD_BITS - 1))) & self.low  # value bits of those fields
+        x, y = (a, b) if take_max else (b, a)
+        exps = (y ^ ((x ^ y) & from_a)) & self.low
+        deg = exps % 0xFFFF
+        if deg >= BOUND:
+            raise overflow_error(f"lcm of {self.unpack(a)} and {self.unpack(b)}")
+        return exps | deg << self.shift
+
 
 @cache
-def _layout(n: int) -> _Layout:
-    return _Layout(n)
+def _layout(n: int) -> Layout:
+    return Layout(n)
 
 
-def _overflow(what: str) -> OverflowError:
+def overflow_error(what: str) -> OverflowError:
     return OverflowError(f"{what}: exponents and degrees must be below 2^15 = {BOUND}")
 
 
@@ -93,7 +112,7 @@ class Monomial:
     """A power product over n variables, packed into one int ``v``.
 
     ``v`` holds one 16-bit field per exponent, x_0 lowest, and the total
-    degree in the field above them (see ``_Layout``).  Each field keeps its
+    degree in the field above them (see ``Layout``).  Each field keeps its
     top bit as a guard, so every exponent and the degree must be below 2^15:
     building a monomial past that bound, or a ``mul`` or ``lcm`` whose result
     would pass it, raises ``OverflowError``; nothing wraps.  On this form
@@ -113,7 +132,7 @@ class Monomial:
             raise ValueError(f"negative exponent in {exps}")
         deg = sum(exps)
         if deg >= BOUND:
-            raise _overflow(f"degree {deg} of {exps}")
+            raise overflow_error(f"degree {deg} of {exps}")
         lay = _layout(len(exps))
         self.v = lay.pack(exps, deg)
         self.lay = lay
@@ -122,14 +141,13 @@ class Monomial:
 
     @staticmethod
     def one(n: int) -> "Monomial":
-        return _packed(0, _layout(n))
+        return packed_monomial(0, _layout(n))
 
     @property
     def exps(self) -> tuple[int, ...]:
         exps = self._exps
         if exps is None:
-            lay = self.lay
-            exps = self._exps = lay.codec.unpack_from(self.v.to_bytes(2 * lay.n + 2, "little"))
+            exps = self._exps = self.lay.unpack(self.v)
         return exps
 
     @property
@@ -144,8 +162,8 @@ class Monomial:
         v = self.v + other.v
         lay = self.lay
         if v & lay.guard:
-            raise _overflow(f"product of {self!r} and {other!r}")
-        return _packed(v, lay)
+            raise overflow_error(f"product of {self!r} and {other!r}")
+        return packed_monomial(v, lay)
 
     __mul__ = mul
 
@@ -156,7 +174,7 @@ class Monomial:
         v = (self.v | guard) - other.v
         if v & guard != guard:
             return None
-        return _packed(v ^ guard, lay)
+        return packed_monomial(v ^ guard, lay)
 
     def divides(self, other: "Monomial") -> bool:
         guard = self.lay.guard
@@ -178,29 +196,13 @@ class Monomial:
             mask = self._mask = (v - ones) & guard | ((v - 2 * ones) & guard) >> 1
         return mask
 
-    def _fieldwise(self, other: "Monomial", take_max: bool) -> "Monomial":
-        """The fieldwise max (lcm) or min (gcd) of the exponents.
-
-        The new degree is the sum of the exponent fields: as 2^16 = 1 modulo
-        2^16 - 1, that is their packed value modulo 2^16 - 1, and it is exact
-        because the sum is at most deg(a) + deg(b) < 2^16 - 1."""
-        lay = self.lay
-        a, b = self.v, other.v
-        ge = ((a | lay.guard) - b) & lay.guard  # guard bit set where a >= b
-        from_a = (ge - (ge >> (FIELD_BITS - 1))) & lay.low  # value bits of those fields
-        if not take_max:
-            a, b = b, a
-        exps = (b ^ ((a ^ b) & from_a)) & lay.low
-        deg = exps % 0xFFFF
-        if deg >= BOUND:
-            raise _overflow(f"lcm of {self!r} and {other!r}")
-        return _packed(exps | deg << lay.shift, lay)
-
     def lcm(self, other: "Monomial") -> "Monomial":
-        return self._fieldwise(other, True)
+        lay = self.lay
+        return packed_monomial(lay.fieldwise(self.v, other.v, True), lay)
 
     def gcd(self, other: "Monomial") -> "Monomial":
-        return self._fieldwise(other, False)
+        lay = self.lay
+        return packed_monomial(lay.fieldwise(self.v, other.v, False), lay)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Monomial) and self.v == other.v and self.lay.n == other.lay.n
@@ -224,7 +226,7 @@ class Monomial:
         return "*".join(parts)
 
 
-def _packed(v: int, lay: _Layout) -> Monomial:
+def packed_monomial(v: int, lay: Layout) -> Monomial:
     """The monomial with packed value ``v``, known to be valid."""
     m = object.__new__(Monomial)
     m.v = v
@@ -237,8 +239,9 @@ class MonomialOrder:
     """A total degree-compatible-or-lex order on monomials over n variables.
 
     ``key`` returns an int ascending in the order, so ``sorted`` and
-    ``min``/``max`` can be used directly.  ``exps_key(exps, deg)`` is the same
-    key for an exponent tuple and its total degree, with no ``Monomial``.
+    ``min``/``max`` can be used directly.  ``vkey(v)`` is the same key for a
+    packed value and ``exps_key(exps, deg)`` for an exponent tuple and its
+    total degree, with no ``Monomial``.
 
     The keys are ints laid out like the packed form, and each is computed
     from the packed value with no exponent decode.  degrevlex: the packed
@@ -249,28 +252,33 @@ class MonomialOrder:
     deglex: the degree above the lex key.
     """
 
-    __slots__ = ("kind", "n", "_lay")
+    __slots__ = ("kind", "n", "lay", "vkey")
 
     def __init__(self, kind: str, n: int):
         if kind not in ORDER_KINDS:
             raise ValueError(f"unknown monomial order {kind!r}")
         self.kind = kind
         self.n = n
-        self._lay = _layout(n)
+        self.lay = lay = _layout(n)
+        if kind == "degrevlex":
+            self.vkey = lay.low.__xor__
+            return
+
+        low, low_bytes, size, lex = lay.low, lay.low_bytes, 2 * n, kind == "lex"
+
+        def vkey(v: int) -> int:
+            exps = v & low
+            swapped = (exps & low_bytes) << 8 | (exps >> 8) & low_bytes
+            key = int.from_bytes(swapped.to_bytes(size, "little"), "big")
+            return key if lex else v - exps | key
+
+        self.vkey = vkey
 
     def key(self, m: Monomial) -> int:
-        lay = self._lay
-        v = m.v
-        if self.kind == "degrevlex":
-            return v ^ lay.low
-        exps = v & lay.low
-        low_bytes = lay.low_bytes
-        swapped = (exps & low_bytes) << 8 | (exps >> 8) & low_bytes
-        lex = int.from_bytes(swapped.to_bytes(2 * lay.n, "little"), "big")
-        return lex if self.kind == "lex" else v - exps | lex
+        return self.vkey(m.v)
 
     def exps_key(self, exps: Sequence[int], deg: int) -> int:
-        lay = self._lay
+        lay = self.lay
         if self.kind == "degrevlex":
             return lay.pack(exps, deg) ^ lay.low
         lex = int.from_bytes(lay.big.pack(*exps), "big")
@@ -365,10 +373,10 @@ class Ring:
         out = []
         for v, c in acc.items():
             if v & guard:
-                raise _overflow("a product in product_sum")
+                raise overflow_error("a product in product_sum")
             c %= p
             if c:
-                out.append((c, _packed(v, lay)))
+                out.append((c, packed_monomial(v, lay)))
         key = self.order.key
         out.sort(key=lambda t: key(t[1]), reverse=True)
         return Polynomial(self, tuple(out))
@@ -486,27 +494,36 @@ def poly_axpy(p: Polynomial, c: int, t: Monomial, q: Polynomial) -> Polynomial:
     """p - c*t*q with terms merged and order maintained.
 
     One linear merge of the two descending term lists: multiplying by t
-    keeps q's terms descending, so no sort is needed.
+    keeps q's terms descending, so no sort is needed.  The merge runs on
+    packed values and their order keys: each product is one addition with a
+    test of its guard bits, which raises ``OverflowError`` as ``mul`` does,
+    also for a term that would cancel, and a ``Monomial`` is built only for
+    a product that enters the result unmerged.
     """
     ring = p.ring
     mod = ring.p
     minus_c = -c % mod
     if minus_c == 0 or not q.terms:
         return p
-    key = ring.order.key
+    vkey = ring.order.vkey
+    lay = t.lay
+    guard = lay.guard
+    tv = t.v
     a = p.terms
     na = len(a)
     out = []
     i = 0
-    ka = key(a[0][1]) if na else None
+    ka = vkey(a[0][1].v) if na else None
     for cq, mq in q.terms:
-        m = mq.mul(t)
-        km = key(m)
+        v = mq.v + tv
+        if v & guard:
+            raise overflow_error(f"product of {t!r} and {mq!r}")
+        km = vkey(v)
         while i < na and ka > km:
             out.append(a[i])
             i += 1
             if i < na:
-                ka = key(a[i][1])
+                ka = vkey(a[i][1].v)
         cm = cq * minus_c % mod
         if i < na and ka == km:
             cm = (a[i][0] + cm) % mod
@@ -514,9 +531,9 @@ def poly_axpy(p: Polynomial, c: int, t: Monomial, q: Polynomial) -> Polynomial:
                 out.append((cm, a[i][1]))
             i += 1
             if i < na:
-                ka = key(a[i][1])
+                ka = vkey(a[i][1].v)
         else:
-            out.append((cm, m))
+            out.append((cm, packed_monomial(v, lay)))
     out.extend(a[i:])
     return Polynomial(ring, tuple(out))
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .poly import EQ, GT, LT, Monomial, MonomialOrder, Polynomial, Ring, poly_axpy
+from .poly import GT, LT, Monomial, MonomialOrder, Polynomial, Ring, poly_axpy
 
 
 class InconsistentModuleVector(Exception):
@@ -158,9 +158,7 @@ def check_admissible(lp: LabeledPolynomial, inputs: Sequence[Polynomial]) -> boo
     return lead[1] == lp.sig
 
 
-def input_representation(
-    lp: LabeledPolynomial, order: MonomialOrder
-) -> list[tuple[int, Monomial, int]]:
+def input_representation(lp: LabeledPolynomial) -> list[tuple[int, Monomial, int]]:
     """Expand the module vector into (coeff, mono, input index) triples.
 
     Descending in the signature order with no sort: the coordinates come in
@@ -169,11 +167,8 @@ def input_representation(
     carries exactly the stored signature, and it is unique.
     """
     out = [(c, m, k + 1) for k, g in enumerate(_vector(lp).coords) for c, m in g.terms]
-    if len(out) >= 2:
-        s0 = Signature(out[0][1], out[0][2])
-        s1 = Signature(out[1][1], out[1][2])
-        if sig_cmp(s0, s1, order) == EQ:
-            raise InconsistentModuleVector(
-                f"input representation of r{lp.pos} has no unique greatest element"
-            )
+    if len(out) >= 2 and out[0][1:] == out[1][1:]:
+        raise InconsistentModuleVector(
+            f"input representation of r{lp.pos} has no unique greatest element"
+        )
     return out

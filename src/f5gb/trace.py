@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from operator import add, itemgetter
 from typing import Optional, Sequence
 
-from .poly import GT, Monomial, MonomialQuotient, Polynomial, Ring, poly_axpy, quotient_cmp
+from .poly import GT, Layout, Monomial, MonomialQuotient, Polynomial, Ring, poly_axpy, quotient_cmp
 from .sig import Signature, sig_cmp, sig_divides, sig_key, sig_mul
 
 EVENT_KINDS = (
@@ -46,41 +46,58 @@ class BrokenLink(Exception):
 # payload helpers
 
 
-def mono_payload(m: Monomial) -> list:
-    return list(m.exps)
-
-
-def sig_payload(s: Signature) -> dict:
-    return {"mono": list(s.mono.exps), "index": s.index}
-
-
 def sig_from_payload(d: dict) -> Signature:
     return Signature(Monomial(d["mono"]), d["index"])
-
-
-def poly_payload(p: Polynomial) -> list:
-    return [[c, list(m.exps)] for c, m in p.terms]
 
 
 def poly_from_payload(ring: Ring, payload: list) -> Polynomial:
     return ring.poly([(c, Monomial(exps)) for c, exps in payload])
 
 
-class Trace:
-    """Single-writer event sink; events receive monotone sequence numbers."""
+class _Exponents(dict):
+    """Packed monomial value -> its exponent tuple, decoded on first use."""
 
-    def __init__(self):
+    __slots__ = ("lay",)
+
+    def __init__(self, lay: Optional[Layout]):
+        super().__init__()
+        self.lay = lay
+
+    def __missing__(self, v: int) -> tuple[int, ...]:
+        exps = self[v] = self.lay.unpack(v)
+        return exps
+
+
+class Trace:
+    """Single-writer event sink; events receive monotone sequence numbers.
+
+    A payload writes a monomial as ``list(trace.exps[v])``: ``exps`` decodes
+    each packed value ``v`` once per run, under ``lay``, the packed form of
+    the run's monomials, and each payload is a fresh list, so no two events
+    share one.  A trace that only holds or writes events needs no ``lay``.
+    """
+
+    def __init__(self, lay: Optional[Layout] = None):
         self.events: list[dict] = []
         # events logged per kind; an unknown kind raises KeyError at emit
         self.counts: dict[str, int] = dict.fromkeys(EVENT_KINDS, 0)
+        self.exps = _Exponents(lay)
 
     def emit(self, kind: str, **payload) -> int:
         self.counts[kind] += 1
         seq = len(self.events)
-        ev = {"seq": seq, "kind": kind}
-        ev.update(payload)
-        self.events.append(ev)
+        self.events.append({"seq": seq, "kind": kind, **payload})
         return seq
+
+    def mono_payload(self, m: Monomial) -> list:
+        return list(self.exps[m.v])
+
+    def sig_payload(self, s: Signature) -> dict:
+        return {"mono": list(self.exps[s.mono.v]), "index": s.index}
+
+    def poly_payload(self, p: Polynomial) -> list:
+        exps = self.exps
+        return [[c, list(exps[m.v])] for c, m in p.terms]
 
     def to_jsonl(self, fp) -> None:
         for ev in self.events:

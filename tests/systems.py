@@ -168,6 +168,20 @@ CYCLIC4 = (
 )
 
 
+# katsura-5, homogenized by h
+KATSURA5 = (
+    ["x0", "x1", "x2", "x3", "x4", "x5", "h"],
+    [
+        "x0 + 2*x1 + 2*x2 + 2*x3 + 2*x4 + 2*x5 - h",
+        "x0^2 + 2*x1^2 + 2*x2^2 + 2*x3^2 + 2*x4^2 + 2*x5^2 - x0*h",
+        "2*x0*x1 + 2*x1*x2 + 2*x2*x3 + 2*x3*x4 + 2*x4*x5 - x1*h",
+        "2*x0*x2 + x1^2 + 2*x1*x3 + 2*x2*x4 + 2*x3*x5 - x2*h",
+        "2*x0*x3 + 2*x1*x2 + 2*x1*x4 + 2*x2*x5 - x3*h",
+        "2*x0*x4 + 2*x1*x3 + 2*x1*x5 + x2^2 - x4*h",
+    ],
+)
+
+
 def suite_instances():
     for name, (names, texts) in SUITE.items():
         for p in SUITE_PRIMES:

@@ -171,9 +171,9 @@ class TestCommands:
         snapshots = []
         from_result = oracle.GgSnapshot.from_result.__func__
 
-        def counting_snapshot(cls, result, registry, seq):
+        def counting_snapshot(cls, result, registry, seq, *rest):
             snapshots.append(seq)
-            return from_result(cls, result, registry, seq)
+            return from_result(cls, result, registry, seq, *rest)
 
         monkeypatch.setattr(trace, "build_registry", counting_registry)
         monkeypatch.setattr(cli, "build_registry", counting_registry)
@@ -291,6 +291,16 @@ class TestCommands:
         path.write_text("p = 7\nvars: x, y\nx^40000 + y^40000\n")
         assert main(["gb", str(path)]) == 1
         assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["gb", "check"])
+    def test_overflow_in_computation_exit_code(self, tmp_path, capsys, command):
+        # each input is in bounds, but the lcm of their heads has degree 40,000
+        path = tmp_path / "lcm.txt"
+        path.write_text("p = 7\nvars: x, y\nx^20000\ny^20000\n")
+        assert main([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "2^15" in err
+        assert "Traceback" not in err
 
     def test_affine_oracle_works_engine_refuses(self, tmp_path):
         path = tmp_path / "affine.txt"

@@ -22,7 +22,7 @@ from f5gb.sig import MissingModuleVector, Signature, check_admissible, sig_cmp, 
 from systems import P
 from f5gb.trace import Trace, build_registry, sig_from_payload
 
-from systems import CYCLIC4, P, SUITE, make_ring, polys
+from systems import CYCLIC4, KATSURA5, LEX_SCOPE, P, SUITE, make_ring, polys
 
 
 def M(*exps):
@@ -396,6 +396,18 @@ PINNED_LOGS = {
     ("katsura3", "degrevlex"): "df377303a4fdafa6be42071a6dee94eb1158cd388f040c75d0148de49d2acd75",
     ("katsura3", "deglex"): "49d57b5a2f3af0f2ccd945f479c37043e1e57361a3255baff6129a0f815debd4",
     ("katsura3", "lex"): "49d57b5a2f3af0f2ccd945f479c37043e1e57361a3255baff6129a0f815debd4",
+    ("katsura5", "degrevlex"): "c78c470f6ebd6da01ab93dabba08dfe98732ac71cf837715fd5a2b4b92a9080a",
+    ("random379", "deglex"): "0b5b962bc5b7db196aab8e2225ad9211be5e3623e070e936badbfc3d8b8854b4",
+    ("random379", "lex"): "0b5b962bc5b7db196aab8e2225ad9211be5e3623e070e936badbfc3d8b8854b4",
+}
+
+# (p, variable names, polynomial texts) of each pinned system; random379 is
+# a 3-variable random system of the check-small benchmark over GF(3)
+PINNED_SYSTEMS = {
+    "cyclic4": (32003, *CYCLIC4),
+    "katsura3": (32003, *SUITE["katsura3_homog"]),
+    "katsura5": (32003, *KATSURA5),
+    "random379": (3, ["x0", "x1", "x2"], LEX_SCOPE["random379"].splitlines()[3:]),
 }
 
 
@@ -407,12 +419,35 @@ def log_digest(events) -> str:
     return hashlib.sha256(buf.getvalue().encode()).hexdigest()
 
 
+def payload_lists(value):
+    """Every list inside an event value, nested ones included."""
+    if isinstance(value, dict):
+        for item in value.values():
+            yield from payload_lists(item)
+    elif isinstance(value, list):
+        yield value
+        for item in value:
+            yield from payload_lists(item)
+
+
 class TestEventLogPin:
     @pytest.mark.parametrize("system, order", sorted(PINNED_LOGS))
     def test_log_hash_pinned_and_independent_of_checks(self, system, order):
-        names, texts = CYCLIC4 if system == "cyclic4" else SUITE["katsura3_homog"]
-        inputs = polys(make_ring(32003, names, order), *texts)
+        p, names, texts = PINNED_SYSTEMS[system]
+        inputs = polys(make_ring(p, names, order), *texts)
         plain = incremental_f5(inputs, EngineConfig())
         checked = incremental_f5(inputs, EngineConfig(self_check=True))
         assert log_digest(plain.events) == PINNED_LOGS[(system, order)]
         assert checked.events == plain.events
+
+    @pytest.mark.parametrize("order", ["degrevlex", "lex"])
+    def test_no_two_events_share_a_payload_list(self, order):
+        # payloads are decoded through one memo per run; each must still be
+        # a fresh list, or mutating one event would change another
+        names, texts = SUITE["katsura3_homog"]
+        events = incremental_f5(polys(make_ring(32003, names, order), *texts)).events
+        lists = [lst for ev in events for lst in payload_lists(ev)]
+        marker = object()
+        for lst in lists:
+            lst.append(marker)
+        assert all(lst.count(marker) == 1 for lst in lists)

@@ -376,6 +376,22 @@ class TestAxpyKernel:
             assert out == axpy_reference(a, c, u, b)
         assert poly_axpy(q.term_mul(3, t), 3, t, q).is_zero
 
+    @pytest.mark.parametrize("kind", ORDER_KINDS)
+    def test_overflow_raises(self, kind):
+        # the guard is tested on every product t*m: one past 2^15 raises also
+        # when the other product of q cancels a term of p, and when only its
+        # degree is past the bound, which the lex key does not read
+        ring = make_ring(7, ["x", "y"], kind)
+        top = BOUND - 1
+        for q in (P(ring, f"x^{top} + y"), P(ring, f"x + y^{top}")):
+            assert poly_axpy(ring.zero, 6, M(0, 0), q) == q
+            c, m = min(q.terms, key=lambda term: term[1].deg)
+            for t in (M(1, 0), M(0, 1)):
+                cancelled = Polynomial(ring, ((c, m.mul(t)),))
+                for p in (ring.zero, cancelled):
+                    with pytest.raises(OverflowError, match="2\\^15"):
+                        poly_axpy(p, 1, t, q)
+
 
 SUM_PRIMES = (3, 7, 32003, 2**31 - 1)
 

@@ -129,7 +129,7 @@ class TestInputRepresentation:
         lp = LabeledPolynomial(
             0, Signature(M(0, 0), 1), f1, ModuleVector.unit(ring, 2, 1)
         )
-        assert input_representation(lp, ring.order) == [(1, M(0, 0), 1)]
+        assert input_representation(lp) == [(1, M(0, 0), 1)]
 
     def test_term_split_sorted_by_signature(self, ring):
         f1, f2 = P(ring, "x^2 + y^2"), P(ring, "x*y")
@@ -137,7 +137,7 @@ class TestInputRepresentation:
         lp = LabeledPolynomial(
             0, Signature(M(1, 0), 1), mv.value([f1, f2]), mv
         )
-        assert input_representation(lp, ring.order) == [
+        assert input_representation(lp) == [
             (1, M(1, 0), 1),
             (1, M(0, 1), 1),
         ]
@@ -148,7 +148,7 @@ class TestInputRepresentation:
             1, M(1, 0), ModuleVector.unit(ring, 2, 2)
         )
         lp = LabeledPolynomial(2, Signature(M(0, 1), 1), P(ring, "y^3"), mv)
-        triples = input_representation(lp, ring.order)
+        triples = input_representation(lp)
         c, m, idx = triples[0]
         assert Signature(m, idx) == lp.sig
 
@@ -177,6 +177,6 @@ class TestLeadWithoutSort:
             )
             assert mv.lead() == (terms[0] if terms else None)
             lp = LabeledPolynomial(0, Signature(Monomial([0, 0, 0]), 1), ring.zero, mv)
-            assert input_representation(lp, ring.order) == [
+            assert input_representation(lp) == [
                 (c, s.mono, s.index) for c, s in terms
             ]
