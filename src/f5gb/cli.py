@@ -41,7 +41,15 @@ from .oracle import (
     ideal_equal,
     reductor_passes_engine_checks,
 )
-from .poly import Monomial, MonomialOrder, Polynomial, Ring, is_homogeneous, is_prime
+from .poly import (
+    ORDER_KINDS,
+    Monomial,
+    MonomialOrder,
+    Polynomial,
+    Ring,
+    is_homogeneous,
+    is_prime,
+)
 from .sig import check_admissible
 from .trace import Trace, build_registry, run_all_checkers
 
@@ -121,6 +129,7 @@ def parse_problem(
     p = None
     variables: list[str] = []
     order_name = "degrevlex"
+    p_line = order_line = 0
     poly_lines: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -134,22 +143,31 @@ def parse_problem(
                 p = int(rhs.strip())
             except ValueError:
                 raise ParseError(f"bad modulus {rhs.strip()!r}", lineno)
+            p_line = lineno
             continue
         if line.startswith("vars:"):
             variables = [v.strip() for v in line[len("vars:"):].split(",") if v.strip()]
+            twice = [v for k, v in enumerate(variables) if v in variables[:k]]
+            if twice:
+                raise ParseError(f"variable {twice[0]!r} listed twice", lineno)
             continue
         if line.startswith("order:"):
             order_name = line[len("order:"):].strip()
+            order_line = lineno
             continue
         poly_lines.append((lineno, line))
     if p is None:
         raise ParseError("missing 'p = <prime>' line", 1)
+    if p >= 2**31:
+        raise ParseError(f"modulus {p} is not below 2^31", p_line)
     if not is_prime(p):
         raise NonPrimeModulus(f"{p} is not prime")
     if not variables:
         raise ParseError("missing 'vars:' line", 1)
     if order_override:
-        order_name = order_override
+        order_name, order_line = order_override, 0
+    if order_name not in ORDER_KINDS:
+        raise ParseError(f"unknown order {order_name!r}", order_line)
     ring = Ring(p, MonomialOrder(order_name, len(variables)), variables)
     polys = []
     for lineno, line in poly_lines:
@@ -170,46 +188,33 @@ def _config_from_args(args) -> EngineConfig:
     return EngineConfig(max_pairs=args.max_pairs, max_degree=args.max_degree)
 
 
-def _print_basis(result_polys, out):
+def _print_basis(result_polys):
     for q in result_polys:
-        out.write(q.text() + "\n")
+        print(q.text())
 
 
-def cmd_gb(args, out=None) -> int:
-    out = out or sys.stdout
+def cmd_gb(args) -> int:
     problem = parse_problem(_read(args.file), args.allow_affine, args.order)
-    config = _config_from_args(args)
-    try:
-        result = incremental_f5(problem.polynomials, config)
-    except BudgetExceeded as exc:
-        out.write(f"budget exceeded: {exc}\n")
-        for key, val in sorted(exc.counters.items()):
-            out.write(f"  {key}: {val}\n")
-        return 3
-    _print_basis(result.basis_polynomials(), out)
+    result = incremental_f5(problem.polynomials, _config_from_args(args))
+    _print_basis(result.basis_polynomials())
     return 0
 
 
-def cmd_oracle(args, out=None) -> int:
-    out = out or sys.stdout
+def cmd_oracle(args) -> int:
     problem = parse_problem(_read(args.file), args.allow_affine, args.order)
-    basis = buchberger(problem.polynomials)
-    _print_basis(basis, out)
+    _print_basis(buchberger(problem.polynomials))
     return 0
 
 
-def cmd_trace(args, out=None) -> int:
-    out = out or sys.stdout
+def cmd_trace(args) -> int:
     problem = parse_problem(_read(args.file), args.allow_affine, args.order)
-    config = _config_from_args(args)
     try:
-        result = incremental_f5(problem.polynomials, config)
+        result = incremental_f5(problem.polynomials, _config_from_args(args))
     except BudgetExceeded as exc:
-        _write_trace(args.trace_out, exc.events)
-        out.write(f"budget exceeded: {exc}\n")
-        return 3
+        _write_trace(args.trace_out, exc.events)  # the partial log is kept
+        raise
     _write_trace(args.trace_out, result.events)
-    _print_basis(result.basis_polynomials(), out)
+    _print_basis(result.basis_polynomials())
     return 0
 
 
@@ -296,39 +301,32 @@ def run_check(problem: ProblemFile, config: EngineConfig, descent_samples: int,
     return report
 
 
-def cmd_check(args, out=None) -> int:
-    out = out or sys.stdout
+def cmd_check(args) -> int:
     problem = parse_problem(_read(args.file), args.allow_affine, args.order)
-    config = _config_from_args(args)
-    try:
-        report = run_check(problem, config, args.descent_samples, args.descent_cap, args.seed)
-    except BudgetExceeded as exc:
-        out.write(f"budget exceeded: {exc}\n")
-        return 3
+    report = run_check(
+        problem, _config_from_args(args), args.descent_samples, args.descent_cap, args.seed
+    )
     if args.json_report:
-        out.write(json.dumps(report, indent=2) + "\n")
+        print(json.dumps(report, indent=2))
     else:
-        out.write(f"basis size: {report['basis_size']}\n")
-        out.write("head monomials: " + ", ".join(report["head_monomials"]) + "\n")
-        out.write(f"ideal_equal: {str(report['verdicts']['ideal_equal']).lower()}\n")
+        print(f"basis size: {report['basis_size']}")
+        print("head monomials: " + ", ".join(report["head_monomials"]))
+        print(f"ideal_equal: {str(report['verdicts']['ideal_equal']).lower()}")
         for line in report["checker_lines"]:
-            out.write(line + "\n")
+            print(line)
         d = report["descents"]
-        out.write(
-            f"descents: {d['completed']}/{d['attempted']} completed"
-            f" (max steps {d['max_steps']})\n"
-        )
+        print(f"descents: {d['completed']}/{d['attempted']} completed"
+              f" (max steps {d['max_steps']})")
         t = report["thm4"]
-        out.write(f"thm4 pairs: {t['pairs']} found, {t['reductor_ok']} reductors pass (a)-(d)\n")
+        print(f"thm4 pairs: {t['pairs']} found, {t['reductor_ok']} reductors pass (a)-(d)")
         for line in t["failures"]:
-            out.write(f"  {line}\n")
-        out.write(f"elapsed: {report['elapsed_s']}s\n")
-        out.write("result: " + ("ok" if report["ok"] else "CHECK FAILURES") + "\n")
+            print(f"  {line}")
+        print(f"elapsed: {report['elapsed_s']}s")
+        print("result: " + ("ok" if report["ok"] else "CHECK FAILURES"))
     return 0 if report["ok"] else 2
 
 
-def cmd_descend(args, out=None) -> int:
-    out = out or sys.stdout
+def cmd_descend(args) -> int:
     problem = parse_problem(_read(args.file), args.allow_affine, args.order)
     mono = Monomial([0] * problem.ring.n)
     if args.mult is not None:
@@ -337,44 +335,29 @@ def cmd_descend(args, out=None) -> int:
             raise ParseError(f"--mult {args.mult!r} is not exactly one nonzero term", 0)
         mono = mult.head_mono
     config = dataclasses.replace(_config_from_args(args), self_check=True)
-    try:
-        result = incremental_f5(problem.polynomials, config)
-    except BudgetExceeded as exc:
-        out.write(f"budget exceeded: {exc}\n")
-        return 3
+    result = incremental_f5(problem.polynomials, config)
     snapshots = done_snapshots(result, build_registry(result.events))
     if not snapshots:
-        out.write("no snapshots captured (no Done insertions in this run)\n")
+        print("no snapshots captured (no Done insertions in this run)")
         return 2
     if not 0 <= args.snapshot < len(snapshots):
-        out.write(f"snapshot index out of range (have {len(snapshots)})\n")
+        print(f"snapshot index out of range (have {len(snapshots)})")
         return 2
     snap = snapshots[args.snapshot]
     h_pos = args.element if args.element is not None else snap.members[0]
     if h_pos not in snap.member_set:
-        out.write(f"element {h_pos} is not a member of snapshot {args.snapshot}"
-                  f" (members {list(snap.members)})\n")
+        print(f"element {h_pos} is not a member of snapshot {args.snapshot}"
+              f" (members {list(snap.members)})")
         return 2
     try:
         res = descend(1, mono, h_pos, snap, args.descent_cap)
     except DescentError as exc:
-        out.write(f"descent failed: {exc}\n")
+        print(f"descent failed: {exc}")
         return 2
     for entry in res.steps:
-        out.write(json.dumps(entry, separators=(",", ":")) + "\n")
-    out.write(
-        json.dumps(
-            {
-                "kind": "FinalRepresentation",
-                "elements": [
-                    [e.coeff, list(e.mono.exps), e.pos]
-                    for e in res.representation.elements
-                ],
-            },
-            separators=(",", ":"),
-        )
-        + "\n"
-    )
+        print(json.dumps(entry, separators=(",", ":")))
+    final = [[e.coeff, list(e.mono.exps), e.pos] for e in res.representation.elements]
+    print(json.dumps({"kind": "FinalRepresentation", "elements": final}, separators=(",", ":")))
     return 0
 
 
@@ -423,6 +406,11 @@ def main(argv=None) -> int:
             "descend": cmd_descend,
         }[args.command]
         return handler(args)
+    except BudgetExceeded as exc:
+        print(f"budget exceeded: {exc}")
+        for key, val in sorted(exc.counters.items()):
+            print(f"  {key}: {val}")
+        return 3
     except (ParseError, NonPrimeModulus, NonHomogeneousInput, ZeroInputPolynomial,
             OverflowError) as exc:
         sys.stderr.write(f"error: {exc}\n")

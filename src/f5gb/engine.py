@@ -198,25 +198,37 @@ class Engine:
             raise InternalInvariantError(f"r{lp.pos} created non-admissible")
         return lp
 
-    def _monic_in_place(self, lp: LabeledPolynomial, trail: Optional[list]) -> int:
-        """Normalize lp to leading coefficient 1; returns the scale applied."""
-        if lp.poly.is_zero or lp.poly.head_coeff == 1:
-            return 1
-        s = self.ring.inv(lp.poly.head_coeff)
-        lp.poly = lp.poly.scale(s)
-        if lp.mv is not None:
-            lp.mv = lp.mv.scale(s)
-        if trail is not None:
-            trail.append(["monic", s])
-        return s
-
-    def _monic_pair(
+    def _monic(
         self, poly: Polynomial, mv: Optional[ModuleVector]
-    ) -> tuple[Polynomial, Optional[ModuleVector]]:
+    ) -> tuple[Polynomial, Optional[ModuleVector], int]:
+        """poly and mv scaled to leading coefficient 1, and the scale s; s is
+        1 when poly is zero or already monic."""
         if poly.is_zero or poly.head_coeff == 1:
-            return poly, mv
+            return poly, mv, 1
         s = self.ring.inv(poly.head_coeff)
-        return poly.scale(s), None if mv is None else mv.scale(s)
+        return poly.scale(s), None if mv is None else mv.scale(s), s
+
+    def _new_element(self, sig: Signature, a: LabeledPolynomial, ua: Monomial,
+                     b: LabeledPolynomial, ub: Monomial) -> LabeledPolynomial:
+        """The new element ua*a - ub*b under signature ``sig``, made monic,
+        with its rule added."""
+        poly = poly_axpy(a.poly.term_mul(1, ua), 1, ub, b.poly)
+        mv = None
+        if self.config.self_check:
+            mv = a.mv.term_mul(1, ua).axpy(1, ub, b.mv)
+        poly, mv, _ = self._monic(poly, mv)
+        lp = self._new_labeled(sig, poly, mv)
+        self._add_rule(sig, lp.pos)
+        return lp
+
+    def _reduce_by(self, h: LabeledPolynomial, kind: str, c: int, u: Monomial,
+                   b: LabeledPolynomial) -> None:
+        """One reduction step h := h - c*u*b, on h's module vector too, and
+        recorded in h's trail as ``kind``."""
+        h.poly = poly_axpy(h.poly, c, u, b.poly)
+        if h.mv is not None:
+            h.mv = h.mv.axpy(c, u, b.mv)
+        self.trails[h.pos].append([kind, c, self.trace.mono_payload(u), b.pos])
 
     def _first_divisor(self, index: int, v: int) -> Optional[tuple[Monomial, int]]:
         """(head, pos) of the first element of G_index whose head divides the
@@ -250,19 +262,12 @@ class Engine:
             "RuleAdded", index=sig.index, mono=self.trace.mono_payload(sig.mono), pos=pos
         )
 
-    def _find_rewriter(self, u: Monomial, pos: int) -> int:
-        lp = self.R[pos]
-        return self.rules.find_rewriter(lp.index, u.mul(lp.sig.mono))
-
     # -- driver -----------------------------------------------------------
 
     def run(self) -> EngineResult:
         m = self.m
         for i in range(m, 0, -1):
-            if i == m:
-                self._begin_call(m, [])
-            else:
-                self._algorithm_f5(i)
+            self._algorithm_f5(i)
             self.trace.emit("CallEnd", call=i, basis=list(self.G))
             heads = [self.R[p].poly.head_mono for p in self.G]
             self.phi_heads[i] = [(h.mask, h, p) for h, p in zip(heads, self.G)]
@@ -404,11 +409,10 @@ class Engine:
     def _spol(self, batch: list[CriticalPair], i: int) -> list[int]:
         out: list[int] = []
         for cp in batch:
-            rejected = False
             for part, (pos, u, s) in enumerate(
                 ((cp.p1, cp.u1, cp.sig1), (cp.p2, cp.u2, cp.sig2)), start=1
             ):
-                rw = self._find_rewriter(u, pos)
+                rw = self.rules.find_rewriter(s.index, s.mono)
                 if rw != pos:
                     self.trace.emit(
                         "RewrittenReject",
@@ -425,35 +429,26 @@ class Engine:
                         u2=self.trace.mono_payload(cp.u2),
                         p2=cp.p2,
                     )
-                    rejected = True
                     break
-            if rejected:
-                continue
-            if sig_cmp(cp.sig1, cp.sig2, self.order) != GT:
-                raise InternalInvariantError(
-                    "S-polynomial with ambiguous signature survived the rewritten check"
+            else:
+                if sig_cmp(cp.sig1, cp.sig2, self.order) != GT:
+                    raise InternalInvariantError(
+                        "S-polynomial with ambiguous signature survived the rewritten check"
+                    )
+                lp = self._new_element(cp.sig1, self.R[cp.p1], cp.u1, self.R[cp.p2], cp.u2)
+                self.trace.emit(
+                    "SPolCreated",
+                    call=i,
+                    pos=lp.pos,
+                    sig=self.trace.sig_payload(lp.sig),
+                    poly=self.trace.poly_payload(lp.poly),
+                    p1=cp.p1,
+                    u1=self.trace.mono_payload(cp.u1),
+                    p2=cp.p2,
+                    u2=self.trace.mono_payload(cp.u2),
+                    d=cp.degree,
                 )
-            a, b = self.R[cp.p1], self.R[cp.p2]
-            poly = poly_axpy(a.poly.term_mul(1, cp.u1), 1, cp.u2, b.poly)
-            mv = None
-            if self.config.self_check:
-                mv = a.mv.term_mul(1, cp.u1).axpy(1, cp.u2, b.mv)
-            poly, mv = self._monic_pair(poly, mv)
-            lp = self._new_labeled(cp.sig1, poly, mv)
-            self._add_rule(lp.sig, lp.pos)
-            self.trace.emit(
-                "SPolCreated",
-                call=i,
-                pos=lp.pos,
-                sig=self.trace.sig_payload(lp.sig),
-                poly=self.trace.poly_payload(lp.poly),
-                p1=cp.p1,
-                u1=self.trace.mono_payload(cp.u1),
-                p2=cp.p2,
-                u2=self.trace.mono_payload(cp.u2),
-                d=cp.degree,
-            )
-            out.append(lp.pos)
+                out.append(lp.pos)
         for x, y in zip(out, out[1:]):
             if sig_cmp(self.R[y].sig, self.R[x].sig, self.order) != GT:
                 raise InternalInvariantError("S-polynomial batch out of signature order")
@@ -497,7 +492,6 @@ class Engine:
         """
         if not self.phi_heads[i + 1]:
             return
-        trail = self.trails[h.pos]
         touched = False
         terms = h.poly.terms
         k = 0
@@ -510,11 +504,8 @@ class Engine:
             head, pos = found
             u = mono.divide(head)
             blp = self.R[pos]
-            h.poly = poly_axpy(h.poly, c, u, blp.poly)
+            self._reduce_by(h, "phi", c, u, blp)
             terms = h.poly.terms
-            if h.mv is not None:
-                h.mv = h.mv.axpy(c, u, blp.mv)
-            trail.append(["phi", c, self.trace.mono_payload(u), pos])
             self.trace.emit(
                 "PhiPreReduce",
                 call=i,
@@ -528,7 +519,9 @@ class Engine:
             )
             touched = True
         if touched:
-            self._monic_in_place(h, trail)
+            h.poly, h.mv, s = self._monic(h.poly, h.mv)
+            if s != 1:
+                self.trails[h.pos].append(["monic", s])
 
     def _top_reduction(self, h: LabeledPolynomial, i: int) -> list[int]:
         """Returns positions to requeue; a completed element joins Done."""
@@ -558,12 +551,10 @@ class Engine:
         if c == EQ:
             raise InternalInvariantError("check (d) let an equal-signature reductor through")
         if c == GT:
-            trail = self.trails[h.pos]
-            h.poly = poly_axpy(h.poly, 1, u, j.poly)
-            if h.mv is not None:
-                h.mv = h.mv.axpy(1, u, j.mv)
-            trail.append(["top", 1, self.trace.mono_payload(u), j_pos])
-            scale = self._monic_in_place(h, trail)
+            self._reduce_by(h, "top", 1, u, j)
+            h.poly, h.mv, scale = self._monic(h.poly, h.mv)
+            if scale != 1:
+                self.trails[h.pos].append(["monic", scale])
             self.trace.emit(
                 "ReductionStep",
                 call=i,
@@ -577,13 +568,7 @@ class Engine:
             )
             return [h.pos]
         one = self.ring.one_mono()
-        poly = poly_axpy(j.poly.term_mul(1, u), 1, one, h.poly)
-        mv = None
-        if self.config.self_check:
-            mv = j.mv.term_mul(1, u).axpy(1, one, h.mv)
-        poly, mv = self._monic_pair(poly, mv)
-        lp = self._new_labeled(msig, poly, mv)
-        self._add_rule(lp.sig, lp.pos)
+        lp = self._new_element(msig, j, u, h, one)
         self.trace.emit(
             "NewFromTopReduction",
             call=i,
@@ -607,49 +592,28 @@ class Engine:
                 continue
             msig_mono = u.mul(j.sig.mono)
             blocked = self._f5_blocked(j.index, msig_mono.v)
+            # one emit logs all three rejections: ``check`` follows ``where``
+            # and the rejecting position comes last
             if blocked is not None:
-                self.trace.emit(
-                    "F5CritPairReject",
-                    call=i,
-                    where="is_reducible",
-                    h=h.pos,
-                    h_head=self.trace.mono_payload(target),
-                    cand=j_pos,
-                    mult=self.trace.mono_payload(u),
-                    msig=self.trace.sig_payload(Signature(msig_mono, j.index)),
-                    blocked_by=blocked,
-                )
-                continue
-            rw = self.rules.find_rewriter(j.index, msig_mono)
-            if rw != j_pos:
-                self.trace.emit(
-                    "RewrittenReject",
-                    call=i,
-                    where="is_reducible",
-                    check="c",
-                    h=h.pos,
-                    h_head=self.trace.mono_payload(target),
-                    cand=j_pos,
-                    mult=self.trace.mono_payload(u),
-                    msig=self.trace.sig_payload(Signature(msig_mono, j.index)),
-                    rewriter=rw,
-                )
-                continue
-            if msig_mono == h.sig.mono and j.index == h.index:
-                self.trace.emit(
-                    "RewrittenReject",
-                    call=i,
-                    where="is_reducible",
-                    check="d",
-                    h=h.pos,
-                    h_head=self.trace.mono_payload(target),
-                    cand=j_pos,
-                    mult=self.trace.mono_payload(u),
-                    msig=self.trace.sig_payload(Signature(msig_mono, j.index)),
-                    rewriter=h.pos,
-                )
-                continue
-            return j_pos, u
+                kind, check, by = "F5CritPairReject", {}, {"blocked_by": blocked}
+            elif (rw := self.rules.find_rewriter(j.index, msig_mono)) != j_pos:
+                kind, check, by = "RewrittenReject", {"check": "c"}, {"rewriter": rw}
+            elif msig_mono == h.sig.mono and j.index == h.index:
+                kind, check, by = "RewrittenReject", {"check": "d"}, {"rewriter": h.pos}
+            else:
+                return j_pos, u
+            self.trace.emit(
+                kind,
+                call=i,
+                where="is_reducible",
+                **check,
+                h=h.pos,
+                h_head=self.trace.mono_payload(target),
+                cand=j_pos,
+                mult=self.trace.mono_payload(u),
+                msig=self.trace.sig_payload(Signature(msig_mono, j.index)),
+                **by,
+            )
         return None
 
 

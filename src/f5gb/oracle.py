@@ -391,11 +391,7 @@ def rewrite_f5_case(r: Representation, K: ReprElement, snap: GgSnapshot) -> Repr
     p = snap.ring.p
     triples = _element_input_triples(snap, K.coeff, K.mono, K.pos)
     c0, s0, j0 = triples[0]
-    divisor_pos = None
-    for head, pos in snap.phi_basis(j0):
-        if head.divides(s0):
-            divisor_pos = pos
-            break
+    divisor_pos = snap.phi_divisor(j0, s0)
     if divisor_pos is None:
         raise NoDivisorFound(
             f"no basis head above index {j0} divides the shifted signature {s0!r}"

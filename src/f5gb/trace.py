@@ -533,12 +533,19 @@ class InsertionView:
             ]
         return basis
 
+    def phi_divisor(self, index: int, mono: Monomial) -> Optional[int]:
+        """Position of the first element of ``phi_basis(index)`` whose head
+        divides ``mono``, or None."""
+        for head, pos in self.phi_basis(index):
+            if head.divides(mono):
+                return pos
+        return None
+
     def f5_satisfied(self, t: Monomial, pos: int) -> bool:
         """The shifted signature monomial of t * b_pos is top-reducible by the
         completed basis for the next index."""
         e = self.entries[pos]
-        mono = t.mul(e.sig.mono)
-        return any(head.divides(mono) for head, _ in self.phi_basis(e.index))
+        return self.phi_divisor(e.index, t.mul(e.sig.mono)) is not None
 
     def rewriter(self, t: Monomial, pos: int) -> Optional[int]:
         """The newest rule owner, ``pos`` itself or a newer one, whose

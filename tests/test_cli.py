@@ -88,6 +88,24 @@ class TestParseProblem:
             parse_problem(f"p = 7\nvars: x, y\nx*y\n{term} + y^2")
         assert exc.value.line == 4
 
+    def test_modulus_past_2_31_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="not below 2\\^31") as exc:
+            parse_problem("# GF(p) with p prime\np = 4294967311\nvars: x\nx")
+        assert exc.value.line == 2
+
+    def test_unknown_order_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="unknown order 'foo'") as exc:
+            parse_problem("p = 7\nvars: x, y\norder: foo\nx*y")
+        assert exc.value.line == 3
+        with pytest.raises(ParseError, match="unknown order 'foo'") as exc:
+            parse_problem("p = 7\nvars: x, y\nx*y", order_override="foo")
+        assert exc.value.line == 0
+
+    def test_variable_listed_twice_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="variable 'x' listed twice") as exc:
+            parse_problem("p = 7\nvars: x, y, x\nx*y")
+        assert exc.value.line == 2
+
     def test_missing_pieces(self):
         with pytest.raises(ParseError):
             parse_problem("vars: x\nx")
@@ -232,9 +250,27 @@ class TestCommands:
         code, out = run_main(["check", str(path)])
         assert "thm4 pairs: 1 found, 1 reductors pass (a)-(d)\n  " + witness in out
 
-    def test_budget_exit_code(self, cyclic_file):
-        code, _ = run_main(["gb", cyclic_file, "--max-pairs", "1"])
+    @pytest.mark.parametrize("command", ["gb", "trace", "check", "descend"])
+    def test_budget_exit_code(self, cyclic_file, tmp_path, command):
+        argv = [command, cyclic_file, "--max-pairs", "1"]
+        if command == "trace":
+            argv += ["--trace-out", str(tmp_path / "partial.jsonl")]
+        code, out = run_main(argv)
         assert code == 3
+        inputs = parse_problem(CYCLIC).polynomials
+        with pytest.raises(engine.BudgetExceeded) as exc:
+            engine.incremental_f5(inputs, EngineConfig(max_pairs=1))
+        counters = sorted(exc.value.counters.items())
+        assert ("pairs_created", 1) in counters
+        assert out.splitlines() == ["budget exceeded: pair budget exhausted"] + [
+            f"  {key}: {val}" for key, val in counters
+        ]
+        if command == "trace":
+            with open(tmp_path / "partial.jsonl") as fp:
+                partial = events_from_jsonl(fp)
+            full = engine.incremental_f5(inputs).events
+            assert 0 < len(partial) < len(full)
+            assert partial == full[: len(partial)]
 
     def test_trace_file_replayable(self, cyclic_file, tmp_path):
         trace_path = tmp_path / "t.jsonl"
@@ -301,6 +337,31 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "2^15" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text", [
+        "p = 4294967311\nvars: x\nx",
+        "p = 7\nvars: x, y\norder: foo\nx*y",
+        "p = 7\nvars: x, x\nx^2",
+    ], ids=["modulus", "order", "vars"])
+    def test_bad_input_exit_code(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        for command in ("gb", "oracle", "check"):
+            assert main([command, str(path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: line ") and "Traceback" not in err
+
+    def test_unknown_order_flag_exit_code(self, demo_file, capsys):
+        assert main(["gb", demo_file, "--order", "foo"]) == 1
+        assert capsys.readouterr().err == "error: line 0, column 0: unknown order 'foo'\n"
+
+    @pytest.mark.parametrize("order", ["degrevlex", "deglex", "lex"])
+    def test_check_over_gf2(self, tmp_path, order):
+        # the package accepts every prime below 2^31, 2 included
+        path = tmp_path / "cyclic4_gf2.txt"
+        path.write_text(problem_text(2, *CYCLIC4))
+        code, out = run_main(["check", str(path), "--order", order])
+        assert code == 0 and out.endswith("result: ok\n")
 
     def test_affine_oracle_works_engine_refuses(self, tmp_path):
         path = tmp_path / "affine.txt"

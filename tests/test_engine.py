@@ -220,6 +220,23 @@ class TestTopReductionBranches:
                     assert p.is_zero or ring.order.cmp(p.head_mono, before) == -1
             assert p.monic() == registry.final_poly(ring, pos).monic()
 
+    def test_check_d_rejects_an_equal_signature_reductor(self):
+        # Hand-built state: h = r1 has signature y*e1 and no rule of its own,
+        # so the rule of r0 rewrites y*sig(r0) and check (c) passes r0; the
+        # multiple y*r0 then has h's signature, which check (d) rejects.
+        ring = make_ring(7, ["x", "y"])
+        eng = Engine(ring, polys(ring, "x^2 + y^2"))
+        eng._begin_call(1, [])
+        h = eng._new_labeled(Signature(M(0, 1), 1), polys(ring, "x^2*y + 3*y^3")[0], None)
+        eng.candidates = [0]
+        assert eng._is_reducible(h, 1) is None
+        assert list(eng.trace.events[-1].items()) == [
+            ("seq", 2), ("kind", "RewrittenReject"), ("call", 1),
+            ("where", "is_reducible"), ("check", "d"), ("h", 1), ("h_head", [2, 1]),
+            ("cand", 0), ("mult", [0, 1]), ("msig", {"mono": [0, 1], "index": 1}),
+            ("rewriter", 1),
+        ]
+
 
 class TestDoneOrdering:
     def test_done_insertions_ascend_in_signature_per_batch(self):

@@ -338,6 +338,9 @@ class TestRewriteF5Case:
             input_pos={1: 2, 2: 1, 3: 0},
         )
         assert snap.phi_basis(1) == [(M(0, 1, 0), 0), (M(1, 0, 0), 1)]
+        assert snap.phi_divisor(1, M(1, 1, 0)) == 0
+        assert snap.phi_divisor(1, M(1, 0, 1)) == 1
+        assert snap.phi_divisor(1, M(0, 0, 2)) is None
         K = E(1, M(1, 1, 0), 2)
         new = rewrite_f5_case(Representation([K]), K, snap)
         assert new == Representation([E(1, M(1, 0, 2), 0)])  # x*z^2 times y
