@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 from .engine import (
     BudgetExceeded,
+    Engine,
     EngineConfig,
     NonHomogeneousInput,
     ZeroInputPolynomial,
@@ -194,7 +195,7 @@ def _print_basis(result_polys):
 
 
 def cmd_gb(args) -> int:
-    problem = parse_problem(_read(args.file), args.allow_affine, args.order)
+    problem = parse_problem(_read(args.file), order_override=args.order)
     result = incremental_f5(problem.polynomials, _config_from_args(args))
     _print_basis(result.basis_polynomials())
     return 0
@@ -207,13 +208,12 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    problem = parse_problem(_read(args.file), args.allow_affine, args.order)
+    problem = parse_problem(_read(args.file), order_override=args.order)
+    engine = Engine(problem.ring, problem.polynomials, _config_from_args(args))
     try:
-        result = incremental_f5(problem.polynomials, _config_from_args(args))
-    except BudgetExceeded as exc:
-        _write_trace(args.trace_out, exc.events)  # the partial log is kept
-        raise
-    _write_trace(args.trace_out, result.events)
+        result = engine.run()
+    finally:
+        _write_trace(args.trace_out, engine.trace.events)  # the log so far, on an error too
     _print_basis(result.basis_polynomials())
     return 0
 
@@ -302,7 +302,7 @@ def run_check(problem: ProblemFile, config: EngineConfig, descent_samples: int,
 
 
 def cmd_check(args) -> int:
-    problem = parse_problem(_read(args.file), args.allow_affine, args.order)
+    problem = parse_problem(_read(args.file), order_override=args.order)
     report = run_check(
         problem, _config_from_args(args), args.descent_samples, args.descent_cap, args.seed
     )
@@ -327,7 +327,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_descend(args) -> int:
-    problem = parse_problem(_read(args.file), args.allow_affine, args.order)
+    problem = parse_problem(_read(args.file), order_override=args.order)
     mono = Monomial([0] * problem.ring.n)
     if args.mult is not None:
         mult = _parse_poly(problem.ring, args.mult, 0)
@@ -373,13 +373,13 @@ def main(argv=None) -> int:
         p.add_argument("--order", default=None, help="override the file's order")
         p.add_argument("--max-pairs", type=int, default=10**6)
         p.add_argument("--max-degree", type=int, default=80)
-        p.add_argument("--allow-affine", action="store_true",
-                       help="accept non-homogeneous input (reference algorithm only)")
 
     p_gb = sub.add_parser("gb", help="run the signature engine")
     common(p_gb)
     p_oracle = sub.add_parser("oracle", help="run the reference algorithm")
     common(p_oracle)
+    p_oracle.add_argument("--allow-affine", action="store_true",
+                          help="accept non-homogeneous input")
     p_trace = sub.add_parser("trace", help="run the engine and write a JSON Lines trace")
     common(p_trace)
     p_trace.add_argument("--trace-out", required=True)

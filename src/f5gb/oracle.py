@@ -102,7 +102,7 @@ class GgSnapshot(InsertionView):
         self.member_set = set(self.members)
         self.input_pos = input_pos
         g = self.entries[g_pos]  # inserted by the call of its index
-        self.g_scope = (g.index, sig_key(g.sig, self.order), g.poly.head_mono.deg)
+        self.g_scope = (sig_key(g.sig, self.order), g.poly.head_mono.deg)
         self._triples = {} if triples is None else triples
 
     @classmethod
@@ -134,15 +134,15 @@ class GgSnapshot(InsertionView):
             triples = self._triples[pos] = _mv_input_triples(self.entries[pos])
         return triples
 
-    def target(self, t: Monomial, pos: int) -> tuple[tuple, int, int]:
-        """(signature key, index, degree) of t * b_pos, the arguments of
+    def target(self, t: Monomial, pos: int) -> tuple[tuple, int]:
+        """(signature key, degree) of t * b_pos, the arguments of
         ``trace.in_scope`` that depend on the target; no ``Signature`` is
         built.  Snapshots of one run share their entries, so it is the same
         in all of them."""
         e = self.entries[pos]
-        index, mono = e.sig.index, e.sig.mono
-        key = (-index, self.order.key(mono if t.is_one else t.mul(mono)))
-        return key, index, t.deg + e.poly.head_mono.deg
+        mono = e.sig.mono
+        key = (-e.sig.index, self.order.key(mono if t.is_one else t.mul(mono)))
+        return key, t.deg + e.poly.head_mono.deg
 
     def in_scope(self, t: Monomial, pos: int) -> bool:
         """Whether t * b_pos is in scope at the snapshot's insertion, by the

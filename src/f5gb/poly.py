@@ -62,7 +62,7 @@ class Layout:
     bit without touching its neighbour.
     """
 
-    __slots__ = ("n", "shift", "low", "guard", "exp_guard", "ones", "low_bytes", "codec", "big")
+    __slots__ = ("n", "shift", "low", "guard", "exp_guard", "ones", "low_bytes", "codec")
 
     def __init__(self, n: int):
         self.n = n
@@ -74,7 +74,6 @@ class Layout:
         self.ones = every & self.low
         self.low_bytes = self.ones * 0xFF  # the low byte of each exponent field
         self.codec = Struct(f"<{n}H")  # exponent fields, x_0 first
-        self.big = Struct(f">{n}H")  # the same, big-endian: the lex key
 
     def pack(self, exps: Sequence[int], deg: int) -> int:
         return int.from_bytes(self.codec.pack(*exps), "little") | deg << self.shift
@@ -240,8 +239,7 @@ class MonomialOrder:
 
     ``key`` returns an int ascending in the order, so ``sorted`` and
     ``min``/``max`` can be used directly.  ``vkey(v)`` is the same key for a
-    packed value and ``exps_key(exps, deg)`` for an exponent tuple and its
-    total degree, with no ``Monomial``.
+    packed value, with no ``Monomial``.
 
     The keys are ints laid out like the packed form, and each is computed
     from the packed value with no exponent decode.  degrevlex: the packed
@@ -276,13 +274,6 @@ class MonomialOrder:
 
     def key(self, m: Monomial) -> int:
         return self.vkey(m.v)
-
-    def exps_key(self, exps: Sequence[int], deg: int) -> int:
-        lay = self.lay
-        if self.kind == "degrevlex":
-            return lay.pack(exps, deg) ^ lay.low
-        lex = int.from_bytes(lay.big.pack(*exps), "big")
-        return lex if self.kind == "lex" else deg << lay.shift | lex
 
     def cmp(self, a: Monomial, b: Monomial) -> int:
         ka, kb = self.key(a), self.key(b)

@@ -12,10 +12,11 @@ import json
 import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
-from operator import add, itemgetter
+from operator import itemgetter
 from typing import Optional, Sequence
 
-from .poly import GT, Layout, Monomial, MonomialQuotient, Polynomial, Ring, poly_axpy, quotient_cmp
+from .poly import (GT, Layout, Monomial, MonomialQuotient, Polynomial, Ring, overflow_error,
+                   poly_axpy, quotient_cmp)
 from .sig import Signature, sig_cmp, sig_divides, sig_key, sig_mul
 
 EVENT_KINDS = (
@@ -32,8 +33,6 @@ EVENT_KINDS = (
     "NewFromTopReduction",
     "ReductionToZero",
     "DoneInserted",
-    "DescentStep",
-    "DescentDone",
 )
 
 
@@ -117,18 +116,22 @@ def events_from_jsonl(fp) -> list[dict]:
 class RegistryEntry:
     pos: int
     call: int
-    index: int
     sig: Signature
     creation_poly: list
+    # the Done-inserted polynomial, [] once reduced to zero, and the
+    # creation-time one while the log holds no outcome
+    final_poly: list
     genealogy: Optional[tuple] = None  # (greater, smaller, u_over, u_under)
     created_seq: int = -1
     done_seq: Optional[int] = None
     zero_seq: Optional[int] = None
-    final_poly: Optional[list] = None
     trail: Optional[list] = None
-    # head monomial of the final polynomial (the creation-time one while the
-    # log holds no outcome); None once reduced to zero
+    # head monomial of final_poly; None once reduced to zero
     head: Optional[Monomial] = None
+
+    @property
+    def index(self) -> int:
+        return self.sig.index
 
     @property
     def is_input(self) -> bool:
@@ -149,9 +152,7 @@ class Registry:
     rules: dict[int, list[tuple[int, Monomial, int]]] = field(default_factory=dict)
 
     def final_poly(self, ring: Ring, pos: int) -> Polynomial:
-        e = self.entries[pos]
-        payload = e.final_poly if e.final_poly is not None else e.creation_poly
-        return poly_from_payload(ring, payload)
+        return poly_from_payload(ring, self.entries[pos].final_poly)
 
     def creation(self, ring: Ring, pos: int) -> Polynomial:
         return poly_from_payload(ring, self.entries[pos].creation_poly)
@@ -167,18 +168,15 @@ def build_registry(events: Sequence[dict]) -> Registry:
         if kind == "CallBegin":
             calls[ev["call"]] = ev
             pos = ev["input_pos"]
-            sig = sig_from_payload(ev["sig"])
             entries[pos] = RegistryEntry(
                 pos=pos,
                 call=ev["call"],
-                index=sig.index,
-                sig=sig,
+                sig=sig_from_payload(ev["sig"]),
                 creation_poly=ev["poly"],
                 final_poly=ev["poly"],
                 created_seq=ev["seq"],
             )
         elif kind in ("SPolCreated", "NewFromTopReduction"):
-            sig = sig_from_payload(ev["sig"])
             if kind == "SPolCreated":
                 gen = (
                     ev["p1"],
@@ -196,9 +194,9 @@ def build_registry(events: Sequence[dict]) -> Registry:
             entries[ev["pos"]] = RegistryEntry(
                 pos=ev["pos"],
                 call=ev["call"],
-                index=sig.index,
-                sig=sig,
+                sig=sig_from_payload(ev["sig"]),
                 creation_poly=ev["poly"],
+                final_poly=ev["poly"],
                 genealogy=gen,
                 created_seq=ev["seq"],
             )
@@ -217,8 +215,7 @@ def build_registry(events: Sequence[dict]) -> Registry:
                 (ev["seq"], Monomial(ev["mono"]), ev["pos"])
             )
     for e in entries.values():
-        payload = e.final_poly if e.final_poly is not None else e.creation_poly
-        e.head = Monomial(payload[0][1]) if payload else None
+        e.head = Monomial(e.final_poly[0][1]) if e.final_poly else None
     return Registry(entries, calls, insertions, rules)
 
 
@@ -614,24 +611,16 @@ def done_insertion_audit(registry: Registry) -> CheckReport:
 # exhaustive pair classification at every insertion
 
 
-@dataclass
-class PairClassification:
-    g_pos: int
-    pair: tuple[int, int]
-    outcome: str  # f5 | rewritten | completed | unclassified
-    seq: Optional[int]
-    via: str = ""
-
-
 def _pair_event_index(events: Sequence[dict]):
     """Index classification evidence by pair identity.
 
     A pair is keyed by its two (position, multiplier) parts, the lower
     position first; a rejection during a top-reduction is keyed by the
-    reduced element, its head, the candidate and the multiplier.  A
+    reduced element, its head, the candidate and the multiplier.  Monomials
+    are keyed by packed value, and each distinct payload exponent list is
+    decoded once, through ``Monomial``, which rejects a bad one.  A
     rejection classifies its pair from its own sequence number on, so only
-    the earliest one per key is kept.  Multiplier tuples are shared between
-    keys.
+    the earliest one per key is kept.
     """
     crit: dict = {}
     isred: dict = {}
@@ -640,7 +629,10 @@ def _pair_event_index(events: Sequence[dict]):
 
     def mono(exps):
         t = tuple(exps)
-        return monos.setdefault(t, t)
+        v = monos.get(t)
+        if v is None:
+            v = monos[t] = Monomial(t).v
+        return v
 
     def pair_key(a, ua, b, ub):
         return (a, mono(ua), b, mono(ub)) if a < b else (b, mono(ub), a, mono(ua))
@@ -666,15 +658,16 @@ def _pair_event_index(events: Sequence[dict]):
     return crit, isred, created
 
 
-def in_scope(key: tuple, index: int, deg: int, call: int, g_key: tuple, g_deg: int) -> bool:
-    """Whether a target with signature key ``key``, signature index ``index``
-    and degree ``deg`` is covered when call ``call`` inserts an element with
-    signature key ``g_key`` and head degree ``g_deg``.  The thm5 check's
+def in_scope(key: tuple, deg: int, g_key: tuple, g_deg: int) -> bool:
+    """Whether a target with signature key ``key`` and degree ``deg`` is
+    covered by the insertion of an element with signature key ``g_key`` and
+    head degree ``g_deg``.  A signature key leads with minus the index, and
+    the inserting call is the inserted element's index.  The thm5 check's
     targets are S-pairs of members, of the degree of their lcm; the
     descent's are multiplied members t * b.
 
     The claim covers the targets whose signature lies below the inserted
-    one.  For a target of this call's index it also needs deg <=
+    one.  For a target of the inserting call's index it also needs deg <=
     deg(head(g)): the input is homogeneous and the main loop is stepped by
     degree, so when g is inserted in step d = deg(head(g)), no pair of a
     higher degree has been processed, and none can have been classified or
@@ -685,7 +678,7 @@ def in_scope(key: tuple, index: int, deg: int, call: int, g_key: tuple, g_deg: i
     step can have a smaller signature.  Targets of a higher index come from
     the basis of the previous call, which is complete.
     """
-    return key < g_key and (index != call or deg <= g_deg)
+    return key < g_key and (key[0] != g_key[0] or deg <= g_deg)
 
 
 class _PairRules:
@@ -699,41 +692,33 @@ class _PairRules:
     creation, rewrites both parts from then on, so the pair counts as
     rewritten once the zero reduction is logged.
 
-    Pairs are worked out on exponent tuples: each entry's head and signature
-    are read once, and no ``Monomial`` or ``Signature`` is built per pair.
+    Pairs are formed on the packed values of the entries' heads and
+    signature monomials, as ``Engine._crit_pair`` forms them: no
+    ``Monomial`` or ``Signature`` is built per pair.
     """
 
     def __init__(self, events: Sequence[dict], registry: Registry, order):
-        self.registry = registry
+        self.entries = registry.entries
         self.order = order
         self.crit, self.isred, self.created = _pair_event_index(events)
-        self._parts: dict[int, tuple] = {}
-
-    def part(self, pos: int) -> tuple:
-        """(head exponents, head degree, signature monomial exponents,
-        signature degree, index) of an entry."""
-        part = self._parts.get(pos)
-        if part is None:
-            e = self.registry.entries[pos]
-            mono = e.sig.mono
-            part = self._parts[pos] = (e.head.exps, e.head.deg, mono.exps, mono.deg, e.index)
-        return part
 
     def _shape(self, a_pos: int, b_pos: int):
         """The pair's signature key and lcm degree, and its two parts as
-        (position, head, multiplier) triples, the lower position first."""
+        (position, packed head, packed multiplier) triples, the lower
+        position first."""
         if a_pos > b_pos:
             a_pos, b_pos = b_pos, a_pos
-        ha, hdeg_a, ma, mdeg_a, ia = self.part(a_pos)
-        hb, hdeg_b, mb, mdeg_b, ib = self.part(b_pos)
-        # the multipliers taking each head to lcm(ha, hb), of degree deg
-        ua = tuple([y - x if y > x else 0 for x, y in zip(ha, hb)])
-        ub = tuple([x - y if x > y else 0 for x, y in zip(ha, hb)])
-        deg = hdeg_a + sum(ua)
-        exps_key = self.order.exps_key
-        ka = (-ia, exps_key(tuple(map(add, ua, ma)), deg - hdeg_a + mdeg_a))
-        kb = (-ib, exps_key(tuple(map(add, ub, mb)), deg - hdeg_b + mdeg_b))
-        return max(ka, kb), deg, (a_pos, ha, ua), (b_pos, hb, ub)
+        a, b = self.entries[a_pos], self.entries[b_pos]
+        lay = self.order.lay
+        ha, hb = a.head.v, b.head.v
+        t = lay.fieldwise(ha, hb, True)
+        ua, ub = t - ha, t - hb
+        ma, mb = ua + a.sig.mono.v, ub + b.sig.mono.v
+        if (ma | mb) & lay.guard:
+            raise overflow_error(f"a signature multiple of the pair of r{a_pos} and r{b_pos}")
+        vkey = self.order.vkey
+        key = max((-a.sig.index, vkey(ma)), (-b.sig.index, vkey(mb)))
+        return key, t >> lay.shift, (a_pos, ha, ua), (b_pos, hb, ub)
 
     def _evidence(self, a: tuple, b: tuple) -> list[tuple]:
         """(from_seq, seq, outcome, via) per outcome logged for the pair of
@@ -750,60 +735,27 @@ class _PairRules:
             if hit is not None:
                 out.append((hit[0], hit[0], hit[1], "is_reducible"))
         for s, new_pos in self.created.get(key, ()):
-            ne = self.registry.entries[new_pos]
+            ne = self.entries[new_pos]
             if ne.done_seq is not None:
                 out.append((max(s, ne.done_seq), s, "completed", "trail"))
             elif ne.zero_seq is not None:
                 out.append((max(s, ne.zero_seq), s, "rewritten", "syzygy_rule"))
         return out
 
-    def pair(self, a_pos: int, b_pos: int) -> tuple[tuple, int, int, float]:
-        """One S-pair of members as the thm5 check sees it: (key, index,
-        deg, first), the sig_key of the greater multiplied signature, that
-        signature's index, the degree of the lcm of the heads, and the
-        earliest sequence number after which some outcome classifies the
-        pair at every insertion (inf when the log holds none).  A plain
-        tuple of ints and a float, which the garbage collector untracks."""
+    def pair(self, a_pos: int, b_pos: int) -> tuple[tuple, int, float]:
+        """One S-pair of members as the thm5 check sees it: (key, deg,
+        first), the sig_key of the greater multiplied signature, the degree
+        of the lcm of the heads, and the earliest sequence number after
+        which some outcome classifies the pair at every insertion (inf when
+        the log holds none).  A plain tuple of ints and a float, which the
+        garbage collector untracks."""
         key, deg, a, b = self._shape(a_pos, b_pos)
         evidence = self._evidence(a, b)
-        return key, -key[0], deg, min(evidence)[0] if evidence else math.inf
+        return key, deg, min(evidence)[0] if evidence else math.inf
 
     def evidence(self, a_pos: int, b_pos: int) -> list[tuple]:
         _, _, a, b = self._shape(a_pos, b_pos)
         return self._evidence(a, b)
-
-
-def classify_pairs_at_insertion(
-    events: Sequence[dict],
-    registry: Registry,
-    ring: Ring,
-    done_event: dict,
-) -> list[PairClassification]:
-    """Classify every S-pair of members in scope at the insertion (see
-    ``in_scope``) by its first processing outcome.  This is the brute-force
-    reference for ``check_thm5_exhaustive``."""
-    rules = _PairRules(events, registry, ring.order)
-    g_pos = done_event["pos"]
-    g = registry.entries[g_pos]
-    g_key = sig_key(g.sig, ring.order)
-    g_deg = g.head.deg
-    call = done_event["call"]
-    seq = done_event["seq"]
-    members = membership_at(registry, call, seq)
-    out = []
-    for i, a_pos in enumerate(members):
-        for b_pos in members[i + 1:]:
-            key, index, deg, _ = rules.pair(a_pos, b_pos)
-            if not in_scope(key, index, deg, call, g_key, g_deg):
-                continue
-            evidence = sorted(
-                (s, outcome, via)
-                for first, s, outcome, via in rules.evidence(a_pos, b_pos)
-                if first < seq
-            )
-            seq0, outcome, via = evidence[0] if evidence else (None, "unclassified", "")
-            out.append(PairClassification(g_pos, (a_pos, b_pos), outcome, seq0, via))
-    return out
 
 
 class _DominanceCount:
@@ -838,21 +790,22 @@ def check_thm5_exhaustive(events: Sequence[dict], registry: Registry, ring: Ring
     """Every in-scope pair at every insertion is classified into exactly one
     of {f5, rewritten, completed} by its first processing outcome.
 
-    The in-scope pairs at an insertion are those ``classify_pairs_at_insertion``
-    returns, and a failure is one it calls unclassified; ``checked`` counts
-    them over all insertions.  The pairs are counted, not tested one
-    insertion at a time.  A pair is formed at the stage k of its call at
-    which its later member joins G ∪ Done: stage 0 for the members the call
-    starts with, stage k + 1 for insertion k (counting from 0).  By
-    ``in_scope`` it is in scope at exactly the insertions j >= k whose
-    signature key is above the pair's and, for a pair of the call's index,
-    whose head degree is at least its lcm degree: a two-sided dominance
-    count.  Each call's stages are walked backwards, each insertion is added
-    to a ``_DominanceCount``, and the pairs formed at a stage are counted
-    there.  A pair can be unclassified at insertion j only if it is in scope
-    somewhere and its earliest evidence is logged no earlier than j, so only
-    those insertions are looked at one by one.  Each pair's data is worked
-    out once per log and shared by the calls.
+    The in-scope pairs at an insertion are the S-pairs of its members that
+    ``in_scope`` covers, and a failure is one that no outcome logged before
+    the insertion classifies (``_PairRules``); ``checked`` counts the pairs
+    over all insertions.  They are counted, not tested one insertion at a
+    time.  A pair is formed at the stage k of its call at which its later
+    member joins G ∪ Done: stage 0 for the members the call starts with,
+    stage k + 1 for insertion k (counting from 0).  By ``in_scope`` it is in
+    scope at exactly the insertions j >= k whose signature key is above the
+    pair's and, for a pair of the call's index, whose head degree is at
+    least its lcm degree: a two-sided dominance count.  Each call's stages
+    are walked backwards, each insertion is added to a ``_DominanceCount``,
+    and the pairs formed at a stage are counted there.  A pair can be
+    unclassified at insertion j only if it is in scope somewhere and its
+    earliest evidence is logged no earlier than j, so only those insertions
+    are looked at one by one.  Each pair's data is worked out once per log
+    and shared by the calls.
     """
     order = ring.order
     rules = _PairRules(events, registry, order)
@@ -860,13 +813,12 @@ def check_thm5_exhaustive(events: Sequence[dict], registry: Registry, ring: Ring
     unclassified = []
     checked = 0
     for call, done in registry.insertions.items():
-        begin = registry.calls[call]
         g_seq = [seq for seq, _ in done]
         g_pos = [pos for _, pos in done]
         g_key = [sig_key(registry.entries[pos].sig, order) for pos in g_pos]
-        g_deg = [rules.part(pos)[1] for pos in g_pos]
+        g_deg = [registry.entries[pos].head.deg for pos in g_pos]
         # members in the order they join; the last insertion never joins
-        members = sorted(begin["g_next"] + [begin["input_pos"]])
+        members = membership_at(registry, call, g_seq[0])
         start = len(members)
         members += g_pos[:-1]
         count = _DominanceCount(g_deg)
@@ -879,14 +831,14 @@ def check_thm5_exhaustive(events: Sequence[dict], registry: Registry, ring: Ring
                     pair = pairs.get(pair_id)
                     if pair is None:
                         pair = pairs[pair_id] = rules.pair(*pair_id)
-                    key, index, deg, first = pair
-                    covering = count.above(key, deg if index == call else None)
+                    key, deg, first = pair
+                    covering = count.above(key, deg if key[0] == -call else None)
                     checked += covering
                     if not covering:
                         continue
                     j = k
                     while j < len(done) and g_seq[j] <= first:
-                        if in_scope(key, index, deg, call, g_key[j], g_deg[j]):
+                        if in_scope(key, deg, g_key[j], g_deg[j]):
                             unclassified.append((g_seq[j], pair_id, g_pos[j]))
                         j += 1
     unclassified.sort()

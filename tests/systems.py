@@ -5,11 +5,12 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from f5gb.cli import _parse_poly
 from f5gb.poly import Monomial, MonomialOrder, Polynomial, Ring
-from f5gb.trace import build_registry, classify_pairs_at_insertion
+from f5gb.sig import sig_key
+from f5gb.trace import Registry, _PairRules, build_registry, in_scope, membership_at
 
 
 def make_ring(p: int, names, order: str = "degrevlex") -> Ring:
@@ -54,6 +55,46 @@ def random_problem_texts(count: int, seed: int) -> list[str]:
                 terms.append("*".join([str(rng.randrange(1, p))] + factors))
             texts.append(" + ".join(terms))
         out.append(problem_text(p, names, [f"order: {order}", *texts]))
+    return out
+
+
+class PairClassification(NamedTuple):
+    g_pos: int
+    pair: tuple[int, int]
+    outcome: str  # f5 | rewritten | completed | unclassified
+    seq: Optional[int]
+    via: str = ""
+
+
+def classify_pairs_at_insertion(
+    events: Sequence[dict],
+    registry: Registry,
+    ring: Ring,
+    done_event: dict,
+) -> list[PairClassification]:
+    """Classify every S-pair of members in scope at the insertion (see
+    ``in_scope``) by its first processing outcome.  This is the brute-force
+    reference for ``check_thm5_exhaustive``."""
+    rules = _PairRules(events, registry, ring.order)
+    g_pos = done_event["pos"]
+    g = registry.entries[g_pos]
+    g_key = sig_key(g.sig, ring.order)
+    g_deg = g.head.deg
+    seq = done_event["seq"]
+    members = membership_at(registry, done_event["call"], seq)
+    out = []
+    for i, a_pos in enumerate(members):
+        for b_pos in members[i + 1:]:
+            key, deg, _ = rules.pair(a_pos, b_pos)
+            if not in_scope(key, deg, g_key, g_deg):
+                continue
+            evidence = sorted(
+                (s, outcome, via)
+                for first, s, outcome, via in rules.evidence(a_pos, b_pos)
+                if first < seq
+            )
+            seq0, outcome, via = evidence[0] if evidence else (None, "unclassified", "")
+            out.append(PairClassification(g_pos, (a_pos, b_pos), outcome, seq0, via))
     return out
 
 

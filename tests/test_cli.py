@@ -272,6 +272,19 @@ class TestCommands:
             assert 0 < len(partial) < len(full)
             assert partial == full[: len(partial)]
 
+    def test_engine_error_keeps_partial_trace(self, tmp_path, capsys):
+        # each input is in bounds, but the lcm of their heads overflows when
+        # call 1 forms its first pair
+        path = tmp_path / "lcm.txt"
+        path.write_text("p = 7\nvars: x, y\nx^20000\ny^20000\n")
+        out_path = tmp_path / "partial.jsonl"
+        assert main(["trace", str(path), "--trace-out", str(out_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        with open(out_path) as fp:
+            partial = events_from_jsonl(fp)
+        kinds = [ev["kind"] for ev in partial]
+        assert kinds[-1] == "RuleAdded" and "CritPairCreated" not in kinds
+
     def test_trace_file_replayable(self, cyclic_file, tmp_path):
         trace_path = tmp_path / "t.jsonl"
         code, out = run_main(["trace", cyclic_file, "--trace-out", str(trace_path)])
@@ -368,7 +381,7 @@ class TestCommands:
         path.write_text("p = 7\nvars: x, y\nx^2 + y\nx*y - 1\n")
         code, out = run_main(["oracle", str(path), "--allow-affine"])
         assert code == 0 and out.strip()
-        code, _ = run_main(["gb", str(path), "--allow-affine"])
+        code, _ = run_main(["gb", str(path)])
         assert code == 1
 
 

@@ -2,6 +2,7 @@
 
 import copy
 import io
+import itertools
 import random
 
 import pytest
@@ -10,7 +11,7 @@ from f5gb import trace
 from f5gb.engine import EngineConfig, incremental_f5
 from f5gb.oracle import GgSnapshot, done_snapshots, find_thm4_pairs_in_snapshot
 from f5gb.poly import Monomial, MonomialQuotient, quotient_cmp, GT
-from f5gb.sig import LabeledPolynomial, Signature
+from f5gb.sig import LabeledPolynomial, Signature, sig_key, sig_mul
 from f5gb.trace import (
     InsertionView,
     Trace,
@@ -22,7 +23,6 @@ from f5gb.trace import (
     check_rule_degrees,
     check_signature_safety,
     check_thm5_exhaustive,
-    classify_pairs_at_insertion,
     decode_trail,
     done_insertion_audit,
     events_from_jsonl,
@@ -32,7 +32,14 @@ from f5gb.trace import (
     run_all_checkers,
 )
 
-from systems import SUITE, make_ring, polys, strip_rejections, thm5_brute_force
+from systems import (
+    SUITE,
+    classify_pairs_at_insertion,
+    make_ring,
+    polys,
+    strip_rejections,
+    thm5_brute_force,
+)
 
 
 def M(*exps):
@@ -483,6 +490,33 @@ class TestThm5:
         rep = check_thm5_exhaustive(res.events, build_registry(res.events), ring)
         assert rep.passed and rep.checked > 0
         assert (rep.checked, rep.failures) == thm5_brute_force(res.events, ring)
+
+    @pytest.mark.parametrize("name", ["cyclic", "deglex", "lex"])
+    def test_packed_pairs_match_monomial_api(self, name):
+        # the check and its brute-force reference share _PairRules, so its
+        # packed keys and degrees are checked against Monomial arithmetic
+        ring, res = thm5_run(name)
+        registry = build_registry(res.events)
+        rules = trace._PairRules(res.events, registry, ring.order)
+        members = [e for e in registry.entries.values() if e.head is not None]
+        assert len(members) > 2
+        for a, b in itertools.combinations(members, 2):
+            t = a.head.lcm(b.head)
+            key = max(sig_key(sig_mul(t.divide(e.head), e.sig), ring.order) for e in (a, b))
+            assert rules.pair(a.pos, b.pos)[:2] == rules.pair(b.pos, a.pos)[:2] == (key, t.deg)
+
+    def test_in_scope(self):
+        g_key, g_deg = (-2, 50), 4
+        # an equal key is out of scope
+        assert not trace.in_scope(g_key, g_deg, g_key, g_deg)
+        # a target of another index is decided by its key, whatever its degree
+        assert trace.in_scope((-3, 99), 9, g_key, g_deg)
+        assert not trace.in_scope((-1, 0), 0, g_key, g_deg)
+        # a target of the same index needs a smaller key and deg <= g_deg
+        assert trace.in_scope((-2, 49), 4, g_key, g_deg)
+        assert trace.in_scope((-2, 0), 1, g_key, g_deg)
+        assert not trace.in_scope((-2, 49), 5, g_key, g_deg)
+        assert not trace.in_scope((-2, 51), 1, g_key, g_deg)
 
     def test_check_small_counts_pinned(self):
         # (checked, failures on the stripped log), the values of the
