@@ -52,7 +52,7 @@ from .poly import (
     is_prime,
 )
 from .sig import check_admissible
-from .trace import Trace, build_registry, run_all_checkers
+from .trace import build_registry, run_all_checkers
 
 
 class ParseError(Exception):
@@ -210,19 +210,14 @@ def cmd_oracle(args) -> int:
 def cmd_trace(args) -> int:
     problem = parse_problem(_read(args.file), order_override=args.order)
     engine = Engine(problem.ring, problem.polynomials, _config_from_args(args))
-    try:
-        result = engine.run()
-    finally:
-        _write_trace(args.trace_out, engine.trace.events)  # the log so far, on an error too
+    # opened before the run, so a bad path fails before any engine work
+    with open(args.trace_out, "w", encoding="utf-8") as fp:
+        try:
+            result = engine.run()
+        finally:
+            engine.trace.to_jsonl(fp)  # the log so far, on an error too
     _print_basis(result.basis_polynomials())
     return 0
-
-
-def _write_trace(path: str, events) -> None:
-    log = Trace()
-    log.events = events
-    with open(path, "w", encoding="utf-8") as fp:
-        log.to_jsonl(fp)
 
 
 def _read(path: str) -> str:

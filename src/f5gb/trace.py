@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -34,6 +35,17 @@ EVENT_KINDS = (
     "ReductionToZero",
     "DoneInserted",
 )
+
+# the JSON Lines codec writes and decodes this many lines at a time: one
+# json.loads per chunk lets the decoder share each key string among the
+# chunk's events
+_CHUNK_LINES = 1024
+# each kind's one shared string
+_KINDS = {kind: kind for kind in EVENT_KINDS}
+# "}", "," and "{", the end of one object and the start of the next; no
+# line that to_jsonl writes holds one, because no event holds a list of
+# objects
+_OBJECT_BOUNDARY = re.compile(r"}\s*,\s*{")
 
 
 class BrokenLink(Exception):
@@ -99,13 +111,68 @@ class Trace:
         return [[c, list(exps[m.v])] for c, m in p.terms]
 
     def to_jsonl(self, fp) -> None:
-        for ev in self.events:
-            fp.write(json.dumps(ev, separators=(",", ":")))
-            fp.write("\n")
+        """Write one compact JSON object per line, a chunk of lines per
+        ``writelines``; the bytes equal ``json.dumps(ev, separators=(",",
+        ":"))`` plus a newline for each event."""
+        encode = json.JSONEncoder(separators=(",", ":")).encode
+        events = self.events
+        for start in range(0, len(events), _CHUNK_LINES):
+            fp.writelines([encode(ev) + "\n" for ev in events[start:start + _CHUNK_LINES]])
 
 
 def events_from_jsonl(fp) -> list[dict]:
-    return [json.loads(line) for line in fp if line.strip()]
+    """Read the events ``Trace.to_jsonl`` wrote; blank lines are skipped.
+
+    Each non-blank line must hold one JSON object whose ``kind`` is in
+    ``EVENT_KINDS``; otherwise ``ValueError`` names the first bad line
+    (1-based)."""
+    events: list[dict] = []
+    lines: list[str] = []
+    linenos: list[int] = []
+    for lineno, line in enumerate(fp, 1):
+        if line.strip():
+            lines.append(line)
+            linenos.append(lineno)
+            if len(lines) == _CHUNK_LINES:
+                _decode_chunk(lines, linenos, events)
+                lines, linenos = [], []
+    _decode_chunk(lines, linenos, events)
+    return events
+
+
+def _decode_chunk(lines: list[str], linenos: list[int], out: list[dict]) -> None:
+    """Append the events of ``lines`` to ``out``.
+
+    The chunk is decoded as one JSON array when no line holds an object
+    boundary.  Then every top-level comma of an array of objects is one put
+    between two lines, so an array of one known-kind object per line holds
+    each line's object.  Any other chunk is decoded line by line, which
+    raises at its first bad line."""
+    if not any(map(_OBJECT_BOUNDARY.search, lines)):
+        try:
+            events = json.loads("[" + ",".join(lines) + "]")
+            if len(events) == len(lines):
+                for ev in events:
+                    ev["kind"] = _KINDS[ev["kind"]]
+                out += events
+                return
+        except (ValueError, KeyError, TypeError):
+            pass
+    out += [_decode_line(line, lineno) for line, lineno in zip(lines, linenos)]
+
+
+def _decode_line(line: str, lineno: int) -> dict:
+    try:
+        ev = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"line {lineno}, column {exc.colno}: {exc.msg}") from None
+    if not isinstance(ev, dict):
+        raise ValueError(f"line {lineno}: not a JSON object")
+    kind = ev.get("kind")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ValueError(f"line {lineno}: unknown kind {kind!r}")
+    ev["kind"] = _KINDS[kind]
+    return ev
 
 
 # ---------------------------------------------------------------------------
@@ -846,9 +913,20 @@ def check_thm5_exhaustive(events: Sequence[dict], registry: Registry, ring: Ring
     return _report("thm5_exhaustive", checked, failures)
 
 
+# the report names of run_all_checkers, in its order
+_CHECKER_NAMES = (
+    "d_progression", "signature_safety", "rule_degrees", "genealogy", "trail_replay",
+    "chains", "done_insertion_audit", "thm5_exhaustive",
+)
+
+
 def run_all_checkers(
     events: Sequence[dict], ring: Ring, registry: Optional[Registry] = None
 ) -> list[CheckReport]:
+    """Every checker's report.  On a log with no ``CallBegin`` no check has
+    anything to run on, so each report fails with that reason."""
+    if not any(ev["kind"] == "CallBegin" for ev in events):
+        return [_report(name, 0, ["no CallBegin in the log"]) for name in _CHECKER_NAMES]
     if registry is None:
         registry = build_registry(events)
     return [

@@ -285,6 +285,25 @@ class TestCommands:
         kinds = [ev["kind"] for ev in partial]
         assert kinds[-1] == "RuleAdded" and "CritPairCreated" not in kinds
 
+    def test_bad_trace_out_fails_before_the_run(self, cyclic_file, tmp_path, monkeypatch,
+                                                capsys):
+        runs = []
+        monkeypatch.setattr(engine.Engine, "run", lambda self: runs.append(self))
+        out_path = tmp_path / "missing" / "t.jsonl"
+        assert main(["trace", cyclic_file, "--trace-out", str(out_path)]) == 1
+        assert capsys.readouterr().err.startswith("io error: ")
+        assert runs == [] and not out_path.parent.exists()
+
+    @pytest.mark.parametrize("text", ["p = 8\nvars: x\nx\n", "p = 7\nvars: x, y\nx^2 + y\n"])
+    def test_input_error_writes_no_trace(self, tmp_path, capsys, text):
+        # one error from parse_problem, one from the Engine construction
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        out_path = tmp_path / "t.jsonl"
+        assert main(["trace", str(path), "--trace-out", str(out_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out_path.exists()
+
     def test_trace_file_replayable(self, cyclic_file, tmp_path):
         trace_path = tmp_path / "t.jsonl"
         code, out = run_main(["trace", cyclic_file, "--trace-out", str(trace_path)])

@@ -3,6 +3,7 @@
 import copy
 import io
 import itertools
+import json
 import random
 
 import pytest
@@ -627,6 +628,17 @@ class TestLogRoundTrip:
         for rep in run_all_checkers(events, ring):
             assert rep.passed, rep.line()
 
+    def test_log_without_callbegin_fails_every_checker(self, cyclic):
+        ring, res = cyclic
+        names = [rep.name for rep in run_all_checkers(res.events, ring)]
+        no_call = [ev for ev in res.events if ev["kind"] != "CallBegin"]
+        for events in ([], events_from_jsonl(io.StringIO("\n \n")), no_call):
+            reports = run_all_checkers(events, ring)
+            assert [rep.name for rep in reports] == names
+            for rep in reports:
+                assert not rep.passed and rep.checked == 0
+                assert rep.line().endswith("(0 checked) first_failure=no CallBegin in the log")
+
     def test_run_all_checkers_builds_one_registry(self, cyclic, monkeypatch):
         ring, res = cyclic
         calls = []
@@ -660,3 +672,87 @@ class TestLogRoundTrip:
             (30, 5, (0, 1, 2, 3, 4, 5), (2, 3, 1)),
             (40, 6, (0, 1, 2, 3, 4, 5, 6), (3, 3, 1)),
         ]
+
+
+def jsonl_lines(events) -> list[str]:
+    buf = io.StringIO()
+    t = Trace()
+    t.events = events
+    t.to_jsonl(buf)
+    return buf.getvalue().splitlines(True)
+
+
+class TestJsonlCodec:
+    """``events_from_jsonl`` decodes a chunk of lines per ``json.loads``;
+    every line must still hold one known-kind object on its own."""
+
+    @pytest.fixture
+    def long_log(self, cyclic):
+        # more than one chunk and not a multiple of it
+        _, res = cyclic
+        events = []
+        while len(events) < trace._CHUNK_LINES + 226:
+            events += copy.deepcopy(res.events)
+        return [dict(ev, seq=seq) for seq, ev in enumerate(events)]
+
+    def read(self, text: str) -> list[dict]:
+        return events_from_jsonl(io.StringIO(text))
+
+    def test_writes_one_compact_dumps_per_event(self, long_log):
+        expected = [json.dumps(ev, separators=(",", ":")) + "\n" for ev in long_log]
+        assert jsonl_lines(long_log) == expected
+
+    def test_round_trip_with_blank_lines_around_a_chunk_boundary(self, long_log):
+        lines = jsonl_lines(long_log)
+        n = trace._CHUNK_LINES
+        for at in (n + 1, n - 1, n - 2, 3, 0):
+            lines.insert(at, "  \n" if at % 2 else "\n")
+        lines.append("\n")
+        events = self.read("".join(lines))
+        assert events == long_log
+        assert all(ev["kind"] is trace._KINDS[ev["kind"]] for ev in events)
+        # one chunk's events share each key string
+        keys = {}
+        assert all(keys.setdefault(key, key) is key for ev in events[:n] for key in ev)
+
+    def test_empty_and_blank_files_give_no_events(self):
+        assert self.read("") == []
+        assert self.read("\n   \n\t\n") == []
+
+    def check_bad(self, long_log, bad: list[str], lineno: int, message: str):
+        # a blank line before the bad ones: the error counts every line
+        lines = jsonl_lines(long_log)
+        lines.insert(5, "\n")
+        lines[lineno - 1:lineno - 1 + len(bad)] = bad
+        with pytest.raises(ValueError, match=message):
+            self.read("".join(lines))
+
+    def test_truncated_last_line(self, long_log):
+        lines = jsonl_lines(long_log)
+        with pytest.raises(ValueError, match=rf"^line {len(lines)}, column \d+: "):
+            self.read("".join(lines)[:-10])
+
+    def test_line_that_is_not_an_object(self, long_log):
+        at = trace._CHUNK_LINES + 40
+        self.check_bad(long_log, ["1\n"], at, rf"^line {at}: not a JSON object$")
+
+    def test_two_objects_on_one_line(self, long_log):
+        at = trace._CHUNK_LINES + 41
+        two = '{"seq":0,"kind":"CallEnd"},{"seq":1,"kind":"CallEnd"}\n'
+        self.check_bad(long_log, [two], at, rf"^line {at}, column \d+: Extra data$")
+
+    def test_unknown_kind(self, long_log):
+        self.check_bad(long_log, ['{"seq":6,"kind":"Nope"}\n'], 7,
+                       r"^line 7: unknown kind 'Nope'$")
+        self.check_bad(long_log, ['{"seq":6}\n'], 7, r"^line 7: unknown kind None$")
+
+    @pytest.mark.parametrize("pair", [
+        ['{"seq":0,"kind":"CallEnd","x":[1\n', '2]}\n'],
+        ['{"seq":0,"kind":"CallEnd","x":[[1\n', '2]]},{"seq":1,"kind":"CallEnd"}\n'],
+    ], ids=["one_object", "two_objects"])
+    def test_lines_that_complete_each_other(self, long_log, pair):
+        # neither line is JSON on its own, yet joined by a comma they read
+        # as one known-kind object, or as two
+        at = trace._CHUNK_LINES + 3
+        assert json.loads("[" + ",".join(pair) + "]")[0]["x"]
+        self.check_bad(long_log, pair, at, rf"^line {at}, column \d+: ")
