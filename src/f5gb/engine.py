@@ -359,10 +359,10 @@ class Engine:
             a, b, u1, u2, m1, m2 = b, a, u2, u1, m2, m1
         exps = self.trace.exps
         pair_fields = dict(
-            t=list(exps[t]),
-            u1=list(exps[u1]),
+            t=exps[t],
+            u1=exps[u1],
             p1=a.pos,
-            u2=list(exps[u2]),
+            u2=exps[u2],
             p2=b.pos,
         )
         for part, (lp, u, msig) in enumerate(((a, u1, m1), (b, u2, m2)), start=1):
@@ -374,8 +374,8 @@ class Engine:
                     where="crit_pair",
                     part=part,
                     pos=lp.pos,
-                    mult=list(exps[u]),
-                    msig={"mono": list(exps[msig]), "index": lp.index},
+                    mult=exps[u],
+                    msig={"mono": exps[msig], "index": lp.index},
                     blocked_by=blocked,
                     **pair_fields,
                 )
@@ -389,8 +389,8 @@ class Engine:
             "CritPairCreated",
             call=i,
             deg=deg,
-            sig1={"mono": list(exps[m1]), "index": a.index},
-            sig2={"mono": list(exps[m2]), "index": b.index},
+            sig1={"mono": exps[m1], "index": a.index},
+            sig2={"mono": exps[m2], "index": b.index},
             **pair_fields,
         )
         return CriticalPair(

@@ -14,7 +14,7 @@ import re
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .poly import (GT, Layout, Monomial, MonomialQuotient, Polynomial, Ring, overflow_error,
                    poly_axpy, quotient_cmp)
@@ -35,6 +35,41 @@ EVENT_KINDS = (
     "ReductionToZero",
     "DoneInserted",
 )
+
+
+class ExponentFields(NamedTuple):
+    """The payload fields of one kind that hold exponent vectors, by shape.
+    A field can be absent from some events of its kind."""
+
+    monos: tuple[str, ...] = ()  # one vector
+    sigs: tuple[str, ...] = ()  # a signature {"mono": vector, "index": i}
+    polys: tuple[str, ...] = ()  # a list of [c, vector] terms
+    # a list of reduction steps, each ["monic", s] or [kind, c, vector, reductor]
+    trails: tuple[str, ...] = ()
+
+
+# the rejections log a pair's t, u1 and u2 at pair or S-polynomial creation
+# only, and h_head only during a top-reduction
+_REJECT_FIELDS = ExponentFields(monos=("h_head", "mult", "t", "u1", "u2"), sigs=("msig",))
+EXPONENT_FIELDS = {
+    "CallBegin": ExponentFields(sigs=("sig",), polys=("poly",)),
+    "CallEnd": ExponentFields(),
+    "DegreeStep": ExponentFields(),
+    "RuleAdded": ExponentFields(monos=("mono",)),
+    "CritPairCreated": ExponentFields(monos=("t", "u1", "u2"), sigs=("sig1", "sig2")),
+    "F5CritPairReject": _REJECT_FIELDS,
+    "RewrittenReject": _REJECT_FIELDS,
+    "SPolCreated": ExponentFields(monos=("u1", "u2"), sigs=("sig",), polys=("poly",)),
+    "PhiPreReduce": ExponentFields(monos=("mult",), sigs=("h_sig",)),
+    "ReductionStep": ExponentFields(monos=("mult",), sigs=("h_sig", "msig")),
+    "NewFromTopReduction": ExponentFields(
+        monos=("u", "u_under"), sigs=("sig",), polys=("poly",)
+    ),
+    "ReductionToZero": ExponentFields(sigs=("sig",)),
+    "DoneInserted": ExponentFields(
+        sigs=("sig",), polys=("poly", "creation_poly"), trails=("trail",)
+    ),
+}
 
 # the JSON Lines codec writes and decodes this many lines at a time: one
 # json.loads per chunk lets the decoder share each key string among the
@@ -82,10 +117,12 @@ class _Exponents(dict):
 class Trace:
     """Single-writer event sink; events receive monotone sequence numbers.
 
-    A payload writes a monomial as ``list(trace.exps[v])``: ``exps`` decodes
-    each packed value ``v`` once per run, under ``lay``, the packed form of
-    the run's monomials, and each payload is a fresh list, so no two events
-    share one.  A trace that only holds or writes events needs no ``lay``.
+    A payload writes a monomial as ``trace.exps[v]``: ``exps`` decodes each
+    packed value ``v`` once per run, under ``lay``, the packed form of the
+    run's monomials, so every event holding that monomial shares one
+    immutable tuple.  The lists around the tuples (polynomial terms, trail
+    steps, ``g_next``, ``basis``) are fresh per event, so no two events share
+    one.  A trace that only holds or writes events needs no ``lay``.
     """
 
     def __init__(self, lay: Optional[Layout] = None):
@@ -100,15 +137,15 @@ class Trace:
         self.events.append({"seq": seq, "kind": kind, **payload})
         return seq
 
-    def mono_payload(self, m: Monomial) -> list:
-        return list(self.exps[m.v])
+    def mono_payload(self, m: Monomial) -> tuple[int, ...]:
+        return self.exps[m.v]
 
     def sig_payload(self, s: Signature) -> dict:
-        return {"mono": list(self.exps[s.mono.v]), "index": s.index}
+        return {"mono": self.exps[s.mono.v], "index": s.index}
 
     def poly_payload(self, p: Polynomial) -> list:
         exps = self.exps
-        return [[c, list(exps[m.v])] for c, m in p.terms]
+        return [[c, exps[m.v]] for c, m in p.terms]
 
     def to_jsonl(self, fp) -> None:
         """Write one compact JSON object per line, a chunk of lines per
@@ -124,44 +161,50 @@ def events_from_jsonl(fp) -> list[dict]:
     """Read the events ``Trace.to_jsonl`` wrote; blank lines are skipped.
 
     Each non-blank line must hold one JSON object whose ``kind`` is in
-    ``EVENT_KINDS``; otherwise ``ValueError`` names the first bad line
-    (1-based)."""
+    ``EVENT_KINDS`` and whose ``EXPONENT_FIELDS`` have their shapes;
+    otherwise ``ValueError`` names the first bad line (1-based).  As in the
+    engine's log, each exponent vector becomes a tuple of ints, one per
+    distinct vector of the read."""
     events: list[dict] = []
     lines: list[str] = []
     linenos: list[int] = []
+    memo = _ExponentMemo()
     for lineno, line in enumerate(fp, 1):
         if line.strip():
             lines.append(line)
             linenos.append(lineno)
             if len(lines) == _CHUNK_LINES:
-                _decode_chunk(lines, linenos, events)
+                _decode_chunk(lines, linenos, events, memo)
                 lines, linenos = [], []
-    _decode_chunk(lines, linenos, events)
+    _decode_chunk(lines, linenos, events, memo)
     return events
 
 
-def _decode_chunk(lines: list[str], linenos: list[int], out: list[dict]) -> None:
+def _decode_chunk(
+    lines: list[str], linenos: list[int], out: list[dict], memo: _ExponentMemo
+) -> None:
     """Append the events of ``lines`` to ``out``.
 
     The chunk is decoded as one JSON array when no line holds an object
     boundary.  Then every top-level comma of an array of objects is one put
     between two lines, so an array of one known-kind object per line holds
-    each line's object.  Any other chunk is decoded line by line, which
-    raises at its first bad line."""
+    each line's object.  Any other chunk, and one with a malformed exponent
+    field, is decoded line by line, which raises at its first bad line."""
     if not any(map(_OBJECT_BOUNDARY.search, lines)):
         try:
             events = json.loads("[" + ",".join(lines) + "]")
             if len(events) == len(lines):
                 for ev in events:
                     ev["kind"] = _KINDS[ev["kind"]]
+                    _share_exponents(ev, memo)
                 out += events
                 return
         except (ValueError, KeyError, TypeError):
             pass
-    out += [_decode_line(line, lineno) for line, lineno in zip(lines, linenos)]
+    out += [_decode_line(line, lineno, memo) for line, lineno in zip(lines, linenos)]
 
 
-def _decode_line(line: str, lineno: int) -> dict:
+def _decode_line(line: str, lineno: int, memo: _ExponentMemo) -> dict:
     try:
         ev = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -172,7 +215,59 @@ def _decode_line(line: str, lineno: int) -> dict:
     if not isinstance(kind, str) or kind not in _KINDS:
         raise ValueError(f"line {lineno}: unknown kind {kind!r}")
     ev["kind"] = _KINDS[kind]
+    try:
+        _share_exponents(ev, memo)
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: {exc}") from None
     return ev
+
+
+class _ExponentMemo(dict):
+    """Exponent tuple -> the read's one copy of it.  A tuple not seen before
+    must hold ints; one equal to a tuple seen before (as 1.0 equals 1)
+    reads as that tuple."""
+
+    def __missing__(self, t: tuple) -> tuple:
+        if not all(type(e) is int for e in t):
+            raise TypeError
+        self[t] = t
+        return t
+
+
+def _array(value) -> list:
+    if type(value) is not list:
+        raise TypeError
+    return value
+
+
+def _share_exponents(ev: dict, memo: _ExponentMemo) -> None:
+    """Replace each exponent vector in the ``EXPONENT_FIELDS`` of ``ev`` by
+    its tuple in ``memo``; ``ValueError`` names the first field that does
+    not have its shape."""
+    monos, sigs, polys, trails = EXPONENT_FIELDS[ev["kind"]]
+    try:
+        shape = "exponent vector"
+        for name in monos:
+            if name in ev:
+                ev[name] = memo[tuple(_array(ev[name]))]
+        shape = "signature"
+        for name in sigs:
+            if name in ev:
+                sig = ev[name]
+                sig["mono"] = memo[tuple(_array(sig["mono"]))]
+        shape = "polynomial"
+        for name in polys:
+            if name in ev:
+                for term in _array(ev[name]):
+                    term[1] = memo[tuple(_array(term[1]))]
+        shape = "trail"
+        for name in trails:
+            if name in ev:
+                for step in _array(ev[name]):
+                    if step[0] != "monic":
+                        step[2] = memo[tuple(_array(step[2]))]
+    except (TypeError, KeyError, IndexError):
+        raise ValueError(f"field {name!r} is not a valid {shape}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -684,8 +779,8 @@ def _pair_event_index(events: Sequence[dict]):
     A pair is keyed by its two (position, multiplier) parts, the lower
     position first; a rejection during a top-reduction is keyed by the
     reduced element, its head, the candidate and the multiplier.  Monomials
-    are keyed by packed value, and each distinct payload exponent list is
-    decoded once, through ``Monomial``, which rejects a bad one.  A
+    are keyed by packed value, and each distinct payload exponent vector is
+    packed once, through ``Monomial``, which rejects a bad one.  A
     rejection classifies its pair from its own sequence number on, so only
     the earliest one per key is kept.
     """

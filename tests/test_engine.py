@@ -20,7 +20,7 @@ from f5gb.engine import (
 from f5gb.poly import GT, Monomial
 from f5gb.sig import MissingModuleVector, Signature, check_admissible, sig_cmp, sig_mul
 from systems import P
-from f5gb.trace import Trace, build_registry, sig_from_payload
+from f5gb.trace import EXPONENT_FIELDS, Trace, build_registry, events_from_jsonl, sig_from_payload
 
 from systems import CYCLIC4, KATSURA5, LEX_SCOPE, P, SUITE, make_ring, polys
 
@@ -82,15 +82,15 @@ class TestDemoRun:
 
     def test_seed_pair_shape(self, demo):
         (ev,) = events_of(demo, "CritPairCreated")
-        assert ev["t"] == [2, 1] and ev["deg"] == 3
+        assert ev["t"] == (2, 1) and ev["deg"] == 3
         # greater part is the first input (index 1), multiplied by y
-        assert ev["u1"] == [0, 1]
+        assert ev["u1"] == (0, 1)
         assert sig_from_payload(ev["sig1"]) == Signature(M(0, 1), 1)
         assert sig_from_payload(ev["sig2"]) == Signature(M(1, 0), 2)
 
     def test_spol_heads_cancel_at_creation(self, demo, ring):
         (ev,) = events_of(demo, "SPolCreated")
-        assert ev["poly"] == [[1, [0, 3]]]  # y^3 right away
+        assert ev["poly"] == [[1, (0, 3)]]  # y^3 right away
         assert sig_from_payload(ev["sig"]) == Signature(M(0, 1), 1)
 
     def test_higher_degree_pairs_rejected_at_pair_level(self, demo):
@@ -232,8 +232,8 @@ class TestTopReductionBranches:
         assert eng._is_reducible(h, 1) is None
         assert list(eng.trace.events[-1].items()) == [
             ("seq", 2), ("kind", "RewrittenReject"), ("call", 1),
-            ("where", "is_reducible"), ("check", "d"), ("h", 1), ("h_head", [2, 1]),
-            ("cand", 0), ("mult", [0, 1]), ("msig", {"mono": [0, 1], "index": 1}),
+            ("where", "is_reducible"), ("check", "d"), ("h", 1), ("h_head", (2, 1)),
+            ("cand", 0), ("mult", (0, 1)), ("msig", {"mono": (0, 1), "index": 1}),
             ("rewriter", 1),
         ]
 
@@ -447,6 +447,16 @@ def payload_lists(value):
             yield from payload_lists(item)
 
 
+def exponent_vectors(ev):
+    """Every exponent vector of an event, found through ``EXPONENT_FIELDS``."""
+    monos, sigs, polys, trails = EXPONENT_FIELDS[ev["kind"]]
+    yield from (ev[name] for name in monos if name in ev)
+    yield from (ev[name]["mono"] for name in sigs if name in ev)
+    yield from (exps for name in polys if name in ev for _, exps in ev[name])
+    yield from (step[2] for name in trails if name in ev for step in ev[name]
+                if step[0] != "monic")
+
+
 class TestEventLogPin:
     @pytest.mark.parametrize("system, order", sorted(PINNED_LOGS))
     def test_log_hash_pinned_and_independent_of_checks(self, system, order):
@@ -468,3 +478,37 @@ class TestEventLogPin:
         for lst in lists:
             lst.append(marker)
         assert all(lst.count(marker) == 1 for lst in lists)
+
+    @pytest.mark.parametrize("order", ["degrevlex", "lex"])
+    def test_exponent_vectors_are_shared_tuples(self, order):
+        # within a run, and within one read of its JSON Lines, equal vectors
+        # are one tuple; two reads share none
+        names, texts = SUITE["katsura3_homog"]
+        events = incremental_f5(polys(make_ring(32003, names, order), *texts)).events
+        trace = Trace()
+        trace.events = events
+        buf = io.StringIO()
+        trace.to_jsonl(buf)
+        first, second = (events_from_jsonl(io.StringIO(buf.getvalue())) for _ in range(2))
+        assert first == events
+        for log in (events, first, second):
+            vectors = [exps for ev in log for exps in exponent_vectors(ev)]
+            assert vectors and all(type(exps) is tuple for exps in vectors)
+            one = {}
+            assert all(one.setdefault(exps, exps) is exps for exps in vectors)
+        ids = {id(exps) for ev in first for exps in exponent_vectors(ev)}
+        assert not ids & {id(exps) for ev in second for exps in exponent_vectors(ev)}
+
+    @pytest.mark.parametrize("order", ["degrevlex", "lex"])
+    def test_exponent_fields_name_every_vector(self, order):
+        # outside EXPONENT_FIELDS a payload holds ints and strings, and the
+        # position lists of CallBegin and CallEnd
+        names, texts = SUITE["katsura3_homog"]
+        events = incremental_f5(polys(make_ring(32003, names, order), *texts)).events
+        for ev in events:
+            named = set(sum(EXPONENT_FIELDS[ev["kind"]], ()))
+            for name, value in ev.items():
+                if name in ("g_next", "basis"):
+                    assert all(type(pos) is int for pos in value)
+                elif name not in named:
+                    assert type(value) in (int, str), (ev["kind"], name)

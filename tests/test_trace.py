@@ -9,7 +9,7 @@ import random
 import pytest
 
 from f5gb import trace
-from f5gb.engine import EngineConfig, incremental_f5
+from f5gb.engine import BudgetExceeded, EngineConfig, incremental_f5
 from f5gb.oracle import GgSnapshot, done_snapshots, find_thm4_pairs_in_snapshot
 from f5gb.poly import Monomial, MonomialQuotient, quotient_cmp, GT
 from f5gb.sig import LabeledPolynomial, Signature, sig_key, sig_mul
@@ -34,6 +34,7 @@ from f5gb.trace import (
 )
 
 from systems import (
+    KATSURA5,
     SUITE,
     classify_pairs_at_insertion,
     make_ring,
@@ -628,6 +629,18 @@ class TestLogRoundTrip:
         for rep in run_all_checkers(events, ring):
             assert rep.passed, rep.line()
 
+    @pytest.mark.parametrize("order", ["degrevlex", "deglex", "lex"])
+    def test_jsonl_round_trip_of_a_multi_chunk_log(self, order):
+        # under deglex and lex katsura-5 runs far past degree 8; its log up
+        # to that degree already spans several chunks
+        ring = make_ring(32003, KATSURA5[0], order)
+        try:
+            events = incremental_f5(polys(ring, *KATSURA5[1]), EngineConfig(max_degree=8)).events
+        except BudgetExceeded as exc:
+            events = exc.events
+        assert len(events) > 3 * trace._CHUNK_LINES
+        assert events_from_jsonl(io.StringIO("".join(jsonl_lines(events)))) == events
+
     def test_log_without_callbegin_fails_every_checker(self, cyclic):
         ring, res = cyclic
         names = [rep.name for rep in run_all_checkers(res.events, ring)]
@@ -756,3 +769,31 @@ class TestJsonlCodec:
         at = trace._CHUNK_LINES + 3
         assert json.loads("[" + ",".join(pair) + "]")[0]["x"]
         self.check_bad(long_log, pair, at, rf"^line {at}, column \d+: ")
+
+    @pytest.mark.parametrize("bad, message", [
+        ('{"seq":6,"kind":"RuleAdded","index":1,"mono":5,"pos":0}',
+         "field 'mono' is not a valid exponent vector"),
+        ('{"seq":6,"kind":"RuleAdded","index":1,"mono":[1,"a",0,0],"pos":0}',
+         "field 'mono' is not a valid exponent vector"),
+        ('{"seq":6,"kind":"RuleAdded","index":1,"mono":[[1],0,0,0],"pos":0}',
+         "field 'mono' is not a valid exponent vector"),
+        ('{"seq":6,"kind":"RuleAdded","index":1,"mono":{},"pos":0}',
+         "field 'mono' is not a valid exponent vector"),
+        ('{"seq":6,"kind":"ReductionToZero","call":1,"pos":3,"sig":{"index":1}}',
+         "field 'sig' is not a valid signature"),
+        ('{"seq":6,"kind":"ReductionToZero","call":1,"pos":3,"sig":[0,0,0,0]}',
+         "field 'sig' is not a valid signature"),
+        ('{"seq":6,"kind":"SPolCreated","call":1,"pos":3,"poly":[[1,null]]}',
+         "field 'poly' is not a valid polynomial"),
+        ('{"seq":6,"kind":"DoneInserted","call":1,"pos":3,"trail":[["top",1]]}',
+         "field 'trail' is not a valid trail"),
+    ], ids=["mono_int", "mono_str", "mono_nested", "mono_object", "sig_no_mono", "sig_list",
+            "poly_term", "trail_step"])
+    @pytest.mark.parametrize("path", ["bulk", "per_line"])
+    def test_bad_exponent_field(self, long_log, bad, message, path):
+        # a valid line holding an object boundary sends its whole chunk down
+        # the line-by-line path
+        boundary = '{"seq":7,"kind":"CallEnd","note":"},{"}\n'
+        lines = [bad + "\n"] + ([boundary] if path == "per_line" else [])
+        at = trace._CHUNK_LINES + 17
+        self.check_bad(long_log, lines, at, rf"^line {at}: {message}$")
