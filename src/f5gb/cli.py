@@ -10,7 +10,8 @@ Problem file grammar::
     x*y                   # '#' starts a comment
 
 Terms are ``c*v1^e1*...*vk^ek`` joined with ``+``/``-``; the coefficient and
-``^1`` exponents may be omitted.
+``^1`` exponents may be omitted.  One sign may lead the first term; two
+operators in a row, or an operator with no term after it, is an error.
 """
 
 from __future__ import annotations
@@ -76,20 +77,24 @@ class ProblemFile:
 
 
 def _parse_poly(ring: Ring, text: str, lineno: int) -> Polynomial:
-    text = text.strip()
     chunks = []
     sign = 1
     buf = ""
+    op = ""  # the last operator read
     for ch in text:
         if ch in "+-":
             if buf.strip():
                 chunks.append((sign, buf))
+            elif op:
+                raise ParseError(f"operator {ch!r} follows another operator", lineno)
             sign = 1 if ch == "+" else -1
-            buf = ""
+            buf, op = "", ch
         else:
             buf += ch
     if buf.strip():
         chunks.append((sign, buf))
+    elif op:
+        raise ParseError(f"operator {op!r} has no term after it", lineno)
     if not chunks:
         raise ParseError("empty polynomial", lineno)
     terms = []
@@ -392,6 +397,14 @@ def main(argv=None) -> int:
     p_desc.add_argument("--descent-cap", type=int, default=10**5)
 
     args = parser.parse_args(argv)
+    # the least value of each numeric option that has one, checked before
+    # any file is read
+    for option, least in (("descent_samples", 0), ("descent_cap", 1)):
+        value = getattr(args, option, least)
+        if value < least:
+            sys.stderr.write(f"error: --{option.replace('_', '-')} must be at least {least},"
+                             f" got {value}\n")
+            return 1
     try:
         handler = {
             "gb": cmd_gb,

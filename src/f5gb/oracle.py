@@ -37,7 +37,7 @@ from .sig import (
     sig_key,
     sig_mul,
 )
-from .trace import InsertionView, Registry, in_scope, membership_at, rules_before
+from .trace import InsertionView, Registry, in_scope, membership_at
 
 
 class DescentError(Exception):
@@ -92,11 +92,12 @@ class GgSnapshot(InsertionView):
         entries: Sequence[LabeledPolynomial] | dict[int, LabeledPolynomial],
         members: Sequence[int],
         g_pos: int,
-        rules: dict[int, Sequence[tuple[Monomial, int]]],
+        rules: dict[int, Sequence[tuple[int, Monomial, int]]],
+        seq: int,
         input_pos: dict[int, int],
         triples: Optional[dict[int, list[tuple[int, Monomial, int]]]] = None,
     ):
-        super().__init__(entries, members, g_pos, rules)
+        super().__init__(entries, members, g_pos, rules, seq)
         self.ring = ring
         self.order = ring.order
         self.member_set = set(self.members)
@@ -110,15 +111,17 @@ class GgSnapshot(InsertionView):
                     triples: Optional[dict] = None) -> "GgSnapshot":
         """The snapshot of the ``DoneInserted`` event at ``seq``; ``registry``
         is built from ``result.events``.  The snapshot shares ``result.R``,
-        whose element at each position is the one created there, and the
-        cache ``triples`` of input expansions when one is given."""
+        whose element at each position is the one created there, the
+        registry's rule tables, and the cache ``triples`` of input
+        expansions when one is given."""
         done = result.events[seq]
         return cls(
             ring=result.ring,
             entries=result.R,
             members=membership_at(registry, done["call"], seq) + [done["pos"]],
             g_pos=done["pos"],
-            rules=rules_before(registry, seq),
+            rules=registry.rules,
+            seq=seq,
             input_pos={call: begin["input_pos"] for call, begin in registry.calls.items()},
             triples=triples,
         )

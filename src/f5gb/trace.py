@@ -13,6 +13,7 @@ import math
 import re
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
+from itertools import combinations, permutations
 from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
@@ -69,6 +70,22 @@ EXPONENT_FIELDS = {
     "DoneInserted": ExponentFields(
         sigs=("sig",), polys=("poly", "creation_poly"), trails=("trail",)
     ),
+}
+
+
+class CreationFields(NamedTuple):
+    """The payload fields of a kind that creates a labeled polynomial."""
+
+    pos: str  # the new position
+    # the greater part, the smaller part and their two multipliers; an input
+    # has none
+    genealogy: Optional[tuple[str, str, str, str]] = None
+
+
+CREATION_FIELDS = {
+    "CallBegin": CreationFields("input_pos"),
+    "SPolCreated": CreationFields("pos", ("p1", "p2", "u1", "u2")),
+    "NewFromTopReduction": CreationFields("pos", ("j", "h", "u", "u_under")),
 }
 
 # the JSON Lines codec writes and decodes this many lines at a time: one
@@ -329,38 +346,16 @@ def build_registry(events: Sequence[dict]) -> Registry:
         kind = ev["kind"]
         if kind == "CallBegin":
             calls[ev["call"]] = ev
-            pos = ev["input_pos"]
+        created = CREATION_FIELDS.get(kind)
+        if created is not None:
+            gen = created.genealogy
+            if gen is not None:
+                greater, smaller, u_over, u_under = (ev[name] for name in gen)
+                gen = (greater, smaller, Monomial(u_over), Monomial(u_under))
+            pos = ev[created.pos]
             entries[pos] = RegistryEntry(
-                pos=pos,
-                call=ev["call"],
-                sig=sig_from_payload(ev["sig"]),
-                creation_poly=ev["poly"],
-                final_poly=ev["poly"],
-                created_seq=ev["seq"],
-            )
-        elif kind in ("SPolCreated", "NewFromTopReduction"):
-            if kind == "SPolCreated":
-                gen = (
-                    ev["p1"],
-                    ev["p2"],
-                    Monomial(ev["u1"]),
-                    Monomial(ev["u2"]),
-                )
-            else:
-                gen = (
-                    ev["j"],
-                    ev["h"],
-                    Monomial(ev["u"]),
-                    Monomial(ev["u_under"]),
-                )
-            entries[ev["pos"]] = RegistryEntry(
-                pos=ev["pos"],
-                call=ev["call"],
-                sig=sig_from_payload(ev["sig"]),
-                creation_poly=ev["poly"],
-                final_poly=ev["poly"],
-                genealogy=gen,
-                created_seq=ev["seq"],
+                pos, ev["call"], sig_from_payload(ev["sig"]), ev["poly"], ev["poly"],
+                genealogy=gen, created_seq=ev["seq"],
             )
         elif kind == "DoneInserted":
             e = entries[ev["pos"]]
@@ -392,17 +387,6 @@ def membership_at(registry: Registry, call: int, seq: int) -> list[int]:
     done = registry.insertions.get(call, [])
     done = done[: bisect_left(done, seq, key=itemgetter(0))]
     return sorted(begin["g_next"] + [begin["input_pos"]] + [pos for _, pos in done])
-
-
-def rules_before(registry: Registry, seq: int) -> dict[int, list[tuple[Monomial, int]]]:
-    """Per index, the rule entries added before sequence number ``seq``;
-    indexes without one are absent."""
-    tables = {}
-    for index, table in registry.rules.items():
-        k = bisect_left(table, seq, key=itemgetter(0))
-        if k:
-            tables[index] = [(mono, pos) for _, mono, pos in table[:k]]
-    return tables
 
 
 # ---------------------------------------------------------------------------
@@ -472,21 +456,15 @@ def check_signature_safety(events: Sequence[dict], order) -> CheckReport:
     return _report("signature_safety", checked, failures)
 
 
-def check_rule_degrees(events: Sequence[dict]) -> CheckReport:
+def check_rule_degrees(registry: Registry) -> CheckReport:
     """Per index, total degrees of rule monomials never decrease."""
-    per_index: dict[int, list[tuple[int, int]]] = {}
-    for ev in events:
-        if ev["kind"] == "RuleAdded":
-            per_index.setdefault(ev["index"], []).append(
-                (ev["seq"], sum(ev["mono"]))
-            )
     failures = []
     checked = 0
-    for idx, degs in sorted(per_index.items()):
-        for (s1, d1), (s2, d2) in zip(degs, degs[1:]):
+    for idx, table in sorted(registry.rules.items()):
+        for (_, m1, _), (s2, m2, _) in zip(table, table[1:]):
             checked += 1
-            if d2 < d1:
-                failures.append((idx, s2, d1, d2))
+            if m2.deg < m1.deg:
+                failures.append((idx, s2, m1.deg, m2.deg))
     return _report("rule_degrees", checked, failures)
 
 
@@ -598,13 +576,11 @@ def extract_chain(pos: int, registry: Registry, ring: Ring) -> ChainReport:
     order = ring.order
     chain = [pos]
     cur = registry.entries[pos]
-    seen = {pos}
     while not cur.is_input:
         parent = cur.genealogy[0]
-        if parent not in registry.entries or parent in seen:
+        if parent not in registry.entries or parent in chain:
             raise BrokenLink(f"broken ancestor link at r{cur.pos}")
         chain.append(parent)
-        seen.add(parent)
         cur = registry.entries[parent]
     chain.reverse()
 
@@ -613,28 +589,13 @@ def extract_chain(pos: int, registry: Registry, ring: Ring) -> ChainReport:
         for a, b in zip(chain, chain[1:])
     )
 
-    withhm = [p for p in chain if registry.entries[p].head is not None]
-    quot_ok = True
-    for i in range(len(withhm)):
-        for j in range(i + 1, len(withhm)):
-            a, b = registry.entries[withhm[i]], registry.entries[withhm[j]]
-            qa = MonomialQuotient(a.head, a.sig.mono)
-            qb = MonomialQuotient(b.head, b.sig.mono)
-            if quotient_cmp(qa, qb, order) != GT:
-                quot_ok = False
-
-    distinct_ok = True
-    heads = [registry.entries[p].head for p in withhm]
-    for i in range(len(heads)):
-        for j in range(len(heads)):
-            if i == j:
-                continue
-            if heads[i] == heads[j]:
-                distinct_ok = False
-            elif heads[i].divides(heads[j]) and not (
-                i < j and heads[i].deg < heads[j].deg
-            ):
-                distinct_ok = False
+    withhm = [registry.entries[p] for p in chain if registry.entries[p].head is not None]
+    quotients = [MonomialQuotient(e.head, e.sig.mono) for e in withhm]
+    quot_ok = all(quotient_cmp(qa, qb, order) == GT for qa, qb in combinations(quotients, 2))
+    distinct_ok = all(
+        a != b and not (a.divides(b) and not (i < j and a.deg < b.deg))
+        for (i, a), (j, b) in permutations(enumerate(e.head for e in withhm), 2)
+    )
     return ChainReport(chain, div_ok, quot_ok, distinct_ok)
 
 
@@ -661,10 +622,12 @@ class InsertionView:
     ``entries`` gives, by position, a record with ``sig``, ``index`` and
     ``head``: a ``RegistryEntry`` or a ``LabeledPolynomial``.  ``members``
     are the positions of G ∪ Done at the insertion together with the
-    inserted element ``g_pos``.  ``rules`` holds, per signature index, the
-    (monomial, owner) rule entries added before the insertion, oldest first.
-    The insertion audit builds the view from the registry alone; the
-    descent's snapshot extends it.
+    inserted element ``g_pos``.  ``rules`` are the run's rule tables as
+    ``Registry.rules`` holds them, shared, not copied: per signature index,
+    the (seq, monomial, owner) entries in log order.  The view reads each
+    table up to the entries logged before ``seq``, the insertion's sequence
+    number.  The insertion audit builds the view from the registry alone;
+    the descent's snapshot extends it.
     """
 
     def __init__(
@@ -672,13 +635,24 @@ class InsertionView:
         entries,
         members: Sequence[int],
         g_pos: int,
-        rules: dict[int, Sequence[tuple[Monomial, int]]],
+        rules: dict[int, Sequence[tuple[int, Monomial, int]]],
+        seq: int,
     ):
         self.entries = entries
         self.members = tuple(sorted(members))
         self.g_pos = g_pos
         self.rules = rules
+        self.seq = seq
         self._phi: dict[int, list[tuple[Monomial, int]]] = {}
+        self._rule_count: dict[int, int] = {}
+
+    def rule_count(self, index: int) -> int:
+        """How many rules of ``index`` were logged before the insertion."""
+        k = self._rule_count.get(index)
+        if k is None:
+            table = self.rules.get(index, ())
+            k = self._rule_count[index] = bisect_left(table, self.seq, key=itemgetter(0))
+        return k
 
     def phi_basis(self, index: int) -> list[tuple[Monomial, int]]:
         """(head, position) of the completed basis for ``index + 1``: the
@@ -712,7 +686,9 @@ class InsertionView:
         when there is none, which means ``pos`` has no rule entry."""
         e = self.entries[pos]
         mono = t.mul(e.sig.mono)
-        for rmono, owner in reversed(self.rules.get(e.index, ())):
+        table = self.rules.get(e.index, ())
+        for k in range(self.rule_count(e.index) - 1, -1, -1):
+            _, rmono, owner = table[k]
             if owner < pos:  # the tables are in creation order
                 break
             if rmono.divides(mono):
@@ -757,12 +733,8 @@ def done_insertion_audit(registry: Registry) -> CheckReport:
         for seq, pos in done:
             checked += 1
             g = registry.entries[pos]
-            view = InsertionView(
-                registry.entries,
-                membership_at(registry, call, seq) + [pos],
-                pos,
-                rules_before(registry, seq),
-            )
+            members = membership_at(registry, call, seq) + [pos]
+            view = InsertionView(registry.entries, members, pos, registry.rules, seq)
             for cand in view.members:
                 if cand != pos and view.failed_check(cand, g.head, g.sig) is None:
                     failures.append((pos, cand, "candidate passes all four checks"))
@@ -773,20 +745,23 @@ def done_insertion_audit(registry: Registry) -> CheckReport:
 # exhaustive pair classification at every insertion
 
 
-def _pair_event_index(events: Sequence[dict]):
-    """Index classification evidence by pair identity.
+def _pair_key(a: int, ua: int, b: int, ub: int) -> tuple[int, int, int, int]:
+    """A pair's two (position, packed multiplier) parts, lower position first."""
+    return (a, ua, b, ub) if a < b else (b, ub, a, ua)
 
-    A pair is keyed by its two (position, multiplier) parts, the lower
-    position first; a rejection during a top-reduction is keyed by the
-    reduced element, its head, the candidate and the multiplier.  Monomials
-    are keyed by packed value, and each distinct payload exponent vector is
-    packed once, through ``Monomial``, which rejects a bad one.  A
-    rejection classifies its pair from its own sequence number on, so only
-    the earliest one per key is kept.
+
+def _rejection_index(events: Sequence[dict]):
+    """Index the logged rejections by pair identity.
+
+    A pair is keyed by ``_pair_key``; a rejection during a top-reduction is
+    keyed by the reduced element, its head, the candidate and the
+    multiplier.  Monomials are keyed by packed value, and each distinct
+    payload exponent vector is packed once, through ``Monomial``, which
+    rejects a bad one.  A rejection classifies its pair from its own
+    sequence number on, so only the earliest one per key is kept.
     """
     crit: dict = {}
     isred: dict = {}
-    created: dict = {}
     monos: dict = {}
 
     def mono(exps):
@@ -796,9 +771,6 @@ def _pair_event_index(events: Sequence[dict]):
             v = monos[t] = Monomial(t).v
         return v
 
-    def pair_key(a, ua, b, ub):
-        return (a, mono(ua), b, mono(ub)) if a < b else (b, mono(ub), a, mono(ua))
-
     # where each kind of rejection is logged against a whole pair
     pair_where = {"F5CritPairReject": "crit_pair", "RewrittenReject": "spol"}
     for ev in events:
@@ -806,18 +778,12 @@ def _pair_event_index(events: Sequence[dict]):
         if kind in pair_where:
             verdict = "f5" if kind == "F5CritPairReject" else "rewritten"
             if ev["where"] == pair_where[kind]:
-                key = pair_key(ev["p1"], ev["u1"], ev["p2"], ev["u2"])
+                key = _pair_key(ev["p1"], mono(ev["u1"]), ev["p2"], mono(ev["u2"]))
                 crit.setdefault(key, (ev["seq"], verdict))
             elif ev["where"] == "is_reducible":
                 key = (ev["h"], mono(ev["h_head"]), ev["cand"], mono(ev["mult"]))
                 isred.setdefault(key, (ev["seq"], verdict))
-        elif kind == "SPolCreated":
-            key = pair_key(ev["p1"], ev["u1"], ev["p2"], ev["u2"])
-            created.setdefault(key, []).append((ev["seq"], ev["pos"]))
-        elif kind == "NewFromTopReduction":
-            key = pair_key(ev["j"], ev["u"], ev["h"], ev["u_under"])
-            created.setdefault(key, []).append((ev["seq"], ev["pos"]))
-    return crit, isred, created
+    return crit, isred
 
 
 def in_scope(key: tuple, deg: int, g_key: tuple, g_deg: int) -> bool:
@@ -854,15 +820,23 @@ class _PairRules:
     creation, rewrites both parts from then on, so the pair counts as
     rewritten once the zero reduction is logged.
 
-    Pairs are formed on the packed values of the entries' heads and
-    signature monomials, as ``Engine._crit_pair`` forms them: no
-    ``Monomial`` or ``Signature`` is built per pair.
+    Rejections are read from the events; the elements built from a pair,
+    from the registry's genealogies.  Pairs are formed on the packed values
+    of the entries' heads and signature monomials, as ``Engine._crit_pair``
+    forms them: no ``Monomial`` or ``Signature`` is built per pair.
     """
 
     def __init__(self, events: Sequence[dict], registry: Registry, order):
         self.entries = registry.entries
         self.order = order
-        self.crit, self.isred, self.created = _pair_event_index(events)
+        self.crit, self.isred = _rejection_index(events)
+        # pair key -> the entries built from the pair, in creation order
+        self.created: dict[tuple, list[RegistryEntry]] = {}
+        for e in registry.entries.values():
+            if not e.is_input:
+                greater, smaller, u_over, u_under = e.genealogy
+                key = _pair_key(greater, u_over.v, smaller, u_under.v)
+                self.created.setdefault(key, []).append(e)
 
     def _shape(self, a_pos: int, b_pos: int):
         """The pair's signature key and lcm degree, and its two parts as
@@ -896,8 +870,8 @@ class _PairRules:
             hit = self.isred.get(isred_key)
             if hit is not None:
                 out.append((hit[0], hit[0], hit[1], "is_reducible"))
-        for s, new_pos in self.created.get(key, ()):
-            ne = self.entries[new_pos]
+        for ne in self.created.get(key, ()):
+            s = ne.created_seq
             if ne.done_seq is not None:
                 out.append((max(s, ne.done_seq), s, "completed", "trail"))
             elif ne.zero_seq is not None:
@@ -1027,7 +1001,7 @@ def run_all_checkers(
     return [
         check_d_progression(events),
         check_signature_safety(events, ring.order),
-        check_rule_degrees(events),
+        check_rule_degrees(registry),
         check_genealogy(registry, ring.order),
         check_replay(registry, ring),
         check_chains(registry, ring),

@@ -25,6 +25,17 @@ def polys(ring: Ring, *texts: str) -> list[Polynomial]:
     return [P(ring, t) for t in texts]
 
 
+def rule_tables(rules: dict) -> dict:
+    """Hand-written rule tables {index: ((mono, owner), ...)}, oldest first,
+    in the format of ``Registry.rules``: (seq, mono, owner) entries, numbered
+    in the order written.  A view at ``seq=math.inf`` reads all of them."""
+    seqs = itertools.count()
+    return {
+        index: [(next(seqs), mono, owner) for mono, owner in table]
+        for index, table in rules.items()
+    }
+
+
 def problem_text(p: int, names, texts) -> str:
     """A problem file over GF(p): degrevlex unless ``texts`` holds an
     ``order:`` line."""

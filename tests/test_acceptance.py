@@ -211,7 +211,7 @@ def test_criterion_8_comparator_worked_examples():
         1: LabeledPolynomial(1, Signature(M(0, 0), 2), P(ring, "x"), None),
         2: LabeledPolynomial(2, Signature(M(1, 0), 1), P(ring, "x"), None),
     }
-    snap = GgSnapshot(ring, entries, (0, 1, 2), 2, {}, {1: 0, 2: 1})
+    snap = GgSnapshot(ring, entries, (0, 1, 2), 2, {}, 0, {1: 0, 2: 1})
     E = ReprElement
     outcomes = [
         elem_cmp(E(1, M(0, 1), 0), E(100, M(0, 1), 1), snap) == GT,

@@ -106,6 +106,22 @@ class TestParseProblem:
             parse_problem("p = 7\nvars: x, y, x\nx*y")
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("line", [
+        "x^2 + + y^2", "x^2 - -y^2", "x^2 -+ y^2", "- -x^2", "x^2 +", "x^2 + y^2 -", "-",
+    ])
+    def test_doubled_or_dangling_operator_is_a_parse_error(self, line):
+        with pytest.raises(ParseError, match="operator '[+-]' (follows another|has no term)") as exc:
+            parse_problem(f"p = 7\nvars: x, y\nx*y\n{line}", allow_affine=True)
+        assert exc.value.line == 4
+
+    @pytest.mark.parametrize("line, text", [
+        ("-x^2 + y^2", "6*x^2 + y^2"),
+        ("+x^2 - y^2", "x^2 + 6*y^2"),
+        ("- x^2 - y^2", "6*x^2 + 6*y^2"),
+    ])
+    def test_one_leading_sign_stays_valid(self, line, text):
+        assert parse_problem(f"p = 7\nvars: x, y\n{line}").polynomials[0].text() == text
+
     def test_missing_pieces(self):
         with pytest.raises(ParseError):
             parse_problem("vars: x\nx")
@@ -339,14 +355,31 @@ class TestCommands:
         assert code == 2
         assert out == f"element {element} is not a member of snapshot 0 (members [0, 1, 2])\n"
 
-    @pytest.mark.parametrize("mult", ["0", "x+y", "x - x", "7*x", ""])
+    @pytest.mark.parametrize("mult", ["0", "x+y", "x - x", "7*x", "", "x +", "+ + x", "x - -y"])
     def test_descend_mult_must_be_one_nonzero_term(self, cyclic_file, mult, capsys):
         assert main(["descend", cyclic_file, "--mult", mult]) == 1
         assert "error: line 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["check", "--descent-samples", "-1"], "--descent-samples must be at least 0, got -1"),
+        (["check", "--descent-cap", "0"], "--descent-cap must be at least 1, got 0"),
+        (["descend", "--descent-cap", "0"], "--descent-cap must be at least 1, got 0"),
+        (["descend", "--descent-cap", "-5"], "--descent-cap must be at least 1, got -5"),
+    ])
+    def test_bad_descent_argument_fails_before_the_file_is_read(
+        self, tmp_path, capsys, monkeypatch, argv, message
+    ):
+        # the path does not exist, and no engine runs
+        monkeypatch.setattr(cli, "incremental_f5", None)
+        path = str(tmp_path / "missing.txt")
+        assert main([argv[0], path, *argv[1:]]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_descend_mult_coefficient_is_ignored(self, cyclic_file):
         plain = run_main(["descend", cyclic_file, "--element", "1", "--mult", "h"])
         assert plain == run_main(["descend", cyclic_file, "--element", "1", "--mult", "3*h"])
+        # one leading sign stays valid
+        assert plain == run_main(["descend", cyclic_file, "--element", "1", "--mult=-h"])
         assert plain[0] == 0 and '"elements":[[1,[0,0,0,1],1]]' in plain[1]
 
     def test_parse_error_exit_code(self, tmp_path):
@@ -374,7 +407,8 @@ class TestCommands:
         "p = 4294967311\nvars: x\nx",
         "p = 7\nvars: x, y\norder: foo\nx*y",
         "p = 7\nvars: x, x\nx^2",
-    ], ids=["modulus", "order", "vars"])
+        "p = 7\nvars: x, y\nx^2 - -y^2",
+    ], ids=["modulus", "order", "vars", "operators"])
     def test_bad_input_exit_code(self, tmp_path, capsys, text):
         path = tmp_path / "bad.txt"
         path.write_text(text)

@@ -1,5 +1,6 @@
 """Representation order, the two rewrites, descent, reference algorithm."""
 
+import math
 import random
 import re
 
@@ -41,7 +42,9 @@ from f5gb.poly import Monomial, normal_form
 from f5gb.sig import LabeledPolynomial, ModuleVector, Signature, sig_cmp, sig_mul
 from f5gb.trace import build_registry
 
-from systems import LEX_SCOPE, SUITE, P, make_ring, polys, standard_monomial_count
+from systems import (
+    LEX_SCOPE, SUITE, P, make_ring, polys, rule_tables, standard_monomial_count,
+)
 
 
 def M(*exps):
@@ -74,7 +77,8 @@ def cmp_snap():
         entries,
         members=(0, 1, 2),
         g_pos=2,
-        rules={1: ((M(0, 0), 0), (M(1, 0), 2)), 2: ((M(0, 0), 1),)},
+        rules=rule_tables({1: ((M(0, 0), 0), (M(1, 0), 2)), 2: ((M(0, 0), 1),)}),
+        seq=math.inf,
         input_pos={1: 0, 2: 1},
     )
 
@@ -115,7 +119,7 @@ class TestOrderedForm:
         entries = dict(cmp_snap.entries)
         entries[2] = lp(2, Signature(M(0, 0), 1), entries[2].poly)
         other = GgSnapshot(
-            cmp_snap.ring, entries, members=(0, 1, 2), g_pos=2, rules={},
+            cmp_snap.ring, entries, members=(0, 1, 2), g_pos=2, rules={}, seq=0,
             input_pos={1: 0, 2: 1},
         )
         r = Representation([E(1, M(0, 2), 0), E(1, M(0, 1), 2)])
@@ -202,7 +206,8 @@ def sum_snap():
         entries,
         members=(0, 1),
         g_pos=1,
-        rules={1: ((M(0, 0), 1),), 2: ((M(0, 0), 0),)},
+        rules=rule_tables({1: ((M(0, 0), 1),), 2: ((M(0, 0), 0),)}),
+        seq=math.inf,
         input_pos={1: 1, 2: 0},
     )
     return ring, snap
@@ -252,7 +257,8 @@ def f5_case_snap():
         entries,
         members=(0, 1, 2),
         g_pos=2,
-        rules={1: ((M(0, 0), 1), (M(1, 0), 2)), 2: ((M(0, 0), 0),)},
+        rules=rule_tables({1: ((M(0, 0), 1), (M(1, 0), 2)), 2: ((M(0, 0), 0),)}),
+        seq=math.inf,
         input_pos={1: 1, 2: 0},
     )
     return ring, snap
@@ -288,7 +294,8 @@ class TestViolatedProperty:
             entries,
             members=(0, 1, 2),
             g_pos=2,
-            rules={1: ((M(0, 0), 1), (M(0, 0), 2)), 2: ((M(0, 0), 0),)},
+            rules=rule_tables({1: ((M(0, 0), 1), (M(0, 0), 2)), 2: ((M(0, 0), 0),)}),
+            seq=math.inf,
             input_pos={1: 1, 2: 0},
         )
         r = Representation([E(1, M(0, 0), 1)])
@@ -334,7 +341,10 @@ class TestRewriteF5Case:
             entries,
             members=(0, 1, 2),
             g_pos=2,
-            rules={1: ((M(0, 0, 0), 2),), 2: ((M(0, 0, 0), 1),), 3: ((M(0, 0, 0), 0),)},
+            rules=rule_tables(
+                {1: ((M(0, 0, 0), 2),), 2: ((M(0, 0, 0), 1),), 3: ((M(0, 0, 0), 0),)}
+            ),
+            seq=math.inf,
             input_pos={1: 2, 2: 1, 3: 0},
         )
         assert snap.phi_basis(1) == [(M(0, 1, 0), 0), (M(1, 0, 0), 1)]
@@ -414,7 +424,10 @@ def hm_case_world():
         entries,
         members=(0, 1, 2, 3, 4),
         g_pos=4,
-        rules={1: ((M(0, 0), 1), (M(0, 0), 2), (M(0, 1), 3), (M(1, 0), 4)), 2: ((M(0, 0), 0),)},
+        rules=rule_tables(
+            {1: ((M(0, 0), 1), (M(0, 0), 2), (M(0, 1), 3), (M(1, 0), 4)), 2: ((M(0, 0), 0),)}
+        ),
+        seq=math.inf,
         input_pos={1: 1, 2: 0},
     )
     return ring, snap
@@ -452,7 +465,10 @@ class TestRewriteHmCase:
         snapshots = done_snapshots(res, build_registry(res.events))
         for snap in snapshots:
             snap.rules = {
-                index: [(m, owner) for m, owner in table if owner == snap.g_pos or owner not in spol]
+                index: [
+                    (seq, m, owner) for seq, m, owner in table
+                    if owner == snap.g_pos or owner not in spol
+                ]
                 for index, table in snap.rules.items()
             }
         raised = 0
@@ -488,10 +504,11 @@ def reductor_world():
         entries,
         members=(0, 1, 3, 4),
         g_pos=4,
-        rules={
+        rules=rule_tables({
             1: ((M(0, 0), 1), (M(0, 1), 3), (M(1, 0), 4)),
             2: ((M(0, 0), 0),),
-        },
+        }),
+        seq=math.inf,
         input_pos={1: 1, 2: 0},
     )
     return ring, snap
@@ -525,7 +542,8 @@ class TestFindUnrejectedReductor:
             entries,
             members=(0, 1, 3),
             g_pos=3,
-            rules={1: ((M(0, 0), 1), (M(1, 0), 3)), 2: ((M(0, 0), 0),)},
+            rules=rule_tables({1: ((M(0, 0), 1), (M(1, 0), 3)), 2: ((M(0, 0), 0),)}),
+            seq=math.inf,
             input_pos={1: 1, 2: 0},
         )
         # a genuine pair per the head/signature-quotient scan

@@ -1,6 +1,7 @@
 """Checkers: positive runs, fabricated negative controls, log round-trips."""
 
 import copy
+import functools
 import io
 import itertools
 import json
@@ -29,13 +30,14 @@ from f5gb.trace import (
     events_from_jsonl,
     extract_chain,
     membership_at,
-    rules_before,
     run_all_checkers,
 )
 
 from systems import (
+    CYCLIC4,
     KATSURA5,
     SUITE,
+    SUITE_PRIMES,
     classify_pairs_at_insertion,
     make_ring,
     polys,
@@ -140,14 +142,14 @@ class TestRuleDegrees:
             {"seq": 1, "kind": "RuleAdded", "index": 1, "mono": [0, 1], "pos": 1},
             {"seq": 2, "kind": "RuleAdded", "index": 1, "mono": [1, 1], "pos": 2},
         ]
-        assert check_rule_degrees(ev).passed
+        assert check_rule_degrees(build_registry(ev)).passed
 
     def test_fail(self):
         ev = [
             {"seq": 0, "kind": "RuleAdded", "index": 1, "mono": [1, 1], "pos": 0},
             {"seq": 1, "kind": "RuleAdded", "index": 1, "mono": [1, 0], "pos": 1},
         ]
-        assert not check_rule_degrees(ev).passed
+        assert not check_rule_degrees(build_registry(ev)).passed
 
 
 class TestChains:
@@ -183,7 +185,7 @@ class TestThm4Scan:
             0: LabeledPolynomial(0, sig0, ring.poly([(1, head0)]), None),
             1: LabeledPolynomial(1, sig1, ring.poly([(1, head1)]), None),
         }
-        return GgSnapshot(ring, entries, (0, 1), 1, {}, {1: 0})
+        return GgSnapshot(ring, entries, (0, 1), 1, {}, 0, {1: 0})
 
     def test_negative_control_from_direct_definition(self, ring):
         # head divides and signature divides, but the quotient comparison
@@ -301,7 +303,8 @@ def insertion_view(events, pos):
         registry.entries,
         membership_at(registry, call, seq) + [pos],
         pos,
-        rules_before(registry, seq),
+        registry.rules,
+        seq,
     )
 
 
@@ -448,6 +451,70 @@ def thm5_run(name):
     return ring, incremental_f5(polys(ring, *texts), EngineConfig())
 
 
+# Log plants: one event dropped from the degrevlex log of cyclic-4 or
+# katsura-5 over GF(32003).  A rejection plant drops the first event of its
+# kind in the log, a rule plant the RuleAdded of the element at the given
+# position: on cyclic-4 the first S-polynomial, on katsura-5 the first
+# element built by a top-reduction.
+PLANT_SYSTEMS = {"cyclic4": CYCLIC4, "katsura5": KATSURA5}
+RULE_PLANTS = {"cyclic4": 2, "katsura5": 30}
+# plant -> (name, first failure) of each report that fails
+PLANT_OUTCOMES = {
+    ("cyclic4", "F5CritPairReject"): [("thm5_exhaustive", (6, (0, 4), "unclassified"))],
+    ("cyclic4", "RewrittenReject"): [("thm5_exhaustive", (4, (1, 2), "unclassified"))],
+    # seen by no checker: at every insertion r2 fails check (a) or (b) of
+    # the audit before its rule is asked, and no other checker reads rules
+    # but for their degrees
+    ("cyclic4", "RuleAdded"): [],
+    ("katsura5", "F5CritPairReject"): [("thm5_exhaustive", (4, (0, 2), "unclassified"))],
+    ("katsura5", "RewrittenReject"): [("thm5_exhaustive", (6, (0, 4), "unclassified"))],
+    ("katsura5", "RuleAdded"): [
+        ("done_insertion_audit", (26, 22, "candidate passes all four checks"))
+    ],
+}
+REJECTION_PLANTS = [plant for plant in PLANT_OUTCOMES if plant[1] != "RuleAdded"]
+
+
+@functools.cache
+def plant_run(system):
+    names, texts = PLANT_SYSTEMS[system]
+    ring = make_ring(32003, names)
+    return ring, incremental_f5(polys(ring, *texts), EngineConfig()).events
+
+
+def planted_log(system, kind):
+    """(ring, the log without the planted event, the dropped event)."""
+    ring, events = plant_run(system)
+    dropped = next(
+        ev for ev in events
+        if ev["kind"] == kind and (kind != "RuleAdded" or ev["pos"] == RULE_PLANTS[system])
+    )
+    return ring, [ev for ev in events if ev is not dropped], dropped
+
+
+class TestLogPlants:
+    @pytest.mark.parametrize("plant", sorted(PLANT_OUTCOMES), ids="-".join)
+    def test_failing_reports_pinned(self, plant):
+        ring, events, _ = planted_log(*plant)
+        reports = run_all_checkers(events, ring)
+        assert [(rep.name, rep.failures[0]) for rep in reports if not rep.passed] == (
+            PLANT_OUTCOMES[plant]
+        )
+
+    @pytest.mark.parametrize("system", PLANT_SYSTEMS)
+    def test_unplanted_log_passes(self, system):
+        ring, events = plant_run(system)
+        assert all(run_all_checkers(events, ring))
+
+    @pytest.mark.parametrize("system", PLANT_SYSTEMS)
+    def test_rule_plant_is_one_rule_fewer(self, system):
+        _, events, _ = planted_log(system, "RuleAdded")
+        full = build_registry(plant_run(system)[1])
+        assert check_rule_degrees(build_registry(events)).checked == (
+            check_rule_degrees(full).checked - 1
+        )
+
+
 class TestDominanceCount:
     def test_matches_brute_force(self):
         # keys shaped like signature keys, drawn from few values so that
@@ -492,6 +559,21 @@ class TestThm5:
         rep = check_thm5_exhaustive(res.events, build_registry(res.events), ring)
         assert rep.passed and rep.checked > 0
         assert (rep.checked, rep.failures) == thm5_brute_force(res.events, ring)
+
+    @pytest.mark.parametrize("plant", REJECTION_PLANTS, ids="-".join)
+    def test_dropped_rejection_is_sum_of_classified(self, plant):
+        # the comparison above, on a log with one rejection dropped.  The
+        # first rejection of either kind is logged against a whole pair, at
+        # its creation or at its S-polynomial's.  The engine drops a
+        # rejected pair for good, so nothing else in the log classifies it,
+        # and it is in scope at the next insertion of its call: the pair is
+        # unclassified there, which fails the check.
+        ring, events, dropped = planted_log(*plant)
+        assert dropped["where"] in ("crit_pair", "spol")
+        rep = check_thm5_exhaustive(events, build_registry(events), ring)
+        assert not rep.passed
+        assert rep.failures[0][1] == tuple(sorted((dropped["p1"], dropped["p2"])))
+        assert (rep.checked, rep.failures) == thm5_brute_force(events, ring)
 
     @pytest.mark.parametrize("name", ["cyclic", "deglex", "lex"])
     def test_packed_pairs_match_monomial_api(self, name):
@@ -675,7 +757,7 @@ class TestLogRoundTrip:
                 registry.entries[snap.g_pos].done_seq,
                 snap.g_pos,
                 snap.members,
-                tuple(len(snap.rules.get(i, ())) for i in (1, 2, 3)),
+                tuple(snap.rule_count(i) for i in (1, 2, 3)),
             )
             for snap in done_snapshots(res, registry)
         ]
@@ -685,6 +767,77 @@ class TestLogRoundTrip:
             (30, 5, (0, 1, 2, 3, 4, 5), (2, 3, 1)),
             (40, 6, (0, 1, 2, 3, 4, 5, 6), (3, 3, 1)),
         ]
+
+
+def _is_vector(value, n) -> bool:
+    return type(value) is tuple and len(value) == n and all(type(e) is int for e in value)
+
+
+def _is_signature(value, n) -> bool:
+    return (type(value) is dict and _is_vector(value["mono"], n)
+            and type(value["index"]) is int)
+
+
+def _is_poly(value, n) -> bool:
+    return type(value) is list and all(
+        type(term) is list and len(term) == 2 and type(term[0]) is int
+        and _is_vector(term[1], n)
+        for term in value
+    )
+
+
+def _is_trail(value, n) -> bool:
+    return type(value) is list and all(
+        step[0] == "monic" and len(step) == 2 or len(step) == 4 and _is_vector(step[2], n)
+        for step in value
+    )
+
+
+class TestSchemaTables:
+    """The tables that describe event fields match what the engine writes,
+    so a writer that drifts from them fails here."""
+
+    @pytest.fixture(scope="class")
+    def suite_logs(self):
+        logs = []
+        for order in ("degrevlex", "deglex", "lex"):
+            for names, texts in SUITE.values():
+                for p in SUITE_PRIMES:
+                    ring = make_ring(p, names, order)
+                    logs.append((ring.n, incremental_f5(polys(ring, *texts)).events))
+        return logs
+
+    def test_creation_events_carry_the_table_fields(self, suite_logs):
+        seen = set()
+        for n, events in suite_logs:
+            for ev in events:
+                fields = trace.CREATION_FIELDS.get(ev["kind"])
+                if fields is not None:
+                    seen.add(ev["kind"])
+                    assert type(ev[fields.pos]) is int
+                    if fields.genealogy is not None:
+                        greater, smaller, u_over, u_under = (ev[f] for f in fields.genealogy)
+                        assert type(greater) is int and type(smaller) is int
+                        assert _is_vector(u_over, n) and _is_vector(u_under, n)
+        assert seen == set(trace.CREATION_FIELDS)
+
+    def test_exponent_fields_have_their_shapes(self, suite_logs):
+        shapes = (_is_vector, _is_signature, _is_poly, _is_trail)
+        used = set()
+        for n, events in suite_logs:
+            for ev in events:
+                for names, is_shape in zip(trace.EXPONENT_FIELDS[ev["kind"]], shapes):
+                    for name in names:
+                        if name in ev:
+                            used.add((ev["kind"], name))
+                            assert is_shape(ev[name], n), (ev["kind"], name)
+        # every named field occurs in some event
+        assert used == {
+            (kind, name)
+            for kind, fields in trace.EXPONENT_FIELDS.items()
+            for names in fields
+            for name in names
+        }
 
 
 def jsonl_lines(events) -> list[str]:
