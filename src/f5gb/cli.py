@@ -17,7 +17,6 @@ operators in a row, or an operator with no term after it, is an error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import random
 import sys
@@ -52,15 +51,23 @@ from .poly import (
     is_homogeneous,
     is_prime,
 )
-from .sig import check_admissible
-from .trace import build_registry, run_all_checkers
+from .sig import replay_vectors
+from .trace import all_admissible, build_registry, check_replay, run_all_checkers
 
 
 class ParseError(Exception):
-    def __init__(self, message: str, line: int, column: int = 0):
-        super().__init__(f"line {line}, column {column}: {message}")
+    def __init__(self, message: str, line: int):
+        super().__init__(f"line {line}: {message}")
         self.line = line
-        self.column = column
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, like every other input error, where
+    argparse exits 2, the code of a check failure.  Its subcommand parsers
+    are of this class too."""
+
+    def error(self, message: str):
+        self.exit(1, f"error: {message}\n")
 
 
 class NonPrimeModulus(Exception):
@@ -234,18 +241,21 @@ def run_check(problem: ProblemFile, config: EngineConfig, descent_samples: int,
               descent_cap: int, seed: int) -> dict:
     """Engine + reference + checkers + sampled descents; machine-form report.
 
-    The engine runs on a copy of ``config`` with ``self_check`` set."""
+    One replay of the log gives the ``trail_replay`` report and the module
+    vectors of the ``admissible`` verdict and of the descents."""
     t0 = time.perf_counter()
-    result = incremental_f5(problem.polynomials, dataclasses.replace(config, self_check=True))
+    result = incremental_f5(problem.polynomials, config)
     f5_basis = result.basis_polynomials()
     oracle_basis = buchberger(problem.polynomials)
     equal = ideal_equal(f5_basis, oracle_basis)
     registry = build_registry(result.events)
-    snapshots = done_snapshots(result, registry)
-    reports = run_all_checkers(result.events, problem.ring, registry)
+    replay = check_replay(result.events, problem.ring)
+    vectors = replay_vectors(problem.ring, replay.ops)
+    snapshots = done_snapshots(result, registry, vectors)
+    reports = run_all_checkers(result.events, problem.ring, registry, replay)
     verdicts = {rep.name: rep.passed for rep in reports}
     verdicts["ideal_equal"] = equal
-    verdicts["admissible"] = all(check_admissible(lp, result.inputs) for lp in result.R)
+    verdicts["admissible"] = all_admissible(registry, replay, vectors)
 
     descents = {"attempted": 0, "completed": 0, "max_steps": 0, "failures": []}
     thm4 = {"pairs": 0, "reductor_ok": 0, "failures": []}
@@ -334,9 +344,9 @@ def cmd_descend(args) -> int:
         if len(mult.terms) != 1:
             raise ParseError(f"--mult {args.mult!r} is not exactly one nonzero term", 0)
         mono = mult.head_mono
-    config = dataclasses.replace(_config_from_args(args), self_check=True)
-    result = incremental_f5(problem.polynomials, config)
-    snapshots = done_snapshots(result, build_registry(result.events))
+    result = incremental_f5(problem.polynomials, _config_from_args(args))
+    vectors = replay_vectors(problem.ring, check_replay(result.events, problem.ring).ops)
+    snapshots = done_snapshots(result, build_registry(result.events), vectors)
     if not snapshots:
         print("no snapshots captured (no Done insertions in this run)")
         return 2
@@ -362,7 +372,7 @@ def cmd_descend(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="f5gb",
         description="Signature-based Groebner engine with invariant checking",
     )

@@ -25,15 +25,7 @@ from .poly import (
     packed_monomial,
     poly_axpy,
 )
-from .sig import (
-    LabeledPolynomial,
-    ModuleVector,
-    Signature,
-    check_admissible,
-    sig_cmp,
-    sig_key,
-    sig_mul,
-)
+from .sig import LabeledPolynomial, Signature, sig_cmp, sig_key, sig_mul
 from .trace import Trace
 
 
@@ -74,21 +66,15 @@ class BudgetExceeded(EngineError):
 
 @dataclass
 class EngineConfig:
-    """Budgets and the optional run-time checks of one engine run.
+    """The budgets of one engine run.
 
     ``max_pairs``, ``max_degree`` and ``reduction_step_cap`` bound the run;
     hitting one raises ``BudgetExceeded`` with the partial trace.
-    ``self_check`` checks the admissibility of every element at creation.
-    Module vectors are carried only under ``self_check``: the admissibility
-    check and the descent oracle read them, the algorithm does not.
-    Otherwise every element's ``mv`` is None.  The event log is the same
-    either way.
     """
 
     max_pairs: int = 10**6
     max_degree: int = 80
     reduction_step_cap: int = 10**6
-    self_check: bool = False
 
 
 class CriticalPair(NamedTuple):
@@ -188,46 +174,27 @@ class Engine:
         if cond:
             raise BudgetExceeded(what, self.trace.events, self.counters())
 
-    def _new_labeled(self, sig: Signature, poly: Polynomial,
-                     mv: Optional[ModuleVector]) -> LabeledPolynomial:
-        lp = LabeledPolynomial(len(self.R), sig, poly, mv)
+    def _new_labeled(self, sig: Signature, poly: Polynomial) -> LabeledPolynomial:
+        lp = LabeledPolynomial(len(self.R), sig, poly)
         self.R.append(lp)
         self.creation_polys[lp.pos] = poly
         self.trails[lp.pos] = []
-        if self.config.self_check and not check_admissible(lp, self.inputs):
-            raise InternalInvariantError(f"r{lp.pos} created non-admissible")
         return lp
-
-    def _monic(
-        self, poly: Polynomial, mv: Optional[ModuleVector]
-    ) -> tuple[Polynomial, Optional[ModuleVector], int]:
-        """poly and mv scaled to leading coefficient 1, and the scale s; s is
-        1 when poly is zero or already monic."""
-        if poly.is_zero or poly.head_coeff == 1:
-            return poly, mv, 1
-        s = self.ring.inv(poly.head_coeff)
-        return poly.scale(s), None if mv is None else mv.scale(s), s
 
     def _new_element(self, sig: Signature, a: LabeledPolynomial, ua: Monomial,
                      b: LabeledPolynomial, ub: Monomial) -> LabeledPolynomial:
         """The new element ua*a - ub*b under signature ``sig``, made monic,
         with its rule added."""
-        poly = poly_axpy(a.poly.term_mul(1, ua), 1, ub, b.poly)
-        mv = None
-        if self.config.self_check:
-            mv = a.mv.term_mul(1, ua).axpy(1, ub, b.mv)
-        poly, mv, _ = self._monic(poly, mv)
-        lp = self._new_labeled(sig, poly, mv)
+        poly, _ = poly_axpy(a.poly.term_mul(1, ua), 1, ub, b.poly).monic_scale()
+        lp = self._new_labeled(sig, poly)
         self._add_rule(sig, lp.pos)
         return lp
 
     def _reduce_by(self, h: LabeledPolynomial, kind: str, c: int, u: Monomial,
                    b: LabeledPolynomial) -> None:
-        """One reduction step h := h - c*u*b, on h's module vector too, and
-        recorded in h's trail as ``kind``."""
+        """One reduction step h := h - c*u*b, recorded in h's trail as
+        ``kind``."""
         h.poly = poly_axpy(h.poly, c, u, b.poly)
-        if h.mv is not None:
-            h.mv = h.mv.axpy(c, u, b.mv)
         self.trails[h.pos].append([kind, c, self.trace.mono_payload(u), b.pos])
 
     def _first_divisor(self, index: int, v: int) -> Optional[tuple[Monomial, int]]:
@@ -284,8 +251,7 @@ class Engine:
     def _begin_call(self, i: int, g_next: list[int]) -> LabeledPolynomial:
         f = self.inputs[i - 1]
         sig = Signature(self.ring.one_mono(), i)
-        mv = ModuleVector.unit(self.ring, self.m, i) if self.config.self_check else None
-        lp = self._new_labeled(sig, f, mv)
+        lp = self._new_labeled(sig, f)
         self.trace.emit(
             "CallBegin",
             call=i,
@@ -519,7 +485,7 @@ class Engine:
             )
             touched = True
         if touched:
-            h.poly, h.mv, s = self._monic(h.poly, h.mv)
+            h.poly, s = h.poly.monic_scale()
             if s != 1:
                 self.trails[h.pos].append(["monic", s])
 
@@ -552,7 +518,7 @@ class Engine:
             raise InternalInvariantError("check (d) let an equal-signature reductor through")
         if c == GT:
             self._reduce_by(h, "top", 1, u, j)
-            h.poly, h.mv, scale = self._monic(h.poly, h.mv)
+            h.poly, scale = h.poly.monic_scale()
             if scale != 1:
                 self.trails[h.pos].append(["monic", scale])
             self.trace.emit(

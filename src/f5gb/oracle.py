@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Collection, Iterable, Optional, Sequence
+from typing import Collection, Iterable, Mapping, Optional, Sequence
 
 from .engine import EngineResult
 from .poly import (
@@ -30,6 +30,7 @@ from .poly import (
 )
 from .sig import (
     LabeledPolynomial,
+    ModuleVector,
     Signature,
     input_representation as _mv_input_triples,
     sig_cmp,
@@ -75,15 +76,16 @@ class GgSnapshot(InsertionView):
     reductor checks, plus the polynomials, module vectors and input
     positions the descent rewrites with.
 
-    ``entries`` gives each position's ``LabeledPolynomial``.  ``members``
-    lists the positions of G ∪ Done ascending by creation order;
-    representation elements refer to these positions directly (the list is
-    creation-ordered, so position comparison doubles as list-rank
-    comparison).  ``input_pos`` maps an input index to the position of its
-    input polynomial.  ``input_triples`` caches each position's expansion
-    over the inputs, which the rewrites ask for again and again, in
-    ``triples``: an expansion reads only the position's entry, so the
-    snapshots of one run, which share their entries, can share one cache.
+    ``entries`` gives each position's ``LabeledPolynomial``, and ``vectors``
+    its module vector (``sig.replay_vectors``).  ``members`` lists the
+    positions of G ∪ Done ascending by creation order; representation
+    elements refer to these positions directly (the list is creation-ordered,
+    so position comparison doubles as list-rank comparison).  ``input_pos``
+    maps an input index to the position of its input polynomial.
+    ``input_triples`` caches each position's expansion over the inputs, which
+    the rewrites ask for again and again, in ``triples``: an expansion reads
+    only the position's vector, so the snapshots of one run, which share
+    their vectors, can share one cache.
     """
 
     def __init__(
@@ -95,6 +97,7 @@ class GgSnapshot(InsertionView):
         rules: dict[int, Sequence[tuple[int, Monomial, int]]],
         seq: int,
         input_pos: dict[int, int],
+        vectors: Mapping[int, ModuleVector],
         triples: Optional[dict[int, list[tuple[int, Monomial, int]]]] = None,
     ):
         super().__init__(entries, members, g_pos, rules, seq)
@@ -102,18 +105,20 @@ class GgSnapshot(InsertionView):
         self.order = ring.order
         self.member_set = set(self.members)
         self.input_pos = input_pos
+        self.vectors = vectors
         g = self.entries[g_pos]  # inserted by the call of its index
         self.g_scope = (sig_key(g.sig, self.order), g.poly.head_mono.deg)
         self._triples = {} if triples is None else triples
 
     @classmethod
     def from_result(cls, result: EngineResult, registry: Registry, seq: int,
+                    vectors: Mapping[int, ModuleVector],
                     triples: Optional[dict] = None) -> "GgSnapshot":
         """The snapshot of the ``DoneInserted`` event at ``seq``; ``registry``
-        is built from ``result.events``.  The snapshot shares ``result.R``,
-        whose element at each position is the one created there, the
-        registry's rule tables, and the cache ``triples`` of input
-        expansions when one is given."""
+        is built from ``result.events``, and ``vectors`` replayed from them.
+        The snapshot shares ``result.R``, whose element at each position is
+        the one created there, the registry's rule tables, ``vectors``, and
+        the cache ``triples`` of input expansions when one is given."""
         done = result.events[seq]
         return cls(
             ring=result.ring,
@@ -123,6 +128,7 @@ class GgSnapshot(InsertionView):
             rules=registry.rules,
             seq=seq,
             input_pos={call: begin["input_pos"] for call, begin in registry.calls.items()},
+            vectors=vectors,
             triples=triples,
         )
 
@@ -134,7 +140,7 @@ class GgSnapshot(InsertionView):
         signature first (``sig.input_representation``); cached."""
         triples = self._triples.get(pos)
         if triples is None:
-            triples = self._triples[pos] = _mv_input_triples(self.entries[pos])
+            triples = self._triples[pos] = _mv_input_triples(self.vectors[pos])
         return triples
 
     def target(self, t: Monomial, pos: int) -> tuple[tuple, int]:
@@ -690,13 +696,15 @@ def find_thm4_pairs_in_snapshot(
     return out
 
 
-def done_snapshots(result: EngineResult, registry: Registry) -> list[GgSnapshot]:
+def done_snapshots(
+    result: EngineResult, registry: Registry, vectors: Mapping[int, ModuleVector]
+) -> list[GgSnapshot]:
     """One snapshot per Done insertion of the run, in log order; ``registry``
-    is built from ``result.events``.  The snapshots share one cache of input
-    expansions."""
+    is built from ``result.events``, and ``vectors`` replayed from them.  The
+    snapshots share one cache of input expansions."""
     triples: dict[int, list[tuple[int, Monomial, int]]] = {}
     return [
-        GgSnapshot.from_result(result, registry, seq, triples)
+        GgSnapshot.from_result(result, registry, seq, vectors, triples)
         for done in registry.insertions.values()
         for seq, _ in done
     ]

@@ -449,9 +449,15 @@ class Polynomial:
         return Polynomial(self.ring, terms)
 
     def monic(self) -> "Polynomial":
+        return self.monic_scale()[0]
+
+    def monic_scale(self) -> tuple["Polynomial", int]:
+        """self scaled to leading coefficient 1, and the scale s; s is 1 when
+        self is zero or already monic."""
         if self.is_zero or self.head_coeff == 1:
-            return self
-        return self.scale(self.ring.inv(self.head_coeff))
+            return self, 1
+        s = self.ring.inv(self.head_coeff)
+        return self.scale(s), s
 
     def __eq__(self, other) -> bool:
         return (

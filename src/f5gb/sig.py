@@ -2,10 +2,10 @@
 
 A signature is a module monomial (t, i) standing for t*F_i.  The order is
 index-dominant with smaller index greater: F_1 > F_2 > ... > F_m, and within
-one index monomials compare in the ambient ring order.  A labeled polynomial
-can carry its full module vector, so admissibility is a checkable invariant
-rather than a bookkeeping assumption; the engine carries vectors only when a
-run asks for checks (the algorithm itself needs only signatures).
+one index monomials compare in the ambient ring order.  The engine needs
+only signatures.  Module vectors are rebuilt after a run from its event log
+(``replay_vectors``), so admissibility is a checkable invariant rather than
+a bookkeeping assumption.
 """
 
 from __future__ import annotations
@@ -18,10 +18,6 @@ from .poly import GT, LT, Monomial, MonomialOrder, Polynomial, Ring, poly_axpy
 
 class InconsistentModuleVector(Exception):
     """The module vector does not sum to the carried polynomial."""
-
-
-class MissingModuleVector(ValueError):
-    """A vector-level check was asked of an element that carries no vector."""
 
 
 @dataclass(frozen=True)
@@ -102,21 +98,41 @@ class ModuleVector:
         return None
 
 
-class LabeledPolynomial:
-    """A polynomial with its creation-time signature and module vector.
+def replay_vectors(ring: Ring, ops: Sequence[tuple]) -> dict[int, ModuleVector]:
+    """Each position's module vector at the end of the log: the operations
+    of the log replay (``trace.check_replay``), in order, applied to vectors
+    as the replay applied them to polynomials."""
+    m = max((op[2] for op in ops if op[0] == "input"), default=0)
+    vectors: dict[int, ModuleVector] = {}
+    for op in ops:
+        kind, pos = op[0], op[1]
+        if kind == "input":
+            vectors[pos] = ModuleVector.unit(ring, m, op[2])
+        elif kind == "new":
+            _, _, a, ua, b, ub, s = op
+            mv = vectors[a].term_mul(1, ua).axpy(1, ub, vectors[b])
+            vectors[pos] = mv if s == 1 else mv.scale(s)
+        elif kind == "monic":
+            vectors[pos] = vectors[pos].scale(op[2])
+        else:
+            _, _, c, u, r = op
+            vectors[pos] = vectors[pos].axpy(c, u, vectors[r])
+    return vectors
 
-    ``poly`` and ``mv`` are replaced together during reduction (the head
-    monomial only ever strictly decreases); ``sig`` is fixed at creation.
-    ``mv`` is None when the run carries no vectors.
+
+class LabeledPolynomial:
+    """A polynomial with its creation-time signature.
+
+    ``poly`` is replaced during reduction (the head monomial only ever
+    strictly decreases); ``sig`` is fixed at creation.
     """
 
-    __slots__ = ("pos", "sig", "poly", "mv")
+    __slots__ = ("pos", "sig", "poly")
 
-    def __init__(self, pos: int, sig: Signature, poly: Polynomial, mv: Optional[ModuleVector]):
+    def __init__(self, pos: int, sig: Signature, poly: Polynomial):
         self.pos = pos
         self.sig = sig
         self.poly = poly
-        self.mv = mv
 
     @property
     def index(self) -> int:
@@ -131,44 +147,32 @@ class LabeledPolynomial:
         return f"LabeledPolynomial(pos={self.pos}, sig={self.sig!r}, poly={self.poly!r})"
 
 
-def _vector(lp: LabeledPolynomial) -> ModuleVector:
-    if lp.mv is None:
-        raise MissingModuleVector(
-            f"r{lp.pos} carries no module vector: run the engine with "
-            "EngineConfig(self_check=True)"
-        )
-    return lp.mv
+def check_admissible(
+    mv: ModuleVector, sig: Signature, poly: Polynomial, inputs: Sequence[Polynomial]
+) -> bool:
+    """The signature ``sig`` equals the leading module term of ``mv``, the
+    module vector of the labeled polynomial ``poly``.
 
-
-def check_admissible(lp: LabeledPolynomial, inputs: Sequence[Polynomial]) -> bool:
-    """The stored signature equals the leading module term of the vector.
-
-    Raises InconsistentModuleVector when the vector does not even sum to the
-    carried polynomial: that is an engine bookkeeping bug, not a property of
-    the run.  Raises MissingModuleVector when the element carries no vector.
+    Raises InconsistentModuleVector when the vector does not even sum to
+    ``poly``: that is a bookkeeping bug, not a property of the run.
     """
-    mv = _vector(lp)
-    if mv.value(inputs) != lp.poly:
-        raise InconsistentModuleVector(
-            f"module vector of r{lp.pos} does not sum to its polynomial"
-        )
+    if mv.value(inputs) != poly:
+        raise InconsistentModuleVector("the module vector does not sum to its polynomial")
     lead = mv.lead()
     if lead is None:
         return False
-    return lead[1] == lp.sig
+    return lead[1] == sig
 
 
-def input_representation(lp: LabeledPolynomial) -> list[tuple[int, Monomial, int]]:
+def input_representation(mv: ModuleVector) -> list[tuple[int, Monomial, int]]:
     """Expand the module vector into (coeff, mono, input index) triples.
 
     Descending in the signature order with no sort: the coordinates come in
     index order, a smaller index is greater, and each coordinate's terms
-    already descend.  For an admissible labeled polynomial the first triple
-    carries exactly the stored signature, and it is unique.
+    already descend.  For the vector of an admissible labeled polynomial the
+    first triple carries exactly its signature, and it is unique.
     """
-    out = [(c, m, k + 1) for k, g in enumerate(_vector(lp).coords) for c, m in g.terms]
+    out = [(c, m, k + 1) for k, g in enumerate(mv.coords) for c, m in g.terms]
     if len(out) >= 2 and out[0][1:] == out[1][1:]:
-        raise InconsistentModuleVector(
-            f"input representation of r{lp.pos} has no unique greatest element"
-        )
+        raise InconsistentModuleVector("the input representation has no unique greatest element")
     return out

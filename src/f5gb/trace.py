@@ -15,11 +15,12 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from operator import itemgetter
-from typing import NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .poly import (GT, Layout, Monomial, MonomialQuotient, Polynomial, Ring, overflow_error,
                    poly_axpy, quotient_cmp)
-from .sig import Signature, sig_cmp, sig_divides, sig_key, sig_mul
+from .sig import (ModuleVector, Signature, check_admissible, sig_cmp, sig_divides, sig_key,
+                  sig_mul)
 
 EVENT_KINDS = (
     "CallBegin",
@@ -296,17 +297,13 @@ class RegistryEntry:
     pos: int
     call: int
     sig: Signature
-    creation_poly: list
-    # the Done-inserted polynomial, [] once reduced to zero, and the
-    # creation-time one while the log holds no outcome
-    final_poly: list
+    # head monomial of the Done-inserted polynomial, None once reduced to
+    # zero, and of the creation-time one while the log holds no outcome
+    head: Optional[Monomial]
     genealogy: Optional[tuple] = None  # (greater, smaller, u_over, u_under)
     created_seq: int = -1
     done_seq: Optional[int] = None
     zero_seq: Optional[int] = None
-    trail: Optional[list] = None
-    # head monomial of final_poly; None once reduced to zero
-    head: Optional[Monomial] = None
 
     @property
     def index(self) -> int:
@@ -315,10 +312,6 @@ class RegistryEntry:
     @property
     def is_input(self) -> bool:
         return self.genealogy is None
-
-    @property
-    def is_zero(self) -> bool:
-        return self.zero_seq is not None
 
 
 @dataclass
@@ -330,11 +323,9 @@ class Registry:
     # signature index -> (seq, mono, pos) of each RuleAdded, in log order
     rules: dict[int, list[tuple[int, Monomial, int]]] = field(default_factory=dict)
 
-    def final_poly(self, ring: Ring, pos: int) -> Polynomial:
-        return poly_from_payload(ring, self.entries[pos].final_poly)
 
-    def creation(self, ring: Ring, pos: int) -> Polynomial:
-        return poly_from_payload(ring, self.entries[pos].creation_poly)
+def _head(payload: list) -> Optional[Monomial]:
+    return Monomial(payload[0][1]) if payload else None
 
 
 def build_registry(events: Sequence[dict]) -> Registry:
@@ -354,25 +345,22 @@ def build_registry(events: Sequence[dict]) -> Registry:
                 gen = (greater, smaller, Monomial(u_over), Monomial(u_under))
             pos = ev[created.pos]
             entries[pos] = RegistryEntry(
-                pos, ev["call"], sig_from_payload(ev["sig"]), ev["poly"], ev["poly"],
+                pos, ev["call"], sig_from_payload(ev["sig"]), _head(ev["poly"]),
                 genealogy=gen, created_seq=ev["seq"],
             )
         elif kind == "DoneInserted":
             e = entries[ev["pos"]]
             e.done_seq = ev["seq"]
-            e.final_poly = ev["poly"]
-            e.trail = ev["trail"]
+            e.head = _head(ev["poly"])
             insertions.setdefault(ev["call"], []).append((ev["seq"], ev["pos"]))
         elif kind == "ReductionToZero":
             e = entries[ev["pos"]]
             e.zero_seq = ev["seq"]
-            e.final_poly = []
+            e.head = None
         elif kind == "RuleAdded":
             rules.setdefault(ev["index"], []).append(
                 (ev["seq"], Monomial(ev["mono"]), ev["pos"])
             )
-    for e in entries.values():
-        e.head = Monomial(e.final_poly[0][1]) if e.final_poly else None
     return Registry(entries, calls, insertions, rules)
 
 
@@ -457,14 +445,22 @@ def check_signature_safety(events: Sequence[dict], order) -> CheckReport:
 
 
 def check_rule_degrees(registry: Registry) -> CheckReport:
-    """Per index, total degrees of rule monomials never decrease."""
+    """Per index, total degrees of rule monomials never decrease, and every
+    element of the log owns exactly one rule, whose index and monomial are
+    those of its signature.  ``checked`` counts the degree comparisons."""
     failures = []
     checked = 0
+    owned: dict[int, list[Signature]] = {}
     for idx, table in sorted(registry.rules.items()):
         for (_, m1, _), (s2, m2, _) in zip(table, table[1:]):
             checked += 1
             if m2.deg < m1.deg:
                 failures.append((idx, s2, m1.deg, m2.deg))
+        for _, mono, pos in table:
+            owned.setdefault(pos, []).append(Signature(mono, idx))
+    for pos, e in registry.entries.items():
+        if owned.get(pos) != [e.sig]:
+            failures.append((pos, "not exactly one rule, with its signature"))
     return _report("rule_degrees", checked, failures)
 
 
@@ -492,60 +488,132 @@ def check_genealogy(registry: Registry, order) -> CheckReport:
     return _report("genealogy", checked, failures)
 
 
-def decode_trail(trail: Optional[list], p: int) -> tuple[int, list]:
-    """Read a stored reduction trail as final = alpha * creation - sum of
-    c * t * final(reductor), and return (alpha, [[c, t, reductor], ...]).
+@dataclass
+class ReplayReport(CheckReport):
+    """The report of ``check_replay``, with the operations it performed, in
+    log order (``sig.replay_vectors`` reads them), and each position's
+    polynomial at the end of the log."""
 
-    A ``["monic", s]`` step scales everything so far by s; any other step
-    ``[kind, c, exps, reductor]`` subtracts c * x^exps * final(reductor).
-    """
-    alpha = 1
-    contribs: list[list] = []
-    for step in trail or []:
-        if step[0] == "monic":
-            s = step[1]
-            alpha = alpha * s % p
-            for entry in contribs:
-                entry[0] = entry[0] * s % p
-        else:
-            contribs.append([step[1], Monomial(step[2]), step[3]])
-    return alpha, contribs
+    ops: list = field(default_factory=list)
+    polys: dict = field(default_factory=dict)
 
 
-def replay_trail(
-    ring: Ring, registry: Registry, pos: int, finals: Optional[dict] = None
-) -> Polynomial:
-    """Re-apply the stored reduction trail to the creation-time polynomial.
+class _Monomials(dict):
+    """Exponent tuple -> its ``Monomial``, built on first use."""
 
-    ``finals`` memoizes the reductors' final polynomials by position, so a
-    caller replaying many trails decodes each one once."""
-    if finals is None:
-        finals = {}
-    alpha, contribs = decode_trail(registry.entries[pos].trail, ring.p)
-    out = poly_from_payload(ring, registry.entries[pos].creation_poly).scale(alpha)
-    for c, t, j in contribs:
-        q = finals.get(j)
-        if q is None:
-            q = finals[j] = registry.final_poly(ring, j)
-        out = poly_axpy(out, c, t, q)
-    return out
+    def __missing__(self, exps: tuple) -> Monomial:
+        mono = self[exps] = Monomial(exps)
+        return mono
 
 
-def check_replay(registry: Registry, ring: Ring) -> CheckReport:
-    """Replaying each Done element's trail reproduces its final polynomial."""
+def _same_poly(q: Polynomial, payload: list, monos: _Monomials) -> bool:
+    """Whether the logged polynomial ``payload`` holds the terms of ``q``."""
+    return len(q.terms) == len(payload) and all(
+        c == lc and m.v == monos[tuple(exps)].v for (c, m), (lc, exps) in zip(q.terms, payload)
+    )
+
+
+# the kinds the replay reads, each with the positions it reads, which an
+# earlier event must have created
+_REPLAY_READS = {"CallBegin": (), "SPolCreated": ("p1", "p2"),
+                 "NewFromTopReduction": ("j", "h"), "PhiPreReduce": ("h", "reductor"),
+                 "ReductionStep": ("h", "reductor"), "DoneInserted": ("pos",),
+                 "ReductionToZero": ("pos",)}
+
+
+def check_replay(events: Sequence[dict], ring: Ring) -> ReplayReport:
+    """Rebuild every position's polynomial P from the log, in ``seq`` order,
+    and check it against the log.  An input is its logged polynomial, a
+    created element monic(u_over * P[greater] - u_under * P[smaller]); a
+    ``PhiPreReduce`` or ``ReductionStep`` subtracts coeff * mult *
+    P[reductor] from P[h], and a ``ReductionStep`` then makes h monic, by
+    its ``post_scale``.  The engine makes h monic at the end of each φ pass
+    too, unlogged: the replay does so at the first event it reads after
+    the pass's run of ``PhiPreReduce`` events.  Each failure names an
+    event's ``seq``: a polynomial, ``post_scale``, trail or creation
+    polynomial that differs from the replay, a nonzero ``ReductionToZero``,
+    or a position that no earlier event created.  ``checked`` counts the
+    Done insertions.  The operations are ``("input", pos, index)``,
+    ``("new", pos, a, ua, b, ub, s)`` for s * (ua * P[a] - ub * P[b]),
+    ``(step, h, c, u, r)`` for P[h] - c * u * P[r] with step "phi" or
+    "top", and ``("monic", h, s)`` for s * P[h], s != 1."""
+    monos = _Monomials()
+    P: dict[int, Polynomial] = {}
+    created: dict[int, Polynomial] = {}
+    trails: dict[int, list] = {}
+    ops: list[tuple] = []
     failures = []
     checked = 0
-    finals: dict[int, Polynomial] = {}
-    for e in registry.entries.values():
-        if e.done_seq is None or e.is_input:
+    phi_h = None  # h of the φ pass in progress
+
+    def monic(pos: int) -> int:
+        P[pos], s = P[pos].monic_scale()
+        if s != 1:
+            ops.append(("monic", pos, s))
+            trails[pos].append(["monic", s])
+        return s
+
+    for ev in events:
+        kind, seq = ev["kind"], ev["seq"]
+        reads = _REPLAY_READS.get(kind)
+        if reads is None:
             continue
-        checked += 1
-        want = finals.get(e.pos)
-        if want is None:
-            want = finals[e.pos] = poly_from_payload(ring, e.final_poly)
-        if replay_trail(ring, registry, e.pos, finals) != want:
-            failures.append((e.pos, "replay mismatch"))
-    return _report("trail_replay", checked, failures)
+        if phi_h is not None and not (kind == "PhiPreReduce" and ev["h"] == phi_h):
+            monic(phi_h)
+            phi_h = None
+        unknown = [ev[name] for name in reads if ev[name] not in P]
+        if unknown:
+            failures.append((seq, f"unknown position r{unknown[0]}"))
+        elif kind in CREATION_FIELDS:
+            pos = ev[CREATION_FIELDS[kind].pos]
+            if kind == "CallBegin":
+                q = poly_from_payload(ring, ev["poly"])
+                ops.append(("input", pos, ev["call"]))
+            else:
+                a, b, ua, ub = (ev[name] for name in CREATION_FIELDS[kind].genealogy)
+                ua, ub = monos[tuple(ua)], monos[tuple(ub)]
+                q, s = poly_axpy(P[a].term_mul(1, ua), 1, ub, P[b]).monic_scale()
+                ops.append(("new", pos, a, ua, b, ub, s))
+                if not _same_poly(q, ev["poly"], monos):
+                    failures.append((seq, f"{kind} polynomial differs from the replay"))
+            P[pos] = created[pos] = q
+            trails[pos] = []
+        elif kind in ("PhiPreReduce", "ReductionStep"):
+            h, c, u, r = ev["h"], ev["coeff"], monos[tuple(ev["mult"])], ev["reductor"]
+            step = "phi" if kind == "PhiPreReduce" else "top"
+            P[h] = poly_axpy(P[h], c, u, P[r])
+            ops.append((step, h, c, u, r))
+            trails[h].append([step, c, ev["mult"], r])
+            if step == "phi":
+                phi_h = h
+            elif monic(h) != ev["post_scale"]:
+                failures.append((seq, "post_scale differs from the replay"))
+        elif kind == "ReductionToZero":
+            if not P[ev["pos"]].is_zero:
+                failures.append((seq, "nonzero on replay"))
+        elif kind == "DoneInserted":
+            pos = ev["pos"]
+            checked += 1
+            if not _same_poly(P[pos], ev["poly"], monos):
+                failures.append((seq, "DoneInserted polynomial differs from the replay"))
+            if ev["trail"] != trails[pos]:
+                failures.append((seq, "trail differs from the replay"))
+            if not _same_poly(created[pos], ev["creation_poly"], monos):
+                failures.append((seq, "creation polynomial differs from the replay"))
+    return ReplayReport("trail_replay", not failures, checked, failures, ops, P)
+
+
+def all_admissible(
+    registry: Registry, replay: ReplayReport, vectors: Mapping[int, ModuleVector]
+) -> bool:
+    """Whether every element's replayed vector (``sig.replay_vectors``) leads
+    with its logged signature; one the replay did not build does not."""
+    polys = replay.polys
+    inputs = [polys[registry.calls[i]["input_pos"]] for i in sorted(registry.calls)]
+    return all(
+        pos in vectors and check_admissible(vectors[pos], e.sig, polys[pos], inputs)
+        for pos, e in registry.entries.items()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -762,14 +830,10 @@ def _rejection_index(events: Sequence[dict]):
     """
     crit: dict = {}
     isred: dict = {}
-    monos: dict = {}
+    monos = _Monomials()
 
     def mono(exps):
-        t = tuple(exps)
-        v = monos.get(t)
-        if v is None:
-            v = monos[t] = Monomial(t).v
-        return v
+        return monos[tuple(exps)].v
 
     # where each kind of rejection is logged against a whole pair
     pair_where = {"F5CritPairReject": "crit_pair", "RewrittenReject": "spol"}
@@ -989,21 +1053,23 @@ _CHECKER_NAMES = (
 )
 
 
-def run_all_checkers(
-    events: Sequence[dict], ring: Ring, registry: Optional[Registry] = None
-) -> list[CheckReport]:
-    """Every checker's report.  On a log with no ``CallBegin`` no check has
-    anything to run on, so each report fails with that reason."""
+def run_all_checkers(events: Sequence[dict], ring: Ring, registry: Optional[Registry] = None,
+                     replay: Optional[ReplayReport] = None) -> list[CheckReport]:
+    """Every checker's report.  The registry and the replay are built from
+    ``events`` unless they are passed.  On a log with no ``CallBegin`` no
+    check has anything to run on, so each report fails with that reason."""
     if not any(ev["kind"] == "CallBegin" for ev in events):
         return [_report(name, 0, ["no CallBegin in the log"]) for name in _CHECKER_NAMES]
     if registry is None:
         registry = build_registry(events)
+    if replay is None:
+        replay = check_replay(events, ring)
     return [
         check_d_progression(events),
         check_signature_safety(events, ring.order),
         check_rule_degrees(registry),
         check_genealogy(registry, ring.order),
-        check_replay(registry, ring),
+        replay,
         check_chains(registry, ring),
         done_insertion_audit(registry),
         check_thm5_exhaustive(events, registry, ring),

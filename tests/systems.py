@@ -8,9 +8,11 @@ import random
 from typing import NamedTuple, Optional, Sequence
 
 from f5gb.cli import _parse_poly
+from f5gb.oracle import done_snapshots
 from f5gb.poly import Monomial, MonomialOrder, Polynomial, Ring
-from f5gb.sig import sig_key
-from f5gb.trace import Registry, _PairRules, build_registry, in_scope, membership_at
+from f5gb.sig import replay_vectors, sig_key
+from f5gb.trace import (Registry, _PairRules, build_registry, check_replay, in_scope,
+                        membership_at)
 
 
 def make_ring(p: int, names, order: str = "degrevlex") -> Ring:
@@ -23,6 +25,17 @@ def P(ring: Ring, text: str) -> Polynomial:
 
 def polys(ring: Ring, *texts: str) -> list[Polynomial]:
     return [P(ring, t) for t in texts]
+
+
+def replayed_vectors(result) -> dict:
+    """The module vector of every position of an engine run, replayed from
+    its log."""
+    return replay_vectors(result.ring, check_replay(result.events, result.ring).ops)
+
+
+def run_snapshots(result) -> list:
+    """The descent snapshots of an engine run, one per Done insertion."""
+    return done_snapshots(result, build_registry(result.events), replayed_vectors(result))
 
 
 def rule_tables(rules: dict) -> dict:

@@ -38,7 +38,7 @@ from f5gb.trace import (
     extract_chain,
 )
 
-from systems import P, make_ring, standard_monomial_count, suite_instances
+from systems import P, make_ring, replayed_vectors, standard_monomial_count, suite_instances
 
 DESCENT_CAP = 10**5
 
@@ -52,9 +52,7 @@ def suite():
     runs = []
     t0 = time.time()
     for name, ring, polys in suite_instances():
-        result = incremental_f5(
-            polys, EngineConfig(self_check=True)
-        )
+        result = incremental_f5(polys, EngineConfig())
         oracle_basis = buchberger(polys)
         runs.append(
             {
@@ -62,6 +60,7 @@ def suite():
                 "ring": ring,
                 "polys": polys,
                 "result": result,
+                "vectors": replayed_vectors(result),
                 "oracle": oracle_basis,
             }
         )
@@ -135,7 +134,8 @@ def test_criterion_5_admissibility(suite):
     for run in suite["runs"]:
         for lp in run["result"].R:
             checked += 1
-            if not check_admissible(lp, run["result"].inputs):
+            mv = run["vectors"][lp.pos]
+            if not check_admissible(mv, lp.sig, lp.poly, run["result"].inputs):
                 failures.append((run["name"], lp.pos))
     _report(5, not failures, f"{checked} labeled polynomials, 100% admissible")
 
@@ -163,7 +163,7 @@ def test_criterion_7_descents(suite):
     for run in suite["runs"]:
         result = run["result"]
         registry = build_registry(result.events)
-        snapshots = done_snapshots(result, registry)
+        snapshots = done_snapshots(result, registry, run["vectors"])
         seeds = harvest_descent_seeds(snapshots, 0, rng)  # every seed, no sampling
         for snap, coeff, mono, pos in seeds:
             instances += 1
@@ -207,11 +207,11 @@ def test_criterion_8_comparator_worked_examples():
     # three basis elements over x > y with signatures F1, F2, x*F1
     ring = make_ring(32003, ["x", "y"])
     entries = {
-        0: LabeledPolynomial(0, Signature(M(0, 0), 1), P(ring, "x"), None),
-        1: LabeledPolynomial(1, Signature(M(0, 0), 2), P(ring, "x"), None),
-        2: LabeledPolynomial(2, Signature(M(1, 0), 1), P(ring, "x"), None),
+        0: LabeledPolynomial(0, Signature(M(0, 0), 1), P(ring, "x")),
+        1: LabeledPolynomial(1, Signature(M(0, 0), 2), P(ring, "x")),
+        2: LabeledPolynomial(2, Signature(M(1, 0), 1), P(ring, "x")),
     }
-    snap = GgSnapshot(ring, entries, (0, 1, 2), 2, {}, 0, {1: 0, 2: 1})
+    snap = GgSnapshot(ring, entries, (0, 1, 2), 2, {}, 0, {1: 0, 2: 1}, {})
     E = ReprElement
     outcomes = [
         elem_cmp(E(1, M(0, 1), 0), E(100, M(0, 1), 1), snap) == GT,

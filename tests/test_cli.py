@@ -209,11 +209,20 @@ class TestCommands:
             snapshots.append(seq)
             return from_result(cls, result, registry, seq, *rest)
 
+        replays = []
+        replay = trace.check_replay
+
+        def counting_replay(events, ring):
+            replays.append(1)
+            return replay(events, ring)
+
         monkeypatch.setattr(trace, "build_registry", counting_registry)
         monkeypatch.setattr(cli, "build_registry", counting_registry)
+        monkeypatch.setattr(trace, "check_replay", counting_replay)
+        monkeypatch.setattr(cli, "check_replay", counting_replay)
         monkeypatch.setattr(oracle.GgSnapshot, "from_result", classmethod(counting_snapshot))
         run_check(parse_problem(CYCLIC), EngineConfig(), 5, 10**5, 0)
-        assert len(registries) == 1
+        assert len(registries) == 1 and len(replays) == 1
         assert snapshots and len(snapshots) == len(set(snapshots))
 
     def test_failed_check_is_not_ok(self, cyclic_file, monkeypatch):
@@ -419,7 +428,29 @@ class TestCommands:
 
     def test_unknown_order_flag_exit_code(self, demo_file, capsys):
         assert main(["gb", demo_file, "--order", "foo"]) == 1
-        assert capsys.readouterr().err == "error: line 0, column 0: unknown order 'foo'\n"
+        assert capsys.readouterr().err == "error: line 0: unknown order 'foo'\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["descend", "FILE", "--mult", "-h"], "argument --mult: expected one argument"),
+        (["check", "FILE", "--bogus"], "unrecognized arguments: --bogus"),
+        (["check"], "the following arguments are required: file"),
+        (["nope", "FILE"], "argument command: invalid choice: 'nope'"),
+    ])
+    def test_usage_error_exit_code(self, demo_file, capsys, argv, message):
+        # 2 is the code of a check failure; a usage error is an input error
+        argv = [demo_file if arg == "FILE" else arg for arg in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["check", "--help"], ["descend", "-h"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: f5gb")
 
     @pytest.mark.parametrize("order", ["degrevlex", "deglex", "lex"])
     def test_check_over_gf2(self, tmp_path, order):

@@ -21,7 +21,7 @@ QUADRICS = [
 def test_non_default_orders_end_to_end(order, p):
     ring = make_ring(p, ["x", "y", "z"], order)
     system = polys(ring, *QUADRICS)
-    res = incremental_f5(system, EngineConfig(self_check=True))
+    res = incremental_f5(system, EngineConfig())
     assert ideal_equal(res.basis_polynomials(), buchberger(system))
     for rep in run_all_checkers(res.events, ring):
         assert rep.passed, rep.line()

@@ -18,9 +18,10 @@ from f5gb.engine import (
     incremental_f5,
 )
 from f5gb.poly import GT, Monomial
-from f5gb.sig import MissingModuleVector, Signature, check_admissible, sig_cmp, sig_mul
-from systems import P
-from f5gb.trace import EXPONENT_FIELDS, Trace, build_registry, events_from_jsonl, sig_from_payload
+from f5gb.sig import Signature, check_admissible, sig_cmp, sig_mul
+from systems import P, replayed_vectors
+from f5gb.trace import (EXPONENT_FIELDS, Trace, events_from_jsonl, poly_from_payload,
+                        sig_from_payload)
 
 from systems import CYCLIC4, KATSURA5, LEX_SCOPE, P, SUITE, make_ring, polys
 
@@ -38,7 +39,7 @@ def ring():
 def demo(ring):
     return incremental_f5(
         polys(ring, "x^2 + y^2", "x*y"),
-        EngineConfig(self_check=True),
+        EngineConfig(),
     )
 
 
@@ -105,7 +106,10 @@ class TestDemoRun:
             assert sig_from_payload(ev["sig"]).index == ev["call"]
 
     def test_admissible_throughout(self, demo):
-        assert all(check_admissible(lp, demo.inputs) for lp in demo.R)
+        vectors = replayed_vectors(demo)
+        assert all(
+            check_admissible(vectors[lp.pos], lp.sig, lp.poly, demo.inputs) for lp in demo.R
+        )
 
 
 class TestMonomialIdeals:
@@ -117,7 +121,7 @@ class TestMonomialIdeals:
         assert ev["poly"] == []
 
     def test_zero_elements_keep_rule_and_stay_out_of_basis(self, ring):
-        res = incremental_f5(polys(ring, "x^2*y", "x*y^2"), EngineConfig(self_check=True))
+        res = incremental_f5(polys(ring, "x^2*y", "x*y^2"))
         (zero_ev,) = events_of(res, "ReductionToZero")
         pos = zero_ev["pos"]
         assert pos not in res.basis
@@ -125,25 +129,10 @@ class TestMonomialIdeals:
         assert pos in rule_positions
         # the zero element's vector is a syzygy with the stored signature
         lp = res.R[pos]
+        mv = replayed_vectors(res)[pos]
         assert lp.poly.is_zero
-        assert lp.mv.value(res.inputs).is_zero
-        assert lp.mv.lead()[1] == lp.sig
-
-
-class TestModuleVectors:
-    def test_not_carried_by_default(self, ring):
-        res = incremental_f5(polys(ring, "x^2 + y^2", "x*y"))
-        assert all(lp.mv is None for lp in res.R)
-
-    @pytest.mark.parametrize("config", [EngineConfig(self_check=True)])
-    def test_carried_when_checked(self, ring, config):
-        res = incremental_f5(polys(ring, "x^2 + y^2", "x*y"), config)
-        assert all(check_admissible(lp, res.inputs) for lp in res.R)
-
-    def test_admissibility_of_vectorless_element_names_the_flags(self, ring):
-        res = incremental_f5(polys(ring, "x^2 + y^2", "x*y"))
-        with pytest.raises(MissingModuleVector, match=r"EngineConfig\(self_check=True\)$"):
-            check_admissible(res.R[0], res.inputs)
+        assert mv.value(res.inputs).is_zero
+        assert mv.lead()[1] == lp.sig
 
 
 class TestInputRetirement:
@@ -153,7 +142,7 @@ class TestInputRetirement:
         # signature, and the new rule retires the input from pair generation
         res = incremental_f5(
             polys(ring, "x^2 + x*y", "x^2", "x*y"),
-            EngineConfig(self_check=True),
+            EngineConfig(),
         )
         created = events_of(res, "SPolCreated")
         unit_sig = [
@@ -179,7 +168,7 @@ class TestTopReductionBranches:
                 "2*x0*x1 + 2*x1*x2 + 2*x2*x3 - x1*h",
                 "x1^2 + 2*x0*x2 + 2*x1*x3 - x2*h",
             ),
-            EngineConfig(self_check=True),
+            EngineConfig(),
         )
         news = events_of(res, "NewFromTopReduction")
         assert news, "expected the unsafe-reductor branch to fire on this system"
@@ -200,25 +189,22 @@ class TestTopReductionBranches:
                 "2*x0*x1 + 2*x1*x2 + 2*x2*x3 - x1*h",
                 "x1^2 + 2*x0*x2 + 2*x1*x3 - x2*h",
             ),
-            EngineConfig(self_check=True),
+            EngineConfig(),
         )
         assert res.counters["reduction_steps"] > 0
-        registry = build_registry(res.events)
-        for pos, entry in registry.entries.items():
-            if entry.trail is None:
-                continue
-            p = registry.creation(ring, pos)
-            for step in entry.trail:
+        for ev in events_of(res, "DoneInserted"):
+            p = poly_from_payload(ring, ev["creation_poly"])
+            for step in ev["trail"]:
                 if step[0] == "monic":
                     p = p.scale(step[1])
                     continue
                 kind, c, u, j = step
                 before = p.head_mono
-                p = p.sub(registry.final_poly(ring, j).term_mul(c, Monomial(u)))
+                p = p.sub(res.R[j].poly.term_mul(c, Monomial(u)))
                 if kind == "top":
                     # a top step cancels the head: strict decrease or zero
                     assert p.is_zero or ring.order.cmp(p.head_mono, before) == -1
-            assert p.monic() == registry.final_poly(ring, pos).monic()
+            assert p.monic() == poly_from_payload(ring, ev["poly"]).monic()
 
     def test_check_d_rejects_an_equal_signature_reductor(self):
         # Hand-built state: h = r1 has signature y*e1 and no rule of its own,
@@ -227,7 +213,7 @@ class TestTopReductionBranches:
         ring = make_ring(7, ["x", "y"])
         eng = Engine(ring, polys(ring, "x^2 + y^2"))
         eng._begin_call(1, [])
-        h = eng._new_labeled(Signature(M(0, 1), 1), polys(ring, "x^2*y + 3*y^3")[0], None)
+        h = eng._new_labeled(Signature(M(0, 1), 1), polys(ring, "x^2*y + 3*y^3")[0])
         eng.candidates = [0]
         assert eng._is_reducible(h, 1) is None
         assert list(eng.trace.events[-1].items()) == [
@@ -381,7 +367,7 @@ class TestNoCoprimeSkip:
         # is created like any other
         eng = Engine(ring, polys(ring, "x^2"))
         eng.run()
-        lp2 = eng._new_labeled(Signature(M(0, 1), 1), P(ring, "y^3"), None)
+        lp2 = eng._new_labeled(Signature(M(0, 1), 1), P(ring, "y^3"))
         eng._add_rule(lp2.sig, lp2.pos)
         pair = eng._crit_pair(0, lp2.pos, 1)
         assert pair is not None
@@ -460,12 +446,11 @@ def exponent_vectors(ev):
 class TestEventLogPin:
     @pytest.mark.parametrize("system, order", sorted(PINNED_LOGS))
     def test_log_hash_pinned_and_independent_of_checks(self, system, order):
+        # the engine has one path, which ``run_check`` shares
         p, names, texts = PINNED_SYSTEMS[system]
         inputs = polys(make_ring(p, names, order), *texts)
         plain = incremental_f5(inputs, EngineConfig())
-        checked = incremental_f5(inputs, EngineConfig(self_check=True))
         assert log_digest(plain.events) == PINNED_LOGS[(system, order)]
-        assert checked.events == plain.events
 
     @pytest.mark.parametrize("order", ["degrevlex", "lex"])
     def test_no_two_events_share_a_payload_list(self, order):

@@ -21,7 +21,6 @@ from f5gb.oracle import (
     descend,
     elem_cmp,
     find_thm4_pairs_in_snapshot,
-    done_snapshots,
     find_unrejected_reductor,
     harvest_descent_seeds,
     ideal_equal,
@@ -40,10 +39,9 @@ from f5gb.oracle import (
 from f5gb.oracle import _spoly
 from f5gb.poly import Monomial, normal_form
 from f5gb.sig import LabeledPolynomial, ModuleVector, Signature, sig_cmp, sig_mul
-from f5gb.trace import build_registry
 
 from systems import (
-    LEX_SCOPE, SUITE, P, make_ring, polys, rule_tables, standard_monomial_count,
+    LEX_SCOPE, SUITE, P, make_ring, polys, rule_tables, run_snapshots, standard_monomial_count,
 )
 
 
@@ -55,8 +53,7 @@ def E(c, mono, pos):
     return ReprElement(c, mono, pos)
 
 
-def lp(pos, sig, poly, mv=None):
-    return LabeledPolynomial(pos, sig, poly, mv)
+lp = LabeledPolynomial
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +77,7 @@ def cmp_snap():
         rules=rule_tables({1: ((M(0, 0), 0), (M(1, 0), 2)), 2: ((M(0, 0), 1),)}),
         seq=math.inf,
         input_pos={1: 0, 2: 1},
+        vectors={},
     )
 
 
@@ -120,7 +118,7 @@ class TestOrderedForm:
         entries[2] = lp(2, Signature(M(0, 0), 1), entries[2].poly)
         other = GgSnapshot(
             cmp_snap.ring, entries, members=(0, 1, 2), g_pos=2, rules={}, seq=0,
-            input_pos={1: 0, 2: 1},
+            input_pos={1: 0, 2: 1}, vectors={},
         )
         r = Representation([E(1, M(0, 2), 0), E(1, M(0, 1), 2)])
         form = ordered_form(r, cmp_snap)
@@ -198,8 +196,12 @@ def sum_snap():
     ring = make_ring(7, ["x", "y"])
     f1, f2 = P(ring, "x^2 + y^2"), P(ring, "x*y")
     entries = {
-        0: lp(0, Signature(M(0, 0), 2), f2, ModuleVector.unit(ring, 2, 2)),
-        1: lp(1, Signature(M(0, 0), 1), f1, ModuleVector.unit(ring, 2, 1)),
+        0: lp(0, Signature(M(0, 0), 2), f2),
+        1: lp(1, Signature(M(0, 0), 1), f1),
+    }
+    vectors = {
+        0: ModuleVector.unit(ring, 2, 2),
+        1: ModuleVector.unit(ring, 2, 1),
     }
     snap = GgSnapshot(
         ring,
@@ -209,6 +211,7 @@ def sum_snap():
         rules=rule_tables({1: ((M(0, 0), 1),), 2: ((M(0, 0), 0),)}),
         seq=math.inf,
         input_pos={1: 1, 2: 0},
+        vectors=vectors,
     )
     return ring, snap
 
@@ -248,9 +251,14 @@ def f5_case_snap():
     f1, f2 = P(ring, "x^2 + y^2"), P(ring, "y")
     g = P(ring, "x^3 + x*y^2")
     entries = {
-        0: lp(0, Signature(M(0, 0), 2), f2, ModuleVector.unit(ring, 2, 2)),
-        1: lp(1, Signature(M(0, 0), 1), f1, ModuleVector.unit(ring, 2, 1)),
-        2: lp(2, Signature(M(1, 0), 1), g, ModuleVector((P(ring, "x"), ring.zero))),
+        0: lp(0, Signature(M(0, 0), 2), f2),
+        1: lp(1, Signature(M(0, 0), 1), f1),
+        2: lp(2, Signature(M(1, 0), 1), g),
+    }
+    vectors = {
+        0: ModuleVector.unit(ring, 2, 2),
+        1: ModuleVector.unit(ring, 2, 1),
+        2: ModuleVector((P(ring, "x"), ring.zero)),
     }
     snap = GgSnapshot(
         ring,
@@ -260,6 +268,7 @@ def f5_case_snap():
         rules=rule_tables({1: ((M(0, 0), 1), (M(1, 0), 2)), 2: ((M(0, 0), 0),)}),
         seq=math.inf,
         input_pos={1: 1, 2: 0},
+        vectors=vectors,
     )
     return ring, snap
 
@@ -285,9 +294,14 @@ class TestViolatedProperty:
             1, M(0, 0), ModuleVector.unit(ring, 2, 2)
         )
         entries = {
-            0: lp(0, Signature(M(0, 0), 2), f2, ModuleVector.unit(ring, 2, 2)),
-            1: lp(1, Signature(M(0, 0), 1), f1, ModuleVector.unit(ring, 2, 1)),
-            2: lp(2, Signature(M(0, 0), 1), reduced, mv),
+            0: lp(0, Signature(M(0, 0), 2), f2),
+            1: lp(1, Signature(M(0, 0), 1), f1),
+            2: lp(2, Signature(M(0, 0), 1), reduced),
+        }
+        vectors = {
+            0: ModuleVector.unit(ring, 2, 2),
+            1: ModuleVector.unit(ring, 2, 1),
+            2: mv,
         }
         snap = GgSnapshot(
             ring,
@@ -297,6 +311,7 @@ class TestViolatedProperty:
             rules=rule_tables({1: ((M(0, 0), 1), (M(0, 0), 2)), 2: ((M(0, 0), 0),)}),
             seq=math.inf,
             input_pos={1: 1, 2: 0},
+            vectors=vectors,
         )
         r = Representation([E(1, M(0, 0), 1)])
         got = violated_property(r, Signature(M(0, 0), 1), M(2, 0), snap)
@@ -332,9 +347,14 @@ class TestRewriteF5Case:
         # phi-basis lists them by position, and the rewrite takes the first
         ring = make_ring(7, ["x", "y", "z"])
         entries = {
-            0: lp(0, Signature(M(0, 0, 0), 3), P(ring, "y"), ModuleVector.unit(ring, 3, 3)),
-            1: lp(1, Signature(M(0, 0, 0), 2), P(ring, "x"), ModuleVector.unit(ring, 3, 2)),
-            2: lp(2, Signature(M(0, 0, 0), 1), P(ring, "z^2"), ModuleVector.unit(ring, 3, 1)),
+            0: lp(0, Signature(M(0, 0, 0), 3), P(ring, "y")),
+            1: lp(1, Signature(M(0, 0, 0), 2), P(ring, "x")),
+            2: lp(2, Signature(M(0, 0, 0), 1), P(ring, "z^2")),
+        }
+        vectors = {
+            0: ModuleVector.unit(ring, 3, 3),
+            1: ModuleVector.unit(ring, 3, 2),
+            2: ModuleVector.unit(ring, 3, 1),
         }
         snap = GgSnapshot(
             ring,
@@ -346,6 +366,7 @@ class TestRewriteF5Case:
             ),
             seq=math.inf,
             input_pos={1: 2, 2: 1, 3: 0},
+            vectors=vectors,
         )
         assert snap.phi_basis(1) == [(M(0, 1, 0), 0), (M(1, 0, 0), 1)]
         assert snap.phi_divisor(1, M(1, 1, 0)) == 0
@@ -377,10 +398,10 @@ class TestRewriteRewrittenZeroBranch:
                 "x + 2*y",
                 "x^3 + 2*x^2*y + 5*x*y^2 + 5*y^3",
             ),
-            EngineConfig(self_check=True),
+            EngineConfig(),
         )
         hit = None
-        for snap in done_snapshots(res, build_registry(res.events)):
+        for snap in run_snapshots(res):
             for pos in snap.members:
                 if pos == snap.g_pos:
                     continue
@@ -413,11 +434,18 @@ def hm_case_world():
     P2 would rewrite the pair's greater part first."""
     ring = make_ring(7, ["x", "y"])
     entries = {
-        0: lp(0, Signature(M(0, 0), 2), P(ring, "x + y"), ModuleVector.unit(ring, 2, 2)),
-        1: lp(1, Signature(M(0, 0), 1), P(ring, "x"), ModuleVector.unit(ring, 2, 1)),
-        2: lp(2, Signature(M(0, 0), 1), P(ring, "y"), ModuleVector((P(ring, "-1"), P(ring, "1")))),
-        3: lp(3, Signature(M(0, 1), 1), P(ring, "x^2"), ModuleVector((P(ring, "-y"), P(ring, "x")))),
-        4: lp(4, Signature(M(1, 0), 1), P(ring, "x^2"), ModuleVector((P(ring, "x"), ring.zero))),
+        0: lp(0, Signature(M(0, 0), 2), P(ring, "x + y")),
+        1: lp(1, Signature(M(0, 0), 1), P(ring, "x")),
+        2: lp(2, Signature(M(0, 0), 1), P(ring, "y")),
+        3: lp(3, Signature(M(0, 1), 1), P(ring, "x^2")),
+        4: lp(4, Signature(M(1, 0), 1), P(ring, "x^2")),
+    }
+    vectors = {
+        0: ModuleVector.unit(ring, 2, 2),
+        1: ModuleVector.unit(ring, 2, 1),
+        2: ModuleVector((P(ring, "-1"), P(ring, "1"))),
+        3: ModuleVector((P(ring, "-y"), P(ring, "x"))),
+        4: ModuleVector((P(ring, "x"), ring.zero)),
     }
     snap = GgSnapshot(
         ring,
@@ -429,6 +457,7 @@ def hm_case_world():
         ),
         seq=math.inf,
         input_pos={1: 1, 2: 0},
+        vectors=vectors,
     )
     return ring, snap
 
@@ -460,9 +489,9 @@ class TestRewriteHmCase:
         # target stay
         names, texts = SUITE["katsura3_homog"]
         ring = make_ring(32003, names)
-        res = incremental_f5(polys(ring, *texts), EngineConfig(self_check=True))
+        res = incremental_f5(polys(ring, *texts), EngineConfig())
         spol = {ev["pos"] for ev in res.events if ev["kind"] == "SPolCreated"}
-        snapshots = done_snapshots(res, build_registry(res.events))
+        snapshots = run_snapshots(res)
         for snap in snapshots:
             snap.rules = {
                 index: [
@@ -494,10 +523,16 @@ def reductor_world():
     f_poly = P(ring, "x*y")
     g_poly = P(ring, "x^2")
     entries = {
-        0: lp(0, Signature(M(0, 0), 2), f2, ModuleVector.unit(ring, 2, 2)),
-        1: lp(1, Signature(M(0, 0), 1), f1, ModuleVector.unit(ring, 2, 1)),
-        3: lp(3, Signature(M(0, 1), 1), f_poly, ModuleVector((P(ring, "y"), ring.zero))),
-        4: lp(4, Signature(M(1, 0), 1), g_poly, ModuleVector((P(ring, "x"), ring.zero))),
+        0: lp(0, Signature(M(0, 0), 2), f2),
+        1: lp(1, Signature(M(0, 0), 1), f1),
+        3: lp(3, Signature(M(0, 1), 1), f_poly),
+        4: lp(4, Signature(M(1, 0), 1), g_poly),
+    }
+    vectors = {
+        0: ModuleVector.unit(ring, 2, 2),
+        1: ModuleVector.unit(ring, 2, 1),
+        3: ModuleVector((P(ring, "y"), ring.zero)),
+        4: ModuleVector((P(ring, "x"), ring.zero)),
     }
     snap = GgSnapshot(
         ring,
@@ -510,6 +545,7 @@ def reductor_world():
         }),
         seq=math.inf,
         input_pos={1: 1, 2: 0},
+        vectors=vectors,
     )
     return ring, snap
 
@@ -528,14 +564,14 @@ class TestFindUnrejectedReductor:
         f1 = P(ring, "x")
         f_poly = P(ring, "x*y")
         entries = {
-            0: lp(0, Signature(M(0, 0), 2), f2, ModuleVector.unit(ring, 2, 2)),
-            1: lp(1, Signature(M(0, 0), 1), f1, ModuleVector.unit(ring, 2, 1)),
-            3: lp(
-                3,
-                Signature(M(1, 0), 1),
-                f_poly,
-                ModuleVector((P(ring, "-x"), P(ring, "x"))),
-            ),
+            0: lp(0, Signature(M(0, 0), 2), f2),
+            1: lp(1, Signature(M(0, 0), 1), f1),
+            3: lp(3, Signature(M(1, 0), 1), f_poly),
+        }
+        vectors = {
+            0: ModuleVector.unit(ring, 2, 2),
+            1: ModuleVector.unit(ring, 2, 1),
+            3: ModuleVector((P(ring, "-x"), P(ring, "x"))),
         }
         snap = GgSnapshot(
             ring,
@@ -545,6 +581,7 @@ class TestFindUnrejectedReductor:
             rules=rule_tables({1: ((M(0, 0), 1), (M(1, 0), 3)), 2: ((M(0, 0), 0),)}),
             seq=math.inf,
             input_pos={1: 1, 2: 0},
+            vectors=vectors,
         )
         # a genuine pair per the head/signature-quotient scan
         assert find_thm4_pairs_in_snapshot(snap) == [(1, 3)]
@@ -585,9 +622,9 @@ class TestEngineDescents:
                 "2*x0*x1 + 2*x1*x2 + 2*x2*x3 - x1*h",
                 "x1^2 + 2*x0*x2 + 2*x1*x3 - x2*h",
             ),
-            EngineConfig(self_check=True),
+            EngineConfig(),
         )
-        snapshots = done_snapshots(res, build_registry(res.events))
+        snapshots = run_snapshots(res)
         seeds = harvest_descent_seeds(snapshots, 30, random.Random(7))
         assert seeds
         for snap, coeff, mono, pos in seeds:
@@ -624,8 +661,8 @@ class TestLexScope:
     def test_every_seed_in_scope_descends(self, name):
         count, excluded = self.PINS[name]
         problem = parse_problem(LEX_SCOPE[name])
-        res = incremental_f5(problem.polynomials, EngineConfig(self_check=True))
-        snapshots = done_snapshots(res, build_registry(res.events))
+        res = incremental_f5(problem.polynomials, EngineConfig())
+        snapshots = run_snapshots(res)
         seeds = harvest_descent_seeds(snapshots, 0, None)
         assert len(seeds) == count
         for snap, coeff, mono, pos in seeds:

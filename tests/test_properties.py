@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from f5gb.engine import BudgetExceeded, EngineConfig, incremental_f5
 from f5gb.oracle import buchberger, descend, done_snapshots, harvest_descent_seeds, ideal_equal
 from f5gb.poly import ORDER_KINDS, Monomial
-from f5gb.sig import check_admissible
-from f5gb.trace import build_registry, check_thm5_exhaustive, run_all_checkers
+from f5gb.sig import replay_vectors
+from f5gb.trace import (all_admissible, build_registry, check_replay, check_thm5_exhaustive,
+                        run_all_checkers)
 
 from systems import make_ring, strip_rejections, thm5_brute_force
 
@@ -49,19 +50,19 @@ def test_engine_matches_reference_and_passes_all_checkers(data):
     polys = homogeneous_polys(data.draw, ring, m)
     try:
         # lex runs can climb far in degree; a budget exit proves nothing here
-        result = incremental_f5(
-            polys, EngineConfig(self_check=True, max_degree=12)
-        )
+        result = incremental_f5(polys, EngineConfig(max_degree=12))
     except BudgetExceeded:
         assume(False)
     assert ideal_equal(result.basis_polynomials(), buchberger(polys))
     registry = build_registry(result.events)
-    for rep in run_all_checkers(result.events, ring, registry):
+    replay = check_replay(result.events, ring)
+    for rep in run_all_checkers(result.events, ring, registry, replay):
         assert rep.passed, rep.line()
-    assert all(check_admissible(lp, result.inputs) for lp in result.R)
+    vectors = replay_vectors(ring, replay.ops)
+    assert all_admissible(registry, replay, vectors)
     # a DescentError fails the test
     for snap, coeff, mono, pos in harvest_descent_seeds(
-        done_snapshots(result, registry), 0, None
+        done_snapshots(result, registry, vectors), 0, None
     ):
         descend(coeff, mono, pos, snap)
 

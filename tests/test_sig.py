@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from f5gb.poly import EQ, GT, LT, ORDER_KINDS, Monomial
 from f5gb.sig import (
     InconsistentModuleVector,
-    LabeledPolynomial,
     ModuleVector,
     Signature,
     check_admissible,
@@ -88,24 +87,20 @@ class TestSigMulDivides:
 class TestModuleVector:
     def test_unit_vector_is_admissible_input(self, ring):
         f1, f2 = P(ring, "x^2 + y^2"), P(ring, "x*y")
-        lp = LabeledPolynomial(
-            0, Signature(M(0, 0), 1), f1, ModuleVector.unit(ring, 2, 1)
-        )
-        assert check_admissible(lp, [f1, f2])
+        mv = ModuleVector.unit(ring, 2, 1)
+        assert check_admissible(mv, Signature(M(0, 0), 1), f1, [f1, f2])
 
     def test_wrong_lead_is_inadmissible(self, ring):
         f1, f2 = P(ring, "x^2 + y^2"), P(ring, "x*y")
         # vector sums to x*f1 but the stored signature claims y*F1 (x > y)
         mv = ModuleVector((P(ring, "x"), ring.zero))
-        lp = LabeledPolynomial(0, Signature(M(0, 1), 1), P(ring, "x^3 + x*y^2"), mv)
-        assert not check_admissible(lp, [f1, f2])
+        assert not check_admissible(mv, Signature(M(0, 1), 1), P(ring, "x^3 + x*y^2"), [f1, f2])
 
     def test_sum_mismatch_raises(self, ring):
         f1, f2 = P(ring, "x^2 + y^2"), P(ring, "x*y")
         mv = ModuleVector((P(ring, "x"), ring.zero))
-        lp = LabeledPolynomial(0, Signature(M(1, 0), 1), P(ring, "y^2"), mv)
         with pytest.raises(InconsistentModuleVector):
-            check_admissible(lp, [f1, f2])
+            check_admissible(mv, Signature(M(1, 0), 1), P(ring, "y^2"), [f1, f2])
 
     def test_axpy_tracks_value(self, ring):
         f1, f2 = P(ring, "x^2 + y^2"), P(ring, "x*y")
@@ -125,19 +120,11 @@ class TestModuleVector:
 
 class TestInputRepresentation:
     def test_input_is_singleton(self, ring):
-        f1 = P(ring, "x^2 + y^2")
-        lp = LabeledPolynomial(
-            0, Signature(M(0, 0), 1), f1, ModuleVector.unit(ring, 2, 1)
-        )
-        assert input_representation(lp) == [(1, M(0, 0), 1)]
+        assert input_representation(ModuleVector.unit(ring, 2, 1)) == [(1, M(0, 0), 1)]
 
     def test_term_split_sorted_by_signature(self, ring):
-        f1, f2 = P(ring, "x^2 + y^2"), P(ring, "x*y")
         mv = ModuleVector((P(ring, "x + y"), ring.zero))
-        lp = LabeledPolynomial(
-            0, Signature(M(1, 0), 1), mv.value([f1, f2]), mv
-        )
-        assert input_representation(lp) == [
+        assert input_representation(mv) == [
             (1, M(1, 0), 1),
             (1, M(0, 1), 1),
         ]
@@ -147,10 +134,10 @@ class TestInputRepresentation:
         mv = ModuleVector.unit(ring, 2, 1).term_mul(1, M(0, 1)).axpy(
             1, M(1, 0), ModuleVector.unit(ring, 2, 2)
         )
-        lp = LabeledPolynomial(2, Signature(M(0, 1), 1), P(ring, "y^3"), mv)
-        triples = input_representation(lp)
-        c, m, idx = triples[0]
-        assert Signature(m, idx) == lp.sig
+        sig = Signature(M(0, 1), 1)
+        assert check_admissible(mv, sig, P(ring, "y^3"), [f1, f2])
+        c, m, idx = input_representation(mv)[0]
+        assert Signature(m, idx) == sig
 
 
 class TestLeadWithoutSort:
@@ -176,7 +163,6 @@ class TestLeadWithoutSort:
                 reverse=True,
             )
             assert mv.lead() == (terms[0] if terms else None)
-            lp = LabeledPolynomial(0, Signature(Monomial([0, 0, 0]), 1), ring.zero, mv)
-            assert input_representation(lp) == [
+            assert input_representation(mv) == [
                 (c, s.mono, s.index) for c, s in terms
             ]

@@ -13,10 +13,12 @@ from f5gb import trace
 from f5gb.engine import BudgetExceeded, EngineConfig, incremental_f5
 from f5gb.oracle import GgSnapshot, done_snapshots, find_thm4_pairs_in_snapshot
 from f5gb.poly import Monomial, MonomialQuotient, quotient_cmp, GT
-from f5gb.sig import LabeledPolynomial, Signature, sig_key, sig_mul
+from f5gb.sig import LabeledPolynomial, Signature, replay_vectors, sig_key, sig_mul
 from f5gb.trace import (
+    ChainReport,
     InsertionView,
     Trace,
+    all_admissible,
     build_registry,
     check_chains,
     check_d_progression,
@@ -25,7 +27,6 @@ from f5gb.trace import (
     check_rule_degrees,
     check_signature_safety,
     check_thm5_exhaustive,
-    decode_trail,
     done_insertion_audit,
     events_from_jsonl,
     extract_chain,
@@ -41,6 +42,7 @@ from systems import (
     classify_pairs_at_insertion,
     make_ring,
     polys,
+    replayed_vectors,
     strip_rejections,
     thm5_brute_force,
 )
@@ -57,16 +59,13 @@ def ring():
 
 @pytest.fixture
 def demo(ring):
-    return incremental_f5(polys(ring, "x^2 + y^2", "x*y"), EngineConfig(self_check=True))
+    return incremental_f5(polys(ring, "x^2 + y^2", "x*y"))
 
 
 @pytest.fixture
 def cyclic(ring_unused=None):
     ring = make_ring(7, ["x", "y", "z", "h"])
-    res = incremental_f5(
-        polys(ring, "x + y + z", "x*y + y*z + x*z", "x*y*z - h^3"),
-        EngineConfig(self_check=True),
-    )
+    res = incremental_f5(polys(ring, "x + y + z", "x*y + y*z + x*z", "x*y*z - h^3"))
     return ring, res
 
 
@@ -151,6 +150,21 @@ class TestRuleDegrees:
         ]
         assert not check_rule_degrees(build_registry(ev)).passed
 
+    def test_each_element_owns_one_rule_with_its_signature(self, cyclic):
+        _, res = cyclic
+        events = res.events
+        k, rule = next((k, ev) for k, ev in enumerate(events)
+                       if ev["kind"] == "RuleAdded" and ev["pos"] == 2)
+        assert rule["mono"] == (0, 0, 1, 0)
+        # the same rule twice; a rule of another monomial of its degree
+        twice = events[:k + 1] + [rule] + events[k + 1:]
+        moved = events[:k] + [dict(rule, mono=(1, 0, 0, 0))] + events[k + 1:]
+        checked = check_rule_degrees(build_registry(events)).checked
+        for log, more in ((twice, 1), (moved, 0)):
+            rep = check_rule_degrees(build_registry(log))
+            assert rep.failures == [(2, "not exactly one rule, with its signature")]
+            assert rep.checked == checked + more
+
 
 class TestChains:
     def test_demo_two_chain(self, demo, ring):
@@ -182,10 +196,10 @@ class TestChains:
 class TestThm4Scan:
     def _snap(self, ring, sig0, head0, sig1, head1):
         entries = {
-            0: LabeledPolynomial(0, sig0, ring.poly([(1, head0)]), None),
-            1: LabeledPolynomial(1, sig1, ring.poly([(1, head1)]), None),
+            0: LabeledPolynomial(0, sig0, ring.poly([(1, head0)])),
+            1: LabeledPolynomial(1, sig1, ring.poly([(1, head1)])),
         }
-        return GgSnapshot(ring, entries, (0, 1), 1, {}, 0, {1: 0})
+        return GgSnapshot(ring, entries, (0, 1), 1, {}, 0, {1: 0}, {})
 
     def test_negative_control_from_direct_definition(self, ring):
         # head divides and signature divides, but the quotient comparison
@@ -451,28 +465,88 @@ def thm5_run(name):
     return ring, incremental_f5(polys(ring, *texts), EngineConfig())
 
 
-# Log plants: one event dropped from the degrevlex log of cyclic-4 or
-# katsura-5 over GF(32003).  A rejection plant drops the first event of its
-# kind in the log, a rule plant the RuleAdded of the element at the given
-# position: on cyclic-4 the first S-polynomial, on katsura-5 the first
-# element built by a top-reduction.
+# Log plants on the degrevlex log of cyclic-4 or katsura-5 over GF(32003).
+# A drop removes one event: the first of its kind, or for RuleAdded the rule
+# of the element at the given position (on cyclic-4 the first S-polynomial,
+# on katsura-5 the first element built by a top-reduction).  A corruption
+# (CORRUPTIONS) changes one field of one event in place.
 PLANT_SYSTEMS = {"cyclic4": CYCLIC4, "katsura5": KATSURA5}
 RULE_PLANTS = {"cyclic4": 2, "katsura5": 30}
+
+
+def _negate_post_scale(ev, p, registry):
+    ev["post_scale"] = p - ev["post_scale"]
+
+
+def _negate_trail_coeff(ev, p, registry):
+    ev["trail"][0][1] = p - ev["trail"][0][1]
+
+
+def _negate_last_term(field):
+    def change(ev, p, registry):
+        ev[field][-1][0] = p - ev[field][-1][0]
+    return change
+
+
+def _unknown_reductor(ev, p, registry):
+    ev["reductor"] = 10**6
+
+
+def _sig_of_smaller_part(ev, p, registry):
+    # u2 * S(p2), the multiplied signature of the smaller part
+    smaller = registry.entries[ev["p2"]].sig
+    ev["sig"] = {"mono": sig_mul(M(*ev["u2"]), smaller).mono.exps, "index": smaller.index}
+
+
+# A corruption changes a copy of the first event of a kind whose field is
+# nonempty: name -> (kind, field, change(event, p, registry)).
+CORRUPTIONS = {
+    "post_scale": ("ReductionStep", "post_scale", _negate_post_scale),
+    "trail_coeff": ("DoneInserted", "trail", _negate_trail_coeff),
+    "creation_poly": ("DoneInserted", "creation_poly", _negate_last_term("creation_poly")),
+    "spol_poly": ("SPolCreated", "poly", _negate_last_term("poly")),
+    "unknown_reductor": ("PhiPreReduce", "mult", _unknown_reductor),
+    "sig_swap": ("SPolCreated", "sig", _sig_of_smaller_part),
+}
 # plant -> (name, first failure) of each report that fails
 PLANT_OUTCOMES = {
     ("cyclic4", "F5CritPairReject"): [("thm5_exhaustive", (6, (0, 4), "unclassified"))],
     ("cyclic4", "RewrittenReject"): [("thm5_exhaustive", (4, (1, 2), "unclassified"))],
-    # seen by no checker: at every insertion r2 fails check (a) or (b) of
-    # the audit before its rule is asked, and no other checker reads rules
-    # but for their degrees
-    ("cyclic4", "RuleAdded"): [],
+    ("cyclic4", "RuleAdded"): [("rule_degrees", (2, "not exactly one rule, with its signature"))],
+    ("cyclic4", "PhiPreReduce"): [("trail_replay", (57, "post_scale differs from the replay"))],
+    ("cyclic4", "ReductionStep"): [("trail_replay", (59, "post_scale differs from the replay"))],
     ("katsura5", "F5CritPairReject"): [("thm5_exhaustive", (4, (0, 2), "unclassified"))],
     ("katsura5", "RewrittenReject"): [("thm5_exhaustive", (6, (0, 4), "unclassified"))],
     ("katsura5", "RuleAdded"): [
-        ("done_insertion_audit", (26, 22, "candidate passes all four checks"))
+        ("rule_degrees", (30, "not exactly one rule, with its signature")),
+        ("done_insertion_audit", (26, 22, "candidate passes all four checks")),
+    ],
+    ("katsura5", "PhiPreReduce"): [
+        ("trail_replay", (10, "DoneInserted polynomial differs from the replay"))
+    ],
+    ("katsura5", "ReductionStep"): [
+        ("trail_replay", (158, "DoneInserted polynomial differs from the replay"))
+    ],
+    ("cyclic4", "post_scale"): [("trail_replay", (57, "post_scale differs from the replay"))],
+    ("cyclic4", "trail_coeff"): [("trail_replay", (61, "trail differs from the replay"))],
+    ("cyclic4", "creation_poly"): [
+        ("trail_replay", (9, "creation polynomial differs from the replay"))
+    ],
+    ("cyclic4", "spol_poly"): [
+        ("trail_replay", (8, "SPolCreated polynomial differs from the replay"))
+    ],
+    ("cyclic4", "unknown_reductor"): [("trail_replay", (56, "unknown position r1000000"))],
+    # the replayed vector still leads with u1 * S(p1): not admissible either
+    ("cyclic4", "sig_swap"): [
+        ("rule_degrees", (2, "not exactly one rule, with its signature")),
+        ("genealogy", (2, "sig != u_over * S(greater)")),
+        ("chains", (2, ChainReport([1, 2], False, False, True))),
+        ("thm5_exhaustive", (3, (0, 2), "unclassified")),
     ],
 }
-REJECTION_PLANTS = [plant for plant in PLANT_OUTCOMES if plant[1] != "RuleAdded"]
+REJECTION_PLANTS = [
+    plant for plant in PLANT_OUTCOMES if plant[1] in ("F5CritPairReject", "RewrittenReject")
+]
 
 
 @functools.cache
@@ -482,14 +556,26 @@ def plant_run(system):
     return ring, incremental_f5(polys(ring, *texts), EngineConfig()).events
 
 
-def planted_log(system, kind):
-    """(ring, the log without the planted event, the dropped event)."""
+def planted_log(system, plant):
+    """(ring, the planted log, the dropped or changed event)."""
     ring, events = plant_run(system)
+    if plant in CORRUPTIONS:
+        kind, field, change = CORRUPTIONS[plant]
+        target = next(ev for ev in events if ev["kind"] == kind and ev[field])
+        changed = copy.deepcopy(target)
+        change(changed, ring.p, build_registry(events))
+        return ring, [changed if ev is target else ev for ev in events], target
     dropped = next(
         ev for ev in events
-        if ev["kind"] == kind and (kind != "RuleAdded" or ev["pos"] == RULE_PLANTS[system])
+        if ev["kind"] == plant and (plant != "RuleAdded" or ev["pos"] == RULE_PLANTS[system])
     )
     return ring, [ev for ev in events if ev is not dropped], dropped
+
+
+def replayed_admissible(events, ring) -> bool:
+    """The ``admissible`` verdict of ``run_check``, on a log alone."""
+    replay = check_replay(events, ring)
+    return all_admissible(build_registry(events), replay, replay_vectors(ring, replay.ops))
 
 
 class TestLogPlants:
@@ -505,6 +591,7 @@ class TestLogPlants:
     def test_unplanted_log_passes(self, system):
         ring, events = plant_run(system)
         assert all(run_all_checkers(events, ring))
+        assert replayed_admissible(events, ring)
 
     @pytest.mark.parametrize("system", PLANT_SYSTEMS)
     def test_rule_plant_is_one_rule_fewer(self, system):
@@ -513,6 +600,10 @@ class TestLogPlants:
         assert check_rule_degrees(build_registry(events)).checked == (
             check_rule_degrees(full).checked - 1
         )
+
+    def test_signature_swap_is_not_admissible(self):
+        ring, events, _ = planted_log("cyclic4", "sig_swap")
+        assert not replayed_admissible(events, ring)
 
 
 class TestDominanceCount:
@@ -650,28 +741,61 @@ class TestThm5:
 class TestReplay:
     def test_passes_on_runs(self, cyclic):
         ring, res = cyclic
-        rep = check_replay(build_registry(res.events), ring)
+        rep = check_replay(res.events, ring)
         assert rep.passed and rep.checked > 0
 
+    @pytest.mark.parametrize("order", ["degrevlex", "lex"])
+    @pytest.mark.parametrize("name", sorted(SUITE))
+    def test_replay_rebuilds_the_engine_elements(self, name, order):
+        # every position's replayed polynomial and module vector are the
+        # engine's final polynomial and a vector of it with its signature
+        # as leading term
+        names, texts = SUITE[name]
+        ring = make_ring(32003, names, order)
+        res = incremental_f5(polys(ring, *texts))
+        rep = check_replay(res.events, ring)
+        vectors = replay_vectors(ring, rep.ops)
+        assert rep.passed
+        assert rep.polys == {lp.pos: lp.poly for lp in res.R}
+        assert all(vectors[lp.pos].value(res.inputs) == lp.poly for lp in res.R)
+        assert all(vectors[lp.pos].lead()[1] == lp.sig for lp in res.R)
+        assert all_admissible(build_registry(res.events), rep, vectors)
+
     def test_decoded_trails_sum_to_final_polys(self):
-        # final = alpha * creation - sum of c * t * final(reductor), summed
-        # here with Ring.poly rather than the replay's poly_axpy.  The cyclic
-        # fixture's trails are empty; katsura-3's interleave phi and top
-        # reductions with monic scalings.
+        # A trail reads final = alpha * creation - sum of c * t *
+        # final(reductor): a ["monic", s] step scales everything so far by
+        # s, any other step [kind, c, exps, reductor] subtracts c * x^exps *
+        # final(reductor).  Summed here with Ring.poly rather than the
+        # replay's poly_axpy.  The cyclic fixture's trails are empty;
+        # katsura-3's interleave phi and top reductions with monic scalings.
         names, texts = SUITE["katsura3_homog"]
         ring = make_ring(32003, names)
         res = incremental_f5(polys(ring, *texts), EngineConfig())
-        registry = build_registry(res.events)
-        done = [e for e in registry.entries.values() if e.done_seq is not None and not e.is_input]
+        done = [ev for ev in res.events if ev["kind"] == "DoneInserted"]
         reductions = 0
-        for e in done:
-            alpha, contribs = decode_trail(e.trail, ring.p)
+        for ev in done:
+            alpha, contribs = 1, []
+            for step in ev["trail"]:
+                if step[0] == "monic":
+                    alpha = alpha * step[1] % ring.p
+                    contribs = [(c * step[1] % ring.p, t, j) for c, t, j in contribs]
+                else:
+                    contribs.append((step[1], Monomial(step[2]), step[3]))
             reductions += len(contribs)
-            terms = [(alpha * c, m) for c, m in registry.creation(ring, e.pos).terms]
+            creation = trace.poly_from_payload(ring, ev["creation_poly"])
+            terms = [(alpha * c, m) for c, m in creation.terms]
             for c, t, j in contribs:
-                terms += [(-c * cj, mj.mul(t)) for cj, mj in registry.final_poly(ring, j).terms]
-            assert ring.poly(terms) == registry.final_poly(ring, e.pos)
+                terms += [(-c * cj, mj.mul(t)) for cj, mj in res.R[j].poly.terms]
+            assert ring.poly(terms) == trace.poly_from_payload(ring, ev["poly"])
         assert done and reductions > 0
+
+    def test_zero_reduction_without_its_step_fails(self):
+        # r22 of cyclic-4 reduces to zero in one step; without it the replay
+        # leaves r22 nonzero
+        ring, events = plant_run("cyclic4")
+        (step,) = [ev for ev in events if ev.get("h") == 22 and "reductor" in ev]
+        rep = check_replay([ev for ev in events if ev is not step], ring)
+        assert rep.failures == [(step["seq"] + 1, "nonzero on replay")]
 
     def test_corrupted_final_poly_detected(self, cyclic):
         ring, res = cyclic
@@ -680,7 +804,7 @@ class TestReplay:
             if ev["kind"] == "DoneInserted" and ev["poly"]:
                 ev["poly"][0][0] = (ev["poly"][0][0] % 7) + 1
                 break
-        assert not check_replay(build_registry(events), ring).passed
+        assert not check_replay(events, ring).passed
 
 
 class TestGenealogyChecker:
@@ -759,7 +883,7 @@ class TestLogRoundTrip:
                 snap.members,
                 tuple(snap.rule_count(i) for i in (1, 2, 3)),
             )
-            for snap in done_snapshots(res, registry)
+            for snap in done_snapshots(res, registry, replayed_vectors(res))
         ]
         assert got == [
             (9, 2, (0, 1, 2), (0, 2, 1)),
