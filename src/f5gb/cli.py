@@ -56,8 +56,12 @@ from .trace import all_admissible, build_registry, check_replay, run_all_checker
 
 
 class ParseError(Exception):
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+    """An input error at a line of the problem file, or, when ``option``
+    names one, in the value of a command-line option (``line`` is then 0)."""
+
+    def __init__(self, message: str, line: int, option: str | None = None):
+        super().__init__(f"{option or f'line {line}'}: {message}")
+        self.message = message
         self.line = line
 
 
@@ -180,7 +184,8 @@ def parse_problem(
     if order_override:
         order_name, order_line = order_override, 0
     if order_name not in ORDER_KINDS:
-        raise ParseError(f"unknown order {order_name!r}", order_line)
+        raise ParseError(f"unknown order {order_name!r}", order_line,
+                         "--order" if order_override else None)
     ring = Ring(p, MonomialOrder(order_name, len(variables)), variables)
     polys = []
     for lineno, line in poly_lines:
@@ -340,9 +345,12 @@ def cmd_descend(args) -> int:
     problem = parse_problem(_read(args.file), order_override=args.order)
     mono = Monomial([0] * problem.ring.n)
     if args.mult is not None:
-        mult = _parse_poly(problem.ring, args.mult, 0)
+        try:
+            mult = _parse_poly(problem.ring, args.mult, 0)
+        except ParseError as exc:
+            raise ParseError(exc.message, 0, "--mult") from None
         if len(mult.terms) != 1:
-            raise ParseError(f"--mult {args.mult!r} is not exactly one nonzero term", 0)
+            raise ParseError(f"{args.mult!r} is not exactly one nonzero term", 0, "--mult")
         mono = mult.head_mono
     result = incremental_f5(problem.polynomials, _config_from_args(args))
     vectors = replay_vectors(problem.ring, check_replay(result.events, problem.ring).ops)

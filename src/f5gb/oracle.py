@@ -12,12 +12,14 @@ rewritten: it is reported as the descent's form of a thm5 failure.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Collection, Iterable, Mapping, Optional, Sequence
 
 from .engine import EngineResult
 from .poly import (
     EQ,
+    FIELD_BITS,
     GT,
     LT,
     Monomial,
@@ -70,6 +72,59 @@ class StepCapExceeded(DescentError):
 # ---------------------------------------------------------------------------
 # snapshots
 
+POS_BITS = 32  # the positions of one run stay below 2^32
+POS_MASK = (1 << POS_BITS) - 1
+
+
+class _Lazy(dict):
+    """A dict whose value for each key is ``make(key)``, computed on first
+    use."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key: int):
+        value = self[key] = self.make(key)
+        return value
+
+
+class RunCache:
+    """What the descent snapshots of one run share, each part computed on
+    first use from the run's order, entries and module vectors alone.
+
+    ``triples[pos]`` is b_pos over the inputs (``sig.input_representation``),
+    ``vkey[v]`` the order key of the packed monomial v, ``key_base[pos]``
+    and ``head_base[pos]`` the per-position parts of ``GgSnapshot.elem_key``
+    and ``GgSnapshot.head_key``, and ``lead_inverse[pos]`` the inverse of the
+    leading coefficient of b_pos's expansion.
+    """
+
+    __slots__ = ("key_one", "index_shift", "vkey", "triples", "key_base", "head_base",
+                 "lead_inverse")
+
+    def __init__(self, ring: Ring, entries, vectors: Mapping[int, ModuleVector]):
+        vkey = ring.order.vkey
+        self.key_one = vkey(0)  # the order key of 1
+        self.index_shift = ring.order.lay.shift + FIELD_BITS  # above every order key
+        self.vkey = _Lazy(vkey)
+        self.triples = _Lazy(lambda pos: _mv_input_triples(vectors[pos]))
+        self.key_base = _Lazy(
+            lambda pos: (self.sig_int(entries[pos].sig) - self.key_one << POS_BITS)
+            + POS_MASK - pos
+        )
+        self.head_base = _Lazy(
+            lambda pos: vkey(entries[pos].poly.head_mono.v) - self.key_one
+        )
+        self.lead_inverse = _Lazy(lambda pos: ring.inv(self.triples[pos][0][0]))
+
+    def sig_int(self, sig: Signature) -> int:
+        """An int ascending in the signature order: minus the index, above
+        the order key of the monomial."""
+        return self.vkey[sig.mono.v] - (sig.index << self.index_shift)
+
 
 class GgSnapshot(InsertionView):
     """Basis state frozen at one Done insertion: the ``InsertionView`` of the
@@ -82,10 +137,12 @@ class GgSnapshot(InsertionView):
     elements refer to these positions directly (the list is creation-ordered,
     so position comparison doubles as list-rank comparison).  ``input_pos``
     maps an input index to the position of its input polynomial.
-    ``input_triples`` caches each position's expansion over the inputs, which
-    the rewrites ask for again and again, in ``triples``: an expansion reads
-    only the position's vector, so the snapshots of one run, which share
-    their vectors, can share one cache.
+
+    ``cache`` holds what the rewrites ask for again and again and what reads
+    only the run (``RunCache``), so the snapshots of one run, which share
+    their entries and vectors, can share one.  Representation elements are
+    ordered by one int each (``elem_key``), and ``violated_by`` memoizes,
+    per element, which of P1 and P2 it violates at this snapshot.
     """
 
     def __init__(
@@ -98,7 +155,7 @@ class GgSnapshot(InsertionView):
         seq: int,
         input_pos: dict[int, int],
         vectors: Mapping[int, ModuleVector],
-        triples: Optional[dict[int, list[tuple[int, Monomial, int]]]] = None,
+        cache: Optional[RunCache] = None,
     ):
         super().__init__(entries, members, g_pos, rules, seq)
         self.ring = ring
@@ -108,17 +165,19 @@ class GgSnapshot(InsertionView):
         self.vectors = vectors
         g = self.entries[g_pos]  # inserted by the call of its index
         self.g_scope = (sig_key(g.sig, self.order), g.poly.head_mono.deg)
-        self._triples = {} if triples is None else triples
+        self.cache = RunCache(ring, self.entries, vectors) if cache is None else cache
+        self.vkey, self.key_base = self.cache.vkey, self.cache.key_base
+        self._violated: dict[int, Optional[str]] = {}
 
     @classmethod
     def from_result(cls, result: EngineResult, registry: Registry, seq: int,
                     vectors: Mapping[int, ModuleVector],
-                    triples: Optional[dict] = None) -> "GgSnapshot":
+                    cache: Optional[RunCache] = None) -> "GgSnapshot":
         """The snapshot of the ``DoneInserted`` event at ``seq``; ``registry``
         is built from ``result.events``, and ``vectors`` replayed from them.
         The snapshot shares ``result.R``, whose element at each position is
         the one created there, the registry's rule tables, ``vectors``, and
-        the cache ``triples`` of input expansions when one is given."""
+        ``cache`` when one is given."""
         done = result.events[seq]
         return cls(
             ring=result.ring,
@@ -129,19 +188,51 @@ class GgSnapshot(InsertionView):
             seq=seq,
             input_pos={call: begin["input_pos"] for call, begin in registry.calls.items()},
             vectors=vectors,
-            triples=triples,
+            cache=cache,
         )
 
     def lp(self, pos: int) -> LabeledPolynomial:
         return self.entries[pos]
 
+    def elem_key(self, t: Monomial, pos: int) -> int:
+        """An int ascending in the element order (``elem_cmp``) for the
+        element t * b_pos: ``RunCache.sig_int`` of its signature, above
+        POS_BITS bits that fall as ``pos`` grows.  Distinct (t, pos) have
+        distinct keys.
+
+        Order keys are affine in the packed value: key(t*m) = key(t) +
+        key(m) - key(1) under all three orders.  So the key is one order key
+        of t plus a per-position base, ``key_base[pos]``, with no shifted
+        signature built."""
+        return (self.vkey[t.v] << POS_BITS) + self.key_base[pos]
+
+    def head_key(self, key: int, pos: int) -> int:
+        """The order key of the head of t * b_pos, from its ``elem_key``:
+        key(t) is read off the element key, and key(head) added to it."""
+        return (key - self.key_base[pos] >> POS_BITS) + self.cache.head_base[pos]
+
+    def violated_by(self, key: int, t: Monomial, pos: int) -> Optional[str]:
+        """"P1" when t * b_pos is F5-rejectable (``f5_satisfied``), else
+        "P2" when a newer rule rewrites it (``rewritten_satisfied``), else
+        None; ``key`` is its ``elem_key``, under which the answer is kept."""
+        memo = self._violated
+        if key in memo:
+            return memo[key]
+        sig = self.entries[pos].sig
+        mono = t.mul(sig.mono)  # the shifted signature monomial of both tests
+        if self.phi_divisor(sig.index, mono) is not None:
+            which = "P1"
+        elif self.rule_owner(sig.index, mono, pos) not in (None, pos):
+            which = "P2"
+        else:
+            which = None
+        memo[key] = which
+        return which
+
     def input_triples(self, pos: int) -> list[tuple[int, Monomial, int]]:
         """(coeff, mono, input index) of b_pos over the inputs, greatest
         signature first (``sig.input_representation``); cached."""
-        triples = self._triples.get(pos)
-        if triples is None:
-            triples = self._triples[pos] = _mv_input_triples(self.vectors[pos])
-        return triples
+        return self.cache.triples[pos]
 
     def target(self, t: Monomial, pos: int) -> tuple[tuple, int]:
         """(signature key, degree) of t * b_pos, the arguments of
@@ -150,7 +241,7 @@ class GgSnapshot(InsertionView):
         in all of them."""
         e = self.entries[pos]
         mono = e.sig.mono
-        key = (-e.sig.index, self.order.key(mono if t.is_one else t.mul(mono)))
+        key = (-e.sig.index, self.vkey[mono.v if t.is_one else t.mul(mono).v])
         return key, t.deg + e.poly.head_mono.deg
 
     def in_scope(self, t: Monomial, pos: int) -> bool:
@@ -184,6 +275,9 @@ class ReprElement(tuple):
         return self[2]
 
 
+_tuple_new = tuple.__new__  # builds a ReprElement without its Python-level __new__
+
+
 class Representation:
     """A finite sum of elements with pairwise-distinct (mono, pos) keys.
 
@@ -195,7 +289,7 @@ class Representation:
 
     def __init__(self, elements: Iterable[ReprElement]):
         elems = tuple(elements)
-        keys = {(e.mono.v, e.pos) for e in elems}
+        keys = {(m.v, pos) for _, m, pos in elems}
         if len(keys) != len(elems):
             raise ValueError("representation has duplicate (monomial, element) pairs")
         self.elements = elems
@@ -276,16 +370,13 @@ def repr_cmp(r1: Representation, r2: Representation, snap: GgSnapshot) -> Option
     return LT if len(f1) < len(f2) else GT
 
 
-def repr_value(r: Representation, snap: GgSnapshot) -> Polynomial:
-    """The polynomial the representation sums to, built in one pass by
-    ``Ring.product_sum``: its terms are summed on packed monomials and
-    sorted once, so the elements need no order of their own."""
-    entries = snap.entries
-    return snap.ring.product_sum((c, t, entries[pos].poly) for c, t, pos in r.elements)
-
-
 def repr_sum_check(r: Representation, target: Polynomial, snap: GgSnapshot) -> bool:
-    return repr_value(r, snap) == target
+    """Whether the representation sums to ``target``.  The sum is built in
+    one pass by ``Ring.product_terms`` and compared with ``target`` as
+    unordered terms, so nothing is sorted."""
+    entries = snap.entries
+    value = snap.ring.product_terms((c, t, entries[pos].poly) for c, t, pos in r.elements)
+    return value == {m.v: c for c, m in target.terms} and snap.ring == target.ring
 
 
 def input_representation(pos: int, snap: GgSnapshot) -> Representation:
@@ -296,61 +387,69 @@ def input_representation(pos: int, snap: GgSnapshot) -> Representation:
     )
 
 
-def _element_input_triples(
+def _expansion(
     snap: GgSnapshot, coeff: int, t: Monomial, pos: int
-) -> list[tuple[int, Monomial, int]]:
-    """Input triples of coeff * t * b_pos: (coeff, mono, input index), greatest
-    signature first (unique by admissibility)."""
-    p = snap.ring.p
-    return [(coeff * c % p, t.mul(m), idx) for c, m, idx in snap.input_triples(pos)]
+) -> tuple[tuple[int, Monomial, int], list[tuple[int, Monomial, int]]]:
+    """coeff * t * b_pos over the inputs: its greatest term as (coeff, mono,
+    input index), which carries its signature (unique by admissibility),
+    and the other terms as representation elements (coeff, mono, input
+    position)."""
+    p, input_pos = snap.ring.p, snap.input_pos
+    triples = snap.input_triples(pos)
+    c, m, idx = triples[0]
+    rest = [(coeff * c % p, t.mul(m), input_pos[idx]) for c, m, idx in triples[1:]]
+    return (coeff * c % p, t.mul(m), idx), rest
 
 
 # ---------------------------------------------------------------------------
-# property scan
+# the two rewrites
 
 
-def violated_property(
-    r: Representation, mh_sig: Signature, mh_hm: Monomial, snap: GgSnapshot
-) -> Optional[tuple[str, ReprElement]]:
-    """First violated target property, scanning elements in ordered form:
-    P1 (shifted signature reducible) or P2 (rewritable by a newer rule).
+def f5_replacement(K: ReprElement, snap: GgSnapshot) -> list[tuple[int, Monomial, int]]:
+    """What replaces an element whose shifted signature is reducible by the
+    next basis: the reduction pushed into its input representation."""
+    p = snap.ring.p
+    (c0, s0, j0), rest = _expansion(snap, *K)
+    divisor_pos = snap.phi_divisor(j0, s0)
+    if divisor_pos is None:
+        raise NoDivisorFound(
+            f"no basis head above index {j0} divides the shifted signature {s0!r}"
+        )
+    b = snap.lp(divisor_pos)
+    s1 = s0.divide(b.poly.head_mono)
+    fj_pos = snap.input_pos[j0]
+    fj = snap.lp(fj_pos).poly
+    replacement = [(c0 * c % p, s1.mul(m), divisor_pos) for c, m in fj.terms]
+    replacement += [((-c0 * c) % p, s1.mul(m), fj_pos) for c, m in b.poly.terms[1:]]
+    return replacement + rest
 
-    When every element passes both, no element's head may exceed the
-    target's (P3).  Let K' = m*u1*b1 and K2 = m*u2*b2 be the two greatest
-    elements attaining the maximal head.  Their S-pair was
-    - completed: ``_spol`` added the rule (u1*sig(b1), e) when it created e,
-      with e > b1, so ``rewritten_satisfied(K')`` holds and P2 fires first;
-      the rule stays when e reduced to zero;
-    - rejected: the F5 and rewritten criteria are monotone under a
-      multiple, so P1 or P2 fires on K' or K2;
-    - never formed: the pair is out of scope, which ``in_scope`` excludes.
-    So on a log whose ``thm5_exhaustive`` check passes P3 never fires in
-    scope.  When it does, that is the descent's form of a thm5 failure, and
-    a ``DescentError`` names the head pair."""
-    order = snap.order
-    form = ordered_form(r, snap)
-    # the form descends, so its first element has the greatest signature
-    if form and sig_cmp(element_sig(form[0], snap), mh_sig, order) == GT:
-        raise NotSignatureSafe(f"element {form[0]!r} exceeds the target signature")
-    for e in form:
-        if snap.f5_satisfied(e.mono, e.pos):
-            return ("P1", e)
-        if snap.rewritten_satisfied(e.mono, e.pos) is not None:
-            return ("P2", e)
-    if not form:
-        return None
-    heads = [(element_head(e, snap), e) for e in form]
-    m_max = max((h for h, _ in heads), key=order.key)
-    if order.cmp(m_max, mh_hm) != GT:
-        return None
-    names = snap.ring.names
-    top = [f"{e.coeff}*{e.mono.text(names)}*r{e.pos}" for h, e in heads if h == m_max]
-    attained = f"only by {top[0]}" if len(top) == 1 else f"by the head pair {top[0]}, {top[1]}"
-    raise DescentError(
-        f"P3: head {m_max.text(names)} above the target head {mh_hm.text(names)} is"
-        f" attained {attained}, with no element F5-rejectable or rewritable"
-        " (a thm5 failure)"
-    )
+
+def rewritten_replacement(
+    K: ReprElement, snap: GgSnapshot
+) -> list[tuple[int, Monomial, int]]:
+    """What replaces an element rewritable by a newer rule: the rewriter (or,
+    when the rewriter reduced to zero, its syzygy expansion)."""
+    p = snap.ring.p
+    coeff, t, pos = K
+    (c0, s0, j0), rest = _expansion(snap, coeff, t, pos)
+    rw_pos = snap.rewritten_satisfied(t, pos)
+    if rw_pos is None:
+        raise RewriterNotFound(f"element {K!r} is not rewritten by any newer rule")
+    rw = snap.entries[rw_pos]
+    s_prime = s0.divide(rw.sig.mono)
+    if s_prime is None:
+        raise RewriterNotFound("rewriter signature does not divide the element's")
+    c_prime, head_mono, head_idx = snap.input_triples(rw_pos)[0]
+    if s_prime.mul(head_mono) != s0 or head_idx != j0:
+        raise RewriterNotFound("rewriter expansion does not lead with the signature")
+    c_fix = c0 * snap.cache.lead_inverse[rw_pos] % p
+    replacement: list[tuple[int, Monomial, int]] = []
+    if not rw.poly.is_zero:
+        if rw_pos not in snap.member_set:
+            raise RewriterNotFound(f"nonzero rewriter r{rw_pos} missing from the basis")
+        replacement.append((c_fix, s_prime, rw_pos))
+    replacement += _expansion(snap, -c_fix, s_prime, rw_pos)[1]
+    return replacement + rest
 
 
 def substitute_and_combine(
@@ -377,78 +476,159 @@ def substitute_and_combine(
     )
 
 
-def _finish_substitution(
-    r: Representation,
-    K: ReprElement,
-    replacement: Iterable[tuple[int, Monomial, int]],
-    snap: GgSnapshot,
-) -> Representation:
-    new = substitute_and_combine(r, K, replacement, snap.ring.p)
-    verdict = repr_cmp(new, r, snap)
-    if verdict != LT:
-        raise DescentError(f"rewrite failed to decrease the representation ({verdict})")
-    return new
-
-
 # ---------------------------------------------------------------------------
-# the two rewrites
+# the representation under descent
 
 
-def rewrite_f5_case(r: Representation, K: ReprElement, snap: GgSnapshot) -> Representation:
-    """Replace an element whose shifted signature is reducible by the next
-    basis: push the reduction into its input representation."""
-    p = snap.ring.p
-    triples = _element_input_triples(snap, K.coeff, K.mono, K.pos)
-    c0, s0, j0 = triples[0]
-    divisor_pos = snap.phi_divisor(j0, s0)
-    if divisor_pos is None:
-        raise NoDivisorFound(
-            f"no basis head above index {j0} divides the shifted signature {s0!r}"
+class DescentState:
+    """A representation under descent, kept from one rewrite to the next,
+    and the target's signature and head.
+
+    ``elems`` maps each element's key (``GgSnapshot.elem_key``, one key per
+    (monomial, position)) to the element, listed in the order
+    ``substitute_and_combine`` gives; ``keys`` holds the same keys
+    ascending, so the ordered form is ``keys`` read from the end.  Every
+    element with a key at or above ``cursor`` has passed P1 and P2, so the
+    scan goes on below it; None scans from the top.  ``sig`` is the target
+    signature as ``RunCache.sig_int`` gives it.
+    """
+
+    __slots__ = ("snap", "elems", "keys", "sig_bound", "head", "cursor")
+
+    def __init__(
+        self,
+        elements: Iterable[ReprElement],
+        sig: int,
+        head: Monomial,
+        snap: GgSnapshot,
+    ):
+        key = snap.elem_key
+        self.snap = snap
+        self.elems = {key(e[1], e[2]): e for e in elements}
+        self.keys = sorted(self.elems)
+        self.sig_bound = sig + 1 << POS_BITS  # the least key of a greater signature
+        self.head = head
+        self.cursor = None
+
+    def __len__(self) -> int:
+        return len(self.elems)
+
+    def representation(self) -> Representation:
+        return Representation(self.elems.values())
+
+    def violation(self) -> Optional[tuple[str, ReprElement]]:
+        """The first violated target property, as ``violated_property``
+        finds it.  The greatest key is the greatest signature, and the P1/P2
+        scan reads the keys down from ``cursor``, with each element's verdict
+        from the snapshot's memo (``GgSnapshot.violated_by``)."""
+        keys, elems = self.keys, self.elems
+        if keys and keys[-1] >= self.sig_bound:
+            raise NotSignatureSafe(f"element {elems[keys[-1]]!r} exceeds the target signature")
+        violated_by = self.snap.violated_by
+        i = len(keys) if self.cursor is None else bisect_left(keys, self.cursor)
+        while i:
+            i -= 1
+            k = keys[i]
+            e = elems[k]
+            which = violated_by(k, e[1], e[2])
+            if which is not None:
+                return which, e
+        if keys:
+            self._check_heads()
+        return None
+
+    def _check_heads(self) -> None:
+        """Raise when an element's head exceeds the target's (P3)."""
+        snap, elems = self.snap, self.elems
+        head_key, bound = snap.head_key, snap.vkey[self.head.v]
+        for k in self.keys:
+            if head_key(k, elems[k][2]) > bound:
+                break
+        else:
+            return
+        # (head key, element), in the ordered form's order
+        heads = [(head_key(k, elems[k][2]), elems[k]) for k in reversed(self.keys)]
+        h_max = max(h for h, _ in heads)
+        names = snap.ring.names
+        top = [e for h, e in heads if h == h_max]
+        text = [f"{e.coeff}*{e.mono.text(names)}*r{e.pos}" for e in top]
+        attained = (f"only by {text[0]}" if len(text) == 1
+                    else f"by the head pair {text[0]}, {text[1]}")
+        raise DescentError(
+            f"P3: head {element_head(top[0], snap).text(names)} above the target head"
+            f" {self.head.text(names)} is attained {attained}, with no element"
+            " F5-rejectable or rewritable (a thm5 failure)"
         )
-    b = snap.lp(divisor_pos)
-    s1 = s0.divide(b.poly.head_mono)
-    fj_pos = snap.input_pos[j0]
-    fj = snap.lp(fj_pos).poly
-    replacement: list[tuple[int, Monomial, int]] = []
-    for c, m in fj.terms:
-        replacement.append((c0 * c % p, s1.mul(m), divisor_pos))
-    for c, m in b.poly.terms[1:]:
-        replacement.append(((-c0 * c) % p, s1.mul(m), fj_pos))
-    for c, m, idx in triples[1:]:
-        replacement.append((c, m, snap.input_pos[idx]))
-    return _finish_substitution(r, K, replacement, snap)
+
+    def rewrite(self, which: str, K: ReprElement) -> None:
+        """Replace the element K, violating ``which``, and check the step:
+        the representation must decrease, and its value must stay.
+
+        Both checks read the replacement alone when every replacement element
+        is below K in the element order.  The elements above K then stay as
+        they were, and at K's place the new form holds a smaller element or
+        ends, so it is smaller.  Otherwise the full comparison
+        (``repr_cmp``) decides, and the scan starts again from the top.  The
+        value stays exactly when the replacement sums to K's value, by
+        linearity (``descend``)."""
+        snap = self.snap
+        replace = f5_replacement if which == "P1" else rewritten_replacement
+        replacement = replace(K, snap)
+        coeff, t, pos = K
+        k_K = snap.elem_key(t, pos)
+        vkey, base = snap.vkey, snap.key_base  # ``elem_key``, inline
+        new_keys = [(vkey[m.v] << POS_BITS) + base[q] for _, m, q in replacement]
+        local = not new_keys or max(new_keys) < k_K
+        if not local:
+            old = self.representation()
+            verdict = repr_cmp(substitute_and_combine(old, K, replacement, snap.ring.p), old, snap)
+            if verdict != LT:
+                raise DescentError(f"rewrite failed to decrease the representation ({verdict})")
+        entries = snap.entries
+        if snap.ring.product_terms(
+            [(-coeff, t, entries[pos].poly)]
+            + [(c, m, entries[q].poly) for c, m, q in replacement]
+        ):
+            raise DescentError("rewrite changed the represented value")
+        # merge as ``substitute_and_combine`` does: zeros leave at the end
+        p, elems, keys = snap.ring.p, self.elems, self.keys
+        del elems[k_K]
+        del keys[bisect_left(keys, k_K)]
+        for (c, m, q), k in zip(replacement, new_keys):
+            e = elems.get(k)
+            if e is None:
+                elems[k] = _tuple_new(ReprElement, (c % p, m, q))
+                insort(keys, k)
+            else:
+                elems[k] = _tuple_new(ReprElement, ((e[0] + c) % p, e[1], q))
+        for k in new_keys:
+            e = elems.get(k)
+            if e is not None and not e[0]:
+                del elems[k]
+                del keys[bisect_left(keys, k)]
+        self.cursor = k_K if local else None
 
 
-def rewrite_rewritten_case(
-    r: Representation, K: ReprElement, snap: GgSnapshot
-) -> Representation:
-    """Replace an element rewritable by a newer rule with the rewriter (or,
-    when the rewriter reduced to zero, with its syzygy expansion)."""
-    p = snap.ring.p
-    triples = _element_input_triples(snap, K.coeff, K.mono, K.pos)
-    c0, s0, j0 = triples[0]
-    rw_pos = snap.rewritten_satisfied(K.mono, K.pos)
-    if rw_pos is None:
-        raise RewriterNotFound(f"element {K!r} is not rewritten by any newer rule")
-    rw = snap.entries[rw_pos]
-    s_prime = s0.divide(rw.sig.mono)
-    if s_prime is None:
-        raise RewriterNotFound("rewriter signature does not divide the element's")
-    rw_triples = _element_input_triples(snap, 1, s_prime, rw_pos)
-    c_prime, head_mono, head_idx = rw_triples[0]
-    if head_mono != s0 or head_idx != j0:
-        raise RewriterNotFound("rewriter expansion does not lead with the signature")
-    c_fix = c0 * snap.ring.inv(c_prime) % p
-    replacement: list[tuple[int, Monomial, int]] = []
-    if not rw.poly.is_zero:
-        if rw_pos not in snap.member_set:
-            raise RewriterNotFound(f"nonzero rewriter r{rw_pos} missing from the basis")
-        replacement.append((c_fix, s_prime, rw_pos))
-    for c, m, idx in rw_triples[1:]:
-        replacement.append(((-c_fix * c) % p, m, snap.input_pos[idx]))
-    for c, m, idx in triples[1:]:
-        replacement.append((c, m, snap.input_pos[idx]))
-    return _finish_substitution(r, K, replacement, snap)
+def violated_property(
+    r: Representation, mh_sig: Signature, mh_hm: Monomial, snap: GgSnapshot
+) -> Optional[tuple[str, ReprElement]]:
+    """First violated target property, scanning elements in ordered form:
+    P1 (shifted signature reducible) or P2 (rewritable by a newer rule).
+    An element above the target signature raises ``NotSignatureSafe``.
+
+    When every element passes both, no element's head may exceed the
+    target's (P3).  Let K' = m*u1*b1 and K2 = m*u2*b2 be the two greatest
+    elements attaining the maximal head.  Their S-pair was
+    - completed: ``_spol`` added the rule (u1*sig(b1), e) when it created e,
+      with e > b1, so ``rewritten_satisfied(K')`` holds and P2 fires first;
+      the rule stays when e reduced to zero;
+    - rejected: the F5 and rewritten criteria are monotone under a
+      multiple, so P1 or P2 fires on K' or K2;
+    - never formed: the pair is out of scope, which ``in_scope`` excludes.
+    So on a log whose ``thm5_exhaustive`` check passes P3 never fires in
+    scope.  When it does, that is the descent's form of a thm5 failure, and
+    a ``DescentError`` names the head pair."""
+    return DescentState(r.elements, snap.cache.sig_int(mh_sig), mh_hm, snap).violation()
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +658,22 @@ def descend(
     Every step must strictly decrease the representation order, preserve the
     represented value, and stay signature-safe; a head above the target's
     raises (``violated_property``), and a cap overrun is an internal bug
-    surfaced with the full log, never a silent loop."""
+    surfaced with the full log, never a silent loop.
+
+    The representation persists from step to step (``DescentState``), so a
+    step costs work in proportion to its replacement, not to the
+    representation:
+    - value: the replacement minus K must sum to zero, in the exact
+      arithmetic of ``Ring.product_sum``.  The first representation is the
+      target itself, and the value is linear in the coefficients, so this
+      fails at exactly the steps where a full re-sum would.  A descent that
+      took a step re-sums its final representation in full once
+      (``repr_sum_check``);
+    - decrease: when every replacement element is below K, the new
+      representation is smaller (``DescentState.rewrite``); otherwise the
+      full ``repr_cmp`` decides, so no step that decreases fails;
+    - signature safety: the greatest element is checked against the target
+      signature before every step."""
     if step_cap <= 0:
         raise ValueError("step_cap must be positive")
     if not snap.in_scope(t, h_pos):
@@ -487,31 +682,33 @@ def descend(
             " element's, or in the inserting call's index its degree exceeds the head's"
         )
     h = snap.lp(h_pos)
-    mh_sig = sig_mul(t, h.sig)
-    target = h.poly.term_mul(coeff, t)
-    mh_hm = t.mul(h.poly.head_mono)
-    rep = Representation([ReprElement(coeff % snap.ring.p, t, h_pos)])
+    state = DescentState(
+        [ReprElement(coeff % snap.ring.p, t, h_pos)],
+        snap.elem_key(t, h_pos) >> POS_BITS,  # the signature of t * b_h
+        t.mul(h.poly.head_mono),
+        snap,
+    )
     log: list[dict] = []
     for step in range(step_cap):
-        violation = violated_property(rep, mh_sig, mh_hm, snap)
+        violation = state.violation()
         if violation is None:
+            rep = state.representation()
+            if step and not repr_sum_check(rep, h.poly.term_mul(coeff, t), snap):
+                raise DescentError("the final representation does not sum to the target")
             log.append({"kind": "DescentDone", "step": step, "size": len(rep)})
             return DescentResult(rep, log)
         which, element = violation
-        rewrite = rewrite_f5_case if which == "P1" else rewrite_rewritten_case
-        new = rewrite(rep, element, snap)
-        if not repr_sum_check(new, target, snap):
-            raise DescentError("rewrite changed the represented value")
+        state.rewrite(which, element)
+        c, m, pos = element
         log.append(
             {
                 "kind": "DescentStep",
                 "step": step,
                 "violated": which,
-                "element": [element.coeff, list(element.mono.exps), element.pos],
-                "size": len(new),
+                "element": [c, list(m.exps), pos],
+                "size": len(state),
             }
         )
-        rep = new
     raise StepCapExceeded(f"descent did not finish within {step_cap} steps", log)
 
 
@@ -624,45 +821,94 @@ def buchberger(inputs: Sequence[Polynomial]) -> list[Polynomial]:
     return reduced_basis([basis[i] for i in live])
 
 
+def _split_heads(polys: Sequence[Polynomial]) -> tuple[list[Polynomial], list[Polynomial]]:
+    """The nonzero polys made monic and sorted by head monomial, split into
+    those with minimal heads and those whose head an earlier minimal head
+    divides."""
+    if not polys:
+        return [], []
+    key = polys[0].ring.order.key
+    work = sorted((p.monic() for p in polys if not p.is_zero), key=lambda q: key(q.head_mono))
+    minimal: list[Polynomial] = []
+    dropped: list[Polynomial] = []
+    for p in work:
+        if any(q.head_mono.divides(p.head_mono) for q in minimal):
+            dropped.append(p)
+        else:
+            minimal.append(p)
+    return minimal, dropped
+
+
+def _interreduce(minimal: Sequence[Polynomial]) -> list[Polynomial]:
+    """Each element's normal form modulo the others, monic.  No head
+    divides another, so every head stays and the order by head is kept."""
+    return [
+        normal_form(p, [*minimal[:idx], *minimal[idx + 1:]]).monic()
+        for idx, p in enumerate(minimal)
+    ]
+
+
 def reduced_basis(polys: Sequence[Polynomial]) -> list[Polynomial]:
     """Minimal heads, tails fully reduced, monic, sorted by head monomial.
 
     For a Groebner basis input this is the unique reduced basis."""
+    return _interreduce(_split_heads(polys)[0])
+
+
+def is_reduced(polys: Sequence[Polynomial]) -> bool:
+    """Whether ``reduced_basis(polys) == list(polys)``: every element monic,
+    the heads strictly ascending, and no term of an element divisible by
+    another element's head."""
     if not polys:
-        return []
-    ring = polys[0].ring
-    work = sorted(
-        (p.monic() for p in polys if not p.is_zero),
-        key=lambda q: ring.order.key(q.head_mono),
-    )
-    minimal: list[Polynomial] = []
-    for p in work:
-        if any(q.head_mono.divides(p.head_mono) for q in minimal):
-            continue
-        minimal.append(p)
-    out = []
-    for idx, p in enumerate(minimal):
-        others = minimal[:idx] + minimal[idx + 1:]
-        r = normal_form(p, others)
-        out.append(r.monic())
-    out.sort(key=lambda q: ring.order.key(q.head_mono))
-    return out
+        return True
+    key = polys[0].ring.order.key
+    heads = []
+    for p in polys:
+        if p.is_zero or p.head_coeff != 1:
+            return False
+        heads.append(p.head_mono)
+    keys = [key(h) for h in heads]
+    if any(a >= b for a, b in zip(keys, keys[1:])):
+        return False
+    masks = [h.mask for h in heads]
+    for i, p in enumerate(polys):
+        for _, m in p.terms:
+            mmask = m.mask
+            for j, h in enumerate(heads):
+                if not masks[j] & ~mmask and j != i and h.divides(m):
+                    return False
+    return True
 
 
 def ideal_equal(g1: Sequence[Polynomial], g2: Sequence[Polynomial]) -> bool:
     """Whether two Groebner bases generate the same ideal.
 
-    Both sets must reduce to the same basis ``R`` (``reduced_basis``), and
-    every element of either set must have normal form zero modulo ``R``.
-    ``reduced_basis`` drops an element whose head an earlier head divides
-    without showing that it lies in the ideal, so the membership half is
-    what catches a stray redundant element: ``[x^2, x^2 + y]`` and
-    ``[x^2]`` reduce alike but generate different ideals.  A true verdict
-    means ``(g1) = (R) = (g2)``.  When each set is a Groebner basis of its
-    own ideal the converse holds too: ``R`` is then the unique reduced
-    Groebner basis and every ideal element reduces to zero modulo it."""
-    r1 = reduced_basis(g1)
-    return r1 == reduced_basis(g2) and all(normal_form(p, r1).is_zero for p in [*g1, *g2])
+    Both sets must reduce to the same basis ``R`` (``reduced_basis``; a set
+    that ``is_reduced`` is its own), and every element that
+    ``reduced_basis`` drops must have normal form zero modulo ``R``.  An
+    element is dropped when an earlier head divides its own, without any
+    sign that it lies in the ideal, so this membership test is what catches
+    a stray redundant element: ``[x^2, x^2 + y]`` and ``[x^2]`` reduce alike
+    but generate different ideals.  A kept element p needs no test: its
+    normal form reduces only by elements of smaller heads, so p lies in the
+    ideal of the ``R`` elements of its head and below, by induction up the
+    heads.  A true verdict means ``(g1) = (R) = (g2)``.
+
+    When either set is a Groebner basis, so is ``R`` (as both reduce to
+    it), and every element of its ideal reduces to zero modulo it: testing
+    the kept elements too could change no verdict.  When each set is a
+    Groebner basis of its own ideal the converse holds too: ``R`` is then
+    the unique reduced Groebner basis and every ideal element reduces to
+    zero modulo it."""
+    sides = []
+    for g in (g1, g2):
+        if is_reduced(g):
+            sides.append((list(g), []))
+        else:
+            minimal, dropped = _split_heads(g)
+            sides.append((_interreduce(minimal), dropped))
+    (r1, d1), (r2, d2) = sides
+    return r1 == r2 and all(normal_form(p, r1).is_zero for p in [*d1, *d2])
 
 
 def find_thm4_pairs_in_snapshot(
@@ -701,10 +947,10 @@ def done_snapshots(
 ) -> list[GgSnapshot]:
     """One snapshot per Done insertion of the run, in log order; ``registry``
     is built from ``result.events``, and ``vectors`` replayed from them.  The
-    snapshots share one cache of input expansions."""
-    triples: dict[int, list[tuple[int, Monomial, int]]] = {}
+    snapshots share one ``RunCache``."""
+    cache = RunCache(result.ring, result.R, vectors)
     return [
-        GgSnapshot.from_result(result, registry, seq, vectors, triples)
+        GgSnapshot.from_result(result, registry, seq, vectors, cache)
         for done in registry.insertions.values()
         for seq, _ in done
     ]

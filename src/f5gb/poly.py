@@ -343,14 +343,17 @@ class Ring:
         out.sort(key=lambda t: self.order.key(t[1]), reverse=True)
         return Polynomial(self, tuple(out))
 
-    def product_sum(self, products: Iterable[tuple[int, Monomial, "Polynomial"]]) -> "Polynomial":
-        """The sum of c * t * q over the (c, t, q) triples, in one pass.
+    def product_terms(
+        self, products: Iterable[tuple[int, Monomial, "Polynomial"]]
+    ) -> dict[int, int]:
+        """The sum of c * t * q over the (c, t, q) triples, in one pass, as
+        {packed monomial: coefficient}, in no order; empty when the sum is 0.
 
         Each product monomial is one addition of packed values, used as the
         dict key with no ``Monomial`` built; a key with a guard bit set is an
         exponent or degree that reached 2^15 and raises ``OverflowError`` as
         ``mul`` does.  Coefficients are reduced modulo p once per key, and
-        monomials are built only for the terms that survive, then sorted once.
+        only the nonzero ones are kept.
         """
         acc: dict[int, int] = {}
         get = acc.get
@@ -359,15 +362,21 @@ class Ring:
             for cq, m in q.terms:
                 v = tv + m.v
                 acc[v] = get(v, 0) + c * cq
-        lay = _layout(self.n)
-        guard, p = lay.guard, self.p
-        out = []
+        guard, p = _layout(self.n).guard, self.p
+        out = {}
         for v, c in acc.items():
             if v & guard:
                 raise overflow_error("a product in product_sum")
             c %= p
             if c:
-                out.append((c, packed_monomial(v, lay)))
+                out[v] = c
+        return out
+
+    def product_sum(self, products: Iterable[tuple[int, Monomial, "Polynomial"]]) -> "Polynomial":
+        """The sum of c * t * q over the (c, t, q) triples: ``product_terms``,
+        with monomials built for the terms that survive, then sorted once."""
+        lay = _layout(self.n)
+        out = [(c, packed_monomial(v, lay)) for v, c in self.product_terms(products).items()]
         key = self.order.key
         out.sort(key=lambda t: key(t[1]), reverse=True)
         return Polynomial(self, tuple(out))

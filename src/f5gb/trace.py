@@ -736,9 +736,12 @@ class InsertionView:
 
     def phi_divisor(self, index: int, mono: Monomial) -> Optional[int]:
         """Position of the first element of ``phi_basis(index)`` whose head
-        divides ``mono``, or None."""
+        divides ``mono``, or None.  The test is ``Monomial.divides``, on the
+        packed values."""
+        guard = mono.lay.guard
+        v = mono.v | guard
         for head, pos in self.phi_basis(index):
-            if head.divides(mono):
+            if (v - head.v) & guard == guard:
                 return pos
         return None
 
@@ -753,13 +756,20 @@ class InsertionView:
         monomial divides the shifted signature monomial of t * b_pos; None
         when there is none, which means ``pos`` has no rule entry."""
         e = self.entries[pos]
-        mono = t.mul(e.sig.mono)
-        table = self.rules.get(e.index, ())
-        for k in range(self.rule_count(e.index) - 1, -1, -1):
+        return self.rule_owner(e.index, t.mul(e.sig.mono), pos)
+
+    def rule_owner(self, index: int, mono: Monomial, pos: int) -> Optional[int]:
+        """The newest owner, ``pos`` or a newer one, of a rule of ``index``
+        whose monomial divides ``mono``; None when there is none.  The test
+        is ``Monomial.divides``, on the packed values."""
+        table = self.rules.get(index, ())
+        guard = mono.lay.guard
+        v = mono.v | guard
+        for k in range(self.rule_count(index) - 1, -1, -1):
             _, rmono, owner = table[k]
             if owner < pos:  # the tables are in creation order
                 break
-            if rmono.divides(mono):
+            if (v - rmono.v) & guard == guard:
                 return owner
         return None
 

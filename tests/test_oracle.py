@@ -1,11 +1,14 @@
 """Representation order, the two rewrites, descent, reference algorithm."""
 
+import hashlib
+import json
 import math
 import random
 import re
 
 import pytest
 
+from f5gb import oracle
 from f5gb.cli import parse_problem
 from f5gb.engine import EngineConfig, incremental_f5
 from f5gb.oracle import (
@@ -13,6 +16,7 @@ from f5gb.oracle import (
     GT,
     LT,
     DescentError,
+    DescentState,
     GgSnapshot,
     NotSignatureSafe,
     Representation,
@@ -25,14 +29,12 @@ from f5gb.oracle import (
     harvest_descent_seeds,
     ideal_equal,
     input_representation,
+    is_reduced,
     ordered_form,
     reduced_basis,
     reductor_passes_engine_checks,
     repr_cmp,
     repr_sum_check,
-    repr_value,
-    rewrite_f5_case,
-    rewrite_rewritten_case,
     substitute_and_combine,
     violated_property,
 )
@@ -40,8 +42,13 @@ from f5gb.oracle import _spoly
 from f5gb.poly import Monomial, normal_form
 from f5gb.sig import LabeledPolynomial, ModuleVector, Signature, sig_cmp, sig_mul
 
+from descent_reference import (
+    reference_descend, reference_start, reference_step, reference_violation, rewrite_f5_case,
+    rewrite_rewritten_case,
+)
 from systems import (
-    LEX_SCOPE, SUITE, P, make_ring, polys, rule_tables, run_snapshots, standard_monomial_count,
+    LEX_SCOPE, SUITE, SUITE_PRIMES, P, make_ring, polys, problem_text, random_problem_texts,
+    rule_tables, run_snapshots, standard_monomial_count,
 )
 
 
@@ -231,6 +238,8 @@ class TestSumCheck:
         # (x + y) * second input, split into terms
         r = Representation([E(1, M(1, 0), 0), E(1, M(0, 1), 0)])
         assert repr_sum_check(r, P(ring, "x^2*y + x*y^2"), snap)
+        assert not repr_sum_check(r, P(ring, "x^2*y + 2*x*y^2"), snap)
+        assert not repr_sum_check(r, P(ring, "x^2*y"), snap)
 
     def test_input_representation_of_member(self, sum_snap):
         ring, snap = sum_snap
@@ -472,7 +481,7 @@ class TestRewriteHmCase:
         # y * y, rewritten by the newer rule of r3: r3 - x*(x+y) + y*(x+y)
         K1, K2 = E(1, M(0, 0), 3), E(6, M(1, 0), 0)
         r = Representation([K1, K2, E(1, M(0, 1), 0)])
-        assert repr_value(r, snap) == P(ring, "y^2")
+        assert repr_sum_check(r, P(ring, "y^2"), snap)
         with pytest.raises(DescentError, match=re.escape(self.HEAD_PAIR)):
             violated_property(r, Signature(M(0, 1), 1), M(0, 2), snap)
         with pytest.raises(DescentError, match=re.escape("attained only by 1*1*r3")):
@@ -805,6 +814,25 @@ class TestIdealEqual:
         assert unreduced != basis
         assert ideal_equal(unreduced, basis)
 
+    def test_reduced_sides_pass_through(self, monkeypatch):
+        ring = make_ring(7, ["x", "y", "z"])
+        basis = buchberger(polys(ring, "x*y + z^2", "x*z + y^2", "y*z + x^2"))
+        assert is_reduced(basis) and is_reduced([])
+        calls = []
+        monkeypatch.setattr(oracle, "normal_form", lambda *args: calls.append(args))
+        assert ideal_equal(basis, list(basis)) and not calls
+
+    @pytest.mark.parametrize("texts", [
+        ["x^2", "2*x*y"],  # not monic
+        ["x^2", "x*y"],  # heads not ascending
+        ["x*y", "x^2 + y^2", "x^2"],  # a head twice
+        ["y^2", "x*y + y^2"],  # a tail term divisible by another head
+        ["x*y", "x^3 + x*y^2"],  # a tail term that is a multiple of another head
+    ])
+    def test_not_reduced(self, texts):
+        ring = make_ring(7, ["x", "y"])
+        assert not is_reduced(polys(ring, *texts))
+
     def test_stray_redundant_element(self):
         # x^2 + y drops out of the reduced basis as redundant by its head,
         # but y is not in (x^2)
@@ -873,3 +901,197 @@ def test_descend_rejects_nonpositive_cap():
     ring, snap = hm_case_world()
     with pytest.raises(ValueError):
         descend(1, M(0, 1), 1, snap, step_cap=0)
+
+
+# ---------------------------------------------------------------------------
+# the descent against its brute-force reference (``descent_reference``)
+
+
+def _outcome(fn, *args):
+    """("ok", value) or ("error", exception type, message)."""
+    try:
+        return ("ok", fn(*args))
+    except DescentError as exc:
+        return ("error", type(exc).__name__, str(exc))
+
+
+def _engine_seeds(text, order, config, samples=0):
+    """The descent seeds of one run: every one (``--descent-samples 0``), or
+    ``samples`` of them, drawn as ``f5gb check --seed 0`` draws them."""
+    problem = parse_problem(text, order_override=order)
+    result = incremental_f5(problem.polynomials, config)
+    return harvest_descent_seeds(run_snapshots(result), samples, random.Random(0))
+
+
+def _pin_texts():
+    """The report pins' systems: the suite, and 36 small random systems
+    under deglex and lex, with each one's engine configuration."""
+    suite = [
+        problem_text(p, names, texts) for names, texts in SUITE.values() for p in SUITE_PRIMES
+    ]
+    return [(text, EngineConfig()) for text in suite] + [
+        (text, EngineConfig(max_degree=12)) for text in random_problem_texts(36, 0)
+    ]
+
+
+class TestDescentAgainstReference:
+    """The persistent descent takes the reference's steps: the same
+    violation, the same representation after every rewrite, the same
+    errors."""
+
+    @pytest.mark.parametrize("order", ["degrevlex", "deglex", "lex"])
+    def test_step_by_step(self, order):
+        # katsura-3 has 97,916 seeds under deglex, and descents of up to 93
+        # elements that the reference re-sorts at every step: 60 seeds are
+        # drawn per run, and each is compared for its first 40 steps
+        steps = 0
+        for text, config in _pin_texts():
+            for snap, coeff, mono, pos in _engine_seeds(text, order, config, 60):
+                rep, mh_sig, mh_hm, target = reference_start(coeff, mono, pos, snap)
+                state = DescentState(rep.elements, snap.cache.sig_int(mh_sig), mh_hm, snap)
+                for _ in range(40):
+                    expected = _outcome(reference_violation, rep, mh_sig, mh_hm, snap)
+                    assert _outcome(state.violation) == expected
+                    if expected[0] == "error" or expected[1] is None:
+                        break
+                    which, K = expected[1]
+                    expected = _outcome(reference_step, rep, which, K, target, snap)
+                    got = _outcome(state.rewrite, which, K)
+                    if expected[0] == "error":
+                        assert got == expected
+                        break
+                    rep = expected[1]
+                    assert state.representation().elements == rep.elements
+                    steps += 1
+        assert steps > 500  # 631, 2,159 and 1,269 rewrites under the three orders
+
+    def test_descend_matches_reference_descend(self):
+        for text, config in _pin_texts():
+            for snap, coeff, mono, pos in _engine_seeds(text, None, config):
+                got = _outcome(descend, coeff, mono, pos, snap)
+                expected = _outcome(reference_descend, coeff, mono, pos, snap)
+                if expected[0] == "error":
+                    assert got == expected
+                    continue
+                assert got[1].steps == expected[1].steps
+                assert got[1].representation.elements == expected[1].representation.elements
+
+
+# sha256 over the step log of every descent of every seed (``f5gb check
+# --descent-samples 0``) on the report pins' systems, a failed descent
+# logged as its message.  The report pins see only ``max_steps`` and the
+# failures, so this pins the rewrite sequence itself.
+PINNED_SUITE_DESCENTS = "5437b4886bbb1ed170a563a4ca26e30322a3bc1b4a3418bdd1417adb94936cc0"
+PINNED_RANDOM_DESCENTS = "0f63fdf64416bffcbf4ecbc8265dba7ba65e0ccfc4638a73dd68b0cf9af2ac4f"
+
+
+class TestDescentLogPin:
+    @staticmethod
+    def _digest(texts_configs) -> str:
+        h = hashlib.sha256()
+        for text, config in texts_configs:
+            for snap, coeff, mono, pos in _engine_seeds(text, None, config):
+                try:
+                    steps = descend(coeff, mono, pos, snap).steps
+                except DescentError as exc:
+                    steps = [str(exc)]
+                h.update(json.dumps(steps, separators=(",", ":")).encode())
+                h.update(b"\n")
+        return h.hexdigest()
+
+    def test_suite_descents_pinned(self):
+        suite = _pin_texts()[:len(SUITE) * len(SUITE_PRIMES)]
+        assert self._digest(suite) == PINNED_SUITE_DESCENTS
+
+    def test_random_descents_pinned(self):
+        random_texts = _pin_texts()[len(SUITE) * len(SUITE_PRIMES):]
+        assert self._digest(random_texts) == PINNED_RANDOM_DESCENTS
+
+
+# ---------------------------------------------------------------------------
+# planted bad rewrites: the local checks fail where the full ones do
+
+
+def _planted_world():
+    """A katsura-3 seed whose descent takes at least three steps."""
+    names, texts = SUITE["katsura3_homog"]
+    problem = parse_problem(problem_text(32003, names, texts))
+    result = incremental_f5(problem.polynomials, EngineConfig())
+    for seed in harvest_descent_seeds(run_snapshots(result), 0, None):
+        if descend(*seed[1:], seed[0]).step_count >= 3:
+            return seed
+    raise AssertionError("no seed of three steps")
+
+
+_REPLACEMENTS = {
+    name: getattr(oracle, name) for name in ("f5_replacement", "rewritten_replacement")
+}
+
+
+def _plant(monkeypatch, at, change):
+    """Make the replacement of rewrite number ``at`` (from 1) pass through
+    ``change(replacement, K, snap)``; returns the list of rewrites so far."""
+    calls = []
+    for name, real in _REPLACEMENTS.items():
+        def planted(K, snap, real=real):
+            calls.append(K)
+            replacement = real(K, snap)
+            return change(replacement, K, snap) if len(calls) == at else replacement
+        monkeypatch.setattr(oracle, name, planted)
+    return calls
+
+
+def _above(K, snap):
+    """A monomial multiple of K's monomial: the element it makes with K's
+    position is above K in the element order."""
+    return K.mono.mul(snap.ring.variable(0))
+
+
+class TestPlantedRewrites:
+    def test_wrong_coefficient_fails_at_its_step(self, monkeypatch):
+        snap, coeff, mono, pos = _planted_world()
+
+        def wrong(replacement, K, snap):
+            (c, m, q), *rest = replacement
+            return [((c + 1) % snap.ring.p, m, q), *rest]
+
+        message = "rewrite changed the represented value"
+        for run in (descend, reference_descend):
+            calls = _plant(monkeypatch, 2, wrong)
+            with pytest.raises(DescentError, match=message):
+                run(coeff, mono, pos, snap)
+            assert len(calls) == 2  # no step after the planted one
+
+    def test_element_above_k_that_does_not_decrease_fails(self, monkeypatch):
+        snap, coeff, mono, pos = _planted_world()
+
+        def above(replacement, K, snap):
+            return [*replacement, (1, _above(K, snap), K.pos)]
+
+        errors = []
+        for run in (descend, reference_descend):
+            calls = _plant(monkeypatch, 2, above)
+            with pytest.raises(DescentError, match="rewrite failed to decrease") as exc:
+                run(coeff, mono, pos, snap)
+            assert len(calls) == 2
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1]
+
+    def test_element_above_k_that_decreases_takes_the_fallback(self, monkeypatch):
+        snap, coeff, mono, pos = _planted_world()
+        plain = descend(coeff, mono, pos, snap)
+
+        def cancelling(replacement, K, snap):
+            t = _above(K, snap)
+            return [*replacement, (1, t, K.pos), (-1, t, K.pos)]
+
+        compared = []
+        real_cmp = oracle.repr_cmp
+        monkeypatch.setattr(
+            oracle, "repr_cmp", lambda *args: compared.append(args) or real_cmp(*args)
+        )
+        _plant(monkeypatch, 2, cancelling)
+        planted = descend(coeff, mono, pos, snap)
+        assert len(compared) == 1  # the one planted step, by the full comparison
+        assert planted.steps == plain.steps
+        assert planted.representation.elements == plain.representation.elements
