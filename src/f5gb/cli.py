@@ -146,7 +146,7 @@ def parse_problem(
     p = None
     variables: list[str] = []
     order_name = "degrevlex"
-    p_line = order_line = 0
+    p_line = vars_line = order_line = 0
     poly_lines: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -163,12 +163,24 @@ def parse_problem(
             p_line = lineno
             continue
         if line.startswith("vars:"):
+            if vars_line:
+                raise ParseError(f"a second 'vars:' line (the first is line {vars_line})",
+                                 lineno)
             variables = [v.strip() for v in line[len("vars:"):].split(",") if v.strip()]
+            # the term parser reads a digit factor as a coefficient and splits on
+            # operators, so a basis over a name like '2' or 'x y' would not read back
+            bad = [v for v in variables if not v.isidentifier()]
+            if bad:
+                raise ParseError(f"variable name {bad[0]!r} is not an identifier", lineno)
             twice = [v for k, v in enumerate(variables) if v in variables[:k]]
             if twice:
                 raise ParseError(f"variable {twice[0]!r} listed twice", lineno)
+            vars_line = lineno
             continue
         if line.startswith("order:"):
+            if order_line:
+                raise ParseError(f"a second 'order:' line (the first is line {order_line})",
+                                 lineno)
             order_name = line[len("order:"):].strip()
             order_line = lineno
             continue

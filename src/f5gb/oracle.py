@@ -19,7 +19,6 @@ from typing import Collection, Iterable, Mapping, Optional, Sequence
 from .engine import EngineResult
 from .poly import (
     EQ,
-    FIELD_BITS,
     GT,
     LT,
     Monomial,
@@ -102,28 +101,20 @@ class RunCache:
     leading coefficient of b_pos's expansion.
     """
 
-    __slots__ = ("key_one", "index_shift", "vkey", "triples", "key_base", "head_base",
-                 "lead_inverse")
+    __slots__ = ("vkey", "triples", "key_base", "head_base", "lead_inverse")
 
     def __init__(self, ring: Ring, entries, vectors: Mapping[int, ModuleVector]):
-        vkey = ring.order.vkey
-        self.key_one = vkey(0)  # the order key of 1
-        self.index_shift = ring.order.lay.shift + FIELD_BITS  # above every order key
+        order = ring.order
+        vkey = order.vkey
+        key_one = vkey(0)  # the order key of 1
         self.vkey = _Lazy(vkey)
         self.triples = _Lazy(lambda pos: _mv_input_triples(vectors[pos]))
         self.key_base = _Lazy(
-            lambda pos: (self.sig_int(entries[pos].sig) - self.key_one << POS_BITS)
+            lambda pos: (sig_key(entries[pos].sig, order) - key_one << POS_BITS)
             + POS_MASK - pos
         )
-        self.head_base = _Lazy(
-            lambda pos: vkey(entries[pos].poly.head_mono.v) - self.key_one
-        )
+        self.head_base = _Lazy(lambda pos: vkey(entries[pos].poly.head_mono.v) - key_one)
         self.lead_inverse = _Lazy(lambda pos: ring.inv(self.triples[pos][0][0]))
-
-    def sig_int(self, sig: Signature) -> int:
-        """An int ascending in the signature order: minus the index, above
-        the order key of the monomial."""
-        return self.vkey[sig.mono.v] - (sig.index << self.index_shift)
 
 
 class GgSnapshot(InsertionView):
@@ -196,14 +187,14 @@ class GgSnapshot(InsertionView):
 
     def elem_key(self, t: Monomial, pos: int) -> int:
         """An int ascending in the element order (``elem_cmp``) for the
-        element t * b_pos: ``RunCache.sig_int`` of its signature, above
-        POS_BITS bits that fall as ``pos`` grows.  Distinct (t, pos) have
-        distinct keys.
+        element t * b_pos: ``sig.sig_key`` of its signature, above POS_BITS
+        bits that fall as ``pos`` grows.  Distinct (t, pos) have distinct
+        keys.
 
-        Order keys are affine in the packed value: key(t*m) = key(t) +
-        key(m) - key(1) under all three orders.  So the key is one order key
-        of t plus a per-position base, ``key_base[pos]``, with no shifted
-        signature built."""
+        Signature keys are affine in the monomial, as order keys are in the
+        packed value: key(t*s) = key(s) + key(t) - key(1) under all three
+        orders.  So the key is one order key of t plus a per-position base,
+        ``key_base[pos]``, with no shifted signature built."""
         return (self.vkey[t.v] << POS_BITS) + self.key_base[pos]
 
     def head_key(self, key: int, pos: int) -> int:
@@ -234,20 +225,13 @@ class GgSnapshot(InsertionView):
         signature first (``sig.input_representation``); cached."""
         return self.cache.triples[pos]
 
-    def target(self, t: Monomial, pos: int) -> tuple[tuple, int]:
+    def target(self, t: Monomial, pos: int) -> tuple[int, int]:
         """(signature key, degree) of t * b_pos, the arguments of
-        ``trace.in_scope`` that depend on the target; no ``Signature`` is
-        built.  Snapshots of one run share their entries, so it is the same
-        in all of them."""
+        ``trace.in_scope`` that depend on the target; the key is also the
+        target signature of its descent.  Snapshots of one run share their
+        entries, so it is the same in all of them."""
         e = self.entries[pos]
-        mono = e.sig.mono
-        key = (-e.sig.index, self.vkey[mono.v if t.is_one else t.mul(mono).v])
-        return key, t.deg + e.poly.head_mono.deg
-
-    def in_scope(self, t: Monomial, pos: int) -> bool:
-        """Whether t * b_pos is in scope at the snapshot's insertion, by the
-        rule of the thm5 check (``trace.in_scope``)."""
-        return in_scope(*self.target(t, pos), *self.g_scope)
+        return sig_key(sig_mul(t, e.sig), self.order), t.deg + e.poly.head_mono.deg
 
 
 # ---------------------------------------------------------------------------
@@ -279,13 +263,9 @@ _tuple_new = tuple.__new__  # builds a ReprElement without its Python-level __ne
 
 
 class Representation:
-    """A finite sum of elements with pairwise-distinct (mono, pos) keys.
+    """A finite sum of elements with pairwise-distinct (mono, pos) keys."""
 
-    The elements never change, so ``ordered_form`` sorts them once per
-    snapshot and keeps that order in ``_form``.
-    """
-
-    __slots__ = ("elements", "_form", "_form_snap")
+    __slots__ = ("elements",)
 
     def __init__(self, elements: Iterable[ReprElement]):
         elems = tuple(elements)
@@ -293,7 +273,6 @@ class Representation:
         if len(keys) != len(elems):
             raise ValueError("representation has duplicate (monomial, element) pairs")
         self.elements = elems
-        self._form_snap = None
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -332,20 +311,14 @@ def elem_cmp(e1: ReprElement, e2: ReprElement, snap: GgSnapshot) -> Optional[int
 def ordered_form(r: Representation, snap: GgSnapshot) -> list[ReprElement]:
     """Elements sorted descending; total within one valid representation.
 
-    Returns a fresh list; the sort runs once per representation and snapshot.
-    Each key is ``sig_key`` of the multiplied signature flattened with -pos,
-    computed with no ``Signature`` built.
+    Each element is keyed by ``sig_key`` of its multiplied signature, then
+    by -pos: the definition of the order, which ``GgSnapshot.elem_key``
+    packs into one int.
     """
-    if r._form_snap is not snap:
-        entries, key = snap.entries, snap.order.key
-
-        def elem_key(e: ReprElement) -> tuple:
-            s = entries[e.pos].sig
-            return (-s.index, key(e.mono.mul(s.mono)), -e.pos)
-
-        r._form = tuple(sorted(r.elements, key=elem_key, reverse=True))
-        r._form_snap = snap
-    return list(r._form)
+    order = snap.order
+    return sorted(
+        r.elements, key=lambda e: (sig_key(element_sig(e, snap), order), -e.pos), reverse=True
+    )
 
 
 INCOMPARABLE = None
@@ -452,30 +425,6 @@ def rewritten_replacement(
     return replacement + rest
 
 
-def substitute_and_combine(
-    r: Representation,
-    K: ReprElement,
-    replacement: Iterable[tuple[int, Monomial, int]],
-    p: int,
-) -> Representation:
-    """Remove K, union the replacement, merge duplicate (mono, pos) keys by
-    coefficient addition and drop zeros; may produce the empty representation."""
-    acc: dict[tuple, list] = {}
-    for e in r.elements:
-        if e == K:
-            continue
-        acc[(e.mono.v, e.pos)] = [e.coeff, e.mono, e.pos]
-    for c, m, pos in replacement:
-        key = (m.v, pos)
-        if key in acc:
-            acc[key][0] = (acc[key][0] + c) % p
-        else:
-            acc[key] = [c % p, m, pos]
-    return Representation(
-        ReprElement(c, m, pos) for c, m, pos in acc.values() if c % p != 0
-    )
-
-
 # ---------------------------------------------------------------------------
 # the representation under descent
 
@@ -485,12 +434,13 @@ class DescentState:
     and the target's signature and head.
 
     ``elems`` maps each element's key (``GgSnapshot.elem_key``, one key per
-    (monomial, position)) to the element, listed in the order
-    ``substitute_and_combine`` gives; ``keys`` holds the same keys
-    ascending, so the ordered form is ``keys`` read from the end.  Every
-    element with a key at or above ``cursor`` has passed P1 and P2, so the
-    scan goes on below it; None scans from the top.  ``sig`` is the target
-    signature as ``RunCache.sig_int`` gives it.
+    (monomial, position)) to the element: a rewrite drops K, updates the
+    elements it changes in place, and appends the new ones in the
+    replacement's order.  ``keys`` holds the same keys ascending, so the
+    ordered form is ``keys`` read from the end.  Every element with a key at
+    or above ``cursor`` has passed P1 and P2, so the scan goes on below it;
+    None scans from the top.  ``sig`` is the target signature's
+    ``sig.sig_key``.
     """
 
     __slots__ = ("snap", "elems", "keys", "sig_bound", "head", "cursor")
@@ -564,49 +514,61 @@ class DescentState:
         """Replace the element K, violating ``which``, and check the step:
         the representation must decrease, and its value must stay.
 
-        Both checks read the replacement alone when every replacement element
-        is below K in the element order.  The elements above K then stay as
-        they were, and at K's place the new form holds a smaller element or
-        ends, so it is smaller.  Otherwise the full comparison
-        (``repr_cmp``) decides, and the scan starts again from the top.  The
-        value stays exactly when the replacement sums to K's value, by
-        linearity (``descend``)."""
+        The replacement is merged into a small dict over the keys it touches,
+        with K's coefficient gone.  Above the highest key whose coefficient
+        changed, the old and the new ordered forms agree, so the comparison
+        of the two (``repr_cmp``) is decided there: the element there is
+        gone (LT), the key is new (GT), or both forms hold it with different
+        coefficients (None); with no key changed they are equal (EQ).  Only
+        LT is a decrease.  Every element above that key has passed P1 and
+        P2 and stays as it was, so the scan goes on below it.  The value
+        stays exactly when the replacement sums to K's value, by linearity
+        (``descend``)."""
         snap = self.snap
         replace = f5_replacement if which == "P1" else rewritten_replacement
         replacement = replace(K, snap)
         coeff, t, pos = K
+        p, elems, keys = snap.ring.p, self.elems, self.keys
         k_K = snap.elem_key(t, pos)
         vkey, base = snap.vkey, snap.key_base  # ``elem_key``, inline
-        new_keys = [(vkey[m.v] << POS_BITS) + base[q] for _, m, q in replacement]
-        local = not new_keys or max(new_keys) < k_K
-        if not local:
-            old = self.representation()
-            verdict = repr_cmp(substitute_and_combine(old, K, replacement, snap.ring.p), old, snap)
-            if verdict != LT:
-                raise DescentError(f"rewrite failed to decrease the representation ({verdict})")
+        # key -> [new coefficient, old coefficient, mono, pos]; 0 is no element
+        merged: dict[int, list] = {}
+        for c, m, q in replacement:
+            k = (vkey[m.v] << POS_BITS) + base[q]
+            cell = merged.get(k)
+            if cell is None:
+                e = elems.get(k)
+                old = 0 if e is None else e[0]
+                cell = merged[k] = [0 if k == k_K else old, old, m, q]
+            cell[0] = (cell[0] + c) % p
+        merged.setdefault(k_K, [0, coeff, t, pos])
+        top = max((k for k, (new, old, _, _) in merged.items() if new != old), default=None)
+        if top is None:
+            verdict = EQ
+        else:
+            new, old, _, _ = merged[top]
+            verdict = LT if not new else GT if not old else INCOMPARABLE
+        if verdict != LT:
+            raise DescentError(f"rewrite failed to decrease the representation ({verdict})")
         entries = snap.entries
         if snap.ring.product_terms(
             [(-coeff, t, entries[pos].poly)]
             + [(c, m, entries[q].poly) for c, m, q in replacement]
         ):
             raise DescentError("rewrite changed the represented value")
-        # merge as ``substitute_and_combine`` does: zeros leave at the end
-        p, elems, keys = snap.ring.p, self.elems, self.keys
         del elems[k_K]
         del keys[bisect_left(keys, k_K)]
-        for (c, m, q), k in zip(replacement, new_keys):
-            e = elems.get(k)
-            if e is None:
-                elems[k] = _tuple_new(ReprElement, (c % p, m, q))
+        for k, (c, _, m, q) in merged.items():
+            if k in elems:
+                if c:
+                    elems[k] = _tuple_new(ReprElement, (c, m, q))
+                else:
+                    del elems[k]
+                    del keys[bisect_left(keys, k)]
+            elif c:
+                elems[k] = _tuple_new(ReprElement, (c, m, q))
                 insort(keys, k)
-            else:
-                elems[k] = _tuple_new(ReprElement, ((e[0] + c) % p, e[1], q))
-        for k in new_keys:
-            e = elems.get(k)
-            if e is not None and not e[0]:
-                del elems[k]
-                del keys[bisect_left(keys, k)]
-        self.cursor = k_K if local else None
+        self.cursor = top
 
 
 def violated_property(
@@ -628,7 +590,7 @@ def violated_property(
     So on a log whose ``thm5_exhaustive`` check passes P3 never fires in
     scope.  When it does, that is the descent's form of a thm5 failure, and
     a ``DescentError`` names the head pair."""
-    return DescentState(r.elements, snap.cache.sig_int(mh_sig), mh_hm, snap).violation()
+    return DescentState(r.elements, sig_key(mh_sig, snap.order), mh_hm, snap).violation()
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +615,7 @@ def descend(
     step_cap: int = 10**5,
 ) -> DescentResult:
     """Rewrite coeff * t * b_h, a target in scope at the snapshot's
-    insertion (``GgSnapshot.in_scope``), until no property is violated.
+    insertion (``trace.in_scope``), until no property is violated.
 
     Every step must strictly decrease the representation order, preserve the
     represented value, and stay signature-safe; a head above the target's
@@ -669,24 +631,22 @@ def descend(
       fails at exactly the steps where a full re-sum would.  A descent that
       took a step re-sums its final representation in full once
       (``repr_sum_check``);
-    - decrease: when every replacement element is below K, the new
-      representation is smaller (``DescentState.rewrite``); otherwise the
-      full ``repr_cmp`` decides, so no step that decreases fails;
+    - decrease: the highest key whose coefficient the step changed decides
+      the comparison with ``repr_cmp``'s verdict (``DescentState.rewrite``),
+      so a step fails exactly when the full comparison would fail it;
     - signature safety: the greatest element is checked against the target
       signature before every step."""
     if step_cap <= 0:
         raise ValueError("step_cap must be positive")
-    if not snap.in_scope(t, h_pos):
+    key, deg = snap.target(t, h_pos)
+    if not in_scope(key, deg, *snap.g_scope, snap.order):
         raise NotSignatureSafe(
             "descent target out of scope: its signature is not below the inserted"
             " element's, or in the inserting call's index its degree exceeds the head's"
         )
     h = snap.lp(h_pos)
     state = DescentState(
-        [ReprElement(coeff % snap.ring.p, t, h_pos)],
-        snap.elem_key(t, h_pos) >> POS_BITS,  # the signature of t * b_h
-        t.mul(h.poly.head_mono),
-        snap,
+        [ReprElement(coeff % snap.ring.p, t, h_pos)], key, t.mul(h.poly.head_mono), snap
     )
     log: list[dict] = []
     for step in range(step_cap):
@@ -977,7 +937,7 @@ def harvest_descent_seeds(snapshots: Sequence[GgSnapshot], samples: int, rng) ->
                 target = targets.get((pos, k))
                 if target is None:
                     target = targets[(pos, k)] = snap.target(t, pos)
-                if in_scope(*target, *snap.g_scope):
+                if in_scope(*target, *snap.g_scope, snap.order):
                     seeds.append((snap, 1, t, pos))
     if samples and len(seeds) > samples:
         idx = sorted(rng.sample(range(len(seeds)), samples))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .poly import GT, LT, Monomial, MonomialOrder, Polynomial, Ring, poly_axpy
+from .poly import FIELD_BITS, GT, LT, Monomial, MonomialOrder, Polynomial, Ring, poly_axpy
 
 
 class InconsistentModuleVector(Exception):
@@ -36,9 +36,20 @@ def sig_cmp(s1: Signature, s2: Signature, order: MonomialOrder) -> int:
     return order.cmp(s1.mono, s2.mono)
 
 
-def sig_key(s: Signature, order: MonomialOrder):
-    """Sort key ascending in the signature order."""
-    return (-s.index, order.key(s.mono))
+def sig_key(s: Signature, order: MonomialOrder) -> int:
+    """An int ascending in the signature order: the order key of the
+    monomial minus the index shifted above every order key, so a smaller
+    index is greater and one index's keys fill one block of ints.
+
+    Order keys are below 2^(16(n + 1)) (``MonomialOrder``), so the index is
+    read back exactly by ``key_index``.  Keys are affine in the monomial
+    like order keys: the key of t * s is key(s) + key(t) - key(1)."""
+    return order.vkey(s.mono.v) - (s.index << order.lay.shift + FIELD_BITS)
+
+
+def key_index(key: int, order: MonomialOrder) -> int:
+    """The index of the signature whose ``sig_key`` is ``key``."""
+    return -(key >> order.lay.shift + FIELD_BITS)
 
 
 def sig_mul(t: Monomial, s: Signature) -> Signature:

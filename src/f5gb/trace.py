@@ -19,8 +19,8 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .poly import (GT, Layout, Monomial, MonomialQuotient, Polynomial, Ring, overflow_error,
                    poly_axpy, quotient_cmp)
-from .sig import (ModuleVector, Signature, check_admissible, sig_cmp, sig_divides, sig_key,
-                  sig_mul)
+from .sig import (ModuleVector, Signature, check_admissible, key_index, sig_cmp, sig_divides,
+                  sig_key, sig_mul)
 
 EVENT_KINDS = (
     "CallBegin",
@@ -860,11 +860,12 @@ def _rejection_index(events: Sequence[dict]):
     return crit, isred
 
 
-def in_scope(key: tuple, deg: int, g_key: tuple, g_deg: int) -> bool:
+def in_scope(key: int, deg: int, g_key: int, g_deg: int, order) -> bool:
     """Whether a target with signature key ``key`` and degree ``deg`` is
     covered by the insertion of an element with signature key ``g_key`` and
-    head degree ``g_deg``.  A signature key leads with minus the index, and
-    the inserting call is the inserted element's index.  The thm5 check's
+    head degree ``g_deg``.  The keys are ``sig.sig_key``s under ``order``,
+    each index is read back from its key (``sig.key_index``), and the
+    inserting call is the inserted element's index.  The thm5 check's
     targets are S-pairs of members, of the degree of their lcm; the
     descent's are multiplied members t * b.
 
@@ -880,7 +881,7 @@ def in_scope(key: tuple, deg: int, g_key: tuple, g_deg: int) -> bool:
     step can have a smaller signature.  Targets of a higher index come from
     the basis of the previous call, which is complete.
     """
-    return key < g_key and (key[0] != g_key[0] or deg <= g_deg)
+    return key < g_key and (deg <= g_deg or key_index(key, order) != key_index(g_key, order))
 
 
 class _PairRules:
@@ -903,6 +904,11 @@ class _PairRules:
     def __init__(self, events: Sequence[dict], registry: Registry, order):
         self.entries = registry.entries
         self.order = order
+        key_one = order.vkey(0)
+        # each entry's ``sig_key`` less the order key of 1, so that a part's
+        # key is this plus the order key of its multiplier (``_shape``)
+        self.key_base = {pos: sig_key(e.sig, order) - key_one
+                         for pos, e in registry.entries.items()}
         self.crit, self.isred = _rejection_index(events)
         # pair key -> the entries built from the pair, in creation order
         self.created: dict[tuple, list[RegistryEntry]] = {}
@@ -915,7 +921,9 @@ class _PairRules:
     def _shape(self, a_pos: int, b_pos: int):
         """The pair's signature key and lcm degree, and its two parts as
         (position, packed head, packed multiplier) triples, the lower
-        position first."""
+        position first.  The key is the greater ``sig_key`` of the two
+        multiplied signatures: signature keys are affine in the monomial, so
+        each is key(sig) + key(u) - key(1)."""
         if a_pos > b_pos:
             a_pos, b_pos = b_pos, a_pos
         a, b = self.entries[a_pos], self.entries[b_pos]
@@ -926,8 +934,8 @@ class _PairRules:
         ma, mb = ua + a.sig.mono.v, ub + b.sig.mono.v
         if (ma | mb) & lay.guard:
             raise overflow_error(f"a signature multiple of the pair of r{a_pos} and r{b_pos}")
-        vkey = self.order.vkey
-        key = max((-a.sig.index, vkey(ma)), (-b.sig.index, vkey(mb)))
+        vkey, base = self.order.vkey, self.key_base
+        key = max(base[a_pos] + vkey(ua), base[b_pos] + vkey(ub))
         return key, t >> lay.shift, (a_pos, ha, ua), (b_pos, hb, ub)
 
     def _evidence(self, a: tuple, b: tuple) -> list[tuple]:
@@ -952,7 +960,7 @@ class _PairRules:
                 out.append((max(s, ne.zero_seq), s, "rewritten", "syzygy_rule"))
         return out
 
-    def pair(self, a_pos: int, b_pos: int) -> tuple[tuple, int, float]:
+    def pair(self, a_pos: int, b_pos: int) -> tuple[int, int, float]:
         """One S-pair of members as the thm5 check sees it: (key, deg,
         first), the sig_key of the greater multiplied signature, the degree
         of the lcm of the heads, and the earliest sequence number after
@@ -978,15 +986,15 @@ class _DominanceCount:
 
     def __init__(self, degs: Sequence[int]):
         self.degs = sorted(set(degs))
-        self.keys: list[list[tuple]] = [[] for _ in self.degs]
+        self.keys: list[list[int]] = [[] for _ in self.degs]
 
-    def add(self, key: tuple, deg: int) -> None:
+    def add(self, key: int, deg: int) -> None:
         for d, keys in zip(self.degs, self.keys):
             if d > deg:
                 break
             insort(keys, key)
 
-    def above(self, key: tuple, min_deg: Optional[int] = None) -> int:
+    def above(self, key: int, min_deg: Optional[int] = None) -> int:
         """Points with key above ``key`` and, unless ``min_deg`` is None, a
         degree of at least ``min_deg``."""
         t = 0 if min_deg is None else bisect_left(self.degs, min_deg)
@@ -1042,13 +1050,13 @@ def check_thm5_exhaustive(events: Sequence[dict], registry: Registry, ring: Ring
                     if pair is None:
                         pair = pairs[pair_id] = rules.pair(*pair_id)
                     key, deg, first = pair
-                    covering = count.above(key, deg if key[0] == -call else None)
+                    covering = count.above(key, deg if key_index(key, order) == call else None)
                     checked += covering
                     if not covering:
                         continue
                     j = k
                     while j < len(done) and g_seq[j] <= first:
-                        if in_scope(key, deg, g_key[j], g_deg[j]):
+                        if in_scope(key, deg, g_key[j], g_deg[j], order):
                             unclassified.append((g_seq[j], pair_id, g_pos[j]))
                         j += 1
     unclassified.sort()

@@ -2,8 +2,9 @@
 re-sums the whole representation.
 
 ``reference_violation`` scans the full ordered form from the top,
-``full_step`` substitutes a replacement and checks the new representation
-by the full representation order (``repr_cmp``), and ``reference_descend``
+``full_step`` substitutes a replacement (``substitute_and_combine``) and
+checks the new representation by the full representation order
+(``repr_cmp``), and ``reference_descend``
 re-sums every step's representation (``repr_sum_check``).  ``oracle.descend``
 must take the same steps and reach the same representations and verdicts;
 ``tests/test_oracle.py`` compares the two.
@@ -26,9 +27,27 @@ from f5gb.oracle import (
     ordered_form,
     repr_cmp,
     repr_sum_check,
-    substitute_and_combine,
 )
 from f5gb.sig import sig_cmp, sig_mul
+
+
+def substitute_and_combine(r, K, replacement, p):
+    """Remove K, union the replacement, merge duplicate (mono, pos) keys by
+    coefficient addition and drop zeros; may produce the empty representation."""
+    acc = {}
+    for e in r.elements:
+        if e == K:
+            continue
+        acc[(e.mono.v, e.pos)] = [e.coeff, e.mono, e.pos]
+    for c, m, pos in replacement:
+        key = (m.v, pos)
+        if key in acc:
+            acc[key][0] = (acc[key][0] + c) % p
+        else:
+            acc[key] = [c % p, m, pos]
+    return Representation(
+        ReprElement(c, m, pos) for c, m, pos in acc.values() if c % p != 0
+    )
 
 
 def reference_violation(r, mh_sig, mh_hm, snap):

@@ -110,7 +110,7 @@ def classify_pairs_at_insertion(
     for i, a_pos in enumerate(members):
         for b_pos in members[i + 1:]:
             key, deg, _ = rules.pair(a_pos, b_pos)
-            if not in_scope(key, deg, g_key, g_deg):
+            if not in_scope(key, deg, g_key, g_deg, ring.order):
                 continue
             evidence = sorted(
                 (s, outcome, via)

@@ -417,7 +417,12 @@ class TestCommands:
         "p = 7\nvars: x, y\norder: foo\nx*y",
         "p = 7\nvars: x, x\nx^2",
         "p = 7\nvars: x, y\nx^2 - -y^2",
-    ], ids=["modulus", "order", "vars", "operators"])
+        "p = 7\nvars: x, 2\n2*x + x*2",
+        "p = 7\nvars: x y, z\nz^2",
+        "p = 7\nvars: x\nvars: y\ny^2",
+        "p = 7\nvars: x\norder: lex\norder: deglex\nx^2",
+    ], ids=["modulus", "order", "vars", "operators", "digit-name", "spaced-name",
+            "second-vars", "second-order"])
     def test_bad_input_exit_code(self, tmp_path, capsys, text):
         path = tmp_path / "bad.txt"
         path.write_text(text)

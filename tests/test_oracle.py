@@ -35,16 +35,16 @@ from f5gb.oracle import (
     reductor_passes_engine_checks,
     repr_cmp,
     repr_sum_check,
-    substitute_and_combine,
     violated_property,
 )
 from f5gb.oracle import _spoly
 from f5gb.poly import Monomial, normal_form
-from f5gb.sig import LabeledPolynomial, ModuleVector, Signature, sig_cmp, sig_mul
+from f5gb.sig import LabeledPolynomial, ModuleVector, Signature, sig_cmp, sig_key, sig_mul
+from f5gb.trace import in_scope
 
 from descent_reference import (
     reference_descend, reference_start, reference_step, reference_violation, rewrite_f5_case,
-    rewrite_rewritten_case,
+    rewrite_rewritten_case, substitute_and_combine,
 )
 from systems import (
     LEX_SCOPE, SUITE, SUITE_PRIMES, P, make_ring, polys, problem_text, random_problem_texts,
@@ -675,7 +675,7 @@ class TestLexScope:
         seeds = harvest_descent_seeds(snapshots, 0, None)
         assert len(seeds) == count
         for snap, coeff, mono, pos in seeds:
-            assert snap.in_scope(mono, pos)
+            assert in_scope(*snap.target(mono, pos), *snap.g_scope, snap.order)
             descend(coeff, mono, pos, snap)
         ring = problem.ring
         multipliers = [ring.one_mono()] + [ring.variable(i) for i in range(ring.n)]
@@ -686,7 +686,10 @@ class TestLexScope:
             for t in multipliers
             if sig_cmp(sig_mul(t, snap.lp(pos).sig), snap.lp(snap.g_pos).sig, ring.order) == LT
         ]
-        outside = [(snap, t, pos) for snap, t, pos in below if not snap.in_scope(t, pos)]
+        outside = [
+            (snap, t, pos) for snap, t, pos in below
+            if not in_scope(*snap.target(t, pos), *snap.g_scope, snap.order)
+        ]
         assert (len(below), len(outside)) == (count + excluded, excluded)
         for snap, t, pos in outside:
             with pytest.raises(NotSignatureSafe, match="degree"):
@@ -948,7 +951,7 @@ class TestDescentAgainstReference:
         for text, config in _pin_texts():
             for snap, coeff, mono, pos in _engine_seeds(text, order, config, 60):
                 rep, mh_sig, mh_hm, target = reference_start(coeff, mono, pos, snap)
-                state = DescentState(rep.elements, snap.cache.sig_int(mh_sig), mh_hm, snap)
+                state = DescentState(rep.elements, sig_key(mh_sig, snap.order), mh_hm, snap)
                 for _ in range(40):
                     expected = _outcome(reference_violation, rep, mh_sig, mh_hm, snap)
                     assert _outcome(state.violation) == expected
@@ -1012,12 +1015,16 @@ class TestDescentLogPin:
 # planted bad rewrites: the local checks fail where the full ones do
 
 
-def _planted_world():
-    """A katsura-3 seed whose descent takes at least three steps."""
+def _katsura3_seeds():
     names, texts = SUITE["katsura3_homog"]
     problem = parse_problem(problem_text(32003, names, texts))
     result = incremental_f5(problem.polynomials, EngineConfig())
-    for seed in harvest_descent_seeds(run_snapshots(result), 0, None):
+    return harvest_descent_seeds(run_snapshots(result), 0, None)
+
+
+def _planted_world():
+    """A katsura-3 seed whose descent takes at least three steps."""
+    for seed in _katsura3_seeds():
         if descend(*seed[1:], seed[0]).step_count >= 3:
             return seed
     raise AssertionError("no seed of three steps")
@@ -1045,6 +1052,25 @@ def _above(K, snap):
     """A monomial multiple of K's monomial: the element it makes with K's
     position is above K in the element order."""
     return K.mono.mul(snap.ring.variable(0))
+
+
+def _world_with_element_above_k():
+    """A katsura-3 seed, a rewrite number ``at`` (from 1) and an element of
+    the representation that rewrite starts from, above its K: the first
+    such rewrite of any seed, found by the reference."""
+    for seed in _katsura3_seeds():
+        snap, coeff, mono, pos = seed
+        rep, mh_sig, mh_hm, target = reference_start(coeff, mono, pos, snap)
+        for at in range(1, 10):
+            violation = reference_violation(rep, mh_sig, mh_hm, snap)
+            if violation is None:
+                break
+            which, K = violation
+            top = ordered_form(rep, snap)[0]
+            if top != K:
+                return seed, at, top
+            rep = reference_step(rep, which, K, target, snap)
+    raise AssertionError("no rewrite with an element above its K")
 
 
 class TestPlantedRewrites:
@@ -1077,7 +1103,7 @@ class TestPlantedRewrites:
             errors.append(str(exc.value))
         assert errors[0] == errors[1]
 
-    def test_element_above_k_that_decreases_takes_the_fallback(self, monkeypatch):
+    def test_element_above_k_that_cancels_out_changes_nothing(self, monkeypatch):
         snap, coeff, mono, pos = _planted_world()
         plain = descend(coeff, mono, pos, snap)
 
@@ -1085,13 +1111,40 @@ class TestPlantedRewrites:
             t = _above(K, snap)
             return [*replacement, (1, t, K.pos), (-1, t, K.pos)]
 
-        compared = []
-        real_cmp = oracle.repr_cmp
-        monkeypatch.setattr(
-            oracle, "repr_cmp", lambda *args: compared.append(args) or real_cmp(*args)
-        )
         _plant(monkeypatch, 2, cancelling)
         planted = descend(coeff, mono, pos, snap)
-        assert len(compared) == 1  # the one planted step, by the full comparison
         assert planted.steps == plain.steps
         assert planted.representation.elements == plain.representation.elements
+
+    @staticmethod
+    def _fails_alike(monkeypatch, seed, at, change, message):
+        """Both descents fail at rewrite ``at`` with ``message``."""
+        snap, coeff, mono, pos = seed
+        for run in (descend, reference_descend):
+            calls = _plant(monkeypatch, at, change)
+            with pytest.raises(DescentError, match=re.escape(message)):
+                run(coeff, mono, pos, snap)
+            assert len(calls) == at  # no step after the planted one
+
+    def test_readding_k_unchanged_is_equal(self, monkeypatch):
+        self._fails_alike(monkeypatch, _planted_world(), 2, lambda replacement, K, snap: [K],
+                          "rewrite failed to decrease the representation (0)")
+
+    def test_changed_coefficient_above_k_is_incomparable(self, monkeypatch):
+        seed, at, top = _world_with_element_above_k()
+        assert top.coeff != seed[0].ring.p - 1
+
+        def changed(replacement, K, snap):
+            return [*replacement, (1, top.mono, top.pos)]
+
+        self._fails_alike(monkeypatch, seed, at, changed,
+                          "rewrite failed to decrease the representation (None)")
+
+    def test_cancelled_element_above_k_decreases_but_changes_the_value(self, monkeypatch):
+        seed, at, top = _world_with_element_above_k()
+
+        def cancelled(replacement, K, snap):
+            return [*replacement, (-top.coeff, top.mono, top.pos)]
+
+        self._fails_alike(monkeypatch, seed, at, cancelled,
+                          "rewrite changed the represented value")

@@ -1,18 +1,20 @@
 """Signature order, divisibility, module vectors, admissibility."""
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from f5gb.poly import EQ, GT, LT, ORDER_KINDS, Monomial
+from f5gb.poly import BOUND, EQ, GT, LT, ORDER_KINDS, Monomial, MonomialOrder
 from f5gb.sig import (
     InconsistentModuleVector,
     ModuleVector,
     Signature,
     check_admissible,
     input_representation,
+    key_index,
     sig_cmp,
     sig_divides,
     sig_key,
@@ -56,6 +58,33 @@ class TestSigCmp:
         assert sig_cmp(a, b, ring.order) == -sig_cmp(b, a, ring.order)
         if sig_cmp(a, b, ring.order) != LT and sig_cmp(b, c, ring.order) != LT:
             assert sig_cmp(a, c, ring.order) != LT
+
+
+@st.composite
+def signatures(draw, n, m):
+    """A signature of index 1..m over n variables, of any degree below the
+    bound, split into exponents at random cut points."""
+    deg = draw(st.integers(0, BOUND - 1))
+    cuts = sorted(draw(st.lists(st.integers(0, deg), min_size=n - 1, max_size=n - 1)))
+    exps = [b - a for a, b in zip([0, *cuts], [*cuts, deg])]
+    return Signature(Monomial(exps), draw(st.integers(1, m)))
+
+
+class TestSigKey:
+    @pytest.mark.parametrize("kind", ORDER_KINDS)
+    @given(data=st.data())
+    @settings(max_examples=150)
+    def test_sorts_as_sig_cmp_and_reads_back_the_index(self, kind, data):
+        n = data.draw(st.integers(1, 4))
+        m = data.draw(st.sampled_from([1, 3, 2**20]))
+        order = MonomialOrder(kind, n)
+        sigs = data.draw(st.lists(signatures(n, m), min_size=2, max_size=6))
+        keys = [sig_key(s, order) for s in sigs]
+        for s, k in zip(sigs, keys):
+            assert key_index(k, order) == s.index
+        # every pair compares alike, so the keys sort as sig_cmp does
+        for (a, ka), (b, kb) in itertools.combinations(zip(sigs, keys), 2):
+            assert (ka > kb) - (ka < kb) == sig_cmp(a, b, order)
 
 
 class TestSigMulDivides:

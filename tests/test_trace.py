@@ -12,7 +12,7 @@ import pytest
 from f5gb import trace
 from f5gb.engine import BudgetExceeded, EngineConfig, incremental_f5
 from f5gb.oracle import GgSnapshot, done_snapshots, find_thm4_pairs_in_snapshot
-from f5gb.poly import Monomial, MonomialQuotient, quotient_cmp, GT
+from f5gb.poly import Monomial, MonomialOrder, MonomialQuotient, quotient_cmp, GT
 from f5gb.sig import LabeledPolynomial, Signature, replay_vectors, sig_key, sig_mul
 from f5gb.trace import (
     ChainReport,
@@ -681,17 +681,26 @@ class TestThm5:
             assert rules.pair(a.pos, b.pos)[:2] == rules.pair(b.pos, a.pos)[:2] == (key, t.deg)
 
     def test_in_scope(self):
-        g_key, g_deg = (-2, 50), 4
+        order = MonomialOrder("degrevlex", 2)
+
+        def key(exps, index):
+            return sig_key(Signature(Monomial(exps), index), order)
+
+        def in_scope(target, deg):
+            return trace.in_scope(target, deg, g_key, g_deg, order)
+
+        g_key, g_deg = key((1, 1), 2), 4  # x*y*F2
         # an equal key is out of scope
-        assert not trace.in_scope(g_key, g_deg, g_key, g_deg)
+        assert not in_scope(g_key, g_deg)
         # a target of another index is decided by its key, whatever its degree
-        assert trace.in_scope((-3, 99), 9, g_key, g_deg)
-        assert not trace.in_scope((-1, 0), 0, g_key, g_deg)
-        # a target of the same index needs a smaller key and deg <= g_deg
-        assert trace.in_scope((-2, 49), 4, g_key, g_deg)
-        assert trace.in_scope((-2, 0), 1, g_key, g_deg)
-        assert not trace.in_scope((-2, 49), 5, g_key, g_deg)
-        assert not trace.in_scope((-2, 51), 1, g_key, g_deg)
+        assert in_scope(key((9, 9), 3), 99)
+        assert not in_scope(key((0, 0), 1), 0)
+        # a target of the same index needs a smaller key and deg <= g_deg:
+        # y^2 is just below x*y, and 1 is the least
+        assert in_scope(key((0, 2), 2), 4)
+        assert in_scope(key((0, 0), 2), 1)
+        assert not in_scope(key((0, 2), 2), 5)
+        assert not in_scope(key((2, 0), 2), 1)
 
     def test_check_small_counts_pinned(self):
         # (checked, failures on the stripped log), the values of the
