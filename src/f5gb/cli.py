@@ -152,10 +152,12 @@ def parse_problem(
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("p") and "=" in line and p is None and not variables:
+        if line.startswith("p") and "=" in line:
             lhs, _, rhs = line.partition("=")
             if lhs.strip() != "p":
                 raise ParseError("expected 'p = <prime>'", lineno)
+            if p_line:
+                raise ParseError(f"a second 'p =' line (the first is line {p_line})", lineno)
             try:
                 p = int(rhs.strip())
             except ValueError:

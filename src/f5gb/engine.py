@@ -11,25 +11,28 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
+from functools import partial
 from heapq import heapify, heappop, heappush
 from typing import NamedTuple, Optional, Sequence
 
 from .poly import (
     EQ,
     GT,
+    Layout,
+    Lazy,
     Monomial,
     Polynomial,
+    Reducer,
     Ring,
+    first_divisor,
     is_homogeneous,
     overflow_error,
     packed_monomial,
     poly_axpy,
+    reduce_with,
 )
 from .sig import LabeledPolynomial, Signature, sig_cmp, sig_key, sig_mul
 from .trace import Trace
-
-
-_UNSEEN = object()  # a memo miss, where None is a cached answer
 
 
 class EngineError(Exception):
@@ -102,20 +105,25 @@ COUNTED_EVENTS = {
 
 
 class RuleTable:
-    """Per input index, the creation-ordered list of rule entries."""
+    """Per input index, the creation-ordered list of rule entries, each a
+    packed rule monomial and its owner."""
 
-    def __init__(self, m: int):
-        self.tables: dict[int, list[tuple[Monomial, int]]] = {i: [] for i in range(1, m + 1)}
+    def __init__(self, m: int, lay: Layout):
+        self.lay = lay
+        self.tables: dict[int, list[tuple[int, int]]] = {i: [] for i in range(1, m + 1)}
 
     def add(self, index: int, mono: Monomial, pos: int) -> None:
-        self.tables[index].append((mono, pos))
+        self.tables[index].append((mono.v, pos))
 
-    def find_rewriter(self, index: int, target: Monomial) -> int:
-        """Newest rule whose monomial divides ``target``; its owner rewrites."""
+    def find_rewriter(self, index: int, v: int) -> int:
+        """Newest rule whose monomial divides the monomial of packed value
+        ``v``; its owner rewrites."""
+        guard = self.lay.guard
+        w = v | guard
         for mono, pos in reversed(self.tables[index]):
-            if mono.divides(target):
+            if (w - mono) & guard == guard:
                 return pos
-        raise MissingRule(f"no rule in index {index} divides {target!r}")
+        raise MissingRule(f"no rule in index {index} divides {packed_monomial(v, self.lay)!r}")
 
 
 @dataclass
@@ -150,18 +158,28 @@ class Engine:
         self.config = config or EngineConfig()
         self.trace = Trace(self.lay)
         self.R: list[LabeledPolynomial] = []
-        self.rules = RuleTable(self.m)
+        self.rules = RuleTable(self.m, self.lay)
         self.G: list[int] = []
         self.done_now: list[int] = []
-        # G ∪ Done of the running reduction, ascending: the reductor candidates
-        self.candidates: list[int] = []
+        # G ∪ Done of the running reduction, ascending by position: the
+        # reductor candidates, as (pos, packed head, packed signature
+        # monomial, index); their polynomials no longer change
+        self.candidates: list[tuple[int, int, int, int]] = []
         self.trails: dict[int, list] = {}
         self.creation_polys: dict[int, Polynomial] = {}
-        # index i -> (mask, head, pos) of the completed basis G_i, filled when
-        # call i ends; the calls of lower index reduce and reject by it
-        self.phi_heads: dict[int, list[tuple[int, Monomial, int]]] = {}
-        # index i -> packed monomial -> _first_divisor's answer in G_i
-        self.divisor_memo: dict[int, dict[int, Optional[tuple[Monomial, int]]]] = {}
+        # position -> the Reducer of an element of a completed G_i, whose
+        # polynomial no longer changes, so each tail is keyed once per run.
+        # These tables refer to R, never to the engine, so a finished engine
+        # is freed without waiting for the cycle collector
+        R = self.R
+        self.reducers = Lazy(lambda pos: Reducer.of(R[pos].poly, pos))
+        # index i -> packed monomial v -> the Reducer of the first element of
+        # the completed basis G_i whose head divides v, or None: filled when
+        # call i ends, and scanned (``poly.first_divisor``) only on a miss, as
+        # G_i never changes again; the calls of lower index reduce and reject
+        # by it.  G_{m+1} is empty: nothing blocks an element of index m
+        self.divisor_memo: dict[int, Lazy] = {}
+        self._end_call(self.m + 1, [])
 
     # -- helpers ----------------------------------------------------------
 
@@ -190,39 +208,6 @@ class Engine:
         self._add_rule(sig, lp.pos)
         return lp
 
-    def _reduce_by(self, h: LabeledPolynomial, kind: str, c: int, u: Monomial,
-                   b: LabeledPolynomial) -> None:
-        """One reduction step h := h - c*u*b, recorded in h's trail as
-        ``kind``."""
-        h.poly = poly_axpy(h.poly, c, u, b.poly)
-        self.trails[h.pos].append([kind, c, self.trace.mono_payload(u), b.pos])
-
-    def _first_divisor(self, index: int, v: int) -> Optional[tuple[Monomial, int]]:
-        """(head, pos) of the first element of G_index whose head divides the
-        monomial of packed value ``v``, or None.  ``phi_heads[index]`` never
-        changes once call ``index`` has ended, so the answer is memoized by
-        ``v``, and the monomial is built only on a miss."""
-        memo = self.divisor_memo[index]
-        found = memo.get(v, _UNSEEN)
-        if found is _UNSEEN:
-            found = None
-            mono = packed_monomial(v, self.lay)
-            outside = ~mono.mask
-            for mask, head, pos in self.phi_heads[index]:
-                if not mask & outside and head.divides(mono):
-                    found = head, pos
-                    break
-            memo[v] = found
-        return found
-
-    def _f5_blocked(self, index: int, v: int) -> Optional[int]:
-        """Position of a G_{index+1} element whose head divides the monomial
-        of packed value ``v``."""
-        if index >= self.m:
-            return None
-        found = self._first_divisor(index + 1, v)
-        return None if found is None else found[1]
-
     def _add_rule(self, sig: Signature, pos: int) -> None:
         self.rules.add(sig.index, sig.mono, pos)
         self.trace.emit(
@@ -236,9 +221,7 @@ class Engine:
         for i in range(m, 0, -1):
             self._algorithm_f5(i)
             self.trace.emit("CallEnd", call=i, basis=list(self.G))
-            heads = [self.R[p].poly.head_mono for p in self.G]
-            self.phi_heads[i] = [(h.mask, h, p) for h, p in zip(heads, self.G)]
-            self.divisor_memo[i] = {}
+            self._end_call(i, self.G)
         return EngineResult(
             ring=self.ring,
             inputs=self.inputs,
@@ -247,6 +230,13 @@ class Engine:
             events=self.trace.events,
             counters=self.counters(),
         )
+
+    def _end_call(self, i: int, basis: list[int]) -> None:
+        """Freeze ``basis`` as G_i for the calls of lower index."""
+        heads = [self.R[p].poly.head_mono for p in basis]
+        self.divisor_memo[i] = Lazy(partial(
+            first_divisor, self.lay, self.reducers, [(h.mask, h.v, p) for h, p in zip(heads, basis)]
+        ))
 
     def _begin_call(self, i: int, g_next: list[int]) -> LabeledPolynomial:
         f = self.inputs[i - 1]
@@ -267,11 +257,7 @@ class Engine:
     def _algorithm_f5(self, i: int) -> None:
         g_next = list(self.G)
         r_i = self._begin_call(i, g_next)
-        pending: list[CriticalPair] = []
-        for p in g_next:
-            cp = self._crit_pair(r_i.pos, p, i)
-            if cp is not None:
-                pending.append(cp)
+        pending = self._pairs(r_i.pos, g_next, i)
         while pending:
             d = min(cp.degree for cp in pending)
             self._budget(f"degree {d} exceeds max_degree", d > self.config.max_degree)
@@ -289,86 +275,86 @@ class Engine:
             new = self._spol(batch, i)
             done = self._reduction(new, i)
             for r in done:
-                for p in list(self.G):
-                    cp = self._crit_pair(r, p, i)
-                    if cp is not None:
-                        pending.append(cp)
+                pending += self._pairs(r, self.G, i)
                 self.G.append(r)
 
     # -- critical pairs ---------------------------------------------------
 
-    def _crit_pair(self, ra: int, rb: int, i: int) -> Optional[CriticalPair]:
-        """The critical pair of r_ra and r_rb, or None when the F5 criterion
-        rejects it.
+    def _pairs(self, ra: int, others: list[int], i: int) -> list[CriticalPair]:
+        """The critical pairs of r_ra with each of ``others``, in order, less
+        those the F5 criterion rejects; each pair is logged as created or
+        rejected.
 
-        The pair is worked out on packed values: t is the lcm of the heads,
+        Each pair is worked out on packed values: t is the lcm of the heads,
         u_k = t - head_k is exact because t is a multiple of head_k, and each
         signature multiple is u_k + sig_k, with one guard test for both.  The
         part with the greater multiplied signature comes first: the smaller
-        index, then the greater order key.  Monomials and signatures are
-        built only for a pair that is created."""
-        a, b = self.R[ra], self.R[rb]
+        index, then the greater order key.  A part is rejected when an
+        element of G_{index+1} divides its signature multiple, read from
+        ``divisor_memo``.  Monomials and signatures are built only for a pair
+        that is created."""
+        R = self.R
+        a = R[ra]
         lay = self.lay
-        ha, hb = a.poly.head_mono.v, b.poly.head_mono.v
-        t = lay.fieldwise(ha, hb, True)
-        u1, u2 = t - ha, t - hb
-        m1, m2 = u1 + a.sig.mono.v, u2 + b.sig.mono.v
-        if (m1 | m2) & lay.guard:
-            raise overflow_error(f"a signature multiple of the pair of r{ra} and r{rb}")
-        if a.index == b.index:
-            vkey = self.order.vkey
-            k1, k2 = vkey(m1), vkey(m2)
-            swap = k1 < k2 or (k1 == k2 and a.pos < b.pos)
-        else:
-            swap = a.index > b.index
-        if swap:
-            a, b, u1, u2, m1, m2 = b, a, u2, u1, m2, m1
+        guard, shift, fieldwise = lay.guard, lay.shift, lay.fieldwise
+        vkey = self.order.vkey
         exps = self.trace.exps
-        pair_fields = dict(
-            t=exps[t],
-            u1=exps[u1],
-            p1=a.pos,
-            u2=exps[u2],
-            p2=b.pos,
-        )
-        for part, (lp, u, msig) in enumerate(((a, u1, m1), (b, u2, m2)), start=1):
-            blocked = self._f5_blocked(lp.index, msig)
+        log = self.trace.log
+        counts = self.trace.counts
+        blocks = self.divisor_memo
+        max_pairs = self.config.max_pairs
+        ha, sa, ia = a.poly.head_mono.v, a.sig.mono.v, a.index
+        out: list[CriticalPair] = []
+        for rb in others:
+            b = R[rb]
+            hb, ib = b.poly.head_mono.v, b.index
+            t = fieldwise(ha, hb, True)
+            u1, u2 = t - ha, t - hb
+            m1, m2 = u1 + sa, u2 + b.sig.mono.v
+            if (m1 | m2) & guard:
+                raise overflow_error(f"a signature multiple of the pair of r{ra} and r{rb}")
+            if ia == ib:
+                k1, k2 = vkey(m1), vkey(m2)
+                swap = k1 < k2 or (k1 == k2 and ra < rb)
+            else:
+                swap = ia > ib
+            if swap:
+                p1, i1, p2, i2, u1, u2, m1, m2 = rb, ib, ra, ia, u2, u1, m2, m1
+            else:
+                p1, i1, p2, i2 = ra, ia, rb, ib
+            blocked = blocks[i1 + 1][m1]
+            part, pos, u, msig, index = 1, p1, u1, m1, i1
+            if blocked is None:
+                blocked = blocks[i2 + 1][m2]
+                part, pos, u, msig, index = 2, p2, u2, m2, i2
             if blocked is not None:
-                self.trace.emit(
-                    "F5CritPairReject",
-                    call=i,
-                    where="crit_pair",
-                    part=part,
-                    pos=lp.pos,
-                    mult=exps[u],
-                    msig={"mono": exps[msig], "index": lp.index},
-                    blocked_by=blocked,
-                    **pair_fields,
-                )
-                return None
-        self._budget(
-            "pair budget exhausted",
-            self.trace.counts["CritPairCreated"] >= self.config.max_pairs,
-        )
-        deg = t >> lay.shift
-        self.trace.emit(
-            "CritPairCreated",
-            call=i,
-            deg=deg,
-            sig1={"mono": exps[m1], "index": a.index},
-            sig2={"mono": exps[m2], "index": b.index},
-            **pair_fields,
-        )
-        return CriticalPair(
-            packed_monomial(t, lay),
-            packed_monomial(u1, lay),
-            a.pos,
-            packed_monomial(u2, lay),
-            b.pos,
-            deg,
-            Signature(packed_monomial(m1, lay), a.index),
-            Signature(packed_monomial(m2, lay), b.index),
-        )
+                log({
+                    "seq": None, "kind": "F5CritPairReject", "call": i,
+                    "where": "crit_pair", "part": part, "pos": pos, "mult": exps[u],
+                    "msig": {"mono": exps[msig], "index": index},
+                    "blocked_by": blocked.tag,
+                    "t": exps[t], "u1": exps[u1], "p1": p1, "u2": exps[u2], "p2": p2,
+                })
+                continue
+            self._budget("pair budget exhausted", counts["CritPairCreated"] >= max_pairs)
+            deg = t >> shift
+            log({
+                "seq": None, "kind": "CritPairCreated", "call": i, "deg": deg,
+                "sig1": {"mono": exps[m1], "index": i1},
+                "sig2": {"mono": exps[m2], "index": i2},
+                "t": exps[t], "u1": exps[u1], "p1": p1, "u2": exps[u2], "p2": p2,
+            })
+            out.append(CriticalPair(
+                packed_monomial(t, lay),
+                packed_monomial(u1, lay),
+                p1,
+                packed_monomial(u2, lay),
+                p2,
+                deg,
+                Signature(packed_monomial(m1, lay), i1),
+                Signature(packed_monomial(m2, lay), i2),
+            ))
+        return out
 
     # -- S-polynomials ----------------------------------------------------
 
@@ -378,7 +364,7 @@ class Engine:
             for part, (pos, u, s) in enumerate(
                 ((cp.p1, cp.u1, cp.sig1), (cp.p2, cp.u2, cp.sig2)), start=1
             ):
-                rw = self.rules.find_rewriter(s.index, s.mono)
+                rw = self.rules.find_rewriter(s.index, s.mono.v)
                 if rw != pos:
                     self.trace.emit(
                         "RewrittenReject",
@@ -428,7 +414,7 @@ class Engine:
         todo = [(sig_key(self.R[p].sig, self.order), p) for p in new]
         heapify(todo)
         self.done_now = []
-        self.candidates = sorted(self.G)
+        self.candidates = [self._candidate(p) for p in sorted(self.G)]
         steps = 0
         last_key = None
         while todo:
@@ -449,29 +435,22 @@ class Engine:
         return list(self.done_now)
 
     def _phi_reduce(self, h: LabeledPolynomial, i: int) -> None:
-        """Full normal form of h modulo the previously computed basis.
+        """Full normal form of h modulo the previously computed basis G_{i+1},
+        through the normal-form kernel ``poly.reduce_with``.
 
-        Each step cancels the greatest reducible term with the first reducer
-        whose head divides it.  Every term of u*b is at most u*head(b), so
-        the terms above the cancelled one never change, and the next scan
-        resumes at its place instead of at the head.
-        """
-        if not self.phi_heads[i + 1]:
+        Each step cancels the greatest reducible term with the first element
+        of G_{i+1} whose head divides it, read from ``divisor_memo``, and
+        costs the reducer's tail; the steps are logged in order, then h is
+        made monic."""
+        steps: list[tuple[int, Monomial, int]] = []
+        poly = reduce_with(h.poly, self.divisor_memo[i + 1].__getitem__, steps)
+        if not steps:
             return
-        touched = False
-        terms = h.poly.terms
-        k = 0
-        while k < len(terms):
-            c, mono = terms[k]
-            found = self._first_divisor(i + 1, mono.v)
-            if found is None:
-                k += 1
-                continue
-            head, pos = found
-            u = mono.divide(head)
-            blp = self.R[pos]
-            self._reduce_by(h, "phi", c, u, blp)
-            terms = h.poly.terms
+        exps = self.trace.exps
+        trail = self.trails[h.pos]
+        for c, u, pos in steps:
+            mult = exps[u.v]
+            trail.append(["phi", c, mult, pos])
             self.trace.emit(
                 "PhiPreReduce",
                 call=i,
@@ -479,15 +458,13 @@ class Engine:
                 h_sig=self.trace.sig_payload(h.sig),
                 h_index=h.index,
                 reductor=pos,
-                reductor_index=blp.index,
-                mult=self.trace.mono_payload(u),
+                reductor_index=self.R[pos].index,
+                mult=mult,
                 coeff=c,
             )
-            touched = True
-        if touched:
-            h.poly, s = h.poly.monic_scale()
-            if s != 1:
-                self.trails[h.pos].append(["monic", s])
+        h.poly, s = poly.monic_scale()
+        if s != 1:
+            trail.append(["monic", s])
 
     def _top_reduction(self, h: LabeledPolynomial, i: int) -> list[int]:
         """Returns positions to requeue; a completed element joins Done."""
@@ -508,7 +485,7 @@ class Engine:
                 trail=list(self.trails[h.pos]),
             )
             self.done_now.append(h.pos)
-            insort(self.candidates, h.pos)
+            insort(self.candidates, self._candidate(h.pos))
             return []
         j_pos, u = red
         j = self.R[j_pos]
@@ -517,10 +494,11 @@ class Engine:
         if c == EQ:
             raise InternalInvariantError("check (d) let an equal-signature reductor through")
         if c == GT:
-            self._reduce_by(h, "top", 1, u, j)
-            h.poly, scale = h.poly.monic_scale()
+            h.poly, scale = poly_axpy(h.poly, 1, u, j.poly).monic_scale()
+            trail = self.trails[h.pos]
+            trail.append(["top", 1, self.trace.mono_payload(u), j_pos])
             if scale != 1:
-                self.trails[h.pos].append(["monic", scale])
+                trail.append(["monic", scale])
             self.trace.emit(
                 "ReductionStep",
                 call=i,
@@ -548,38 +526,59 @@ class Engine:
         )
         return [h.pos, lp.pos]
 
+    def _candidate(self, pos: int) -> tuple[int, int, int, int]:
+        """The entry of r_pos in ``candidates``."""
+        r = self.R[pos]
+        return pos, r.poly.head_mono.v, r.sig.mono.v, r.index
+
     def _is_reducible(self, h: LabeledPolynomial, i: int) -> Optional[tuple[int, Monomial]]:
-        """First candidate passing checks (a)-(d), scanning by creation order."""
-        target = h.poly.head_mono
-        for j_pos in self.candidates:
-            j = self.R[j_pos]
-            u = target.divide(j.poly.head_mono)
-            if u is None:
+        """First candidate passing checks (a)-(d), scanning by creation order.
+
+        Divisibility, the signature multiple and checks (b)-(d) run on
+        packed values; a ``Monomial`` is built only for the multiplier of
+        the reductor returned.  A rejected candidate is logged."""
+        lay = self.lay
+        guard = lay.guard
+        blocks = self.divisor_memo
+        find_rewriter = self.rules.find_rewriter
+        target = h.poly.head_mono.v
+        w = target | guard
+        h_sig, h_index = h.sig.mono.v, h.index
+        for j_pos, head, sig, index in self.candidates:
+            u = w - head
+            if u & guard != guard:
                 continue
-            msig_mono = u.mul(j.sig.mono)
-            blocked = self._f5_blocked(j.index, msig_mono.v)
-            # one emit logs all three rejections: ``check`` follows ``where``
-            # and the rejecting position comes last
+            u ^= guard
+            msig = u + sig
+            if msig & guard:
+                raise overflow_error(
+                    f"product of {packed_monomial(u, lay)!r} and {packed_monomial(sig, lay)!r}"
+                )
+            blocked = blocks[index + 1][msig]
+            # a rejection logs ``check`` after ``where`` and the rejecting
+            # position last
             if blocked is not None:
-                kind, check, by = "F5CritPairReject", {}, {"blocked_by": blocked}
-            elif (rw := self.rules.find_rewriter(j.index, msig_mono)) != j_pos:
-                kind, check, by = "RewrittenReject", {"check": "c"}, {"rewriter": rw}
-            elif msig_mono == h.sig.mono and j.index == h.index:
-                kind, check, by = "RewrittenReject", {"check": "d"}, {"rewriter": h.pos}
+                ev = {"seq": None, "kind": "F5CritPairReject", "call": i,
+                      "where": "is_reducible"}
+                by, by_pos = "blocked_by", blocked.tag
+            elif (rw := find_rewriter(index, msig)) != j_pos:
+                ev = {"seq": None, "kind": "RewrittenReject", "call": i,
+                      "where": "is_reducible", "check": "c"}
+                by, by_pos = "rewriter", rw
+            elif msig == h_sig and index == h_index:
+                ev = {"seq": None, "kind": "RewrittenReject", "call": i,
+                      "where": "is_reducible", "check": "d"}
+                by, by_pos = "rewriter", h.pos
             else:
-                return j_pos, u
-            self.trace.emit(
-                kind,
-                call=i,
-                where="is_reducible",
-                **check,
-                h=h.pos,
-                h_head=self.trace.mono_payload(target),
-                cand=j_pos,
-                mult=self.trace.mono_payload(u),
-                msig=self.trace.sig_payload(Signature(msig_mono, j.index)),
-                **by,
-            )
+                return j_pos, packed_monomial(u, lay)
+            exps = self.trace.exps
+            ev["h"] = h.pos
+            ev["h_head"] = exps[target]
+            ev["cand"] = j_pos
+            ev["mult"] = exps[u]
+            ev["msig"] = {"mono": exps[msig], "index": index}
+            ev[by] = by_pos
+            self.trace.log(ev)
         return None
 
 

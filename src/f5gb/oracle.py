@@ -21,11 +21,13 @@ from .poly import (
     EQ,
     GT,
     LT,
+    Lazy,
     Monomial,
     MonomialQuotient,
     Polynomial,
     Ring,
     normal_form,
+    overflow_error,
     poly_axpy,
     quotient_cmp,
 )
@@ -75,21 +77,6 @@ POS_BITS = 32  # the positions of one run stay below 2^32
 POS_MASK = (1 << POS_BITS) - 1
 
 
-class _Lazy(dict):
-    """A dict whose value for each key is ``make(key)``, computed on first
-    use."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key: int):
-        value = self[key] = self.make(key)
-        return value
-
-
 class RunCache:
     """What the descent snapshots of one run share, each part computed on
     first use from the run's order, entries and module vectors alone.
@@ -107,14 +94,14 @@ class RunCache:
         order = ring.order
         vkey = order.vkey
         key_one = vkey(0)  # the order key of 1
-        self.vkey = _Lazy(vkey)
-        self.triples = _Lazy(lambda pos: _mv_input_triples(vectors[pos]))
-        self.key_base = _Lazy(
+        self.vkey = Lazy(vkey)
+        self.triples = Lazy(lambda pos: _mv_input_triples(vectors[pos]))
+        self.key_base = Lazy(
             lambda pos: (sig_key(entries[pos].sig, order) - key_one << POS_BITS)
             + POS_MASK - pos
         )
-        self.head_base = _Lazy(lambda pos: vkey(entries[pos].poly.head_mono.v) - key_one)
-        self.lead_inverse = _Lazy(lambda pos: ring.inv(self.triples[pos][0][0]))
+        self.head_base = Lazy(lambda pos: vkey(entries[pos].poly.head_mono.v) - key_one)
+        self.lead_inverse = Lazy(lambda pos: ring.inv(self.triples[pos][0][0]))
 
 
 class GgSnapshot(InsertionView):
@@ -229,9 +216,16 @@ class GgSnapshot(InsertionView):
         """(signature key, degree) of t * b_pos, the arguments of
         ``trace.in_scope`` that depend on the target; the key is also the
         target signature of its descent.  Snapshots of one run share their
-        entries, so it is the same in all of them."""
+        entries, so it is the same in all of them.
+
+        The key is ``sig_key`` of the shifted signature read off ``elem_key``
+        (the affine per-position base), after one guard test of t * sig(b_pos)
+        that raises ``OverflowError`` as ``Monomial.mul`` does."""
         e = self.entries[pos]
-        return sig_key(sig_mul(t, e.sig), self.order), t.deg + e.poly.head_mono.deg
+        mono = e.sig.mono
+        if (t.v + mono.v) & t.lay.guard:
+            raise overflow_error(f"product of {t!r} and {mono!r}")
+        return self.elem_key(t, pos) >> POS_BITS, t.deg + e.poly.head_mono.deg
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from struct import Struct
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 LT, EQ, GT = -1, 0, 1
 
@@ -81,6 +81,11 @@ class Layout:
     def unpack(self, v: int) -> tuple[int, ...]:
         """The exponent tuple of the packed value v."""
         return self.codec.unpack_from(v.to_bytes(2 * self.n + 2, "little"))
+
+    def mask(self, v: int) -> int:
+        """The divisibility mask of the packed value v (``Monomial.mask``)."""
+        v, ones, guard = v | self.exp_guard, self.ones, self.exp_guard
+        return (v - ones) & guard | ((v - 2 * ones) & guard) >> 1
 
     def fieldwise(self, a: int, b: int, take_max: bool) -> int:
         """The fieldwise max (lcm) or min (gcd) of the packed values a, b.
@@ -190,9 +195,7 @@ class Monomial:
         """
         mask = self._mask
         if mask is None:
-            lay = self.lay
-            v, ones, guard = self.v | lay.exp_guard, lay.ones, lay.exp_guard
-            mask = self._mask = (v - ones) & guard | ((v - 2 * ones) & guard) >> 1
+            mask = self._mask = self.lay.mask(self.v)
         return mask
 
     def lcm(self, other: "Monomial") -> "Monomial":
@@ -552,62 +555,131 @@ def is_homogeneous(p: Polynomial) -> bool:
     return all(m.deg == d for _, m in p.terms)
 
 
+class Lazy(dict):
+    """A dict whose value for each key is ``make(key)``, computed on first
+    use."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key: int):
+        value = self[key] = self.make(key)
+        return value
+
+
+class Reducer(NamedTuple):
+    """A divisor prepared for ``reduce_with``: its head's packed value,
+    -1/lc mod p, its tail as (order key, coefficient, packed value) triples,
+    descending and keyed once, and a tag that names it in the steps."""
+
+    head: int
+    neg_inv: int
+    tail: tuple[tuple[int, int, int], ...]
+    tag: object
+
+    @classmethod
+    def of(cls, b: "Polynomial", tag: object) -> "Reducer":
+        ring = b.ring
+        vkey = ring.order.vkey
+        tail = tuple((vkey(m.v), c, m.v) for c, m in b.terms[1:])
+        return cls(b.head_mono.v, ring.p - ring.inv(b.head_coeff), tail, tag)
+
+
+def reduce_with(
+    p: Polynomial,
+    reducer: Callable[[int], Optional[Reducer]],
+    steps: Optional[list] = None,
+) -> Polynomial:
+    """The normal-form kernel: the remainder of p when every term, greatest
+    first, is cancelled by the divisor that ``reducer`` gives for its packed
+    monomial, or kept when it gives None.  The divisor's head must divide
+    the term.  For each cancellation of c*m by b, (c, m / head(b), b's tag)
+    is appended to ``steps`` when given.
+
+    The remainder is kept ascending, its head at the end, as parallel lists
+    of order keys, coefficients and packed values: a divisor's tail is
+    inserted term by term with ``bisect``, so no step rebuilds the whole
+    remainder.  Order keys are affine in the packed value, so a product's
+    key is its tail term's key plus key(u) - key(1), with no key computed
+    per product; each product's guard bits are tested first, and one that
+    reaches 2^15 raises ``OverflowError`` as ``Monomial.mul`` does.
+    """
+    ring = p.ring
+    mod = ring.p
+    lay = _layout(ring.n)
+    guard = lay.guard
+    vkey = ring.order.vkey
+    key_one = vkey(0)
+    vals = [m.v for _, m in reversed(p.terms)]
+    keys = [vkey(v) for v in vals]
+    coeffs = [c for c, _ in reversed(p.terms)]
+    done: list[tuple[int, int]] = []
+    while keys:
+        keys.pop()
+        c = coeffs.pop()
+        v = vals.pop()
+        found = reducer(v)
+        if found is None:
+            done.append((c, v))
+            continue
+        head, neg_inv, tail, tag = found
+        u = (v | guard) - head ^ guard
+        if steps is not None:
+            steps.append((c, packed_monomial(u, lay), tag))
+        factor = c * neg_inv % mod
+        ku = vkey(u) - key_one
+        hi = len(keys)
+        for kb, cb, vb in tail:
+            w = vb + u
+            if w & guard:
+                raise overflow_error(
+                    f"product of {packed_monomial(u, lay)!r} and {packed_monomial(vb, lay)!r}"
+                )
+            k = kb + ku
+            hi = bisect_left(keys, k, 0, hi)
+            if hi < len(keys) and keys[hi] == k:
+                cn = (coeffs[hi] + cb * factor) % mod
+                if cn:
+                    coeffs[hi] = cn
+                else:
+                    del keys[hi], coeffs[hi], vals[hi]
+            else:
+                keys.insert(hi, k)
+                coeffs.insert(hi, cb * factor % mod)
+                vals.insert(hi, w)
+    return Polynomial(ring, tuple((c, packed_monomial(v, lay)) for c, v in done))
+
+
+def first_divisor(
+    lay: Layout, reducers: Lazy, heads: Sequence[tuple[int, int, object]], v: int
+) -> Optional[Reducer]:
+    """``reducers[key]`` for the first of ``heads``, (divmask, packed head,
+    key) in scan order, whose head divides the monomial of packed value
+    ``v``, or None.  A head is tested only when its divmask fits; no
+    ``Monomial`` is built."""
+    guard = lay.guard
+    outside = ~lay.mask(v)
+    w = v | guard
+    for mask, head, key in heads:
+        if not mask & outside and (w - head) & guard == guard:
+            return reducers[key]
+    return None
+
+
 def normal_form(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     """Full remainder of p modulo ``basis`` (scanned in the given order).
 
     No term of the result is divisible by any basis head monomial, and the
     result is congruent to p modulo the ideal the basis generates.  Each
-    head term is reduced by the first basis element whose head divides it.
-
-    The remainder is kept ascending, its head at the end, as a list of order
-    keys with parallel coefficient and monomial lists: a reducer's tail is
-    inserted term by term with ``bisect``, so no step rebuilds the whole
-    remainder.  A reducer is tried only when its head's divmask fits.
+    head term is reduced by the first basis element whose head divides it
+    (``first_divisor``), through ``reduce_with``; a reducer's tail is keyed
+    once per call, on first use.
     """
-    # (head mask, head, -1/lc, tail) per nonzero element, in basis order
-    reducers = [
-        (b.head_mono.mask, b.head_mono, b.ring.p - b.ring.inv(b.head_coeff), b.terms[1:])
-        for b in basis
-        if b.terms
-    ]
-    if not reducers or not p.terms:
+    heads = [(b.head_mono.mask, b.head_mono.v, k) for k, b in enumerate(basis) if b.terms]
+    if not heads or not p.terms:
         return p
-    ring = p.ring
-    mod = ring.p
-    key = ring.order.key
-    keys = [key(m) for _, m in reversed(p.terms)]
-    coeffs = [c for c, _ in reversed(p.terms)]
-    monos = [m for _, m in reversed(p.terms)]
-    done: list[tuple[int, Monomial]] = []
-    while keys:
-        keys.pop()
-        c = coeffs.pop()
-        m = monos.pop()
-        mmask = m.mask
-        for hmask, head, neg_inv, tail in reducers:
-            if hmask & ~mmask:
-                continue
-            u = m.divide(head)
-            if u is None:
-                continue
-            factor = c * neg_inv % mod
-            hi = len(keys)
-            for cb, mb in tail:
-                t = mb.mul(u)
-                k = key(t)
-                hi = bisect_left(keys, k, 0, hi)
-                if hi < len(keys) and keys[hi] == k:
-                    cn = (coeffs[hi] + cb * factor) % mod
-                    if cn:
-                        coeffs[hi] = cn
-                    else:
-                        del keys[hi], coeffs[hi], monos[hi]
-                else:
-                    keys.insert(hi, k)
-                    coeffs.insert(hi, cb * factor % mod)
-                    monos.insert(hi, t)
-            break
-        else:
-            done.append((c, m))
-    return Polynomial(ring, tuple(done))
-
+    prepared = Lazy(lambda k: Reducer.of(basis[k], k))
+    return reduce_with(p, partial(first_divisor, _layout(p.ring.n), prepared, heads))

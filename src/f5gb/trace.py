@@ -150,9 +150,14 @@ class Trace:
         self.exps = _Exponents(lay)
 
     def emit(self, kind: str, **payload) -> int:
-        self.counts[kind] += 1
-        seq = len(self.events)
-        self.events.append({"seq": seq, "kind": kind, **payload})
+        return self.log({"seq": None, "kind": kind, **payload})
+
+    def log(self, event: dict) -> int:
+        """Log an event built whole as ``{"seq": None, "kind": kind, ...}``:
+        its ``seq`` is set here and its kind counted, as for ``emit``."""
+        self.counts[event["kind"]] += 1
+        seq = event["seq"] = len(self.events)
+        self.events.append(event)
         return seq
 
     def mono_payload(self, m: Monomial) -> tuple[int, ...]:
@@ -897,7 +902,7 @@ class _PairRules:
 
     Rejections are read from the events; the elements built from a pair,
     from the registry's genealogies.  Pairs are formed on the packed values
-    of the entries' heads and signature monomials, as ``Engine._crit_pair``
+    of the entries' heads and signature monomials, as ``Engine._pairs``
     forms them: no ``Monomial`` or ``Signature`` is built per pair.
     """
 

@@ -8,8 +8,9 @@ import random
 from typing import NamedTuple, Optional, Sequence
 
 from f5gb.cli import _parse_poly
+from f5gb.engine import EngineConfig
 from f5gb.oracle import done_snapshots
-from f5gb.poly import Monomial, MonomialOrder, Polynomial, Ring
+from f5gb.poly import ORDER_KINDS, Monomial, MonomialOrder, Polynomial, Ring
 from f5gb.sig import replay_vectors, sig_key
 from f5gb.trace import (Registry, _PairRules, build_registry, check_replay, in_scope,
                         membership_at)
@@ -245,6 +246,53 @@ KATSURA5 = (
         "2*x0*x4 + 2*x1*x3 + 2*x1*x5 + x2^2 - x4*h",
     ],
 )
+
+
+# cyclic-5, homogenized by h
+CYCLIC5 = (
+    ["x0", "x1", "x2", "x3", "x4", "h"],
+    [
+        "x0 + x1 + x2 + x3 + x4",
+        "x0*x1 + x1*x2 + x2*x3 + x3*x4 + x4*x0",
+        "x0*x1*x2 + x1*x2*x3 + x2*x3*x4 + x3*x4*x0 + x4*x0*x1",
+        "x0*x1*x2*x3 + x1*x2*x3*x4 + x2*x3*x4*x0 + x3*x4*x0*x1 + x4*x0*x1*x2",
+        "x0*x1*x2*x3*x4 - h^5",
+    ],
+)
+
+
+ENGINE_PIN_PRIMES = (3, 5, 7, 32003, 2**31 - 1)
+# every fourth system of ``engine_pin_systems`` runs under one of these
+# budgets; in the engine-log pin (400 systems) 38 of those 100 runs exit
+# with a partial log
+ENGINE_PIN_BUDGETS = (
+    EngineConfig(max_degree=3),
+    EngineConfig(max_pairs=4),
+    EngineConfig(reduction_step_cap=3),
+)
+
+
+def engine_pin_systems(count: int, seed: int):
+    """``count`` seeded small random homogeneous engine inputs, as (ring,
+    polynomials, config): 2-3 variables, 2-5 polynomials of degree 1-3 with
+    random supports.  System k is over ``ENGINE_PIN_PRIMES[k % 5]`` under
+    ``ORDER_KINDS[k % 3]``, so every prime meets every order.  Every fourth
+    system runs under a tight budget, the others under ``max_degree`` 12."""
+    rng = random.Random(seed)
+    for k in range(count):
+        p = ENGINE_PIN_PRIMES[k % 5]
+        names = [f"x{i}" for i in range(rng.randint(2, 3))]
+        ring = make_ring(p, names, ORDER_KINDS[k % 3])
+        inputs = []
+        for _ in range(rng.randint(2, 5)):
+            d = rng.randint(1, 3)
+            monos = [e for e in itertools.product(range(d + 1), repeat=len(names))
+                     if sum(e) == d]
+            terms = [(rng.randrange(1, p), Monomial(e))
+                     for e in rng.sample(monos, rng.randint(1, len(monos)))]
+            inputs.append(ring.poly(terms))
+        budget = ENGINE_PIN_BUDGETS[k // 4 % 3] if k % 4 == 3 else EngineConfig(max_degree=12)
+        yield ring, inputs, budget
 
 
 def suite_instances():

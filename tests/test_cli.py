@@ -122,6 +122,20 @@ class TestParseProblem:
     def test_one_leading_sign_stays_valid(self, line, text):
         assert parse_problem(f"p = 7\nvars: x, y\n{line}").polynomials[0].text() == text
 
+    def test_modulus_line_after_vars(self):
+        prob = parse_problem("vars: x\np = 7\nx")
+        assert prob.p == 7
+        assert [q.text() for q in prob.polynomials] == ["x"]
+
+    @pytest.mark.parametrize("text, line, first", [
+        ("p = 7\nvars: x\np = 5\nx", 3, 1),
+        ("vars: x\np = 7\nx\np = 5", 4, 2),
+    ])
+    def test_second_modulus_line_is_a_parse_error(self, text, line, first):
+        with pytest.raises(ParseError, match=f"a second 'p =' line \\(the first is line {first}\\)") as exc:
+            parse_problem(text)
+        assert exc.value.line == line
+
     def test_missing_pieces(self):
         with pytest.raises(ParseError):
             parse_problem("vars: x\nx")
@@ -383,6 +397,13 @@ class TestCommands:
         path = str(tmp_path / "missing.txt")
         assert main([argv[0], path, *argv[1:]]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_descend_mult_past_the_exponent_bound_errors(self, cyclic_file, capsys):
+        # r2 has signature z*F2, so z^32767 * sig(r2) passes the bound
+        assert main(["descend", cyclic_file, "--element", "2", "--mult", "z^32767"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: product of Monomial((0, 0, 32767, 0)) and ")
+        assert "2^15" in err
 
     def test_descend_mult_coefficient_is_ignored(self, cyclic_file):
         plain = run_main(["descend", cyclic_file, "--element", "1", "--mult", "h"])

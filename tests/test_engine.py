@@ -1,10 +1,14 @@
 """Engine behavior: pair creation and rejection, S-polynomials, reduction,
 rule bookkeeping, budgets, and the run-level invariants."""
 
+import gc
 import hashlib
 import io
+import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from f5gb.engine import (
     COUNTED_EVENTS,
@@ -17,13 +21,15 @@ from f5gb.engine import (
     ZeroInputPolynomial,
     incremental_f5,
 )
-from f5gb.poly import GT, Monomial
+from f5gb.poly import GT, ORDER_KINDS, Monomial
 from f5gb.sig import Signature, check_admissible, sig_cmp, sig_mul
 from systems import P, replayed_vectors
 from f5gb.trace import (EXPONENT_FIELDS, Trace, events_from_jsonl, poly_from_payload,
                         sig_from_payload)
 
-from systems import CYCLIC4, KATSURA5, LEX_SCOPE, P, SUITE, make_ring, polys
+from phi_reference import phi_reduce_reference
+from systems import (CYCLIC4, CYCLIC5, KATSURA5, LEX_SCOPE, P, SUITE, engine_pin_systems,
+                     make_ring, polys)
 
 
 def M(*exps):
@@ -214,7 +220,7 @@ class TestTopReductionBranches:
         eng = Engine(ring, polys(ring, "x^2 + y^2"))
         eng._begin_call(1, [])
         h = eng._new_labeled(Signature(M(0, 1), 1), polys(ring, "x^2*y + 3*y^3")[0])
-        eng.candidates = [0]
+        eng.candidates = [eng._candidate(0)]
         assert eng._is_reducible(h, 1) is None
         assert list(eng.trace.events[-1].items()) == [
             ("seq", 2), ("kind", "RewrittenReject"), ("call", 1),
@@ -250,28 +256,28 @@ class TestDoneOrdering:
 
 class TestRuleTable:
     def test_own_rule_only(self):
-        rt = RuleTable(1)
+        rt = RuleTable(1, M(0, 0).lay)
         rt.add(1, M(0, 0), 5)
-        assert rt.find_rewriter(1, M(2, 1)) == 5
+        assert rt.find_rewriter(1, M(2, 1).v) == 5
 
     def test_newer_divider_wins(self):
-        rt = RuleTable(1)
+        rt = RuleTable(1, M(0, 0).lay)
         rt.add(1, M(0, 0), 5)
         rt.add(1, M(0, 1), 9)
-        assert rt.find_rewriter(1, M(1, 1)) == 9
+        assert rt.find_rewriter(1, M(1, 1).v) == 9
 
     def test_newer_non_divider_is_skipped(self):
-        rt = RuleTable(1)
+        rt = RuleTable(1, M(0, 0).lay)
         rt.add(1, M(0, 0), 5)
         rt.add(1, M(0, 1), 9)
         rt.add(1, M(3, 0), 11)
-        assert rt.find_rewriter(1, M(1, 1)) == 9
+        assert rt.find_rewriter(1, M(1, 1).v) == 9
 
     def test_missing_rule(self):
-        rt = RuleTable(1)
+        rt = RuleTable(1, M(0, 0).lay)
         rt.add(1, M(2, 0), 5)
         with pytest.raises(MissingRule):
-            rt.find_rewriter(1, M(0, 3))
+            rt.find_rewriter(1, M(0, 3).v)
 
 
 class TestBudgets:
@@ -347,6 +353,27 @@ class TestDeterminism:
         ]
 
 
+class TestNoReferenceCycles:
+    def test_finished_engine_is_freed_without_the_cycle_collector(self):
+        # the engine's lookup tables must not refer back to it, or every
+        # finished engine, with its trails and memos, lives until the next
+        # full collection
+        names, texts = CYCLIC4
+        inputs = polys(make_ring(32003, names), *texts)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            eng = Engine(inputs[0].ring, inputs)
+            result = eng.run()
+            gone = weakref.ref(eng)
+            del eng
+            assert gone() is None
+        finally:
+            if enabled:
+                gc.enable()
+        assert result.basis
+
+
 class TestAllPairsRejectedAtSeeding:
     def test_basis_is_previous_plus_input(self, ring):
         # both seed pairs shift the new input's signature into the previous
@@ -369,8 +396,7 @@ class TestNoCoprimeSkip:
         eng.run()
         lp2 = eng._new_labeled(Signature(M(0, 1), 1), P(ring, "y^3"))
         eng._add_rule(lp2.sig, lp2.pos)
-        pair = eng._crit_pair(0, lp2.pos, 1)
-        assert pair is not None
+        [pair] = eng._pairs(0, [lp2.pos], 1)
         assert pair.t == M(2, 3)
         h1 = eng.R[pair.p1].poly.head_mono
         h2 = eng.R[pair.p2].poly.head_mono
@@ -388,6 +414,96 @@ class TestReductionStepCap:
         assert exc.value.events
 
 
+class TestPhiAgainstReference:
+    """``Engine._phi_reduce`` on the normal-form kernel against the loop of
+    one ``poly_axpy`` per step (``tests/phi_reference.py``)."""
+
+    @given(
+        st.data(),
+        st.sampled_from(ORDER_KINDS),
+        st.sampled_from((2, 3, 7, 32003, 2**31 - 1)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_same_remainder_steps_and_scale(self, data, kind, prime):
+        ring = make_ring(prime, ["x", "y", "z"], kind)
+        monos = st.builds(Monomial, st.tuples(*[st.integers(0, 3)] * 3))
+        terms = st.lists(st.tuples(st.integers(1, prime - 1), monos), max_size=6)
+        h_poly = ring.poly(data.draw(terms))
+        basis = [b.monic() for b in (ring.poly(data.draw(terms)) for _ in range(
+            data.draw(st.integers(0, 4)))) if not b.is_zero]
+        # a later element sharing an earlier head must never be used
+        if basis and data.draw(st.booleans()):
+            basis.append(ring.poly([(1, basis[0].head_mono)]))
+        eng = Engine(ring, polys(ring, "x", "y"))
+        positions = [eng._new_labeled(Signature(M(0, 0, 0), 2), b).pos for b in basis]
+        eng._end_call(2, positions)
+        h = eng._new_labeled(Signature(M(0, 0, 0), 1), h_poly)
+        eng._phi_reduce(h, 1)
+
+        remainder, steps, scale = phi_reduce_reference(h_poly, list(zip(positions, basis)))
+        assert h.poly == remainder
+        logged = [(ev["coeff"], ev["mult"], ev["reductor"])
+                  for ev in eng.trace.events if ev["kind"] == "PhiPreReduce"]
+        assert logged == [(c, u.exps, pos) for c, u, pos in steps]
+        trail = [["phi", c, u.exps, pos] for c, u, pos in steps]
+        assert eng.trails[h.pos] == trail + ([["monic", scale]] if scale != 1 else [])
+
+
+class TestOverflow:
+    """Every packed product the engine forms tests its guard bits: one that
+    reaches 2^15 raises ``OverflowError`` and never wraps.  Past the pair's
+    lcm, homogeneous inputs keep every product at or below the degree of
+    its lcm, so the other cases are hand-built."""
+
+    def test_pair_lcm(self):
+        ring = make_ring(7, ["x", "y"])
+        with pytest.raises(OverflowError, match="lcm of .*2\\^15"):
+            incremental_f5(polys(ring, "x^20000", "y^20000"))
+
+    def test_signature_multiple_of_a_pair(self):
+        ring = make_ring(7, ["x", "y"])
+        eng = Engine(ring, polys(ring, "y^3000"))
+        eng._begin_call(1, [])
+        a = eng._new_labeled(Signature(M(0, 30000), 1), P(ring, "x"))
+        with pytest.raises(OverflowError, match="signature multiple .*2\\^15"):
+            eng._pairs(a.pos, [0], 1)
+
+    @staticmethod
+    def lex_engine():
+        # under lex x + y^30000 has head x, and x^2999 * y^30000 is past
+        # the degree bound
+        ring = make_ring(7, ["x", "y"], "lex")
+        eng = Engine(ring, polys(ring, "x", "y"))
+        eng._end_call(2, [])  # G_2 is empty unless a test fills it
+        return ring, eng
+
+    def test_phi_product(self):
+        ring, eng = self.lex_engine()
+        b = eng._new_labeled(Signature(M(0, 0), 2), P(ring, "x + y^30000"))
+        eng._end_call(2, [b.pos])
+        h = eng._new_labeled(Signature(M(0, 0), 1), P(ring, "x^3000"))
+        with pytest.raises(OverflowError, match="product of .*2\\^15"):
+            eng._phi_reduce(h, 1)
+
+    def test_top_reduction_signature_multiple(self):
+        ring, eng = self.lex_engine()
+        j = eng._new_labeled(Signature(M(0, 30000), 1), P(ring, "x"))
+        h = eng._new_labeled(Signature(M(3000, 0), 1), P(ring, "x^3000"))
+        eng.candidates = [eng._candidate(j.pos)]
+        with pytest.raises(OverflowError, match="product of .*2\\^15"):
+            eng._is_reducible(h, 1)
+
+    def test_top_reduction_product(self):
+        ring, eng = self.lex_engine()
+        j = eng._new_labeled(Signature(M(0, 0), 1), P(ring, "x + y^30000"))
+        eng._add_rule(j.sig, j.pos)
+        h = eng._new_labeled(Signature(M(3000, 0), 1), P(ring, "x^3000"))
+        eng.candidates = [eng._candidate(j.pos)]
+        assert eng._is_reducible(h, 1) == (j.pos, M(2999, 0))
+        with pytest.raises(OverflowError, match="product of .*2\\^15"):
+            eng._top_reduction(h, 1)
+
+
 # sha256 of the compact JSON Lines log (``Trace.to_jsonl``) of each run.  Any
 # change to an engine decision changes them, so a change meant to keep the
 # engine's behaviour must keep them.  On homogeneous input deglex and lex
@@ -396,6 +512,7 @@ PINNED_LOGS = {
     ("cyclic4", "degrevlex"): "a381d7ae70620e2aaa8b6c5519adba74687047373da0ab2b7edc66a0a59b9501",
     ("cyclic4", "deglex"): "404572e87f929775f4566a7a7087f5ac674c8781a1a64511100074bb8f266f83",
     ("cyclic4", "lex"): "404572e87f929775f4566a7a7087f5ac674c8781a1a64511100074bb8f266f83",
+    ("cyclic5", "degrevlex"): "a049a91ff03020605415f324408b2c287fbf533b54c8edc88c6d12c4156b2c68",
     ("katsura3", "degrevlex"): "df377303a4fdafa6be42071a6dee94eb1158cd388f040c75d0148de49d2acd75",
     ("katsura3", "deglex"): "49d57b5a2f3af0f2ccd945f479c37043e1e57361a3255baff6129a0f815debd4",
     ("katsura3", "lex"): "49d57b5a2f3af0f2ccd945f479c37043e1e57361a3255baff6129a0f815debd4",
@@ -408,18 +525,29 @@ PINNED_LOGS = {
 # a 3-variable random system of the check-small benchmark over GF(3)
 PINNED_SYSTEMS = {
     "cyclic4": (32003, *CYCLIC4),
+    "cyclic5": (32003, *CYCLIC5),
     "katsura3": (32003, *SUITE["katsura3_homog"]),
     "katsura5": (32003, *KATSURA5),
     "random379": (3, ["x0", "x1", "x2"], LEX_SCOPE["random379"].splitlines()[3:]),
 }
 
 
-def log_digest(events) -> str:
+# one sha256 over the logs of ``engine_pin_systems(PINNED_RANDOM_COUNT, 0)``:
+# each run's JSON Lines, then its budget-exit message or "finished"
+PINNED_RANDOM_COUNT = 400
+PINNED_RANDOM_LOGS = "e682773273e75234714be92c0c32d6af337ec280223c2ddb02006a684d8cb282"
+
+
+def log_jsonl(events) -> bytes:
     trace = Trace()
     trace.events = events
     buf = io.StringIO()
     trace.to_jsonl(buf)
-    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    return buf.getvalue().encode()
+
+
+def log_digest(events) -> str:
+    return hashlib.sha256(log_jsonl(events)).hexdigest()
 
 
 def payload_lists(value):
@@ -451,6 +579,22 @@ class TestEventLogPin:
         inputs = polys(make_ring(p, names, order), *texts)
         plain = incremental_f5(inputs, EngineConfig())
         assert log_digest(plain.events) == PINNED_LOGS[(system, order)]
+
+    def test_random_systems_hash_pinned(self):
+        # all three orders, every prime of ENGINE_PIN_PRIMES, and the partial
+        # logs of the budget exits, which must be among them
+        digest = hashlib.sha256()
+        exits = 0
+        for _, inputs, config in engine_pin_systems(PINNED_RANDOM_COUNT, 0):
+            try:
+                events, end = incremental_f5(inputs, config).events, "finished"
+            except BudgetExceeded as exc:
+                events, end = exc.events, str(exc)
+                exits += 1
+            digest.update(log_jsonl(events))
+            digest.update(f"{end}\n".encode())
+        assert exits >= 20
+        assert digest.hexdigest() == PINNED_RANDOM_LOGS
 
     @pytest.mark.parametrize("order", ["degrevlex", "lex"])
     def test_no_two_events_share_a_payload_list(self, order):

@@ -487,6 +487,12 @@ class TestNormalForm:
         for _, m in out.terms:
             assert not any(b.head_mono.divides(m) for b in basis if not b.is_zero)
 
+    def test_overflow_raises(self):
+        # under lex x + y^30000 has head x; x^2999 * y^30000 passes the bound
+        ring = make_ring(7, ["x", "y"], "lex")
+        with pytest.raises(OverflowError, match="2\\^15"):
+            normal_form(P(ring, "x^3000"), [P(ring, "x + y^30000")])
+
     def test_head_reduction(self, ring):
         assert normal_form(P(ring, "x^2 + y^2"), [P(ring, "x^2")]) == P(ring, "y^2")
 
