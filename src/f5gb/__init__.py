@@ -25,14 +25,10 @@ from .oracle import (
     ReprElement,
     buchberger,
     descend,
-    elem_cmp,
     find_unrejected_reductor,
     ideal_equal,
-    ordered_form,
     reduced_basis,
-    repr_cmp,
     repr_sum_check,
-    violated_property,
 )
 from .poly import (
     EQ,
@@ -40,20 +36,17 @@ from .poly import (
     LT,
     Monomial,
     MonomialOrder,
-    MonomialQuotient,
     Polynomial,
     Ring,
     is_homogeneous,
     normal_form,
     poly_axpy,
-    quotient_cmp,
 )
 from .sig import (
     LabeledPolynomial,
     ModuleVector,
     Signature,
     check_admissible,
-    sig_cmp,
     sig_divides,
     sig_mul,
 )

@@ -16,8 +16,6 @@ from heapq import heapify, heappop, heappush
 from typing import NamedTuple, Optional, Sequence
 
 from .poly import (
-    EQ,
-    GT,
     Layout,
     Lazy,
     Monomial,
@@ -31,7 +29,7 @@ from .poly import (
     poly_axpy,
     reduce_with,
 )
-from .sig import LabeledPolynomial, Signature, sig_cmp, sig_key, sig_mul
+from .sig import LabeledPolynomial, Signature, sig_key, sig_mul
 from .trace import Trace
 
 
@@ -383,7 +381,7 @@ class Engine:
                     )
                     break
             else:
-                if sig_cmp(cp.sig1, cp.sig2, self.order) != GT:
+                if sig_key(cp.sig1, self.order) <= sig_key(cp.sig2, self.order):
                     raise InternalInvariantError(
                         "S-polynomial with ambiguous signature survived the rewritten check"
                     )
@@ -401,9 +399,9 @@ class Engine:
                     d=cp.degree,
                 )
                 out.append(lp.pos)
-        for x, y in zip(out, out[1:]):
-            if sig_cmp(self.R[y].sig, self.R[x].sig, self.order) != GT:
-                raise InternalInvariantError("S-polynomial batch out of signature order")
+        keys = [sig_key(self.R[pos].sig, self.order) for pos in out]
+        if any(x >= y for x, y in zip(keys, keys[1:])):
+            raise InternalInvariantError("S-polynomial batch out of signature order")
         return out
 
     # -- reduction --------------------------------------------------------
@@ -490,10 +488,10 @@ class Engine:
         j_pos, u = red
         j = self.R[j_pos]
         msig = sig_mul(u, j.sig)
-        c = sig_cmp(h.sig, msig, self.order)
-        if c == EQ:
+        h_key, m_key = sig_key(h.sig, self.order), sig_key(msig, self.order)
+        if h_key == m_key:
             raise InternalInvariantError("check (d) let an equal-signature reductor through")
-        if c == GT:
+        if h_key > m_key:
             h.poly, scale = poly_axpy(h.poly, 1, u, j.poly).monic_scale()
             trail = self.trails[h.pos]
             trail.append(["top", 1, self.trace.mono_payload(u), j_pos])

@@ -7,6 +7,10 @@ reducible, or rewritable by a newer rule) into strictly smaller
 representations until none is left; the final representation yields a
 reductor that passes all four engine checks.  A head above the target is not
 rewritten: it is reported as the descent's form of a thm5 failure.
+
+Elements compare by one int each (``GgSnapshot.elem_key``), and
+representations only where a rewrite changes them (``DescentState.rewrite``);
+the comparators over objects are the test reference (``descent_reference``).
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Collection, Iterable, Mapping, Optional, Sequence
 
 from .engine import EngineResult
@@ -23,23 +28,19 @@ from .poly import (
     LT,
     Lazy,
     Monomial,
-    MonomialQuotient,
     Polynomial,
     Ring,
     normal_form,
     overflow_error,
     poly_axpy,
-    quotient_cmp,
+    quotient_key,
 )
 from .sig import (
     LabeledPolynomial,
     ModuleVector,
-    Signature,
     input_representation as _mv_input_triples,
-    sig_cmp,
     sig_divides,
     sig_key,
-    sig_mul,
 )
 from .trace import InsertionView, Registry, in_scope, membership_at
 
@@ -140,7 +141,6 @@ class GgSnapshot(InsertionView):
         self.order = ring.order
         self.member_set = set(self.members)
         self.input_pos = input_pos
-        self.vectors = vectors
         g = self.entries[g_pos]  # inserted by the call of its index
         self.g_scope = (sig_key(g.sig, self.order), g.poly.head_mono.deg)
         self.cache = RunCache(ring, self.entries, vectors) if cache is None else cache
@@ -169,14 +169,14 @@ class GgSnapshot(InsertionView):
             cache=cache,
         )
 
-    def lp(self, pos: int) -> LabeledPolynomial:
-        return self.entries[pos]
-
     def elem_key(self, t: Monomial, pos: int) -> int:
-        """An int ascending in the element order (``elem_cmp``) for the
-        element t * b_pos: ``sig.sig_key`` of its signature, above POS_BITS
-        bits that fall as ``pos`` grows.  Distinct (t, pos) have distinct
-        keys.
+        """An int ascending in the element order for the element t * b_pos.
+
+        The element order compares the multiplied signatures t * sig(b_pos)
+        first, and of two elements with one signature the earlier position
+        is greater; the coefficient plays no part.  The key is
+        ``sig.sig_key`` of the signature above POS_BITS bits that fall as
+        ``pos`` grows, so distinct (t, pos) have distinct keys.
 
         Signature keys are affine in the monomial, as order keys are in the
         packed value: key(t*s) = key(s) + key(t) - key(1) under all three
@@ -190,9 +190,9 @@ class GgSnapshot(InsertionView):
         return (key - self.key_base[pos] >> POS_BITS) + self.cache.head_base[pos]
 
     def violated_by(self, key: int, t: Monomial, pos: int) -> Optional[str]:
-        """"P1" when t * b_pos is F5-rejectable (``f5_satisfied``), else
-        "P2" when a newer rule rewrites it (``rewritten_satisfied``), else
-        None; ``key`` is its ``elem_key``, under which the answer is kept."""
+        """"P1" when t * b_pos is F5-rejectable (``phi_divisor``), else "P2"
+        when a newer rule rewrites it (``rule_owner``), else None; ``key`` is
+        its ``elem_key``, under which the answer is kept."""
         memo = self._violated
         if key in memo:
             return memo[key]
@@ -206,11 +206,6 @@ class GgSnapshot(InsertionView):
             which = None
         memo[key] = which
         return which
-
-    def input_triples(self, pos: int) -> list[tuple[int, Monomial, int]]:
-        """(coeff, mono, input index) of b_pos over the inputs, greatest
-        signature first (``sig.input_representation``); cached."""
-        return self.cache.triples[pos]
 
     def target(self, t: Monomial, pos: int) -> tuple[int, int]:
         """(signature key, degree) of t * b_pos, the arguments of
@@ -240,17 +235,9 @@ class ReprElement(tuple):
     def __new__(cls, coeff: int, mono: Monomial, pos: int):
         return tuple.__new__(cls, (coeff, mono, pos))
 
-    @property
-    def coeff(self) -> int:
-        return self[0]
-
-    @property
-    def mono(self) -> Monomial:
-        return self[1]
-
-    @property
-    def pos(self) -> int:
-        return self[2]
+    coeff = property(itemgetter(0))
+    mono = property(itemgetter(1))
+    pos = property(itemgetter(2))
 
 
 _tuple_new = tuple.__new__  # builds a ReprElement without its Python-level __new__
@@ -283,60 +270,6 @@ class Representation:
         return f"Representation({list(self.elements)!r})"
 
 
-def element_sig(e: ReprElement, snap: GgSnapshot) -> Signature:
-    return sig_mul(e.mono, snap.lp(e.pos).sig)
-
-
-def element_head(e: ReprElement, snap: GgSnapshot) -> Monomial:
-    return e.mono.mul(snap.lp(e.pos).poly.head_mono)
-
-
-def elem_cmp(e1: ReprElement, e2: ReprElement, snap: GgSnapshot) -> Optional[int]:
-    """Element order: by multiplied signature, then by earlier creation
-    position (the opposite direction); None when only coefficients differ."""
-    c = sig_cmp(element_sig(e1, snap), element_sig(e2, snap), snap.order)
-    if c != EQ:
-        return c
-    if e1.pos != e2.pos:
-        return GT if e1.pos < e2.pos else LT
-    return None
-
-
-def ordered_form(r: Representation, snap: GgSnapshot) -> list[ReprElement]:
-    """Elements sorted descending; total within one valid representation.
-
-    Each element is keyed by ``sig_key`` of its multiplied signature, then
-    by -pos: the definition of the order, which ``GgSnapshot.elem_key``
-    packs into one int.
-    """
-    order = snap.order
-    return sorted(
-        r.elements, key=lambda e: (sig_key(element_sig(e, snap), order), -e.pos), reverse=True
-    )
-
-
-INCOMPARABLE = None
-
-
-def repr_cmp(r1: Representation, r2: Representation, snap: GgSnapshot) -> Optional[int]:
-    """Lexicographic extension of the element order to ordered forms.
-
-    A strict prefix is smaller; forms whose greatest differing elements differ
-    only in the field coefficient are incomparable (returns None).
-    """
-    f1 = ordered_form(r1, snap)
-    f2 = ordered_form(r2, snap)
-    for e1, e2 in zip(f1, f2):
-        if e1 == e2:
-            continue
-        if e1.mono == e2.mono and e1.pos == e2.pos:
-            return INCOMPARABLE
-        return elem_cmp(e1, e2, snap)
-    if len(f1) == len(f2):
-        return EQ
-    return LT if len(f1) < len(f2) else GT
-
-
 def repr_sum_check(r: Representation, target: Polynomial, snap: GgSnapshot) -> bool:
     """Whether the representation sums to ``target``.  The sum is built in
     one pass by ``Ring.product_terms`` and compared with ``target`` as
@@ -350,7 +283,7 @@ def input_representation(pos: int, snap: GgSnapshot) -> Representation:
     """The representation of b_pos over the input polynomials, expanded from
     its module vector; its greatest element carries exactly the signature."""
     return Representation(
-        ReprElement(c, m, snap.input_pos[idx]) for c, m, idx in snap.input_triples(pos)
+        ReprElement(c, m, snap.input_pos[idx]) for c, m, idx in snap.cache.triples[pos]
     )
 
 
@@ -362,7 +295,7 @@ def _expansion(
     and the other terms as representation elements (coeff, mono, input
     position)."""
     p, input_pos = snap.ring.p, snap.input_pos
-    triples = snap.input_triples(pos)
+    triples = snap.cache.triples[pos]
     c, m, idx = triples[0]
     rest = [(coeff * c % p, t.mul(m), input_pos[idx]) for c, m, idx in triples[1:]]
     return (coeff * c % p, t.mul(m), idx), rest
@@ -382,10 +315,10 @@ def f5_replacement(K: ReprElement, snap: GgSnapshot) -> list[tuple[int, Monomial
         raise NoDivisorFound(
             f"no basis head above index {j0} divides the shifted signature {s0!r}"
         )
-    b = snap.lp(divisor_pos)
+    b = snap.entries[divisor_pos]
     s1 = s0.divide(b.poly.head_mono)
     fj_pos = snap.input_pos[j0]
-    fj = snap.lp(fj_pos).poly
+    fj = snap.entries[fj_pos].poly
     replacement = [(c0 * c % p, s1.mul(m), divisor_pos) for c, m in fj.terms]
     replacement += [((-c0 * c) % p, s1.mul(m), fj_pos) for c, m in b.poly.terms[1:]]
     return replacement + rest
@@ -399,14 +332,15 @@ def rewritten_replacement(
     p = snap.ring.p
     coeff, t, pos = K
     (c0, s0, j0), rest = _expansion(snap, coeff, t, pos)
-    rw_pos = snap.rewritten_satisfied(t, pos)
-    if rw_pos is None:
+    sig = snap.entries[pos].sig
+    rw_pos = snap.rule_owner(sig.index, t.mul(sig.mono), pos)
+    if rw_pos in (None, pos):
         raise RewriterNotFound(f"element {K!r} is not rewritten by any newer rule")
     rw = snap.entries[rw_pos]
     s_prime = s0.divide(rw.sig.mono)
     if s_prime is None:
         raise RewriterNotFound("rewriter signature does not divide the element's")
-    c_prime, head_mono, head_idx = snap.input_triples(rw_pos)[0]
+    c_prime, head_mono, head_idx = snap.cache.triples[rw_pos][0]
     if s_prime.mul(head_mono) != s0 or head_idx != j0:
         raise RewriterNotFound("rewriter expansion does not lead with the signature")
     c_fix = c0 * snap.cache.lead_inverse[rw_pos] % p
@@ -461,10 +395,26 @@ class DescentState:
         return Representation(self.elems.values())
 
     def violation(self) -> Optional[tuple[str, ReprElement]]:
-        """The first violated target property, as ``violated_property``
-        finds it.  The greatest key is the greatest signature, and the P1/P2
-        scan reads the keys down from ``cursor``, with each element's verdict
-        from the snapshot's memo (``GgSnapshot.violated_by``)."""
+        """The first violated target property, scanning the elements in
+        ordered form: P1 (shifted signature reducible) or P2 (rewritable by
+        a newer rule), as (which, element).  An element above the target
+        signature raises ``NotSignatureSafe``.  The greatest key is the
+        greatest signature, and the P1/P2 scan reads the keys down from
+        ``cursor``, with each element's verdict from the snapshot's memo
+        (``GgSnapshot.violated_by``).
+
+        When every element passes both, no element's head may exceed the
+        target's (P3).  Let K' = m*u1*b1 and K2 = m*u2*b2 be the two greatest
+        elements attaining the maximal head.  Their S-pair was
+        - completed: ``_spol`` added the rule (u1*sig(b1), e) when it created
+          e, with e > b1, so a newer rule rewrites K' and P2 fires first; the
+          rule stays when e reduced to zero;
+        - rejected: the F5 and rewritten criteria are monotone under a
+          multiple, so P1 or P2 fires on K' or K2;
+        - never formed: the pair is out of scope, which ``in_scope`` excludes.
+        So on a log whose ``thm5_exhaustive`` check passes P3 never fires in
+        scope.  When it does, that is the descent's form of a thm5 failure,
+        and a ``DescentError`` names the head pair."""
         keys, elems = self.keys, self.elems
         if keys and keys[-1] >= self.sig_bound:
             raise NotSignatureSafe(f"element {elems[keys[-1]]!r} exceeds the target signature")
@@ -485,10 +435,7 @@ class DescentState:
         """Raise when an element's head exceeds the target's (P3)."""
         snap, elems = self.snap, self.elems
         head_key, bound = snap.head_key, snap.vkey[self.head.v]
-        for k in self.keys:
-            if head_key(k, elems[k][2]) > bound:
-                break
-        else:
+        if all(head_key(k, elems[k][2]) <= bound for k in self.keys):
             return
         # (head key, element), in the ordered form's order
         heads = [(head_key(k, elems[k][2]), elems[k]) for k in reversed(self.keys)]
@@ -498,8 +445,9 @@ class DescentState:
         text = [f"{e.coeff}*{e.mono.text(names)}*r{e.pos}" for e in top]
         attained = (f"only by {text[0]}" if len(text) == 1
                     else f"by the head pair {text[0]}, {text[1]}")
+        head = top[0].mono.mul(snap.entries[top[0].pos].poly.head_mono)
         raise DescentError(
-            f"P3: head {element_head(top[0], snap).text(names)} above the target head"
+            f"P3: head {head.text(names)} above the target head"
             f" {self.head.text(names)} is attained {attained}, with no element"
             " F5-rejectable or rewritable (a thm5 failure)"
         )
@@ -510,14 +458,14 @@ class DescentState:
 
         The replacement is merged into a small dict over the keys it touches,
         with K's coefficient gone.  Above the highest key whose coefficient
-        changed, the old and the new ordered forms agree, so the comparison
-        of the two (``repr_cmp``) is decided there: the element there is
-        gone (LT), the key is new (GT), or both forms hold it with different
-        coefficients (None); with no key changed they are equal (EQ).  Only
-        LT is a decrease.  Every element above that key has passed P1 and
-        P2 and stays as it was, so the scan goes on below it.  The value
-        stays exactly when the replacement sums to K's value, by linearity
-        (``descend``)."""
+        changed, the old and the new ordered forms agree, so their
+        comparison, lexicographic in the element order, is decided there: the
+        element there is gone (LT), the key is new (GT), or both forms hold
+        it with different coefficients (None, incomparable); with no key
+        changed they are equal (EQ).  Only LT is a decrease.  Every element
+        above that key has passed P1 and P2 and stays as it was, so the scan
+        goes on below it.  The value stays exactly when the replacement sums
+        to K's value, by linearity (``descend``)."""
         snap = self.snap
         replace = f5_replacement if which == "P1" else rewritten_replacement
         replacement = replace(K, snap)
@@ -541,7 +489,7 @@ class DescentState:
             verdict = EQ
         else:
             new, old, _, _ = merged[top]
-            verdict = LT if not new else GT if not old else INCOMPARABLE
+            verdict = LT if not new else GT if not old else None
         if verdict != LT:
             raise DescentError(f"rewrite failed to decrease the representation ({verdict})")
         entries = snap.entries
@@ -563,28 +511,6 @@ class DescentState:
                 elems[k] = _tuple_new(ReprElement, (c, m, q))
                 insort(keys, k)
         self.cursor = top
-
-
-def violated_property(
-    r: Representation, mh_sig: Signature, mh_hm: Monomial, snap: GgSnapshot
-) -> Optional[tuple[str, ReprElement]]:
-    """First violated target property, scanning elements in ordered form:
-    P1 (shifted signature reducible) or P2 (rewritable by a newer rule).
-    An element above the target signature raises ``NotSignatureSafe``.
-
-    When every element passes both, no element's head may exceed the
-    target's (P3).  Let K' = m*u1*b1 and K2 = m*u2*b2 be the two greatest
-    elements attaining the maximal head.  Their S-pair was
-    - completed: ``_spol`` added the rule (u1*sig(b1), e) when it created e,
-      with e > b1, so ``rewritten_satisfied(K')`` holds and P2 fires first;
-      the rule stays when e reduced to zero;
-    - rejected: the F5 and rewritten criteria are monotone under a
-      multiple, so P1 or P2 fires on K' or K2;
-    - never formed: the pair is out of scope, which ``in_scope`` excludes.
-    So on a log whose ``thm5_exhaustive`` check passes P3 never fires in
-    scope.  When it does, that is the descent's form of a thm5 failure, and
-    a ``DescentError`` names the head pair."""
-    return DescentState(r.elements, sig_key(mh_sig, snap.order), mh_hm, snap).violation()
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +539,7 @@ def descend(
 
     Every step must strictly decrease the representation order, preserve the
     represented value, and stay signature-safe; a head above the target's
-    raises (``violated_property``), and a cap overrun is an internal bug
+    raises (``DescentState.violation``), and a cap overrun is an internal bug
     surfaced with the full log, never a silent loop.
 
     The representation persists from step to step (``DescentState``), so a
@@ -626,8 +552,8 @@ def descend(
       took a step re-sums its final representation in full once
       (``repr_sum_check``);
     - decrease: the highest key whose coefficient the step changed decides
-      the comparison with ``repr_cmp``'s verdict (``DescentState.rewrite``),
-      so a step fails exactly when the full comparison would fail it;
+      the comparison of the two ordered forms (``DescentState.rewrite``), so
+      a step fails exactly when the full comparison would fail it;
     - signature safety: the greatest element is checked against the target
       signature before every step."""
     if step_cap <= 0:
@@ -638,7 +564,7 @@ def descend(
             "descent target out of scope: its signature is not below the inserted"
             " element's, or in the inserting call's index its degree exceeds the head's"
         )
-    h = snap.lp(h_pos)
+    h = snap.entries[h_pos]
     state = DescentState(
         [ReprElement(coeff % snap.ring.p, t, h_pos)], key, t.mul(h.poly.head_mono), snap
     )
@@ -669,19 +595,21 @@ def descend(
 def find_unrejected_reductor(
     f_pos: int, fprime_pos: int, snap: GgSnapshot, step_cap: int = 10**5
 ) -> tuple[Monomial, int, DescentResult]:
-    """Descend the multiplied earlier element and pick the element matching
-    the target head: a reductor no criterion rejects."""
-    f = snap.lp(f_pos)
-    fp = snap.lp(fprime_pos)
-    t = f.poly.head_mono.divide(fp.poly.head_mono)
+    """Descend the multiplied earlier element and pick, of the elements
+    matching the target head, the greatest (``GgSnapshot.elem_key``): a
+    reductor no criterion rejects."""
+    entries = snap.entries
+    target_head = entries[f_pos].poly.head_mono
+    t = target_head.divide(entries[fprime_pos].poly.head_mono)
     if t is None:
         raise ValueError("earlier head does not divide the later head")
     result = descend(1, t, fprime_pos, snap, step_cap)
-    target_head = f.poly.head_mono
-    for e in ordered_form(result.representation, snap):
-        if element_head(e, snap) == target_head:
-            return e.mono, e.pos, result
-    raise NoHeadMatch("no element of the final representation achieves the head")
+    matches = [e for e in result.representation
+               if e.mono.mul(entries[e.pos].poly.head_mono) == target_head]
+    if not matches:
+        raise NoHeadMatch("no element of the final representation achieves the head")
+    e = max(matches, key=lambda e: snap.elem_key(e.mono, e.pos))
+    return e.mono, e.pos, result
 
 
 def reductor_passes_engine_checks(
@@ -690,8 +618,8 @@ def reductor_passes_engine_checks(
     """Checks (a)-(d) for the found reductor cand_mono * b_cand against f,
     evaluated on the snapshot's view of the basis; returns the failing check
     name or None when all four pass."""
-    f = snap.lp(f_pos)
-    if cand_mono.mul(snap.lp(cand_pos).head) != f.head:
+    f = snap.entries[f_pos]
+    if cand_mono.mul(snap.entries[cand_pos].head) != f.head:
         return "a"
     return snap.failed_check(cand_pos, f.head, f.sig)
 
@@ -869,30 +797,28 @@ def find_thm4_pairs_in_snapshot(
     snap: GgSnapshot, old: Collection[int] = ()
 ) -> list[tuple[int, int]]:
     """Pairs (earlier, later) of snapshot members with dividing heads, a
-    strictly descending head/signature quotient, and dividing signatures.
+    strictly descending head/signature quotient (``poly.quotient_key``), and
+    dividing signatures.
 
     Pairs of two members in ``old`` are skipped.  A pair's test reads only
     its two elements, and members only grow from one snapshot of a run to
     the next, so passing the previous snapshot's members as ``old`` reports
     each pair once, at the first snapshot that holds both."""
-    order = snap.order
+    order, entries = snap.order, snap.entries
     out = []
     for a_pos in snap.members:
-        a = snap.lp(a_pos)
+        a = entries[a_pos]
         a_old = a_pos in old
+        qa = quotient_key(a.poly.head_mono, a.sig.mono, order)
         for b_pos in snap.members:
             if a_pos >= b_pos or a_old and b_pos in old:
                 continue
-            b = snap.lp(b_pos)
+            b = entries[b_pos]
             if not a.poly.head_mono.divides(b.poly.head_mono):
                 continue
-            qa = MonomialQuotient(a.poly.head_mono, a.sig.mono)
-            qb = MonomialQuotient(b.poly.head_mono, b.sig.mono)
-            if quotient_cmp(qa, qb, order) != GT:
-                continue
-            if not sig_divides(a.sig, b.sig):
-                continue
-            out.append((a_pos, b_pos))
+            qb = quotient_key(b.poly.head_mono, b.sig.mono, order)
+            if qb < qa and sig_divides(a.sig, b.sig):
+                out.append((a_pos, b_pos))
     return out
 
 

@@ -14,7 +14,6 @@ oracle.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cache, partial
 from struct import Struct
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
@@ -297,17 +296,12 @@ class MonomialOrder:
         return f"MonomialOrder({self.kind!r}, {self.n})"
 
 
-@dataclass(frozen=True)
-class MonomialQuotient:
-    """A formal quotient of monomials, compared only by cross-multiplication."""
-
-    num: Monomial
-    den: Monomial
-
-
-def quotient_cmp(q1: MonomialQuotient, q2: MonomialQuotient, order: MonomialOrder) -> int:
-    """Transitive extension of the order to quotients: n1/d1 vs n2/d2 by n1*d2 vs n2*d1."""
-    return order.cmp(q1.num.mul(q2.den), q2.num.mul(q1.den))
+def quotient_key(num: Monomial, den: Monomial, order: MonomialOrder) -> int:
+    """An int ascending in the order extended to formal quotients: n1/d1 >
+    n2/d2 when n1*d2 > n2*d1.  Order keys are affine in the packed value, so
+    key(n1*d2) - key(n2*d1) = (key(n1) - key(d1)) - (key(n2) - key(d2)), and
+    no product is formed."""
+    return order.vkey(num.v) - order.vkey(den.v)
 
 
 class Ring:
@@ -565,7 +559,7 @@ class Lazy(dict):
         super().__init__()
         self.make = make
 
-    def __missing__(self, key: int):
+    def __missing__(self, key):
         value = self[key] = self.make(key)
         return value
 

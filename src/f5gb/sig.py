@@ -2,10 +2,11 @@
 
 A signature is a module monomial (t, i) standing for t*F_i.  The order is
 index-dominant with smaller index greater: F_1 > F_2 > ... > F_m, and within
-one index monomials compare in the ambient ring order.  The engine needs
-only signatures.  Module vectors are rebuilt after a run from its event log
-(``replay_vectors``), so admissibility is a checkable invariant rather than
-a bookkeeping assumption.
+one index monomials compare in the ambient ring order.  ``sig_key`` writes
+the order as one int per signature, and every comparison reads it.  The
+engine needs only signatures.  Module vectors are rebuilt after a run from
+its event log (``replay_vectors``), so admissibility is a checkable
+invariant rather than a bookkeeping assumption.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .poly import FIELD_BITS, GT, LT, Monomial, MonomialOrder, Polynomial, Ring, poly_axpy
+from .poly import FIELD_BITS, Monomial, MonomialOrder, Polynomial, Ring, poly_axpy
 
 
 class InconsistentModuleVector(Exception):
@@ -27,13 +28,6 @@ class Signature:
 
     def __repr__(self) -> str:
         return f"Signature({self.mono.exps}, F{self.index})"
-
-
-def sig_cmp(s1: Signature, s2: Signature, order: MonomialOrder) -> int:
-    """Index-dominant comparison: a smaller index is greater."""
-    if s1.index != s2.index:
-        return GT if s1.index < s2.index else LT
-    return order.cmp(s1.mono, s2.mono)
 
 
 def sig_key(s: Signature, order: MonomialOrder) -> int:

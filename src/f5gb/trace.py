@@ -13,14 +13,14 @@ import math
 import re
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from functools import partial
+from itertools import permutations
 from operator import itemgetter
 from typing import Mapping, NamedTuple, Optional, Sequence
 
-from .poly import (GT, Layout, Monomial, MonomialQuotient, Polynomial, Ring, overflow_error,
-                   poly_axpy, quotient_cmp)
-from .sig import (ModuleVector, Signature, check_admissible, key_index, sig_cmp, sig_divides,
-                  sig_key, sig_mul)
+from .poly import (Layout, Lazy, Monomial, Polynomial, Ring, overflow_error, poly_axpy,
+                   quotient_key)
+from .sig import ModuleVector, Signature, check_admissible, key_index, sig_divides, sig_key, sig_mul
 
 EVENT_KINDS = (
     "CallBegin",
@@ -118,20 +118,6 @@ def poly_from_payload(ring: Ring, payload: list) -> Polynomial:
     return ring.poly([(c, Monomial(exps)) for c, exps in payload])
 
 
-class _Exponents(dict):
-    """Packed monomial value -> its exponent tuple, decoded on first use."""
-
-    __slots__ = ("lay",)
-
-    def __init__(self, lay: Optional[Layout]):
-        super().__init__()
-        self.lay = lay
-
-    def __missing__(self, v: int) -> tuple[int, ...]:
-        exps = self[v] = self.lay.unpack(v)
-        return exps
-
-
 class Trace:
     """Single-writer event sink; events receive monotone sequence numbers.
 
@@ -147,7 +133,7 @@ class Trace:
         self.events: list[dict] = []
         # events logged per kind; an unknown kind raises KeyError at emit
         self.counts: dict[str, int] = dict.fromkeys(EVENT_KINDS, 0)
-        self.exps = _Exponents(lay)
+        self.exps = Lazy(partial(Layout.unpack, lay))
 
     def emit(self, kind: str, **payload) -> int:
         return self.log({"seq": None, "kind": kind, **payload})
@@ -191,7 +177,7 @@ def events_from_jsonl(fp) -> list[dict]:
     events: list[dict] = []
     lines: list[str] = []
     linenos: list[int] = []
-    memo = _ExponentMemo()
+    memo = Lazy(_int_tuple)
     for lineno, line in enumerate(fp, 1):
         if line.strip():
             lines.append(line)
@@ -204,7 +190,7 @@ def events_from_jsonl(fp) -> list[dict]:
 
 
 def _decode_chunk(
-    lines: list[str], linenos: list[int], out: list[dict], memo: _ExponentMemo
+    lines: list[str], linenos: list[int], out: list[dict], memo: Lazy
 ) -> None:
     """Append the events of ``lines`` to ``out``.
 
@@ -227,7 +213,7 @@ def _decode_chunk(
     out += [_decode_line(line, lineno, memo) for line, lineno in zip(lines, linenos)]
 
 
-def _decode_line(line: str, lineno: int, memo: _ExponentMemo) -> dict:
+def _decode_line(line: str, lineno: int, memo: Lazy) -> dict:
     try:
         ev = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -245,16 +231,13 @@ def _decode_line(line: str, lineno: int, memo: _ExponentMemo) -> dict:
     return ev
 
 
-class _ExponentMemo(dict):
-    """Exponent tuple -> the read's one copy of it.  A tuple not seen before
-    must hold ints; one equal to a tuple seen before (as 1.0 equals 1)
-    reads as that tuple."""
-
-    def __missing__(self, t: tuple) -> tuple:
-        if not all(type(e) is int for e in t):
-            raise TypeError
-        self[t] = t
-        return t
+def _int_tuple(t: tuple) -> tuple:
+    """An exponent tuple as a read's memo (``Lazy``) keeps it: the tuple
+    itself, which must hold ints.  One equal to a tuple seen before (as 1.0
+    equals 1) reads as that tuple, so each vector has one copy per read."""
+    if not all(type(e) is int for e in t):
+        raise TypeError
+    return t
 
 
 def _array(value) -> list:
@@ -263,7 +246,7 @@ def _array(value) -> list:
     return value
 
 
-def _share_exponents(ev: dict, memo: _ExponentMemo) -> None:
+def _share_exponents(ev: dict, memo: Lazy) -> None:
     """Replace each exponent vector in the ``EXPONENT_FIELDS`` of ``ev`` by
     its tuple in ``memo``; ``ValueError`` names the first field that does
     not have its shape."""
@@ -438,9 +421,8 @@ def check_signature_safety(events: Sequence[dict], order) -> CheckReport:
     for ev in events:
         if ev["kind"] == "ReductionStep":
             checked += 1
-            h_sig = sig_from_payload(ev["h_sig"])
-            msig = sig_from_payload(ev["msig"])
-            if sig_cmp(h_sig, msig, order) != GT:
+            h_key = sig_key(sig_from_payload(ev["h_sig"]), order)
+            if h_key <= sig_key(sig_from_payload(ev["msig"]), order):
                 failures.append((ev["seq"], "unsafe reduction step"))
         elif ev["kind"] == "PhiPreReduce":
             checked += 1
@@ -486,7 +468,7 @@ def check_genealogy(registry: Registry, order) -> CheckReport:
         ss = registry.entries[smaller].sig
         if sig_mul(u_over, sg) != e.sig:
             failures.append((e.pos, "sig != u_over * S(greater)"))
-        if sig_cmp(e.sig, sig_mul(u_under, ss), order) != GT:
+        if sig_key(e.sig, order) <= sig_key(sig_mul(u_under, ss), order):
             failures.append((e.pos, "sig not greater than smaller part"))
         if e.done_seq is not None and not e.created_seq < e.done_seq:
             failures.append((e.pos, "done before creation"))
@@ -503,16 +485,9 @@ class ReplayReport(CheckReport):
     polys: dict = field(default_factory=dict)
 
 
-class _Monomials(dict):
-    """Exponent tuple -> its ``Monomial``, built on first use."""
-
-    def __missing__(self, exps: tuple) -> Monomial:
-        mono = self[exps] = Monomial(exps)
-        return mono
-
-
-def _same_poly(q: Polynomial, payload: list, monos: _Monomials) -> bool:
-    """Whether the logged polynomial ``payload`` holds the terms of ``q``."""
+def _same_poly(q: Polynomial, payload: list, monos: Lazy) -> bool:
+    """Whether the logged polynomial ``payload`` holds the terms of ``q``;
+    ``monos`` maps an exponent tuple to its ``Monomial``."""
     return len(q.terms) == len(payload) and all(
         c == lc and m.v == monos[tuple(exps)].v for (c, m), (lc, exps) in zip(q.terms, payload)
     )
@@ -542,7 +517,7 @@ def check_replay(events: Sequence[dict], ring: Ring) -> ReplayReport:
     ``("new", pos, a, ua, b, ub, s)`` for s * (ua * P[a] - ub * P[b]),
     ``(step, h, c, u, r)`` for P[h] - c * u * P[r] with step "phi" or
     "top", and ``("monic", h, s)`` for s * P[h], s != 1."""
-    monos = _Monomials()
+    monos = Lazy(Monomial)
     P: dict[int, Polynomial] = {}
     created: dict[int, Polynomial] = {}
     trails: dict[int, list] = {}
@@ -641,12 +616,12 @@ def extract_chain(pos: int, registry: Registry, ring: Ring) -> ChainReport:
     """Walk greater-part links back to the input polynomial of the index.
 
     Along the chain the signatures divide consecutively, the head/signature
-    quotients strictly descend (compared by cross-multiplication), and head
+    quotients strictly descend (their ``quotient_key``s, one int each, fall
+    from each element to the next: for ints that orders every pair), and head
     monomials are pairwise distinct with divisibility only forward and into a
     strictly larger degree.  A zero-reduced final element takes part only in
     the divisibility check: it has no head monomial.
     """
-    order = ring.order
     chain = [pos]
     cur = registry.entries[pos]
     while not cur.is_input:
@@ -663,8 +638,8 @@ def extract_chain(pos: int, registry: Registry, ring: Ring) -> ChainReport:
     )
 
     withhm = [registry.entries[p] for p in chain if registry.entries[p].head is not None]
-    quotients = [MonomialQuotient(e.head, e.sig.mono) for e in withhm]
-    quot_ok = all(quotient_cmp(qa, qb, order) == GT for qa, qb in combinations(quotients, 2))
+    keys = [quotient_key(e.head, e.sig.mono, ring.order) for e in withhm]
+    quot_ok = all(a > b for a, b in zip(keys, keys[1:]))
     distinct_ok = all(
         a != b and not (a.divides(b) and not (i < j and a.deg < b.deg))
         for (i, a), (j, b) in permutations(enumerate(e.head for e in withhm), 2)
@@ -750,19 +725,6 @@ class InsertionView:
                 return pos
         return None
 
-    def f5_satisfied(self, t: Monomial, pos: int) -> bool:
-        """The shifted signature monomial of t * b_pos is top-reducible by the
-        completed basis for the next index."""
-        e = self.entries[pos]
-        return self.phi_divisor(e.index, t.mul(e.sig.mono)) is not None
-
-    def rewriter(self, t: Monomial, pos: int) -> Optional[int]:
-        """The newest rule owner, ``pos`` itself or a newer one, whose
-        monomial divides the shifted signature monomial of t * b_pos; None
-        when there is none, which means ``pos`` has no rule entry."""
-        e = self.entries[pos]
-        return self.rule_owner(e.index, t.mul(e.sig.mono), pos)
-
     def rule_owner(self, index: int, mono: Monomial, pos: int) -> Optional[int]:
         """The newest owner, ``pos`` or a newer one, of a rule of ``index``
         whose monomial divides ``mono``; None when there is none.  The test
@@ -778,31 +740,25 @@ class InsertionView:
                 return owner
         return None
 
-    def rewritten_satisfied(self, t: Monomial, pos: int) -> Optional[int]:
-        """Newest rule owner created after ``pos`` whose monomial divides the
-        shifted signature monomial of t * b_pos; None when no such rule
-        exists."""
-        owner = self.rewriter(t, pos)
-        return None if owner == pos else owner
-
     def failed_check(
         self, cand: int, target_head: Monomial, target_sig: Signature
     ) -> Optional[str]:
         """The first of checks (a)-(d) that member ``cand`` fails as a
         reductor of a target with this head and signature, or None when it
-        passes all four."""
+        passes all four; (b) and (c) test the shifted signature monomial."""
         e = self.entries[cand]
         u = target_head.divide(e.head)
         if u is None:
             return "a"
-        if self.f5_satisfied(u, cand):
+        mono = u.mul(e.sig.mono)
+        if self.phi_divisor(e.index, mono) is not None:
             return "b"
-        owner = self.rewriter(u, cand)
+        owner = self.rule_owner(e.index, mono, cand)
         if owner is None:
             raise BrokenLink(f"r{cand} has no rule entry")
         if owner != cand:
             return "c"
-        if sig_mul(u, e.sig) == target_sig:
+        if e.index == target_sig.index and mono == target_sig.mono:
             return "d"
         return None
 
@@ -845,7 +801,7 @@ def _rejection_index(events: Sequence[dict]):
     """
     crit: dict = {}
     isred: dict = {}
-    monos = _Monomials()
+    monos = Lazy(Monomial)
 
     def mono(exps):
         return monos[tuple(exps)].v

@@ -1,34 +1,117 @@
 """The descent's brute-force reference: each step rebuilds, re-sorts and
 re-sums the whole representation.
 
-``reference_violation`` scans the full ordered form from the top,
-``full_step`` substitutes a replacement (``substitute_and_combine``) and
-checks the new representation by the full representation order
-(``repr_cmp``), and ``reference_descend``
-re-sums every step's representation (``repr_sum_check``).  ``oracle.descend``
-must take the same steps and reach the same representations and verdicts;
+The element order and its extension to representations are spelled out
+here object by object (``elem_cmp``, ``ordered_form``, ``repr_cmp``), as is
+the test of P1 and P2 (``f5_rejectable``, ``newer_rewriter``); ``f5gb``
+encodes them as int keys (``GgSnapshot.elem_key``).  ``reference_violation``
+scans the full ordered form from the top, ``full_step`` substitutes a
+replacement (``substitute_and_combine``) and checks the new representation
+by the full representation order, and ``reference_descend`` re-sums every
+step's representation (``repr_sum_check``).  ``oracle.descend`` must take
+the same steps and reach the same representations and verdicts;
 ``tests/test_oracle.py`` compares the two.
 """
 
 from __future__ import annotations
 
+from typing import Optional
+
 from f5gb import oracle
 from f5gb.oracle import (
-    GT,
-    LT,
     DescentError,
     DescentResult,
+    DescentState,
+    GgSnapshot,
     NotSignatureSafe,
     Representation,
     ReprElement,
     StepCapExceeded,
-    element_head,
-    element_sig,
-    ordered_form,
-    repr_cmp,
     repr_sum_check,
 )
-from f5gb.sig import sig_cmp, sig_mul
+from f5gb.poly import EQ, GT, LT, Monomial
+from f5gb.sig import Signature, sig_key, sig_mul
+
+from order_reference import sig_cmp
+
+
+def element_sig(e: ReprElement, snap: GgSnapshot) -> Signature:
+    return sig_mul(e.mono, snap.entries[e.pos].sig)
+
+
+def element_head(e: ReprElement, snap: GgSnapshot) -> Monomial:
+    return e.mono.mul(snap.entries[e.pos].poly.head_mono)
+
+
+def elem_cmp(e1: ReprElement, e2: ReprElement, snap: GgSnapshot) -> Optional[int]:
+    """Element order: by multiplied signature, then by earlier creation
+    position (the opposite direction); None when only coefficients differ."""
+    c = sig_cmp(element_sig(e1, snap), element_sig(e2, snap), snap.order)
+    if c != EQ:
+        return c
+    if e1.pos != e2.pos:
+        return GT if e1.pos < e2.pos else LT
+    return None
+
+
+def ordered_form(r: Representation, snap: GgSnapshot) -> list[ReprElement]:
+    """Elements sorted descending; total within one valid representation.
+
+    Each element is keyed as ``elem_cmp`` orders it: the smaller index, then
+    the greater signature monomial, then the earlier position is greater.
+    """
+    key = snap.order.key
+
+    def order_key(e):
+        s = element_sig(e, snap)
+        return -s.index, key(s.mono), -e.pos
+
+    return sorted(r.elements, key=order_key, reverse=True)
+
+
+INCOMPARABLE = None
+
+
+def repr_cmp(r1: Representation, r2: Representation, snap: GgSnapshot) -> Optional[int]:
+    """Lexicographic extension of the element order to ordered forms.
+
+    A strict prefix is smaller; forms whose greatest differing elements differ
+    only in the field coefficient are incomparable (returns None).
+    """
+    f1 = ordered_form(r1, snap)
+    f2 = ordered_form(r2, snap)
+    for e1, e2 in zip(f1, f2):
+        if e1 == e2:
+            continue
+        if e1.mono == e2.mono and e1.pos == e2.pos:
+            return INCOMPARABLE
+        return elem_cmp(e1, e2, snap)
+    if len(f1) == len(f2):
+        return EQ
+    return LT if len(f1) < len(f2) else GT
+
+
+def f5_rejectable(t: Monomial, pos: int, snap: GgSnapshot) -> bool:
+    """P1: a head of the completed basis for the next index divides the
+    shifted signature monomial of t * b_pos."""
+    s = sig_mul(t, snap.entries[pos].sig)
+    return any(head.divides(s.mono) for head, _ in snap.phi_basis(s.index))
+
+
+def newer_rewriter(t: Monomial, pos: int, snap: GgSnapshot) -> Optional[int]:
+    """P2: the newest owner of a rule logged before the snapshot whose
+    monomial divides the shifted signature monomial of t * b_pos, when that
+    owner was created after ``pos``; else None."""
+    s = sig_mul(t, snap.entries[pos].sig)
+    table = snap.rules.get(s.index, ())[:snap.rule_count(s.index)]
+    owners = [owner for _, m, owner in table if owner >= pos and m.divides(s.mono)]
+    return owners[-1] if owners and owners[-1] != pos else None
+
+
+def descent_violation(r, mh_sig, mh_hm, snap):
+    """``DescentState.violation`` of the representation ``r`` for a target
+    of signature ``mh_sig`` and head ``mh_hm``."""
+    return DescentState(r.elements, sig_key(mh_sig, snap.order), mh_hm, snap).violation()
 
 
 def substitute_and_combine(r, K, replacement, p):
@@ -51,15 +134,15 @@ def substitute_and_combine(r, K, replacement, p):
 
 
 def reference_violation(r, mh_sig, mh_hm, snap):
-    """``violated_property`` by a full scan of the ordered form."""
+    """``descent_violation`` by a full scan of the ordered form."""
     order = snap.order
     form = ordered_form(r, snap)
     if form and sig_cmp(element_sig(form[0], snap), mh_sig, order) == GT:
         raise NotSignatureSafe(f"element {form[0]!r} exceeds the target signature")
     for e in form:
-        if snap.f5_satisfied(e.mono, e.pos):
+        if f5_rejectable(e.mono, e.pos, snap):
             return ("P1", e)
-        if snap.rewritten_satisfied(e.mono, e.pos) is not None:
+        if newer_rewriter(e.mono, e.pos, snap) is not None:
             return ("P2", e)
     if not form:
         return None
@@ -101,7 +184,7 @@ def rewrite_rewritten_case(r, K, snap):
 
 def reference_start(coeff, t, h_pos, snap):
     """(first representation, target signature, target head, target value)."""
-    h = snap.lp(h_pos)
+    h = snap.entries[h_pos]
     rep = Representation([ReprElement(coeff % snap.ring.p, t, h_pos)])
     return rep, sig_mul(t, h.sig), t.mul(h.poly.head_mono), h.poly.term_mul(coeff, t)
 

@@ -20,13 +20,10 @@ from f5gb.oracle import (
     buchberger,
     descend,
     done_snapshots,
-    elem_cmp,
     find_thm4_pairs_in_snapshot,
     harvest_descent_seeds,
     ideal_equal,
-    repr_cmp,
     repr_sum_check,
-    violated_property,
 )
 from f5gb.poly import Monomial
 from f5gb.sig import LabeledPolynomial, Signature, check_admissible, sig_mul
@@ -38,6 +35,7 @@ from f5gb.trace import (
     extract_chain,
 )
 
+from descent_reference import descent_violation, elem_cmp, repr_cmp
 from systems import P, make_ring, replayed_vectors, standard_monomial_count, suite_instances
 
 DESCENT_CAP = 10**5
@@ -175,14 +173,14 @@ def test_criterion_7_descents(suite):
                 failures.append((run["name"], pos, str(exc)))
                 continue
             max_steps = max(max_steps, out.step_count)
-            target = snap.lp(pos).poly.term_mul(coeff, mono)
+            target = snap.entries[pos].poly.term_mul(coeff, mono)
             if not repr_sum_check(out.representation, target, snap):
                 failures.append((run["name"], pos, "sum mismatch"))
             if (
-                violated_property(
+                descent_violation(
                     out.representation,
-                    sig_mul(mono, snap.lp(pos).sig),
-                    mono.mul(snap.lp(pos).poly.head_mono),
+                    sig_mul(mono, snap.entries[pos].sig),
+                    mono.mul(snap.entries[pos].poly.head_mono),
                     snap,
                 )
                 is not None

@@ -15,6 +15,7 @@ from f5gb.engine import (
     BudgetExceeded,
     Engine,
     EngineConfig,
+    InternalInvariantError,
     MissingRule,
     NonHomogeneousInput,
     RuleTable,
@@ -22,11 +23,12 @@ from f5gb.engine import (
     incremental_f5,
 )
 from f5gb.poly import GT, ORDER_KINDS, Monomial
-from f5gb.sig import Signature, check_admissible, sig_cmp, sig_mul
+from f5gb.sig import Signature, check_admissible, sig_mul
 from systems import P, replayed_vectors
 from f5gb.trace import (EXPONENT_FIELDS, Trace, events_from_jsonl, poly_from_payload,
                         sig_from_payload)
 
+from order_reference import sig_cmp
 from phi_reference import phi_reduce_reference
 from systems import (CYCLIC4, CYCLIC5, KATSURA5, LEX_SCOPE, P, SUITE, engine_pin_systems,
                      make_ring, polys)
@@ -228,6 +230,43 @@ class TestTopReductionBranches:
             ("cand", 0), ("mult", (0, 1)), ("msig", {"mono": (0, 1), "index": 1}),
             ("rewriter", 1),
         ]
+
+
+class TestInvariantPlants:
+    """Each internal invariant check that compares signatures fires when a
+    planted engine step breaks it; a real run never reaches them."""
+
+    @staticmethod
+    def run():
+        ring = make_ring(7, ["x", "y"])
+        return incremental_f5(polys(ring, "x^2 + y^2", "x*y", "x^2 + x*y + 2*y^2"))
+
+    def test_check_d_passing_an_equal_signature(self, monkeypatch):
+        # the reductor found for h is h itself: its signature, unmultiplied
+        monkeypatch.setattr(Engine, "_is_reducible",
+                            lambda self, h, i: (h.pos, self.ring.one_mono()))
+        with pytest.raises(InternalInvariantError, match="check \\(d\\) let an equal"):
+            self.run()
+
+    def test_spolynomial_with_the_smaller_signature_first(self, monkeypatch):
+        # every created pair with its parts swapped, so its first part has
+        # the smaller signature
+        pairs = Engine._pairs
+
+        def swapped(self, ra, others, i):
+            return [cp._replace(u1=cp.u2, p1=cp.p2, u2=cp.u1, p2=cp.p1, sig1=cp.sig2,
+                                sig2=cp.sig1) for cp in pairs(self, ra, others, i)]
+
+        monkeypatch.setattr(Engine, "_pairs", swapped)
+        with pytest.raises(InternalInvariantError, match="ambiguous signature survived"):
+            self.run()
+
+    def test_batch_out_of_signature_order(self, monkeypatch):
+        # each degree's batch processed from its greatest signature down
+        spol = Engine._spol
+        monkeypatch.setattr(Engine, "_spol", lambda self, batch, i: spol(self, batch[::-1], i))
+        with pytest.raises(InternalInvariantError, match="batch out of signature order"):
+            self.run()
 
 
 class TestDoneOrdering:

@@ -7,6 +7,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from f5gb import oracle
 from f5gb.cli import parse_problem
@@ -23,32 +25,30 @@ from f5gb.oracle import (
     ReprElement,
     buchberger,
     descend,
-    elem_cmp,
     find_thm4_pairs_in_snapshot,
     find_unrejected_reductor,
     harvest_descent_seeds,
     ideal_equal,
     input_representation,
     is_reduced,
-    ordered_form,
     reduced_basis,
     reductor_passes_engine_checks,
-    repr_cmp,
     repr_sum_check,
-    violated_property,
 )
 from f5gb.oracle import _spoly
-from f5gb.poly import Monomial, normal_form
-from f5gb.sig import LabeledPolynomial, ModuleVector, Signature, sig_cmp, sig_key, sig_mul
+from f5gb.poly import ORDER_KINDS, Monomial, normal_form
+from f5gb.sig import LabeledPolynomial, ModuleVector, Signature, sig_key, sig_mul
 from f5gb.trace import in_scope
 
 from descent_reference import (
-    reference_descend, reference_start, reference_step, reference_violation, rewrite_f5_case,
+    descent_violation, elem_cmp, element_sig, newer_rewriter, ordered_form, reference_descend,
+    reference_start, reference_step, reference_violation, repr_cmp, rewrite_f5_case,
     rewrite_rewritten_case, substitute_and_combine,
 )
+from order_reference import sig_cmp
 from systems import (
-    LEX_SCOPE, SUITE, SUITE_PRIMES, P, make_ring, polys, problem_text, random_problem_texts,
-    rule_tables, run_snapshots, standard_monomial_count,
+    CYCLIC4, LEX_SCOPE, SUITE, SUITE_PRIMES, P, make_ring, polys, problem_text,
+    random_problem_texts, rule_tables, run_snapshots, standard_monomial_count,
 )
 
 
@@ -88,22 +88,59 @@ def cmp_snap():
     )
 
 
+def key_cmp(e1, e2, snap):
+    """The element order as ``GgSnapshot.elem_key`` encodes it; None when
+    the keys are equal, as they are for elements that differ only in their
+    coefficients."""
+    k1, k2 = snap.elem_key(e1.mono, e1.pos), snap.elem_key(e2.mono, e2.pos)
+    return None if k1 == k2 else GT if k1 > k2 else LT
+
+
+_VERDICT = re.compile(r"rewrite failed to decrease the representation \((-?\d+|None)\)")
+
+
+def rewrite_verdict(monkeypatch, r1, r2, snap):
+    """How ``DescentState.rewrite`` compares r1 with r2: the verdict of a
+    planted rewrite of r2's first element whose replacement turns r2 into
+    r1.  A step that does not decrease raises with its verdict; only a
+    decrease goes on to check the value."""
+    K, *rest = r2.elements
+    replacement = [*r1.elements, *((-c, m, q) for c, m, q in rest)]
+    monkeypatch.setattr(oracle, "f5_replacement", lambda K, snap: replacement)
+    state = DescentState(r2.elements, 0, snap.ring.one_mono(), snap)
+    try:
+        state.rewrite("P1", K)
+    except DescentError as exc:
+        if str(exc) != "rewrite changed the represented value":
+            verdict = _VERDICT.fullmatch(str(exc)).group(1)
+            return None if verdict == "None" else int(verdict)
+    return LT
+
+
 class TestElementOrderExamples:
+    """Each example holds for the reference comparator and for the keys."""
+
+    @staticmethod
+    def both(e1, e2, snap):
+        verdict = elem_cmp(e1, e2, snap)
+        assert key_cmp(e1, e2, snap) == verdict
+        return verdict
+
     def test_index_beats_coefficient(self, cmp_snap):
-        assert elem_cmp(E(1, M(0, 1), 0), E(100, M(0, 1), 1), cmp_snap) == GT
+        assert self.both(E(1, M(0, 1), 0), E(100, M(0, 1), 1), cmp_snap) == GT
 
     def test_monomial_within_index(self, cmp_snap):
-        assert elem_cmp(E(1, M(1, 0), 0), E(1, M(0, 1), 0), cmp_snap) == GT
+        assert self.both(E(1, M(1, 0), 0), E(1, M(0, 1), 0), cmp_snap) == GT
 
     def test_equal_signature_and_position_incomparable(self, cmp_snap):
-        assert elem_cmp(E(100, M(1, 0), 0), E(2, M(1, 0), 0), cmp_snap) is None
+        assert self.both(E(100, M(1, 0), 0), E(2, M(1, 0), 0), cmp_snap) is None
 
     def test_shifted_signature_beats_square(self, cmp_snap):
-        assert elem_cmp(E(1, M(0, 2), 0), E(1, M(0, 1), 2), cmp_snap) == LT
+        assert self.both(E(1, M(0, 2), 0), E(1, M(0, 1), 2), cmp_snap) == LT
 
     def test_position_breaks_signature_tie(self, cmp_snap):
         # x^2 * first vs x * third: equal signatures, earlier position wins
-        assert elem_cmp(E(1, M(2, 0), 0), E(1, M(1, 0), 2), cmp_snap) == GT
+        assert self.both(E(1, M(2, 0), 0), E(1, M(1, 0), 2), cmp_snap) == GT
 
 
 class TestOrderedForm:
@@ -136,35 +173,44 @@ class TestOrderedForm:
 
 
 class TestRepresentationOrderExamples:
-    def test_middle_element_decides(self, cmp_snap):
+    """Each example holds for the reference comparator and for the verdict
+    of a rewrite (``rewrite_verdict``)."""
+
+    @staticmethod
+    def both(monkeypatch, r1, r2, snap):
+        verdict = repr_cmp(r1, r2, snap)
+        assert rewrite_verdict(monkeypatch, r1, r2, snap) == verdict
+        return verdict
+
+    def test_middle_element_decides(self, cmp_snap, monkeypatch):
         r1 = Representation([E(1, M(2, 0), 0), E(1, M(1, 1), 0), E(1, M(0, 2), 0)])
         r2 = Representation([E(1, M(2, 0), 0), E(100, M(0, 2), 0)])
-        assert repr_cmp(r1, r2, cmp_snap) == GT
+        assert self.both(monkeypatch, r1, r2, cmp_snap) == GT
 
-    def test_prefix_is_smaller(self, cmp_snap):
+    def test_prefix_is_smaller(self, cmp_snap, monkeypatch):
         r1 = Representation([E(1, M(2, 0), 0), E(100, M(0, 2), 0)])
         r2 = Representation([E(1, M(2, 0), 0)])
-        assert repr_cmp(r1, r2, cmp_snap) == GT
+        assert self.both(monkeypatch, r1, r2, cmp_snap) == GT
 
-    def test_first_element_decides(self, cmp_snap):
+    def test_first_element_decides(self, cmp_snap, monkeypatch):
         r1 = Representation([E(1, M(2, 0), 0)])
         r2 = Representation([E(1, M(1, 1), 0), E(1, M(0, 2), 0), E(1, M(2, 0), 1)])
-        assert repr_cmp(r1, r2, cmp_snap) == GT
+        assert self.both(monkeypatch, r1, r2, cmp_snap) == GT
 
-    def test_position_tie_decides(self, cmp_snap):
+    def test_position_tie_decides(self, cmp_snap, monkeypatch):
         r1 = Representation([E(1, M(1, 1), 0), E(1, M(0, 2), 0), E(1, M(2, 0), 1)])
         r2 = Representation([E(1, M(0, 1), 2), E(1, M(0, 2), 0), E(1, M(2, 0), 1)])
-        assert repr_cmp(r1, r2, cmp_snap) == GT
+        assert self.both(monkeypatch, r1, r2, cmp_snap) == GT
 
-    def test_coefficient_difference_incomparable(self, cmp_snap):
+    def test_coefficient_difference_incomparable(self, cmp_snap, monkeypatch):
         r1 = Representation([E(1, M(0, 1), 2), E(1, M(0, 2), 0), E(1, M(2, 0), 1)])
         r2 = Representation([E(2, M(0, 1), 2), E(1, M(0, 2), 1)])
-        assert repr_cmp(r1, r2, cmp_snap) is None
+        assert self.both(monkeypatch, r1, r2, cmp_snap) is None
 
-    def test_equal(self, cmp_snap):
+    def test_equal(self, cmp_snap, monkeypatch):
         r1 = Representation([E(1, M(1, 1), 0), E(3, M(0, 1), 2)])
         r2 = Representation([E(3, M(0, 1), 2), E(1, M(1, 1), 0)])
-        assert repr_cmp(r1, r2, cmp_snap) == EQ
+        assert self.both(monkeypatch, r1, r2, cmp_snap) == EQ
 
     def test_elements_of_one_representation_always_comparable(self, cmp_snap):
         r = Representation([E(1, M(1, 1), 0), E(3, M(0, 1), 2), E(2, M(1, 1), 1)])
@@ -172,6 +218,7 @@ class TestRepresentationOrderExamples:
         for i in range(len(form)):
             for j in range(i + 1, len(form)):
                 assert elem_cmp(form[i], form[j], cmp_snap) == GT
+                assert key_cmp(form[i], form[j], cmp_snap) == GT
 
 
 class TestRepresentationInvariants:
@@ -286,13 +333,13 @@ class TestViolatedProperty:
     def test_inputs_pass(self, sum_snap):
         ring, snap = sum_snap
         r = Representation([E(1, M(0, 0), 1)])
-        sig = snap.lp(1).sig
-        assert violated_property(r, sig, M(2, 0), snap) is None
+        sig = snap.entries[1].sig
+        assert descent_violation(r, sig, M(2, 0), snap) is None
 
     def test_f5_violation_found(self, f5_case_snap):
         ring, snap = f5_case_snap
         r = Representation([E(1, M(0, 1), 1)])
-        got = violated_property(r, Signature(M(0, 1), 1), M(2, 1), snap)
+        got = descent_violation(r, Signature(M(0, 1), 1), M(2, 1), snap)
         assert got == ("P1", E(1, M(0, 1), 1))
 
     def test_rewritten_violation_found(self):
@@ -323,7 +370,7 @@ class TestViolatedProperty:
             vectors=vectors,
         )
         r = Representation([E(1, M(0, 0), 1)])
-        got = violated_property(r, Signature(M(0, 0), 1), M(2, 0), snap)
+        got = descent_violation(r, Signature(M(0, 0), 1), M(2, 0), snap)
         assert got == ("P2", E(1, M(0, 0), 1))
         new = rewrite_rewritten_case(r, got[1], snap)
         assert repr_sum_check(new, f1, snap)
@@ -335,7 +382,7 @@ class TestViolatedProperty:
         ring, snap = sum_snap
         r = Representation([E(1, M(1, 0), 1)])
         with pytest.raises(NotSignatureSafe):
-            violated_property(r, Signature(M(0, 0), 1), M(2, 0), snap)
+            descent_violation(r, Signature(M(0, 0), 1), M(2, 0), snap)
 
 
 class TestRewriteF5Case:
@@ -388,8 +435,8 @@ class TestRewriteF5Case:
     def test_descent_finishes_after_rewrite(self, f5_case_snap):
         ring, snap = f5_case_snap
         res = descend(1, M(0, 1), 1, snap)
-        assert violated_property(
-            res.representation, sig_mul(M(0, 1), snap.lp(1).sig), M(2, 1), snap
+        assert descent_violation(
+            res.representation, sig_mul(M(0, 1), snap.entries[1].sig), M(2, 1), snap
         ) is None
         assert res.step_count >= 1
 
@@ -414,7 +461,7 @@ class TestRewriteRewrittenZeroBranch:
             for pos in snap.members:
                 if pos == snap.g_pos:
                     continue
-                rw = snap.rewritten_satisfied(ring.one_mono(), pos)
+                rw = newer_rewriter(ring.one_mono(), pos, snap)
                 if rw is not None and snap.entries[rw].poly.is_zero:
                     hit = (snap, pos, rw)
                     break
@@ -425,7 +472,7 @@ class TestRewriteRewrittenZeroBranch:
         K = E(1, ring.one_mono(), pos)
         r = Representation([K])
         new = rewrite_rewritten_case(r, K, snap)
-        assert repr_sum_check(new, snap.lp(pos).poly, snap)
+        assert repr_sum_check(new, snap.entries[pos].poly, snap)
         assert repr_cmp(new, r, snap) == LT
         assert all(e.pos != rw for e in new.elements)
 
@@ -483,9 +530,9 @@ class TestRewriteHmCase:
         r = Representation([K1, K2, E(1, M(0, 1), 0)])
         assert repr_sum_check(r, P(ring, "y^2"), snap)
         with pytest.raises(DescentError, match=re.escape(self.HEAD_PAIR)):
-            violated_property(r, Signature(M(0, 1), 1), M(0, 2), snap)
+            descent_violation(r, Signature(M(0, 1), 1), M(0, 2), snap)
         with pytest.raises(DescentError, match=re.escape("attained only by 1*1*r3")):
-            violated_property(Representation([K1]), Signature(M(0, 1), 1), M(0, 2), snap)
+            descent_violation(Representation([K1]), Signature(M(0, 1), 1), M(0, 2), snap)
 
     def test_descend_raises_naming_the_pair(self):
         ring, snap = hm_case_world()
@@ -638,13 +685,13 @@ class TestEngineDescents:
         assert seeds
         for snap, coeff, mono, pos in seeds:
             out = descend(coeff, mono, pos, snap)
-            target = snap.lp(pos).poly.term_mul(coeff, mono)
+            target = snap.entries[pos].poly.term_mul(coeff, mono)
             assert repr_sum_check(out.representation, target, snap)
             assert (
-                violated_property(
+                descent_violation(
                     out.representation,
-                    sig_mul(mono, snap.lp(pos).sig),
-                    mono.mul(snap.lp(pos).poly.head_mono),
+                    sig_mul(mono, snap.entries[pos].sig),
+                    mono.mul(snap.entries[pos].poly.head_mono),
                     snap,
                 )
                 is None
@@ -684,7 +731,7 @@ class TestLexScope:
             for snap in snapshots
             for pos in snap.members
             for t in multipliers
-            if sig_cmp(sig_mul(t, snap.lp(pos).sig), snap.lp(snap.g_pos).sig, ring.order) == LT
+            if sig_cmp(sig_mul(t, snap.entries[pos].sig), snap.entries[snap.g_pos].sig, ring.order) == LT
         ]
         outside = [
             (snap, t, pos) for snap, t, pos in below
@@ -878,6 +925,38 @@ class TestElementOrderSanity:
                 and elem_cmp(b, c, cmp_snap) == GT
             ):
                 assert elem_cmp(a, c, cmp_snap) == GT
+
+
+@pytest.fixture(scope="module")
+def cyclic4_snapshots():
+    """The descent snapshots of cyclic-4 under each order."""
+    out = {}
+    for kind in ORDER_KINDS:
+        ring = make_ring(32003, CYCLIC4[0], kind)
+        out[kind] = run_snapshots(incremental_f5(polys(ring, *CYCLIC4[1]), EngineConfig()))
+    return out
+
+
+class TestElementKeyAgainstReference:
+    @pytest.mark.parametrize("kind", ORDER_KINDS)
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_key_order_is_elem_cmp_on_cyclic4(self, cyclic4_snapshots, kind, data):
+        # two elements t * b_pos of one snapshot; half the time the second
+        # has the first one's signature, at any position that allows it
+        snapshots = cyclic4_snapshots[kind]
+        snap = snapshots[data.draw(st.integers(0, len(snapshots) - 1))]
+        mono = st.builds(Monomial, st.tuples(*[st.integers(0, 2)] * snap.ring.n))
+        element = st.builds(ReprElement, st.integers(1, 32002), mono,
+                            st.sampled_from(snap.members))
+        e1, e2 = data.draw(element), data.draw(element)
+        s1 = element_sig(e1, snap)
+        same = [(s1.mono.divide(snap.entries[q].sig.mono), q) for q in snap.members
+                if snap.entries[q].sig.index == s1.index]
+        same = [(t, q) for t, q in same if t is not None]
+        if same and data.draw(st.booleans()):
+            e2 = ReprElement(e2.coeff, *data.draw(st.sampled_from(same)))
+        assert key_cmp(e1, e2, snap) == elem_cmp(e1, e2, snap)
 
 
 def test_substitute_identity(cmp_snap):

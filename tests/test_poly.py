@@ -14,15 +14,15 @@ from f5gb.poly import (
     ORDER_KINDS,
     Monomial,
     MonomialOrder,
-    MonomialQuotient,
     Polynomial,
     is_homogeneous,
     is_prime,
     normal_form,
     poly_axpy,
-    quotient_cmp,
+    quotient_key,
 )
 
+from order_reference import MonomialQuotient, quotient_cmp
 from systems import P, make_ring
 
 
@@ -183,9 +183,10 @@ def sign(x, y):
 
 
 @st.composite
-def exponent_vectors(draw, n):
-    """n exponents in [0, 2^15 - 1] with a degree below 2^15."""
-    budget = draw(st.integers(0, BOUND - 1))
+def exponent_vectors(draw, n, bound=BOUND):
+    """n exponents in [0, 2^15 - 1] with a degree below ``bound``, 2^15 by
+    default."""
+    budget = draw(st.integers(0, bound - 1))
     exps = []
     for _ in range(n):
         e = draw(st.integers(0, budget))
@@ -251,6 +252,27 @@ class TestQuotientOrder:
             )
             == EQ
         )
+        assert quotient_key(M(1, 1), M(1, 1), order) == quotient_key(M(0, 0), M(0, 0), order)
+
+    @pytest.mark.parametrize("kind", ORDER_KINDS)
+    @given(data=st.data())
+    @settings(max_examples=150)
+    def test_key_order_is_cross_multiplication(self, kind, data):
+        # degrees below 2^14, so the reference's cross products stay in
+        # range; half the second quotients are the first times a monomial,
+        # an equal quotient such as x/x against 1/1
+        n = data.draw(st.integers(1, 4))
+        order = MonomialOrder(kind, n)
+        half = exponent_vectors(n, BOUND // 2)
+        n1, d1 = Monomial(data.draw(half)), Monomial(data.draw(half))
+        if data.draw(st.booleans()):
+            t = Monomial(data.draw(exponent_vectors(n, BOUND // 2 - max(n1.deg, d1.deg))))
+            n2, d2 = t.mul(n1), t.mul(d1)
+        else:
+            n2, d2 = Monomial(data.draw(half)), Monomial(data.draw(half))
+        expected = quotient_cmp(MonomialQuotient(n1, d1), MonomialQuotient(n2, d2), order)
+        got = sign(quotient_key(n1, d1, order), quotient_key(n2, d2, order))
+        assert got == expected
 
     @given(st.data())
     @settings(max_examples=100)

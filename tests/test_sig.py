@@ -15,12 +15,12 @@ from f5gb.sig import (
     check_admissible,
     input_representation,
     key_index,
-    sig_cmp,
     sig_divides,
     sig_key,
     sig_mul,
 )
 
+from order_reference import sig_cmp
 from systems import P, make_ring
 
 

@@ -12,7 +12,7 @@ import pytest
 from f5gb import trace
 from f5gb.engine import BudgetExceeded, EngineConfig, incremental_f5
 from f5gb.oracle import GgSnapshot, done_snapshots, find_thm4_pairs_in_snapshot
-from f5gb.poly import Monomial, MonomialOrder, MonomialQuotient, quotient_cmp, GT
+from f5gb.poly import GT, Monomial, MonomialOrder, quotient_key
 from f5gb.sig import LabeledPolynomial, Signature, replay_vectors, sig_key, sig_mul
 from f5gb.trace import (
     ChainReport,
@@ -34,6 +34,7 @@ from f5gb.trace import (
     run_all_checkers,
 )
 
+from order_reference import MonomialQuotient, quotient_cmp
 from systems import (
     CYCLIC4,
     KATSURA5,
@@ -182,6 +183,9 @@ class TestChains:
             MonomialQuotient(b.head, b.sig.mono),
             ring.order,
         ) == GT
+        assert quotient_key(a.head, a.sig.mono, ring.order) > quotient_key(
+            b.head, b.sig.mono, ring.order
+        )
 
     def test_trivial_chain_of_input(self, demo, ring):
         registry = build_registry(demo.events)
