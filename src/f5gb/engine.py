@@ -159,18 +159,24 @@ class Engine:
         self.rules = RuleTable(self.m, self.lay)
         self.G: list[int] = []
         self.done_now: list[int] = []
+        # Two tables keyed by position, each filled on first read.  ``rows``
+        # holds the element's row (packed head, packed signature monomial,
+        # index): the pair loop, the reductor scan and the φ log read
+        # elements through it, and a row may be read only once the element's
+        # polynomial is final, for an input from its CallBegin on and for
+        # any other element from its DoneInserted on.  ``reducers`` holds
+        # the Reducer of an element of a completed G_i, whose polynomial no
+        # longer changes, so each tail is keyed once per run.  Both refer to
+        # R, never to the engine, so a finished engine is freed without
+        # waiting for the cycle collector
+        R = self.R
+        self.rows = Lazy(lambda pos: (R[pos].poly.head_mono.v, R[pos].sig.mono.v, R[pos].index))
+        self.reducers = Lazy(lambda pos: Reducer.of(R[pos].poly, pos))
         # G ∪ Done of the running reduction, ascending by position: the
-        # reductor candidates, as (pos, packed head, packed signature
-        # monomial, index); their polynomials no longer change
+        # reductor candidates, as (pos, *row)
         self.candidates: list[tuple[int, int, int, int]] = []
         self.trails: dict[int, list] = {}
         self.creation_polys: dict[int, Polynomial] = {}
-        # position -> the Reducer of an element of a completed G_i, whose
-        # polynomial no longer changes, so each tail is keyed once per run.
-        # These tables refer to R, never to the engine, so a finished engine
-        # is freed without waiting for the cycle collector
-        R = self.R
-        self.reducers = Lazy(lambda pos: Reducer.of(R[pos].poly, pos))
         # index i -> packed monomial v -> the Reducer of the first element of
         # the completed basis G_i whose head divides v, or None: filled when
         # call i ends, and scanned (``poly.first_divisor``) only on a miss, as
@@ -283,7 +289,8 @@ class Engine:
         those the F5 criterion rejects; each pair is logged as created or
         rejected.
 
-        Each pair is worked out on packed values: t is the lcm of the heads,
+        Each pair is worked out on packed values, read from the ``rows`` of
+        r_ra and of each of ``others``: t is the lcm of the heads,
         u_k = t - head_k is exact because t is a multiple of head_k, and each
         signature multiple is u_k + sig_k, with one guard test for both.  The
         part with the greater multiplied signature comes first: the smaller
@@ -291,8 +298,7 @@ class Engine:
         element of G_{index+1} divides its signature multiple, read from
         ``divisor_memo``.  Monomials and signatures are built only for a pair
         that is created."""
-        R = self.R
-        a = R[ra]
+        rows = self.rows
         lay = self.lay
         guard, shift, fieldwise = lay.guard, lay.shift, lay.fieldwise
         vkey = self.order.vkey
@@ -301,14 +307,13 @@ class Engine:
         counts = self.trace.counts
         blocks = self.divisor_memo
         max_pairs = self.config.max_pairs
-        ha, sa, ia = a.poly.head_mono.v, a.sig.mono.v, a.index
+        ha, sa, ia = rows[ra]
         out: list[CriticalPair] = []
         for rb in others:
-            b = R[rb]
-            hb, ib = b.poly.head_mono.v, b.index
+            hb, sb, ib = rows[rb]
             t = fieldwise(ha, hb, True)
             u1, u2 = t - ha, t - hb
-            m1, m2 = u1 + sa, u2 + b.sig.mono.v
+            m1, m2 = u1 + sa, u2 + sb
             if (m1 | m2) & guard:
                 raise overflow_error(f"a signature multiple of the pair of r{ra} and r{rb}")
             if ia == ib:
@@ -412,7 +417,8 @@ class Engine:
         todo = [(sig_key(self.R[p].sig, self.order), p) for p in new]
         heapify(todo)
         self.done_now = []
-        self.candidates = [self._candidate(p) for p in sorted(self.G)]
+        rows = self.rows
+        self.candidates = [(p, *rows[p]) for p in sorted(self.G)]
         steps = 0
         last_key = None
         while todo:
@@ -440,26 +446,21 @@ class Engine:
         of G_{i+1} whose head divides it, read from ``divisor_memo``, and
         costs the reducer's tail; the steps are logged in order, then h is
         made monic."""
-        steps: list[tuple[int, Monomial, int]] = []
+        steps: list[tuple[int, int, int]] = []
         poly = reduce_with(h.poly, self.divisor_memo[i + 1].__getitem__, steps)
         if not steps:
             return
-        exps = self.trace.exps
+        exps, log, rows = self.trace.exps, self.trace.log, self.rows
         trail = self.trails[h.pos]
+        h_pos, h_mono, h_index = h.pos, exps[h.sig.mono.v], h.index
         for c, u, pos in steps:
-            mult = exps[u.v]
+            mult = exps[u]
             trail.append(["phi", c, mult, pos])
-            self.trace.emit(
-                "PhiPreReduce",
-                call=i,
-                h=h.pos,
-                h_sig=self.trace.sig_payload(h.sig),
-                h_index=h.index,
-                reductor=pos,
-                reductor_index=self.R[pos].index,
-                mult=mult,
-                coeff=c,
-            )
+            log({
+                "seq": None, "kind": "PhiPreReduce", "call": i, "h": h_pos,
+                "h_sig": {"mono": h_mono, "index": h_index}, "h_index": h_index,
+                "reductor": pos, "reductor_index": rows[pos][2], "mult": mult, "coeff": c,
+            })
         h.poly, s = poly.monic_scale()
         if s != 1:
             trail.append(["monic", s])
@@ -483,7 +484,7 @@ class Engine:
                 trail=list(self.trails[h.pos]),
             )
             self.done_now.append(h.pos)
-            insort(self.candidates, self._candidate(h.pos))
+            insort(self.candidates, (h.pos, *self.rows[h.pos]))
             return []
         j_pos, u = red
         j = self.R[j_pos]
@@ -523,11 +524,6 @@ class Engine:
             u_under=self.trace.mono_payload(one),
         )
         return [h.pos, lp.pos]
-
-    def _candidate(self, pos: int) -> tuple[int, int, int, int]:
-        """The entry of r_pos in ``candidates``."""
-        r = self.R[pos]
-        return pos, r.poly.head_mono.v, r.sig.mono.v, r.index
 
     def _is_reducible(self, h: LabeledPolynomial, i: int) -> Optional[tuple[int, Monomial]]:
         """First candidate passing checks (a)-(d), scanning by creation order.

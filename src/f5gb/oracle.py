@@ -38,7 +38,7 @@ from .poly import (
 from .sig import (
     LabeledPolynomial,
     ModuleVector,
-    input_representation as _mv_input_triples,
+    input_representation,
     sig_divides,
     sig_key,
 )
@@ -96,7 +96,7 @@ class RunCache:
         vkey = order.vkey
         key_one = vkey(0)  # the order key of 1
         self.vkey = Lazy(vkey)
-        self.triples = Lazy(lambda pos: _mv_input_triples(vectors[pos]))
+        self.triples = Lazy(lambda pos: input_representation(vectors[pos]))
         self.key_base = Lazy(
             lambda pos: (sig_key(entries[pos].sig, order) - key_one << POS_BITS)
             + POS_MASK - pos
@@ -277,14 +277,6 @@ def repr_sum_check(r: Representation, target: Polynomial, snap: GgSnapshot) -> b
     entries = snap.entries
     value = snap.ring.product_terms((c, t, entries[pos].poly) for c, t, pos in r.elements)
     return value == {m.v: c for c, m in target.terms} and snap.ring == target.ring
-
-
-def input_representation(pos: int, snap: GgSnapshot) -> Representation:
-    """The representation of b_pos over the input polynomials, expanded from
-    its module vector; its greatest element carries exactly the signature."""
-    return Representation(
-        ReprElement(c, m, snap.input_pos[idx]) for c, m, idx in snap.cache.triples[pos]
-    )
 
 
 def _expansion(

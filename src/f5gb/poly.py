@@ -277,14 +277,6 @@ class MonomialOrder:
     def key(self, m: Monomial) -> int:
         return self.vkey(m.v)
 
-    def cmp(self, a: Monomial, b: Monomial) -> int:
-        ka, kb = self.key(a), self.key(b)
-        if ka < kb:
-            return LT
-        if ka > kb:
-            return GT
-        return EQ
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MonomialOrder)
@@ -322,7 +314,7 @@ class Ring:
     def inv(self, c: int) -> int:
         if c % self.p == 0:
             raise ZeroDivisionError("inverse of zero in GF(p)")
-        return pow(c, self.p - 2, self.p)
+        return pow(c, -1, self.p)
 
     def poly(self, terms: Iterable[tuple[int, Monomial]]) -> "Polynomial":
         """Build a polynomial, merging duplicates and dropping zeros."""
@@ -578,7 +570,7 @@ class Reducer(NamedTuple):
     def of(cls, b: "Polynomial", tag: object) -> "Reducer":
         ring = b.ring
         vkey = ring.order.vkey
-        tail = tuple((vkey(m.v), c, m.v) for c, m in b.terms[1:])
+        tail = tuple([(vkey(m.v), c, m.v) for c, m in b.terms[1:]])
         return cls(b.head_mono.v, ring.p - ring.inv(b.head_coeff), tail, tag)
 
 
@@ -590,61 +582,78 @@ def reduce_with(
     """The normal-form kernel: the remainder of p when every term, greatest
     first, is cancelled by the divisor that ``reducer`` gives for its packed
     monomial, or kept when it gives None.  The divisor's head must divide
-    the term.  For each cancellation of c*m by b, (c, m / head(b), b's tag)
-    is appended to ``steps`` when given.
+    the term.  For each cancellation of c*m by b, (c, packed m / head(b),
+    b's tag) is appended to ``steps`` when given.
 
-    The remainder is kept ascending, its head at the end, as parallel lists
-    of order keys, coefficients and packed values: a divisor's tail is
-    inserted term by term with ``bisect``, so no step rebuilds the whole
-    remainder.  Order keys are affine in the packed value, so a product's
-    key is its tail term's key plus key(u) - key(1), with no key computed
-    per product; each product's guard bits are tested first, and one that
-    reaches 2^15 raises ``OverflowError`` as ``Monomial.mul`` does.
+    p's terms are scanned from the head until ``reducer`` answers for one.
+    When none has a divisor, p itself is returned.  Otherwise the terms
+    above the first reducible one are kept as they are, and only the rest
+    enters the remainder, which is kept ascending, its head at the end, as
+    parallel lists of order keys, coefficients and packed values: a
+    divisor's tail is inserted term by term with ``bisect``, so no step
+    rebuilds the whole remainder.  Order keys are affine in the packed
+    value, so a product's key is its tail term's key plus key(u) - key(1),
+    with no key computed per product; each product's guard bits are tested
+    first, and one that reaches 2^15 raises ``OverflowError`` as
+    ``Monomial.mul`` does, also when it would cancel.  A term of p that
+    survives keeps its ``Monomial``; one is built only for a product term
+    that enters the remainder.
     """
+    terms = p.terms
+    for first, (c, m) in enumerate(terms):
+        found = reducer(m.v)
+        if found is not None:
+            break
+    else:
+        return p
     ring = p.ring
     mod = ring.p
-    lay = _layout(ring.n)
+    lay = m.lay
     guard = lay.guard
     vkey = ring.order.vkey
     key_one = vkey(0)
-    vals = [m.v for _, m in reversed(p.terms)]
-    keys = [vkey(v) for v in vals]
-    coeffs = [c for c, _ in reversed(p.terms)]
-    done: list[tuple[int, int]] = []
-    while keys:
+    v = m.v
+    rest = terms[:first:-1]  # the terms below the first reducible one, ascending
+    kept = {mono.v: mono for _, mono in rest}
+    vals = list(kept)
+    keys = [vkey(x) for x in vals]
+    coeffs = [cr for cr, _ in rest]
+    out = list(terms[:first])
+    while True:
+        if found is None:
+            out.append((c, kept.get(v) or packed_monomial(v, lay)))
+        else:
+            head, neg_inv, tail, tag = found
+            u = (v | guard) - head ^ guard
+            if steps is not None:
+                steps.append((c, u, tag))
+            factor = c * neg_inv % mod
+            ku = vkey(u) - key_one
+            hi = len(keys)
+            for kb, cb, vb in tail:
+                w = vb + u
+                if w & guard:
+                    raise overflow_error(
+                        f"product of {packed_monomial(u, lay)!r} and {packed_monomial(vb, lay)!r}"
+                    )
+                k = kb + ku
+                hi = bisect_left(keys, k, 0, hi)
+                if hi < len(keys) and keys[hi] == k:
+                    cn = (coeffs[hi] + cb * factor) % mod
+                    if cn:
+                        coeffs[hi] = cn
+                    else:
+                        del keys[hi], coeffs[hi], vals[hi]
+                else:
+                    keys.insert(hi, k)
+                    coeffs.insert(hi, cb * factor % mod)
+                    vals.insert(hi, w)
+        if not keys:
+            return Polynomial(ring, tuple(out))
         keys.pop()
         c = coeffs.pop()
         v = vals.pop()
         found = reducer(v)
-        if found is None:
-            done.append((c, v))
-            continue
-        head, neg_inv, tail, tag = found
-        u = (v | guard) - head ^ guard
-        if steps is not None:
-            steps.append((c, packed_monomial(u, lay), tag))
-        factor = c * neg_inv % mod
-        ku = vkey(u) - key_one
-        hi = len(keys)
-        for kb, cb, vb in tail:
-            w = vb + u
-            if w & guard:
-                raise overflow_error(
-                    f"product of {packed_monomial(u, lay)!r} and {packed_monomial(vb, lay)!r}"
-                )
-            k = kb + ku
-            hi = bisect_left(keys, k, 0, hi)
-            if hi < len(keys) and keys[hi] == k:
-                cn = (coeffs[hi] + cb * factor) % mod
-                if cn:
-                    coeffs[hi] = cn
-                else:
-                    del keys[hi], coeffs[hi], vals[hi]
-            else:
-                keys.insert(hi, k)
-                coeffs.insert(hi, cb * factor % mod)
-                vals.insert(hi, w)
-    return Polynomial(ring, tuple((c, packed_monomial(v, lay)) for c, v in done))
 
 
 def first_divisor(

@@ -587,9 +587,15 @@ def all_admissible(
     registry: Registry, replay: ReplayReport, vectors: Mapping[int, ModuleVector]
 ) -> bool:
     """Whether every element's replayed vector (``sig.replay_vectors``) leads
-    with its logged signature; one the replay did not build does not."""
+    with its logged signature; one the replay did not build does not.
+
+    A vector's coordinate k multiplies input f_{k+1}, so the inputs are
+    indexed by call, with zero for a call the log lacks: a log cut short by
+    a budget exit stops before call 1."""
     polys = replay.polys
-    inputs = [polys[registry.calls[i]["input_pos"]] for i in sorted(registry.calls)]
+    begun = {i: polys[ev["input_pos"]] for i, ev in registry.calls.items()}
+    zero = next(iter(begun.values())).ring.zero if begun else None
+    inputs = [begun.get(i, zero) for i in range(1, max(begun, default=0) + 1)]
     return all(
         pos in vectors and check_admissible(vectors[pos], e.sig, polys[pos], inputs)
         for pos, e in registry.entries.items()

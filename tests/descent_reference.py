@@ -32,7 +32,7 @@ from f5gb.oracle import (
 from f5gb.poly import EQ, GT, LT, Monomial
 from f5gb.sig import Signature, sig_key, sig_mul
 
-from order_reference import sig_cmp
+from order_reference import mono_cmp, sig_cmp
 
 
 def element_sig(e: ReprElement, snap: GgSnapshot) -> Signature:
@@ -148,7 +148,7 @@ def reference_violation(r, mh_sig, mh_hm, snap):
         return None
     heads = [(element_head(e, snap), e) for e in form]
     m_max = max((h for h, _ in heads), key=order.key)
-    if order.cmp(m_max, mh_hm) != GT:
+    if mono_cmp(m_max, mh_hm, order) != GT:
         return None
     names = snap.ring.names
     top = [f"{e.coeff}*{e.mono.text(names)}*r{e.pos}" for h, e in heads if h == m_max]

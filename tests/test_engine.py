@@ -22,13 +22,13 @@ from f5gb.engine import (
     ZeroInputPolynomial,
     incremental_f5,
 )
-from f5gb.poly import GT, ORDER_KINDS, Monomial
+from f5gb.poly import GT, ORDER_KINDS, Lazy, Monomial
 from f5gb.sig import Signature, check_admissible, sig_mul
 from systems import P, replayed_vectors
 from f5gb.trace import (EXPONENT_FIELDS, Trace, events_from_jsonl, poly_from_payload,
                         sig_from_payload)
 
-from order_reference import sig_cmp
+from order_reference import mono_cmp, sig_cmp
 from phi_reference import phi_reduce_reference
 from systems import (CYCLIC4, CYCLIC5, KATSURA5, LEX_SCOPE, P, SUITE, engine_pin_systems,
                      make_ring, polys)
@@ -211,7 +211,7 @@ class TestTopReductionBranches:
                 p = p.sub(res.R[j].poly.term_mul(c, Monomial(u)))
                 if kind == "top":
                     # a top step cancels the head: strict decrease or zero
-                    assert p.is_zero or ring.order.cmp(p.head_mono, before) == -1
+                    assert p.is_zero or mono_cmp(p.head_mono, before, ring.order) == -1
             assert p.monic() == poly_from_payload(ring, ev["poly"]).monic()
 
     def test_check_d_rejects_an_equal_signature_reductor(self):
@@ -222,7 +222,7 @@ class TestTopReductionBranches:
         eng = Engine(ring, polys(ring, "x^2 + y^2"))
         eng._begin_call(1, [])
         h = eng._new_labeled(Signature(M(0, 1), 1), polys(ring, "x^2*y + 3*y^3")[0])
-        eng.candidates = [eng._candidate(0)]
+        eng.candidates = [(0, *eng.rows[0])]
         assert eng._is_reducible(h, 1) is None
         assert list(eng.trace.events[-1].items()) == [
             ("seq", 2), ("kind", "RewrittenReject"), ("call", 1),
@@ -488,6 +488,45 @@ class TestPhiAgainstReference:
         assert eng.trails[h.pos] == trail + ([["monic", scale]] if scale != 1 else [])
 
 
+class TestRows:
+    def test_every_row_read_is_current(self, monkeypatch):
+        # each row the pair loop reads, and each candidate the reductor scan
+        # reads, equals the element's (head, signature monomial, index) at
+        # that moment, and the run logs what an unwatched run logs
+        ring = make_ring(32003, CYCLIC4[0])
+        inputs = polys(ring, *CYCLIC4[1])
+        rows_read, candidates_read = [], []
+
+        def current(R, pos):
+            return R[pos].poly.head_mono.v, R[pos].sig.mono.v, R[pos].index
+
+        class WatchedRows(Lazy):
+            def __getitem__(self, pos):
+                row = super().__getitem__(pos)
+                assert row == current(self.R, pos)
+                rows_read.append(pos)
+                return row
+
+        init, is_reducible = Engine.__init__, Engine._is_reducible
+
+        def watched_init(self, *args):
+            init(self, *args)
+            self.rows = WatchedRows(self.rows.make)
+            self.rows.R = self.R
+
+        def watched_is_reducible(self, h, i):
+            assert all(entry[1:] == current(self.R, entry[0]) for entry in self.candidates)
+            candidates_read.extend(entry[0] for entry in self.candidates)
+            return is_reducible(self, h, i)
+
+        monkeypatch.setattr(Engine, "__init__", watched_init)
+        monkeypatch.setattr(Engine, "_is_reducible", watched_is_reducible)
+        events = incremental_f5(inputs).events
+        assert rows_read and candidates_read
+        monkeypatch.undo()
+        assert events == incremental_f5(inputs).events
+
+
 class TestOverflow:
     """Every packed product the engine forms tests its guard bits: one that
     reaches 2^15 raises ``OverflowError`` and never wraps.  Past the pair's
@@ -528,7 +567,7 @@ class TestOverflow:
         ring, eng = self.lex_engine()
         j = eng._new_labeled(Signature(M(0, 30000), 1), P(ring, "x"))
         h = eng._new_labeled(Signature(M(3000, 0), 1), P(ring, "x^3000"))
-        eng.candidates = [eng._candidate(j.pos)]
+        eng.candidates = [(j.pos, *eng.rows[j.pos])]
         with pytest.raises(OverflowError, match="product of .*2\\^15"):
             eng._is_reducible(h, 1)
 
@@ -537,7 +576,7 @@ class TestOverflow:
         j = eng._new_labeled(Signature(M(0, 0), 1), P(ring, "x + y^30000"))
         eng._add_rule(j.sig, j.pos)
         h = eng._new_labeled(Signature(M(3000, 0), 1), P(ring, "x^3000"))
-        eng.candidates = [eng._candidate(j.pos)]
+        eng.candidates = [(j.pos, *eng.rows[j.pos])]
         assert eng._is_reducible(h, 1) == (j.pos, M(2999, 0))
         with pytest.raises(OverflowError, match="product of .*2\\^15"):
             eng._top_reduction(h, 1)

@@ -29,7 +29,6 @@ from f5gb.oracle import (
     find_unrejected_reductor,
     harvest_descent_seeds,
     ideal_equal,
-    input_representation,
     is_reduced,
     reduced_basis,
     reductor_passes_engine_checks,
@@ -289,8 +288,10 @@ class TestSumCheck:
         assert not repr_sum_check(r, P(ring, "x^2*y"), snap)
 
     def test_input_representation_of_member(self, sum_snap):
+        # b_1 over the inputs, expanded from its module vector: its greatest
+        # element carries exactly the signature
         ring, snap = sum_snap
-        r = input_representation(1, snap)
+        r = Representation(E(c, m, snap.input_pos[idx]) for c, m, idx in snap.cache.triples[1])
         assert r == Representation([E(1, M(0, 0), 1)])
         assert repr_sum_check(r, P(ring, "x^2 + y^2"), snap)
 

@@ -12,17 +12,22 @@ from f5gb.poly import (
     GT,
     LT,
     ORDER_KINDS,
+    Lazy,
     Monomial,
     MonomialOrder,
     Polynomial,
+    Reducer,
+    first_divisor,
     is_homogeneous,
     is_prime,
     normal_form,
     poly_axpy,
     quotient_key,
+    reduce_with,
 )
 
-from order_reference import MonomialQuotient, quotient_cmp
+from order_reference import MonomialQuotient, mono_cmp, quotient_cmp
+from phi_reference import phi_reduce_reference
 from systems import P, make_ring
 
 
@@ -42,7 +47,7 @@ def validate_poly(p: Polynomial) -> None:
         if not (0 < c < p.ring.p):
             raise AssertionError(f"coefficient {c} out of range")
     for (c1, m1), (c2, m2) in zip(p.terms, p.terms[1:]):
-        if order.cmp(m1, m2) != GT:
+        if mono_cmp(m1, m2, order) != GT:
             raise AssertionError("terms out of order")
 
 
@@ -50,16 +55,16 @@ class TestMonomialOrder:
     def test_degrevlex_tiebreak(self):
         # forced by the reversed-exponent tie-break: y^2 > x*z
         order = MonomialOrder("degrevlex", 3)
-        assert order.cmp(M(0, 2, 0), M(1, 0, 1)) == GT
+        assert mono_cmp(M(0, 2, 0), M(1, 0, 1), order) == GT
 
     def test_identity(self):
         for kind in ("degrevlex", "deglex", "lex"):
             order = MonomialOrder(kind, 2)
-            assert order.cmp(M(1, 2), M(1, 2)) == EQ
+            assert mono_cmp(M(1, 2), M(1, 2), order) == EQ
 
     def test_lex_ignores_degree(self):
         order = MonomialOrder("lex", 2)
-        assert order.cmp(M(1, 0), M(0, 5)) == GT
+        assert mono_cmp(M(1, 0), M(0, 5), order) == GT
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -76,13 +81,13 @@ class TestMonomialOrder:
         monos = st.builds(Monomial, st.tuples(*[st.integers(0, 5)] * n))
         a, b, c = data.draw(monos), data.draw(monos), data.draw(monos)
         # antisymmetry
-        assert order.cmp(a, b) == -order.cmp(b, a)
+        assert mono_cmp(a, b, order) == -mono_cmp(b, a, order)
         # transitivity
-        if order.cmp(a, b) != LT and order.cmp(b, c) != LT:
-            assert order.cmp(a, c) != LT
+        if mono_cmp(a, b, order) != LT and mono_cmp(b, c, order) != LT:
+            assert mono_cmp(a, c, order) != LT
         # degree compatibility
         if kind != "lex" and a.deg > b.deg:
-            assert order.cmp(a, b) == GT
+            assert mono_cmp(a, b, order) == GT
 
 
 class TestMonomial:
@@ -132,7 +137,7 @@ class TestMonomial:
         for _ in range(2):
             for order, expected in ascending:
                 assert sorted([a, b, c, d], key=order.key) == expected
-                assert order.cmp(a, b) == (LT if order is revlex else GT)
+                assert mono_cmp(a, b, order) == (LT if order is revlex else GT)
         # an equal order whose name is a separately built string
         for kind, order in (("degrev", revlex), ("deg", deglex)):
             same = MonomialOrder("".join([kind, "lex"]), 3)
@@ -282,7 +287,7 @@ class TestQuotientOrder:
         m1, m2, d = data.draw(monos), data.draw(monos), data.draw(monos)
         assert quotient_cmp(
             MonomialQuotient(m1, d), MonomialQuotient(m2, d), order
-        ) == order.cmp(m1, m2)
+        ) == mono_cmp(m1, m2, order)
 
 
 class TestPolynomial:
@@ -543,6 +548,74 @@ class TestNormalForm:
         ]
         once = normal_form(p, basis)
         assert normal_form(once, basis) == once
+
+
+class TestReduceWith:
+    """The normal-form kernel under the reducer ``normal_form`` builds,
+    against the step loop of ``tests/phi_reference.py`` and the textbook
+    division."""
+
+    @staticmethod
+    def reducer(ring, basis, queried):
+        heads = [(b.head_mono.mask, b.head_mono.v, k) for k, b in enumerate(basis)]
+        prepared = Lazy(lambda k: Reducer.of(basis[k], k))
+        lay = ring.order.lay
+
+        def reducer(v):
+            queried.append(v)
+            return first_divisor(lay, prepared, heads, v)
+
+        return reducer
+
+    @given(
+        st.data(),
+        st.sampled_from(ORDER_KINDS),
+        st.sampled_from(AXPY_PRIMES),
+    )
+    @settings(max_examples=300)
+    def test_matches_references(self, data, kind, prime):
+        ring = make_ring(prime, ["x", "y", "z"], kind)
+        monos = st.builds(Monomial, st.tuples(*[st.integers(0, 3)] * 3))
+        terms = st.lists(st.tuples(st.integers(1, prime - 1), monos), max_size=6)
+        p = ring.poly(data.draw(terms))
+        basis = [b.monic() for b in (ring.poly(data.draw(terms)) for _ in range(
+            data.draw(st.integers(1, 4)))) if not b.is_zero]
+        queried, steps = [], []
+        out = reduce_with(p, self.reducer(ring, basis, queried), steps)
+        remainder, ref_steps, scale = phi_reduce_reference(p, list(enumerate(basis)))
+        assert out.scale(scale) == remainder
+        assert out == normal_form_reference(p, basis)
+        assert steps == [(c, u.v, k) for c, u, k in ref_steps]
+        # each term is offered to the reducer once, greatest first: every
+        # cancelled term, and every term of the remainder
+        visited = [u.v + basis[k].head_mono.v for _, u, k in ref_steps]
+        visited += [m.v for _, m in out.terms]
+        assert queried == sorted(visited, key=ring.order.vkey, reverse=True)
+        if not steps:
+            assert out is p
+        # a term of p that survives keeps its Monomial
+        of_p = {m.v: m for _, m in p.terms}
+        assert all(m is of_p[m.v] for _, m in out.terms if m.v in of_p)
+
+    def test_untouched_prefix_is_kept(self, ring):
+        p = P(ring, "x^3 + x^2*y + x*y^2 + y^3")
+        out = reduce_with(p, TestReduceWith.reducer(ring, [P(ring, "x*y^2 + y^3")], []))
+        assert out == P(ring, "x^3 + x^2*y")
+        assert out.terms[0] is p.terms[0] and out.terms[1] is p.terms[1]
+
+    def test_overflow_raises_also_when_it_would_cancel(self):
+        # the tail term of this reducer would cancel y, but its packed value
+        # carries a guard bit: the guard test comes before the merge
+        ring = make_ring(7, ["x", "y"], "lex")
+        p = P(ring, "x + 3*y")
+        y = M(0, 1)
+        bad = y.v | y.lay.guard
+        found = Reducer(M(1, 0).v, 6, ((ring.order.key(y), 3, bad),), 0)
+        with pytest.raises(OverflowError, match="2\\^15"):
+            reduce_with(p, lambda v: found if v == M(1, 0).v else None)
+        # the same reducer with the valid value cancels y
+        ok = found._replace(tail=((ring.order.key(y), 3, y.v),))
+        assert reduce_with(p, lambda v: ok if v == M(1, 0).v else None).is_zero
 
 
 class TestHomogeneity:

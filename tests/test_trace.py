@@ -609,6 +609,17 @@ class TestLogPlants:
         ring, events, _ = planted_log("cyclic4", "sig_swap")
         assert not replayed_admissible(events, ring)
 
+    def test_budget_exit_prefix_is_admissible(self):
+        # under deglex katsura-5 passes degree 9 in call 3, so the log lacks
+        # calls 1 and 2; coordinate 0 of every vector still multiplies f_1
+        ring = make_ring(32003, KATSURA5[0], "deglex")
+        with pytest.raises(BudgetExceeded) as exc:
+            incremental_f5(polys(ring, *KATSURA5[1]), EngineConfig(max_degree=9))
+        events = exc.value.events
+        assert len(events) == 23533
+        assert sorted(build_registry(events).calls) == [3, 4, 5, 6]
+        assert replayed_admissible(events, ring)
+
 
 class TestDominanceCount:
     def test_matches_brute_force(self):
