@@ -614,7 +614,7 @@ def reduce_with(
     key_one = vkey(0)
     v = m.v
     rest = terms[:first:-1]  # the terms below the first reducible one, ascending
-    kept = {mono.v: mono for _, mono in rest}
+    kept = {mono.v: mono for _, mono in rest}  # p's monomials are distinct
     vals = list(kept)
     keys = [vkey(x) for x in vals]
     coeffs = [cr for cr, _ in rest]
