@@ -51,7 +51,6 @@ from .poly import (
     is_homogeneous,
     is_prime,
 )
-from .sig import replay_vectors
 from .trace import all_admissible, build_registry, check_replay, run_all_checkers
 
 
@@ -260,21 +259,25 @@ def run_check(problem: ProblemFile, config: EngineConfig, descent_samples: int,
               descent_cap: int, seed: int) -> dict:
     """Engine + reference + checkers + sampled descents; machine-form report.
 
-    One replay of the log gives the ``trail_replay`` report and the module
-    vectors of the ``admissible`` verdict and of the descents."""
+    Once the engine returns, all of it reads the event log: one registry and
+    one replay give the reports, the checked basis (call 1's ``CallEnd``),
+    the module vectors and the descent snapshots."""
     t0 = time.perf_counter()
     result = incremental_f5(problem.polynomials, config)
-    f5_basis = result.basis_polynomials()
+    events, ring = result.events, problem.ring
+    registry = build_registry(events)
+    replay = check_replay(events, ring)
+    # call 1's basis, ordered as ``EngineResult.basis_polynomials`` orders it
+    basis = next((ev["basis"] for ev in reversed(events)
+                  if ev["kind"] == "CallEnd" and ev["call"] == 1), [])
+    f5_basis = sorted((replay.polys[p] for p in basis), key=lambda q: ring.order.key(q.head_mono))
     oracle_basis = buchberger(problem.polynomials)
     equal = ideal_equal(f5_basis, oracle_basis)
-    registry = build_registry(result.events)
-    replay = check_replay(result.events, problem.ring)
-    vectors = replay_vectors(problem.ring, replay.ops)
-    snapshots = done_snapshots(result, registry, vectors)
-    reports = run_all_checkers(result.events, problem.ring, registry, replay)
+    snapshots = done_snapshots(ring, registry, replay)
+    reports = run_all_checkers(events, ring, registry, replay)
     verdicts = {rep.name: rep.passed for rep in reports}
     verdicts["ideal_equal"] = equal
-    verdicts["admissible"] = all_admissible(registry, replay, vectors)
+    verdicts["admissible"] = all_admissible(registry, replay)
 
     descents = {"attempted": 0, "completed": 0, "max_steps": 0, "failures": []}
     thm4 = {"pairs": 0, "reductor_ok": 0, "failures": []}
@@ -305,7 +308,7 @@ def run_check(problem: ProblemFile, config: EngineConfig, descent_samples: int,
                 verdict = reductor_passes_engine_checks(snap, mono, pos, f)
                 if verdict is None:
                     thm4["reductor_ok"] += 1
-                    witness = f"reductor {mono.text(problem.ring.names)}*r{pos} passes (a)-(d)"
+                    witness = f"reductor {mono.text(ring.names)}*r{pos} passes (a)-(d)"
                 else:
                     witness = f"check ({verdict}) failed"
             except DescentError as exc:
@@ -316,7 +319,7 @@ def run_check(problem: ProblemFile, config: EngineConfig, descent_samples: int,
 
     report = {
         "basis_size": len(f5_basis),
-        "head_monomials": [q.head_mono.text(problem.ring.names) for q in f5_basis],
+        "head_monomials": [q.head_mono.text(ring.names) for q in f5_basis],
         "counters": result.counters,
         "verdicts": verdicts,
         "checker_lines": [rep.line() for rep in reports],
@@ -366,9 +369,9 @@ def cmd_descend(args) -> int:
         if len(mult.terms) != 1:
             raise ParseError(f"{args.mult!r} is not exactly one nonzero term", 0, "--mult")
         mono = mult.head_mono
-    result = incremental_f5(problem.polynomials, _config_from_args(args))
-    vectors = replay_vectors(problem.ring, check_replay(result.events, problem.ring).ops)
-    snapshots = done_snapshots(result, build_registry(result.events), vectors)
+    events = incremental_f5(problem.polynomials, _config_from_args(args)).events
+    replay = check_replay(events, problem.ring)
+    snapshots = done_snapshots(problem.ring, build_registry(events), replay)
     if not snapshots:
         print("no snapshots captured (no Done insertions in this run)")
         return 2

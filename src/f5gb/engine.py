@@ -127,7 +127,6 @@ class RuleTable:
 @dataclass
 class EngineResult:
     ring: Ring
-    inputs: list[Polynomial]
     R: list[LabeledPolynomial]
     basis: tuple[int, ...]
     events: list[dict]
@@ -228,7 +227,6 @@ class Engine:
             self._end_call(i, self.G)
         return EngineResult(
             ring=self.ring,
-            inputs=self.inputs,
             R=self.R,
             basis=tuple(self.G),
             events=self.trace.events,

@@ -1,7 +1,8 @@
 """Constructive descent on basis representations, plus a Buchberger reference.
 
 A representation writes a multiplied basis element as a sum of coefficient *
-monomial * basis-element products over a frozen snapshot of the engine state.
+monomial * basis-element products over a snapshot of the basis at one Done
+insertion, rebuilt from the run's event log (``done_snapshots``).
 The descent repeatedly rewrites offending elements (shifted-signature
 reducible, or rewritable by a newer rule) into strictly smaller
 representations until none is left; the final representation yields a
@@ -21,7 +22,6 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Collection, Iterable, Mapping, Optional, Sequence
 
-from .engine import EngineResult
 from .poly import (
     EQ,
     GT,
@@ -42,7 +42,7 @@ from .sig import (
     sig_divides,
     sig_key,
 )
-from .trace import InsertionView, Registry, in_scope, membership_at
+from .trace import InsertionView, Registry, ReplayReport, in_scope, membership_at
 
 
 class DescentError(Exception):
@@ -148,26 +148,16 @@ class GgSnapshot(InsertionView):
         self._violated: dict[int, Optional[str]] = {}
 
     @classmethod
-    def from_result(cls, result: EngineResult, registry: Registry, seq: int,
+    def from_result(cls, ring: Ring, registry: Registry, seq: int, call: int, pos: int,
+                    entries: Mapping[int, LabeledPolynomial], input_pos: dict[int, int],
                     vectors: Mapping[int, ModuleVector],
                     cache: Optional[RunCache] = None) -> "GgSnapshot":
-        """The snapshot of the ``DoneInserted`` event at ``seq``; ``registry``
-        is built from ``result.events``, and ``vectors`` replayed from them.
-        The snapshot shares ``result.R``, whose element at each position is
-        the one created there, the registry's rule tables, ``vectors``, and
-        ``cache`` when one is given."""
-        done = result.events[seq]
-        return cls(
-            ring=result.ring,
-            entries=result.R,
-            members=membership_at(registry, done["call"], seq) + [done["pos"]],
-            g_pos=done["pos"],
-            rules=registry.rules,
-            seq=seq,
-            input_pos={call: begin["input_pos"] for call, begin in registry.calls.items()},
-            vectors=vectors,
-            cache=cache,
-        )
+        """The snapshot of the ``DoneInserted`` event at ``seq``, which
+        inserts ``pos`` in call ``call`` (an entry of ``registry.insertions``).
+        It shares ``entries``, ``input_pos``, ``vectors``, the registry's
+        rule tables, and ``cache`` when one is given."""
+        members = membership_at(registry, call, seq) + [pos]
+        return cls(ring, entries, members, pos, registry.rules, seq, input_pos, vectors, cache)
 
     def elem_key(self, t: Monomial, pos: int) -> int:
         """An int ascending in the element order for the element t * b_pos.
@@ -814,17 +804,20 @@ def find_thm4_pairs_in_snapshot(
     return out
 
 
-def done_snapshots(
-    result: EngineResult, registry: Registry, vectors: Mapping[int, ModuleVector]
-) -> list[GgSnapshot]:
-    """One snapshot per Done insertion of the run, in log order; ``registry``
-    is built from ``result.events``, and ``vectors`` replayed from them.  The
-    snapshots share one ``RunCache``."""
-    cache = RunCache(result.ring, result.R, vectors)
+def done_snapshots(ring: Ring, registry: Registry, replay: ReplayReport) -> list[GgSnapshot]:
+    """One snapshot per Done insertion of a run, in log order, from its log
+    alone: ``registry`` is built from the events and ``replay`` replayed
+    from them.  A position's element carries its logged signature and
+    replayed polynomial.  The snapshots share the elements, the input
+    positions, the replayed vectors and one ``RunCache``."""
+    entries = {p: LabeledPolynomial(p, e.sig, replay.polys[p]) for p, e in registry.entries.items()}
+    input_pos = {call: begin["input_pos"] for call, begin in registry.calls.items()}
+    vectors = replay.vectors
+    cache = RunCache(ring, entries, vectors)
     return [
-        GgSnapshot.from_result(result, registry, seq, vectors, cache)
-        for done in registry.insertions.values()
-        for seq, _ in done
+        GgSnapshot.from_result(ring, registry, seq, call, pos, entries, input_pos, vectors, cache)
+        for call, done in registry.insertions.items()
+        for seq, pos in done
     ]
 
 

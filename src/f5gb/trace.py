@@ -13,14 +13,15 @@ import math
 import re
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from itertools import permutations
 from operator import itemgetter
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .poly import (Layout, Lazy, Monomial, Polynomial, Ring, overflow_error, poly_axpy,
                    quotient_key)
-from .sig import ModuleVector, Signature, check_admissible, key_index, sig_divides, sig_key, sig_mul
+from .sig import (ModuleVector, Signature, check_admissible, key_index, replay_vectors,
+                  sig_divides, sig_key, sig_mul)
 
 EVENT_KINDS = (
     "CallBegin",
@@ -478,11 +479,17 @@ def check_genealogy(registry: Registry, order) -> CheckReport:
 @dataclass
 class ReplayReport(CheckReport):
     """The report of ``check_replay``, with the operations it performed, in
-    log order (``sig.replay_vectors`` reads them), and each position's
-    polynomial at the end of the log."""
+    log order, each position's polynomial at the end of the log, and its
+    ring.  ``vectors`` holds each position's module vector, replayed from
+    the operations (``sig.replay_vectors``) on first read."""
 
     ops: list = field(default_factory=list)
     polys: dict = field(default_factory=dict)
+    ring: Optional[Ring] = None
+
+    @cached_property
+    def vectors(self) -> dict[int, ModuleVector]:
+        return replay_vectors(self.ring, self.ops)
 
 
 def _same_poly(q: Polynomial, payload: list, monos: Lazy) -> bool:
@@ -580,22 +587,19 @@ def check_replay(events: Sequence[dict], ring: Ring) -> ReplayReport:
                 failures.append((seq, "trail differs from the replay"))
             if not _same_poly(created[pos], ev["creation_poly"], monos):
                 failures.append((seq, "creation polynomial differs from the replay"))
-    return ReplayReport("trail_replay", not failures, checked, failures, ops, P)
+    return ReplayReport("trail_replay", not failures, checked, failures, ops, P, ring)
 
 
-def all_admissible(
-    registry: Registry, replay: ReplayReport, vectors: Mapping[int, ModuleVector]
-) -> bool:
-    """Whether every element's replayed vector (``sig.replay_vectors``) leads
-    with its logged signature; one the replay did not build does not.
+def all_admissible(registry: Registry, replay: ReplayReport) -> bool:
+    """Whether every element's replayed vector (``ReplayReport.vectors``)
+    leads with its logged signature; one the replay did not build does not.
 
     A vector's coordinate k multiplies input f_{k+1}, so the inputs are
     indexed by call, with zero for a call the log lacks: a log cut short by
     a budget exit stops before call 1."""
-    polys = replay.polys
+    polys, vectors = replay.polys, replay.vectors
     begun = {i: polys[ev["input_pos"]] for i, ev in registry.calls.items()}
-    zero = next(iter(begun.values())).ring.zero if begun else None
-    inputs = [begun.get(i, zero) for i in range(1, max(begun, default=0) + 1)]
+    inputs = [begun.get(i, replay.ring.zero) for i in range(1, max(begun, default=0) + 1)]
     return all(
         pos in vectors and check_admissible(vectors[pos], e.sig, polys[pos], inputs)
         for pos, e in registry.entries.items()

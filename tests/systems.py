@@ -11,7 +11,7 @@ from f5gb.cli import _parse_poly
 from f5gb.engine import EngineConfig
 from f5gb.oracle import done_snapshots
 from f5gb.poly import ORDER_KINDS, Monomial, MonomialOrder, Polynomial, Ring
-from f5gb.sig import replay_vectors, sig_key
+from f5gb.sig import sig_key
 from f5gb.trace import (Registry, _PairRules, build_registry, check_replay, in_scope,
                         membership_at)
 
@@ -31,12 +31,22 @@ def polys(ring: Ring, *texts: str) -> list[Polynomial]:
 def replayed_vectors(result) -> dict:
     """The module vector of every position of an engine run, replayed from
     its log."""
-    return replay_vectors(result.ring, check_replay(result.events, result.ring).ops)
+    return check_replay(result.events, result.ring).vectors
+
+
+def replayed_inputs(result) -> list:
+    """The monic inputs f_1, ..., f_m of an engine run, as the replay of its
+    log rebuilds them from the ``CallBegin`` events."""
+    polys = check_replay(result.events, result.ring).polys
+    begins = sorted((ev["call"], ev["input_pos"]) for ev in result.events
+                    if ev["kind"] == "CallBegin")
+    return [polys[pos] for _, pos in begins]
 
 
 def run_snapshots(result) -> list:
     """The descent snapshots of an engine run, one per Done insertion."""
-    return done_snapshots(result, build_registry(result.events), replayed_vectors(result))
+    events = result.events
+    return done_snapshots(result.ring, build_registry(events), check_replay(events, result.ring))
 
 
 def rule_tables(rules: dict) -> dict:

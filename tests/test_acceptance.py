@@ -30,13 +30,14 @@ from f5gb.sig import LabeledPolynomial, Signature, check_admissible, sig_mul
 from f5gb.trace import (
     build_registry,
     check_d_progression,
+    check_replay,
     check_signature_safety,
     check_thm5_exhaustive,
     extract_chain,
 )
 
 from descent_reference import descent_violation, elem_cmp, repr_cmp
-from systems import P, make_ring, replayed_vectors, standard_monomial_count, suite_instances
+from systems import P, make_ring, replayed_inputs, standard_monomial_count, suite_instances
 
 DESCENT_CAP = 10**5
 
@@ -58,7 +59,8 @@ def suite():
                 "ring": ring,
                 "polys": polys,
                 "result": result,
-                "vectors": replayed_vectors(result),
+                "replay": check_replay(result.events, ring),
+                "inputs": replayed_inputs(result),
                 "oracle": oracle_basis,
             }
         )
@@ -132,8 +134,8 @@ def test_criterion_5_admissibility(suite):
     for run in suite["runs"]:
         for lp in run["result"].R:
             checked += 1
-            mv = run["vectors"][lp.pos]
-            if not check_admissible(mv, lp.sig, lp.poly, run["result"].inputs):
+            mv = run["replay"].vectors[lp.pos]
+            if not check_admissible(mv, lp.sig, lp.poly, run["inputs"]):
                 failures.append((run["name"], lp.pos))
     _report(5, not failures, f"{checked} labeled polynomials, 100% admissible")
 
@@ -161,7 +163,7 @@ def test_criterion_7_descents(suite):
     for run in suite["runs"]:
         result = run["result"]
         registry = build_registry(result.events)
-        snapshots = done_snapshots(result, registry, run["vectors"])
+        snapshots = done_snapshots(run["ring"], registry, run["replay"])
         seeds = harvest_descent_seeds(snapshots, 0, rng)  # every seed, no sampling
         for snap, coeff, mono, pos in seeds:
             instances += 1

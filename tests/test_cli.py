@@ -219,9 +219,9 @@ class TestCommands:
         snapshots = []
         from_result = oracle.GgSnapshot.from_result.__func__
 
-        def counting_snapshot(cls, result, registry, seq, *rest):
+        def counting_snapshot(cls, ring, registry, seq, *rest):
             snapshots.append(seq)
-            return from_result(cls, result, registry, seq, *rest)
+            return from_result(cls, ring, registry, seq, *rest)
 
         replays = []
         replay = trace.check_replay

@@ -24,7 +24,7 @@ from f5gb.engine import (
 )
 from f5gb.poly import GT, ORDER_KINDS, Lazy, Monomial
 from f5gb.sig import Signature, check_admissible, sig_mul
-from systems import P, replayed_vectors
+from systems import P, replayed_inputs, replayed_vectors
 from f5gb.trace import (EXPONENT_FIELDS, Trace, events_from_jsonl, poly_from_payload,
                         sig_from_payload)
 
@@ -114,10 +114,8 @@ class TestDemoRun:
             assert sig_from_payload(ev["sig"]).index == ev["call"]
 
     def test_admissible_throughout(self, demo):
-        vectors = replayed_vectors(demo)
-        assert all(
-            check_admissible(vectors[lp.pos], lp.sig, lp.poly, demo.inputs) for lp in demo.R
-        )
+        vectors, inputs = replayed_vectors(demo), replayed_inputs(demo)
+        assert all(check_admissible(vectors[lp.pos], lp.sig, lp.poly, inputs) for lp in demo.R)
 
 
 class TestMonomialIdeals:
@@ -139,7 +137,7 @@ class TestMonomialIdeals:
         lp = res.R[pos]
         mv = replayed_vectors(res)[pos]
         assert lp.poly.is_zero
-        assert mv.value(res.inputs).is_zero
+        assert mv.value(replayed_inputs(res)).is_zero
         assert mv.lead()[1] == lp.sig
 
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from f5gb.engine import BudgetExceeded, EngineConfig, incremental_f5
 from f5gb.oracle import buchberger, descend, done_snapshots, harvest_descent_seeds, ideal_equal
 from f5gb.poly import ORDER_KINDS, Monomial
-from f5gb.sig import replay_vectors
 from f5gb.trace import (all_admissible, build_registry, check_replay, check_thm5_exhaustive,
                         run_all_checkers)
 
@@ -58,11 +57,10 @@ def test_engine_matches_reference_and_passes_all_checkers(data):
     replay = check_replay(result.events, ring)
     for rep in run_all_checkers(result.events, ring, registry, replay):
         assert rep.passed, rep.line()
-    vectors = replay_vectors(ring, replay.ops)
-    assert all_admissible(registry, replay, vectors)
+    assert all_admissible(registry, replay)
     # a DescentError fails the test
     for snap, coeff, mono, pos in harvest_descent_seeds(
-        done_snapshots(result, registry, vectors), 0, None
+        done_snapshots(ring, registry, replay), 0, None
     ):
         descend(coeff, mono, pos, snap)
 

@@ -13,7 +13,7 @@ from f5gb import trace
 from f5gb.engine import BudgetExceeded, EngineConfig, incremental_f5
 from f5gb.oracle import GgSnapshot, done_snapshots, find_thm4_pairs_in_snapshot
 from f5gb.poly import GT, Monomial, MonomialOrder, quotient_key
-from f5gb.sig import LabeledPolynomial, Signature, replay_vectors, sig_key, sig_mul
+from f5gb.sig import LabeledPolynomial, Signature, sig_key, sig_mul
 from f5gb.trace import (
     ChainReport,
     InsertionView,
@@ -43,7 +43,7 @@ from systems import (
     classify_pairs_at_insertion,
     make_ring,
     polys,
-    replayed_vectors,
+    replayed_inputs,
     strip_rejections,
     thm5_brute_force,
 )
@@ -579,7 +579,7 @@ def planted_log(system, plant):
 def replayed_admissible(events, ring) -> bool:
     """The ``admissible`` verdict of ``run_check``, on a log alone."""
     replay = check_replay(events, ring)
-    return all_admissible(build_registry(events), replay, replay_vectors(ring, replay.ops))
+    return all_admissible(build_registry(events), replay)
 
 
 class TestLogPlants:
@@ -778,12 +778,13 @@ class TestReplay:
         ring = make_ring(32003, names, order)
         res = incremental_f5(polys(ring, *texts))
         rep = check_replay(res.events, ring)
-        vectors = replay_vectors(ring, rep.ops)
+        vectors = rep.vectors
         assert rep.passed
         assert rep.polys == {lp.pos: lp.poly for lp in res.R}
-        assert all(vectors[lp.pos].value(res.inputs) == lp.poly for lp in res.R)
+        inputs = replayed_inputs(res)
+        assert all(vectors[lp.pos].value(inputs) == lp.poly for lp in res.R)
         assert all(vectors[lp.pos].lead()[1] == lp.sig for lp in res.R)
-        assert all_admissible(build_registry(res.events), rep, vectors)
+        assert all_admissible(build_registry(res.events), rep)
 
     def test_decoded_trails_sum_to_final_polys(self):
         # A trail reads final = alpha * creation - sum of c * t *
@@ -907,7 +908,7 @@ class TestLogRoundTrip:
                 snap.members,
                 tuple(snap.rule_count(i) for i in (1, 2, 3)),
             )
-            for snap in done_snapshots(res, registry, replayed_vectors(res))
+            for snap in done_snapshots(ring, registry, check_replay(res.events, ring))
         ]
         assert got == [
             (9, 2, (0, 1, 2), (0, 2, 1)),
