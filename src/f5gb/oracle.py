@@ -111,7 +111,8 @@ class GgSnapshot(InsertionView):
     positions the descent rewrites with.
 
     ``entries`` gives each position's ``LabeledPolynomial``, and ``vectors``
-    its module vector (``sig.replay_vectors``).  ``members`` lists the
+    its module vector (``trace.ReplayReport.vectors``); ``done_snapshots``
+    builds both from the event log.  ``members`` lists the
     positions of G ∪ Done ascending by creation order; representation
     elements refer to these positions directly (the list is creation-ordered,
     so position comparison doubles as list-rank comparison).  ``input_pos``

@@ -5,8 +5,10 @@ index-dominant with smaller index greater: F_1 > F_2 > ... > F_m, and within
 one index monomials compare in the ambient ring order.  ``sig_key`` writes
 the order as one int per signature, and every comparison reads it.  The
 engine needs only signatures.  Module vectors are rebuilt after a run from
-its event log (``replay_vectors``), so admissibility is a checkable
-invariant rather than a bookkeeping assumption.
+its event log alone: ``replay_vectors`` applies the operations of the log
+replay, and ``trace.ReplayReport.vectors`` keeps the result, replayed once
+per run, for the ``admissible`` verdict and the descent snapshots.  So
+admissibility is a checkable invariant rather than a bookkeeping assumption.
 """
 
 from __future__ import annotations

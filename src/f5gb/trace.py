@@ -311,10 +311,20 @@ class Registry:
     insertions: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
     # signature index -> (seq, mono, pos) of each RuleAdded, in log order
     rules: dict[int, list[tuple[int, Monomial, int]]] = field(default_factory=dict)
+    # (seq, reason) of the first event that names a position no earlier
+    # event created
+    unknown: Optional[tuple[int, str]] = None
 
 
 def _head(payload: list) -> Optional[Monomial]:
     return Monomial(payload[0][1]) if payload else None
+
+
+# the positions the registry reads, which an earlier event must have
+# created (CallBegin's are its g_next; a RuleAdded precedes its owner)
+_REGISTRY_READS = {"CallBegin": (), "SPolCreated": ("p1", "p2"),
+                   "NewFromTopReduction": ("j", "h"), "DoneInserted": ("pos",),
+                   "ReductionToZero": ("pos",)}
 
 
 def build_registry(events: Sequence[dict]) -> Registry:
@@ -322,8 +332,17 @@ def build_registry(events: Sequence[dict]) -> Registry:
     calls: dict[int, dict] = {}
     insertions: dict[int, list[tuple[int, int]]] = {}
     rules: dict[int, list[tuple[int, Monomial, int]]] = {}
+    unknown = None
     for ev in events:
         kind = ev["kind"]
+        reads = _REGISTRY_READS.get(kind)
+        if reads is not None:
+            named = ev["g_next"] if kind == "CallBegin" else [ev[name] for name in reads]
+            missing = [pos for pos in named if pos not in entries]
+            if missing:
+                unknown = unknown or (ev["seq"], f"unknown position r{missing[0]}")
+                if kind in ("DoneInserted", "ReductionToZero"):
+                    continue  # no entry to record the outcome on
         if kind == "CallBegin":
             calls[ev["call"]] = ev
         created = CREATION_FIELDS.get(kind)
@@ -350,7 +369,7 @@ def build_registry(events: Sequence[dict]) -> Registry:
             rules.setdefault(ev["index"], []).append(
                 (ev["seq"], Monomial(ev["mono"]), ev["pos"])
             )
-    return Registry(entries, calls, insertions, rules)
+    return Registry(entries, calls, insertions, rules, unknown)
 
 
 def membership_at(registry: Registry, call: int, seq: int) -> list[int]:
@@ -677,8 +696,10 @@ def check_chains(registry: Registry, ring: Ring) -> CheckReport:
 class InsertionView:
     """The basis at one Done insertion, with checks (a)-(d).
 
-    ``entries`` gives, by position, a record with ``sig``, ``index`` and
-    ``head``: a ``RegistryEntry`` or a ``LabeledPolynomial``.  ``members``
+    ``entries`` gives, by position, a record read from the log with
+    ``sig``, ``index`` and ``head``: a ``RegistryEntry``, or a
+    ``LabeledPolynomial`` of the registry's signature and the replayed
+    polynomial (``oracle.done_snapshots``).  ``members``
     are the positions of G ∪ Done at the insertion together with the
     inserted element ``g_pos``.  ``rules`` are the run's rule tables as
     ``Registry.rules`` holds them, shared, not copied: per signature index,
@@ -1046,13 +1067,21 @@ def run_all_checkers(events: Sequence[dict], ring: Ring, registry: Optional[Regi
                      replay: Optional[ReplayReport] = None) -> list[CheckReport]:
     """Every checker's report.  The registry and the replay are built from
     ``events`` unless they are passed.  On a log with no ``CallBegin`` no
-    check has anything to run on, so each report fails with that reason."""
+    check has anything to run on, so each report fails with that reason.
+    On a log with an event that names a position no earlier event created
+    (``Registry.unknown``) the registry is not the run's, so each report
+    read off it fails with that event's ``seq`` and position."""
     if not any(ev["kind"] == "CallBegin" for ev in events):
         return [_report(name, 0, ["no CallBegin in the log"]) for name in _CHECKER_NAMES]
     if registry is None:
         registry = build_registry(events)
     if replay is None:
         replay = check_replay(events, ring)
+    if registry.unknown is not None:
+        kept = {"d_progression": check_d_progression(events), "trail_replay": replay,
+                "signature_safety": check_signature_safety(events, ring.order)}
+        return [kept[name] if name in kept else _report(name, 0, [registry.unknown])
+                for name in _CHECKER_NAMES]
     return [
         check_d_progression(events),
         check_signature_safety(events, ring.order),

@@ -10,6 +10,8 @@ that changes from run to run; a budget exit is hashed as its message.  The
 groups are check-small seeds 0 and 1 (the suite and 600 small random systems
 each, at its ``max_degree`` 12) and homogenized cyclic-5 and katsura-5 (at
 the default budgets, as cyclic-5 steps past degree 12).
+A fifth line hashes the stdout of ``f5gb descend --snapshot k`` for every
+snapshot k of homogenized cyclic-4 and katsura-3, in that order.
 The inputs come from ``perfbench/workloads.py``, read and not changed.
 Running the script on two versions of the program and comparing its lines
 tells whether they give the same reports.  pytest does not collect it.
@@ -17,10 +19,13 @@ tells whether they give the same reports.  pytest does not collect it.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
@@ -45,6 +50,24 @@ def digest(texts, config: engine.EngineConfig) -> str:
     return h.hexdigest()
 
 
+def descend_digest(texts) -> str:
+    """One sha256 over the stdout of ``f5gb descend --snapshot k`` for each
+    system and each of its snapshots k, one per Done insertion of its run."""
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        for n, text in enumerate(texts):
+            path = os.path.join(tmp, f"system{n}.txt")
+            with open(path, "w", encoding="utf-8") as fp:
+                fp.write(text)
+            events = engine.incremental_f5(cli.parse_problem(text).polynomials).events
+            for k in range(sum(ev["kind"] == "DoneInserted" for ev in events)):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    cli.main(["descend", path, "--snapshot", str(k)])
+                h.update(out.getvalue().encode())
+    return h.hexdigest()
+
+
 def main() -> None:
     small, large = engine.EngineConfig(max_degree=w.CHECK_MAX_DEGREE), engine.EngineConfig()
     check_small = w.WORKLOADS["check-small"]
@@ -53,6 +76,7 @@ def main() -> None:
     groups += [("cyclic5", [w.cyclic_text(5)], large), ("katsura5", [w.katsura_text(5)], large)]
     for name, texts, config in groups:
         print(f"{name} ({len(texts)} systems): {digest(texts, config)}", flush=True)
+    print(f"descend cyclic4, katsura3: {descend_digest([w.cyclic_text(4), w.katsura_text(3)])}")
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """Front end: problem parsing, commands, exit codes, trace files."""
 
+import ast
 import hashlib
 import io
 import json
@@ -234,10 +235,19 @@ class TestCommands:
         monkeypatch.setattr(cli, "build_registry", counting_registry)
         monkeypatch.setattr(trace, "check_replay", counting_replay)
         monkeypatch.setattr(cli, "check_replay", counting_replay)
+        vectors = []
+        replay_vectors = trace.replay_vectors
+
+        def counting_vectors(ring, ops):
+            vectors.append(1)
+            return replay_vectors(ring, ops)
+
         monkeypatch.setattr(oracle.GgSnapshot, "from_result", classmethod(counting_snapshot))
+        monkeypatch.setattr(trace, "replay_vectors", counting_vectors)
         run_check(parse_problem(CYCLIC), EngineConfig(), 5, 10**5, 0)
         assert len(registries) == 1 and len(replays) == 1
         assert snapshots and len(snapshots) == len(set(snapshots))
+        assert len(vectors) == 1
 
     def test_failed_check_is_not_ok(self, cyclic_file, monkeypatch):
         # thm5_exhaustive on the log without its criterion rejections: the
@@ -501,6 +511,90 @@ class TestCommands:
         code, out = run_main(["descend", str(path)])
         assert code == 2
         assert "no snapshots" in out
+
+
+class _LogOnly:
+    """An engine result that holds only ``events`` and ``counters``: any
+    other read, such as of ``R`` or ``basis``, fails the test."""
+
+    def __init__(self, events, counters):
+        self.events, self.counters = events, counters
+
+    def __getattr__(self, name):
+        raise AssertionError(f"EngineResult.{name} read after the run")
+
+
+def _engine_returning(monkeypatch, change=lambda events: events):
+    """Make ``cli.incremental_f5`` return a ``_LogOnly`` of its log, with
+    ``change`` applied to the events."""
+    run = cli.incremental_f5
+
+    def log_only(*args):
+        result = run(*args)
+        return _LogOnly(change(result.events), result.counters)
+
+    monkeypatch.setattr(cli, "incremental_f5", log_only)
+
+
+def _check_report(text) -> dict:
+    report = run_check(parse_problem(text), EngineConfig(), 25, 10**5, 0)
+    del report["elapsed_s"]
+    return report
+
+
+class TestLogOnlyCheck:
+    """Once the engine returns, ``run_check`` and ``f5gb descend`` read its
+    event log and counters alone."""
+
+    def test_run_check_reads_only_the_log(self, monkeypatch):
+        texts = [problem_text(p, names, texts) for names, texts in SUITE.values()
+                 for p in SUITE_PRIMES]
+        expected = [_check_report(text) for text in texts]
+        _engine_returning(monkeypatch)
+        assert [_check_report(text) for text in texts] == expected
+
+    def test_descend_reads_only_the_log(self, tmp_path, monkeypatch):
+        path = tmp_path / "cyclic4.txt"
+        path.write_text(problem_text(32003, *CYCLIC4))
+        argvs = [["descend", str(path), "--snapshot", str(k)] for k in range(17)]
+        expected = [run_main(argv) for argv in argvs]
+        assert [code for code, _ in expected] == [0] * 16 + [2]
+        _engine_returning(monkeypatch)
+        assert [run_main(argv) for argv in argvs] == expected
+
+    def test_oracle_does_not_import_the_engine(self):
+        tree = ast.parse(Path(oracle.__file__).read_text())
+        modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        assert "engine" not in modules and "f5gb.engine" not in modules
+
+    def test_dropped_final_call_end_fails_ideal_equal(self, monkeypatch):
+        # with no CallEnd of call 1 the checked basis is empty
+        text = problem_text(32003, *CYCLIC4)
+        assert _check_report(text)["ok"]
+        _engine_returning(monkeypatch, lambda events: [
+            ev for ev in events if not (ev["kind"] == "CallEnd" and ev["call"] == 1)])
+        report = _check_report(text)
+        assert report["basis"] == [] and report["basis_size"] == 0
+        assert report["verdicts"]["ideal_equal"] is False and report["ok"] is False
+
+    def test_forged_basis_fails_ideal_equal(self, monkeypatch):
+        # cyclic-4's call 1 ends with positions 0-18 and 20; of those, the
+        # heads of 6, 11, 12, 16, 17, 18 and 20 no other basis head divides.
+        # A basis without one of them fails; without position 0, whose head
+        # another head divides, it still generates the ideal
+        text = problem_text(32003, *CYCLIC4)
+        for pos, equal in [(0, True), (6, False), (11, False), (12, False), (16, False),
+                           (17, False), (18, False), (20, False)]:
+            def forge(events):
+                *head, end = events
+                assert end["kind"] == "CallEnd" and end["call"] == 1 and pos in end["basis"]
+                return head + [{**end, "basis": [p for p in end["basis"] if p != pos]}]
+
+            with monkeypatch.context() as m:
+                _engine_returning(m, forge)
+                report = _check_report(text)
+            assert report["basis_size"] == 19
+            assert report["verdicts"]["ideal_equal"] is equal and report["ok"] is equal, pos
 
 
 class TestReadme:

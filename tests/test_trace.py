@@ -621,6 +621,35 @@ class TestLogPlants:
         assert replayed_admissible(events, ring)
 
 
+# the reports that read the registry, in run_all_checkers' order
+REGISTRY_REPORTS = ["rule_degrees", "genealogy", "chains", "done_insertion_audit",
+                    "thm5_exhaustive"]
+
+
+class TestDroppedCreation:
+    @pytest.mark.parametrize("system, creations", [("cyclic4", 24), ("katsura3", 14)])
+    def test_drop_one_fails_reports_and_never_raises(self, system, creations):
+        # a log without the event that created a position: each report read
+        # off the registry fails at the first event that names the position,
+        # the reports of the events alone still run, and the replay fails
+        names, texts = {"cyclic4": CYCLIC4, "katsura3": SUITE["katsura3_homog"]}[system]
+        ring = make_ring(32003, names)
+        events = incremental_f5(polys(ring, *texts), EngineConfig()).events
+        drops = [k for k, ev in enumerate(events) if ev["kind"] in trace.CREATION_FIELDS]
+        assert len(drops) == creations
+        for k in drops:
+            dropped = events[k]
+            pos = dropped[trace.CREATION_FIELDS[dropped["kind"]].pos]
+            reports = run_all_checkers(events[:k] + events[k + 1:], ring)
+            assert len(reports) == 8 and not all(reports)
+            failed = {rep.name: rep.failures for rep in reports if not rep.passed}
+            assert sorted(failed) == sorted(REGISTRY_REPORTS + ["trail_replay"])
+            ((seq, reason),) = failed["rule_degrees"]
+            assert all(failed[name] == [(seq, reason)] for name in REGISTRY_REPORTS)
+            assert seq > dropped["seq"] and reason == f"unknown position r{pos}"
+            assert all(rep.checked for rep in reports[:2])
+
+
 class TestDominanceCount:
     def test_matches_brute_force(self):
         # keys shaped like signature keys, drawn from few values so that
