@@ -22,6 +22,7 @@ import random
 import sys
 import time
 from dataclasses import dataclass
+from typing import Optional
 
 from .engine import (
     BudgetExceeded,
@@ -50,8 +51,10 @@ from .poly import (
     Ring,
     is_homogeneous,
     is_prime,
+    sorted_by_head,
 )
-from .trace import all_admissible, build_registry, check_replay, run_all_checkers
+from .trace import (Registry, ReplayReport, all_admissible, build_registry, check_replay,
+                    run_all_checkers)
 
 
 class ParseError(Exception):
@@ -261,26 +264,29 @@ def run_check(problem: ProblemFile, config: EngineConfig, descent_samples: int,
 
     Once the engine returns, all of it reads the event log: one registry and
     one replay give the reports, the checked basis (call 1's ``CallEnd``),
-    the module vectors and the descent snapshots."""
+    the module vectors and the descent snapshots.  A damaged log
+    (``_log_damage``) gets its reports, while ``ideal_equal``,
+    ``admissible``, ``descents`` and ``thm4_reductors`` fail with the
+    damage as their reason, kept as ``damaged_log``."""
     t0 = time.perf_counter()
     result = incremental_f5(problem.polynomials, config)
     events, ring = result.events, problem.ring
     registry = build_registry(events)
     replay = check_replay(events, ring)
-    # call 1's basis, ordered as ``EngineResult.basis_polynomials`` orders it
     basis = next((ev["basis"] for ev in reversed(events)
                   if ev["kind"] == "CallEnd" and ev["call"] == 1), [])
-    f5_basis = sorted((replay.polys[p] for p in basis), key=lambda q: ring.order.key(q.head_mono))
+    damage = _log_damage(registry, replay, basis)
+    f5_basis = sorted_by_head((replay.polys[p] for p in basis if p in replay.polys), ring.order)
     oracle_basis = buchberger(problem.polynomials)
-    equal = ideal_equal(f5_basis, oracle_basis)
-    snapshots = done_snapshots(ring, registry, replay)
     reports = run_all_checkers(events, ring, registry, replay)
     verdicts = {rep.name: rep.passed for rep in reports}
-    verdicts["ideal_equal"] = equal
-    verdicts["admissible"] = all_admissible(registry, replay)
+    verdicts["ideal_equal"] = damage is None and ideal_equal(f5_basis, oracle_basis)
+    verdicts["admissible"] = damage is None and all_admissible(registry, replay)
+    snapshots = [] if damage else done_snapshots(ring, registry, replay)
 
-    descents = {"attempted": 0, "completed": 0, "max_steps": 0, "failures": []}
-    thm4 = {"pairs": 0, "reductor_ok": 0, "failures": []}
+    descents = {"attempted": 0, "completed": 0, "max_steps": 0,
+                "failures": [damage] if damage else []}
+    thm4 = {"pairs": 0, "reductor_ok": 0, "failures": [damage] if damage else []}
     rng = random.Random(seed)
     seeds = harvest_descent_seeds(snapshots, descent_samples, rng)
     for snap, coeff, mono, h_pos in seeds:
@@ -315,7 +321,7 @@ def run_check(problem: ProblemFile, config: EngineConfig, descent_samples: int,
                 witness = str(exc)
             thm4["failures"].append(f"pair ({fprime},{f}): {witness}")
     verdicts["descents"] = not descents["failures"]
-    verdicts["thm4_reductors"] = thm4["pairs"] == 0
+    verdicts["thm4_reductors"] = not thm4["failures"]
 
     report = {
         "basis_size": len(f5_basis),
@@ -329,8 +335,27 @@ def run_check(problem: ProblemFile, config: EngineConfig, descent_samples: int,
         "basis": [q.text() for q in f5_basis],
         "oracle_basis": [q.text() for q in oracle_basis],
     }
+    if damage:
+        report["damaged_log"] = damage
     report["ok"] = all(verdicts.values())
     return report
+
+
+def _log_damage(registry: Registry, replay: ReplayReport, basis: list[int]) -> Optional[str]:
+    """Why a log cannot give the checked basis, the admissible verdict or
+    the snapshots, or None: its first event that names a position no
+    earlier event created (``Registry.unknown`` or a replay failure), else a
+    position of the checked basis ``basis`` that the replay did not build."""
+    unknown = [f for f in replay.failures if f[1].startswith("unknown position")]
+    if registry.unknown is not None:
+        unknown.append(registry.unknown)
+    if unknown:
+        seq, reason = min(unknown)
+        return f"damaged log: seq {seq}: {reason}"
+    missing = [p for p in basis if p not in replay.polys]
+    if missing:
+        return f"damaged log: call 1's CallEnd names unknown position r{missing[0]}"
+    return None
 
 
 def cmd_check(args) -> int:
@@ -353,6 +378,8 @@ def cmd_check(args) -> int:
         print(f"thm4 pairs: {t['pairs']} found, {t['reductor_ok']} reductors pass (a)-(d)")
         for line in t["failures"]:
             print(f"  {line}")
+        if "damaged_log" in report:
+            print(report["damaged_log"])
         print(f"elapsed: {report['elapsed_s']}s")
         print("result: " + ("ok" if report["ok"] else "CHECK FAILURES"))
     return 0 if report["ok"] else 2
@@ -370,8 +397,12 @@ def cmd_descend(args) -> int:
             raise ParseError(f"{args.mult!r} is not exactly one nonzero term", 0, "--mult")
         mono = mult.head_mono
     events = incremental_f5(problem.polynomials, _config_from_args(args)).events
-    replay = check_replay(events, problem.ring)
-    snapshots = done_snapshots(problem.ring, build_registry(events), replay)
+    registry, replay = build_registry(events), check_replay(events, problem.ring)
+    damage = _log_damage(registry, replay, [])
+    if damage:
+        print(damage)
+        return 2
+    snapshots = done_snapshots(problem.ring, registry, replay)
     if not snapshots:
         print("no snapshots captured (no Done insertions in this run)")
         return 2

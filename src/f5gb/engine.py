@@ -28,6 +28,7 @@ from .poly import (
     packed_monomial,
     poly_axpy,
     reduce_with,
+    sorted_by_head,
 )
 from .sig import LabeledPolynomial, Signature, sig_key, sig_mul
 from .trace import Trace
@@ -133,9 +134,7 @@ class EngineResult:
     counters: dict
 
     def basis_polynomials(self) -> list[Polynomial]:
-        polys = [self.R[p].poly for p in self.basis]
-        polys.sort(key=lambda q: self.ring.order.key(q.head_mono))
-        return polys
+        return sorted_by_head((self.R[p].poly for p in self.basis), self.ring.order)
 
 
 class Engine:

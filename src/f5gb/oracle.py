@@ -86,7 +86,11 @@ class RunCache:
     ``vkey[v]`` the order key of the packed monomial v, ``key_base[pos]``
     and ``head_base[pos]`` the per-position parts of ``GgSnapshot.elem_key``
     and ``GgSnapshot.head_key``, and ``lead_inverse[pos]`` the inverse of the
-    leading coefficient of b_pos's expansion.
+    leading coefficient of b_pos's expansion.  The first read of
+    ``triples[pos]`` is the first read of b_pos's module vector, which
+    replays it then (``trace.ReplayReport.vectors``): a run builds the
+    vectors of the elements its descents expand, and of what those read,
+    and no others.
     """
 
     __slots__ = ("vkey", "triples", "key_base", "head_base", "lead_inverse")

@@ -123,8 +123,8 @@ class Monomial:
     a test of the guard bits, and ``lcm``/``gcd`` a fieldwise max/min.
 
     Two values are computed on first use only: the exponent tuple (``exps``)
-    and the divisibility mask (``mask``).  Order keys are not stored: each
-    ``MonomialOrder.key`` is computed from ``v``.
+    and the divisibility mask (``mask``).  Order keys are not stored on the
+    monomial: each ``MonomialOrder.key`` is read off ``v``.
     """
 
     __slots__ = ("v", "lay", "_exps", "_mask")
@@ -249,7 +249,10 @@ class MonomialOrder:
     first and then a smaller exponent of the last variable wins.  lex: the
     exponent fields in reverse, x_0 most significant; that is the exponent
     fields with the two bytes of each swapped, read as a big-endian int.
-    deglex: the degree above the lex key.
+    deglex: the degree above the lex key.  A deglex or lex key is computed
+    once per packed value and kept in a memo of its order (``Lazy``): a dict
+    read costs a tenth of the byte swap, and a run asks for the same keys
+    again and again.  The degrevlex key is one xor and is not kept.
     """
 
     __slots__ = ("kind", "n", "lay", "vkey")
@@ -272,7 +275,7 @@ class MonomialOrder:
             key = int.from_bytes(swapped.to_bytes(size, "little"), "big")
             return key if lex else v - exps | key
 
-        self.vkey = vkey
+        self.vkey = Lazy(vkey).__getitem__
 
     def key(self, m: Monomial) -> int:
         return self.vkey(m.v)
@@ -539,6 +542,12 @@ def is_homogeneous(p: Polynomial) -> bool:
         return True
     d = p.terms[0][1].deg
     return all(m.deg == d for _, m in p.terms)
+
+
+def sorted_by_head(polys: Iterable["Polynomial"], order: MonomialOrder) -> list["Polynomial"]:
+    """The nonzero polynomials ``polys`` ascending by head monomial in
+    ``order``: the order in which a basis is printed and checked."""
+    return sorted(polys, key=lambda q: order.vkey(q.head_mono.v))
 
 
 class Lazy(dict):

@@ -4,15 +4,21 @@ A signature is a module monomial (t, i) standing for t*F_i.  The order is
 index-dominant with smaller index greater: F_1 > F_2 > ... > F_m, and within
 one index monomials compare in the ambient ring order.  ``sig_key`` writes
 the order as one int per signature, and every comparison reads it.  The
-engine needs only signatures.  Module vectors are rebuilt after a run from
-its event log alone: ``replay_vectors`` applies the operations of the log
-replay, and ``trace.ReplayReport.vectors`` keeps the result, replayed once
-per run, for the ``admissible`` verdict and the descent snapshots.  So
-admissibility is a checkable invariant rather than a bookkeeping assumption.
+engine needs only signatures.  What the checks need of the module vectors
+is rebuilt after a run from its event log alone, by the operations of the
+log replay (``trace.check_replay``).  ``replay_leads`` replays only each
+element's leading module term, which the ``admissible`` verdict compares
+with its signature, so admissibility is a checkable invariant rather than a
+bookkeeping assumption.  ``ReplayedVectors`` replays a position's full
+vector on first read, with the positions it reads: only the descent
+snapshots read them, and only for the elements they rewrite.
+``replay_vectors`` replays every vector in log order, the reference both
+are tested against.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -74,16 +80,17 @@ class ModuleVector:
         )
 
     def axpy(self, c: int, t: Monomial, other: "ModuleVector") -> "ModuleVector":
-        """self - c*t*other, coordinatewise."""
-        return ModuleVector(
-            tuple(poly_axpy(a, c, t, b) for a, b in zip(self.coords, other.coords))
-        )
+        """self - c*t*other, coordinatewise; a zero coordinate of ``other``
+        leaves self's as it is."""
+        return ModuleVector(tuple(
+            poly_axpy(a, c, t, b) if b.terms else a for a, b in zip(self.coords, other.coords)
+        ))
 
     def term_mul(self, c: int, t: Monomial) -> "ModuleVector":
-        return ModuleVector(tuple(a.term_mul(c, t) for a in self.coords))
+        return ModuleVector(tuple(a.term_mul(c, t) if a.terms else a for a in self.coords))
 
     def scale(self, c: int) -> "ModuleVector":
-        return ModuleVector(tuple(a.scale(c) for a in self.coords))
+        return ModuleVector(tuple(a.scale(c) if a.terms else a for a in self.coords))
 
     def value(self, inputs: Sequence[Polynomial]) -> Polynomial:
         """Sum of coords[i] * f_i, built in one pass (``Ring.product_sum``)."""
@@ -105,12 +112,24 @@ class ModuleVector:
         return None
 
 
-def replay_vectors(ring: Ring, ops: Sequence[tuple]) -> dict[int, ModuleVector]:
-    """Each position's module vector at the end of the log: the operations
-    of the log replay (``trace.check_replay``), in order, applied to vectors
-    as the replay applied them to polynomials."""
-    m = max((op[2] for op in ops if op[0] == "input"), default=0)
-    vectors: dict[int, ModuleVector] = {}
+def _reads(op: tuple) -> tuple[int, ...]:
+    """The positions a replay operation reads besides the one it writes."""
+    kind = op[0]
+    if kind == "new":
+        return op[2], op[4]
+    return (op[4],) if kind in ("phi", "top") else ()
+
+
+def _input_count(ops: Sequence[tuple]) -> int:
+    """The number of coordinates of every vector: the greatest input index."""
+    return max((op[2] for op in ops if op[0] == "input"), default=0)
+
+
+def apply_ops(ring: Ring, m: int, ops: Sequence[tuple],
+              vectors: dict[int, ModuleVector]) -> None:
+    """Apply the replay operations ``ops`` (``trace.check_replay``), in
+    order, to the m-coordinate module vectors held in ``vectors``, as the
+    replay applied them to polynomials."""
     for op in ops:
         kind, pos = op[0], op[1]
         if kind == "input":
@@ -124,7 +143,113 @@ def replay_vectors(ring: Ring, ops: Sequence[tuple]) -> dict[int, ModuleVector]:
         else:
             _, _, c, u, r = op
             vectors[pos] = vectors[pos].axpy(c, u, vectors[r])
+
+
+def replay_vectors(ring: Ring, ops: Sequence[tuple]) -> dict[int, ModuleVector]:
+    """Each position's module vector at the end of the log: every operation
+    of the log replay, in order."""
+    vectors: dict[int, ModuleVector] = {}
+    apply_ops(ring, _input_count(ops), ops, vectors)
     return vectors
+
+
+class ReplayedVectors(Mapping):
+    """Each position's module vector at the end of the log, as
+    ``replay_vectors`` gives it, replayed on first read.
+
+    A read of a position replays it with every position its operations
+    read, transitively: their operations, merged in log order.  That is
+    exact when no position gets an operation after an operation has read
+    it, for then each read sees the final vector.  Engine logs have that
+    shape: an element is a parent or a reductor only once its own reduction
+    is done.  It is checked once per log, and a log without it is replayed
+    whole, in order, at once.  The keys are the positions the operations
+    build; one no operation built is missing, as from a dict."""
+
+    __slots__ = ("ring", "m", "ops", "of", "done")
+
+    def __init__(self, ring: Ring, ops: Sequence[tuple]):
+        of: dict[int, list[int]] = {}  # position -> indices of its operations
+        first_read: dict[int, int] = {}  # position -> index of its first read
+        for i, op in enumerate(ops):
+            of.setdefault(op[1], []).append(i)
+            for r in _reads(op):
+                first_read.setdefault(r, i)
+        self.ring, self.m, self.ops, self.of = ring, _input_count(ops), ops, of
+        self.done: dict[int, ModuleVector] = {}
+        if any(r in of and of[r][-1] >= i for r, i in first_read.items()):
+            apply_ops(ring, self.m, ops, self.done)
+
+    def __getitem__(self, pos: int) -> ModuleVector:
+        done = self.done
+        if pos not in done:
+            ops, of, todo, need = self.ops, self.of, [pos], []
+            seen = {pos}
+            while todo:
+                idx = of[todo.pop()]
+                need += idx
+                for i in idx:
+                    for r in _reads(ops[i]):
+                        if r not in seen and r not in done:
+                            seen.add(r)
+                            todo.append(r)
+            apply_ops(self.ring, self.m, [ops[i] for i in sorted(need)], done)
+        return done[pos]
+
+    def __contains__(self, pos) -> bool:
+        return pos in self.of
+
+    def __iter__(self):
+        return iter(self.of)
+
+    def __len__(self) -> int:
+        return len(self.of)
+
+
+def replay_leads(ring: Ring, ops: Sequence[tuple]) -> dict[int, Optional[tuple[int, int]]]:
+    """Each position's leading module term at the end of the log, as
+    (``sig_key`` of its signature, coefficient), from the operations of the
+    log replay alone, with no vector built; None where the replay cannot
+    tell it.
+
+    An input's lead is (key of 1*e_i, 1).  Signature keys are affine, so the
+    lead of u * v is (key + vkey(u) - vkey(1), c) for v's lead (key, c).
+    An operation a - c * b leads with the greater of the two leads, and
+    with two equal keys with the difference of the coefficients; scaling
+    scales the coefficient.  When that difference is 0 the lead lies below
+    and is unknown: it is None, and so is the lead of every later vector
+    that reads it."""
+    order, p = ring.order, ring.p
+    vkey, one = order.vkey, order.vkey(0)
+    unit = Monomial.one(ring.n)
+    leads: dict[int, Optional[tuple[int, int]]] = {}
+    for op in ops:
+        kind, pos = op[0], op[1]
+        if kind == "input":
+            leads[pos] = (sig_key(Signature(unit, op[2]), order), 1)
+            continue
+        if kind == "monic":
+            lead = leads[pos]
+            if lead is not None:
+                leads[pos] = (lead[0], lead[1] * op[2] % p)
+            continue
+        if kind == "new":
+            _, _, a, ua, b, ub, s = op
+            x, dx, c, y, dy = leads[a], vkey(ua.v) - one, 1, leads[b], vkey(ub.v) - one
+        else:
+            _, _, c, u, r = op
+            x, dx, y, dy, s = leads[pos], 0, leads[r], vkey(u.v) - one, 1
+        lead = None
+        if x is not None and y is not None:
+            kx, ky = x[0] + dx, y[0] + dy
+            if kx > ky:
+                lead = (kx, x[1] * s % p)
+            elif kx < ky:
+                lead = (ky, -c * y[1] * s % p)
+            elif (x[1] - c * y[1]) % p:
+                lead = (kx, (x[1] - c * y[1]) * s % p)
+        leads[pos] = lead
+    return leads
 
 
 class LabeledPolynomial:

@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .poly import (Layout, Lazy, Monomial, Polynomial, Ring, overflow_error, poly_axpy,
                    quotient_key)
-from .sig import (ModuleVector, Signature, check_admissible, key_index, replay_vectors,
+from .sig import (ReplayedVectors, Signature, check_admissible, key_index, replay_leads,
                   sig_divides, sig_key, sig_mul)
 
 EVENT_KINDS = (
@@ -499,16 +499,17 @@ def check_genealogy(registry: Registry, order) -> CheckReport:
 class ReplayReport(CheckReport):
     """The report of ``check_replay``, with the operations it performed, in
     log order, each position's polynomial at the end of the log, and its
-    ring.  ``vectors`` holds each position's module vector, replayed from
-    the operations (``sig.replay_vectors``) on first read."""
+    ring.  ``vectors`` maps each position to its module vector, replayed
+    from the operations when it is first read (``sig.ReplayedVectors``), so
+    a run replays only the vectors its descents read."""
 
     ops: list = field(default_factory=list)
     polys: dict = field(default_factory=dict)
     ring: Optional[Ring] = None
 
     @cached_property
-    def vectors(self) -> dict[int, ModuleVector]:
-        return replay_vectors(self.ring, self.ops)
+    def vectors(self) -> ReplayedVectors:
+        return ReplayedVectors(self.ring, self.ops)
 
 
 def _same_poly(q: Polynomial, payload: list, monos: Lazy) -> bool:
@@ -610,19 +611,44 @@ def check_replay(events: Sequence[dict], ring: Ring) -> ReplayReport:
 
 
 def all_admissible(registry: Registry, replay: ReplayReport) -> bool:
-    """Whether every element's replayed vector (``ReplayReport.vectors``)
-    leads with its logged signature; one the replay did not build does not.
+    """Whether every element's module vector, replayed from the log, leads
+    with the element's logged signature; one the replay did not build does
+    not.
 
-    A vector's coordinate k multiplies input f_{k+1}, so the inputs are
-    indexed by call, with zero for a call the log lacks: a log cut short by
-    a budget exit stops before call 1."""
-    polys, vectors = replay.polys, replay.vectors
+    Each vector's leading module term follows from the leads of the
+    vectors its operations read, so the verdict replays the leads alone
+    (``sig.replay_leads``), compares each with its element's signature by
+    key, and builds no vector.  On a run that passes the other reports no
+    lead ever cancels, by induction over the log: an input's vector is
+    e_i; a created element's is u * (greater) - u' * (smaller), and
+    ``genealogy`` checks u * S(greater) > u' * S(smaller); a top step
+    subtracts a multiple of strictly smaller signature
+    (``signature_safety``); a φ step subtracts an element of a higher
+    index; scaling keeps the leading module term.  Where two leads do
+    cancel, the replay cannot tell the lead, and those elements fall back
+    to their full vectors (``check_admissible``), so the verdict is exact on
+    every log, the ones those reports reject too.
+
+    A vector's coordinate k multiplies input f_{k+1}, so the fallback's
+    inputs are indexed by call, with zero for a call the log lacks: a log
+    cut short by a budget exit stops before call 1."""
+    ring, polys = replay.ring, replay.polys
+    leads = replay_leads(ring, replay.ops)
+    unsure = []
+    for pos, e in registry.entries.items():
+        if pos not in leads:
+            return False
+        lead = leads[pos]
+        if lead is None:
+            unsure.append((pos, e.sig))
+        elif lead[0] != sig_key(e.sig, ring.order):
+            return False
+    if not unsure:
+        return True
     begun = {i: polys[ev["input_pos"]] for i, ev in registry.calls.items()}
-    inputs = [begun.get(i, replay.ring.zero) for i in range(1, max(begun, default=0) + 1)]
-    return all(
-        pos in vectors and check_admissible(vectors[pos], e.sig, polys[pos], inputs)
-        for pos, e in registry.entries.items()
-    )
+    inputs = [begun.get(i, ring.zero) for i in range(1, max(begun, default=0) + 1)]
+    vectors = replay.vectors
+    return all(check_admissible(vectors[pos], sig, polys[pos], inputs) for pos, sig in unsure)
 
 
 # ---------------------------------------------------------------------------

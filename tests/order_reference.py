@@ -12,6 +12,19 @@ from f5gb.poly import EQ, GT, LT, Monomial, MonomialOrder
 from f5gb.sig import Signature
 
 
+def direct_key(exps, kind: str) -> int:
+    """The order key of the monomial with exponents ``exps`` under ``kind``,
+    written out field by field from the exponents: lex puts x_0's exponent
+    in the top 16-bit field and x_{n-1}'s in the lowest, deglex the degree
+    above that, and degrevlex the degree above each exponent field
+    complemented, x_0's the lowest."""
+    n, deg = len(exps), sum(exps)
+    if kind == "degrevlex":
+        return deg << 16 * n | sum((0xFFFF - e) << 16 * k for k, e in enumerate(exps))
+    lex = sum(e << 16 * (n - 1 - k) for k, e in enumerate(exps))
+    return lex if kind == "lex" else deg << 16 * n | lex
+
+
 def mono_cmp(a: Monomial, b: Monomial, order: MonomialOrder) -> int:
     """LT, EQ or GT as a is less than, equal to or greater than b."""
     ka, kb = order.key(a), order.key(b)

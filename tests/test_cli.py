@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from f5gb import cli, engine, oracle, trace
+from f5gb import cli, engine, oracle, sig, trace
 from f5gb.cli import (
     NonPrimeModulus,
     ParseError,
@@ -235,19 +235,19 @@ class TestCommands:
         monkeypatch.setattr(cli, "build_registry", counting_registry)
         monkeypatch.setattr(trace, "check_replay", counting_replay)
         monkeypatch.setattr(cli, "check_replay", counting_replay)
-        vectors = []
-        replay_vectors = trace.replay_vectors
+        built = []  # the position of each vector replay begins: an input or a creation
+        apply_ops = sig.apply_ops
 
-        def counting_vectors(ring, ops):
-            vectors.append(1)
-            return replay_vectors(ring, ops)
+        def counting_ops(ring, m, ops, vectors):
+            built.extend(op[1] for op in ops if op[0] in ("input", "new"))
+            return apply_ops(ring, m, ops, vectors)
 
         monkeypatch.setattr(oracle.GgSnapshot, "from_result", classmethod(counting_snapshot))
-        monkeypatch.setattr(trace, "replay_vectors", counting_vectors)
+        monkeypatch.setattr(sig, "apply_ops", counting_ops)
         run_check(parse_problem(CYCLIC), EngineConfig(), 5, 10**5, 0)
         assert len(registries) == 1 and len(replays) == 1
         assert snapshots and len(snapshots) == len(set(snapshots))
-        assert len(vectors) == 1
+        assert built and len(built) == len(set(built))
 
     def test_failed_check_is_not_ok(self, cyclic_file, monkeypatch):
         # thm5_exhaustive on the log without its criterion rejections: the
@@ -595,6 +595,93 @@ class TestLogOnlyCheck:
                 report = _check_report(text)
             assert report["basis_size"] == 19
             assert report["verdicts"]["ideal_equal"] is equal and report["ok"] is equal, pos
+
+
+# the four verdicts a damaged log cannot give
+DAMAGE_VERDICTS = ("ideal_equal", "admissible", "descents", "thm4_reductors")
+
+
+class TestDamagedLogCheck:
+    """A log with an event that names a position no earlier event created
+    fails ``run_check`` instead of raising: the reports read off the
+    registry fail, and so do the verdicts that need the replayed basis,
+    vectors or snapshots, each with the damage as its reason."""
+
+    @staticmethod
+    def _dropping(monkeypatch, kind: str, k: int):
+        """``cli.incremental_f5`` returning its log without the k-th event
+        of ``kind``."""
+        def drop(events):
+            target = [ev for ev in events if ev["kind"] == kind][k]
+            return [ev for ev in events if ev is not target]
+
+        _engine_returning(monkeypatch, drop)
+
+    @pytest.mark.parametrize("kind, k, reason", [
+        ("CallBegin", 1, "damaged log: seq 8: unknown position r1"),
+        ("SPolCreated", 0, "damaged log: seq 9: unknown position r2"),
+    ])
+    def test_demo_drop_fails_with_a_reason(self, monkeypatch, kind, k, reason):
+        self._dropping(monkeypatch, kind, k)
+        report = _check_report(problem_text(32003, *SUITE["two_gen_demo"]))
+        assert report["damaged_log"] == reason and report["ok"] is False
+        assert [report["verdicts"][name] for name in DAMAGE_VERDICTS] == [False] * 4
+        assert report["descents"]["failures"] == [reason] == report["thm4"]["failures"]
+        assert report["descents"]["attempted"] == 0 and report["thm4"]["pairs"] == 0
+
+    def test_every_cyclic4_creation_drop_fails(self, monkeypatch):
+        text = problem_text(32003, *CYCLIC4)
+        events = engine.incremental_f5(parse_problem(text).polynomials).events
+        counts = {kind: sum(ev["kind"] == kind for ev in events) for kind in trace.CREATION_FIELDS}
+        assert counts == {"CallBegin": 4, "SPolCreated": 20, "NewFromTopReduction": 0}
+        for kind, count in counts.items():
+            for k in range(count):
+                with monkeypatch.context() as m:
+                    self._dropping(m, kind, k)
+                    report = _check_report(text)
+                assert report["damaged_log"].startswith("damaged log: seq "), (kind, k)
+                assert not any(report["verdicts"][name] for name in DAMAGE_VERDICTS), (kind, k)
+
+    def test_descend_on_a_damaged_log_exits_2(self, tmp_path, monkeypatch):
+        path = tmp_path / "cyclic4.txt"
+        path.write_text(problem_text(32003, *CYCLIC4))
+        self._dropping(monkeypatch, "SPolCreated", 0)
+        code, out = run_main(["descend", str(path), "--snapshot", "3"])
+        assert code == 2 and out.startswith("damaged log: seq ")
+
+    def test_whole_log_has_no_damage(self):
+        report = _check_report(problem_text(32003, *SUITE["two_gen_demo"]))
+        assert report["ok"] and "damaged_log" not in report
+
+
+# sha256 of the stdout of ``f5gb descend`` on homogenized cyclic-4 over
+# GF(32003), snapshot 12, element 11, multiplier x1: 13 rewrites, P1 and P2
+CYCLIC4_DESCEND = "25fda3b3ab74bdc67657946902c66c06c64aa749e7f9cb6fe2d3818acc864133"
+
+
+class TestDescendRewrites:
+    def test_step_log_pinned(self, tmp_path, monkeypatch):
+        # the vectors are replayed on demand: those of the rewritten
+        # elements and of what they read, each once, and not all of them
+        path = tmp_path / "cyclic4.txt"
+        path.write_text(problem_text(32003, *CYCLIC4))
+        built = []
+        apply_ops = sig.apply_ops
+
+        def counting_ops(ring, m, ops, vectors):
+            built.extend(op[1] for op in ops if op[0] in ("input", "new"))
+            return apply_ops(ring, m, ops, vectors)
+
+        monkeypatch.setattr(sig, "apply_ops", counting_ops)
+        code, out = run_main(["descend", str(path), "--snapshot", "12", "--element", "11",
+                              "--mult", "x1"])
+        assert code == 0
+        steps = [json.loads(line) for line in out.splitlines()]
+        assert [step["kind"] for step in steps] == ["DescentStep"] * 13 + [
+            "DescentDone", "FinalRepresentation"]
+        assert {step["violated"] for step in steps[:13]} == {"P1", "P2"}
+        assert hashlib.sha256(out.encode()).hexdigest() == CYCLIC4_DESCEND
+        assert built and len(built) == len(set(built)) < 24
 
 
 class TestReadme:

@@ -26,7 +26,7 @@ from f5gb.poly import (
     reduce_with,
 )
 
-from order_reference import MonomialQuotient, mono_cmp, quotient_cmp
+from order_reference import MonomialQuotient, direct_key, mono_cmp, quotient_cmp
 from phi_reference import phi_reduce_reference
 from systems import P, make_ring
 
@@ -288,6 +288,35 @@ class TestQuotientOrder:
         assert quotient_cmp(
             MonomialQuotient(m1, d), MonomialQuotient(m2, d), order
         ) == mono_cmp(m1, m2, order)
+
+
+class TestOrderKeyMemo:
+    @pytest.mark.parametrize("kind", ORDER_KINDS)
+    @given(data=st.data())
+    @settings(max_examples=300)
+    def test_keys_match_the_direct_formula_and_stay_affine(self, kind, data):
+        # each key is asked twice, so the second read comes from the memo
+        # of deglex and lex; a product within the bound keeps the key affine
+        n = data.draw(st.integers(1, 6))
+        order = MonomialOrder(kind, n)
+        ea, eb = data.draw(exponent_vectors(n)), data.draw(exponent_vectors(n))
+        a, b = Monomial(ea), Monomial(eb)
+        for _ in range(2):
+            assert order.vkey(a.v) == order.key(a) == direct_key(ea, kind)
+            assert order.vkey(b.v) == direct_key(eb, kind)
+        if a.deg + b.deg < BOUND:
+            ab = a.mul(b)
+            assert order.key(ab) == direct_key(ab.exps, kind)
+            assert order.key(ab) == order.key(a) + order.key(b) - order.vkey(0)
+
+    @pytest.mark.parametrize("kind", ORDER_KINDS)
+    def test_extreme_exponents(self, kind):
+        # one exponent at 2^15 - 1, every variable in turn, and 1
+        for n in range(1, 7):
+            order = MonomialOrder(kind, n)
+            for exps in [(0,) * n] + [tuple(BOUND - 1 if k == j else 0 for k in range(n))
+                                      for j in range(n)]:
+                assert order.key(Monomial(exps)) == direct_key(exps, kind)
 
 
 class TestPolynomial:

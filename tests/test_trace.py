@@ -12,8 +12,9 @@ import pytest
 from f5gb import trace
 from f5gb.engine import BudgetExceeded, EngineConfig, incremental_f5
 from f5gb.oracle import GgSnapshot, done_snapshots, find_thm4_pairs_in_snapshot
-from f5gb.poly import GT, Monomial, MonomialOrder, quotient_key
-from f5gb.sig import LabeledPolynomial, Signature, sig_key, sig_mul
+from f5gb.poly import GT, ORDER_KINDS, Monomial, MonomialOrder, poly_axpy, quotient_key
+from f5gb.sig import (LabeledPolynomial, ModuleVector, ReplayedVectors, Signature,
+                      check_admissible, replay_leads, replay_vectors, sig_key, sig_mul)
 from f5gb.trace import (
     ChainReport,
     InsertionView,
@@ -41,10 +42,12 @@ from systems import (
     SUITE,
     SUITE_PRIMES,
     classify_pairs_at_insertion,
+    engine_pin_systems,
     make_ring,
     polys,
     replayed_inputs,
     strip_rejections,
+    suite_instances,
     thm5_brute_force,
 )
 
@@ -648,6 +651,153 @@ class TestDroppedCreation:
             assert all(failed[name] == [(seq, reason)] for name in REGISTRY_REPORTS)
             assert seq > dropped["seq"] and reason == f"unknown position r{pos}"
             assert all(rep.checked for rep in reports[:2])
+
+
+def full_vector_admissible(registry, replay) -> bool:
+    """The ``admissible`` verdict from every replayed vector, each summed
+    against the inputs and its lead compared with the signature: the
+    reference of ``all_admissible``."""
+    polys, vectors = replay.polys, replay_vectors(replay.ring, replay.ops)
+    begun = {i: polys[ev["input_pos"]] for i, ev in registry.calls.items()}
+    inputs = [begun.get(i, replay.ring.zero) for i in range(1, max(begun, default=0) + 1)]
+    return all(
+        pos in vectors and check_admissible(vectors[pos], e.sig, polys[pos], inputs)
+        for pos, e in registry.entries.items()
+    )
+
+
+def logged_inputs(events, ring) -> list:
+    """The inputs f_1, ..., f_m as their ``CallBegin`` events log them, zero
+    for a call the log lacks."""
+    begun = {ev["call"]: trace.poly_from_payload(ring, ev["poly"])
+             for ev in events if ev["kind"] == "CallBegin"}
+    return [begun.get(i, ring.zero) for i in range(1, max(begun, default=0) + 1)]
+
+
+@functools.cache
+def exactness_logs() -> list:
+    """(name, ring, events, whole) of every log the on-demand vectors and
+    the leading-term verdict are checked on; ``whole`` is False for a log
+    with an event dropped or changed.  The suite at both primes, 200 random
+    systems over all three orders and five primes (a quarter under tight
+    budgets, so some logs are budget-exit prefixes), katsura-5's deglex
+    prefix at ``max_degree`` 9, every drop of a creation event of cyclic-4
+    and katsura-3, and every log plant."""
+    logs = []
+    for name, ring, inputs in suite_instances():
+        logs.append((name, ring, incremental_f5(inputs, EngineConfig()).events, True))
+    budgeted = [(f"random{k}", *system)
+                for k, system in enumerate(engine_pin_systems(200, 7))]
+    budgeted.append(("katsura5_deglex_prefix", make_ring(32003, KATSURA5[0], "deglex"),
+                     None, EngineConfig(max_degree=9)))
+    for name, ring, inputs, config in budgeted:
+        if inputs is None:
+            inputs = polys(ring, *KATSURA5[1])
+        try:
+            events = incremental_f5(inputs, config).events
+        except BudgetExceeded as exc:
+            events = exc.events
+        logs.append((name, ring, events, True))
+    for system, (names, texts) in (("cyclic4", CYCLIC4), ("katsura3", SUITE["katsura3_homog"])):
+        ring = make_ring(32003, names)
+        events = incremental_f5(polys(ring, *texts), EngineConfig()).events
+        logs += [(f"{system}_drop{k}", ring, events[:k] + events[k + 1:], False)
+                 for k, ev in enumerate(events) if ev["kind"] in trace.CREATION_FIELDS]
+    for plant in PLANT_OUTCOMES:
+        ring, events, _ = planted_log(*plant)
+        logs.append(("-".join(plant), ring, events, False))
+    return logs
+
+
+class TestVectorsOnDemand:
+    def test_logs_cover_every_order_and_a_prefix(self):
+        logs = exactness_logs()
+        assert {ring.order.kind for _, ring, _, _ in logs} == set(ORDER_KINDS)
+        assert len(logs) == len(SUITE) * len(SUITE_PRIMES) + 201 + 38 + len(PLANT_OUTCOMES)
+        prefix = next(events for name, _, events, _ in logs if name == "katsura5_deglex_prefix")
+        assert len(prefix) == 23533
+
+    def test_each_read_equals_the_full_replay_and_sums_to_its_polynomial(self):
+        rng = random.Random(0)
+        for name, ring, events, whole in exactness_logs():
+            replay = check_replay(events, ring)
+            full = replay_vectors(ring, replay.ops)
+            vectors = ReplayedVectors(ring, replay.ops)
+            if whole:
+                assert not vectors.done, name  # engine logs take the on-demand path
+            assert set(vectors) == set(full) == set(replay.polys), name
+            order = sorted(full)
+            rng.shuffle(order)
+            inputs = logged_inputs(events, ring)
+            for pos in order:
+                assert vectors[pos].coords == full[pos].coords, (name, pos)
+                assert full[pos].value(inputs) == replay.polys[pos], (name, pos)
+
+    def test_leading_terms_give_the_full_vector_verdict(self, monkeypatch):
+        fallbacks = []
+        check = trace.check_admissible
+
+        def counting_check(mv, sig, poly, inputs):
+            fallbacks.append(1)
+            return check(mv, sig, poly, inputs)
+
+        monkeypatch.setattr(trace, "check_admissible", counting_check)
+        verdicts = {}
+        for name, ring, events, whole in exactness_logs():
+            registry, replay = build_registry(events), check_replay(events, ring)
+            verdicts[name] = all_admissible(registry, replay)
+            assert verdicts[name] == full_vector_admissible(registry, replay), name
+            assert verdicts[name] or not whole, name
+        assert not fallbacks  # no leading term cancels on any of these logs
+        assert not verdicts["cyclic4-sig_swap"]
+
+    def test_cancelled_lead_falls_back_to_the_vector(self, monkeypatch):
+        # r2 = x*f1 - y*f2 leads with x*e1; r3 = r2 - x*r0 cancels that
+        # lead and leaves -y*e2, which only the vector tells
+        ring = make_ring(7, ["x", "y"])
+        f1, f2 = polys(ring, "x + y", "x - y")
+        x, y = M(1, 0), M(0, 1)
+        r2 = poly_axpy(f1.term_mul(1, x), 1, y, f2)
+        ops = [("input", 0, 1), ("input", 1, 2), ("new", 2, 0, x, 1, y, 1),
+               ("top", 2, 1, x, 0)]
+        replay = trace.ReplayReport("trail_replay", True, 0, [], ops,
+                                    {0: f1, 1: f2, 2: poly_axpy(r2, 1, x, f1)}, ring)
+        assert replay_leads(ring, ops)[2] is None
+        fallbacks = []
+        check = trace.check_admissible
+
+        def counting_check(mv, sig, poly, inputs):
+            fallbacks.append(sig)
+            return check(mv, sig, poly, inputs)
+
+        monkeypatch.setattr(trace, "check_admissible", counting_check)
+        calls = {1: {"input_pos": 0}, 2: {"input_pos": 1}}
+        for sig, verdict in ((Signature(y, 2), True), (Signature(x, 1), False)):
+            entries = {0: trace.RegistryEntry(0, 1, Signature(M(0, 0), 1), None),
+                       1: trace.RegistryEntry(1, 2, Signature(M(0, 0), 2), None),
+                       2: trace.RegistryEntry(2, 2, sig, None)}
+            registry = trace.Registry(entries, calls)
+            assert all_admissible(registry, replay) is verdict
+            assert full_vector_admissible(registry, replay) is verdict
+        assert fallbacks == [Signature(y, 2), Signature(x, 1)]
+
+    def test_a_read_before_a_later_operation_replays_in_log_order(self):
+        # r0 is read by r2's creation and reduced after it, so a read of r2
+        # must see r0 as it was then: the whole log is replayed in order
+        ring = make_ring(7, ["x", "y"])
+        x, y = M(1, 0), M(0, 1)
+        ops = [("input", 0, 1), ("input", 1, 2), ("new", 2, 0, x, 1, y, 1),
+               ("top", 0, 3, y, 1), ("monic", 2, 2)]
+        full = replay_vectors(ring, ops)
+        vectors = ReplayedVectors(ring, ops)
+        assert set(vectors.done) == {0, 1, 2}
+        assert all(vectors[pos].coords == full[pos].coords for pos in full)
+        assert full[0].coords != ModuleVector.unit(ring, 2, 1).coords
+        ordered = ReplayedVectors(ring, ops[:3] + ops[4:])
+        assert not ordered.done and ordered[2].coords == full[2].coords
+        assert set(ordered.done) == {0, 1, 2}
+        with pytest.raises(KeyError):
+            ordered[5]
 
 
 class TestDominanceCount:
