@@ -53,8 +53,8 @@ from .poly import (
     is_prime,
     sorted_by_head,
 )
-from .trace import (Registry, ReplayReport, all_admissible, build_registry, check_replay,
-                    run_all_checkers)
+from .trace import (BrokenLink, Registry, ReplayReport, all_admissible, build_registry,
+                    check_replay, run_all_checkers)
 
 
 class ParseError(Exception):
@@ -317,7 +317,7 @@ def run_check(problem: ProblemFile, config: EngineConfig, descent_samples: int,
                     witness = f"reductor {mono.text(ring.names)}*r{pos} passes (a)-(d)"
                 else:
                     witness = f"check ({verdict}) failed"
-            except DescentError as exc:
+            except (DescentError, BrokenLink) as exc:
                 witness = str(exc)
             thm4["failures"].append(f"pair ({fprime},{f}): {witness}")
     verdicts["descents"] = not descents["failures"]
@@ -387,7 +387,7 @@ def cmd_check(args) -> int:
 
 def cmd_descend(args) -> int:
     problem = parse_problem(_read(args.file), order_override=args.order)
-    mono = Monomial([0] * problem.ring.n)
+    coeff, mono = 1, Monomial([0] * problem.ring.n)
     if args.mult is not None:
         try:
             mult = _parse_poly(problem.ring, args.mult, 0)
@@ -395,7 +395,7 @@ def cmd_descend(args) -> int:
             raise ParseError(exc.message, 0, "--mult") from None
         if len(mult.terms) != 1:
             raise ParseError(f"{args.mult!r} is not exactly one nonzero term", 0, "--mult")
-        mono = mult.head_mono
+        [(coeff, mono)] = mult.terms
     events = incremental_f5(problem.polynomials, _config_from_args(args)).events
     registry, replay = build_registry(events), check_replay(events, problem.ring)
     damage = _log_damage(registry, replay, [])
@@ -416,7 +416,7 @@ def cmd_descend(args) -> int:
               f" (members {list(snap.members)})")
         return 2
     try:
-        res = descend(1, mono, h_pos, snap, args.descent_cap)
+        res = descend(coeff, mono, h_pos, snap, args.descent_cap)
     except DescentError as exc:
         print(f"descent failed: {exc}")
         return 2
@@ -459,7 +459,7 @@ def main(argv=None) -> int:
     common(p_desc)
     p_desc.add_argument("--snapshot", type=int, default=0, help="snapshot ordinal")
     p_desc.add_argument("--element", type=int, default=None, help="basis position to descend")
-    p_desc.add_argument("--mult", default=None, help="monomial multiplier, e.g. 'x*y'")
+    p_desc.add_argument("--mult", default=None, help="term multiplier, e.g. 'x*y' or '2*x*y'")
     p_desc.add_argument("--descent-cap", type=int, default=10**5)
 
     args = parser.parse_args(argv)

@@ -88,9 +88,9 @@ class RunCache:
     and ``GgSnapshot.head_key``, and ``lead_inverse[pos]`` the inverse of the
     leading coefficient of b_pos's expansion.  The first read of
     ``triples[pos]`` is the first read of b_pos's module vector, which
-    replays it then (``trace.ReplayReport.vectors``): a run builds the
-    vectors of the elements its descents expand, and of what those read,
-    and no others.
+    replays the log up to the last operation on b_pos then
+    (``trace.ReplayReport.vectors``): a run applies no operation past the
+    last one on an element its descents expand.
     """
 
     __slots__ = ("vkey", "triples", "key_base", "head_base", "lead_inverse")

@@ -9,11 +9,11 @@ is rebuilt after a run from its event log alone, by the operations of the
 log replay (``trace.check_replay``).  ``replay_leads`` replays only each
 element's leading module term, which the ``admissible`` verdict compares
 with its signature, so admissibility is a checkable invariant rather than a
-bookkeeping assumption.  ``ReplayedVectors`` replays a position's full
-vector on first read, with the positions it reads: only the descent
-snapshots read them, and only for the elements they rewrite.
-``replay_vectors`` replays every vector in log order, the reference both
-are tested against.
+bookkeeping assumption.  ``ReplayedVectors`` replays full vectors on first
+read, as a prefix of the log in order, up to the last operation on the
+position read: only the descent snapshots read them, and only for the
+elements they rewrite.  ``replay_vectors`` replays every vector in log
+order, the reference both are tested against.
 """
 
 from __future__ import annotations
@@ -112,14 +112,6 @@ class ModuleVector:
         return None
 
 
-def _reads(op: tuple) -> tuple[int, ...]:
-    """The positions a replay operation reads besides the one it writes."""
-    kind = op[0]
-    if kind == "new":
-        return op[2], op[4]
-    return (op[4],) if kind in ("phi", "top") else ()
-
-
 def _input_count(ops: Sequence[tuple]) -> int:
     """The number of coordinates of every vector: the greatest input index."""
     return max((op[2] for op in ops if op[0] == "input"), default=0)
@@ -157,53 +149,37 @@ class ReplayedVectors(Mapping):
     """Each position's module vector at the end of the log, as
     ``replay_vectors`` gives it, replayed on first read.
 
-    A read of a position replays it with every position its operations
-    read, transitively: their operations, merged in log order.  That is
-    exact when no position gets an operation after an operation has read
-    it, for then each read sees the final vector.  Engine logs have that
-    shape: an element is a parent or a reductor only once its own reduction
-    is done.  It is checked once per log, and a log without it is replayed
-    whole, in order, at once.  The keys are the positions the operations
-    build; one no operation built is missing, as from a dict."""
+    A read of a position applies the log's operations in order, from the
+    first one not yet applied through the last one that writes the
+    position.  No later operation writes it, and those before it run in the
+    same order as in ``replay_vectors``, so every read is exact on every
+    log.  The keys are the positions the operations build; one no operation
+    built is missing, as from a dict."""
 
-    __slots__ = ("ring", "m", "ops", "of", "done")
+    __slots__ = ("ring", "m", "ops", "last", "applied", "done")
 
     def __init__(self, ring: Ring, ops: Sequence[tuple]):
-        of: dict[int, list[int]] = {}  # position -> indices of its operations
-        first_read: dict[int, int] = {}  # position -> index of its first read
-        for i, op in enumerate(ops):
-            of.setdefault(op[1], []).append(i)
-            for r in _reads(op):
-                first_read.setdefault(r, i)
-        self.ring, self.m, self.ops, self.of = ring, _input_count(ops), ops, of
+        self.ring, self.m, self.ops = ring, _input_count(ops), ops
+        # position -> index of the last operation that writes it
+        self.last = {op[1]: i for i, op in enumerate(ops)}
+        self.applied = 0  # the operations ops[:applied] are in ``done``
         self.done: dict[int, ModuleVector] = {}
-        if any(r in of and of[r][-1] >= i for r, i in first_read.items()):
-            apply_ops(ring, self.m, ops, self.done)
 
     def __getitem__(self, pos: int) -> ModuleVector:
-        done = self.done
-        if pos not in done:
-            ops, of, todo, need = self.ops, self.of, [pos], []
-            seen = {pos}
-            while todo:
-                idx = of[todo.pop()]
-                need += idx
-                for i in idx:
-                    for r in _reads(ops[i]):
-                        if r not in seen and r not in done:
-                            seen.add(r)
-                            todo.append(r)
-            apply_ops(self.ring, self.m, [ops[i] for i in sorted(need)], done)
-        return done[pos]
+        end = self.last[pos] + 1
+        if end > self.applied:
+            apply_ops(self.ring, self.m, self.ops[self.applied:end], self.done)
+            self.applied = end
+        return self.done[pos]
 
     def __contains__(self, pos) -> bool:
-        return pos in self.of
+        return pos in self.last
 
     def __iter__(self):
-        return iter(self.of)
+        return iter(self.last)
 
     def __len__(self) -> int:
-        return len(self.of)
+        return len(self.last)
 
 
 def replay_leads(ring: Ring, ops: Sequence[tuple]) -> dict[int, Optional[tuple[int, int]]]:

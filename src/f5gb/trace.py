@@ -316,10 +316,6 @@ class Registry:
     unknown: Optional[tuple[int, str]] = None
 
 
-def _head(payload: list) -> Optional[Monomial]:
-    return Monomial(payload[0][1]) if payload else None
-
-
 # the positions the registry reads, which an earlier event must have
 # created (CallBegin's are its g_next; a RuleAdded precedes its owner)
 _REGISTRY_READS = {"CallBegin": (), "SPolCreated": ("p1", "p2"),
@@ -328,6 +324,16 @@ _REGISTRY_READS = {"CallBegin": (), "SPolCreated": ("p1", "p2"),
 
 
 def build_registry(events: Sequence[dict]) -> Registry:
+    """Every labeled polynomial of the log, with its calls, insertions and
+    rules.  Each distinct payload exponent vector is decoded once."""
+    monos = Lazy(Monomial)
+
+    def mono(exps) -> Monomial:
+        return monos[tuple(exps)]
+
+    def head(payload: list) -> Optional[Monomial]:
+        return mono(payload[0][1]) if payload else None
+
     entries: dict[int, RegistryEntry] = {}
     calls: dict[int, dict] = {}
     insertions: dict[int, list[tuple[int, int]]] = {}
@@ -350,25 +356,23 @@ def build_registry(events: Sequence[dict]) -> Registry:
             gen = created.genealogy
             if gen is not None:
                 greater, smaller, u_over, u_under = (ev[name] for name in gen)
-                gen = (greater, smaller, Monomial(u_over), Monomial(u_under))
-            pos = ev[created.pos]
+                gen = (greater, smaller, mono(u_over), mono(u_under))
+            pos, sig = ev[created.pos], ev["sig"]
             entries[pos] = RegistryEntry(
-                pos, ev["call"], sig_from_payload(ev["sig"]), _head(ev["poly"]),
+                pos, ev["call"], Signature(mono(sig["mono"]), sig["index"]), head(ev["poly"]),
                 genealogy=gen, created_seq=ev["seq"],
             )
         elif kind == "DoneInserted":
             e = entries[ev["pos"]]
             e.done_seq = ev["seq"]
-            e.head = _head(ev["poly"])
+            e.head = head(ev["poly"])
             insertions.setdefault(ev["call"], []).append((ev["seq"], ev["pos"]))
         elif kind == "ReductionToZero":
             e = entries[ev["pos"]]
             e.zero_seq = ev["seq"]
             e.head = None
         elif kind == "RuleAdded":
-            rules.setdefault(ev["index"], []).append(
-                (ev["seq"], Monomial(ev["mono"]), ev["pos"])
-            )
+            rules.setdefault(ev["index"], []).append((ev["seq"], mono(ev["mono"]), ev["pos"]))
     return Registry(entries, calls, insertions, rules, unknown)
 
 
@@ -435,14 +439,19 @@ def check_d_progression(events: Sequence[dict]) -> CheckReport:
 
 def check_signature_safety(events: Sequence[dict], order) -> CheckReport:
     """Every executed top-reduction step is signature-safe; every pre-reduction
-    step uses a strictly higher-index reductor."""
+    step uses a strictly higher-index reductor.  Each distinct payload
+    exponent vector is decoded once."""
+    monos = Lazy(Monomial)
+
+    def key(d: dict) -> int:
+        return sig_key(Signature(monos[tuple(d["mono"])], d["index"]), order)
+
     failures = []
     checked = 0
     for ev in events:
         if ev["kind"] == "ReductionStep":
             checked += 1
-            h_key = sig_key(sig_from_payload(ev["h_sig"]), order)
-            if h_key <= sig_key(sig_from_payload(ev["msig"]), order):
+            if key(ev["h_sig"]) <= key(ev["msig"]):
                 failures.append((ev["seq"], "unsafe reduction step"))
         elif ev["kind"] == "PhiPreReduce":
             checked += 1
@@ -501,7 +510,8 @@ class ReplayReport(CheckReport):
     log order, each position's polynomial at the end of the log, and its
     ring.  ``vectors`` maps each position to its module vector, replayed
     from the operations when it is first read (``sig.ReplayedVectors``), so
-    a run replays only the vectors its descents read."""
+    a run replays the operations only up to the last one on a position its
+    descents read."""
 
     ops: list = field(default_factory=list)
     polys: dict = field(default_factory=dict)
@@ -822,7 +832,8 @@ class InsertionView:
 
 def done_insertion_audit(registry: Registry) -> CheckReport:
     """At every Done insertion, re-evaluate checks (a)-(d) from scratch for
-    every candidate and confirm none passes all four."""
+    every candidate and confirm none passes all four.  A candidate with no
+    rule to decide check (c) by fails the audit."""
     failures = []
     checked = 0
     for call, done in registry.insertions.items():
@@ -832,8 +843,13 @@ def done_insertion_audit(registry: Registry) -> CheckReport:
             members = membership_at(registry, call, seq) + [pos]
             view = InsertionView(registry.entries, members, pos, registry.rules, seq)
             for cand in view.members:
-                if cand != pos and view.failed_check(cand, g.head, g.sig) is None:
-                    failures.append((pos, cand, "candidate passes all four checks"))
+                if cand == pos:
+                    continue
+                try:
+                    if view.failed_check(cand, g.head, g.sig) is None:
+                        failures.append((pos, cand, "candidate passes all four checks"))
+                except BrokenLink as exc:
+                    failures.append((pos, cand, str(exc)))
     return _report("done_insertion_audit", checked, failures)
 
 

@@ -11,7 +11,8 @@ stages add up to a pass but for ``run_check``'s own glue.  For each stage,
 and for the whole pass, the best of the N passes is printed, which keeps
 most of a shared machine's speed changes out.  Module vector replays
 (``sig.apply_ops``) run inside the stages that first read a vector, so they
-are printed apart, with their count of operations per pass.  The inputs
+are printed apart, with their count of operations per pass and the count
+of operations in the logs of the runs that read a vector.  The inputs
 come from ``perfbench/workloads.py``, read and not changed.  pytest does
 not collect this script.
 """
@@ -69,16 +70,28 @@ def main() -> None:
         vector_ops[0] += len(ops)
         return apply_ops(ring, m, ops, vectors)
 
+    # the operations of the runs that read a vector; runs go one at a time,
+    # each with one ``ReplayedVectors``, so a new reader is a new run
+    read_ops, reader = [0], [None]
+    getitem = sig.ReplayedVectors.__getitem__
+
+    def counted_read(vectors, pos):
+        if vectors is not reader[0]:
+            reader[0] = vectors
+            read_ops[0] += len(vectors.ops)
+        return getitem(vectors, pos)
+
     saved = [(cli, name, getattr(cli, name)) for _, names in STAGES for name in names]
-    saved.append((sig, "apply_ops", apply_ops))
+    saved += [(sig, "apply_ops", apply_ops), (sig.ReplayedVectors, "__getitem__", getitem)]
     try:
         for stage, names in STAGES:
             for name in names:
                 setattr(cli, name, timed(getattr(cli, name), stage, seconds))
         sig.apply_ops = timed(counted_ops, "vectors", seconds)
+        sig.ReplayedVectors.__getitem__ = counted_read
         for _ in range(passes):
             seconds.clear()
-            vector_ops[0] = exits = 0
+            vector_ops[0] = read_ops[0] = exits = 0
             t0 = time.perf_counter()
             for problem in problems:
                 try:
@@ -98,7 +111,7 @@ def main() -> None:
         print(f"  {stage:<26} {best[stage]:7.3f} s")
     print(f"  {'whole pass':<26} {best['pass']:7.3f} s")
     print(f"  vector replays, within the above: {best['vectors']:.3f} s,"
-          f" {vector_ops[0]} operations")
+          f" {vector_ops[0]} operations of the {read_ops[0]} in the runs that read one")
 
 
 if __name__ == "__main__":

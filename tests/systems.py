@@ -270,6 +270,23 @@ CYCLIC5 = (
     ],
 )
 
+# the systems of the log plants (test_trace.py) and the engine plants
+# (test_cli.py), over GF(32003) under degrevlex
+PLANT_SYSTEMS = {"cyclic4": CYCLIC4, "katsura5": KATSURA5}
+
+
+# Not regular under deglex: its reduced basis tops out at degree 7, but F5
+# inserts elements up to degree 19 (85 insertions, 6,033 events).  Not in
+# SUITE, which the benchmark and the report digests read.
+OVERSHOOT_DEGLEX = """p = 32003
+vars: x0, x1, x2, x3
+order: deglex
+27479*x0^2*x3
+17372*x0*x1*x3 + 21875*x1^3 + 11095*x1^2*x3
+23632*x0*x3^2 + 4597*x0*x1*x2 + 26823*x0^3 + 17827*x1^2*x2
+29259*x1*x3 + 13117*x2^2
+"""
+
 
 ENGINE_PIN_PRIMES = (3, 5, 7, 32003, 2**31 - 1)
 # every fourth system of ``engine_pin_systems`` runs under one of these

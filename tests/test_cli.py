@@ -18,11 +18,14 @@ from f5gb.cli import (
     run_check,
 )
 from f5gb.engine import EngineConfig, NonHomogeneousInput
+from f5gb.poly import normal_form
 from f5gb.trace import events_from_jsonl, run_all_checkers
 
 from systems import (
     CYCLIC4,
     LEX_SCOPE,
+    OVERSHOOT_DEGLEX,
+    PLANT_SYSTEMS,
     SUITE,
     SUITE_PRIMES,
     problem_text,
@@ -169,6 +172,23 @@ def run_main(argv):
     return code, out.getvalue()
 
 
+def _skip_first_top_reduction(monkeypatch) -> list:
+    """Make the engine skip the first top-reduction it finds; the returned
+    list holds the skipped reductor, and clearing it arms the skip again."""
+    is_reducible = engine.Engine._is_reducible
+    skipped = []
+
+    def skip_first(self, h, i):
+        red = is_reducible(self, h, i)
+        if red is not None and not skipped:
+            skipped.append(red)
+            return None
+        return red
+
+    monkeypatch.setattr(engine.Engine, "_is_reducible", skip_first)
+    return skipped
+
+
 class TestCommands:
     def test_gb(self, demo_file):
         code, out = run_main(["gb", demo_file])
@@ -275,17 +295,7 @@ class TestCommands:
         # the engine inserts one element that a permitted reductor should
         # have reduced; the pair is reported once, at the first snapshot
         # holding both
-        is_reducible = engine.Engine._is_reducible
-        skipped = []
-
-        def skip_first(self, h, i):
-            red = is_reducible(self, h, i)
-            if red is not None and not skipped:
-                skipped.append(red)
-                return None
-            return red
-
-        monkeypatch.setattr(engine.Engine, "_is_reducible", skip_first)
+        skipped = _skip_first_top_reduction(monkeypatch)
         path = tmp_path / "cyclic4.txt"
         path.write_text(problem_text(32003, *CYCLIC4))
         code, out = run_main(["check", str(path), "--json-report"])
@@ -415,12 +425,12 @@ class TestCommands:
         assert err.startswith("error: product of Monomial((0, 0, 32767, 0)) and ")
         assert "2^15" in err
 
-    def test_descend_mult_coefficient_is_ignored(self, cyclic_file):
-        plain = run_main(["descend", cyclic_file, "--element", "1", "--mult", "h"])
-        assert plain == run_main(["descend", cyclic_file, "--element", "1", "--mult", "3*h"])
-        # one leading sign stays valid
-        assert plain == run_main(["descend", cyclic_file, "--element", "1", "--mult=-h"])
-        assert plain[0] == 0 and '"elements":[[1,[0,0,0,1],1]]' in plain[1]
+    def test_descend_mult_coefficient_scales_the_target(self, cyclic_file):
+        # the term's coefficient multiplies the target, mod 7; one leading
+        # sign stays valid
+        for mult, coeff in (("h", 1), ("3*h", 3), ("-h", 6)):
+            code, out = run_main(["descend", cyclic_file, "--element", "1", f"--mult={mult}"])
+            assert code == 0 and f'"elements":[[{coeff},[0,0,0,1],1]]' in out, mult
 
     def test_parse_error_exit_code(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -654,6 +664,112 @@ class TestDamagedLogCheck:
         assert report["ok"] and "damaged_log" not in report
 
 
+def _plant_no_rule(monkeypatch):
+    """Make the engine add no rule for the elements it builds, its
+    S-polynomials and top-reduction results (``Engine._new_element``)."""
+    new_element = engine.Engine._new_element
+
+    def without_rule(self, *args):
+        self._add_rule = lambda sig, pos: None
+        try:
+            return new_element(self, *args)
+        finally:
+            del self._add_rule
+
+    monkeypatch.setattr(engine.Engine, "_new_element", without_rule)
+
+
+def _reducible_insertions(events, ring) -> tuple[int, int]:
+    """How many ``DoneInserted`` polynomials are not in normal form modulo
+    the previous call's ``CallEnd.basis``, and how many there are."""
+    polys = trace.check_replay(events, ring).polys
+    basis = {ev["call"]: ev["basis"] for ev in events if ev["kind"] == "CallEnd"}
+    done = [ev for ev in events if ev["kind"] == "DoneInserted"]
+    previous = [[polys[p] for p in basis.get(ev["call"] + 1, [])] for ev in done]
+    return sum(normal_form(polys[ev["pos"]], g) != polys[ev["pos"]]
+               for ev, g in zip(done, previous)), len(done)
+
+
+# no-rule plant -> the failing reports, each with its first failure
+NO_RULE_FAILURES = {
+    "cyclic4": ["rule_degrees: FAIL (0 checked) first_failure="
+                "(2, 'not exactly one rule, with its signature')",
+                "done_insertion_audit: FAIL (6 checked) first_failure=(5, 4, 'r4 has no rule entry')"],
+    "katsura5": ["rule_degrees: FAIL (0 checked) first_failure="
+                 "(2, 'not exactly one rule, with its signature')",
+                 "done_insertion_audit: FAIL (7 checked) first_failure="
+                 "(12, 11, 'r11 has no rule entry')"],
+}
+# system -> the reducible insertions of ``_reducible_insertions`` with
+# φ-reduction skipped
+SKIPPED_PHI_REDUCIBLE = {"cyclic4": (1, 16), "katsura5": (55, 57)}
+
+
+class TestEnginePlants:
+    """Test-only engine defects on ``PLANT_SYSTEMS``, with the verdicts of
+    ``run_check`` that each one flips."""
+
+    @pytest.mark.parametrize("system", PLANT_SYSTEMS)
+    def test_no_rule_fails_the_reports_instead_of_raising(self, system, monkeypatch):
+        _plant_no_rule(monkeypatch)
+        report = _check_report(problem_text(32003, *PLANT_SYSTEMS[system]))
+        failed = {name for name, passed in report["verdicts"].items() if not passed}
+        assert failed == {"rule_degrees", "done_insertion_audit", "ideal_equal"}
+        assert [line for line in report["checker_lines"] if ": FAIL" in line] == (
+            NO_RULE_FAILURES[system]
+        )
+        assert report["ok"] is False
+
+    def test_reductor_without_rule_is_a_thm4_witness(self, monkeypatch):
+        # the skipped top-reduction of test_skipped_top_reduction_fails_thm4,
+        # with the rule of its reductor r5 gone from the log: check (c) of
+        # the reductor cannot be decided, which fails the pair
+        _skip_first_top_reduction(monkeypatch)
+        _engine_returning(monkeypatch, lambda events: [
+            ev for ev in events if not (ev["kind"] == "RuleAdded" and ev["pos"] == 5)])
+        report = _check_report(problem_text(32003, *CYCLIC4))
+        assert report["thm4"] == {"pairs": 1, "reductor_ok": 0,
+                                  "failures": ["pair (5,8): r5 has no rule entry"]}
+        assert report["verdicts"]["thm4_reductors"] is False
+
+    @pytest.mark.parametrize("system", PLANT_SYSTEMS)
+    def test_skipped_phi_flips_no_verdict(self, system, monkeypatch):
+        # no report checks that an inserted polynomial is in normal form
+        # modulo the previous call's basis: every engine log keeps that,
+        # and this plant breaks it, unseen
+        text = problem_text(32003, *PLANT_SYSTEMS[system])
+        ring = parse_problem(text).ring
+        logs = []
+
+        def keep(events):
+            logs.append(events)
+            return events
+
+        _engine_returning(monkeypatch, keep)
+        assert _check_report(text)["ok"]
+        assert _reducible_insertions(logs[0], ring) == (0, SKIPPED_PHI_REDUCIBLE[system][1])
+        monkeypatch.setattr(engine.Engine, "_phi_reduce", lambda self, h, i: None)
+        report = _check_report(text)
+        assert report["ok"] and all(report["verdicts"].values())
+        assert _reducible_insertions(logs[1], ring) == SKIPPED_PHI_REDUCIBLE[system]
+        assert sum(ev["kind"] == "PhiPreReduce" for ev in logs[1]) == 0
+
+
+class TestOvershoot:
+    def test_non_regular_deglex_input_checks_ok(self):
+        # the paper's claim without regularity: F5 terminates and every
+        # verdict holds, though it inserts 12 degrees above the reduced basis
+        problem = parse_problem(OVERSHOOT_DEGLEX)
+        events = engine.incremental_f5(problem.polynomials).events
+        done = [ev for ev in events if ev["kind"] == "DoneInserted"]
+        assert len(events) == 6033 and len(done) == 85
+        assert max(sum(ev["poly"][0][1]) for ev in done) == 19
+        report = _check_report(OVERSHOOT_DEGLEX)
+        assert report["ok"] and len(report["verdicts"]) == 12
+        assert all(report["verdicts"].values())
+        assert max(q.head_mono.deg for q in oracle.buchberger(problem.polynomials)) == 7
+
+
 # sha256 of the stdout of ``f5gb descend`` on homogenized cyclic-4 over
 # GF(32003), snapshot 12, element 11, multiplier x1: 13 rewrites, P1 and P2
 CYCLIC4_DESCEND = "25fda3b3ab74bdc67657946902c66c06c64aa749e7f9cb6fe2d3818acc864133"
@@ -661,8 +777,8 @@ CYCLIC4_DESCEND = "25fda3b3ab74bdc67657946902c66c06c64aa749e7f9cb6fe2d3818acc864
 
 class TestDescendRewrites:
     def test_step_log_pinned(self, tmp_path, monkeypatch):
-        # the vectors are replayed on demand: those of the rewritten
-        # elements and of what they read, each once, and not all of them
+        # the vectors are replayed on demand, as a log prefix up to the
+        # last operation on a rewritten element: each once, not all of them
         path = tmp_path / "cyclic4.txt"
         path.write_text(problem_text(32003, *CYCLIC4))
         built = []
@@ -682,6 +798,34 @@ class TestDescendRewrites:
         assert {step["violated"] for step in steps[:13]} == {"P1", "P2"}
         assert hashlib.sha256(out.encode()).hexdigest() == CYCLIC4_DESCEND
         assert built and len(built) == len(set(built)) < 24
+
+    def test_term_multiplier_scales_every_coefficient(self, tmp_path):
+        # the descent is linear in its coefficient: 2*x1 and 5*x1 make the
+        # rewrites of x1 on the same elements, each coefficient multiplied
+        # by 2 or 5 mod p
+        path = tmp_path / "cyclic4.txt"
+        path.write_text(problem_text(32003, *CYCLIC4))
+        logs = {}
+        for c in (1, 2, 5):
+            code, out = run_main(["descend", str(path), "--snapshot", "12", "--element", "11",
+                                  "--mult", f"{c}*x1"])
+            assert code == 0
+            logs[c] = [json.loads(line) for line in out.splitlines()]
+            if c == 1:
+                assert hashlib.sha256(out.encode()).hexdigest() == CYCLIC4_DESCEND
+
+        def scaled(entry, c):
+            if entry["kind"] == "DescentStep":
+                coeff, mono, pos = entry["element"]
+                return {**entry, "element": [coeff * c % 32003, mono, pos]}
+            if entry["kind"] == "FinalRepresentation":
+                return {**entry, "elements": [[coeff * c % 32003, mono, pos]
+                                              for coeff, mono, pos in entry["elements"]]}
+            return entry
+
+        for c in (2, 5):
+            assert logs[c] == [scaled(entry, c) for entry in logs[1]]
+            assert logs[c] != logs[1]
 
 
 class TestReadme:

@@ -2,6 +2,7 @@
 
 import copy
 import functools
+import hashlib
 import io
 import itertools
 import json
@@ -9,7 +10,7 @@ import random
 
 import pytest
 
-from f5gb import trace
+from f5gb import sig, trace
 from f5gb.engine import BudgetExceeded, EngineConfig, incremental_f5
 from f5gb.oracle import GgSnapshot, done_snapshots, find_thm4_pairs_in_snapshot
 from f5gb.poly import GT, ORDER_KINDS, Monomial, MonomialOrder, poly_axpy, quotient_key
@@ -39,6 +40,7 @@ from order_reference import MonomialQuotient, quotient_cmp
 from systems import (
     CYCLIC4,
     KATSURA5,
+    PLANT_SYSTEMS,
     SUITE,
     SUITE_PRIMES,
     classify_pairs_at_insertion,
@@ -97,6 +99,34 @@ class TestDProgression:
             {"seq": 1, "kind": "DegreeStep", "call": 1, "d": 3, "pairs": 1},
         ]
         assert not check_d_progression(ev).passed
+
+
+# sha256 over ``repr(build_registry(log))`` of the 18 SUITE logs, in
+# ``suite_instances`` order: every field of every entry, call, insertion
+# and rule
+PINNED_SUITE_REGISTRIES = "65ec4e976e2b50f0fcd29f5f4dd4f2efdc7f0a4b798b46cba856c491b29d59eb"
+
+
+class TestPayloadDecode:
+    def test_suite_registries_pinned(self):
+        digest = hashlib.sha256()
+        for _, _, inputs in suite_instances():
+            digest.update(repr(build_registry(incremental_f5(inputs).events)).encode())
+        assert digest.hexdigest() == PINNED_SUITE_REGISTRIES
+
+    def test_each_payload_vector_is_decoded_once_per_call(self, monkeypatch):
+        decoded = []
+
+        def counting(exps):
+            decoded.append(tuple(exps))
+            return Monomial(exps)
+
+        monkeypatch.setattr(trace, "Monomial", counting)
+        ring, events = plant_run("katsura5")
+        for check in (build_registry, lambda log: check_signature_safety(log, ring.order)):
+            del decoded[:]
+            check(events)
+            assert decoded and len(decoded) == len(set(decoded))
 
 
 class TestSignatureSafety:
@@ -362,13 +392,17 @@ class TestDoneInsertionAudit:
 
     def test_candidate_without_rule_entry_is_loud(self):
         # the input passes checks (a) and (b); with its RuleAdded gone there
-        # is no rule to decide check (c) by
+        # is no rule to decide check (c) by: the audit fails, naming it
         events = [
             ev for ev in fabricated_audit_log((1, 0))
             if not (ev["kind"] == "RuleAdded" and ev["pos"] == 0)
         ]
+        registry = build_registry(events)
+        rep = done_insertion_audit(registry)
+        assert not rep.passed and rep.failures == [(1, 0, "r0 has no rule entry")]
+        g = registry.entries[1]
         with pytest.raises(trace.BrokenLink, match="r0 has no rule entry"):
-            done_insertion_audit(build_registry(events))
+            insertion_view(events, 1).failed_check(0, g.head, g.sig)
 
 
 class TestExtractChainBroken:
@@ -472,12 +506,12 @@ def thm5_run(name):
     return ring, incremental_f5(polys(ring, *texts), EngineConfig())
 
 
-# Log plants on the degrevlex log of cyclic-4 or katsura-5 over GF(32003).
-# A drop removes one event: the first of its kind, or for RuleAdded the rule
-# of the element at the given position (on cyclic-4 the first S-polynomial,
-# on katsura-5 the first element built by a top-reduction).  A corruption
-# (CORRUPTIONS) changes one field of one event in place.
-PLANT_SYSTEMS = {"cyclic4": CYCLIC4, "katsura5": KATSURA5}
+# Log plants on the degrevlex log of cyclic-4 or katsura-5 over GF(32003)
+# (PLANT_SYSTEMS).  A drop removes one event: the first of its kind, or for
+# RuleAdded the rule of the element at the given position (on cyclic-4 the
+# first S-polynomial, on katsura-5 the first element built by a
+# top-reduction).  A corruption (CORRUPTIONS) changes one field of one event
+# in place.
 RULE_PLANTS = {"cyclic4": 2, "katsura5": 30}
 
 
@@ -723,8 +757,7 @@ class TestVectorsOnDemand:
             replay = check_replay(events, ring)
             full = replay_vectors(ring, replay.ops)
             vectors = ReplayedVectors(ring, replay.ops)
-            if whole:
-                assert not vectors.done, name  # engine logs take the on-demand path
+            assert not vectors.done, name  # nothing is replayed before a read
             assert set(vectors) == set(full) == set(replay.polys), name
             order = sorted(full)
             rng.shuffle(order)
@@ -732,6 +765,37 @@ class TestVectorsOnDemand:
             for pos in order:
                 assert vectors[pos].coords == full[pos].coords, (name, pos)
                 assert full[pos].value(inputs) == replay.polys[pos], (name, pos)
+
+    def test_a_read_applies_no_operation_past_its_positions_last(self, monkeypatch):
+        # each read applies the operations after those already applied,
+        # through the last one on the position read, and no others
+        applied = []
+        apply_ops = sig.apply_ops
+
+        def recording_ops(ring, m, ops, vectors):
+            applied.append(list(ops))
+            return apply_ops(ring, m, ops, vectors)
+
+        monkeypatch.setattr(sig, "apply_ops", recording_ops)
+        rng = random.Random(1)
+        for name, ring, events, _ in exactness_logs():
+            ops = check_replay(events, ring).ops
+            vectors = ReplayedVectors(ring, ops)
+            last = {}
+            for i, op in enumerate(ops):
+                last[op[1]] = i
+            order = sorted(last)
+            rng.shuffle(order)
+            end = 0
+            for pos in order:
+                del applied[:]
+                vectors[pos]
+                if last[pos] < end:
+                    assert not applied, (name, pos)
+                else:
+                    assert applied == [ops[end:last[pos] + 1]], (name, pos)
+                    end = last[pos] + 1
+            assert end == len(ops), name
 
     def test_leading_terms_give_the_full_vector_verdict(self, monkeypatch):
         fallbacks = []
@@ -783,16 +847,19 @@ class TestVectorsOnDemand:
 
     def test_a_read_before_a_later_operation_replays_in_log_order(self):
         # r0 is read by r2's creation and reduced after it, so a read of r2
-        # must see r0 as it was then: the whole log is replayed in order
+        # must see r0 as it was then, and a later read of r0 its final
+        # vector: the log is replayed in order, in either order of reads
         ring = make_ring(7, ["x", "y"])
         x, y = M(1, 0), M(0, 1)
         ops = [("input", 0, 1), ("input", 1, 2), ("new", 2, 0, x, 1, y, 1),
                ("top", 0, 3, y, 1), ("monic", 2, 2)]
         full = replay_vectors(ring, ops)
-        vectors = ReplayedVectors(ring, ops)
-        assert set(vectors.done) == {0, 1, 2}
-        assert all(vectors[pos].coords == full[pos].coords for pos in full)
         assert full[0].coords != ModuleVector.unit(ring, 2, 1).coords
+        for reads in ([2, 0, 1], [0, 1, 2], [1, 0, 2]):
+            vectors = ReplayedVectors(ring, ops)
+            assert not vectors.done
+            assert all(vectors[pos].coords == full[pos].coords for pos in reads), reads
+            assert set(vectors.done) == {0, 1, 2}
         ordered = ReplayedVectors(ring, ops[:3] + ops[4:])
         assert not ordered.done and ordered[2].coords == full[2].coords
         assert set(ordered.done) == {0, 1, 2}
