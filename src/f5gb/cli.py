@@ -344,11 +344,10 @@ def run_check(problem: ProblemFile, config: EngineConfig, descent_samples: int,
 def _log_damage(registry: Registry, replay: ReplayReport, basis: list[int]) -> Optional[str]:
     """Why a log cannot give the checked basis, the admissible verdict or
     the snapshots, or None: its first event that names a position no
-    earlier event created (``Registry.unknown`` or a replay failure), else a
-    position of the checked basis ``basis`` that the replay did not build."""
-    unknown = [f for f in replay.failures if f[1].startswith("unknown position")]
-    if registry.unknown is not None:
-        unknown.append(registry.unknown)
+    earlier event created (``Registry.unknown`` or ``ReplayReport.unknown``),
+    else a position of the checked basis ``basis`` that the replay did not
+    build."""
+    unknown = [u for u in (registry.unknown, replay.unknown) if u is not None]
     if unknown:
         seq, reason = min(unknown)
         return f"damaged log: seq {seq}: {reason}"
@@ -465,7 +464,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     # the least value of each numeric option that has one, checked before
     # any file is read
-    for option, least in (("descent_samples", 0), ("descent_cap", 1)):
+    for option, least in (("descent_samples", 0), ("descent_cap", 1), ("max_pairs", 0),
+                          ("max_degree", 0)):
         value = getattr(args, option, least)
         if value < least:
             sys.stderr.write(f"error: --{option.replace('_', '-')} must be at least {least},"

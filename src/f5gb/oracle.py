@@ -83,23 +83,22 @@ class RunCache:
     first use from the run's order, entries and module vectors alone.
 
     ``triples[pos]`` is b_pos over the inputs (``sig.input_representation``),
-    ``vkey[v]`` the order key of the packed monomial v, ``key_base[pos]``
-    and ``head_base[pos]`` the per-position parts of ``GgSnapshot.elem_key``
-    and ``GgSnapshot.head_key``, and ``lead_inverse[pos]`` the inverse of the
-    leading coefficient of b_pos's expansion.  The first read of
+    ``key_base[pos]`` and ``head_base[pos]`` the per-position parts of
+    ``GgSnapshot.elem_key`` and ``GgSnapshot.head_key``, and
+    ``lead_inverse[pos]`` the inverse of the leading coefficient of b_pos's
+    expansion.  The first read of
     ``triples[pos]`` is the first read of b_pos's module vector, which
     replays the log up to the last operation on b_pos then
     (``trace.ReplayReport.vectors``): a run applies no operation past the
     last one on an element its descents expand.
     """
 
-    __slots__ = ("vkey", "triples", "key_base", "head_base", "lead_inverse")
+    __slots__ = ("triples", "key_base", "head_base", "lead_inverse")
 
     def __init__(self, ring: Ring, entries, vectors: Mapping[int, ModuleVector]):
         order = ring.order
         vkey = order.vkey
         key_one = vkey(0)  # the order key of 1
-        self.vkey = Lazy(vkey)
         self.triples = Lazy(lambda pos: input_representation(vectors[pos]))
         self.key_base = Lazy(
             lambda pos: (sig_key(entries[pos].sig, order) - key_one << POS_BITS)
@@ -149,7 +148,7 @@ class GgSnapshot(InsertionView):
         g = self.entries[g_pos]  # inserted by the call of its index
         self.g_scope = (sig_key(g.sig, self.order), g.poly.head_mono.deg)
         self.cache = RunCache(ring, self.entries, vectors) if cache is None else cache
-        self.vkey, self.key_base = self.cache.vkey, self.cache.key_base
+        self.vkey, self.key_base = self.order.vkey, self.cache.key_base
         self._violated: dict[int, Optional[str]] = {}
 
     @classmethod
@@ -177,7 +176,7 @@ class GgSnapshot(InsertionView):
         packed value: key(t*s) = key(s) + key(t) - key(1) under all three
         orders.  So the key is one order key of t plus a per-position base,
         ``key_base[pos]``, with no shifted signature built."""
-        return (self.vkey[t.v] << POS_BITS) + self.key_base[pos]
+        return (self.vkey(t.v) << POS_BITS) + self.key_base[pos]
 
     def head_key(self, key: int, pos: int) -> int:
         """The order key of the head of t * b_pos, from its ``elem_key``:
@@ -421,7 +420,7 @@ class DescentState:
     def _check_heads(self) -> None:
         """Raise when an element's head exceeds the target's (P3)."""
         snap, elems = self.snap, self.elems
-        head_key, bound = snap.head_key, snap.vkey[self.head.v]
+        head_key, bound = snap.head_key, snap.vkey(self.head.v)
         if all(head_key(k, elems[k][2]) <= bound for k in self.keys):
             return
         # (head key, element), in the ordered form's order
@@ -463,7 +462,7 @@ class DescentState:
         # key -> [new coefficient, old coefficient, mono, pos]; 0 is no element
         merged: dict[int, list] = {}
         for c, m, q in replacement:
-            k = (vkey[m.v] << POS_BITS) + base[q]
+            k = (vkey(m.v) << POS_BITS) + base[q]
             cell = merged.get(k)
             if cell is None:
                 e = elems.get(k)
@@ -724,59 +723,37 @@ def reduced_basis(polys: Sequence[Polynomial]) -> list[Polynomial]:
     return _interreduce(_split_heads(polys)[0])
 
 
-def is_reduced(polys: Sequence[Polynomial]) -> bool:
-    """Whether ``reduced_basis(polys) == list(polys)``: every element monic,
-    the heads strictly ascending, and no term of an element divisible by
-    another element's head."""
-    if not polys:
-        return True
-    key = polys[0].ring.order.key
-    heads = []
-    for p in polys:
-        if p.is_zero or p.head_coeff != 1:
-            return False
-        heads.append(p.head_mono)
-    keys = [key(h) for h in heads]
-    if any(a >= b for a, b in zip(keys, keys[1:])):
-        return False
-    masks = [h.mask for h in heads]
-    for i, p in enumerate(polys):
-        for _, m in p.terms:
-            mmask = m.mask
-            for j, h in enumerate(heads):
-                if not masks[j] & ~mmask and j != i and h.divides(m):
-                    return False
-    return True
-
-
 def ideal_equal(g1: Sequence[Polynomial], g2: Sequence[Polynomial]) -> bool:
     """Whether two Groebner bases generate the same ideal.
 
-    Both sets must reduce to the same basis ``R`` (``reduced_basis``; a set
-    that ``is_reduced`` is its own), and every element that
-    ``reduced_basis`` drops must have normal form zero modulo ``R``.  An
-    element is dropped when an earlier head divides its own, without any
-    sign that it lies in the ideal, so this membership test is what catches
-    a stray redundant element: ``[x^2, x^2 + y]`` and ``[x^2]`` reduce alike
-    but generate different ideals.  A kept element p needs no test: its
-    normal form reduces only by elements of smaller heads, so p lies in the
-    ideal of the ``R`` elements of its head and below, by induction up the
-    heads.  A true verdict means ``(g1) = (R) = (g2)``.
+    Both sets must reduce to the same basis ``R`` (``reduced_basis``), and
+    every element that ``reduced_basis`` drops must have normal form zero
+    modulo ``R``.  An element is dropped when an earlier head divides its
+    own, without any sign that it lies in the ideal, so this membership
+    test is what catches a stray redundant element: ``[x^2, x^2 + y]`` and
+    ``[x^2]`` reduce alike but generate different ideals.  A kept element p
+    needs no test: its normal form reduces only by elements of smaller
+    heads, so p lies in the ideal of the ``R`` elements of its head and
+    below, by induction up the heads.  A true verdict means
+    ``(g1) = (R) = (g2)``.
 
     When either set is a Groebner basis, so is ``R`` (as both reduce to
     it), and every element of its ideal reduces to zero modulo it: testing
     the kept elements too could change no verdict.  When each set is a
     Groebner basis of its own ideal the converse holds too: ``R`` is then
     the unique reduced Groebner basis and every ideal element reduces to
-    zero modulo it."""
-    sides = []
-    for g in (g1, g2):
-        if is_reduced(g):
-            sides.append((list(g), []))
-        else:
-            minimal, dropped = _split_heads(g)
-            sides.append((_interreduce(minimal), dropped))
-    (r1, d1), (r2, d2) = sides
+    zero modulo it.
+
+    A side that is already reduced (monic, heads strictly ascending, no
+    term divisible by another element's head; ``buchberger`` returns one)
+    comes back as itself, with nothing dropped, so it costs one scan of its
+    terms against the other heads: the sort in ``_split_heads`` is stable
+    and the heads already ascend, so the order is kept; ``monic`` returns
+    each element itself; no head divides another, so none is dropped; and
+    each ``normal_form`` in ``_interreduce`` finds no divisor and returns
+    its input (``poly.reduce_with``)."""
+    (m1, d1), (m2, d2) = _split_heads(g1), _split_heads(g2)
+    r1, r2 = _interreduce(m1), _interreduce(m2)
     return r1 == r2 and all(normal_form(p, r1).is_zero for p in [*d1, *d2])
 
 

@@ -12,8 +12,7 @@ with its signature, so admissibility is a checkable invariant rather than a
 bookkeeping assumption.  ``ReplayedVectors`` replays full vectors on first
 read, as a prefix of the log in order, up to the last operation on the
 position read: only the descent snapshots read them, and only for the
-elements they rewrite.  ``replay_vectors`` replays every vector in log
-order, the reference both are tested against.
+elements they rewrite.
 """
 
 from __future__ import annotations
@@ -137,24 +136,16 @@ def apply_ops(ring: Ring, m: int, ops: Sequence[tuple],
             vectors[pos] = vectors[pos].axpy(c, u, vectors[r])
 
 
-def replay_vectors(ring: Ring, ops: Sequence[tuple]) -> dict[int, ModuleVector]:
-    """Each position's module vector at the end of the log: every operation
-    of the log replay, in order."""
-    vectors: dict[int, ModuleVector] = {}
-    apply_ops(ring, _input_count(ops), ops, vectors)
-    return vectors
-
-
 class ReplayedVectors(Mapping):
-    """Each position's module vector at the end of the log, as
-    ``replay_vectors`` gives it, replayed on first read.
+    """Each position's module vector at the end of the log, replayed on
+    first read.
 
     A read of a position applies the log's operations in order, from the
     first one not yet applied through the last one that writes the
     position.  No later operation writes it, and those before it run in the
-    same order as in ``replay_vectors``, so every read is exact on every
-    log.  The keys are the positions the operations build; one no operation
-    built is missing, as from a dict."""
+    same order as in a replay of the whole log, so every read is exact on
+    every log.  The keys are the positions the operations build; one no
+    operation built is missing, as from a dict."""
 
     __slots__ = ("ring", "m", "ops", "last", "applied", "done")
 

@@ -111,10 +111,6 @@ class BrokenLink(Exception):
 # payload helpers
 
 
-def sig_from_payload(d: dict) -> Signature:
-    return Signature(Monomial(d["mono"]), d["index"])
-
-
 def poly_from_payload(ring: Ring, payload: list) -> Polynomial:
     return ring.poly([(c, Monomial(exps)) for c, exps in payload])
 
@@ -508,14 +504,17 @@ def check_genealogy(registry: Registry, order) -> CheckReport:
 class ReplayReport(CheckReport):
     """The report of ``check_replay``, with the operations it performed, in
     log order, each position's polynomial at the end of the log, and its
-    ring.  ``vectors`` maps each position to its module vector, replayed
-    from the operations when it is first read (``sig.ReplayedVectors``), so
-    a run replays the operations only up to the last one on a position its
+    ring.  ``unknown`` is (seq, reason) of the first event that names a
+    position no earlier event created, as in ``Registry.unknown``, or None.
+    ``vectors`` maps each position to its module vector, replayed from the
+    operations when it is first read (``sig.ReplayedVectors``), so a run
+    replays the operations only up to the last one on a position its
     descents read."""
 
     ops: list = field(default_factory=list)
     polys: dict = field(default_factory=dict)
     ring: Optional[Ring] = None
+    unknown: Optional[tuple[int, str]] = None
 
     @cached_property
     def vectors(self) -> ReplayedVectors:
@@ -562,6 +561,7 @@ def check_replay(events: Sequence[dict], ring: Ring) -> ReplayReport:
     failures = []
     checked = 0
     phi_h = None  # h of the φ pass in progress
+    first_unknown = None
 
     def monic(pos: int) -> int:
         P[pos], s = P[pos].monic_scale()
@@ -581,6 +581,7 @@ def check_replay(events: Sequence[dict], ring: Ring) -> ReplayReport:
         unknown = [ev[name] for name in reads if ev[name] not in P]
         if unknown:
             failures.append((seq, f"unknown position r{unknown[0]}"))
+            first_unknown = first_unknown or failures[-1]
         elif kind in CREATION_FIELDS:
             pos = ev[CREATION_FIELDS[kind].pos]
             if kind == "CallBegin":
@@ -617,7 +618,8 @@ def check_replay(events: Sequence[dict], ring: Ring) -> ReplayReport:
                 failures.append((seq, "trail differs from the replay"))
             if not _same_poly(created[pos], ev["creation_poly"], monos):
                 failures.append((seq, "creation polynomial differs from the replay"))
-    return ReplayReport("trail_replay", not failures, checked, failures, ops, P, ring)
+    return ReplayReport("trail_replay", not failures, checked, failures, ops, P, ring,
+                        first_unknown)
 
 
 def all_admissible(registry: Registry, replay: ReplayReport) -> bool:

@@ -33,7 +33,8 @@ from perfbench import workloads as w  # noqa: E402
 # (stage, names in ``cli`` that run it)
 STAGES = (
     ("engine", ("incremental_f5",)),
-    ("buchberger + ideal_equal", ("buchberger", "ideal_equal")),
+    ("buchberger", ("buchberger",)),
+    ("ideal_equal", ("ideal_equal",)),
     ("registry + snapshots", ("build_registry", "done_snapshots")),
     ("check_replay", ("check_replay",)),
     ("admissible", ("all_admissible",)),

@@ -11,7 +11,7 @@ from f5gb.cli import _parse_poly
 from f5gb.engine import EngineConfig
 from f5gb.oracle import done_snapshots
 from f5gb.poly import ORDER_KINDS, Monomial, MonomialOrder, Polynomial, Ring
-from f5gb.sig import sig_key
+from f5gb.sig import Signature, _input_count, apply_ops, sig_key
 from f5gb.trace import (Registry, _PairRules, build_registry, check_replay, in_scope,
                         membership_at)
 
@@ -26,6 +26,20 @@ def P(ring: Ring, text: str) -> Polynomial:
 
 def polys(ring: Ring, *texts: str) -> list[Polynomial]:
     return [P(ring, t) for t in texts]
+
+
+def sig_from_payload(d: dict) -> Signature:
+    """The signature that an event payload writes as ``{"mono", "index"}``."""
+    return Signature(Monomial(d["mono"]), d["index"])
+
+
+def replay_vectors(ring: Ring, ops: Sequence[tuple]) -> dict:
+    """Each position's module vector at the end of the log: every operation
+    of the log replay (``check_replay``), in order.  The reference that
+    ``sig.ReplayedVectors`` and ``sig.replay_leads`` are tested against."""
+    vectors: dict = {}
+    apply_ops(ring, _input_count(ops), ops, vectors)
+    return vectors
 
 
 def replayed_vectors(result) -> dict:

@@ -418,6 +418,23 @@ class TestCommands:
         assert main([argv[0], path, *argv[1:]]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("command", ["gb", "trace", "check", "descend"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--max-pairs", "-5"], "--max-pairs must be at least 0, got -5"),
+        (["--max-degree", "-1"], "--max-degree must be at least 0, got -1"),
+    ])
+    def test_negative_budget_fails_before_the_file_is_read(
+        self, tmp_path, capsys, monkeypatch, command, flags, message
+    ):
+        # a usage error, not a budget exit: the path does not exist, and no
+        # engine runs
+        monkeypatch.setattr(cli, "incremental_f5", None)
+        path, out = str(tmp_path / "missing.txt"), tmp_path / "trace.jsonl"
+        extra = ["--trace-out", str(out)] if command == "trace" else []
+        assert main([command, path, *extra, *flags]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
     def test_descend_mult_past_the_exponent_bound_errors(self, cyclic_file, capsys):
         # r2 has signature z*F2, so z^32767 * sig(r2) passes the bound
         assert main(["descend", cyclic_file, "--element", "2", "--mult", "z^32767"]) == 1
@@ -651,6 +668,19 @@ class TestDamagedLogCheck:
                     report = _check_report(text)
                 assert report["damaged_log"].startswith("damaged log: seq "), (kind, k)
                 assert not any(report["verdicts"][name] for name in DAMAGE_VERDICTS), (kind, k)
+
+    def test_unknown_reductor_is_damage_from_the_replay_alone(self, monkeypatch):
+        # the registry reads no reductor, so only the replay names the damage
+        def forge(events):
+            first = next(ev for ev in events if ev["kind"] == "PhiPreReduce")
+            return [{**ev, "reductor": 10**6} if ev is first else ev for ev in events]
+
+        _engine_returning(monkeypatch, forge)
+        report = _check_report(problem_text(32003, *CYCLIC4))
+        assert report["damaged_log"] == "damaged log: seq 56: unknown position r1000000"
+        assert [report["verdicts"][name] for name in DAMAGE_VERDICTS] == [False] * 4
+        failing = [line.split(":")[0] for line in report["checker_lines"] if ": FAIL" in line]
+        assert len(report["checker_lines"]) == 8 and failing == ["trail_replay"]
 
     def test_descend_on_a_damaged_log_exits_2(self, tmp_path, monkeypatch):
         path = tmp_path / "cyclic4.txt"

@@ -24,9 +24,8 @@ from f5gb.engine import (
 )
 from f5gb.poly import GT, ORDER_KINDS, Lazy, Monomial
 from f5gb.sig import Signature, check_admissible, sig_mul
-from systems import P, replayed_inputs, replayed_vectors
-from f5gb.trace import (EXPONENT_FIELDS, Trace, events_from_jsonl, poly_from_payload,
-                        sig_from_payload)
+from systems import P, replayed_inputs, replayed_vectors, sig_from_payload
+from f5gb.trace import EXPONENT_FIELDS, Trace, events_from_jsonl, poly_from_payload
 
 from order_reference import mono_cmp, sig_cmp
 from phi_reference import phi_reduce_reference

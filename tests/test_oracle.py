@@ -29,7 +29,6 @@ from f5gb.oracle import (
     find_unrejected_reductor,
     harvest_descent_seeds,
     ideal_equal,
-    is_reduced,
     reduced_basis,
     reductor_passes_engine_checks,
     repr_sum_check,
@@ -865,13 +864,13 @@ class TestIdealEqual:
         assert unreduced != basis
         assert ideal_equal(unreduced, basis)
 
-    def test_reduced_sides_pass_through(self, monkeypatch):
+    def test_reduced_sides_pass_through(self):
+        # a reduced side comes back from ``reduced_basis`` element by element
         ring = make_ring(7, ["x", "y", "z"])
         basis = buchberger(polys(ring, "x*y + z^2", "x*z + y^2", "y*z + x^2"))
-        assert is_reduced(basis) and is_reduced([])
-        calls = []
-        monkeypatch.setattr(oracle, "normal_form", lambda *args: calls.append(args))
-        assert ideal_equal(basis, list(basis)) and not calls
+        assert all(r is b for r, b in zip(reduced_basis(basis), basis, strict=True))
+        assert ideal_equal(basis, basis)
+        assert ideal_equal(basis[::-1], [b.scale(3) for b in basis])
 
     @pytest.mark.parametrize("texts", [
         ["x^2", "2*x*y"],  # not monic
@@ -882,7 +881,8 @@ class TestIdealEqual:
     ])
     def test_not_reduced(self, texts):
         ring = make_ring(7, ["x", "y"])
-        assert not is_reduced(polys(ring, *texts))
+        basis = polys(ring, *texts)
+        assert reduced_basis(basis) != basis
 
     def test_stray_redundant_element(self):
         # x^2 + y drops out of the reduced basis as redundant by its head,

@@ -15,7 +15,7 @@ from f5gb.engine import BudgetExceeded, EngineConfig, incremental_f5
 from f5gb.oracle import GgSnapshot, done_snapshots, find_thm4_pairs_in_snapshot
 from f5gb.poly import GT, ORDER_KINDS, Monomial, MonomialOrder, poly_axpy, quotient_key
 from f5gb.sig import (LabeledPolynomial, ModuleVector, ReplayedVectors, Signature,
-                      check_admissible, replay_leads, replay_vectors, sig_key, sig_mul)
+                      check_admissible, replay_leads, sig_key, sig_mul)
 from f5gb.trace import (
     ChainReport,
     InsertionView,
@@ -47,6 +47,7 @@ from systems import (
     engine_pin_systems,
     make_ring,
     polys,
+    replay_vectors,
     replayed_inputs,
     strip_rejections,
     suite_instances,
