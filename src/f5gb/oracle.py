@@ -9,7 +9,7 @@ representations until none is left; the final representation yields a
 reductor that passes all four engine checks.  A head above the target is not
 rewritten: it is reported as the descent's form of a thm5 failure.
 
-Elements compare by one int each (``GgSnapshot.elem_key``), and
+Elements compare by one int each (``DescentRun.elem_key``), and
 representations only where a rewrite changes them (``DescentState.rewrite``);
 the comparators over objects are the test reference (``descent_reference``).
 """
@@ -78,26 +78,29 @@ POS_BITS = 32  # the positions of one run stay below 2^32
 POS_MASK = (1 << POS_BITS) - 1
 
 
-class RunCache:
-    """What the descent snapshots of one run share, each part computed on
-    first use from the run's order, entries and module vectors alone.
+class DescentRun:
+    """What the descent snapshots of one run share, built once per run by
+    ``done_snapshots``: the ring and order, the elements (``entries``, the
+    registry's signatures with the replayed polynomials), the rule tables
+    (``Registry.rules``), the input positions (input index -> position) and
+    the replayed module vectors (``trace.ReplayReport.vectors``).
 
-    ``triples[pos]`` is b_pos over the inputs (``sig.input_representation``),
-    ``key_base[pos]`` and ``head_base[pos]`` the per-position parts of
-    ``GgSnapshot.elem_key`` and ``GgSnapshot.head_key``, and
-    ``lead_inverse[pos]`` the inverse of the leading coefficient of b_pos's
-    expansion.  The first read of
-    ``triples[pos]`` is the first read of b_pos's module vector, which
-    replays the log up to the last operation on b_pos then
-    (``trace.ReplayReport.vectors``): a run applies no operation past the
-    last one on an element its descents expand.
-    """
+    The rest is computed on first use: ``triples[pos]`` is b_pos over the
+    inputs (``sig.input_representation``), whose first read replays the log
+    up to the last operation on b_pos; ``key_base`` and ``head_base`` are
+    the per-position parts of ``elem_key`` and ``head_key``;
+    ``lead_inverse[pos]`` inverts the leading coefficient of b_pos's
+    expansion; ``targets`` is the memo of ``target``."""
 
-    __slots__ = ("triples", "key_base", "head_base", "lead_inverse")
+    __slots__ = ("ring", "order", "entries", "rules", "input_pos", "vectors", "vkey",
+                 "triples", "key_base", "head_base", "lead_inverse", "targets")
 
-    def __init__(self, ring: Ring, entries, vectors: Mapping[int, ModuleVector]):
-        order = ring.order
-        vkey = order.vkey
+    def __init__(self, ring: Ring, entries: Mapping[int, LabeledPolynomial], rules: dict,
+                 input_pos: dict[int, int], vectors: Mapping[int, ModuleVector]):
+        order = self.order = ring.order
+        self.ring, self.entries, self.rules = ring, entries, rules
+        self.input_pos, self.vectors = input_pos, vectors
+        vkey = self.vkey = order.vkey
         key_one = vkey(0)  # the order key of 1
         self.triples = Lazy(lambda pos: input_representation(vectors[pos]))
         self.key_base = Lazy(
@@ -106,62 +109,7 @@ class RunCache:
         )
         self.head_base = Lazy(lambda pos: vkey(entries[pos].poly.head_mono.v) - key_one)
         self.lead_inverse = Lazy(lambda pos: ring.inv(self.triples[pos][0][0]))
-
-
-class GgSnapshot(InsertionView):
-    """Basis state frozen at one Done insertion: the ``InsertionView`` of the
-    reductor checks, plus the polynomials, module vectors and input
-    positions the descent rewrites with.
-
-    ``entries`` gives each position's ``LabeledPolynomial``, and ``vectors``
-    its module vector (``trace.ReplayReport.vectors``); ``done_snapshots``
-    builds both from the event log.  ``members`` lists the
-    positions of G ∪ Done ascending by creation order; representation
-    elements refer to these positions directly (the list is creation-ordered,
-    so position comparison doubles as list-rank comparison).  ``input_pos``
-    maps an input index to the position of its input polynomial.
-
-    ``cache`` holds what the rewrites ask for again and again and what reads
-    only the run (``RunCache``), so the snapshots of one run, which share
-    their entries and vectors, can share one.  Representation elements are
-    ordered by one int each (``elem_key``), and ``violated_by`` memoizes,
-    per element, which of P1 and P2 it violates at this snapshot.
-    """
-
-    def __init__(
-        self,
-        ring: Ring,
-        entries: Sequence[LabeledPolynomial] | dict[int, LabeledPolynomial],
-        members: Sequence[int],
-        g_pos: int,
-        rules: dict[int, Sequence[tuple[int, Monomial, int]]],
-        seq: int,
-        input_pos: dict[int, int],
-        vectors: Mapping[int, ModuleVector],
-        cache: Optional[RunCache] = None,
-    ):
-        super().__init__(entries, members, g_pos, rules, seq)
-        self.ring = ring
-        self.order = ring.order
-        self.member_set = set(self.members)
-        self.input_pos = input_pos
-        g = self.entries[g_pos]  # inserted by the call of its index
-        self.g_scope = (sig_key(g.sig, self.order), g.poly.head_mono.deg)
-        self.cache = RunCache(ring, self.entries, vectors) if cache is None else cache
-        self.vkey, self.key_base = self.order.vkey, self.cache.key_base
-        self._violated: dict[int, Optional[str]] = {}
-
-    @classmethod
-    def from_result(cls, ring: Ring, registry: Registry, seq: int, call: int, pos: int,
-                    entries: Mapping[int, LabeledPolynomial], input_pos: dict[int, int],
-                    vectors: Mapping[int, ModuleVector],
-                    cache: Optional[RunCache] = None) -> "GgSnapshot":
-        """The snapshot of the ``DoneInserted`` event at ``seq``, which
-        inserts ``pos`` in call ``call`` (an entry of ``registry.insertions``).
-        It shares ``entries``, ``input_pos``, ``vectors``, the registry's
-        rule tables, and ``cache`` when one is given."""
-        members = membership_at(registry, call, seq) + [pos]
-        return cls(ring, entries, members, pos, registry.rules, seq, input_pos, vectors, cache)
+        self.targets: dict[tuple[int, int], tuple[int, int]] = {}
 
     def elem_key(self, t: Monomial, pos: int) -> int:
         """An int ascending in the element order for the element t * b_pos.
@@ -181,12 +129,53 @@ class GgSnapshot(InsertionView):
     def head_key(self, key: int, pos: int) -> int:
         """The order key of the head of t * b_pos, from its ``elem_key``:
         key(t) is read off the element key, and key(head) added to it."""
-        return (key - self.key_base[pos] >> POS_BITS) + self.cache.head_base[pos]
+        return (key - self.key_base[pos] >> POS_BITS) + self.head_base[pos]
+
+    def target(self, t: Monomial, pos: int) -> tuple[int, int]:
+        """(signature key, degree) of t * b_pos, the arguments of
+        ``trace.in_scope`` that depend on the target; the key is also the
+        target signature of its descent, read off ``elem_key`` after one
+        guard test of t * sig(b_pos) that raises ``OverflowError`` as
+        ``Monomial.mul`` does.  Kept in ``targets`` under (t.v, pos)."""
+        memo = (t.v, pos)
+        hit = self.targets.get(memo)
+        if hit is None:
+            e = self.entries[pos]
+            mono = e.sig.mono
+            if (t.v + mono.v) & t.lay.guard:
+                raise overflow_error(f"product of {t!r} and {mono!r}")
+            hit = self.targets[memo] = (self.elem_key(t, pos) >> POS_BITS,
+                                        t.deg + e.poly.head_mono.deg)
+        return hit
+
+
+class GgSnapshot(InsertionView):
+    """Basis state frozen at one Done insertion: the ``InsertionView`` of the
+    reductor checks over its ``DescentRun``, which holds what the descent
+    rewrites with.  ``members`` lists the positions of G ∪ Done ascending by
+    creation order, so position comparison doubles as list-rank comparison.
+    The snapshot keeps only what its insertion fixes: ``member_set``,
+    ``g_scope`` (the inserted element's arguments of ``trace.in_scope``) and
+    the memo of ``violated_by``."""
+
+    def __init__(self, run: DescentRun, members: Sequence[int], g_pos: int, seq: int):
+        super().__init__(run, members, g_pos, seq)
+        self.member_set = set(self.members)
+        g = self.entries[g_pos]  # inserted by the call of its index
+        self.g_scope = (sig_key(g.sig, run.order), g.poly.head_mono.deg)
+        self._violated: dict[int, Optional[str]] = {}
+
+    @classmethod
+    def from_result(cls, run: DescentRun, registry: Registry, seq: int, call: int,
+                    pos: int) -> "GgSnapshot":
+        """The snapshot of the ``DoneInserted`` event at ``seq``, which
+        inserts ``pos`` in call ``call`` (an entry of ``registry.insertions``)."""
+        return cls(run, membership_at(registry, call, seq) + [pos], pos, seq)
 
     def violated_by(self, key: int, t: Monomial, pos: int) -> Optional[str]:
         """"P1" when t * b_pos is F5-rejectable (``phi_divisor``), else "P2"
         when a newer rule rewrites it (``rule_owner``), else None; ``key`` is
-        its ``elem_key``, under which the answer is kept."""
+        its ``DescentRun.elem_key``, under which the answer is kept."""
         memo = self._violated
         if key in memo:
             return memo[key]
@@ -200,21 +189,6 @@ class GgSnapshot(InsertionView):
             which = None
         memo[key] = which
         return which
-
-    def target(self, t: Monomial, pos: int) -> tuple[int, int]:
-        """(signature key, degree) of t * b_pos, the arguments of
-        ``trace.in_scope`` that depend on the target; the key is also the
-        target signature of its descent.  Snapshots of one run share their
-        entries, so it is the same in all of them.
-
-        The key is ``sig_key`` of the shifted signature read off ``elem_key``
-        (the affine per-position base), after one guard test of t * sig(b_pos)
-        that raises ``OverflowError`` as ``Monomial.mul`` does."""
-        e = self.entries[pos]
-        mono = e.sig.mono
-        if (t.v + mono.v) & t.lay.guard:
-            raise overflow_error(f"product of {t!r} and {mono!r}")
-        return self.elem_key(t, pos) >> POS_BITS, t.deg + e.poly.head_mono.deg
 
 
 # ---------------------------------------------------------------------------
@@ -268,9 +242,9 @@ def repr_sum_check(r: Representation, target: Polynomial, snap: GgSnapshot) -> b
     """Whether the representation sums to ``target``.  The sum is built in
     one pass by ``Ring.product_terms`` and compared with ``target`` as
     unordered terms, so nothing is sorted."""
-    entries = snap.entries
-    value = snap.ring.product_terms((c, t, entries[pos].poly) for c, t, pos in r.elements)
-    return value == {m.v: c for c, m in target.terms} and snap.ring == target.ring
+    entries, ring = snap.entries, snap.run.ring
+    value = ring.product_terms((c, t, entries[pos].poly) for c, t, pos in r.elements)
+    return value == {m.v: c for c, m in target.terms} and ring == target.ring
 
 
 def _expansion(
@@ -280,8 +254,9 @@ def _expansion(
     input index), which carries its signature (unique by admissibility),
     and the other terms as representation elements (coeff, mono, input
     position)."""
-    p, input_pos = snap.ring.p, snap.input_pos
-    triples = snap.cache.triples[pos]
+    run = snap.run
+    p, input_pos = run.ring.p, run.input_pos
+    triples = run.triples[pos]
     c, m, idx = triples[0]
     rest = [(coeff * c % p, t.mul(m), input_pos[idx]) for c, m, idx in triples[1:]]
     return (coeff * c % p, t.mul(m), idx), rest
@@ -294,7 +269,7 @@ def _expansion(
 def f5_replacement(K: ReprElement, snap: GgSnapshot) -> list[tuple[int, Monomial, int]]:
     """What replaces an element whose shifted signature is reducible by the
     next basis: the reduction pushed into its input representation."""
-    p = snap.ring.p
+    p = snap.run.ring.p
     (c0, s0, j0), rest = _expansion(snap, *K)
     divisor_pos = snap.phi_divisor(j0, s0)
     if divisor_pos is None:
@@ -303,7 +278,7 @@ def f5_replacement(K: ReprElement, snap: GgSnapshot) -> list[tuple[int, Monomial
         )
     b = snap.entries[divisor_pos]
     s1 = s0.divide(b.poly.head_mono)
-    fj_pos = snap.input_pos[j0]
+    fj_pos = snap.run.input_pos[j0]
     fj = snap.entries[fj_pos].poly
     replacement = [(c0 * c % p, s1.mul(m), divisor_pos) for c, m in fj.terms]
     replacement += [((-c0 * c) % p, s1.mul(m), fj_pos) for c, m in b.poly.terms[1:]]
@@ -315,7 +290,8 @@ def rewritten_replacement(
 ) -> list[tuple[int, Monomial, int]]:
     """What replaces an element rewritable by a newer rule: the rewriter (or,
     when the rewriter reduced to zero, its syzygy expansion)."""
-    p = snap.ring.p
+    run = snap.run
+    p = run.ring.p
     coeff, t, pos = K
     (c0, s0, j0), rest = _expansion(snap, coeff, t, pos)
     sig = snap.entries[pos].sig
@@ -326,10 +302,10 @@ def rewritten_replacement(
     s_prime = s0.divide(rw.sig.mono)
     if s_prime is None:
         raise RewriterNotFound("rewriter signature does not divide the element's")
-    c_prime, head_mono, head_idx = snap.cache.triples[rw_pos][0]
+    c_prime, head_mono, head_idx = run.triples[rw_pos][0]
     if s_prime.mul(head_mono) != s0 or head_idx != j0:
         raise RewriterNotFound("rewriter expansion does not lead with the signature")
-    c_fix = c0 * snap.cache.lead_inverse[rw_pos] % p
+    c_fix = c0 * run.lead_inverse[rw_pos] % p
     replacement: list[tuple[int, Monomial, int]] = []
     if not rw.poly.is_zero:
         if rw_pos not in snap.member_set:
@@ -347,7 +323,7 @@ class DescentState:
     """A representation under descent, kept from one rewrite to the next,
     and the target's signature and head.
 
-    ``elems`` maps each element's key (``GgSnapshot.elem_key``, one key per
+    ``elems`` maps each element's key (``DescentRun.elem_key``, one key per
     (monomial, position)) to the element: a rewrite drops K, updates the
     elements it changes in place, and appends the new ones in the
     replacement's order.  ``keys`` holds the same keys ascending, so the
@@ -366,7 +342,7 @@ class DescentState:
         head: Monomial,
         snap: GgSnapshot,
     ):
-        key = snap.elem_key
+        key = snap.run.elem_key
         self.snap = snap
         self.elems = {key(e[1], e[2]): e for e in elements}
         self.keys = sorted(self.elems)
@@ -420,13 +396,14 @@ class DescentState:
     def _check_heads(self) -> None:
         """Raise when an element's head exceeds the target's (P3)."""
         snap, elems = self.snap, self.elems
-        head_key, bound = snap.head_key, snap.vkey(self.head.v)
+        run = snap.run
+        head_key, bound = run.head_key, run.vkey(self.head.v)
         if all(head_key(k, elems[k][2]) <= bound for k in self.keys):
             return
         # (head key, element), in the ordered form's order
         heads = [(head_key(k, elems[k][2]), elems[k]) for k in reversed(self.keys)]
         h_max = max(h for h, _ in heads)
-        names = snap.ring.names
+        names = run.ring.names
         top = [e for h, e in heads if h == h_max]
         text = [f"{e.coeff}*{e.mono.text(names)}*r{e.pos}" for e in top]
         attained = (f"only by {text[0]}" if len(text) == 1
@@ -453,12 +430,13 @@ class DescentState:
         goes on below it.  The value stays exactly when the replacement sums
         to K's value, by linearity (``descend``)."""
         snap = self.snap
+        run = snap.run
         replace = f5_replacement if which == "P1" else rewritten_replacement
         replacement = replace(K, snap)
         coeff, t, pos = K
-        p, elems, keys = snap.ring.p, self.elems, self.keys
-        k_K = snap.elem_key(t, pos)
-        vkey, base = snap.vkey, snap.key_base  # ``elem_key``, inline
+        p, elems, keys = run.ring.p, self.elems, self.keys
+        k_K = run.elem_key(t, pos)
+        vkey, base = run.vkey, run.key_base  # ``elem_key``, inline
         # key -> [new coefficient, old coefficient, mono, pos]; 0 is no element
         merged: dict[int, list] = {}
         for c, m, q in replacement:
@@ -479,7 +457,7 @@ class DescentState:
         if verdict != LT:
             raise DescentError(f"rewrite failed to decrease the representation ({verdict})")
         entries = snap.entries
-        if snap.ring.product_terms(
+        if run.ring.product_terms(
             [(-coeff, t, entries[pos].poly)]
             + [(c, m, entries[q].poly) for c, m, q in replacement]
         ):
@@ -544,15 +522,16 @@ def descend(
       signature before every step."""
     if step_cap <= 0:
         raise ValueError("step_cap must be positive")
-    key, deg = snap.target(t, h_pos)
-    if not in_scope(key, deg, *snap.g_scope, snap.order):
+    run = snap.run
+    key, deg = run.target(t, h_pos)
+    if not in_scope(key, deg, *snap.g_scope, run.order):
         raise NotSignatureSafe(
             "descent target out of scope: its signature is not below the inserted"
             " element's, or in the inserting call's index its degree exceeds the head's"
         )
     h = snap.entries[h_pos]
     state = DescentState(
-        [ReprElement(coeff % snap.ring.p, t, h_pos)], key, t.mul(h.poly.head_mono), snap
+        [ReprElement(coeff % run.ring.p, t, h_pos)], key, t.mul(h.poly.head_mono), snap
     )
     log: list[dict] = []
     for step in range(step_cap):
@@ -582,7 +561,7 @@ def find_unrejected_reductor(
     f_pos: int, fprime_pos: int, snap: GgSnapshot, step_cap: int = 10**5
 ) -> tuple[Monomial, int, DescentResult]:
     """Descend the multiplied earlier element and pick, of the elements
-    matching the target head, the greatest (``GgSnapshot.elem_key``): a
+    matching the target head, the greatest (``DescentRun.elem_key``): a
     reductor no criterion rejects."""
     entries = snap.entries
     target_head = entries[f_pos].poly.head_mono
@@ -594,7 +573,7 @@ def find_unrejected_reductor(
                if e.mono.mul(entries[e.pos].poly.head_mono) == target_head]
     if not matches:
         raise NoHeadMatch("no element of the final representation achieves the head")
-    e = max(matches, key=lambda e: snap.elem_key(e.mono, e.pos))
+    e = max(matches, key=lambda e: snap.run.elem_key(e.mono, e.pos))
     return e.mono, e.pos, result
 
 
@@ -768,7 +747,7 @@ def find_thm4_pairs_in_snapshot(
     its two elements, and members only grow from one snapshot of a run to
     the next, so passing the previous snapshot's members as ``old`` reports
     each pair once, at the first snapshot that holds both."""
-    order, entries = snap.order, snap.entries
+    order, entries = snap.run.order, snap.entries
     out = []
     for a_pos in snap.members:
         a = entries[a_pos]
@@ -790,14 +769,14 @@ def done_snapshots(ring: Ring, registry: Registry, replay: ReplayReport) -> list
     """One snapshot per Done insertion of a run, in log order, from its log
     alone: ``registry`` is built from the events and ``replay`` replayed
     from them.  A position's element carries its logged signature and
-    replayed polynomial.  The snapshots share the elements, the input
-    positions, the replayed vectors and one ``RunCache``."""
+    replayed polynomial.  The snapshots share one ``DescentRun``, built
+    here: the elements, the registry's rule tables, the input positions and
+    the replayed vectors."""
     entries = {p: LabeledPolynomial(p, e.sig, replay.polys[p]) for p, e in registry.entries.items()}
     input_pos = {call: begin["input_pos"] for call, begin in registry.calls.items()}
-    vectors = replay.vectors
-    cache = RunCache(ring, entries, vectors)
+    run = DescentRun(ring, entries, registry.rules, input_pos, replay.vectors)
     return [
-        GgSnapshot.from_result(ring, registry, seq, call, pos, entries, input_pos, vectors, cache)
+        GgSnapshot.from_result(run, registry, seq, call, pos)
         for call, done in registry.insertions.items()
         for seq, pos in done
     ]
@@ -808,23 +787,24 @@ def harvest_descent_seeds(snapshots: Sequence[GgSnapshot], samples: int, rng) ->
     seeds: identity multipliers plus single-variable shifts of the members
     whose target is in scope at the snapshot's insertion.
 
-    A target's signature key and degree (``GgSnapshot.target``) are the same
-    in every snapshot that shares its entries, so each is computed once."""
+    A target's signature key and degree (``DescentRun.target``) read no
+    insertion, so each is looked up in its run's memo, ``targets``, and
+    computed once per run."""
     seeds = []
-    entries = None
+    run = None
     for snap in snapshots:
-        if snap.entries is not entries:  # a new run: new multipliers and targets
-            entries, ring = snap.entries, snap.ring
+        if snap.run is not run:  # a new run: new multipliers and targets
+            run = snap.run
+            ring, targets, order = run.ring, run.targets, run.order
             multipliers = [ring.one_mono()] + [ring.variable(i) for i in range(ring.n)]
-            targets: dict[tuple[int, int], tuple] = {}  # (pos, k) -> target of t_k * b_pos
         for pos in snap.members:
             if pos == snap.g_pos:
                 continue
-            for k, t in enumerate(multipliers):
-                target = targets.get((pos, k))
+            for t in multipliers:
+                target = targets.get((t.v, pos))
                 if target is None:
-                    target = targets[(pos, k)] = snap.target(t, pos)
-                if in_scope(*target, *snap.g_scope, snap.order):
+                    target = run.target(t, pos)
+                if in_scope(*target, *snap.g_scope, order):
                     seeds.append((snap, 1, t, pos))
     if samples and len(seeds) > samples:
         idx = sorted(rng.sample(range(len(seeds)), samples))

@@ -734,31 +734,24 @@ def check_chains(registry: Registry, ring: Ring) -> CheckReport:
 class InsertionView:
     """The basis at one Done insertion, with checks (a)-(d).
 
-    ``entries`` gives, by position, a record read from the log with
-    ``sig``, ``index`` and ``head``: a ``RegistryEntry``, or a
+    ``run`` holds the run's ``entries`` and ``rules``: the ``Registry``, in
+    the insertion audit, or the ``oracle.DescentRun`` that a descent
+    snapshot extends the view over.  ``entries`` gives, by position, a
+    record with ``sig``, ``index`` and ``head``: a ``RegistryEntry``, or a
     ``LabeledPolynomial`` of the registry's signature and the replayed
-    polynomial (``oracle.done_snapshots``).  ``members``
-    are the positions of G ∪ Done at the insertion together with the
-    inserted element ``g_pos``.  ``rules`` are the run's rule tables as
-    ``Registry.rules`` holds them, shared, not copied: per signature index,
-    the (seq, monomial, owner) entries in log order.  The view reads each
-    table up to the entries logged before ``seq``, the insertion's sequence
-    number.  The insertion audit builds the view from the registry alone;
-    the descent's snapshot extends it.
+    polynomial.  ``rules`` are the run's rule tables as ``Registry.rules``
+    holds them, shared, not copied: per signature index, the (seq,
+    monomial, owner) entries in log order.  ``members`` are the positions
+    of G ∪ Done at the insertion together with the inserted element
+    ``g_pos``.  The view reads each table up to the entries logged before
+    ``seq``, the insertion's sequence number.
     """
 
-    def __init__(
-        self,
-        entries,
-        members: Sequence[int],
-        g_pos: int,
-        rules: dict[int, Sequence[tuple[int, Monomial, int]]],
-        seq: int,
-    ):
-        self.entries = entries
+    def __init__(self, run, members: Sequence[int], g_pos: int, seq: int):
+        self.run = run
+        self.entries, self.rules = run.entries, run.rules
         self.members = tuple(sorted(members))
         self.g_pos = g_pos
-        self.rules = rules
         self.seq = seq
         self._phi: dict[int, list[tuple[Monomial, int]]] = {}
         self._rule_count: dict[int, int] = {}
@@ -843,7 +836,7 @@ def done_insertion_audit(registry: Registry) -> CheckReport:
             checked += 1
             g = registry.entries[pos]
             members = membership_at(registry, call, seq) + [pos]
-            view = InsertionView(registry.entries, members, pos, registry.rules, seq)
+            view = InsertionView(registry, members, pos, seq)
             for cand in view.members:
                 if cand == pos:
                     continue

@@ -4,7 +4,7 @@ re-sums the whole representation.
 The element order and its extension to representations are spelled out
 here object by object (``elem_cmp``, ``ordered_form``, ``repr_cmp``), as is
 the test of P1 and P2 (``f5_rejectable``, ``newer_rewriter``); ``f5gb``
-encodes them as int keys (``GgSnapshot.elem_key``).  ``reference_violation``
+encodes them as int keys (``DescentRun.elem_key``).  ``reference_violation``
 scans the full ordered form from the top, ``full_step`` substitutes a
 replacement (``substitute_and_combine``) and checks the new representation
 by the full representation order, and ``reference_descend`` re-sums every
@@ -46,7 +46,7 @@ def element_head(e: ReprElement, snap: GgSnapshot) -> Monomial:
 def elem_cmp(e1: ReprElement, e2: ReprElement, snap: GgSnapshot) -> Optional[int]:
     """Element order: by multiplied signature, then by earlier creation
     position (the opposite direction); None when only coefficients differ."""
-    c = sig_cmp(element_sig(e1, snap), element_sig(e2, snap), snap.order)
+    c = sig_cmp(element_sig(e1, snap), element_sig(e2, snap), snap.run.order)
     if c != EQ:
         return c
     if e1.pos != e2.pos:
@@ -60,7 +60,7 @@ def ordered_form(r: Representation, snap: GgSnapshot) -> list[ReprElement]:
     Each element is keyed as ``elem_cmp`` orders it: the smaller index, then
     the greater signature monomial, then the earlier position is greater.
     """
-    key = snap.order.key
+    key = snap.run.order.key
 
     def order_key(e):
         s = element_sig(e, snap)
@@ -111,7 +111,7 @@ def newer_rewriter(t: Monomial, pos: int, snap: GgSnapshot) -> Optional[int]:
 def descent_violation(r, mh_sig, mh_hm, snap):
     """``DescentState.violation`` of the representation ``r`` for a target
     of signature ``mh_sig`` and head ``mh_hm``."""
-    return DescentState(r.elements, sig_key(mh_sig, snap.order), mh_hm, snap).violation()
+    return DescentState(r.elements, sig_key(mh_sig, snap.run.order), mh_hm, snap).violation()
 
 
 def substitute_and_combine(r, K, replacement, p):
@@ -135,7 +135,7 @@ def substitute_and_combine(r, K, replacement, p):
 
 def reference_violation(r, mh_sig, mh_hm, snap):
     """``descent_violation`` by a full scan of the ordered form."""
-    order = snap.order
+    order = snap.run.order
     form = ordered_form(r, snap)
     if form and sig_cmp(element_sig(form[0], snap), mh_sig, order) == GT:
         raise NotSignatureSafe(f"element {form[0]!r} exceeds the target signature")
@@ -150,7 +150,7 @@ def reference_violation(r, mh_sig, mh_hm, snap):
     m_max = max((h for h, _ in heads), key=order.key)
     if mono_cmp(m_max, mh_hm, order) != GT:
         return None
-    names = snap.ring.names
+    names = snap.run.ring.names
     top = [f"{e.coeff}*{e.mono.text(names)}*r{e.pos}" for h, e in heads if h == m_max]
     attained = f"only by {top[0]}" if len(top) == 1 else f"by the head pair {top[0]}, {top[1]}"
     raise DescentError(
@@ -163,7 +163,7 @@ def reference_violation(r, mh_sig, mh_hm, snap):
 def full_step(r, K, replacement, snap):
     """Substitute the replacement for K; the result must be smaller than r
     in the full representation order."""
-    new = substitute_and_combine(r, K, replacement, snap.ring.p)
+    new = substitute_and_combine(r, K, replacement, snap.run.ring.p)
     verdict = repr_cmp(new, r, snap)
     if verdict != LT:
         raise DescentError(f"rewrite failed to decrease the representation ({verdict})")
@@ -185,7 +185,7 @@ def rewrite_rewritten_case(r, K, snap):
 def reference_start(coeff, t, h_pos, snap):
     """(first representation, target signature, target head, target value)."""
     h = snap.entries[h_pos]
-    rep = Representation([ReprElement(coeff % snap.ring.p, t, h_pos)])
+    rep = Representation([ReprElement(coeff % snap.run.ring.p, t, h_pos)])
     return rep, sig_mul(t, h.sig), t.mul(h.poly.head_mono), h.poly.term_mul(coeff, t)
 
 

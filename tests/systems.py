@@ -9,7 +9,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from f5gb.cli import _parse_poly
 from f5gb.engine import EngineConfig
-from f5gb.oracle import done_snapshots
+from f5gb.oracle import DescentRun, GgSnapshot, done_snapshots
 from f5gb.poly import ORDER_KINDS, Monomial, MonomialOrder, Polynomial, Ring
 from f5gb.sig import Signature, _input_count, apply_ops, sig_key
 from f5gb.trace import (Registry, _PairRules, build_registry, check_replay, in_scope,
@@ -61,6 +61,13 @@ def run_snapshots(result) -> list:
     """The descent snapshots of an engine run, one per Done insertion."""
     events = result.events
     return done_snapshots(result.ring, build_registry(events), check_replay(events, result.ring))
+
+
+def snapshot(ring: Ring, entries, members, g_pos: int, rules: dict, seq, input_pos: dict,
+             vectors) -> GgSnapshot:
+    """A hand-built descent snapshot at ``seq``, over a run of its own with
+    these elements, rule tables, input positions and module vectors."""
+    return GgSnapshot(DescentRun(ring, entries, rules, input_pos, vectors), members, g_pos, seq)
 
 
 def rule_tables(rules: dict) -> dict:

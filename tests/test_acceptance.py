@@ -14,7 +14,6 @@ from f5gb.engine import EngineConfig, incremental_f5
 from f5gb.oracle import (
     GT,
     LT,
-    GgSnapshot,
     Representation,
     ReprElement,
     buchberger,
@@ -37,7 +36,8 @@ from f5gb.trace import (
 )
 
 from descent_reference import descent_violation, elem_cmp, repr_cmp
-from systems import P, make_ring, replayed_inputs, standard_monomial_count, suite_instances
+from systems import (P, make_ring, replayed_inputs, snapshot, standard_monomial_count,
+                     suite_instances)
 
 DESCENT_CAP = 10**5
 
@@ -211,7 +211,7 @@ def test_criterion_8_comparator_worked_examples():
         1: LabeledPolynomial(1, Signature(M(0, 0), 2), P(ring, "x")),
         2: LabeledPolynomial(2, Signature(M(1, 0), 1), P(ring, "x")),
     }
-    snap = GgSnapshot(ring, entries, (0, 1, 2), 2, {}, 0, {1: 0, 2: 1}, {})
+    snap = snapshot(ring, entries, (0, 1, 2), 2, {}, 0, {1: 0, 2: 1}, {})
     E = ReprElement
     outcomes = [
         elem_cmp(E(1, M(0, 1), 0), E(100, M(0, 1), 1), snap) == GT,

@@ -240,9 +240,9 @@ class TestCommands:
         snapshots = []
         from_result = oracle.GgSnapshot.from_result.__func__
 
-        def counting_snapshot(cls, ring, registry, seq, *rest):
+        def counting_snapshot(cls, run, registry, seq, *rest):
             snapshots.append(seq)
-            return from_result(cls, ring, registry, seq, *rest)
+            return from_result(cls, run, registry, seq, *rest)
 
         replays = []
         replay = trace.check_replay

@@ -19,7 +19,6 @@ from f5gb.oracle import (
     LT,
     DescentError,
     DescentState,
-    GgSnapshot,
     NotSignatureSafe,
     Representation,
     ReprElement,
@@ -46,7 +45,7 @@ from descent_reference import (
 from order_reference import sig_cmp
 from systems import (
     CYCLIC4, LEX_SCOPE, SUITE, SUITE_PRIMES, P, make_ring, polys, problem_text,
-    random_problem_texts, rule_tables, run_snapshots, standard_monomial_count,
+    random_problem_texts, rule_tables, run_snapshots, snapshot, standard_monomial_count,
 )
 
 
@@ -74,7 +73,7 @@ def cmp_snap():
         1: lp(1, Signature(M(0, 0), 2), P(ring, "x")),
         2: lp(2, Signature(M(1, 0), 1), P(ring, "x")),
     }
-    return GgSnapshot(
+    return snapshot(
         ring,
         entries,
         members=(0, 1, 2),
@@ -87,10 +86,10 @@ def cmp_snap():
 
 
 def key_cmp(e1, e2, snap):
-    """The element order as ``GgSnapshot.elem_key`` encodes it; None when
+    """The element order as ``DescentRun.elem_key`` encodes it; None when
     the keys are equal, as they are for elements that differ only in their
     coefficients."""
-    k1, k2 = snap.elem_key(e1.mono, e1.pos), snap.elem_key(e2.mono, e2.pos)
+    k1, k2 = snap.run.elem_key(e1.mono, e1.pos), snap.run.elem_key(e2.mono, e2.pos)
     return None if k1 == k2 else GT if k1 > k2 else LT
 
 
@@ -105,7 +104,7 @@ def rewrite_verdict(monkeypatch, r1, r2, snap):
     K, *rest = r2.elements
     replacement = [*r1.elements, *((-c, m, q) for c, m, q in rest)]
     monkeypatch.setattr(oracle, "f5_replacement", lambda K, snap: replacement)
-    state = DescentState(r2.elements, 0, snap.ring.one_mono(), snap)
+    state = DescentState(r2.elements, 0, snap.run.ring.one_mono(), snap)
     try:
         state.rewrite("P1", K)
     except DescentError as exc:
@@ -158,8 +157,8 @@ class TestOrderedForm:
         # the first beats y*F1: the order found under cmp_snap is not reused
         entries = dict(cmp_snap.entries)
         entries[2] = lp(2, Signature(M(0, 0), 1), entries[2].poly)
-        other = GgSnapshot(
-            cmp_snap.ring, entries, members=(0, 1, 2), g_pos=2, rules={}, seq=0,
+        other = snapshot(
+            cmp_snap.run.ring, entries, members=(0, 1, 2), g_pos=2, rules={}, seq=0,
             input_pos={1: 0, 2: 1}, vectors={},
         )
         r = Representation([E(1, M(0, 2), 0), E(1, M(0, 1), 2)])
@@ -255,7 +254,7 @@ def sum_snap():
         0: ModuleVector.unit(ring, 2, 2),
         1: ModuleVector.unit(ring, 2, 1),
     }
-    snap = GgSnapshot(
+    snap = snapshot(
         ring,
         entries,
         members=(0, 1),
@@ -290,7 +289,7 @@ class TestSumCheck:
         # b_1 over the inputs, expanded from its module vector: its greatest
         # element carries exactly the signature
         ring, snap = sum_snap
-        r = Representation(E(c, m, snap.input_pos[idx]) for c, m, idx in snap.cache.triples[1])
+        r = Representation(E(c, m, snap.run.input_pos[idx]) for c, m, idx in snap.run.triples[1])
         assert r == Representation([E(1, M(0, 0), 1)])
         assert repr_sum_check(r, P(ring, "x^2 + y^2"), snap)
 
@@ -316,7 +315,7 @@ def f5_case_snap():
         1: ModuleVector.unit(ring, 2, 1),
         2: ModuleVector((P(ring, "x"), ring.zero)),
     }
-    snap = GgSnapshot(
+    snap = snapshot(
         ring,
         entries,
         members=(0, 1, 2),
@@ -359,7 +358,7 @@ class TestViolatedProperty:
             1: ModuleVector.unit(ring, 2, 1),
             2: mv,
         }
-        snap = GgSnapshot(
+        snap = snapshot(
             ring,
             entries,
             members=(0, 1, 2),
@@ -412,7 +411,7 @@ class TestRewriteF5Case:
             1: ModuleVector.unit(ring, 3, 2),
             2: ModuleVector.unit(ring, 3, 1),
         }
-        snap = GgSnapshot(
+        snap = snapshot(
             ring,
             entries,
             members=(0, 1, 2),
@@ -503,7 +502,7 @@ def hm_case_world():
         3: ModuleVector((P(ring, "-y"), P(ring, "x"))),
         4: ModuleVector((P(ring, "x"), ring.zero)),
     }
-    snap = GgSnapshot(
+    snap = snapshot(
         ring,
         entries,
         members=(0, 1, 2, 3, 4),
@@ -590,7 +589,7 @@ def reductor_world():
         3: ModuleVector((P(ring, "y"), ring.zero)),
         4: ModuleVector((P(ring, "x"), ring.zero)),
     }
-    snap = GgSnapshot(
+    snap = snapshot(
         ring,
         entries,
         members=(0, 1, 3, 4),
@@ -629,7 +628,7 @@ class TestFindUnrejectedReductor:
             1: ModuleVector.unit(ring, 2, 1),
             3: ModuleVector((P(ring, "-x"), P(ring, "x"))),
         }
-        snap = GgSnapshot(
+        snap = snapshot(
             ring,
             entries,
             members=(0, 1, 3),
@@ -722,7 +721,7 @@ class TestLexScope:
         seeds = harvest_descent_seeds(snapshots, 0, None)
         assert len(seeds) == count
         for snap, coeff, mono, pos in seeds:
-            assert in_scope(*snap.target(mono, pos), *snap.g_scope, snap.order)
+            assert in_scope(*snap.run.target(mono, pos), *snap.g_scope, snap.run.order)
             descend(coeff, mono, pos, snap)
         ring = problem.ring
         multipliers = [ring.one_mono()] + [ring.variable(i) for i in range(ring.n)]
@@ -735,7 +734,7 @@ class TestLexScope:
         ]
         outside = [
             (snap, t, pos) for snap, t, pos in below
-            if not in_scope(*snap.target(t, pos), *snap.g_scope, snap.order)
+            if not in_scope(*snap.run.target(t, pos), *snap.g_scope, snap.run.order)
         ]
         assert (len(below), len(outside)) == (count + excluded, excluded)
         for snap, t, pos in outside:
@@ -947,7 +946,7 @@ class TestElementKeyAgainstReference:
         # has the first one's signature, at any position that allows it
         snapshots = cyclic4_snapshots[kind]
         snap = snapshots[data.draw(st.integers(0, len(snapshots) - 1))]
-        mono = st.builds(Monomial, st.tuples(*[st.integers(0, 2)] * snap.ring.n))
+        mono = st.builds(Monomial, st.tuples(*[st.integers(0, 2)] * snap.run.ring.n))
         element = st.builds(ReprElement, st.integers(1, 32002), mono,
                             st.sampled_from(snap.members))
         e1, e2 = data.draw(element), data.draw(element)
@@ -1031,7 +1030,7 @@ class TestDescentAgainstReference:
         for text, config in _pin_texts():
             for snap, coeff, mono, pos in _engine_seeds(text, order, config, 60):
                 rep, mh_sig, mh_hm, target = reference_start(coeff, mono, pos, snap)
-                state = DescentState(rep.elements, sig_key(mh_sig, snap.order), mh_hm, snap)
+                state = DescentState(rep.elements, sig_key(mh_sig, snap.run.order), mh_hm, snap)
                 for _ in range(40):
                     expected = _outcome(reference_violation, rep, mh_sig, mh_hm, snap)
                     assert _outcome(state.violation) == expected
@@ -1131,7 +1130,7 @@ def _plant(monkeypatch, at, change):
 def _above(K, snap):
     """A monomial multiple of K's monomial: the element it makes with K's
     position is above K in the element order."""
-    return K.mono.mul(snap.ring.variable(0))
+    return K.mono.mul(snap.run.ring.variable(0))
 
 
 def _world_with_element_above_k():
@@ -1159,7 +1158,7 @@ class TestPlantedRewrites:
 
         def wrong(replacement, K, snap):
             (c, m, q), *rest = replacement
-            return [((c + 1) % snap.ring.p, m, q), *rest]
+            return [((c + 1) % snap.run.ring.p, m, q), *rest]
 
         message = "rewrite changed the represented value"
         for run in (descend, reference_descend):
@@ -1212,7 +1211,7 @@ class TestPlantedRewrites:
 
     def test_changed_coefficient_above_k_is_incomparable(self, monkeypatch):
         seed, at, top = _world_with_element_above_k()
-        assert top.coeff != seed[0].ring.p - 1
+        assert top.coeff != seed[0].run.ring.p - 1
 
         def changed(replacement, K, snap):
             return [*replacement, (1, top.mono, top.pos)]

@@ -12,7 +12,7 @@ import pytest
 
 from f5gb import sig, trace
 from f5gb.engine import BudgetExceeded, EngineConfig, incremental_f5
-from f5gb.oracle import GgSnapshot, done_snapshots, find_thm4_pairs_in_snapshot
+from f5gb.oracle import done_snapshots, find_thm4_pairs_in_snapshot
 from f5gb.poly import GT, ORDER_KINDS, Monomial, MonomialOrder, poly_axpy, quotient_key
 from f5gb.sig import (LabeledPolynomial, ModuleVector, ReplayedVectors, Signature,
                       check_admissible, replay_leads, sig_key, sig_mul)
@@ -49,6 +49,7 @@ from systems import (
     polys,
     replay_vectors,
     replayed_inputs,
+    snapshot,
     strip_rejections,
     suite_instances,
     thm5_brute_force,
@@ -237,7 +238,7 @@ class TestThm4Scan:
             0: LabeledPolynomial(0, sig0, ring.poly([(1, head0)])),
             1: LabeledPolynomial(1, sig1, ring.poly([(1, head1)])),
         }
-        return GgSnapshot(ring, entries, (0, 1), 1, {}, 0, {1: 0}, {})
+        return snapshot(ring, entries, (0, 1), 1, {}, 0, {1: 0}, {})
 
     def test_negative_control_from_direct_definition(self, ring):
         # head divides and signature divides, but the quotient comparison
@@ -351,13 +352,7 @@ def insertion_view(events, pos):
     registry = build_registry(events)
     seq = registry.entries[pos].done_seq
     call = registry.entries[pos].call
-    return InsertionView(
-        registry.entries,
-        membership_at(registry, call, seq) + [pos],
-        pos,
-        registry.rules,
-        seq,
-    )
+    return InsertionView(registry, membership_at(registry, call, seq) + [pos], pos, seq)
 
 
 class TestDoneInsertionAudit:
