@@ -273,10 +273,10 @@ def run_check(problem: ProblemFile, config: EngineConfig, descent_samples: int,
     events, ring = result.events, problem.ring
     registry = build_registry(events)
     replay = check_replay(events, ring)
-    basis = next((ev["basis"] for ev in reversed(events)
-                  if ev["kind"] == "CallEnd" and ev["call"] == 1), [])
-    damage = _log_damage(registry, replay, basis)
-    f5_basis = sorted_by_head((replay.polys[p] for p in basis if p in replay.polys), ring.order)
+    end = _final_call_end(events)
+    damage = _log_damage(registry, replay, end)
+    basis = [] if damage or end is None else end["basis"]
+    f5_basis = sorted_by_head((replay.polys[p] for p in basis), ring.order)
     oracle_basis = buchberger(problem.polynomials)
     reports = run_all_checkers(events, ring, registry, replay)
     verdicts = {rep.name: rep.passed for rep in reports}
@@ -341,20 +341,34 @@ def run_check(problem: ProblemFile, config: EngineConfig, descent_samples: int,
     return report
 
 
-def _log_damage(registry: Registry, replay: ReplayReport, basis: list[int]) -> Optional[str]:
+def _final_call_end(events) -> Optional[dict]:
+    """Call 1's ``CallEnd`` event, whose ``basis`` is the checked basis, or
+    None when the log has none."""
+    return next((ev for ev in reversed(events)
+                 if ev["kind"] == "CallEnd" and ev["call"] == 1), None)
+
+
+def _log_damage(registry: Registry, replay: ReplayReport, end: Optional[dict]) -> Optional[str]:
     """Why a log cannot give the checked basis, the admissible verdict or
-    the snapshots, or None: its first event that names a position no
-    earlier event created (``Registry.unknown`` or ``ReplayReport.unknown``),
-    else a position of the checked basis ``basis`` that the replay did not
-    build."""
-    unknown = [u for u in (registry.unknown, replay.unknown) if u is not None]
-    if unknown:
-        seq, reason = min(unknown)
-        return f"damaged log: seq {seq}: {reason}"
-    missing = [p for p in basis if p not in replay.polys]
-    if missing:
-        return f"damaged log: call 1's CallEnd names unknown position r{missing[0]}"
-    return None
+    the snapshots, or None.  The first damaged event is named by its
+    ``seq``: one that names a position no earlier event created or logs an
+    empty input or inserted polynomial (``Registry.unknown``,
+    ``ReplayReport.unknown``), a ``DoneInserted`` whose position replays to
+    zero, or ``end`` (``_final_call_end``) when its basis names a position
+    that the replay did not build or that replays to zero."""
+    polys = replay.polys
+    found = [u for u in (registry.unknown, replay.unknown) if u is not None]
+    found += [(e.done_seq, f"Done-inserted r{p} replays to zero")
+              for p, e in registry.entries.items()
+              if e.done_seq is not None and p in polys and polys[p].is_zero]
+    if end is not None:
+        found += [(end["seq"], f"call 1's CallEnd names r{p}, which the replay "
+                   + ("did not build" if p not in polys else "reduced to zero"))
+                  for p in end["basis"] if p not in polys or polys[p].is_zero][:1]
+    if not found:
+        return None
+    seq, reason = min(found)
+    return f"damaged log: seq {seq}: {reason}"
 
 
 def cmd_check(args) -> int:
@@ -397,7 +411,7 @@ def cmd_descend(args) -> int:
         [(coeff, mono)] = mult.terms
     events = incremental_f5(problem.polynomials, _config_from_args(args)).events
     registry, replay = build_registry(events), check_replay(events, problem.ring)
-    damage = _log_damage(registry, replay, [])
+    damage = _log_damage(registry, replay, _final_call_end(events))
     if damage:
         print(damage)
         return 2

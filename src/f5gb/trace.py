@@ -308,7 +308,7 @@ class Registry:
     # signature index -> (seq, mono, pos) of each RuleAdded, in log order
     rules: dict[int, list[tuple[int, Monomial, int]]] = field(default_factory=dict)
     # (seq, reason) of the first event that names a position no earlier
-    # event created
+    # event created, or that logs an empty input or inserted polynomial
     unknown: Optional[tuple[int, str]] = None
 
 
@@ -321,7 +321,8 @@ _REGISTRY_READS = {"CallBegin": (), "SPolCreated": ("p1", "p2"),
 
 def build_registry(events: Sequence[dict]) -> Registry:
     """Every labeled polynomial of the log, with its calls, insertions and
-    rules.  Each distinct payload exponent vector is decoded once."""
+    rules.  Each distinct payload exponent vector is decoded once.  The
+    first damaged event is kept as ``Registry.unknown``."""
     monos = Lazy(Monomial)
 
     def mono(exps) -> Monomial:
@@ -345,6 +346,9 @@ def build_registry(events: Sequence[dict]) -> Registry:
                 unknown = unknown or (ev["seq"], f"unknown position r{missing[0]}")
                 if kind in ("DoneInserted", "ReductionToZero"):
                     continue  # no entry to record the outcome on
+            if kind in ("CallBegin", "DoneInserted") and not ev["poly"]:
+                pos = ev["input_pos" if kind == "CallBegin" else "pos"]
+                unknown = unknown or (ev["seq"], f"empty {kind} polynomial of r{pos}")
         if kind == "CallBegin":
             calls[ev["call"]] = ev
         created = CREATION_FIELDS.get(kind)
@@ -1105,9 +1109,10 @@ def run_all_checkers(events: Sequence[dict], ring: Ring, registry: Optional[Regi
     """Every checker's report.  The registry and the replay are built from
     ``events`` unless they are passed.  On a log with no ``CallBegin`` no
     check has anything to run on, so each report fails with that reason.
-    On a log with an event that names a position no earlier event created
-    (``Registry.unknown``) the registry is not the run's, so each report
-    read off it fails with that event's ``seq`` and position."""
+    On a log with an event that names a position no earlier event created,
+    or that logs an empty input or inserted polynomial (``Registry.unknown``),
+    the registry is not the run's, so each report read off it fails with
+    that event's ``seq`` and reason."""
     if not any(ev["kind"] == "CallBegin" for ev in events):
         return [_report(name, 0, ["no CallBegin in the log"]) for name in _CHECKER_NAMES]
     if registry is None:

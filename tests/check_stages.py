@@ -35,7 +35,8 @@ STAGES = (
     ("engine", ("incremental_f5",)),
     ("buchberger", ("buchberger",)),
     ("ideal_equal", ("ideal_equal",)),
-    ("registry + snapshots", ("build_registry", "done_snapshots")),
+    ("registry", ("build_registry",)),
+    ("snapshots", ("done_snapshots",)),
     ("check_replay", ("check_replay",)),
     ("admissible", ("all_admissible",)),
     ("the other checkers", ("run_all_checkers",)),

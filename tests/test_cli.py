@@ -17,8 +17,8 @@ from f5gb.cli import (
     parse_problem,
     run_check,
 )
-from f5gb.engine import EngineConfig, NonHomogeneousInput
-from f5gb.poly import normal_form
+from f5gb.engine import BudgetExceeded, EngineConfig, NonHomogeneousInput
+from f5gb.poly import ORDER_KINDS, normal_form
 from f5gb.trace import events_from_jsonl, run_all_checkers
 
 from systems import (
@@ -222,6 +222,24 @@ class TestCommands:
         # identical basis as the plain gb command: check is a superset
         code2, out2 = run_main(["gb", cyclic_file])
         assert report["basis"] == out2.splitlines()
+
+    def test_check_basis_is_the_engine_basis_on_the_suite(self):
+        # the checked basis, read off the log, is the one ``f5gb gb`` prints
+        # from the engine's result, on every suite system, prime and order
+        config = EngineConfig(max_degree=12)
+        compared = 0
+        for names, texts in SUITE.values():
+            for p in SUITE_PRIMES:
+                for order in ORDER_KINDS:
+                    problem = parse_problem(problem_text(p, names, texts), order_override=order)
+                    try:
+                        result = engine.incremental_f5(problem.polynomials, config)
+                    except BudgetExceeded:
+                        continue
+                    report = run_check(problem, config, 1, 10**5, 0)
+                    assert report["basis"] == [q.text() for q in result.basis_polynomials()]
+                    compared += 1
+        assert compared == 50  # of 54: four runs exceed max_degree 12
 
     def test_run_check_leaves_the_callers_config_alone(self):
         config = EngineConfig(max_degree=20)
@@ -569,6 +587,61 @@ def _check_report(text) -> dict:
     return report
 
 
+def _empty_first_insertion(events):
+    """The log with the first ``DoneInserted`` polynomial empty."""
+    first = next(ev for ev in events if ev["kind"] == "DoneInserted")
+    return [{**ev, "poly": []} if ev is first else ev for ev in events]
+
+
+def _empty_second_input(events):
+    """The log with the second ``CallBegin`` polynomial empty."""
+    second = [ev for ev in events if ev["kind"] == "CallBegin"][1]
+    return [{**ev, "poly": []} if ev is second else ev for ev in events]
+
+
+def _zero_in_checked_basis(events):
+    """The log with cyclic-4's zero-reduced r19 appended to call 1's
+    ``CallEnd.basis``."""
+    *head, end = events
+    assert any(ev["kind"] == "ReductionToZero" and ev["pos"] == 19 for ev in head)
+    assert end["kind"] == "CallEnd" and end["call"] == 1 and 19 not in end["basis"]
+    return head + [{**end, "basis": end["basis"] + [19]}]
+
+
+def _self_reduced_insertion(events):
+    """The log with a φ step of the first inserted element h by itself
+    (coefficient 1, unit multiplier) just before h's ``DoneInserted``, so
+    that h replays to zero; the events are renumbered."""
+    done = next(ev for ev in events if ev["kind"] == "DoneInserted")
+    h, sig = done["pos"], done["sig"]
+    step = {"seq": None, "kind": "PhiPreReduce", "call": done["call"], "h": h, "h_sig": sig,
+            "h_index": sig["index"], "reductor": h, "reductor_index": sig["index"],
+            "mult": (0,) * len(sig["mono"]), "coeff": 1}
+    forged = [e for ev in events for e in ([step, ev] if ev is done else [ev])]
+    return [{**ev, "seq": seq} for seq, ev in enumerate(forged)]
+
+
+# a forged cyclic-4 log with a zero polynomial -> its damage and the reports
+# that fail on it
+ZERO_POLY_FORGERIES = {
+    "empty_insertion": (
+        _empty_first_insertion, "damaged log: seq 9: empty DoneInserted polynomial of r2",
+        ["rule_degrees", "genealogy", "trail_replay", "chains", "done_insertion_audit",
+         "thm5_exhaustive"]),
+    "empty_input": (
+        _empty_second_input, "damaged log: seq 3: empty CallBegin polynomial of r1",
+        ["rule_degrees", "genealogy", "trail_replay", "chains", "done_insertion_audit",
+         "thm5_exhaustive"]),
+    "zero_in_checked_basis": (
+        _zero_in_checked_basis,
+        "damaged log: seq 361: call 1's CallEnd names r19, which the replay reduced to zero",
+        []),
+    "self_reduced_insertion": (
+        _self_reduced_insertion, "damaged log: seq 10: Done-inserted r2 replays to zero",
+        ["signature_safety", "trail_replay"]),
+}
+
+
 class TestLogOnlyCheck:
     """Once the engine returns, ``run_check`` and ``f5gb descend`` read its
     event log and counters alone."""
@@ -622,6 +695,22 @@ class TestLogOnlyCheck:
                 report = _check_report(text)
             assert report["basis_size"] == 19
             assert report["verdicts"]["ideal_equal"] is equal and report["ok"] is equal, pos
+
+    @pytest.mark.parametrize("forge, damage, failing", ZERO_POLY_FORGERIES.values(),
+                             ids=list(ZERO_POLY_FORGERIES))
+    def test_zero_polynomial_is_damage(self, tmp_path, monkeypatch, forge, damage, failing):
+        # a zero input, inserted or checked-basis polynomial fails the log
+        # with its seq and position instead of raising
+        text = problem_text(32003, *CYCLIC4)
+        _engine_returning(monkeypatch, forge)
+        report = _check_report(text)
+        assert report["damaged_log"] == damage and report["ok"] is False
+        assert [report["verdicts"][name] for name in DAMAGE_VERDICTS] == [False] * 4
+        assert [line.split(":")[0] for line in report["checker_lines"]
+                if ": FAIL" in line] == failing
+        path = tmp_path / "cyclic4.txt"
+        path.write_text(text)
+        assert run_main(["descend", str(path)]) == (2, damage + "\n")
 
 
 # the four verdicts a damaged log cannot give
