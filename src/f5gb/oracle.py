@@ -102,7 +102,7 @@ class DescentRun:
         self.input_pos, self.vectors = input_pos, vectors
         vkey = self.vkey = order.vkey
         key_one = vkey(0)  # the order key of 1
-        self.triples = Lazy(lambda pos: input_representation(vectors[pos]))
+        self.triples = Lazy(lambda pos: input_representation(self.vectors[pos]))
         self.key_base = Lazy(
             lambda pos: (sig_key(entries[pos].sig, order) - key_one << POS_BITS)
             + POS_MASK - pos
