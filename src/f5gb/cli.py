@@ -361,10 +361,10 @@ def _log_damage(registry: Registry, replay: ReplayReport, end: Optional[dict]) -
     found += [(e.done_seq, f"Done-inserted r{p} replays to zero")
               for p, e in registry.entries.items()
               if e.done_seq is not None and p in polys and polys[p].is_zero]
-    if end is not None:
-        found += [(end["seq"], f"call 1's CallEnd names r{p}, which the replay "
-                   + ("did not build" if p not in polys else "reduced to zero"))
-                  for p in end["basis"] if p not in polys or polys[p].is_zero][:1]
+    bad = [p for p in ([] if end is None else end["basis"]) if p not in polys or polys[p].is_zero]
+    if bad:
+        found.append((end["seq"], f"call 1's CallEnd names r{bad[0]}, which the replay "
+                      + ("did not build" if bad[0] not in polys else "reduced to zero")))
     if not found:
         return None
     seq, reason = min(found)
