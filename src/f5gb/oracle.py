@@ -793,7 +793,7 @@ def harvest_descent_seeds(snapshots: Sequence[GgSnapshot], samples: int, rng) ->
     seeds = []
     run = None
     for snap in snapshots:
-        if snap.run is not run:  # a new run: new multipliers and targets
+        if snap.run is not run:  # a new run: its multipliers and target memo
             run = snap.run
             ring, targets, order = run.ring, run.targets, run.order
             multipliers = [ring.one_mono()] + [ring.variable(i) for i in range(ring.n)]
