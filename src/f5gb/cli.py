@@ -351,8 +351,9 @@ def _final_call_end(events) -> Optional[dict]:
 def _log_damage(registry: Registry, replay: ReplayReport, end: Optional[dict]) -> Optional[str]:
     """Why a log cannot give the checked basis, the admissible verdict or
     the snapshots, or None.  The first damaged event is named by its
-    ``seq``: one that names a position no earlier event created or logs an
-    empty input or inserted polynomial (``Registry.unknown``,
+    ``seq``: one that names a position no earlier event created, logs an
+    empty input or inserted polynomial or Done-inserts into a call no
+    earlier ``CallBegin`` began (``Registry.unknown``,
     ``ReplayReport.unknown``), a ``DoneInserted`` whose position replays to
     zero, or ``end`` (``_final_call_end``) when its basis names a position
     that the replay did not build or that replays to zero."""

@@ -18,8 +18,8 @@ from itertools import permutations
 from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
-from .poly import (Layout, Lazy, Monomial, Polynomial, Ring, overflow_error, poly_axpy,
-                   quotient_key)
+from .poly import (FIELD_BITS, Layout, Lazy, Monomial, Polynomial, Ring, overflow_error,
+                   poly_axpy, quotient_key)
 from .sig import (ReplayedVectors, Signature, check_admissible, key_index, replay_leads,
                   sig_divides, sig_key, sig_mul)
 
@@ -96,6 +96,9 @@ CREATION_FIELDS = {
 _CHUNK_LINES = 1024
 # each kind's one shared string
 _KINDS = {kind: kind for kind in EVENT_KINDS}
+# the one shared string of each rejection's ``where`` and of each trail
+# step's kind, as the engine's events share them
+_VALUES = {value: value for value in ("crit_pair", "spol", "is_reducible", "phi", "top", "monic")}
 # "}", "," and "{", the end of one object and the start of the next; no
 # line that to_jsonl writes holds one, because no event holds a list of
 # objects
@@ -202,7 +205,7 @@ def _decode_chunk(
             if len(events) == len(lines):
                 for ev in events:
                     ev["kind"] = _KINDS[ev["kind"]]
-                    _share_exponents(ev, memo)
+                    _share_values(ev, memo)
                 out += events
                 return
         except (ValueError, KeyError, TypeError):
@@ -222,7 +225,7 @@ def _decode_line(line: str, lineno: int, memo: Lazy) -> dict:
         raise ValueError(f"line {lineno}: unknown kind {kind!r}")
     ev["kind"] = _KINDS[kind]
     try:
-        _share_exponents(ev, memo)
+        _share_values(ev, memo)
     except ValueError as exc:
         raise ValueError(f"line {lineno}: {exc}") from None
     return ev
@@ -243,11 +246,15 @@ def _array(value) -> list:
     return value
 
 
-def _share_exponents(ev: dict, memo: Lazy) -> None:
+def _share_values(ev: dict, memo: Lazy) -> None:
     """Replace each exponent vector in the ``EXPONENT_FIELDS`` of ``ev`` by
-    its tuple in ``memo``; ``ValueError`` names the first field that does
-    not have its shape."""
+    its tuple in ``memo``, and its ``where`` and each trail step's kind by
+    the string in ``_VALUES``, if any; ``ValueError`` names the first field
+    that does not have its shape."""
     monos, sigs, polys, trails = EXPONENT_FIELDS[ev["kind"]]
+    where = ev.get("where")
+    if type(where) is str:
+        ev["where"] = _VALUES.get(where, where)
     try:
         shape = "exponent vector"
         for name in monos:
@@ -267,7 +274,10 @@ def _share_exponents(ev: dict, memo: Lazy) -> None:
         for name in trails:
             if name in ev:
                 for step in _array(ev[name]):
-                    if step[0] != "monic":
+                    kind = step[0]
+                    if type(kind) is str:
+                        step[0] = _VALUES.get(kind, kind)
+                    if kind != "monic":
                         step[2] = memo[tuple(_array(step[2]))]
     except (TypeError, KeyError, IndexError):
         raise ValueError(f"field {name!r} is not a valid {shape}") from None
@@ -308,7 +318,8 @@ class Registry:
     # signature index -> (seq, mono, pos) of each RuleAdded, in log order
     rules: dict[int, list[tuple[int, Monomial, int]]] = field(default_factory=dict)
     # (seq, reason) of the first event that names a position no earlier
-    # event created, or that logs an empty input or inserted polynomial
+    # event created, that logs an empty input or inserted polynomial, or
+    # that Done-inserts into a call no earlier CallBegin began
     unknown: Optional[tuple[int, str]] = None
 
 
@@ -346,6 +357,10 @@ def build_registry(events: Sequence[dict]) -> Registry:
                 unknown = unknown or (ev["seq"], f"unknown position r{missing[0]}")
                 if kind in ("DoneInserted", "ReductionToZero"):
                     continue  # no entry to record the outcome on
+            if kind == "DoneInserted" and ev["call"] not in calls:
+                unknown = unknown or (ev["seq"], f"DoneInserted of r{ev['pos']} into call "
+                                      f"{ev['call']}, which no earlier CallBegin began")
+                continue  # no call to record the insertion in
             if kind in ("CallBegin", "DoneInserted") and not ev["poly"]:
                 pos = ev["input_pos" if kind == "CallBegin" else "pos"]
                 unknown = unknown or (ev["seq"], f"empty {kind} polynomial of r{pos}")
@@ -856,43 +871,6 @@ def done_insertion_audit(registry: Registry) -> CheckReport:
 # exhaustive pair classification at every insertion
 
 
-def _pair_key(a: int, ua: int, b: int, ub: int) -> tuple[int, int, int, int]:
-    """A pair's two (position, packed multiplier) parts, lower position first."""
-    return (a, ua, b, ub) if a < b else (b, ub, a, ua)
-
-
-def _rejection_index(events: Sequence[dict]):
-    """Index the logged rejections by pair identity.
-
-    A pair is keyed by ``_pair_key``; a rejection during a top-reduction is
-    keyed by the reduced element, its head, the candidate and the
-    multiplier.  Monomials are keyed by packed value, and each distinct
-    payload exponent vector is packed once, through ``Monomial``, which
-    rejects a bad one.  A rejection classifies its pair from its own
-    sequence number on, so only the earliest one per key is kept.
-    """
-    crit: dict = {}
-    isred: dict = {}
-    monos = Lazy(Monomial)
-
-    def mono(exps):
-        return monos[tuple(exps)].v
-
-    # where each kind of rejection is logged against a whole pair
-    pair_where = {"F5CritPairReject": "crit_pair", "RewrittenReject": "spol"}
-    for ev in events:
-        kind = ev["kind"]
-        if kind in pair_where:
-            verdict = "f5" if kind == "F5CritPairReject" else "rewritten"
-            if ev["where"] == pair_where[kind]:
-                key = _pair_key(ev["p1"], mono(ev["u1"]), ev["p2"], mono(ev["u2"]))
-                crit.setdefault(key, (ev["seq"], verdict))
-            elif ev["where"] == "is_reducible":
-                key = (ev["h"], mono(ev["h_head"]), ev["cand"], mono(ev["mult"]))
-                isred.setdefault(key, (ev["seq"], verdict))
-    return crit, isred
-
-
 def in_scope(key: int, deg: int, g_key: int, g_deg: int, order) -> bool:
     """Whether a target with signature key ``key`` and degree ``deg`` is
     covered by the insertion of an element with signature key ``g_key`` and
@@ -917,96 +895,83 @@ def in_scope(key: int, deg: int, g_key: int, g_deg: int, order) -> bool:
     return key < g_key and (deg <= g_deg or key_index(key, order) != key_index(g_key, order))
 
 
-class _PairRules:
-    """How the log classifies S-pairs: the one place the evidence rules live.
+def _evidence_items(events: Sequence[dict], registry: Registry, heads: dict):
+    """(p, q, seq, u_p, u_q) per item of evidence for the pair of positions p
+    and q (``EvidenceIndex``), from ``seq`` on: a rejection, and an element
+    built from the pair once it has its outcome.  u_p and u_q are the packed
+    multipliers it gives p and q; u_p is None for an ``is_reducible``
+    rejection of p, which is yielded only when its ``h_head`` is ``heads[p]``.
+    Each distinct payload exponent vector is packed once, through
+    ``Monomial``, which rejects a bad one."""
+    monos = Lazy(Monomial)
+    # where each kind of rejection is logged against a whole pair
+    pair_where = {"F5CritPairReject": "crit_pair", "RewrittenReject": "spol"}
+    for ev in events:
+        kind = ev["kind"]
+        if kind in pair_where:
+            if ev["where"] == pair_where[kind]:
+                yield (ev["p1"], ev["p2"], ev["seq"], monos[tuple(ev["u1"])].v,
+                       monos[tuple(ev["u2"])].v)
+            elif ev["where"] == "is_reducible":
+                h, h_head = ev["h"], monos[tuple(ev["h_head"])].v
+                u = monos[tuple(ev["mult"])].v
+                if heads.get(h) == h_head:
+                    yield h, ev["cand"], ev["seq"], None, u
+    for e in registry.entries.values():
+        outcome = e.done_seq if e.done_seq is not None else e.zero_seq
+        if not e.is_input and outcome is not None:
+            greater, smaller, u_over, u_under = e.genealogy
+            yield greater, smaller, max(e.created_seq, outcome), u_over.v, u_under.v
 
-    A pair is rejected by the F5 or the rewritten criterion when the engine
-    logged that rejection, at pair creation, at S-polynomial creation or as a
-    rejected top-reduction of one part by the other.  It is completed once
-    the element built from it is Done-inserted.  An element built from it
-    that reduced to zero never enters the basis, but its rule, added at
-    creation, rewrites both parts from then on, so the pair counts as
-    rewritten once the zero reduction is logged.
 
-    Rejections are read from the events; the elements built from a pair,
-    from the registry's genealogies.  Pairs are formed on the packed values
-    of the entries' heads and signature monomials, as ``Engine._pairs``
-    forms them: no ``Monomial`` or ``Signature`` is built per pair.
+class EvidenceIndex(dict):
+    """How the log classifies S-pairs of members, as the thm5 check reads it:
+    a member pair's id (``pair_id``) -> the earliest ``seq`` after which a
+    logged outcome classifies the pair at every insertion.  A pair with no
+    such outcome has no entry.
+
+    A pair of members a and b has the multipliers the registry heads give,
+    u_a = lcm(head(a), head(b)) / head(a) and u_b alike, and an item counts
+    for it only with those.  The items are
+      * a ``crit_pair`` F5 rejection or a ``spol`` rewritten rejection of
+        the pair, with multipliers u_a and u_b, from its ``seq`` on;
+      * an ``is_reducible`` rejection, of either kind, of one member h by the
+        other with multiplier u of that other and ``h_head`` the registry
+        head of h, from its ``seq`` on;
+      * an element built from the pair, with multipliers u_a and u_b, once
+        it is Done-inserted (completed) or reduced to zero (its rule,
+        added at creation, rewrites both parts from then on), from the
+        later of its creation and that outcome.
+    The engine logs seqs in ascending order, so the earliest item of a pair
+    is the one with the least ``seq``.
+
+    A pair id is one int: with both positions counted from the least one of
+    the log (``low``), the lower shifted above every bit of the higher.
     """
 
-    def __init__(self, events: Sequence[dict], registry: Registry, order):
-        self.entries = registry.entries
-        self.order = order
-        key_one = order.vkey(0)
-        # each entry's ``sig_key`` less the order key of 1, so that a part's
-        # key is this plus the order key of its multiplier (``_shape``)
-        self.key_base = {pos: sig_key(e.sig, order) - key_one
-                         for pos, e in registry.entries.items()}
-        self.crit, self.isred = _rejection_index(events)
-        # pair key -> the entries built from the pair, in creation order
-        self.created: dict[tuple, list[RegistryEntry]] = {}
-        for e in registry.entries.values():
-            if not e.is_input:
-                greater, smaller, u_over, u_under = e.genealogy
-                key = _pair_key(greater, u_over.v, smaller, u_under.v)
-                self.created.setdefault(key, []).append(e)
+    def __init__(self, events: Sequence[dict], registry: Registry, lay: Layout):
+        super().__init__()
+        entries = registry.entries
+        self.low = min(entries, default=0)
+        self.bits = (max(entries, default=0) - self.low).bit_length()
+        heads = {pos: e.head.v for pos, e in entries.items() if e.head is not None}
+        fieldwise, get, inf = lay.fieldwise, self.get, math.inf
+        for p, q, seq, up, uq in _evidence_items(events, registry, heads):
+            # the check forms no pair of a member with no head, nor one
+            # whose lcm overflows
+            try:
+                hp, hq = heads[p], heads[q]
+                t = fieldwise(hp, hq, True)
+            except (KeyError, OverflowError):
+                continue
+            if uq == t - hq and (up is None or up == t - hp):
+                pair = self.pair_id(p, q)
+                if seq < get(pair, inf):
+                    self[pair] = seq
 
-    def _shape(self, a_pos: int, b_pos: int):
-        """The pair's signature key and lcm degree, and its two parts as
-        (position, packed head, packed multiplier) triples, the lower
-        position first.  The key is the greater ``sig_key`` of the two
-        multiplied signatures: signature keys are affine in the monomial, so
-        each is key(sig) + key(u) - key(1)."""
-        if a_pos > b_pos:
-            a_pos, b_pos = b_pos, a_pos
-        a, b = self.entries[a_pos], self.entries[b_pos]
-        lay = self.order.lay
-        ha, hb = a.head.v, b.head.v
-        t = lay.fieldwise(ha, hb, True)
-        ua, ub = t - ha, t - hb
-        ma, mb = ua + a.sig.mono.v, ub + b.sig.mono.v
-        if (ma | mb) & lay.guard:
-            raise overflow_error(f"a signature multiple of the pair of r{a_pos} and r{b_pos}")
-        vkey, base = self.order.vkey, self.key_base
-        key = max(base[a_pos] + vkey(ua), base[b_pos] + vkey(ub))
-        return key, t >> lay.shift, (a_pos, ha, ua), (b_pos, hb, ub)
-
-    def _evidence(self, a: tuple, b: tuple) -> list[tuple]:
-        """(from_seq, seq, outcome, via) per outcome logged for the pair of
-        parts ``a`` and ``b``: the outcome, logged at ``seq``, classifies the
-        pair at every insertion after ``from_seq``."""
-        (a_pos, ha, ua), (b_pos, hb, ub) = a, b
-        out = []
-        key = (a_pos, ua, b_pos, ub)
-        hit = self.crit.get(key)
-        if hit is not None:
-            out.append((hit[0], hit[0], hit[1], "pair_check"))
-        for isred_key in ((b_pos, hb, a_pos, ua), (a_pos, ha, b_pos, ub)):
-            hit = self.isred.get(isred_key)
-            if hit is not None:
-                out.append((hit[0], hit[0], hit[1], "is_reducible"))
-        for ne in self.created.get(key, ()):
-            s = ne.created_seq
-            if ne.done_seq is not None:
-                out.append((max(s, ne.done_seq), s, "completed", "trail"))
-            elif ne.zero_seq is not None:
-                out.append((max(s, ne.zero_seq), s, "rewritten", "syzygy_rule"))
-        return out
-
-    def pair(self, a_pos: int, b_pos: int) -> tuple[int, int, float]:
-        """One S-pair of members as the thm5 check sees it: (key, deg,
-        first), the sig_key of the greater multiplied signature, the degree
-        of the lcm of the heads, and the earliest sequence number after
-        which some outcome classifies the pair at every insertion (inf when
-        the log holds none).  A plain tuple of ints and a float, which the
-        garbage collector untracks."""
-        key, deg, a, b = self._shape(a_pos, b_pos)
-        evidence = self._evidence(a, b)
-        return key, deg, min(evidence)[0] if evidence else math.inf
-
-    def evidence(self, a_pos: int, b_pos: int) -> list[tuple]:
-        _, _, a, b = self._shape(a_pos, b_pos)
-        return self._evidence(a, b)
+    def pair_id(self, p: int, q: int) -> int:
+        p, q = p - self.low, q - self.low
+        return p << self.bits | q if p < q else q << self.bits | p
 
 
 class _DominanceCount:
@@ -1043,57 +1008,88 @@ def check_thm5_exhaustive(events: Sequence[dict], registry: Registry, ring: Ring
 
     The in-scope pairs at an insertion are the S-pairs of its members that
     ``in_scope`` covers, and a failure is one that no outcome logged before
-    the insertion classifies (``_PairRules``); ``checked`` counts the pairs
-    over all insertions.  They are counted, not tested one insertion at a
-    time.  A pair is formed at the stage k of its call at which its later
-    member joins G ∪ Done: stage 0 for the members the call starts with,
-    stage k + 1 for insertion k (counting from 0).  By ``in_scope`` it is in
-    scope at exactly the insertions j >= k whose signature key is above the
-    pair's and, for a pair of the call's index, whose head degree is at
-    least its lcm degree: a two-sided dominance count.  Each call's stages
-    are walked backwards, each insertion is added to a ``_DominanceCount``,
-    and the pairs formed at a stage are counted there.  A pair can be
-    unclassified at insertion j only if it is in scope somewhere and its
-    earliest evidence is logged no earlier than j, so only those insertions
-    are looked at one by one.  Each pair's data is worked out once per log
-    and shared by the calls.
+    the insertion classifies (``EvidenceIndex``); ``checked`` counts the
+    pairs over all insertions.  They are counted, not tested one insertion
+    at a time.  A pair is formed at the stage k of its call at which its
+    later member joins G ∪ Done: stage 0 for the members the call starts
+    with, stage k + 1 for insertion k (counting from 0).  By ``in_scope`` it
+    is in scope at exactly the insertions j >= k whose signature key is
+    above the pair's and, for a pair of the call's index, whose head degree
+    is at least its lcm degree: a two-sided dominance count.  Each call's
+    stages are walked backwards, each insertion is added to a
+    ``_DominanceCount``, and the pairs formed at a stage are counted there.
+    A pair can be unclassified at insertion j only if it is in scope
+    somewhere and its earliest evidence is logged no earlier than j, so
+    only those insertions are looked at one by one.
+
+    A pair is formed where it is counted, on the packed heads and signature
+    monomials, as ``Engine._pairs`` forms it: the lcm t of the heads, the
+    multipliers t - head, one guard test for both signature multiples, and
+    the pair's key, the greater ``sig_key`` of the two multiplied
+    signatures.  Signature keys are affine in the monomial, so each is
+    key(sig) - key(1) + key(u).  Nothing is kept per pair: a pair of two
+    members of G_{c+1} is formed again in each later call.
     """
     order = ring.order
-    rules = _PairRules(events, registry, order)
-    pairs: dict[tuple[int, int], tuple] = {}
+    lay = order.lay
+    guard, shift, fieldwise, vkey = lay.guard, lay.shift, lay.fieldwise, order.vkey
+    # a key of index i shifted right by this is -i (``sig.key_index``)
+    index_shift = shift + FIELD_BITS
+    entries = registry.entries
+    evidence = EvidenceIndex(events, registry, lay)
+    first_of, low, bits = evidence.get, evidence.low, evidence.bits
+    key_one = vkey(0)
+    inf = math.inf
     unclassified = []
     checked = 0
     for call, done in registry.insertions.items():
         g_seq = [seq for seq, _ in done]
         g_pos = [pos for _, pos in done]
-        g_key = [sig_key(registry.entries[pos].sig, order) for pos in g_pos]
-        g_deg = [registry.entries[pos].head.deg for pos in g_pos]
+        g_key = [sig_key(entries[pos].sig, order) for pos in g_pos]
+        g_deg = [entries[pos].head.deg for pos in g_pos]
         # members in the order they join; the last insertion never joins
         members = membership_at(registry, call, g_seq[0])
         start = len(members)
         members += g_pos[:-1]
+        # per member: its position counted from ``low``, shifted as the
+        # lower one of a pair id and not (``EvidenceIndex.pair_id``), its
+        # packed head and signature monomial, and its sig_key less the
+        # order key of 1
+        rows = []
+        for pos in members:
+            e = entries[pos]
+            head = None if e.head is None else e.head.v
+            rows.append((pos - low << bits, pos - low, head, e.sig.mono.v,
+                         sig_key(e.sig, order) - key_one))
         count = _DominanceCount(g_deg)
+        above = count.above
         for k in range(len(done) - 1, -1, -1):
             count.add(g_key[k], g_deg[k])
             for i in range(start) if k == 0 else (start + k - 1,):
-                b_pos = members[i]
-                for a_pos in members[:i]:
-                    pair_id = (a_pos, b_pos) if a_pos < b_pos else (b_pos, a_pos)
-                    pair = pairs.get(pair_id)
-                    if pair is None:
-                        pair = pairs[pair_id] = rules.pair(*pair_id)
-                    key, deg, first = pair
-                    covering = count.above(key, deg if key_index(key, order) == call else None)
-                    checked += covering
+                b_top, b_rel, hb, sb, base_b = rows[i]
+                for a_top, a_rel, ha, sa, base_a in rows[:i]:
+                    t = fieldwise(ha, hb, True)
+                    ua, ub = t - ha, t - hb
+                    if (ua + sa | ub + sb) & guard:
+                        a_pos, b_pos = sorted((a_rel + low, b_rel + low))
+                        raise overflow_error(
+                            f"a signature multiple of the pair of r{a_pos} and r{b_pos}")
+                    key_a, key_b = base_a + vkey(ua), base_b + vkey(ub)
+                    key = key_a if key_a > key_b else key_b
+                    deg = t >> shift
+                    covering = above(key, deg if key >> index_shift == -call else None)
                     if not covering:
                         continue
+                    checked += covering
+                    first = first_of(a_top | b_rel if a_rel < b_rel else b_top | a_rel, inf)
                     j = k
                     while j < len(done) and g_seq[j] <= first:
                         if in_scope(key, deg, g_key[j], g_deg[j], order):
-                            unclassified.append((g_seq[j], pair_id, g_pos[j]))
+                            pair = tuple(sorted((a_rel + low, b_rel + low)))
+                            unclassified.append((g_seq[j], pair, g_pos[j]))
                         j += 1
     unclassified.sort()
-    failures = [(g_pos, pair_id, "unclassified") for _, pair_id, g_pos in unclassified]
+    failures = [(g_pos, pair, "unclassified") for _, pair, g_pos in unclassified]
     return _report("thm5_exhaustive", checked, failures)
 
 
@@ -1110,8 +1106,9 @@ def run_all_checkers(events: Sequence[dict], ring: Ring, registry: Optional[Regi
     ``events`` unless they are passed.  On a log with no ``CallBegin`` no
     check has anything to run on, so each report fails with that reason.
     On a log with an event that names a position no earlier event created,
-    or that logs an empty input or inserted polynomial (``Registry.unknown``),
-    the registry is not the run's, so each report read off it fails with
+    that logs an empty input or inserted polynomial, or that Done-inserts
+    into a call no earlier ``CallBegin`` began (``Registry.unknown``), the
+    registry is not the run's, so each report read off it fails with
     that event's ``seq`` and reason."""
     if not any(ev["kind"] == "CallBegin" for ev in events):
         return [_report(name, 0, ["no CallBegin in the log"]) for name in _CHECKER_NAMES]

@@ -1,0 +1,94 @@
+"""Seconds and peak memory per stage of perfbench's audit-cyclic5 workload.
+
+    python tests/audit_stages.py [N]
+
+Homogenized cyclic-5 goes through the workload's path one stage at a time,
+in N passes (default 3): the engine, the JSON Lines write
+(``Trace.to_jsonl``) and read (``events_from_jsonl``) through a file, the
+registry, the replay, each other checker in ``run_all_checkers``' order, the
+Buchberger reference and ``ideal_equal``.  Each stage's result is kept to
+the end of its pass, as the workload keeps them.  For each stage the best
+of the N passes is printed, and the process's peak resident set
+(``ru_maxrss``) just after the stage in the first pass, so the stage at
+which that figure rises is the one that sets the peak.  The input comes
+from ``perfbench/workloads.py``, read and not changed.  pytest does not
+collect this script.
+"""
+
+from __future__ import annotations
+
+import os
+import resource
+import sys
+import tempfile
+import time
+from collections import defaultdict
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
+
+from f5gb import cli, engine, oracle, trace  # noqa: E402
+from perfbench import workloads as w  # noqa: E402
+
+
+def one_pass(problem, path: str, timed) -> list:
+    """The workload's path on ``problem``, each stage through ``timed``; the
+    stages' results, kept until the pass ends."""
+    ring = problem.ring
+    result = timed("engine", engine.incremental_f5, problem.polynomials, engine.EngineConfig())
+    log = trace.Trace()
+    log.events = result.events
+    with open(path, "w", encoding="utf-8") as fp:
+        timed("to_jsonl", log.to_jsonl, fp)
+    with open(path, "r", encoding="utf-8") as fp:
+        events = timed("events_from_jsonl", trace.events_from_jsonl, fp)
+    registry = timed("registry", trace.build_registry, events)
+    kept = [result, events, registry, timed("replay", trace.check_replay, events, ring)]
+    kept += [
+        timed("d_progression", trace.check_d_progression, events),
+        timed("signature_safety", trace.check_signature_safety, events, ring.order),
+        timed("rule_degrees", trace.check_rule_degrees, registry),
+        timed("genealogy", trace.check_genealogy, registry, ring.order),
+        timed("chains", trace.check_chains, registry, ring),
+        timed("done_insertion_audit", trace.done_insertion_audit, registry),
+        timed("thm5_exhaustive", trace.check_thm5_exhaustive, events, registry, ring),
+    ]
+    f5_basis = result.basis_polynomials()
+    reference = timed("buchberger", oracle.buchberger, problem.polynomials)
+    return kept + [reference, timed("ideal_equal", oracle.ideal_equal, f5_basis, reference)]
+
+
+def main() -> None:
+    passes = int(sys.argv[1]) if len(sys.argv) > 1 else 3
+    [(name, text)] = w.WORKLOADS["audit-cyclic5"].inputs(0)
+    problem = cli.parse_problem(text)
+    best: dict = defaultdict(lambda: float("inf"))
+    peak_after: dict = {}  # stage -> ru_maxrss in MiB just after it, first pass
+    stages: list = []
+
+    def timed(stage: str, fn, *args):
+        t0 = time.perf_counter()
+        out = fn(*args)
+        best[stage] = min(best[stage], time.perf_counter() - t0)
+        if stage not in peak_after:
+            stages.append(stage)
+            # Linux reports ru_maxrss in KiB
+            peak_after[stage] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        return out
+
+    start_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trace.jsonl")
+        for _ in range(passes):
+            t0 = time.perf_counter()
+            one_pass(problem, path, timed)
+            best["pass"] = min(best["pass"], time.perf_counter() - t0)
+    print(f"audit-cyclic5 ({name}): best of {passes} passes; peak RSS after the"
+          f" first pass's stage, from {start_rss:.1f} MiB at the start")
+    for stage in stages:
+        print(f"  {stage:<22} {best[stage]:7.3f} s  {peak_after[stage]:7.1f} MiB")
+    print(f"  {'whole pass':<22} {best['pass']:7.3f} s")
+
+
+if __name__ == "__main__":
+    main()

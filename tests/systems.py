@@ -4,15 +4,16 @@ brute-force reference of the thm5 check and the Hilbert-function count."""
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from typing import NamedTuple, Optional, Sequence
 
 from f5gb.cli import _parse_poly
 from f5gb.engine import EngineConfig
 from f5gb.oracle import DescentRun, GgSnapshot, done_snapshots
-from f5gb.poly import ORDER_KINDS, Monomial, MonomialOrder, Polynomial, Ring
+from f5gb.poly import ORDER_KINDS, Lazy, Monomial, MonomialOrder, Polynomial, Ring, overflow_error
 from f5gb.sig import Signature, _input_count, apply_ops, sig_key
-from f5gb.trace import (Registry, _PairRules, build_registry, check_replay, in_scope,
+from f5gb.trace import (Registry, RegistryEntry, build_registry, check_replay, in_scope,
                         membership_at)
 
 
@@ -112,6 +113,136 @@ def random_problem_texts(count: int, seed: int) -> list[str]:
             texts.append(" + ".join(terms))
         out.append(problem_text(p, names, [f"order: {order}", *texts]))
     return out
+
+
+def _pair_key(a: int, ua: int, b: int, ub: int) -> tuple[int, int, int, int]:
+    """A pair's two (position, packed multiplier) parts, lower position first."""
+    return (a, ua, b, ub) if a < b else (b, ub, a, ua)
+
+
+def _rejection_index(events: Sequence[dict]):
+    """Index the logged rejections by pair identity.
+
+    A pair is keyed by ``_pair_key``; a rejection during a top-reduction is
+    keyed by the reduced element, its head, the candidate and the
+    multiplier.  Monomials are keyed by packed value, and each distinct
+    payload exponent vector is packed once, through ``Monomial``, which
+    rejects a bad one.  A rejection classifies its pair from its own
+    sequence number on, so only the earliest one per key is kept.
+    """
+    crit: dict = {}
+    isred: dict = {}
+    monos = Lazy(Monomial)
+
+    def mono(exps):
+        return monos[tuple(exps)].v
+
+    # where each kind of rejection is logged against a whole pair
+    pair_where = {"F5CritPairReject": "crit_pair", "RewrittenReject": "spol"}
+    for ev in events:
+        kind = ev["kind"]
+        if kind in pair_where:
+            verdict = "f5" if kind == "F5CritPairReject" else "rewritten"
+            if ev["where"] == pair_where[kind]:
+                key = _pair_key(ev["p1"], mono(ev["u1"]), ev["p2"], mono(ev["u2"]))
+                crit.setdefault(key, (ev["seq"], verdict))
+            elif ev["where"] == "is_reducible":
+                key = (ev["h"], mono(ev["h_head"]), ev["cand"], mono(ev["mult"]))
+                isred.setdefault(key, (ev["seq"], verdict))
+    return crit, isred
+
+
+class _PairRules:
+    """How the log classifies S-pairs, pair by pair: the brute-force
+    reference's coding of the evidence rules, which ``trace.EvidenceIndex``
+    codes apart for the check.
+
+    A pair is rejected by the F5 or the rewritten criterion when the engine
+    logged that rejection, at pair creation, at S-polynomial creation or as a
+    rejected top-reduction of one part by the other.  It is completed once
+    the element built from it is Done-inserted.  An element built from it
+    that reduced to zero never enters the basis, but its rule, added at
+    creation, rewrites both parts from then on, so the pair counts as
+    rewritten once the zero reduction is logged.
+
+    Rejections are read from the events; the elements built from a pair,
+    from the registry's genealogies.  Pairs are formed on the packed values
+    of the entries' heads and signature monomials, as ``Engine._pairs``
+    forms them: no ``Monomial`` or ``Signature`` is built per pair.
+    """
+
+    def __init__(self, events: Sequence[dict], registry: Registry, order):
+        self.entries = registry.entries
+        self.order = order
+        key_one = order.vkey(0)
+        # each entry's ``sig_key`` less the order key of 1, so that a part's
+        # key is this plus the order key of its multiplier (``_shape``)
+        self.key_base = {pos: sig_key(e.sig, order) - key_one
+                         for pos, e in registry.entries.items()}
+        self.crit, self.isred = _rejection_index(events)
+        # pair key -> the entries built from the pair, in creation order
+        self.created: dict[tuple, list[RegistryEntry]] = {}
+        for e in registry.entries.values():
+            if not e.is_input:
+                greater, smaller, u_over, u_under = e.genealogy
+                key = _pair_key(greater, u_over.v, smaller, u_under.v)
+                self.created.setdefault(key, []).append(e)
+
+    def _shape(self, a_pos: int, b_pos: int):
+        """The pair's signature key and lcm degree, and its two parts as
+        (position, packed head, packed multiplier) triples, the lower
+        position first.  The key is the greater ``sig_key`` of the two
+        multiplied signatures: signature keys are affine in the monomial, so
+        each is key(sig) + key(u) - key(1)."""
+        if a_pos > b_pos:
+            a_pos, b_pos = b_pos, a_pos
+        a, b = self.entries[a_pos], self.entries[b_pos]
+        lay = self.order.lay
+        ha, hb = a.head.v, b.head.v
+        t = lay.fieldwise(ha, hb, True)
+        ua, ub = t - ha, t - hb
+        ma, mb = ua + a.sig.mono.v, ub + b.sig.mono.v
+        if (ma | mb) & lay.guard:
+            raise overflow_error(f"a signature multiple of the pair of r{a_pos} and r{b_pos}")
+        vkey, base = self.order.vkey, self.key_base
+        key = max(base[a_pos] + vkey(ua), base[b_pos] + vkey(ub))
+        return key, t >> lay.shift, (a_pos, ha, ua), (b_pos, hb, ub)
+
+    def _evidence(self, a: tuple, b: tuple) -> list[tuple]:
+        """(from_seq, seq, outcome, via) per outcome logged for the pair of
+        parts ``a`` and ``b``: the outcome, logged at ``seq``, classifies the
+        pair at every insertion after ``from_seq``."""
+        (a_pos, ha, ua), (b_pos, hb, ub) = a, b
+        out = []
+        key = (a_pos, ua, b_pos, ub)
+        hit = self.crit.get(key)
+        if hit is not None:
+            out.append((hit[0], hit[0], hit[1], "pair_check"))
+        for isred_key in ((b_pos, hb, a_pos, ua), (a_pos, ha, b_pos, ub)):
+            hit = self.isred.get(isred_key)
+            if hit is not None:
+                out.append((hit[0], hit[0], hit[1], "is_reducible"))
+        for ne in self.created.get(key, ()):
+            s = ne.created_seq
+            if ne.done_seq is not None:
+                out.append((max(s, ne.done_seq), s, "completed", "trail"))
+            elif ne.zero_seq is not None:
+                out.append((max(s, ne.zero_seq), s, "rewritten", "syzygy_rule"))
+        return out
+
+    def pair(self, a_pos: int, b_pos: int) -> tuple[int, int, float]:
+        """One S-pair of members as the thm5 check sees it: (key, deg,
+        first), the sig_key of the greater multiplied signature, the degree
+        of the lcm of the heads, and the earliest sequence number after
+        which some outcome classifies the pair at every insertion (inf when
+        the log holds none)."""
+        key, deg, a, b = self._shape(a_pos, b_pos)
+        evidence = self._evidence(a, b)
+        return key, deg, min(evidence)[0] if evidence else math.inf
+
+    def evidence(self, a_pos: int, b_pos: int) -> list[tuple]:
+        _, _, a, b = self._shape(a_pos, b_pos)
+        return self._evidence(a, b)
 
 
 class PairClassification(NamedTuple):

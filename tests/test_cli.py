@@ -621,6 +621,16 @@ def _self_reduced_insertion(events):
     return [{**ev, "seq": seq} for seq, ev in enumerate(forged)]
 
 
+def _first_insertion_into(call):
+    """The change that moves the first ``DoneInserted`` (seq 9, r2, call 3)
+    into ``call``."""
+    def forge(events):
+        first = next(ev for ev in events if ev["kind"] == "DoneInserted")
+        assert (first["seq"], first["pos"], first["call"]) == (9, 2, 3)
+        return [{**ev, "call": call} if ev is first else ev for ev in events]
+    return forge
+
+
 # a forged cyclic-4 log with a zero polynomial -> its damage and the reports
 # that fail on it
 ZERO_POLY_FORGERIES = {
@@ -639,6 +649,17 @@ ZERO_POLY_FORGERIES = {
     "self_reduced_insertion": (
         _self_reduced_insertion, "damaged log: seq 10: Done-inserted r2 replays to zero",
         ["signature_safety", "trail_replay"]),
+}
+# a forged cyclic-4 log with an insertion into a call that no earlier
+# CallBegin began (cyclic-4's calls are 4, 3, 2, 1) -> its damage; the five
+# registry reports fail on it
+UNBEGUN_CALL_FORGERIES = {
+    f"insertion_into_call_{call}": (
+        _first_insertion_into(call),
+        f"damaged log: seq 9: DoneInserted of r2 into call {call}, which no earlier"
+        " CallBegin began",
+        ["rule_degrees", "genealogy", "chains", "done_insertion_audit", "thm5_exhaustive"])
+    for call in (9, 0)
 }
 
 
@@ -701,6 +722,22 @@ class TestLogOnlyCheck:
     def test_zero_polynomial_is_damage(self, tmp_path, monkeypatch, forge, damage, failing):
         # a zero input, inserted or checked-basis polynomial fails the log
         # with its seq and position instead of raising
+        self._damage_is_reported(tmp_path, monkeypatch, forge, damage, failing)
+
+    @pytest.mark.parametrize("forge, damage, failing", UNBEGUN_CALL_FORGERIES.values(),
+                             ids=list(UNBEGUN_CALL_FORGERIES))
+    def test_insertion_into_an_unbegun_call_is_damage(self, tmp_path, monkeypatch, forge,
+                                                      damage, failing):
+        # membership at the insertion reads its call's CallBegin, so the
+        # registry keeps the insertion out and names it as damage instead
+        # of raising KeyError
+        self._damage_is_reported(tmp_path, monkeypatch, forge, damage, failing)
+
+    @staticmethod
+    def _damage_is_reported(tmp_path, monkeypatch, forge, damage, failing):
+        """``run_check`` on cyclic-4's log changed by ``forge`` names
+        ``damage``, fails the four damage verdicts and exactly the reports
+        ``failing``, and ``f5gb descend`` exits 2 with ``damage``."""
         text = problem_text(32003, *CYCLIC4)
         _engine_returning(monkeypatch, forge)
         report = _check_report(text)

@@ -18,6 +18,7 @@ from f5gb.sig import (LabeledPolynomial, ModuleVector, ReplayedVectors, Signatur
                       check_admissible, replay_leads, sig_key, sig_mul)
 from f5gb.trace import (
     ChainReport,
+    EvidenceIndex,
     InsertionView,
     Trace,
     all_admissible,
@@ -43,6 +44,7 @@ from systems import (
     PLANT_SYSTEMS,
     SUITE,
     SUITE_PRIMES,
+    _PairRules,
     classify_pairs_at_insertion,
     engine_pin_systems,
     make_ring,
@@ -925,17 +927,74 @@ class TestThm5:
 
     @pytest.mark.parametrize("name", ["cyclic", "deglex", "lex"])
     def test_packed_pairs_match_monomial_api(self, name):
-        # the check and its brute-force reference share _PairRules, so its
-        # packed keys and degrees are checked against Monomial arithmetic
+        # the brute-force reference's _PairRules forms pairs on packed
+        # values, so its keys and degrees are checked against Monomial
+        # arithmetic
         ring, res = thm5_run(name)
         registry = build_registry(res.events)
-        rules = trace._PairRules(res.events, registry, ring.order)
+        rules = _PairRules(res.events, registry, ring.order)
         members = [e for e in registry.entries.values() if e.head is not None]
         assert len(members) > 2
         for a, b in itertools.combinations(members, 2):
             t = a.head.lcm(b.head)
             key = max(sig_key(sig_mul(t.divide(e.head), e.sig), ring.order) for e in (a, b))
             assert rules.pair(a.pos, b.pos)[:2] == rules.pair(b.pos, a.pos)[:2] == (key, t.deg)
+
+    @staticmethod
+    def _index_matches_reference(events, ring) -> EvidenceIndex:
+        """The check's evidence index of the log, after showing that it holds,
+        for every pair of elements with a head, the least from-seq of the
+        reference's evidence, and no entry for a pair with none."""
+        registry = build_registry(events)
+        index = EvidenceIndex(events, registry, ring.order.lay)
+        rules = _PairRules(events, registry, ring.order)
+        heads = sorted(pos for pos, e in registry.entries.items() if e.head is not None)
+        with_evidence = 0
+        for a, b in itertools.combinations(heads, 2):
+            evidence = rules.evidence(a, b)
+            if evidence:
+                with_evidence += 1
+                assert index[index.pair_id(a, b)] == min(evidence)[0], (a, b)
+            else:
+                assert index.pair_id(a, b) not in index, (a, b)
+        assert len(index) == with_evidence
+        return index
+
+    @pytest.mark.parametrize("name", THM5_SYSTEMS)
+    def test_evidence_index_matches_reference(self, name):
+        ring, res = thm5_run(name)
+        assert self._index_matches_reference(res.events, ring)
+
+    @pytest.mark.parametrize("field", ["u1", "h_head"])
+    def test_evidence_index_drops_foreign_multipliers(self, field):
+        # a rejection whose multiplier or reduced head is not the one the
+        # registry heads give classifies no pair of members: the index
+        # drops it as if it were not logged.  The crit_pair rejection is
+        # cyclic-4's first; the is_reducible one, of r9 by r6 at seq 88, is
+        # the earliest evidence of its pair, whose next is a spol rejection
+        # at seq 128
+        ring, events = plant_run("cyclic4")
+        where = "crit_pair" if field == "u1" else "is_reducible"
+        target = next(ev for ev in events
+                      if ev["kind"] in ("F5CritPairReject", "RewrittenReject")
+                      and ev["where"] == where and (field == "u1" or ev["seq"] == 88))
+        exps = target[field]
+        forged_log = [{**ev, field: (exps[0] + 1, *exps[1:])} if ev is target else ev
+                      for ev in events]
+        dropped_log = [ev for ev in events if ev is not target]
+        forged = self._index_matches_reference(forged_log, ring)
+        assert forged == self._index_matches_reference(dropped_log, ring)
+        index = EvidenceIndex(events, build_registry(events), ring.order.lay)
+        p, q = (target["p1"], target["p2"]) if field == "u1" else (target["h"], target["cand"])
+        assert index[index.pair_id(p, q)] == target["seq"]
+        assert forged.get(forged.pair_id(p, q)) == (None if field == "u1" else 128)
+
+        def report(log):
+            rep = check_thm5_exhaustive(log, build_registry(log), ring)
+            return rep.passed, rep.checked, rep.failures
+
+        assert report(forged_log) == report(dropped_log)
+        assert report(forged_log)[1:] == thm5_brute_force(forged_log, ring)
 
     def test_in_scope(self):
         order = MonomialOrder("degrevlex", 2)
@@ -1271,6 +1330,21 @@ class TestJsonlCodec:
         # one chunk's events share each key string
         keys = {}
         assert all(keys.setdefault(key, key) is key for ev in events[:n] for key in ev)
+
+    @pytest.mark.parametrize("path", ["bulk", "per_line"])
+    def test_decoded_strings_are_shared(self, path):
+        # cyclic-4's log is one chunk; a last line holding an object
+        # boundary sends it down the line-by-line path
+        _, events = plant_run("cyclic4")
+        boundary = '{"seq":%d,"kind":"CallEnd","note":"},{"}\n' % len(events)
+        lines = jsonl_lines(events) + ([boundary] if path == "per_line" else [])
+        decoded = self.read("".join(lines))[:len(events)]
+        assert decoded == events
+        wheres = [ev["where"] for ev in decoded if "where" in ev]
+        steps = [step[0] for ev in decoded for step in ev.get("trail", ())]
+        assert {"crit_pair", "spol", "is_reducible"} <= set(wheres)
+        assert {"phi", "top", "monic"} <= set(steps)
+        assert all(value is trace._VALUES[value] for value in wheres + steps)
 
     def test_empty_and_blank_files_give_no_events(self):
         assert self.read("") == []
