@@ -728,9 +728,8 @@ class TestLogOnlyCheck:
                              ids=list(UNBEGUN_CALL_FORGERIES))
     def test_insertion_into_an_unbegun_call_is_damage(self, tmp_path, monkeypatch, forge,
                                                       damage, failing):
-        # membership at the insertion reads its call's CallBegin, so the
-        # registry keeps the insertion out and names it as damage instead
-        # of raising KeyError
+        # membership at an insertion reads its call's CallBegin, so the
+        # registry keeps such an insertion out and names it as damage
         self._damage_is_reported(tmp_path, monkeypatch, forge, damage, failing)
 
     @staticmethod
