@@ -4,6 +4,14 @@ The engine emits one event per decision; every run-time-observable claim the
 engine is supposed to satisfy is then re-verified here, post hoc, from the
 serialized log alone.  Events are plain dicts with stable field names so the
 log round-trips through JSON Lines.
+
+``EVENT_SHAPES`` describes each event shape once: per kind, each key
+sequence the engine logs, with the shape of each field.  ``EXPONENT_FIELDS``
+is read off it, and ``Trace.to_jsonl`` renders every event that fits a row
+through the row's ``%`` template, falling back to the JSON encoder for any
+other, so the bytes are ``json.dumps``'s either way.  The reader,
+``events_from_jsonl``, rejects a line whose fields lack their shapes; the
+registry and the replay treat such a polynomial in memory as log damage.
 """
 
 from __future__ import annotations
@@ -15,8 +23,9 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import permutations
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .poly import (FIELD_BITS, Layout, Lazy, Monomial, Polynomial, Ring, overflow_error,
                    poly_axpy, quotient_key)
@@ -51,28 +60,65 @@ class ExponentFields(NamedTuple):
     trails: tuple[str, ...] = ()
 
 
-# the rejections log a pair's t, u1 and u2 at pair or S-polynomial creation
-# only, and h_head only during a top-reduction
-_REJECT_FIELDS = ExponentFields(monos=("h_head", "mult", "t", "u1", "u2"), sigs=("msig",))
-EXPONENT_FIELDS = {
-    "CallBegin": ExponentFields(sigs=("sig",), polys=("poly",)),
-    "CallEnd": ExponentFields(),
-    "DegreeStep": ExponentFields(),
-    "RuleAdded": ExponentFields(monos=("mono",)),
-    "CritPairCreated": ExponentFields(monos=("t", "u1", "u2"), sigs=("sig1", "sig2")),
-    "F5CritPairReject": _REJECT_FIELDS,
-    "RewrittenReject": _REJECT_FIELDS,
-    "SPolCreated": ExponentFields(monos=("u1", "u2"), sigs=("sig",), polys=("poly",)),
-    "PhiPreReduce": ExponentFields(monos=("mult",), sigs=("h_sig",)),
-    "ReductionStep": ExponentFields(monos=("mult",), sigs=("h_sig", "msig")),
-    "NewFromTopReduction": ExponentFields(
-        monos=("u", "u_under"), sigs=("sig",), polys=("poly",)
-    ),
-    "ReductionToZero": ExponentFields(sigs=("sig",)),
-    "DoneInserted": ExponentFields(
-        sigs=("sig",), polys=("poly", "creation_poly"), trails=("trail",)
-    ),
-}
+def _fields(spec: str) -> tuple[tuple[str, str], ...]:
+    """The (name, shape) of each ``name:shape`` of ``spec``."""
+    return tuple(tuple(field.split(":")) for field in spec.split())
+
+
+# The fields of each event the engine logs, after ``seq`` (an int) and
+# ``kind`` (a str), in log order, each as (name, shape).  The shapes are an
+# int, a str, an exponent vector (a tuple of ints), a signature ({"mono":
+# vector, "index": i}), a polynomial (a list of [c, vector] terms with an int
+# c), a trail (a list of reduction steps, each ["monic", s] or [kind, c,
+# vector, reductor]) and a list of ints.  A kind has one row per key
+# sequence it is logged with.  A rejection has two: one of a candidate
+# reductor in ``_is_reducible`` (``where`` "is_reducible", and for a
+# rewritten one ``check`` "c" or "d"), listed first, and one of a pair
+# (``where`` "crit_pair" or "spol") that also logs the pair's t, u1 and u2.
+EVENT_SHAPES = (
+    ("CallBegin", _fields("call:int input_pos:int sig:signature poly:polynomial g_next:ints")),
+    ("CallEnd", _fields("call:int basis:ints")),
+    ("DegreeStep", _fields("call:int d:int pairs:int")),
+    ("RuleAdded", _fields("index:int mono:vector pos:int")),
+    ("CritPairCreated", _fields("call:int deg:int sig1:signature sig2:signature"
+                                " t:vector u1:vector p1:int u2:vector p2:int")),
+    ("F5CritPairReject", _fields("call:int where:str h:int h_head:vector cand:int mult:vector"
+                                 " msig:signature blocked_by:int")),
+    ("F5CritPairReject", _fields("call:int where:str part:int pos:int mult:vector"
+                                 " msig:signature blocked_by:int"
+                                 " t:vector u1:vector p1:int u2:vector p2:int")),
+    ("RewrittenReject", _fields("call:int where:str check:str h:int h_head:vector cand:int"
+                                " mult:vector msig:signature rewriter:int")),
+    ("RewrittenReject", _fields("call:int where:str part:int pos:int mult:vector"
+                                " msig:signature rewriter:int"
+                                " t:vector u1:vector p1:int u2:vector p2:int")),
+    ("SPolCreated", _fields("call:int pos:int sig:signature poly:polynomial"
+                            " p1:int u1:vector p2:int u2:vector d:int")),
+    ("PhiPreReduce", _fields("call:int h:int h_sig:signature h_index:int reductor:int"
+                             " reductor_index:int mult:vector coeff:int")),
+    ("ReductionStep", _fields("call:int h:int h_sig:signature reductor:int mult:vector"
+                              " msig:signature coeff:int post_scale:int")),
+    ("NewFromTopReduction", _fields("call:int pos:int sig:signature poly:polynomial"
+                                    " j:int h:int u:vector u_under:vector")),
+    ("ReductionToZero", _fields("call:int pos:int sig:signature")),
+    ("DoneInserted", _fields("call:int pos:int sig:signature poly:polynomial"
+                             " creation_poly:polynomial trail:trail")),
+)
+
+
+def _exponent_fields(kind: str) -> ExponentFields:
+    """The vector, signature, polynomial and trail fields of the rows of
+    ``kind``, each in the order it first occurs."""
+    named: dict[str, list[str]] = {"vector": [], "signature": [], "polynomial": [], "trail": []}
+    for row_kind, fields in EVENT_SHAPES:
+        if row_kind == kind:
+            for name, shape in fields:
+                if shape in named and name not in named[shape]:
+                    named[shape].append(name)
+    return ExponentFields(*map(tuple, named.values()))
+
+
+EXPONENT_FIELDS = {kind: _exponent_fields(kind) for kind in EVENT_KINDS}
 
 
 class CreationFields(NamedTuple):
@@ -105,6 +151,29 @@ _VALUES = {value: value for value in ("crit_pair", "spol", "is_reducible", "phi"
 _OBJECT_BOUNDARY = re.compile(r"}\s*,\s*{")
 
 
+def _row(fields: tuple[tuple[str, str], ...]) -> tuple:
+    """A row of ``EVENT_SHAPES`` as ``Trace.to_jsonl`` writes it: the
+    line's ``%`` template; the exact type of each value, in log order; and
+    the positions of the str and vector values, of the signatures, and of
+    the polynomial, trail and int-list values, each replaced by its JSON
+    before the values fill the template."""
+    fields = (("seq", "int"), ("kind", "str")) + fields
+    shapes = [shape for _, shape in fields]
+
+    def at(*wanted: str) -> tuple[int, ...]:
+        return tuple(i for i, shape in enumerate(shapes) if shape in wanted)
+
+    template = ",".join(f'"{name}":%{"d" if shape == "int" else "s"}' for name, shape in fields)
+    types = {"int": int, "str": str, "vector": tuple, "signature": dict}
+    return ("{" + template + "}\n", [types.get(shape, list) for shape in shapes],
+            at("str", "vector"), at("signature"), at("polynomial", "trail", "ints"))
+
+
+# each row by its keys, ``seq`` and ``kind`` first
+_ROWS = {("seq", "kind") + tuple(name for name, _ in fields): _row(fields)
+         for _, fields in EVENT_SHAPES}
+
+
 class BrokenLink(Exception):
     """An ancestor link or rule entry of the registry is missing or
     inconsistent."""
@@ -116,6 +185,22 @@ class BrokenLink(Exception):
 
 def poly_from_payload(ring: Ring, payload: list) -> Polynomial:
     return ring.poly([(c, Monomial(exps)) for c, exps in payload])
+
+
+def _is_term(term) -> bool:
+    """Whether ``term`` of a logged polynomial is a list [c, vector] with
+    an int c; the vector is checked where it is read."""
+    return type(term) is list and len(term) == 2 and type(term[0]) is int
+
+
+def _malformed(ev: dict) -> Optional[str]:
+    """Why a polynomial field of ``ev`` is not a list of terms
+    (``_is_term``), naming the first such field, or None."""
+    for name in EXPONENT_FIELDS[ev["kind"]].polys:
+        payload = ev.get(name, [])
+        if type(payload) is not list or not all(map(_is_term, payload)):
+            return f"{ev['kind']} field {name!r} is not a valid polynomial"
+    return None
 
 
 class Trace:
@@ -159,11 +244,70 @@ class Trace:
     def to_jsonl(self, fp) -> None:
         """Write one compact JSON object per line, a chunk of lines per
         ``writelines``; the bytes equal ``json.dumps(ev, separators=(",",
-        ":"))`` plus a newline for each event."""
-        encode = json.JSONEncoder(separators=(",", ":")).encode
+        ":"))`` plus a newline for each event (``_line_renderer``)."""
+        render = _line_renderer()
         events = self.events
         for start in range(0, len(events), _CHUNK_LINES):
-            fp.writelines([encode(ev) + "\n" for ev in events[start:start + _CHUNK_LINES]])
+            fp.writelines([render(ev) for ev in events[start:start + _CHUNK_LINES]])
+
+
+def _line_renderer() -> Callable[[object], str]:
+    """A function from an event to its line, ``json.dumps(ev,
+    separators=(",", ":"))`` and a newline, with memos that live as long as
+    the function does.
+
+    An event that is a dict with the keys of a row of ``EVENT_SHAPES``, in
+    order, and values of exactly its types (``_row``) takes the row's
+    template.  A str, escaped as the encoder escapes it by default
+    (``encode_basestring_ascii``), and a tuple whose elements are all
+    exactly ints, is rendered once per object: the memo is keyed by the
+    object's id and holds the object, so no id is reused, and a tuple equal
+    to one of ints, such as (1.0, 0), is rendered on its own.  A signature must have the
+    keys "mono" and "index", in that order, and an int index; polynomials,
+    trails and int lists go through the encoder.  Any other event, and one
+    whose values fail a check on the way, is encoded whole, so its line,
+    or the exception it raises, is the encoder's."""
+    encode = json.JSONEncoder(separators=(",", ":")).encode
+    known: dict[int, str] = {}
+    held: list = []
+    get = known.get
+
+    def atom(value) -> str:
+        kind = type(value)
+        if kind is str:
+            text = encode_basestring_ascii(value)
+        elif kind is tuple and all(type(e) is int for e in value):
+            text = "[" + ",".join(map(str, value)) + "]"
+        else:
+            raise ValueError("not a str or a tuple of ints")
+        known[id(value)] = text
+        held.append(value)
+        return text
+
+    def render(ev) -> str:
+        row = _ROWS.get(tuple(ev)) if type(ev) is dict else None
+        if row is not None:
+            template, types, atoms, sigs, encoded = row
+            values = list(ev.values())
+            if list(map(type, values)) == types:
+                try:
+                    for i in atoms:
+                        value = values[i]
+                        values[i] = get(id(value)) or atom(value)
+                    for i in sigs:
+                        sig = values[i]
+                        mono, index = sig.values()
+                        if tuple(sig) != ("mono", "index") or type(index) is not int:
+                            raise ValueError("not a signature")
+                        values[i] = '{"mono":%s,"index":%d}' % (get(id(mono)) or atom(mono), index)
+                    for i in encoded:
+                        values[i] = encode(values[i])
+                    return template % tuple(values)
+                except (TypeError, ValueError, RecursionError):
+                    pass  # encoded whole below, which raises if the event cannot be
+        return encode(ev) + "\n"
+
+    return render
 
 
 def events_from_jsonl(fp) -> list[dict]:
@@ -269,6 +413,8 @@ def _share_values(ev: dict, memo: Lazy) -> None:
         for name in polys:
             if name in ev:
                 for term in _array(ev[name]):
+                    if not _is_term(term):
+                        raise TypeError
                     term[1] = memo[tuple(_array(term[1]))]
         shape = "trail"
         for name in trails:
@@ -318,7 +464,8 @@ class Registry:
     # signature index -> (seq, mono, pos) of each RuleAdded, in log order
     rules: dict[int, list[tuple[int, Monomial, int]]] = field(default_factory=dict)
     # (seq, reason) of the first event that names a position no earlier
-    # event created, that logs an empty input or inserted polynomial, or
+    # event created, that logs an empty input or inserted polynomial or a
+    # polynomial with a term that is not [c, vector] (``_malformed``), or
     # that Done-inserts into a call no earlier CallBegin began
     unknown: Optional[tuple[int, str]] = None
 
@@ -364,6 +511,10 @@ def build_registry(events: Sequence[dict]) -> Registry:
             if kind in ("CallBegin", "DoneInserted") and not ev["poly"]:
                 pos = ev["input_pos" if kind == "CallBegin" else "pos"]
                 unknown = unknown or (ev["seq"], f"empty {kind} polynomial of r{pos}")
+            malformed = _malformed(ev)
+            if malformed is not None:
+                unknown = unknown or (ev["seq"], malformed)
+                continue  # no polynomial to read a head from
         if kind == "CallBegin":
             calls[ev["call"]] = ev
         created = CREATION_FIELDS.get(kind)
@@ -524,7 +675,8 @@ class ReplayReport(CheckReport):
     """The report of ``check_replay``, with the operations it performed, in
     log order, each position's polynomial at the end of the log, and its
     ring.  ``unknown`` is (seq, reason) of the first event that names a
-    position no earlier event created, as in ``Registry.unknown``, or None.
+    position no earlier event created or logs a polynomial with a term that
+    is not [c, vector], as in ``Registry.unknown``, or None.
     ``vectors`` maps each position to its module vector, replayed from the
     operations when it is first read (``sig.ReplayedVectors``), so a run
     replays the operations only up to the last one on a position its
@@ -567,8 +719,10 @@ def check_replay(events: Sequence[dict], ring: Ring) -> ReplayReport:
     the pass's run of ``PhiPreReduce`` events.  Each failure names an
     event's ``seq``: a polynomial, ``post_scale``, trail or creation
     polynomial that differs from the replay, a nonzero ``ReductionToZero``,
-    or a position that no earlier event created.  ``checked`` counts the
-    Done insertions.  The operations are ``("input", pos, index)``,
+    a position that no earlier event created, or a polynomial with a term
+    that is not [c, vector] (``_malformed``), whose event is not replayed.
+    ``checked`` counts the Done insertions.  The operations are
+    ``("input", pos, index)``,
     ``("new", pos, a, ua, b, ub, s)`` for s * (ua * P[a] - ub * P[b]),
     ``(step, h, c, u, r)`` for P[h] - c * u * P[r] with step "phi" or
     "top", and ``("monic", h, s)`` for s * P[h], s != 1."""
@@ -598,8 +752,9 @@ def check_replay(events: Sequence[dict], ring: Ring) -> ReplayReport:
             monic(phi_h)
             phi_h = None
         unknown = [ev[name] for name in reads if ev[name] not in P]
-        if unknown:
-            failures.append((seq, f"unknown position r{unknown[0]}"))
+        malformed = _malformed(ev)
+        if unknown or malformed is not None:
+            failures.append((seq, f"unknown position r{unknown[0]}" if unknown else malformed))
             first_unknown = first_unknown or failures[-1]
         elif kind in CREATION_FIELDS:
             pos = ev[CREATION_FIELDS[kind].pos]
@@ -1020,7 +1175,11 @@ def check_thm5_exhaustive(events: Sequence[dict], registry: Registry, ring: Ring
     ``_DominanceCount``, and the pairs formed at a stage are counted there.
     A pair can be unclassified at insertion j only if it is in scope
     somewhere and its earliest evidence is logged no earlier than j, so
-    only those insertions are looked at one by one.
+    only those insertions are looked at one by one.  In a call that steps
+    by degree, as every engine run does (its insertions in seq order, all
+    of the call's index, with head degrees that never decrease), no
+    insertion below a pair's lcm degree covers a pair of the call's index,
+    so the look starts at the first insertion of that degree.
 
     A pair is formed where it is counted, on the packed heads and signature
     monomials, as ``Engine._pairs`` forms it: the lcm t of the heads, the
@@ -1047,6 +1206,11 @@ def check_thm5_exhaustive(events: Sequence[dict], registry: Registry, ring: Ring
         g_pos = [pos for _, pos in done]
         g_key = [sig_key(entries[pos].sig, order) for pos in g_pos]
         g_deg = [entries[pos].head.deg for pos in g_pos]
+        # whether the call steps by degree: its insertions are in seq order,
+        # of the call's index, with head degrees that never decrease
+        stepped = (all(a < b for a, b in zip(g_seq, g_seq[1:]))
+                   and all(a <= b for a, b in zip(g_deg, g_deg[1:]))
+                   and all(g >> index_shift == -call for g in g_key))
         # members in the order they join; the last insertion never joins
         members = membership_at(registry, call, g_seq[0])
         start = len(members)
@@ -1077,12 +1241,15 @@ def check_thm5_exhaustive(events: Sequence[dict], registry: Registry, ring: Ring
                     key_a, key_b = base_a + vkey(ua), base_b + vkey(ub)
                     key = key_a if key_a > key_b else key_b
                     deg = t >> shift
-                    covering = above(key, deg if key >> index_shift == -call else None)
+                    own = key >> index_shift == -call  # of the call's index
+                    covering = above(key, deg if own else None)
                     if not covering:
                         continue
                     checked += covering
                     first = first_of(a_top | b_rel if a_rel < b_rel else b_top | a_rel, inf)
-                    j = k
+                    # in a stepped call no insertion below the pair's degree
+                    # covers a pair of the call's index
+                    j = bisect_left(g_deg, deg, k) if stepped and own else k
                     while j < len(done) and g_seq[j] <= first:
                         if in_scope(key, deg, g_key[j], g_deg[j], order):
                             pair = tuple(sorted((a_rel + low, b_rel + low)))
@@ -1106,8 +1273,9 @@ def run_all_checkers(events: Sequence[dict], ring: Ring, registry: Optional[Regi
     ``events`` unless they are passed.  On a log with no ``CallBegin`` no
     check has anything to run on, so each report fails with that reason.
     On a log with an event that names a position no earlier event created,
-    that logs an empty input or inserted polynomial, or that Done-inserts
-    into a call no earlier ``CallBegin`` began (``Registry.unknown``), the
+    that logs an empty input or inserted polynomial or a polynomial with a
+    term that is not [c, vector], or that Done-inserts into a call no
+    earlier ``CallBegin`` began (``Registry.unknown``), the
     registry is not the run's, so each report read off it fails with
     that event's ``seq`` and reason."""
     if not any(ev["kind"] == "CallBegin" for ev in events):

@@ -8,15 +8,19 @@ in N passes (default 3): the engine, the JSON Lines write
 registry, the replay, each other checker in ``run_all_checkers``' order, the
 Buchberger reference and ``ideal_equal``.  Each stage's result is kept to
 the end of its pass, as the workload keeps them.  For each stage the best
-of the N passes is printed, and the process's peak resident set
-(``ru_maxrss``) just after the stage in the first pass, so the stage at
-which that figure rises is the one that sets the peak.  The input comes
+of the N passes is printed; then the seconds the garbage collector ran
+inside the stage, per pass on average (timed through ``gc.callbacks``), so
+a collection that the allocations of one stage set off in another shows
+where it lands; and the process's peak resident set (``ru_maxrss``) just
+after the stage in the first pass, so the stage at which that figure
+rises is the one that sets the peak.  The input comes
 from ``perfbench/workloads.py``, read and not changed.  pytest does not
 collect this script.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import resource
 import sys
@@ -63,13 +67,22 @@ def main() -> None:
     [(name, text)] = w.WORKLOADS["audit-cyclic5"].inputs(0)
     problem = cli.parse_problem(text)
     best: dict = defaultdict(lambda: float("inf"))
+    gc_s: dict = defaultdict(float)  # stage -> collector seconds inside it, all passes
     peak_after: dict = {}  # stage -> ru_maxrss in MiB just after it, first pass
     stages: list = []
+    collecting = [0.0, 0.0]  # the collector's seconds so far, the start of its run
+
+    def on_gc(phase: str, info: dict) -> None:
+        if phase == "start":
+            collecting[1] = time.perf_counter()
+        else:
+            collecting[0] += time.perf_counter() - collecting[1]
 
     def timed(stage: str, fn, *args):
-        t0 = time.perf_counter()
+        g0, t0 = collecting[0], time.perf_counter()
         out = fn(*args)
         best[stage] = min(best[stage], time.perf_counter() - t0)
+        gc_s[stage] += collecting[0] - g0
         if stage not in peak_after:
             stages.append(stage)
             # Linux reports ru_maxrss in KiB
@@ -77,17 +90,24 @@ def main() -> None:
         return out
 
     start_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "trace.jsonl")
-        for _ in range(passes):
-            t0 = time.perf_counter()
-            one_pass(problem, path, timed)
-            best["pass"] = min(best["pass"], time.perf_counter() - t0)
-    print(f"audit-cyclic5 ({name}): best of {passes} passes; peak RSS after the"
-          f" first pass's stage, from {start_rss:.1f} MiB at the start")
+    gc.callbacks.append(on_gc)
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "trace.jsonl")
+            for _ in range(passes):
+                g0, t0 = collecting[0], time.perf_counter()
+                one_pass(problem, path, timed)
+                best["pass"] = min(best["pass"], time.perf_counter() - t0)
+                gc_s["pass"] += collecting[0] - g0
+    finally:
+        gc.callbacks.remove(on_gc)
+    print(f"audit-cyclic5 ({name}): best of {passes} passes; collector seconds per"
+          f" pass; peak RSS after the first pass's stage, from {start_rss:.1f} MiB at"
+          " the start")
     for stage in stages:
-        print(f"  {stage:<22} {best[stage]:7.3f} s  {peak_after[stage]:7.1f} MiB")
-    print(f"  {'whole pass':<22} {best['pass']:7.3f} s")
+        print(f"  {stage:<22} {best[stage]:7.3f} s  gc {gc_s[stage] / passes:6.3f} s"
+              f"  {peak_after[stage]:7.1f} MiB")
+    print(f"  {'whole pass':<22} {best['pass']:7.3f} s  gc {gc_s['pass'] / passes:6.3f} s")
 
 
 if __name__ == "__main__":

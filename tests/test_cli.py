@@ -663,6 +663,30 @@ UNBEGUN_CALL_FORGERIES = {
 }
 
 
+
+def _extra_term_value(kind):
+    """The change that appends 1 to the first term of the polynomial of the
+    first ``kind`` event."""
+    def forge(events):
+        first = next(ev for ev in events if ev["kind"] == kind)
+        poly = [list(term) for term in first["poly"]]
+        poly[0].append(1)
+        return [{**ev, "poly": poly} if ev is first else ev for ev in events]
+    return forge
+
+
+# a forged cyclic-4 log with a polynomial term that is not [c, vector] ->
+# its damage; the registry reports and the replay fail on it
+MALFORMED_TERM_FORGERIES = {
+    f"extra_value_in_{kind}": (
+        _extra_term_value(kind),
+        f"damaged log: seq {seq}: {kind} field 'poly' is not a valid polynomial",
+        ["rule_degrees", "genealogy", "trail_replay", "chains", "done_insertion_audit",
+         "thm5_exhaustive"])
+    for kind, seq in (("CallBegin", 0), ("SPolCreated", 8), ("DoneInserted", 9))
+}
+
+
 class TestLogOnlyCheck:
     """Once the engine returns, ``run_check`` and ``f5gb descend`` read its
     event log and counters alone."""
@@ -730,6 +754,14 @@ class TestLogOnlyCheck:
                                                       damage, failing):
         # membership at an insertion reads its call's CallBegin, so the
         # registry keeps such an insertion out and names it as damage
+        self._damage_is_reported(tmp_path, monkeypatch, forge, damage, failing)
+
+    @pytest.mark.parametrize("forge, damage, failing", MALFORMED_TERM_FORGERIES.values(),
+                             ids=list(MALFORMED_TERM_FORGERIES))
+    def test_malformed_polynomial_term_is_damage(self, tmp_path, monkeypatch, forge, damage,
+                                                 failing):
+        # the replay and the registry unpack each term as [c, vector], so
+        # they name such a term as damage instead of raising
         self._damage_is_reported(tmp_path, monkeypatch, forge, damage, failing)
 
     @staticmethod

@@ -1,5 +1,6 @@
 """Checkers: positive runs, fabricated negative controls, log round-trips."""
 
+import collections
 import copy
 import functools
 import hashlib
@@ -33,6 +34,7 @@ from f5gb.trace import (
     done_insertion_audit,
     events_from_jsonl,
     extract_chain,
+    in_scope,
     membership_at,
     run_all_checkers,
 )
@@ -886,6 +888,47 @@ class TestDominanceCount:
                         assert count.above(key, min_deg) == want
 
 
+def _seqs_exchanged(events):
+    """cyclic-4's log with the seqs of two insertions of call 2 exchanged,
+    so the call's insertions are not in seq order."""
+    a, b = events[96], events[152]
+    assert a["kind"] == b["kind"] == "DoneInserted" and a["call"] == b["call"] == 2
+    return [{**a, "seq": 152} if ev is a else {**b, "seq": 96} if ev is b else ev
+            for ev in events]
+
+
+def _insertions_reversed(events):
+    """katsura-3's log with call 1's six insertions in reverse order, each
+    in another's place and with its seq, so their head degrees fall."""
+    slots = [k for k, ev in enumerate(events) if ev["kind"] == "DoneInserted" and ev["call"] == 1]
+    assert len(slots) == 6
+    out = list(events)
+    for a, b in zip(slots, reversed(slots)):
+        out[a] = {**events[b], "seq": events[a]["seq"]}
+    return out
+
+
+def _index_lowered(events):
+    """cyclic-4's log with r6, an insertion of call 2, created with
+    signature index 1."""
+    ev = events[40]
+    assert ev["kind"] == "SPolCreated" and ev["pos"] == 6 and ev["sig"]["index"] == 2
+    return [{**ev, "sig": {**ev["sig"], "index": 1}} if e is ev else e for e in events]
+
+
+# a forged log with a call that does not step by degree -> its system and
+# the (checked, failures) of the scan of every insertion from each pair's
+# stage on
+UNSTEPPED_CALLS = {
+    "seqs_exchanged": (_seqs_exchanged, CYCLIC4, 609, [(12, (7, 8))]),
+    "insertions_reversed": (_insertions_reversed, SUITE["katsura3_homog"], 103,
+                            [(11, (1, 7)), (11, (3, 7)), (11, (4, 7)), (10, (1, 7)),
+                             (10, (3, 7)), (9, (1, 7))]),
+    "index_lowered": (_index_lowered, CYCLIC4, 536,
+                      [(6, (0, 5)), (6, (1, 5)), (6, (2, 5)), (6, (3, 5))]),
+}
+
+
 class TestThm5:
     def test_passes_on_runs(self, cyclic):
         ring, res = cyclic
@@ -895,6 +938,36 @@ class TestThm5:
     def test_checked_count_pinned(self, cyclic):
         ring, res = cyclic
         assert check_thm5_exhaustive(res.events, build_registry(res.events), ring).checked == 14
+
+    @pytest.mark.parametrize("system, most", [("cyclic4", 21), ("katsura5", 134)])
+    def test_failure_scan_skips_by_degree(self, system, most, monkeypatch):
+        # a pair of the inserting call's index is out of scope below its
+        # degree, so a passing log's scan tests few insertions (81 and
+        # 1,648 of them when it started at each pair's stage)
+        ring, events = plant_run(system)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return in_scope(*args)
+
+        monkeypatch.setattr(trace, "in_scope", counting)
+        assert check_thm5_exhaustive(events, build_registry(events), ring).passed
+        assert 0 < len(calls) <= most
+
+    @pytest.mark.parametrize("forge, system, checked, failures", UNSTEPPED_CALLS.values(),
+                             ids=list(UNSTEPPED_CALLS))
+    def test_unstepped_call_is_scanned_from_each_stage(self, forge, system, checked, failures):
+        # the skip by degree holds only in a call whose insertions are in
+        # seq order, of its index, with degrees that never fall; each of
+        # these logs breaks one of the three, and skipping anyway loses
+        # failures
+        names, texts = system
+        ring = make_ring(32003, names)
+        events = forge(incremental_f5(polys(ring, *texts)).events)
+        rep = check_thm5_exhaustive(events, build_registry(events), ring)
+        assert rep.checked == checked
+        assert rep.failures == [(g, pair, "unclassified") for g, pair in failures]
 
     @pytest.mark.parametrize("name", sorted(LEX_SYSTEMS))
     def test_lex_regressions_pass(self, name):
@@ -1289,6 +1362,54 @@ class TestSchemaTables:
             for name in names
         }
 
+    def test_exponent_fields_are_read_off_the_shapes(self):
+        # the values the table had when it was written out by hand
+        fields = trace.ExponentFields
+        reject = fields(monos=("h_head", "mult", "t", "u1", "u2"), sigs=("msig",))
+        assert trace.EXPONENT_FIELDS == {
+            "CallBegin": fields(sigs=("sig",), polys=("poly",)),
+            "CallEnd": fields(),
+            "DegreeStep": fields(),
+            "RuleAdded": fields(monos=("mono",)),
+            "CritPairCreated": fields(monos=("t", "u1", "u2"), sigs=("sig1", "sig2")),
+            "F5CritPairReject": reject,
+            "RewrittenReject": reject,
+            "SPolCreated": fields(monos=("u1", "u2"), sigs=("sig",), polys=("poly",)),
+            "PhiPreReduce": fields(monos=("mult",), sigs=("h_sig",)),
+            "ReductionStep": fields(monos=("mult",), sigs=("h_sig", "msig")),
+            "NewFromTopReduction": fields(monos=("u", "u_under"), sigs=("sig",),
+                                          polys=("poly",)),
+            "ReductionToZero": fields(sigs=("sig",)),
+            "DoneInserted": fields(sigs=("sig",), polys=("poly", "creation_poly"),
+                                   trails=("trail",)),
+        }
+        assert list(trace.EXPONENT_FIELDS) == list(trace.EVENT_KINDS)
+
+    def test_every_engine_event_takes_its_row_template(self, suite_logs, monkeypatch):
+        # no event of the suite logs, of 400 random systems (budget exits
+        # among them) or of the cyclic-4 and katsura-5 logs is encoded
+        # whole, so a field the engine logs without a row fails here
+        # instead of taking the slow path; every row is used
+        whole = []
+
+        class Counting(json.JSONEncoder):
+            def encode(self, o):
+                if isinstance(o, dict):
+                    whole.append(o)
+                return super().encode(o)
+
+        logs = [events for _, events in suite_logs] + [plant_run(s)[1] for s in PLANT_SYSTEMS]
+        for _, inputs, config in engine_pin_systems(400, 0):
+            try:
+                logs.append(incremental_f5(inputs, config).events)
+            except BudgetExceeded as exc:
+                logs.append(exc.events)
+        monkeypatch.setattr(trace.json, "JSONEncoder", Counting)
+        for events in logs:
+            jsonl_lines(events)
+        assert whole == []
+        assert {tuple(ev) for events in logs for ev in events} == set(trace._ROWS)
+
 
 def jsonl_lines(events) -> list[str]:
     buf = io.StringIO()
@@ -1405,8 +1526,12 @@ class TestJsonlCodec:
          "field 'poly' is not a valid polynomial"),
         ('{"seq":6,"kind":"DoneInserted","call":1,"pos":3,"trail":[["top",1]]}',
          "field 'trail' is not a valid trail"),
+        ('{"seq":6,"kind":"SPolCreated","call":1,"pos":3,"poly":[[1,[0,0,0,0],1]]}',
+         "field 'poly' is not a valid polynomial"),
+        ('{"seq":6,"kind":"DoneInserted","call":1,"pos":3,"creation_poly":[[1.5,[0,0,0,0]]]}',
+         "field 'creation_poly' is not a valid polynomial"),
     ], ids=["mono_int", "mono_str", "mono_nested", "mono_object", "sig_no_mono", "sig_list",
-            "poly_term", "trail_step"])
+            "poly_term", "trail_step", "poly_long_term", "poly_float_coeff"])
     @pytest.mark.parametrize("path", ["bulk", "per_line"])
     def test_bad_exponent_field(self, long_log, bad, message, path):
         # a valid line holding an object boundary sends its whole chunk down
@@ -1415,3 +1540,126 @@ class TestJsonlCodec:
         lines = [bad + "\n"] + ([boundary] if path == "per_line" else [])
         at = trace._CHUNK_LINES + 17
         self.check_bad(long_log, lines, at, rf"^line {at}: {message}$")
+
+
+class _Int(int):
+    """An int subclass; json writes its value."""
+
+
+def _writer_variants(ev: dict) -> list:
+    """Copies of the engine event ``ev`` that the writer must write as
+    ``json.dumps`` does: each field in turn replaced by a bool, a float, an
+    int subclass or None, a vector also by a list, by an equal tuple of
+    floats and by one of bools, a str by one that needs escapes, a
+    signature also by one with a float vector, with a third key, with its
+    keys swapped, with a key renamed and with a bool index; then the event
+    with an extra key, a missing key, its keys reordered, an unknown kind,
+    and as a dict subclass and as a list of items."""
+    out = []
+    for name, value in ev.items():
+        swaps = [True, 1.5, _Int(7), None]
+        if type(value) is tuple:
+            swaps += [list(value), tuple(map(float, value)), tuple(e == 1 for e in value)]
+        elif type(value) is str:
+            swaps += ['"\\é\n' + value]
+        elif type(value) is dict:
+            mono, index = value["mono"], value["index"]
+            swaps += [{"mono": tuple(map(float, mono)), "index": index},
+                      {**value, "extra": 0}, {"index": index, "mono": mono},
+                      {"mono": mono, "level": index}, {"mono": mono, "index": True}]
+        out += [{**ev, name: swap} for swap in swaps]
+    reordered = dict(reversed(list(ev.items())))
+    missing = dict(list(ev.items())[:-1])
+    out += [{**ev, "extra": 1}, missing, reordered, {**ev, "kind": "Nope"},
+            collections.OrderedDict(ev), list(ev.items())]
+    return out
+
+
+def _one_event_per_row() -> list[dict]:
+    """The first event of each row of ``EVENT_SHAPES`` in the cyclic-4 and
+    katsura-5 logs (``plant_run``)."""
+    first = {}
+    for system in PLANT_SYSTEMS:
+        for ev in plant_run(system)[1]:
+            first.setdefault(tuple(ev), ev)
+    assert set(first) == set(trace._ROWS)
+    return list(first.values())
+
+
+def _with_set(ev: dict) -> dict:
+    return {**ev, "call": {1, 2}}
+
+
+def _self_referencing_sig(ev: dict) -> dict:
+    sig = dict(ev["sig"])
+    sig["mono"] = sig
+    return {**ev, "sig": sig}
+
+
+class TestJsonlWriter:
+    """``Trace.to_jsonl`` renders the events that fit a row of
+    ``EVENT_SHAPES`` through its template and encodes any other whole: the
+    line is ``json.dumps``'s either way."""
+
+    def test_every_misfit_is_written_as_dumps_writes_it(self):
+        # the logged events come first, so their vectors are in the
+        # writer's memo when an equal tuple of floats comes
+        base = _one_event_per_row()
+        log = base + [variant for ev in base for variant in _writer_variants(ev)]
+        assert len(log) > 600
+        expected = [json.dumps(ev, separators=(",", ":")) + "\n" for ev in log]
+        assert jsonl_lines(log) == expected
+
+    @pytest.mark.parametrize("bad, error", [(_with_set, TypeError),
+                                            (_self_referencing_sig, ValueError)],
+                             ids=["set", "self_referencing_signature"])
+    def test_unserializable_event_raises_after_the_earlier_chunks(self, cyclic, bad, error):
+        _, res = cyclic
+        events = [dict(ev, seq=seq) for seq, ev in enumerate(res.events * 40)]
+        at = next(k for k in range(trace._CHUNK_LINES, len(events)) if "sig" in events[k])
+        events[at] = bad(events[at])
+        with pytest.raises(error):
+            json.dumps(events[at])
+        buf = io.StringIO()
+        t = Trace()
+        t.events = events
+        with pytest.raises(error):
+            t.to_jsonl(buf)
+        # the chunks before the bad event's are written whole
+        assert buf.getvalue() == "".join(jsonl_lines(events[:trace._CHUNK_LINES]))
+
+
+# the first event of a kind in cyclic-4's log, with 1 appended to the first
+# term of its polynomial -> the event's seq
+MALFORMED_TERMS = {"CallBegin": 0, "SPolCreated": 8, "DoneInserted": 9}
+
+
+def _malformed_term_log(kind: str) -> list[dict]:
+    events = copy.deepcopy(plant_run("cyclic4")[1])
+    target = next(ev for ev in events if ev["kind"] == kind)
+    target["poly"][0].append(1)
+    return events
+
+
+class TestMalformedTerm:
+    """A polynomial term that is not [c, vector] is an error on its line in
+    the reader and log damage in memory, not an exception in a checker."""
+
+    @pytest.mark.parametrize("kind", MALFORMED_TERMS)
+    def test_reader_names_the_line_and_field(self, kind):
+        lines = "".join(jsonl_lines(_malformed_term_log(kind)))
+        with pytest.raises(ValueError, match=rf"^line {MALFORMED_TERMS[kind] + 1}: "
+                                             r"field 'poly' is not a valid polynomial$"):
+            events_from_jsonl(io.StringIO(lines))
+
+    @pytest.mark.parametrize("kind", MALFORMED_TERMS)
+    def test_reports_fail_with_its_seq(self, kind):
+        ring, _ = plant_run("cyclic4")
+        events = _malformed_term_log(kind)
+        damage = (MALFORMED_TERMS[kind], f"{kind} field 'poly' is not a valid polynomial")
+        assert build_registry(events).unknown == damage
+        assert check_replay(events, ring).unknown == damage
+        failing = {rep.name: rep.failures[0] for rep in run_all_checkers(events, ring)
+                   if not rep.passed}
+        assert failing == dict.fromkeys(["rule_degrees", "genealogy", "trail_replay", "chains",
+                                         "done_insertion_audit", "thm5_exhaustive"], damage)
