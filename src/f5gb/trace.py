@@ -169,11 +169,6 @@ def _row(fields: tuple[tuple[str, str], ...]) -> tuple:
             at("str", "vector"), at("signature"), at("polynomial", "trail", "ints"))
 
 
-# each row by its keys, ``seq`` and ``kind`` first
-_ROWS = {("seq", "kind") + tuple(name for name, _ in fields): _row(fields)
-         for _, fields in EVENT_SHAPES}
-
-
 class BrokenLink(Exception):
     """An ancestor link or rule entry of the registry is missing or
     inconsistent."""
@@ -262,12 +257,15 @@ def _line_renderer() -> Callable[[object], str]:
     (``encode_basestring_ascii``), and a tuple whose elements are all
     exactly ints, is rendered once per object: the memo is keyed by the
     object's id and holds the object, so no id is reused, and a tuple equal
-    to one of ints, such as (1.0, 0), is rendered on its own.  A signature must have the
-    keys "mono" and "index", in that order, and an int index; polynomials,
-    trails and int lists go through the encoder.  Any other event, and one
-    whose values fail a check on the way, is encoded whole, so its line,
-    or the exception it raises, is the encoder's."""
+    to one of ints, such as (1.0, 0), is rendered on its own.  A signature
+    must have the keys "mono" and "index", in that order, and an int
+    index; polynomials, trails and int lists go through the encoder.  Any
+    other event, and one whose values fail a check on the way, is encoded
+    whole, so its line, or the exception it raises, is the encoder's."""
     encode = json.JSONEncoder(separators=(",", ":")).encode
+    # each row by its keys, ``seq`` and ``kind`` first
+    rows = {("seq", "kind") + tuple(name for name, _ in fields): _row(fields)
+            for _, fields in EVENT_SHAPES}
     known: dict[int, str] = {}
     held: list = []
     get = known.get
@@ -285,7 +283,7 @@ def _line_renderer() -> Callable[[object], str]:
         return text
 
     def render(ev) -> str:
-        row = _ROWS.get(tuple(ev)) if type(ev) is dict else None
+        row = rows.get(tuple(ev)) if type(ev) is dict else None
         if row is not None:
             template, types, atoms, sigs, encoded = row
             values = list(ev.values())
@@ -752,7 +750,7 @@ def check_replay(events: Sequence[dict], ring: Ring) -> ReplayReport:
             monic(phi_h)
             phi_h = None
         unknown = [ev[name] for name in reads if ev[name] not in P]
-        malformed = _malformed(ev)
+        malformed = _malformed(ev) if EXPONENT_FIELDS[kind].polys else None
         if unknown or malformed is not None:
             failures.append((seq, f"unknown position r{unknown[0]}" if unknown else malformed))
             first_unknown = first_unknown or failures[-1]
