@@ -447,30 +447,29 @@ def main(argv=None) -> int:
         description="Signature-based Groebner engine with invariant checking",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    problem_args = _ArgumentParser(add_help=False)
+    problem_args.add_argument("file", help="problem file")
+    problem_args.add_argument("--order", default=None, help="override the file's order")
+    # the engine's budgets; the reference algorithm has none
+    engine_args = _ArgumentParser(add_help=False, parents=[problem_args])
+    engine_args.add_argument("--max-pairs", type=int, default=EngineConfig.max_pairs)
+    engine_args.add_argument("--max-degree", type=int, default=EngineConfig.max_degree)
 
-    def common(p):
-        p.add_argument("file", help="problem file")
-        p.add_argument("--order", default=None, help="override the file's order")
-        p.add_argument("--max-pairs", type=int, default=10**6)
-        p.add_argument("--max-degree", type=int, default=80)
-
-    p_gb = sub.add_parser("gb", help="run the signature engine")
-    common(p_gb)
-    p_oracle = sub.add_parser("oracle", help="run the reference algorithm")
-    common(p_oracle)
+    sub.add_parser("gb", parents=[engine_args], help="run the signature engine")
+    p_oracle = sub.add_parser("oracle", parents=[problem_args], help="run the reference algorithm")
     p_oracle.add_argument("--allow-affine", action="store_true",
                           help="accept non-homogeneous input")
-    p_trace = sub.add_parser("trace", help="run the engine and write a JSON Lines trace")
-    common(p_trace)
+    p_trace = sub.add_parser("trace", parents=[engine_args],
+                             help="run the engine and write a JSON Lines trace")
     p_trace.add_argument("--trace-out", required=True)
-    p_check = sub.add_parser("check", help="engine + reference + all checkers + descents")
-    common(p_check)
+    p_check = sub.add_parser("check", parents=[engine_args],
+                             help="engine + reference + all checkers + descents")
     p_check.add_argument("--descent-samples", type=int, default=25)
     p_check.add_argument("--descent-cap", type=int, default=10**5)
     p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--json-report", action="store_true")
-    p_desc = sub.add_parser("descend", help="run one descent on a chosen snapshot")
-    common(p_desc)
+    p_desc = sub.add_parser("descend", parents=[engine_args],
+                            help="run one descent on a chosen snapshot")
     p_desc.add_argument("--snapshot", type=int, default=0, help="snapshot ordinal")
     p_desc.add_argument("--element", type=int, default=None, help="basis position to descend")
     p_desc.add_argument("--mult", default=None, help="term multiplier, e.g. 'x*y' or '2*x*y'")

@@ -5,13 +5,14 @@ engine is supposed to satisfy is then re-verified here, post hoc, from the
 serialized log alone.  Events are plain dicts with stable field names so the
 log round-trips through JSON Lines.
 
-``EVENT_SHAPES`` describes each event shape once: per kind, each key
-sequence the engine logs, with the shape of each field.  ``EXPONENT_FIELDS``
-is read off it, and ``Trace.to_jsonl`` renders every event that fits a row
-through the row's ``%`` template, falling back to the JSON encoder for any
-other, so the bytes are ``json.dumps``'s either way.  The reader,
-``events_from_jsonl``, rejects a line whose fields lack their shapes; the
-registry and the replay treat such a polynomial in memory as log damage.
+``EVENT_SHAPES`` is the one description of an event: per kind, each key
+sequence the engine logs, with the shape of each field.  ``EVENT_KINDS`` is
+read off it, and both directions of the codec compile its rows (``_Row``).
+``Trace.to_jsonl`` renders every event that fits a row through the row's
+``%`` template and encodes any other whole, so the bytes are
+``json.dumps``'s either way; ``events_from_jsonl`` rejects every line that
+does not fit its row exactly.  The registry and the replay treat a
+malformed polynomial in memory as log damage.
 """
 
 from __future__ import annotations
@@ -27,37 +28,10 @@ from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .poly import (FIELD_BITS, Layout, Lazy, Monomial, Polynomial, Ring, overflow_error,
+from .poly import (BOUND, FIELD_BITS, Layout, Lazy, Monomial, Polynomial, Ring, overflow_error,
                    poly_axpy, quotient_key)
 from .sig import (ReplayedVectors, Signature, check_admissible, key_index, replay_leads,
                   sig_divides, sig_key, sig_mul)
-
-EVENT_KINDS = (
-    "CallBegin",
-    "CallEnd",
-    "DegreeStep",
-    "RuleAdded",
-    "CritPairCreated",
-    "F5CritPairReject",
-    "RewrittenReject",
-    "SPolCreated",
-    "PhiPreReduce",
-    "ReductionStep",
-    "NewFromTopReduction",
-    "ReductionToZero",
-    "DoneInserted",
-)
-
-
-class ExponentFields(NamedTuple):
-    """The payload fields of one kind that hold exponent vectors, by shape.
-    A field can be absent from some events of its kind."""
-
-    monos: tuple[str, ...] = ()  # one vector
-    sigs: tuple[str, ...] = ()  # a signature {"mono": vector, "index": i}
-    polys: tuple[str, ...] = ()  # a list of [c, vector] terms
-    # a list of reduction steps, each ["monic", s] or [kind, c, vector, reductor]
-    trails: tuple[str, ...] = ()
 
 
 def _fields(spec: str) -> tuple[tuple[str, str], ...]:
@@ -106,19 +80,11 @@ EVENT_SHAPES = (
 )
 
 
-def _exponent_fields(kind: str) -> ExponentFields:
-    """The vector, signature, polynomial and trail fields of the rows of
-    ``kind``, each in the order it first occurs."""
-    named: dict[str, list[str]] = {"vector": [], "signature": [], "polynomial": [], "trail": []}
-    for row_kind, fields in EVENT_SHAPES:
-        if row_kind == kind:
-            for name, shape in fields:
-                if shape in named and name not in named[shape]:
-                    named[shape].append(name)
-    return ExponentFields(*map(tuple, named.values()))
-
-
-EXPONENT_FIELDS = {kind: _exponent_fields(kind) for kind in EVENT_KINDS}
+# each kind once, in the order of its first row
+EVENT_KINDS = tuple(dict.fromkeys(kind for kind, _ in EVENT_SHAPES))
+# the polynomial fields of each kind, which all its rows share
+_POLY_FIELDS = {kind: tuple(name for name, shape in fields if shape == "polynomial")
+                for kind, fields in EVENT_SHAPES}
 
 
 class CreationFields(NamedTuple):
@@ -140,8 +106,6 @@ CREATION_FIELDS = {
 # json.loads per chunk lets the decoder share each key string among the
 # chunk's events
 _CHUNK_LINES = 1024
-# each kind's one shared string
-_KINDS = {kind: kind for kind in EVENT_KINDS}
 # the one shared string of each rejection's ``where`` and of each trail
 # step's kind, as the engine's events share them
 _VALUES = {value: value for value in ("crit_pair", "spol", "is_reducible", "phi", "top", "monic")}
@@ -151,22 +115,37 @@ _VALUES = {value: value for value in ("crit_pair", "spol", "is_reducible", "phi"
 _OBJECT_BOUNDARY = re.compile(r"}\s*,\s*{")
 
 
-def _row(fields: tuple[tuple[str, str], ...]) -> tuple:
-    """A row of ``EVENT_SHAPES`` as ``Trace.to_jsonl`` writes it: the
-    line's ``%`` template; the exact type of each value, in log order; and
-    the positions of the str and vector values, of the signatures, and of
-    the polynomial, trail and int-list values, each replaced by its JSON
-    before the values fill the template."""
-    fields = (("seq", "int"), ("kind", "str")) + fields
-    shapes = [shape for _, shape in fields]
+class _Row(NamedTuple):
+    """A row of ``EVENT_SHAPES`` as the JSON Lines codec reads and writes
+    it, ``seq`` and ``kind`` first."""
 
-    def at(*wanted: str) -> tuple[int, ...]:
-        return tuple(i for i, shape in enumerate(shapes) if shape in wanted)
+    kind: str
+    fields: tuple[tuple[str, str], ...]  # (name, shape), in log order
+    types: list[type]  # the exact type of each value in memory, in log order
+    # the line's ``%`` template, and the positions of the str and vector
+    # values, of the signatures, and of the polynomial, trail and int-list
+    # values, each replaced by its JSON before the values fill it
+    template: str
+    atoms: tuple[int, ...]
+    sigs: tuple[int, ...]
+    encoded: tuple[int, ...]
 
-    template = ",".join(f'"{name}":%{"d" if shape == "int" else "s"}' for name, shape in fields)
+
+def _rows() -> dict[tuple[str, ...], _Row]:
+    """Each row of ``EVENT_SHAPES``, compiled, by its keys."""
     types = {"int": int, "str": str, "vector": tuple, "signature": dict}
-    return ("{" + template + "}\n", [types.get(shape, list) for shape in shapes],
+    rows = {}
+    for kind, fields in EVENT_SHAPES:
+        fields = (("seq", "int"), ("kind", "str")) + fields
+
+        def at(*wanted: str) -> tuple[int, ...]:
+            return tuple(i for i, (_, shape) in enumerate(fields) if shape in wanted)
+
+        template = ",".join(f'"{name}":%{"d" if shape == "int" else "s"}' for name, shape in fields)
+        rows[tuple(name for name, _ in fields)] = _Row(
+            kind, fields, [types.get(shape, list) for _, shape in fields], "{" + template + "}\n",
             at("str", "vector"), at("signature"), at("polynomial", "trail", "ints"))
+    return rows
 
 
 class BrokenLink(Exception):
@@ -191,7 +170,7 @@ def _is_term(term) -> bool:
 def _malformed(ev: dict) -> Optional[str]:
     """Why a polynomial field of ``ev`` is not a list of terms
     (``_is_term``), naming the first such field, or None."""
-    for name in EXPONENT_FIELDS[ev["kind"]].polys:
+    for name in _POLY_FIELDS[ev["kind"]]:
         payload = ev.get(name, [])
         if type(payload) is not list or not all(map(_is_term, payload)):
             return f"{ev['kind']} field {name!r} is not a valid polynomial"
@@ -252,7 +231,7 @@ def _line_renderer() -> Callable[[object], str]:
     the function does.
 
     An event that is a dict with the keys of a row of ``EVENT_SHAPES``, in
-    order, and values of exactly its types (``_row``) takes the row's
+    order, and values of exactly its types (``_Row``) takes the row's
     template.  A str, escaped as the encoder escapes it by default
     (``encode_basestring_ascii``), and a tuple whose elements are all
     exactly ints, is rendered once per object: the memo is keyed by the
@@ -263,9 +242,7 @@ def _line_renderer() -> Callable[[object], str]:
     other event, and one whose values fail a check on the way, is encoded
     whole, so its line, or the exception it raises, is the encoder's."""
     encode = json.JSONEncoder(separators=(",", ":")).encode
-    # each row by its keys, ``seq`` and ``kind`` first
-    rows = {("seq", "kind") + tuple(name for name, _ in fields): _row(fields)
-            for _, fields in EVENT_SHAPES}
+    rows = _rows()
     known: dict[int, str] = {}
     held: list = []
     get = known.get
@@ -285,22 +262,21 @@ def _line_renderer() -> Callable[[object], str]:
     def render(ev) -> str:
         row = rows.get(tuple(ev)) if type(ev) is dict else None
         if row is not None:
-            template, types, atoms, sigs, encoded = row
             values = list(ev.values())
-            if list(map(type, values)) == types:
+            if list(map(type, values)) == row.types:
                 try:
-                    for i in atoms:
+                    for i in row.atoms:
                         value = values[i]
                         values[i] = get(id(value)) or atom(value)
-                    for i in sigs:
+                    for i in row.sigs:
                         sig = values[i]
                         mono, index = sig.values()
                         if tuple(sig) != ("mono", "index") or type(index) is not int:
                             raise ValueError("not a signature")
                         values[i] = '{"mono":%s,"index":%d}' % (get(id(mono)) or atom(mono), index)
-                    for i in encoded:
+                    for i in row.encoded:
                         values[i] = encode(values[i])
-                    return template % tuple(values)
+                    return row.template % tuple(values)
                 except (TypeError, ValueError, RecursionError):
                     pass  # encoded whole below, which raises if the event cannot be
         return encode(ev) + "\n"
@@ -311,120 +287,143 @@ def _line_renderer() -> Callable[[object], str]:
 def events_from_jsonl(fp) -> list[dict]:
     """Read the events ``Trace.to_jsonl`` wrote; blank lines are skipped.
 
-    Each non-blank line must hold one JSON object whose ``kind`` is in
-    ``EVENT_KINDS`` and whose ``EXPONENT_FIELDS`` have their shapes;
-    otherwise ``ValueError`` names the first bad line (1-based).  As in the
-    engine's log, each exponent vector becomes a tuple of ints, one per
-    distinct vector of the read."""
+    Each non-blank line must hold one JSON object that fits a row of
+    ``EVENT_SHAPES`` (``_event_reader``); otherwise ``ValueError`` names the
+    first bad line (1-based).  As in the engine's log, each exponent vector
+    becomes a tuple of ints, one per distinct vector of the read."""
     events: list[dict] = []
     lines: list[str] = []
     linenos: list[int] = []
-    memo = Lazy(_int_tuple)
+    read = _event_reader()
     for lineno, line in enumerate(fp, 1):
         if line.strip():
             lines.append(line)
             linenos.append(lineno)
             if len(lines) == _CHUNK_LINES:
-                _decode_chunk(lines, linenos, events, memo)
+                _decode_chunk(lines, linenos, events, read)
                 lines, linenos = [], []
-    _decode_chunk(lines, linenos, events, memo)
+    _decode_chunk(lines, linenos, events, read)
     return events
 
 
 def _decode_chunk(
-    lines: list[str], linenos: list[int], out: list[dict], memo: Lazy
+    lines: list[str], linenos: list[int], out: list[dict], read: Callable[[dict], None]
 ) -> None:
     """Append the events of ``lines`` to ``out``.
 
     The chunk is decoded as one JSON array when no line holds an object
     boundary.  Then every top-level comma of an array of objects is one put
-    between two lines, so an array of one known-kind object per line holds
-    each line's object.  Any other chunk, and one with a malformed exponent
-    field, is decoded line by line, which raises at its first bad line."""
+    between two lines, so an array of one object per line holds each line's
+    object.  Any other chunk, and one with an object that does not fit its
+    row, is decoded line by line, which raises at its first bad line."""
     if not any(map(_OBJECT_BOUNDARY.search, lines)):
         try:
             events = json.loads("[" + ",".join(lines) + "]")
             if len(events) == len(lines):
                 for ev in events:
-                    ev["kind"] = _KINDS[ev["kind"]]
-                    _share_values(ev, memo)
+                    read(ev)
                 out += events
                 return
         except (ValueError, KeyError, TypeError):
             pass
-    out += [_decode_line(line, lineno, memo) for line, lineno in zip(lines, linenos)]
+    out += [_decode_line(line, lineno, read) for line, lineno in zip(lines, linenos)]
 
 
-def _decode_line(line: str, lineno: int, memo: Lazy) -> dict:
+def _decode_line(line: str, lineno: int, read: Callable[[dict], None]) -> dict:
     try:
         ev = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ValueError(f"line {lineno}, column {exc.colno}: {exc.msg}") from None
-    if not isinstance(ev, dict):
-        raise ValueError(f"line {lineno}: not a JSON object")
-    kind = ev.get("kind")
-    if not isinstance(kind, str) or kind not in _KINDS:
-        raise ValueError(f"line {lineno}: unknown kind {kind!r}")
-    ev["kind"] = _KINDS[kind]
     try:
-        _share_values(ev, memo)
+        read(ev)
     except ValueError as exc:
         raise ValueError(f"line {lineno}: {exc}") from None
     return ev
 
 
-def _int_tuple(t: tuple) -> tuple:
-    """An exponent tuple as a read's memo (``Lazy``) keeps it: the tuple
-    itself, which must hold ints.  One equal to a tuple seen before (as 1.0
-    equals 1) reads as that tuple, so each vector has one copy per read."""
-    if not all(type(e) is int for e in t):
-        raise TypeError
-    return t
+def _event_reader() -> Callable[[dict], None]:
+    """A function that checks a decoded object against its row of
+    ``EVENT_SHAPES``, by its keys, and shares its values in place.
 
+    The kind must be the row's and each value exactly of its shape, with
+    vector entries from 0 to ``poly.BOUND`` - 1, as many as in the first
+    vector read; otherwise ``ValueError`` names the first fault.  Each
+    vector becomes a tuple, one per distinct vector, also for one equal to a
+    vector read before (as 1.0 equals 1); the kind, str fields and step
+    kinds become the row's string or ``_VALUES``', if any."""
+    fixed: dict[str, int] = {}  # the length of every vector, set by the first
 
-def _array(value) -> list:
-    if type(value) is not list:
-        raise TypeError
-    return value
+    def exponents(t: tuple) -> tuple:
+        if fixed.setdefault("length", len(t)) != len(t) or not all(
+                type(e) is int and 0 <= e < BOUND for e in t):
+            raise TypeError
+        return t
 
+    memo = Lazy(exponents)
 
-def _share_values(ev: dict, memo: Lazy) -> None:
-    """Replace each exponent vector in the ``EXPONENT_FIELDS`` of ``ev`` by
-    its tuple in ``memo``, and its ``where`` and each trail step's kind by
-    the string in ``_VALUES``, if any; ``ValueError`` names the first field
-    that does not have its shape."""
-    monos, sigs, polys, trails = EXPONENT_FIELDS[ev["kind"]]
-    where = ev.get("where")
-    if type(where) is str:
-        ev["where"] = _VALUES.get(where, where)
-    try:
-        shape = "exponent vector"
-        for name in monos:
-            if name in ev:
-                ev[name] = memo[tuple(_array(ev[name]))]
-        shape = "signature"
-        for name in sigs:
-            if name in ev:
-                sig = ev[name]
-                sig["mono"] = memo[tuple(_array(sig["mono"]))]
-        shape = "polynomial"
-        for name in polys:
-            if name in ev:
-                for term in _array(ev[name]):
-                    if not _is_term(term):
-                        raise TypeError
-                    term[1] = memo[tuple(_array(term[1]))]
-        shape = "trail"
-        for name in trails:
-            if name in ev:
-                for step in _array(ev[name]):
-                    kind = step[0]
-                    if type(kind) is str:
-                        step[0] = _VALUES.get(kind, kind)
-                    if kind != "monic":
-                        step[2] = memo[tuple(_array(step[2]))]
-    except (TypeError, KeyError, IndexError):
-        raise ValueError(f"field {name!r} is not a valid {shape}") from None
+    def vector(value) -> tuple:
+        if type(value) is not list:
+            raise TypeError
+        return memo[tuple(value)]
+
+    def signature(value) -> dict:
+        if (type(value) is not dict or tuple(value) != ("mono", "index")
+                or type(value["index"]) is not int):
+            raise TypeError
+        value["mono"] = vector(value["mono"])
+        return value
+
+    def polynomial(value) -> list:
+        for term in value:
+            if not _is_term(term):
+                raise TypeError
+            term[1] = vector(term[1])
+        return value
+
+    def trail(value) -> list:
+        for step in value:
+            kind = step[0]
+            if type(step) is not list or type(kind) is not str or type(step[1]) is not int:
+                raise TypeError
+            if len(step) == 4 and kind != "monic" and type(step[3]) is int:
+                step[2] = vector(step[2])
+            elif len(step) != 2 or kind != "monic":
+                raise TypeError
+            step[0] = _VALUES.get(kind, kind)
+        return value
+
+    def ints(value) -> list:
+        if not all(type(e) is int for e in value):
+            raise TypeError
+        return value
+
+    walks = {"str": lambda value: _VALUES.get(value, value), "vector": vector,
+             "signature": signature, "polynomial": polynomial, "trail": trail, "ints": ints}
+    # each row with the (name, walk) of each field it walks after ``kind``
+    rows = {keys: (row, [(name, walks[shape]) for name, shape in row.fields[2:] if shape in walks])
+            for keys, row in _rows().items()}
+
+    def read(ev) -> None:
+        if type(ev) is not dict:
+            raise ValueError("not a JSON object")
+        kind = ev.get("kind")
+        row, walked = rows.get(tuple(ev), (None, ()))
+        if row is None or kind != row.kind:
+            raise ValueError(f"no {kind} row has the keys {list(ev)}" if kind in EVENT_KINDS
+                             else f"unknown kind {kind!r}")
+        ev["kind"] = row.kind
+        try:
+            for name, walk in walked:
+                ev[name] = walk(ev[name])
+            if list(map(type, ev.values())) != row.types:
+                name = next(name for name, t in zip(ev, row.types) if type(ev[name]) is not t)
+                raise TypeError
+        except (TypeError, KeyError, IndexError):
+            shape = dict(row.fields)[name]
+            shape = {"vector": "exponent vector", "ints": "list of ints"}.get(shape, shape)
+            raise ValueError(f"field {name!r} is not a valid {shape}") from None
+
+    return read
 
 
 # ---------------------------------------------------------------------------
@@ -750,7 +749,7 @@ def check_replay(events: Sequence[dict], ring: Ring) -> ReplayReport:
             monic(phi_h)
             phi_h = None
         unknown = [ev[name] for name in reads if ev[name] not in P]
-        malformed = _malformed(ev) if EXPONENT_FIELDS[kind].polys else None
+        malformed = _malformed(ev) if _POLY_FIELDS[kind] else None
         if unknown or malformed is not None:
             failures.append((seq, f"unknown position r{unknown[0]}" if unknown else malformed))
             first_unknown = first_unknown or failures[-1]

@@ -516,6 +516,8 @@ class TestCommands:
         (["check", "FILE", "--bogus"], "unrecognized arguments: --bogus"),
         (["check"], "the following arguments are required: file"),
         (["nope", "FILE"], "argument command: invalid choice: 'nope'"),
+        # the reference algorithm has no engine budgets
+        (["oracle", "FILE", "--max-degree", "3"], "unrecognized arguments: --max-degree 3"),
     ])
     def test_usage_error_exit_code(self, demo_file, capsys, argv, message):
         # 2 is the code of a check failure; a usage error is an input error

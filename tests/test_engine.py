@@ -25,12 +25,12 @@ from f5gb.engine import (
 from f5gb.poly import GT, ORDER_KINDS, Lazy, Monomial
 from f5gb.sig import Signature, check_admissible, sig_mul
 from systems import P, replayed_inputs, replayed_vectors, sig_from_payload
-from f5gb.trace import EXPONENT_FIELDS, Trace, events_from_jsonl, poly_from_payload
+from f5gb.trace import Trace, events_from_jsonl, poly_from_payload
 
 from order_reference import mono_cmp, sig_cmp
 from phi_reference import phi_reduce_reference
-from systems import (CYCLIC4, CYCLIC5, KATSURA5, LEX_SCOPE, P, SUITE, engine_pin_systems,
-                     make_ring, polys)
+from systems import (CYCLIC4, CYCLIC5, KATSURA5, LEX_SCOPE, P, ROW_FIELDS, SUITE,
+                     engine_pin_systems, make_ring, polys)
 
 
 def M(*exps):
@@ -637,13 +637,18 @@ def payload_lists(value):
 
 
 def exponent_vectors(ev):
-    """Every exponent vector of an event, found through ``EXPONENT_FIELDS``."""
-    monos, sigs, polys, trails = EXPONENT_FIELDS[ev["kind"]]
-    yield from (ev[name] for name in monos if name in ev)
-    yield from (ev[name]["mono"] for name in sigs if name in ev)
-    yield from (exps for name in polys if name in ev for _, exps in ev[name])
-    yield from (step[2] for name in trails if name in ev for step in ev[name]
-                if step[0] != "monic")
+    """Every exponent vector of an event, found through its row of
+    ``EVENT_SHAPES``."""
+    for name, shape in ROW_FIELDS[tuple(ev)]:
+        value = ev[name]
+        if shape == "vector":
+            yield value
+        elif shape == "signature":
+            yield value["mono"]
+        elif shape == "polynomial":
+            yield from (exps for _, exps in value)
+        elif shape == "trail":
+            yield from (step[2] for step in value if step[0] != "monic")
 
 
 class TestEventLogPin:
@@ -705,14 +710,16 @@ class TestEventLogPin:
 
     @pytest.mark.parametrize("order", ["degrevlex", "lex"])
     def test_exponent_fields_name_every_vector(self, order):
-        # outside EXPONENT_FIELDS a payload holds ints and strings, and the
-        # position lists of CallBegin and CallEnd
+        # every event fits a row, and outside the row's vector, signature,
+        # polynomial and trail fields a payload holds ints and strings, and
+        # the position lists of CallBegin and CallEnd
         names, texts = SUITE["katsura3_homog"]
         events = incremental_f5(polys(make_ring(32003, names, order), *texts)).events
         for ev in events:
-            named = set(sum(EXPONENT_FIELDS[ev["kind"]], ()))
-            for name, value in ev.items():
-                if name in ("g_next", "basis"):
+            for name, shape in ROW_FIELDS[tuple(ev)]:
+                value = ev[name]
+                if shape == "ints":
+                    assert name in ("g_next", "basis")
                     assert all(type(pos) is int for pos in value)
-                elif name not in named:
-                    assert type(value) in (int, str), (ev["kind"], name)
+                elif shape in ("int", "str"):
+                    assert type(value) is {"int": int, "str": str}[shape], (ev["kind"], name)

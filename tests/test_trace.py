@@ -8,13 +8,14 @@ import io
 import itertools
 import json
 import random
+import re
 
 import pytest
 
 from f5gb import sig, trace
 from f5gb.engine import BudgetExceeded, EngineConfig, incremental_f5
 from f5gb.oracle import done_snapshots, find_thm4_pairs_in_snapshot
-from f5gb.poly import GT, ORDER_KINDS, Monomial, MonomialOrder, poly_axpy, quotient_key
+from f5gb.poly import BOUND, GT, ORDER_KINDS, Monomial, MonomialOrder, poly_axpy, quotient_key
 from f5gb.sig import (LabeledPolynomial, ModuleVector, ReplayedVectors, Signature,
                       check_admissible, replay_leads, sig_key, sig_mul)
 from f5gb.trace import (
@@ -44,6 +45,7 @@ from systems import (
     CYCLIC4,
     KATSURA5,
     PLANT_SYSTEMS,
+    ROW_FIELDS,
     SUITE,
     SUITE_PRIMES,
     _PairRules,
@@ -1345,28 +1347,32 @@ class TestSchemaTables:
         assert seen == set(trace.CREATION_FIELDS)
 
     def test_exponent_fields_have_their_shapes(self, suite_logs):
-        shapes = (_is_vector, _is_signature, _is_poly, _is_trail)
+        is_shape = {"vector": _is_vector, "signature": _is_signature, "polynomial": _is_poly,
+                    "trail": _is_trail}
         used = set()
         for n, events in suite_logs:
             for ev in events:
-                for names, is_shape in zip(trace.EXPONENT_FIELDS[ev["kind"]], shapes):
-                    for name in names:
-                        if name in ev:
-                            used.add((ev["kind"], name))
-                            assert is_shape(ev[name], n), (ev["kind"], name)
-        # every named field occurs in some event
+                for name, shape in ROW_FIELDS[tuple(ev)]:
+                    if shape in is_shape:
+                        used.add((ev["kind"], name))
+                        assert is_shape[shape](ev[name], n), (ev["kind"], name)
+        # every field of such a shape occurs in some event
         assert used == {
             (kind, name)
-            for kind, fields in trace.EXPONENT_FIELDS.items()
-            for names in fields
-            for name in names
+            for kind, fields in trace.EVENT_SHAPES
+            for name, shape in fields
+            if shape in is_shape
         }
 
     def test_exponent_fields_are_read_off_the_shapes(self):
-        # the values the table had when it was written out by hand
-        fields = trace.ExponentFields
+        # the vector, signature, polynomial and trail fields of each kind,
+        # in the order they first occur, and the kinds, as they were written
+        # out by hand before they were read off the rows
+        def fields(monos=(), sigs=(), polys=(), trails=()):
+            return {"vector": monos, "signature": sigs, "polynomial": polys, "trail": trails}
+
         reject = fields(monos=("h_head", "mult", "t", "u1", "u2"), sigs=("msig",))
-        assert trace.EXPONENT_FIELDS == {
+        by_hand = {
             "CallBegin": fields(sigs=("sig",), polys=("poly",)),
             "CallEnd": fields(),
             "DegreeStep": fields(),
@@ -1383,37 +1389,35 @@ class TestSchemaTables:
             "DoneInserted": fields(sigs=("sig",), polys=("poly", "creation_poly"),
                                    trails=("trail",)),
         }
-        assert list(trace.EXPONENT_FIELDS) == list(trace.EVENT_KINDS)
+        read_off = {kind: fields() for kind in trace.EVENT_KINDS}
+        for kind, row in trace.EVENT_SHAPES:
+            for name, shape in row:
+                named = read_off[kind]
+                if shape in named and name not in named[shape]:
+                    named[shape] += (name,)
+        assert read_off == by_hand
+        assert trace.EVENT_KINDS == tuple(by_hand)
+        assert trace._POLY_FIELDS == {kind: named["polynomial"] for kind, named in by_hand.items()}
+        # the codec finds each row by its keys alone
+        assert len(ROW_KEYS) == len(trace.EVENT_SHAPES)
 
     def test_every_engine_event_takes_its_row_template(self, suite_logs, monkeypatch):
         # no event of the suite logs, of 400 random systems (budget exits
         # among them) or of the cyclic-4 and katsura-5 logs is encoded
         # whole, so a field the engine logs without a row fails here
         # instead of taking the slow path; every row is used
-        whole = []
-
-        class Counting(json.JSONEncoder):
-            def encode(self, o):
-                if isinstance(o, dict):
-                    whole.append(o)
-                return super().encode(o)
-
         logs = [events for _, events in suite_logs] + [plant_run(s)[1] for s in PLANT_SYSTEMS]
         for _, inputs, config in engine_pin_systems(400, 0):
             try:
                 logs.append(incremental_f5(inputs, config).events)
             except BudgetExceeded as exc:
                 logs.append(exc.events)
-        monkeypatch.setattr(trace.json, "JSONEncoder", Counting)
-        for events in logs:
-            jsonl_lines(events)
-        assert whole == []
+        assert all(encoded_whole(monkeypatch, events) == [] for events in logs)
         assert {tuple(ev) for events in logs for ev in events} == ROW_KEYS
 
 
 # the keys of each row of EVENT_SHAPES
-ROW_KEYS = {("seq", "kind") + tuple(name for name, _ in fields)
-            for _, fields in trace.EVENT_SHAPES}
+ROW_KEYS = set(ROW_FIELDS)
 
 
 def jsonl_lines(events) -> list[str]:
@@ -1424,9 +1428,41 @@ def jsonl_lines(events) -> list[str]:
     return buf.getvalue().splitlines(True)
 
 
+def encoded_whole(monkeypatch, events) -> list[dict]:
+    """The events that ``Trace.to_jsonl`` hands to the JSON encoder whole,
+    not through a row's template, as it writes ``events``."""
+    whole = []
+
+    class Counting(json.JSONEncoder):
+        def encode(self, o):
+            if isinstance(o, dict):
+                whole.append(o)
+            return super().encode(o)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(trace.json, "JSONEncoder", Counting)
+        jsonl_lines(events)
+    return whole
+
+
+# complete rows of a 4-variable log, with the polynomial of an SPolCreated
+# and the creation polynomial and trail of a DoneInserted left to fill in
+SPOL_LINE = ('{"seq":6,"kind":"SPolCreated","call":1,"pos":3,"sig":{"mono":[0,0,0,0],"index":1},'
+             '"poly":%s,"p1":0,"u1":[0,0,0,0],"p2":1,"u2":[0,0,0,0],"d":2}')
+DONE_LINE = ('{"seq":6,"kind":"DoneInserted","call":1,"pos":3,"sig":{"mono":[0,0,0,0],"index":1},'
+             '"poly":[],"creation_poly":%s,"trail":%s}')
+
+
+def boundary_line(events, seq: int) -> str:
+    """A line that fits its row yet holds an object boundary: the first
+    rejection of ``events``, at ``seq``, with ``where`` "},{"."""
+    ev = next(ev for ev in events if "where" in ev)
+    return json.dumps({**ev, "seq": seq, "where": "},{"}, separators=(",", ":")) + "\n"
+
+
 class TestJsonlCodec:
     """``events_from_jsonl`` decodes a chunk of lines per ``json.loads``;
-    every line must still hold one known-kind object on its own."""
+    every line must still hold one object that fits its row on its own."""
 
     @pytest.fixture
     def long_log(self, cyclic):
@@ -1452,7 +1488,8 @@ class TestJsonlCodec:
         lines.append("\n")
         events = self.read("".join(lines))
         assert events == long_log
-        assert all(ev["kind"] is trace._KINDS[ev["kind"]] for ev in events)
+        kinds = dict(zip(trace.EVENT_KINDS, trace.EVENT_KINDS))
+        assert all(ev["kind"] is kinds[ev["kind"]] for ev in events)
         # one chunk's events share each key string
         keys = {}
         assert all(keys.setdefault(key, key) is key for ev in events[:n] for key in ev)
@@ -1462,7 +1499,7 @@ class TestJsonlCodec:
         # cyclic-4's log is one chunk; a last line holding an object
         # boundary sends it down the line-by-line path
         _, events = plant_run("cyclic4")
-        boundary = '{"seq":%d,"kind":"CallEnd","note":"},{"}\n' % len(events)
+        boundary = boundary_line(events, len(events))
         lines = jsonl_lines(events) + ([boundary] if path == "per_line" else [])
         decoded = self.read("".join(lines))[:len(events)]
         assert decoded == events
@@ -1527,21 +1564,20 @@ class TestJsonlCodec:
          "field 'sig' is not a valid signature"),
         ('{"seq":6,"kind":"ReductionToZero","call":1,"pos":3,"sig":[0,0,0,0]}',
          "field 'sig' is not a valid signature"),
-        ('{"seq":6,"kind":"SPolCreated","call":1,"pos":3,"poly":[[1,null]]}',
-         "field 'poly' is not a valid polynomial"),
-        ('{"seq":6,"kind":"DoneInserted","call":1,"pos":3,"trail":[["top",1]]}',
-         "field 'trail' is not a valid trail"),
-        ('{"seq":6,"kind":"SPolCreated","call":1,"pos":3,"poly":[[1,[0,0,0,0],1]]}',
-         "field 'poly' is not a valid polynomial"),
-        ('{"seq":6,"kind":"DoneInserted","call":1,"pos":3,"creation_poly":[[1.5,[0,0,0,0]]]}',
+        ('{"seq":6,"kind":"ReductionToZero","call":1,"pos":3,'
+         '"sig":{"mono":[0,0,0,0],"index":true}}', "field 'sig' is not a valid signature"),
+        (SPOL_LINE % "[[1,null]]", "field 'poly' is not a valid polynomial"),
+        (DONE_LINE % ("[]", '[["top",1]]'), "field 'trail' is not a valid trail"),
+        (SPOL_LINE % "[[1,[0,0,0,0],1]]", "field 'poly' is not a valid polynomial"),
+        (DONE_LINE % ("[[1.5,[0,0,0,0]]]", "[]"),
          "field 'creation_poly' is not a valid polynomial"),
     ], ids=["mono_int", "mono_str", "mono_nested", "mono_object", "sig_no_mono", "sig_list",
-            "poly_term", "trail_step", "poly_long_term", "poly_float_coeff"])
+            "sig_bool_index", "poly_term", "trail_step", "poly_long_term", "poly_float_coeff"])
     @pytest.mark.parametrize("path", ["bulk", "per_line"])
     def test_bad_exponent_field(self, long_log, bad, message, path):
         # a valid line holding an object boundary sends its whole chunk down
         # the line-by-line path
-        boundary = '{"seq":7,"kind":"CallEnd","note":"},{"}\n'
+        boundary = boundary_line(long_log, 7)
         lines = [bad + "\n"] + ([boundary] if path == "per_line" else [])
         at = trace._CHUNK_LINES + 17
         self.check_bad(long_log, lines, at, rf"^line {at}: {message}$")
@@ -1668,3 +1704,83 @@ class TestMalformedTerm:
                    if not rep.passed}
         assert failing == dict.fromkeys(["rule_degrees", "genealogy", "trail_replay", "chains",
                                          "done_insertion_audit", "thm5_exhaustive"], damage)
+
+
+def _first_entry(e: int, length: int = 5):
+    """A change of a vector of cyclic-4's log, which has 5 variables: its
+    first entry ``e``, cut or padded with 0 to ``length`` entries."""
+    return lambda exps: ((e,) + exps[1:] + (0,) * length)[:length]
+
+
+def _change(name: str, change):
+    """A change of an event: its field ``name``, or with "poly" its first
+    term's vector, through ``change``."""
+    def apply(ev: dict) -> None:
+        if name == "poly":
+            ev["poly"][0][1] = change(ev["poly"][0][1])
+        else:
+            ev[name] = change(ev[name])
+    return apply
+
+
+# the first event of a kind in cyclic-4's log, a change to it, and the
+# message that names its line (seq + 1) and the first bad field or the keys
+BAD_ROWS = {
+    "term_negative": ("CallBegin", _change("poly", _first_entry(-1)),
+                      "field 'poly' is not a valid polynomial"),
+    "term_at_bound": ("CallBegin", _change("poly", _first_entry(BOUND)),
+                      "field 'poly' is not a valid polynomial"),
+    "mono_negative": ("RuleAdded", _change("mono", _first_entry(-1)),
+                      "field 'mono' is not a valid exponent vector"),
+    "mono_at_bound": ("RuleAdded", _change("mono", _first_entry(BOUND)),
+                      "field 'mono' is not a valid exponent vector"),
+    "u1_negative": ("SPolCreated", _change("u1", _first_entry(-1)),
+                    "field 'u1' is not a valid exponent vector"),
+    "u1_at_bound": ("SPolCreated", _change("u1", _first_entry(BOUND)),
+                    "field 'u1' is not a valid exponent vector"),
+    "term_of_2": ("CallBegin", _change("poly", _first_entry(0, 2)),
+                  "field 'poly' is not a valid polynomial"),
+    "term_of_6": ("CallBegin", _change("poly", _first_entry(0, 6)),
+                  "field 'poly' is not a valid polynomial"),
+    "no_poly": ("SPolCreated", lambda ev: ev.pop("poly"), "no SPolCreated row has the keys"),
+    "no_trail": ("DoneInserted", lambda ev: ev.pop("trail"), "no DoneInserted row has the keys"),
+    "no_g_next": ("CallBegin", lambda ev: ev.pop("g_next"), "no CallBegin row has the keys"),
+    "no_mono": ("RuleAdded", lambda ev: ev.pop("mono"), "no RuleAdded row has the keys"),
+    "extra_key": ("DegreeStep", lambda ev: ev.update(extra=0), "no DegreeStep row has the keys"),
+    "true_int": ("DegreeStep", _change("d", lambda d: True), "field 'd' is not a valid int"),
+    "true_in_ints": ("CallEnd", _change("basis", lambda basis: [True] + basis[1:]),
+                     "field 'basis' is not a valid list of ints"),
+    "kind_of_other_keys": ("DegreeStep", lambda ev: ev.update(kind="CallEnd"),
+                           "no CallEnd row has the keys"),
+}
+
+
+class TestRowRule:
+    """Every line must fit its row of ``EVENT_SHAPES`` exactly: the reader
+    rejects any other, naming its line, before a checker sees it."""
+
+    @pytest.mark.parametrize("case", BAD_ROWS)
+    def test_reader_names_the_line(self, case):
+        kind, change, message = BAD_ROWS[case]
+        events = copy.deepcopy(plant_run("cyclic4")[1])
+        target = next(ev for ev in events if ev["kind"] == kind)
+        change(target)
+        with pytest.raises(ValueError, match=rf"^line {target['seq'] + 1}: {re.escape(message)}"):
+            events_from_jsonl(io.StringIO("".join(jsonl_lines(events))))
+
+    def test_every_line_read_is_written_through_its_row(self, monkeypatch):
+        # each writer variant reads back to an event that takes its row's
+        # template, or fails at the reader; the logged event comes first, so
+        # the variant's vectors are ones the read has seen, of its length
+        read, rejected = [], 0
+        for ev in _one_event_per_row():
+            for variant in _writer_variants(ev):
+                try:
+                    events = events_from_jsonl(io.StringIO("".join(jsonl_lines([ev, variant]))))
+                except ValueError:
+                    rejected += 1
+                    continue
+                assert events[0] == ev
+                read.append(events[1])
+        assert read and rejected
+        assert encoded_whole(monkeypatch, read) == []
