@@ -709,7 +709,7 @@ class TestEventLogPin:
         assert not ids & {id(exps) for ev in second for exps in exponent_vectors(ev)}
 
     @pytest.mark.parametrize("order", ["degrevlex", "lex"])
-    def test_exponent_fields_name_every_vector(self, order):
+    def test_rows_name_every_vector(self, order):
         # every event fits a row, and outside the row's vector, signature,
         # polynomial and trail fields a payload holds ints and strings, and
         # the position lists of CallBegin and CallEnd

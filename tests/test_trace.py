@@ -1346,7 +1346,7 @@ class TestSchemaTables:
                         assert _is_vector(u_over, n) and _is_vector(u_under, n)
         assert seen == set(trace.CREATION_FIELDS)
 
-    def test_exponent_fields_have_their_shapes(self, suite_logs):
+    def test_row_fields_have_their_shapes(self, suite_logs):
         is_shape = {"vector": _is_vector, "signature": _is_signature, "polynomial": _is_poly,
                     "trail": _is_trail}
         used = set()
@@ -1364,7 +1364,7 @@ class TestSchemaTables:
             if shape in is_shape
         }
 
-    def test_exponent_fields_are_read_off_the_shapes(self):
+    def test_kinds_and_fields_are_read_off_the_rows(self):
         # the vector, signature, polynomial and trail fields of each kind,
         # in the order they first occur, and the kinds, as they were written
         # out by hand before they were read off the rows
