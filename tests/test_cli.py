@@ -841,6 +841,44 @@ class TestDamagedLogCheck:
         failing = [line.split(":")[0] for line in report["checker_lines"] if ": FAIL" in line]
         assert len(report["checker_lines"]) == 8 and failing == ["trail_replay"]
 
+    @pytest.mark.parametrize("phi, done, damage, registry_damage, replay_damage", [
+        ("first", "last", (56, "unknown position r1000000"),
+         (319, "DoneInserted of r20 into call 9, which no earlier CallBegin began"),
+         (56, "unknown position r1000000")),
+        ("last", "first", (9, "DoneInserted of r2 into call 9, which no earlier CallBegin began"),
+         (9, "DoneInserted of r2 into call 9, which no earlier CallBegin began"),
+         (354, "unknown position r1000000")),
+    ], ids=["replay_damage_first", "registry_damage_first"])
+    def test_two_damaged_events(self, tmp_path, monkeypatch, phi, done, damage,
+                                registry_damage, replay_damage):
+        # an unknown reductor is damage to the replay alone, an insertion
+        # into an unbegun call to the registry alone: the log names the
+        # earlier of the two, and each report the one it reads
+        def forge(events):
+            pick = {"first": 0, "last": -1}
+            step = [ev for ev in events if ev["kind"] == "PhiPreReduce"][pick[phi]]
+            insertion = [ev for ev in events if ev["kind"] == "DoneInserted"][pick[done]]
+            return [{**ev, "reductor": 10**6} if ev is step else
+                    {**ev, "call": 9} if ev is insertion else ev for ev in events]
+
+        text = problem_text(32003, *CYCLIC4)
+        problem = parse_problem(text)
+        events = forge(engine.incremental_f5(problem.polynomials).events)
+        failing = {rep.name: rep.failures[0] for rep in run_all_checkers(events, problem.ring)
+                   if not rep.passed}
+        assert failing == {**dict.fromkeys(["rule_degrees", "genealogy", "chains",
+                                            "done_insertion_audit", "thm5_exhaustive"],
+                                           registry_damage),
+                           "trail_replay": replay_damage}
+        _engine_returning(monkeypatch, forge)
+        report = _check_report(text)
+        reason = "damaged log: seq %d: %s" % damage
+        assert report["damaged_log"] == reason and report["ok"] is False
+        assert [report["verdicts"][name] for name in DAMAGE_VERDICTS] == [False] * 4
+        path = tmp_path / "cyclic4.txt"
+        path.write_text(text)
+        assert run_main(["descend", str(path)]) == (2, reason + "\n")
+
     def test_descend_on_a_damaged_log_exits_2(self, tmp_path, monkeypatch):
         path = tmp_path / "cyclic4.txt"
         path.write_text(problem_text(32003, *CYCLIC4))
