@@ -22,7 +22,6 @@ import random
 import sys
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 from .engine import (
     BudgetExceeded,
@@ -53,8 +52,10 @@ from .poly import (
     is_prime,
     sorted_by_head,
 )
-from .trace import (BrokenLink, Registry, ReplayReport, all_admissible, build_registry,
-                    check_replay, run_all_checkers)
+from .trace import BrokenLink, all_admissible, build_registry, run_all_checkers
+
+# how ``run_check`` and ``f5gb descend`` name the log's first damage
+_DAMAGED_LOG = "damaged log: seq %d: %s"
 
 
 class ParseError(Exception):
@@ -262,27 +263,25 @@ def run_check(problem: ProblemFile, config: EngineConfig, descent_samples: int,
               descent_cap: int, seed: int) -> dict:
     """Engine + reference + checkers + sampled descents; machine-form report.
 
-    Once the engine returns, all of it reads the event log: one registry and
-    one replay give the reports, the checked basis (call 1's ``CallEnd``),
-    the module vectors and the descent snapshots.  A damaged log
-    (``_log_damage``) gets its reports, while ``ideal_equal``,
+    Once the engine returns, all of it reads the event log: its one walk
+    (``build_registry``) gives the reports, the checked basis (call 1's
+    ``CallEnd``), the module vectors and the descent snapshots.  A damaged
+    log (``Registry.damage``) gets its reports, while ``ideal_equal``,
     ``admissible``, ``descents`` and ``thm4_reductors`` fail with the
     damage as their reason, kept as ``damaged_log``."""
     t0 = time.perf_counter()
     result = incremental_f5(problem.polynomials, config)
     events, ring = result.events, problem.ring
-    registry = build_registry(events)
-    replay = check_replay(events, ring)
-    end = _final_call_end(events)
-    damage = _log_damage(registry, replay, end)
-    basis = [] if damage or end is None else end["basis"]
-    f5_basis = sorted_by_head((replay.polys[p] for p in basis), ring.order)
+    registry = build_registry(events, ring)
+    damage = registry.damage and _DAMAGED_LOG % registry.damage
+    polys = registry.replay.polys
+    f5_basis = sorted_by_head((polys[p] for p in ([] if damage else registry.basis)), ring.order)
     oracle_basis = buchberger(problem.polynomials)
-    reports = run_all_checkers(events, ring, registry, replay)
+    reports = run_all_checkers(events, ring, registry)
     verdicts = {rep.name: rep.passed for rep in reports}
     verdicts["ideal_equal"] = damage is None and ideal_equal(f5_basis, oracle_basis)
-    verdicts["admissible"] = damage is None and all_admissible(registry, replay)
-    snapshots = [] if damage else done_snapshots(ring, registry, replay)
+    verdicts["admissible"] = damage is None and all_admissible(registry)
+    snapshots = [] if damage else done_snapshots(registry)
 
     descents = {"attempted": 0, "completed": 0, "max_steps": 0,
                 "failures": [damage] if damage else []}
@@ -341,37 +340,6 @@ def run_check(problem: ProblemFile, config: EngineConfig, descent_samples: int,
     return report
 
 
-def _final_call_end(events) -> Optional[dict]:
-    """Call 1's ``CallEnd`` event, whose ``basis`` is the checked basis, or
-    None when the log has none."""
-    return next((ev for ev in reversed(events)
-                 if ev["kind"] == "CallEnd" and ev["call"] == 1), None)
-
-
-def _log_damage(registry: Registry, replay: ReplayReport, end: Optional[dict]) -> Optional[str]:
-    """Why a log cannot give the checked basis, the admissible verdict or
-    the snapshots, or None.  The first damaged event is named by its
-    ``seq``: one that names a position no earlier event created, logs an
-    empty input or inserted polynomial or Done-inserts into a call no
-    earlier ``CallBegin`` began (``Registry.unknown``,
-    ``ReplayReport.unknown``), a ``DoneInserted`` whose position replays to
-    zero, or ``end`` (``_final_call_end``) when its basis names a position
-    that the replay did not build or that replays to zero."""
-    polys = replay.polys
-    found = [u for u in (registry.unknown, replay.unknown) if u is not None]
-    found += [(e.done_seq, f"Done-inserted r{p} replays to zero")
-              for p, e in registry.entries.items()
-              if e.done_seq is not None and p in polys and polys[p].is_zero]
-    bad = [p for p in ([] if end is None else end["basis"]) if p not in polys or polys[p].is_zero]
-    if bad:
-        found.append((end["seq"], f"call 1's CallEnd names r{bad[0]}, which the replay "
-                      + ("did not build" if bad[0] not in polys else "reduced to zero")))
-    if not found:
-        return None
-    seq, reason = min(found)
-    return f"damaged log: seq {seq}: {reason}"
-
-
 def cmd_check(args) -> int:
     problem = parse_problem(_read(args.file), order_override=args.order)
     report = run_check(
@@ -411,12 +379,11 @@ def cmd_descend(args) -> int:
             raise ParseError(f"{args.mult!r} is not exactly one nonzero term", 0, "--mult")
         [(coeff, mono)] = mult.terms
     events = incremental_f5(problem.polynomials, _config_from_args(args)).events
-    registry, replay = build_registry(events), check_replay(events, problem.ring)
-    damage = _log_damage(registry, replay, _final_call_end(events))
-    if damage:
-        print(damage)
+    registry = build_registry(events, problem.ring)
+    if registry.damage:
+        print(_DAMAGED_LOG % registry.damage)
         return 2
-    snapshots = done_snapshots(problem.ring, registry, replay)
+    snapshots = done_snapshots(registry)
     if not snapshots:
         print("no snapshots captured (no Done insertions in this run)")
         return 2

@@ -42,7 +42,7 @@ from .sig import (
     sig_divides,
     sig_key,
 )
-from .trace import InsertionView, Registry, ReplayReport, in_scope, membership_at
+from .trace import InsertionView, Registry, in_scope, membership_at
 
 
 class DescentError(Exception):
@@ -765,16 +765,17 @@ def find_thm4_pairs_in_snapshot(
     return out
 
 
-def done_snapshots(ring: Ring, registry: Registry, replay: ReplayReport) -> list[GgSnapshot]:
+def done_snapshots(registry: Registry) -> list[GgSnapshot]:
     """One snapshot per Done insertion of a run, in log order, from its log
-    alone: ``registry`` is built from the events and ``replay`` replayed
-    from them.  A position's element carries its logged signature and
-    replayed polynomial.  The snapshots share one ``DescentRun``, built
-    here: the elements, the registry's rule tables, the input positions and
-    the replayed vectors."""
+    alone, through its walk ``registry`` (``trace.build_registry``).  A
+    position's element carries its logged signature and replayed
+    polynomial.  The snapshots share one ``DescentRun``, built here: the
+    elements, the registry's rule tables, the input positions and the
+    replayed vectors."""
+    replay = registry.replay
     entries = {p: LabeledPolynomial(p, e.sig, replay.polys[p]) for p, e in registry.entries.items()}
     input_pos = {call: begin["input_pos"] for call, begin in registry.calls.items()}
-    run = DescentRun(ring, entries, registry.rules, input_pos, replay.vectors)
+    run = DescentRun(replay.ring, entries, registry.rules, input_pos, replay.vectors)
     return [
         GgSnapshot.from_result(run, registry, seq, call, pos)
         for call, done in registry.insertions.items()

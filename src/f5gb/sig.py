@@ -6,7 +6,7 @@ one index monomials compare in the ambient ring order.  ``sig_key`` writes
 the order as one int per signature, and every comparison reads it.  The
 engine needs only signatures.  What the checks need of the module vectors
 is rebuilt after a run from its event log alone, by the operations of the
-log replay (``trace.check_replay``).  ``replay_leads`` replays only each
+log replay (``trace.build_registry``).  ``replay_leads`` replays only each
 element's leading module term, which the ``admissible`` verdict compares
 with its signature, so admissibility is a checkable invariant rather than a
 bookkeeping assumption.  ``ReplayedVectors`` replays full vectors on first
@@ -118,7 +118,7 @@ def _input_count(ops: Sequence[tuple]) -> int:
 
 def apply_ops(ring: Ring, m: int, ops: Sequence[tuple],
               vectors: dict[int, ModuleVector]) -> None:
-    """Apply the replay operations ``ops`` (``trace.check_replay``), in
+    """Apply the replay operations ``ops`` (``trace.build_registry``), in
     order, to the m-coordinate module vectors held in ``vectors``, as the
     replay applied them to polynomials."""
     for op in ops:

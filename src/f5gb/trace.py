@@ -11,8 +11,9 @@ read off it, and both directions of the codec compile its rows (``_Row``).
 ``Trace.to_jsonl`` renders every event that fits a row through the row's
 ``%`` template and encodes any other whole, so the bytes are
 ``json.dumps``'s either way; ``events_from_jsonl`` rejects every line that
-does not fit its row exactly.  The registry and the replay treat a
-malformed polynomial in memory as log damage.
+does not fit its row exactly.  One walk of the log (``build_registry``)
+gives the registry of labeled polynomials, the replay and the damage; it
+treats a malformed polynomial in memory as log damage.
 """
 
 from __future__ import annotations
@@ -155,10 +156,6 @@ class BrokenLink(Exception):
 
 # ---------------------------------------------------------------------------
 # payload helpers
-
-
-def poly_from_payload(ring: Ring, payload: list) -> Polynomial:
-    return ring.poly([(c, Monomial(exps)) for c, exps in payload])
 
 
 def _is_term(term) -> bool:
@@ -346,23 +343,27 @@ def _event_reader() -> Callable[[dict], None]:
     ``EVENT_SHAPES``, by its keys, and shares its values in place.
 
     The kind must be the row's and each value exactly of its shape, with
-    vector entries from 0 to ``poly.BOUND`` - 1, as many as in the first
-    vector read; otherwise ``ValueError`` names the first fault.  Each
-    vector becomes a tuple, one per distinct vector, also for one equal to a
-    vector read before (as 1.0 equals 1); the kind, str fields and step
-    kinds become the row's string or ``_VALUES``', if any."""
-    fixed: dict[str, int] = {}  # the length of every vector, set by the first
+    vector entries ints from 0 to ``poly.BOUND`` - 1, as many as in the
+    first vector read; otherwise ``ValueError`` names the first fault.  Each
+    vector becomes a tuple, one per distinct vector; the kind, str fields
+    and step kinds become the row's string or ``_VALUES``', if any."""
+    shape = None  # [int] per entry of the first vector read: every vector's types
 
     def exponents(t: tuple) -> tuple:
-        if fixed.setdefault("length", len(t)) != len(t) or not all(
-                type(e) is int and 0 <= e < BOUND for e in t):
+        if not all(0 <= e < BOUND for e in t):
             raise TypeError
         return t
 
     memo = Lazy(exponents)
 
     def vector(value) -> tuple:
-        if type(value) is not list:
+        nonlocal shape
+        if shape is None and type(value) is list:
+            shape = [int] * len(value)
+        # every occurrence, before the lookup: a vector with a bool or a
+        # float equal to an int (False == 0, 1.0 == 1) finds the tuple of
+        # the int vector it equals
+        if type(value) is not list or [*map(type, value)] != shape:
             raise TypeError
         return memo[tuple(value)]
 
@@ -427,6 +428,30 @@ def _event_reader() -> Callable[[dict], None]:
 
 
 # ---------------------------------------------------------------------------
+# reports
+
+
+@dataclass
+class CheckReport:
+    name: str
+    passed: bool
+    checked: int
+    failures: list = field(default_factory=list)
+
+    def __bool__(self) -> bool:
+        return self.passed
+
+    def line(self) -> str:
+        status = "pass" if self.passed else "FAIL"
+        extra = f" first_failure={self.failures[0]}" if self.failures else ""
+        return f"{self.name}: {status} ({self.checked} checked){extra}"
+
+
+def _report(name: str, checked: int, failures: list) -> CheckReport:
+    return CheckReport(name, not failures, checked, failures)
+
+
+# ---------------------------------------------------------------------------
 # registry: reconstruct every labeled polynomial from the log
 
 
@@ -453,90 +478,223 @@ class RegistryEntry:
 
 
 @dataclass
+class ReplayReport(CheckReport):
+    """The ``trail_replay`` report of the walk of the log
+    (``build_registry``), with the operations the replay performed, in log
+    order, each position's polynomial at the end of the log, and its ring.
+    ``vectors`` maps each position to its module vector, replayed from the
+    operations when it is first read (``sig.ReplayedVectors``), so a run
+    replays the operations only up to the last one on a position its
+    descents read."""
+
+    ops: list = field(default_factory=list)
+    polys: dict = field(default_factory=dict)
+    ring: Optional[Ring] = None
+
+    @cached_property
+    def vectors(self) -> ReplayedVectors:
+        return ReplayedVectors(self.ring, self.ops)
+
+
+@dataclass
 class Registry:
+    """The view of a log that its one walk (``build_registry``) gives."""
+
     entries: dict[int, RegistryEntry]
     calls: dict[int, dict]  # call index -> CallBegin payload
     # call index -> (seq, pos) of each DoneInserted, in log order
     insertions: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
     # signature index -> (seq, mono, pos) of each RuleAdded, in log order
     rules: dict[int, list[tuple[int, Monomial, int]]] = field(default_factory=dict)
-    # (seq, reason) of the first event that names a position no earlier
-    # event created, that logs an empty input or inserted polynomial or a
-    # polynomial with a term that is not [c, vector] (``_malformed``), or
-    # that Done-inserts into a call no earlier CallBegin began
+    replay: Optional[ReplayReport] = None
+    # the positions of call 1's last CallEnd, the checked basis; none when
+    # the log has no such CallEnd
+    basis: list[int] = field(default_factory=list)
+    # (seq, reason) of the first event that damages what the registry
+    # reads: one that names a position no earlier event created, logs an
+    # empty input or inserted polynomial or a polynomial with a term that is
+    # not [c, vector] (``_malformed``), or Done-inserts into a call no
+    # earlier CallBegin began
     unknown: Optional[tuple[int, str]] = None
+    # (seq, reason) of the log's first damage: ``unknown``; a step that
+    # names a position no earlier event created; a DoneInserted whose
+    # position replays to zero; or call 1's last CallEnd, when its basis
+    # names a position that the replay did not build or that replays to zero
+    damage: Optional[tuple[int, str]] = None
 
 
-# the positions the registry reads, which an earlier event must have
-# created (CallBegin's are its g_next; a RuleAdded precedes its owner)
-_REGISTRY_READS = {"CallBegin": (), "SPolCreated": ("p1", "p2"),
-                   "NewFromTopReduction": ("j", "h"), "DoneInserted": ("pos",),
-                   "ReductionToZero": ("pos",)}
+# the kinds the walk reads, each with the positions it reads, which an
+# earlier event must have created: a created element's two parts, a step's h
+# and reductor, and the position of an outcome.  The registry reads no step;
+# it reads a CallBegin's g_next as well.  A RuleAdded precedes its owner.
+_READS = {**{kind: (fields.genealogy or ())[:2] for kind, fields in CREATION_FIELDS.items()},
+          "PhiPreReduce": ("h", "reductor"), "ReductionStep": ("h", "reductor"),
+          "DoneInserted": ("pos",), "ReductionToZero": ("pos",)}
 
 
-def build_registry(events: Sequence[dict]) -> Registry:
-    """Every labeled polynomial of the log, with its calls, insertions and
-    rules.  Each distinct payload exponent vector is decoded once.  The
-    first damaged event is kept as ``Registry.unknown``."""
+def _same_poly(q: Polynomial, payload: list, monos: Lazy) -> bool:
+    """Whether the logged polynomial ``payload`` holds the terms of ``q``;
+    ``monos`` maps an exponent tuple to its ``Monomial``."""
+    return len(q.terms) == len(payload) and all(
+        c == lc and m.v == monos[tuple(exps)].v for (c, m), (lc, exps) in zip(q.terms, payload)
+    )
+
+
+def build_registry(events: Sequence[dict], ring: Ring) -> Registry:
+    """The one walk of the log: every labeled polynomial, with its calls,
+    insertions and rules; the replay of every position's polynomial in
+    ``ring`` (``Registry.replay``); call 1's checked basis; and the first
+    damage, of the registry and of the whole log.  Each distinct payload
+    exponent vector is decoded once.
+
+    The replay rebuilds every position's polynomial P from the log, in
+    ``seq`` order, and checks it against the log.  An input is its logged
+    polynomial, a created element monic(u_over * P[greater] - u_under *
+    P[smaller]); a ``PhiPreReduce`` or ``ReductionStep`` subtracts coeff *
+    mult * P[reductor] from P[h], and a ``ReductionStep`` then makes h
+    monic, by its ``post_scale``.  The engine makes h monic at the end of
+    each φ pass too, unlogged: the replay does so at the first event it
+    reads after the pass's run of ``PhiPreReduce`` events.  Each failure
+    names an event's ``seq``: a polynomial, ``post_scale``, trail or
+    creation polynomial that differs from the replay, a nonzero
+    ``ReductionToZero``, a position that no earlier event created, or a
+    polynomial with a term that is not [c, vector] (``_malformed``), whose
+    event is not replayed.  ``checked`` counts the Done insertions.  The
+    operations are ``("input", pos, index)``,
+    ``("new", pos, a, ua, b, ub, s)`` for s * (ua * P[a] - ub * P[b]),
+    ``(step, h, c, u, r)`` for P[h] - c * u * P[r] with step "phi" or
+    "top", and ``("monic", h, s)`` for s * P[h], s != 1."""
     monos = Lazy(Monomial)
 
-    def mono(exps) -> Monomial:
-        return monos[tuple(exps)]
-
     def head(payload: list) -> Optional[Monomial]:
-        return mono(payload[0][1]) if payload else None
+        return monos[tuple(payload[0][1])] if payload else None
 
     entries: dict[int, RegistryEntry] = {}
     calls: dict[int, dict] = {}
     insertions: dict[int, list[tuple[int, int]]] = {}
     rules: dict[int, list[tuple[int, Monomial, int]]] = {}
-    unknown = None
+    P: dict[int, Polynomial] = {}
+    created: dict[int, Polynomial] = {}
+    trails: dict[int, list] = {}
+    ops: list[tuple] = []
+    failures = []
+    checked = 0
+    # h of the φ pass in progress, call 1's last CallEnd, and the first
+    # damage of the registry and of the replay
+    phi_h = end = unknown = replay_unknown = None
+
+    def monic(pos: int) -> int:
+        P[pos], s = P[pos].monic_scale()
+        if s != 1:
+            ops.append(("monic", pos, s))
+            trails[pos].append(["monic", s])
+        return s
+
     for ev in events:
-        kind = ev["kind"]
-        reads = _REGISTRY_READS.get(kind)
-        if reads is not None:
-            named = ev["g_next"] if kind == "CallBegin" else [ev[name] for name in reads]
-            missing = [pos for pos in named if pos not in entries]
-            if missing:
-                unknown = unknown or (ev["seq"], f"unknown position r{missing[0]}")
-                if kind in ("DoneInserted", "ReductionToZero"):
-                    continue  # no entry to record the outcome on
-            if kind == "DoneInserted" and ev["call"] not in calls:
-                unknown = unknown or (ev["seq"], f"DoneInserted of r{ev['pos']} into call "
-                                      f"{ev['call']}, which no earlier CallBegin began")
-                continue  # no call to record the insertion in
-            if kind in ("CallBegin", "DoneInserted") and not ev["poly"]:
-                pos = ev["input_pos" if kind == "CallBegin" else "pos"]
-                unknown = unknown or (ev["seq"], f"empty {kind} polynomial of r{pos}")
-            malformed = _malformed(ev)
-            if malformed is not None:
-                unknown = unknown or (ev["seq"], malformed)
-                continue  # no polynomial to read a head from
-        if kind == "CallBegin":
-            calls[ev["call"]] = ev
-        created = CREATION_FIELDS.get(kind)
-        if created is not None:
-            gen = created.genealogy
+        kind, seq = ev["kind"], ev["seq"]
+        if kind == "RuleAdded":
+            rules.setdefault(ev["index"], []).append((seq, monos[tuple(ev["mono"])], ev["pos"]))
+        elif kind == "CallEnd" and ev["call"] == 1:
+            end = ev
+        reads = _READS.get(kind)
+        if reads is None:
+            continue
+        if phi_h is not None and not (kind == "PhiPreReduce" and ev["h"] == phi_h):
+            monic(phi_h)
+            phi_h = None
+        malformed = _malformed(ev) if _POLY_FIELDS[kind] else None
+        unbuilt = [ev[name] for name in reads if ev[name] not in P]
+        replayed = not unbuilt and malformed is None
+        if not replayed:
+            failures.append((seq, f"unknown position r{unbuilt[0]}" if unbuilt else malformed))
+            replay_unknown = replay_unknown or failures[-1]
+        if kind in ("PhiPreReduce", "ReductionStep"):
+            if replayed:
+                h, c, u, r = ev["h"], ev["coeff"], monos[tuple(ev["mult"])], ev["reductor"]
+                step = "phi" if kind == "PhiPreReduce" else "top"
+                P[h] = poly_axpy(P[h], c, u, P[r])
+                ops.append((step, h, c, u, r))
+                trails[h].append([step, c, ev["mult"], r])
+                if step == "phi":
+                    phi_h = h
+                elif monic(h) != ev["post_scale"]:
+                    failures.append((seq, "post_scale differs from the replay"))
+            continue
+
+        # the registry reads the other kinds, a CallBegin's g_next too, and
+        # records each event it can
+        pos = ev[CREATION_FIELDS[kind].pos if kind in CREATION_FIELDS else "pos"]
+        missing = [p for p in ev["g_next"] if p not in P] if kind == "CallBegin" else unbuilt
+        unbegun = kind == "DoneInserted" and not missing and ev["call"] not in calls
+        if missing:
+            damage = f"unknown position r{missing[0]}"
+        elif unbegun:
+            damage = (f"DoneInserted of r{pos} into call {ev['call']}, which no earlier"
+                      " CallBegin began")
+        elif kind in ("CallBegin", "DoneInserted") and not ev["poly"]:
+            damage = f"empty {kind} polynomial of r{pos}"
+        else:
+            damage = malformed
+        if unknown is None and damage is not None:
+            unknown = (seq, damage)
+        if kind in CREATION_FIELDS and malformed is None:
+            gen = CREATION_FIELDS[kind].genealogy
             if gen is not None:
-                greater, smaller, u_over, u_under = (ev[name] for name in gen)
-                gen = (greater, smaller, mono(u_over), mono(u_under))
-            pos, sig = ev[created.pos], ev["sig"]
+                a, b, ua, ub = (ev[name] for name in gen)
+                ua, ub = monos[tuple(ua)], monos[tuple(ub)]
+                gen = (a, b, ua, ub)
+            if kind == "CallBegin":
+                calls[ev["call"]] = ev
             entries[pos] = RegistryEntry(
-                pos, ev["call"], Signature(mono(sig["mono"]), sig["index"]), head(ev["poly"]),
-                genealogy=gen, created_seq=ev["seq"],
-            )
-        elif kind == "DoneInserted":
-            e = entries[ev["pos"]]
-            e.done_seq = ev["seq"]
-            e.head = head(ev["poly"])
-            insertions.setdefault(ev["call"], []).append((ev["seq"], ev["pos"]))
+                pos, ev["call"], Signature(monos[tuple(ev["sig"]["mono"])], ev["sig"]["index"]),
+                head(ev["poly"]), genealogy=gen, created_seq=seq)
+            if replayed:
+                if gen is None:
+                    q = ring.poly([(c, monos[tuple(exps)]) for c, exps in ev["poly"]])
+                    ops.append(("input", pos, ev["call"]))
+                else:
+                    q, s = poly_axpy(P[a].term_mul(1, ua), 1, ub, P[b]).monic_scale()
+                    ops.append(("new", pos, a, ua, b, ub, s))
+                    if not _same_poly(q, ev["poly"], monos):
+                        failures.append((seq, f"{kind} polynomial differs from the replay"))
+                P[pos] = created[pos] = q
+                trails[pos] = []
         elif kind == "ReductionToZero":
-            e = entries[ev["pos"]]
-            e.zero_seq = ev["seq"]
-            e.head = None
-        elif kind == "RuleAdded":
-            rules.setdefault(ev["index"], []).append((ev["seq"], mono(ev["mono"]), ev["pos"]))
-    return Registry(entries, calls, insertions, rules, unknown)
+            if not missing:
+                e = entries[pos]
+                e.zero_seq, e.head = seq, None
+            if replayed and not P[pos].is_zero:
+                failures.append((seq, "nonzero on replay"))
+        elif kind == "DoneInserted":
+            if not missing and not unbegun and malformed is None:
+                e = entries[pos]
+                e.done_seq, e.head = seq, head(ev["poly"])
+                insertions.setdefault(ev["call"], []).append((seq, pos))
+            if replayed:
+                checked += 1
+                if not _same_poly(P[pos], ev["poly"], monos):
+                    failures.append((seq, "DoneInserted polynomial differs from the replay"))
+                if ev["trail"] != trails[pos]:
+                    failures.append((seq, "trail differs from the replay"))
+                if not _same_poly(created[pos], ev["creation_poly"], monos):
+                    failures.append((seq, "creation polynomial differs from the replay"))
+
+    found = [d for d in (unknown, replay_unknown) if d is not None]
+    found += [(e.done_seq, f"Done-inserted r{p} replays to zero") for p, e in entries.items()
+              if e.done_seq is not None and p in P and P[p].is_zero]
+    basis = [] if end is None else end["basis"]
+    bad = [p for p in basis if p not in P or P[p].is_zero]
+    if bad:
+        found.append((end["seq"], f"call 1's CallEnd names r{bad[0]}, which the replay "
+                      + ("did not build" if bad[0] not in P else "reduced to zero")))
+    replay = ReplayReport("trail_replay", not failures, checked, failures, ops, P, ring)
+    return Registry(entries, calls, insertions, rules, replay, basis, unknown,
+                    min(found, default=None))
+
+
+def check_replay(events: Sequence[dict], ring: Ring) -> ReplayReport:
+    """The ``trail_replay`` report of the log's walk (``build_registry``)."""
+    return build_registry(events, ring).replay
 
 
 def membership_at(registry: Registry, call: int, seq: int) -> list[int]:
@@ -550,30 +708,6 @@ def membership_at(registry: Registry, call: int, seq: int) -> list[int]:
     done = registry.insertions.get(call, [])
     done = done[: bisect_left(done, seq, key=itemgetter(0))]
     return sorted(begin["g_next"] + [begin["input_pos"]] + [pos for _, pos in done])
-
-
-# ---------------------------------------------------------------------------
-# reports
-
-
-@dataclass
-class CheckReport:
-    name: str
-    passed: bool
-    checked: int
-    failures: list = field(default_factory=list)
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-    def line(self) -> str:
-        status = "pass" if self.passed else "FAIL"
-        extra = f" first_failure={self.failures[0]}" if self.failures else ""
-        return f"{self.name}: {status} ({self.checked} checked){extra}"
-
-
-def _report(name: str, checked: int, failures: list) -> CheckReport:
-    return CheckReport(name, not failures, checked, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -667,136 +801,10 @@ def check_genealogy(registry: Registry, order) -> CheckReport:
     return _report("genealogy", checked, failures)
 
 
-@dataclass
-class ReplayReport(CheckReport):
-    """The report of ``check_replay``, with the operations it performed, in
-    log order, each position's polynomial at the end of the log, and its
-    ring.  ``unknown`` is (seq, reason) of the first event that names a
-    position no earlier event created or logs a polynomial with a term that
-    is not [c, vector], as in ``Registry.unknown``, or None.
-    ``vectors`` maps each position to its module vector, replayed from the
-    operations when it is first read (``sig.ReplayedVectors``), so a run
-    replays the operations only up to the last one on a position its
-    descents read."""
-
-    ops: list = field(default_factory=list)
-    polys: dict = field(default_factory=dict)
-    ring: Optional[Ring] = None
-    unknown: Optional[tuple[int, str]] = None
-
-    @cached_property
-    def vectors(self) -> ReplayedVectors:
-        return ReplayedVectors(self.ring, self.ops)
-
-
-def _same_poly(q: Polynomial, payload: list, monos: Lazy) -> bool:
-    """Whether the logged polynomial ``payload`` holds the terms of ``q``;
-    ``monos`` maps an exponent tuple to its ``Monomial``."""
-    return len(q.terms) == len(payload) and all(
-        c == lc and m.v == monos[tuple(exps)].v for (c, m), (lc, exps) in zip(q.terms, payload)
-    )
-
-
-# the kinds the replay reads, each with the positions it reads, which an
-# earlier event must have created
-_REPLAY_READS = {"CallBegin": (), "SPolCreated": ("p1", "p2"),
-                 "NewFromTopReduction": ("j", "h"), "PhiPreReduce": ("h", "reductor"),
-                 "ReductionStep": ("h", "reductor"), "DoneInserted": ("pos",),
-                 "ReductionToZero": ("pos",)}
-
-
-def check_replay(events: Sequence[dict], ring: Ring) -> ReplayReport:
-    """Rebuild every position's polynomial P from the log, in ``seq`` order,
-    and check it against the log.  An input is its logged polynomial, a
-    created element monic(u_over * P[greater] - u_under * P[smaller]); a
-    ``PhiPreReduce`` or ``ReductionStep`` subtracts coeff * mult *
-    P[reductor] from P[h], and a ``ReductionStep`` then makes h monic, by
-    its ``post_scale``.  The engine makes h monic at the end of each φ pass
-    too, unlogged: the replay does so at the first event it reads after
-    the pass's run of ``PhiPreReduce`` events.  Each failure names an
-    event's ``seq``: a polynomial, ``post_scale``, trail or creation
-    polynomial that differs from the replay, a nonzero ``ReductionToZero``,
-    a position that no earlier event created, or a polynomial with a term
-    that is not [c, vector] (``_malformed``), whose event is not replayed.
-    ``checked`` counts the Done insertions.  The operations are
-    ``("input", pos, index)``,
-    ``("new", pos, a, ua, b, ub, s)`` for s * (ua * P[a] - ub * P[b]),
-    ``(step, h, c, u, r)`` for P[h] - c * u * P[r] with step "phi" or
-    "top", and ``("monic", h, s)`` for s * P[h], s != 1."""
-    monos = Lazy(Monomial)
-    P: dict[int, Polynomial] = {}
-    created: dict[int, Polynomial] = {}
-    trails: dict[int, list] = {}
-    ops: list[tuple] = []
-    failures = []
-    checked = 0
-    phi_h = None  # h of the φ pass in progress
-    first_unknown = None
-
-    def monic(pos: int) -> int:
-        P[pos], s = P[pos].monic_scale()
-        if s != 1:
-            ops.append(("monic", pos, s))
-            trails[pos].append(["monic", s])
-        return s
-
-    for ev in events:
-        kind, seq = ev["kind"], ev["seq"]
-        reads = _REPLAY_READS.get(kind)
-        if reads is None:
-            continue
-        if phi_h is not None and not (kind == "PhiPreReduce" and ev["h"] == phi_h):
-            monic(phi_h)
-            phi_h = None
-        unknown = [ev[name] for name in reads if ev[name] not in P]
-        malformed = _malformed(ev) if _POLY_FIELDS[kind] else None
-        if unknown or malformed is not None:
-            failures.append((seq, f"unknown position r{unknown[0]}" if unknown else malformed))
-            first_unknown = first_unknown or failures[-1]
-        elif kind in CREATION_FIELDS:
-            pos = ev[CREATION_FIELDS[kind].pos]
-            if kind == "CallBegin":
-                q = poly_from_payload(ring, ev["poly"])
-                ops.append(("input", pos, ev["call"]))
-            else:
-                a, b, ua, ub = (ev[name] for name in CREATION_FIELDS[kind].genealogy)
-                ua, ub = monos[tuple(ua)], monos[tuple(ub)]
-                q, s = poly_axpy(P[a].term_mul(1, ua), 1, ub, P[b]).monic_scale()
-                ops.append(("new", pos, a, ua, b, ub, s))
-                if not _same_poly(q, ev["poly"], monos):
-                    failures.append((seq, f"{kind} polynomial differs from the replay"))
-            P[pos] = created[pos] = q
-            trails[pos] = []
-        elif kind in ("PhiPreReduce", "ReductionStep"):
-            h, c, u, r = ev["h"], ev["coeff"], monos[tuple(ev["mult"])], ev["reductor"]
-            step = "phi" if kind == "PhiPreReduce" else "top"
-            P[h] = poly_axpy(P[h], c, u, P[r])
-            ops.append((step, h, c, u, r))
-            trails[h].append([step, c, ev["mult"], r])
-            if step == "phi":
-                phi_h = h
-            elif monic(h) != ev["post_scale"]:
-                failures.append((seq, "post_scale differs from the replay"))
-        elif kind == "ReductionToZero":
-            if not P[ev["pos"]].is_zero:
-                failures.append((seq, "nonzero on replay"))
-        elif kind == "DoneInserted":
-            pos = ev["pos"]
-            checked += 1
-            if not _same_poly(P[pos], ev["poly"], monos):
-                failures.append((seq, "DoneInserted polynomial differs from the replay"))
-            if ev["trail"] != trails[pos]:
-                failures.append((seq, "trail differs from the replay"))
-            if not _same_poly(created[pos], ev["creation_poly"], monos):
-                failures.append((seq, "creation polynomial differs from the replay"))
-    return ReplayReport("trail_replay", not failures, checked, failures, ops, P, ring,
-                        first_unknown)
-
-
-def all_admissible(registry: Registry, replay: ReplayReport) -> bool:
-    """Whether every element's module vector, replayed from the log, leads
-    with the element's logged signature; one the replay did not build does
-    not.
+def all_admissible(registry: Registry) -> bool:
+    """Whether every element's module vector, replayed from the log
+    (``Registry.replay``), leads with the element's logged signature; one
+    the replay did not build does not.
 
     Each vector's leading module term follows from the leads of the
     vectors its operations read, so the verdict replays the leads alone
@@ -815,6 +823,7 @@ def all_admissible(registry: Registry, replay: ReplayReport) -> bool:
     A vector's coordinate k multiplies input f_{k+1}, so the fallback's
     inputs are indexed by call, with zero for a call the log lacks: a log
     cut short by a budget exit stops before call 1."""
+    replay = registry.replay
     ring, polys = replay.ring, replay.polys
     leads = replay_leads(ring, replay.ops)
     unsure = []
@@ -830,8 +839,8 @@ def all_admissible(registry: Registry, replay: ReplayReport) -> bool:
         return True
     begun = {i: polys[ev["input_pos"]] for i, ev in registry.calls.items()}
     inputs = [begun.get(i, ring.zero) for i in range(1, max(begun, default=0) + 1)]
-    vectors = replay.vectors
-    return all(check_admissible(vectors[pos], sig, polys[pos], inputs) for pos, sig in unsure)
+    return all(check_admissible(replay.vectors[pos], sig, polys[pos], inputs)
+               for pos, sig in unsure)
 
 
 # ---------------------------------------------------------------------------
@@ -1264,35 +1273,27 @@ _CHECKER_NAMES = (
 )
 
 
-def run_all_checkers(events: Sequence[dict], ring: Ring, registry: Optional[Registry] = None,
-                     replay: Optional[ReplayReport] = None) -> list[CheckReport]:
-    """Every checker's report.  The registry and the replay are built from
-    ``events`` unless they are passed.  On a log with no ``CallBegin`` no
-    check has anything to run on, so each report fails with that reason.
-    On a log with an event that names a position no earlier event created,
-    that logs an empty input or inserted polynomial or a polynomial with a
-    term that is not [c, vector], or that Done-inserts into a call no
-    earlier ``CallBegin`` began (``Registry.unknown``), the
-    registry is not the run's, so each report read off it fails with
-    that event's ``seq`` and reason."""
+def run_all_checkers(events: Sequence[dict], ring: Ring,
+                     registry: Optional[Registry] = None) -> list[CheckReport]:
+    """Every checker's report, read off ``events`` and their walk
+    (``build_registry``), which is made here unless it is passed; the
+    ``trail_replay`` report is the walk's replay.  On a log with no
+    ``CallBegin`` no check has anything to run on, so each report fails
+    with that reason.  On a log whose registry is damaged
+    (``Registry.unknown``) the registry is not the run's, so each report
+    read off it fails with that event's ``seq`` and reason."""
     if not any(ev["kind"] == "CallBegin" for ev in events):
         return [_report(name, 0, ["no CallBegin in the log"]) for name in _CHECKER_NAMES]
     if registry is None:
-        registry = build_registry(events)
-    if replay is None:
-        replay = check_replay(events, ring)
-    if registry.unknown is not None:
-        kept = {"d_progression": check_d_progression(events), "trail_replay": replay,
-                "signature_safety": check_signature_safety(events, ring.order)}
-        return [kept[name] if name in kept else _report(name, 0, [registry.unknown])
-                for name in _CHECKER_NAMES]
-    return [
-        check_d_progression(events),
-        check_signature_safety(events, ring.order),
-        check_rule_degrees(registry),
-        check_genealogy(registry, ring.order),
-        replay,
-        check_chains(registry, ring),
-        done_insertion_audit(registry),
-        check_thm5_exhaustive(events, registry, ring),
-    ]
+        registry = build_registry(events, ring)
+    reports = {"d_progression": check_d_progression(events),
+               "signature_safety": check_signature_safety(events, ring.order),
+               "trail_replay": registry.replay}
+    if registry.unknown is None:
+        reports.update(rule_degrees=check_rule_degrees(registry),
+                       genealogy=check_genealogy(registry, ring.order),
+                       chains=check_chains(registry, ring),
+                       done_insertion_audit=done_insertion_audit(registry),
+                       thm5_exhaustive=check_thm5_exhaustive(events, registry, ring))
+    return [reports[name] if name in reports else _report(name, 0, [registry.unknown])
+            for name in _CHECKER_NAMES]

@@ -35,9 +35,8 @@ STAGES = (
     ("engine", ("incremental_f5",)),
     ("buchberger", ("buchberger",)),
     ("ideal_equal", ("ideal_equal",)),
-    ("registry", ("build_registry",)),
+    ("log walk", ("build_registry",)),
     ("snapshots", ("done_snapshots",)),
-    ("check_replay", ("check_replay",)),
     ("admissible", ("all_admissible",)),
     ("the other checkers", ("run_all_checkers",)),
     ("seed harvest", ("harvest_descent_seeds",)),

@@ -35,6 +35,11 @@ def sig_from_payload(d: dict) -> Signature:
     return Signature(Monomial(d["mono"]), d["index"])
 
 
+def poly_from_payload(ring: Ring, payload: list) -> Polynomial:
+    """The polynomial that an event payload writes as [c, vector] terms."""
+    return ring.poly([(c, Monomial(exps)) for c, exps in payload])
+
+
 def replay_vectors(ring: Ring, ops: Sequence[tuple]) -> dict:
     """Each position's module vector at the end of the log: every operation
     of the log replay (``check_replay``), in order.  The reference that
@@ -61,8 +66,7 @@ def replayed_inputs(result) -> list:
 
 def run_snapshots(result) -> list:
     """The descent snapshots of an engine run, one per Done insertion."""
-    events = result.events
-    return done_snapshots(result.ring, build_registry(events), check_replay(events, result.ring))
+    return done_snapshots(build_registry(result.events, result.ring))
 
 
 def snapshot(ring: Ring, entries, members, g_pos: int, rules: dict, seq, input_pos: dict,
@@ -289,7 +293,7 @@ def classify_pairs_at_insertion(
 def thm5_brute_force(events, ring: Ring) -> tuple[int, list]:
     """(checked, failures) as ``check_thm5_exhaustive`` should report them,
     found by classifying every pair at every insertion one at a time."""
-    registry = build_registry(events)
+    registry = build_registry(events, ring)
     classified = [
         cls
         for ev in events

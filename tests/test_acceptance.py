@@ -29,7 +29,6 @@ from f5gb.sig import LabeledPolynomial, Signature, check_admissible, sig_mul
 from f5gb.trace import (
     build_registry,
     check_d_progression,
-    check_replay,
     check_signature_safety,
     check_thm5_exhaustive,
     extract_chain,
@@ -59,7 +58,7 @@ def suite():
                 "ring": ring,
                 "polys": polys,
                 "result": result,
-                "replay": check_replay(result.events, ring),
+                "registry": build_registry(result.events, ring),
                 "inputs": replayed_inputs(result),
                 "oracle": oracle_basis,
             }
@@ -117,7 +116,7 @@ def test_criterion_4_chain_properties(suite):
     failures = []
     checked = 0
     for run in suite["runs"]:
-        registry = build_registry(run["result"].events)
+        registry = run["registry"]
         for pos, entry in registry.entries.items():
             if entry.is_input:
                 continue
@@ -134,7 +133,7 @@ def test_criterion_5_admissibility(suite):
     for run in suite["runs"]:
         for lp in run["result"].R:
             checked += 1
-            mv = run["replay"].vectors[lp.pos]
+            mv = run["registry"].replay.vectors[lp.pos]
             if not check_admissible(mv, lp.sig, lp.poly, run["inputs"]):
                 failures.append((run["name"], lp.pos))
     _report(5, not failures, f"{checked} labeled polynomials, 100% admissible")
@@ -146,7 +145,7 @@ def test_criterion_6_thm5_exhaustiveness(suite):
     for run in suite["runs"]:
         assert run["result"].counters["pairs_created"] < 5000
         events = run["result"].events
-        rep = check_thm5_exhaustive(events, build_registry(events), run["ring"])
+        rep = check_thm5_exhaustive(events, run["registry"], run["ring"])
         checked += rep.checked
         if not rep.passed:
             failures.append((run["name"], rep.failures[:2]))
@@ -162,8 +161,7 @@ def test_criterion_7_descents(suite):
     thm4_pairs = 0
     for run in suite["runs"]:
         result = run["result"]
-        registry = build_registry(result.events)
-        snapshots = done_snapshots(run["ring"], registry, run["replay"])
+        snapshots = done_snapshots(run["registry"])
         seeds = harvest_descent_seeds(snapshots, 0, rng)  # every seed, no sampling
         for snap, coeff, mono, pos in seeds:
             instances += 1

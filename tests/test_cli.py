@@ -247,14 +247,21 @@ class TestCommands:
         assert report["ok"] and report["descents"]["attempted"] == 5
         assert config == EngineConfig(max_degree=20)
 
-    def test_run_check_builds_one_registry_and_each_snapshot_once(self, monkeypatch):
-        registries = []
+    def test_run_check_builds_one_registry_and_each_snapshot_once(self, cyclic_file, monkeypatch):
+        # ``build_registry`` is the one walk of the log: the registry, the
+        # replay and the damage; run_check also builds each snapshot once
+        walks = []
         build = trace.build_registry
 
-        def counting_registry(events):
-            registries.append(1)
-            return build(events)
+        def counting_walk(events, ring):
+            walks.append(1)
+            return build(events, ring)
 
+        monkeypatch.setattr(trace, "build_registry", counting_walk)
+        monkeypatch.setattr(cli, "build_registry", counting_walk)
+        assert run_main(["descend", cyclic_file])[0] == 0
+        assert len(walks) == 1
+        del walks[:]
         snapshots = []
         from_result = oracle.GgSnapshot.from_result.__func__
 
@@ -262,17 +269,6 @@ class TestCommands:
             snapshots.append(seq)
             return from_result(cls, run, registry, seq, *rest)
 
-        replays = []
-        replay = trace.check_replay
-
-        def counting_replay(events, ring):
-            replays.append(1)
-            return replay(events, ring)
-
-        monkeypatch.setattr(trace, "build_registry", counting_registry)
-        monkeypatch.setattr(cli, "build_registry", counting_registry)
-        monkeypatch.setattr(trace, "check_replay", counting_replay)
-        monkeypatch.setattr(cli, "check_replay", counting_replay)
         built = []  # the position of each vector replay begins: an input or a creation
         apply_ops = sig.apply_ops
 
@@ -283,7 +279,7 @@ class TestCommands:
         monkeypatch.setattr(oracle.GgSnapshot, "from_result", classmethod(counting_snapshot))
         monkeypatch.setattr(sig, "apply_ops", counting_ops)
         run_check(parse_problem(CYCLIC), EngineConfig(), 5, 10**5, 0)
-        assert len(registries) == 1 and len(replays) == 1
+        assert len(walks) == 1
         assert snapshots and len(snapshots) == len(set(snapshots))
         assert built and len(built) == len(set(built))
 
@@ -294,7 +290,7 @@ class TestCommands:
 
         def check_stripped(events, registry, ring):
             stripped = strip_rejections(events)
-            return check(stripped, trace.build_registry(stripped), ring)
+            return check(stripped, trace.build_registry(stripped, ring), ring)
 
         monkeypatch.setattr(trace, "check_thm5_exhaustive", check_stripped)
         code, out = run_main(["check", cyclic_file, "--json-report"])

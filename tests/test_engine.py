@@ -24,8 +24,9 @@ from f5gb.engine import (
 )
 from f5gb.poly import GT, ORDER_KINDS, Lazy, Monomial
 from f5gb.sig import Signature, check_admissible, sig_mul
-from systems import P, replayed_inputs, replayed_vectors, sig_from_payload
-from f5gb.trace import Trace, events_from_jsonl, poly_from_payload
+from systems import (P, poly_from_payload, replayed_inputs, replayed_vectors,
+                     sig_from_payload)
+from f5gb.trace import Trace, events_from_jsonl
 
 from order_reference import mono_cmp, sig_cmp
 from phi_reference import phi_reduce_reference

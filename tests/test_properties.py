@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from f5gb.engine import BudgetExceeded, EngineConfig, incremental_f5
 from f5gb.oracle import buchberger, descend, done_snapshots, harvest_descent_seeds, ideal_equal
 from f5gb.poly import ORDER_KINDS, Monomial
-from f5gb.trace import (all_admissible, build_registry, check_replay, check_thm5_exhaustive,
+from f5gb.trace import (all_admissible, build_registry, check_thm5_exhaustive,
                         run_all_checkers)
 
 from systems import make_ring, strip_rejections, thm5_brute_force
@@ -53,14 +53,13 @@ def test_engine_matches_reference_and_passes_all_checkers(data):
     except BudgetExceeded:
         assume(False)
     assert ideal_equal(result.basis_polynomials(), buchberger(polys))
-    registry = build_registry(result.events)
-    replay = check_replay(result.events, ring)
-    for rep in run_all_checkers(result.events, ring, registry, replay):
+    registry = build_registry(result.events, ring)
+    for rep in run_all_checkers(result.events, ring, registry):
         assert rep.passed, rep.line()
-    assert all_admissible(registry, replay)
+    assert all_admissible(registry)
     # a DescentError fails the test
     for snap, coeff, mono, pos in harvest_descent_seeds(
-        done_snapshots(ring, registry, replay), 0, None
+        done_snapshots(registry), 0, None
     ):
         descend(coeff, mono, pos, snap)
 
@@ -83,5 +82,5 @@ def test_thm5_count_matches_brute_force(data):
         except BudgetExceeded:
             continue
         for events in (result.events, strip_rejections(result.events)):
-            rep = check_thm5_exhaustive(events, build_registry(events), ring)
+            rep = check_thm5_exhaustive(events, build_registry(events, ring), ring)
             assert (rep.checked, rep.failures) == thm5_brute_force(events, ring)

@@ -52,6 +52,7 @@ from systems import (
     classify_pairs_at_insertion,
     engine_pin_systems,
     make_ring,
+    poly_from_payload,
     polys,
     replay_vectors,
     replayed_inputs,
@@ -109,17 +110,20 @@ class TestDProgression:
         assert not check_d_progression(ev).passed
 
 
-# sha256 over ``repr(build_registry(log))`` of the 18 SUITE logs, in
-# ``suite_instances`` order: every field of every entry, call, insertion
-# and rule
+# sha256 over the tables of ``build_registry(log, ring)`` of the 18 SUITE
+# logs, in ``suite_instances`` order, each log's written as
+# ``Registry(entries=..., calls=..., insertions=..., rules=..., unknown=...)``
+# with the repr of each: every field of every entry, call, insertion and rule
 PINNED_SUITE_REGISTRIES = "65ec4e976e2b50f0fcd29f5f4dd4f2efdc7f0a4b798b46cba856c491b29d59eb"
 
 
 class TestPayloadDecode:
     def test_suite_registries_pinned(self):
         digest = hashlib.sha256()
-        for _, _, inputs in suite_instances():
-            digest.update(repr(build_registry(incremental_f5(inputs).events)).encode())
+        for _, ring, inputs in suite_instances():
+            r = build_registry(incremental_f5(inputs).events, ring)
+            digest.update((f"Registry(entries={r.entries!r}, calls={r.calls!r}, insertions="
+                           f"{r.insertions!r}, rules={r.rules!r}, unknown={r.unknown!r})").encode())
         assert digest.hexdigest() == PINNED_SUITE_REGISTRIES
 
     def test_each_payload_vector_is_decoded_once_per_call(self, monkeypatch):
@@ -131,7 +135,8 @@ class TestPayloadDecode:
 
         monkeypatch.setattr(trace, "Monomial", counting)
         ring, events = plant_run("katsura5")
-        for check in (build_registry, lambda log: check_signature_safety(log, ring.order)):
+        for check in (lambda log: build_registry(log, ring),
+                      lambda log: check_signature_safety(log, ring.order)):
             del decoded[:]
             check(events)
             assert decoded and len(decoded) == len(set(decoded))
@@ -177,23 +182,23 @@ class TestSignatureSafety:
 
 
 class TestRuleDegrees:
-    def test_pass(self):
+    def test_pass(self, ring):
         ev = [
             {"seq": 0, "kind": "RuleAdded", "index": 1, "mono": [1, 0], "pos": 0},
             {"seq": 1, "kind": "RuleAdded", "index": 1, "mono": [0, 1], "pos": 1},
             {"seq": 2, "kind": "RuleAdded", "index": 1, "mono": [1, 1], "pos": 2},
         ]
-        assert check_rule_degrees(build_registry(ev)).passed
+        assert check_rule_degrees(build_registry(ev, ring)).passed
 
-    def test_fail(self):
+    def test_fail(self, ring):
         ev = [
             {"seq": 0, "kind": "RuleAdded", "index": 1, "mono": [1, 1], "pos": 0},
             {"seq": 1, "kind": "RuleAdded", "index": 1, "mono": [1, 0], "pos": 1},
         ]
-        assert not check_rule_degrees(build_registry(ev)).passed
+        assert not check_rule_degrees(build_registry(ev, ring)).passed
 
     def test_each_element_owns_one_rule_with_its_signature(self, cyclic):
-        _, res = cyclic
+        ring, res = cyclic
         events = res.events
         k, rule = next((k, ev) for k, ev in enumerate(events)
                        if ev["kind"] == "RuleAdded" and ev["pos"] == 2)
@@ -201,16 +206,16 @@ class TestRuleDegrees:
         # the same rule twice; a rule of another monomial of its degree
         twice = events[:k + 1] + [rule] + events[k + 1:]
         moved = events[:k] + [dict(rule, mono=(1, 0, 0, 0))] + events[k + 1:]
-        checked = check_rule_degrees(build_registry(events)).checked
+        checked = check_rule_degrees(build_registry(events, ring)).checked
         for log, more in ((twice, 1), (moved, 0)):
-            rep = check_rule_degrees(build_registry(log))
+            rep = check_rule_degrees(build_registry(log, ring))
             assert rep.failures == [(2, "not exactly one rule, with its signature")]
             assert rep.checked == checked + more
 
 
 class TestChains:
     def test_demo_two_chain(self, demo, ring):
-        registry = build_registry(demo.events)
+        registry = build_registry(demo.events, ring)
         created = [p for p, e in registry.entries.items() if not e.is_input]
         (pos,) = created
         rep = extract_chain(pos, registry, ring)
@@ -229,13 +234,13 @@ class TestChains:
         )
 
     def test_trivial_chain_of_input(self, demo, ring):
-        registry = build_registry(demo.events)
+        registry = build_registry(demo.events, ring)
         rep = extract_chain(1, registry, ring)
         assert rep.chain == [1] and rep.passed
 
     def test_all_chains_pass_on_runs(self, cyclic):
         ring, res = cyclic
-        assert check_chains(build_registry(res.events), ring).passed
+        assert check_chains(build_registry(res.events, ring), ring).passed
 
 
 class TestThm4Scan:
@@ -353,58 +358,57 @@ def check_d_audit_log():
     return t.events
 
 
-def insertion_view(events, pos):
+def insertion_view(registry, pos):
     """The audit's view of the basis at the Done insertion of ``pos``."""
-    registry = build_registry(events)
     seq = registry.entries[pos].done_seq
     call = registry.entries[pos].call
     return InsertionView(registry, membership_at(registry, call, seq) + [pos], pos, seq)
 
 
 class TestDoneInsertionAudit:
-    def test_passes_on_runs(self, demo, cyclic):
-        assert done_insertion_audit(build_registry(demo.events)).passed
-        _, res = cyclic
-        assert done_insertion_audit(build_registry(res.events)).passed
+    def test_passes_on_runs(self, demo, ring, cyclic):
+        assert done_insertion_audit(build_registry(demo.events, ring)).passed
+        ring, res = cyclic
+        assert done_insertion_audit(build_registry(res.events, ring)).passed
 
-    def test_negative_control_skipped_check(self):
+    def test_negative_control_skipped_check(self, ring):
         # candidate multiplier y shifts the input signature to (y,1) != (x,1):
         # nothing rejects it, which the audit must flag as an engine bug
-        rep = done_insertion_audit(build_registry(fabricated_audit_log((1, 0))))
+        rep = done_insertion_audit(build_registry(fabricated_audit_log((1, 0)), ring))
         assert not rep.passed
 
-    def test_check_c_rescues_rewritten_candidate(self):
+    def test_check_c_rescues_rewritten_candidate(self, ring):
         events = fabricated_audit_log((0, 1))
-        registry = build_registry(events)
+        registry = build_registry(events, ring)
         rep = done_insertion_audit(registry)
         assert rep.passed and rep.checked == 1
         g = registry.entries[1]
-        assert insertion_view(events, 1).failed_check(0, g.head, g.sig) == "c"
+        assert insertion_view(registry, 1).failed_check(0, g.head, g.sig) == "c"
 
-    def test_check_d_rescues_equal_signature(self):
+    def test_check_d_rescues_equal_signature(self, ring):
         events = check_d_audit_log()
-        registry = build_registry(events)
+        registry = build_registry(events, ring)
         rep = done_insertion_audit(registry)
         assert rep.passed and rep.checked == 2
-        view = insertion_view(events, 1)
+        view = insertion_view(registry, 1)
         assert view.members == (0, 1, 2)
         g = registry.entries[1]
         assert view.failed_check(0, g.head, g.sig) == "c"
         assert view.failed_check(2, g.head, g.sig) == "d"
 
-    def test_candidate_without_rule_entry_is_loud(self):
+    def test_candidate_without_rule_entry_is_loud(self, ring):
         # the input passes checks (a) and (b); with its RuleAdded gone there
         # is no rule to decide check (c) by: the audit fails, naming it
         events = [
             ev for ev in fabricated_audit_log((1, 0))
             if not (ev["kind"] == "RuleAdded" and ev["pos"] == 0)
         ]
-        registry = build_registry(events)
+        registry = build_registry(events, ring)
         rep = done_insertion_audit(registry)
         assert not rep.passed and rep.failures == [(1, 0, "r0 has no rule entry")]
         g = registry.entries[1]
         with pytest.raises(trace.BrokenLink, match="r0 has no rule entry"):
-            insertion_view(events, 1).failed_check(0, g.head, g.sig)
+            insertion_view(registry, 1).failed_check(0, g.head, g.sig)
 
 
 class TestExtractChainBroken:
@@ -412,7 +416,7 @@ class TestExtractChainBroken:
         events = copy.deepcopy(fabricated_audit_log((1, 0)))
         (spol,) = [ev for ev in events if ev["kind"] == "SPolCreated"]
         spol["p1"] = 7  # no element was created at position 7
-        registry = build_registry(events)
+        registry = build_registry(events, ring)
         with pytest.raises(trace.BrokenLink, match="broken ancestor link at r1"):
             extract_chain(1, registry, ring)
 
@@ -606,7 +610,7 @@ def planted_log(system, plant):
         kind, field, change = CORRUPTIONS[plant]
         target = next(ev for ev in events if ev["kind"] == kind and ev[field])
         changed = copy.deepcopy(target)
-        change(changed, ring.p, build_registry(events))
+        change(changed, ring.p, build_registry(events, ring))
         return ring, [changed if ev is target else ev for ev in events], target
     dropped = next(
         ev for ev in events
@@ -617,8 +621,7 @@ def planted_log(system, plant):
 
 def replayed_admissible(events, ring) -> bool:
     """The ``admissible`` verdict of ``run_check``, on a log alone."""
-    replay = check_replay(events, ring)
-    return all_admissible(build_registry(events), replay)
+    return all_admissible(build_registry(events, ring))
 
 
 class TestLogPlants:
@@ -638,9 +641,9 @@ class TestLogPlants:
 
     @pytest.mark.parametrize("system", PLANT_SYSTEMS)
     def test_rule_plant_is_one_rule_fewer(self, system):
-        _, events, _ = planted_log(system, "RuleAdded")
-        full = build_registry(plant_run(system)[1])
-        assert check_rule_degrees(build_registry(events)).checked == (
+        ring, events, _ = planted_log(system, "RuleAdded")
+        full = build_registry(plant_run(system)[1], ring)
+        assert check_rule_degrees(build_registry(events, ring)).checked == (
             check_rule_degrees(full).checked - 1
         )
 
@@ -656,7 +659,7 @@ class TestLogPlants:
             incremental_f5(polys(ring, *KATSURA5[1]), EngineConfig(max_degree=9))
         events = exc.value.events
         assert len(events) == 23533
-        assert sorted(build_registry(events).calls) == [3, 4, 5, 6]
+        assert sorted(build_registry(events, ring).calls) == [3, 4, 5, 6]
         assert replayed_admissible(events, ring)
 
 
@@ -689,10 +692,11 @@ class TestDroppedCreation:
             assert all(rep.checked for rep in reports[:2])
 
 
-def full_vector_admissible(registry, replay) -> bool:
+def full_vector_admissible(registry) -> bool:
     """The ``admissible`` verdict from every replayed vector, each summed
     against the inputs and its lead compared with the signature: the
     reference of ``all_admissible``."""
+    replay = registry.replay
     polys, vectors = replay.polys, replay_vectors(replay.ring, replay.ops)
     begun = {i: polys[ev["input_pos"]] for i, ev in registry.calls.items()}
     inputs = [begun.get(i, replay.ring.zero) for i in range(1, max(begun, default=0) + 1)]
@@ -705,7 +709,7 @@ def full_vector_admissible(registry, replay) -> bool:
 def logged_inputs(events, ring) -> list:
     """The inputs f_1, ..., f_m as their ``CallBegin`` events log them, zero
     for a call the log lacks."""
-    begun = {ev["call"]: trace.poly_from_payload(ring, ev["poly"])
+    begun = {ev["call"]: poly_from_payload(ring, ev["poly"])
              for ev in events if ev["kind"] == "CallBegin"}
     return [begun.get(i, ring.zero) for i in range(1, max(begun, default=0) + 1)]
 
@@ -810,9 +814,9 @@ class TestVectorsOnDemand:
         monkeypatch.setattr(trace, "check_admissible", counting_check)
         verdicts = {}
         for name, ring, events, whole in exactness_logs():
-            registry, replay = build_registry(events), check_replay(events, ring)
-            verdicts[name] = all_admissible(registry, replay)
-            assert verdicts[name] == full_vector_admissible(registry, replay), name
+            registry = build_registry(events, ring)
+            verdicts[name] = all_admissible(registry)
+            assert verdicts[name] == full_vector_admissible(registry), name
             assert verdicts[name] or not whole, name
         assert not fallbacks  # no leading term cancels on any of these logs
         assert not verdicts["cyclic4-sig_swap"]
@@ -842,9 +846,9 @@ class TestVectorsOnDemand:
             entries = {0: trace.RegistryEntry(0, 1, Signature(M(0, 0), 1), None),
                        1: trace.RegistryEntry(1, 2, Signature(M(0, 0), 2), None),
                        2: trace.RegistryEntry(2, 2, sig, None)}
-            registry = trace.Registry(entries, calls)
-            assert all_admissible(registry, replay) is verdict
-            assert full_vector_admissible(registry, replay) is verdict
+            registry = trace.Registry(entries, calls, replay=replay)
+            assert all_admissible(registry) is verdict
+            assert full_vector_admissible(registry) is verdict
         assert fallbacks == [Signature(y, 2), Signature(x, 1)]
 
     def test_a_read_before_a_later_operation_replays_in_log_order(self):
@@ -934,12 +938,13 @@ UNSTEPPED_CALLS = {
 class TestThm5:
     def test_passes_on_runs(self, cyclic):
         ring, res = cyclic
-        rep = check_thm5_exhaustive(res.events, build_registry(res.events), ring)
+        rep = check_thm5_exhaustive(res.events, build_registry(res.events, ring), ring)
         assert rep.passed and rep.checked > 0
 
     def test_checked_count_pinned(self, cyclic):
         ring, res = cyclic
-        assert check_thm5_exhaustive(res.events, build_registry(res.events), ring).checked == 14
+        rep = check_thm5_exhaustive(res.events, build_registry(res.events, ring), ring)
+        assert rep.checked == 14
 
     @pytest.mark.parametrize("system, most", [("cyclic4", 21), ("katsura5", 134)])
     def test_failure_scan_skips_by_degree(self, system, most, monkeypatch):
@@ -954,7 +959,7 @@ class TestThm5:
             return in_scope(*args)
 
         monkeypatch.setattr(trace, "in_scope", counting)
-        assert check_thm5_exhaustive(events, build_registry(events), ring).passed
+        assert check_thm5_exhaustive(events, build_registry(events, ring), ring).passed
         assert 0 < len(calls) <= most
 
     @pytest.mark.parametrize("forge, system, checked, failures", UNSTEPPED_CALLS.values(),
@@ -967,7 +972,7 @@ class TestThm5:
         names, texts = system
         ring = make_ring(32003, names)
         events = forge(incremental_f5(polys(ring, *texts)).events)
-        rep = check_thm5_exhaustive(events, build_registry(events), ring)
+        rep = check_thm5_exhaustive(events, build_registry(events, ring), ring)
         assert rep.checked == checked
         assert rep.failures == [(g, pair, "unclassified") for g, pair in failures]
 
@@ -975,13 +980,13 @@ class TestThm5:
     def test_lex_regressions_pass(self, name):
         system, checked = LEX_SYSTEMS[name]
         ring, res = lex_run(*system)
-        rep = check_thm5_exhaustive(res.events, build_registry(res.events), ring)
+        rep = check_thm5_exhaustive(res.events, build_registry(res.events, ring), ring)
         assert rep.passed and rep.failures == [] and rep.checked == checked
 
     @pytest.mark.parametrize("system", THM5_SYSTEMS)
     def test_checked_is_sum_of_classified(self, system):
         ring, res = thm5_run(system)
-        rep = check_thm5_exhaustive(res.events, build_registry(res.events), ring)
+        rep = check_thm5_exhaustive(res.events, build_registry(res.events, ring), ring)
         assert rep.passed and rep.checked > 0
         assert (rep.checked, rep.failures) == thm5_brute_force(res.events, ring)
 
@@ -995,7 +1000,7 @@ class TestThm5:
         # unclassified there, which fails the check.
         ring, events, dropped = planted_log(*plant)
         assert dropped["where"] in ("crit_pair", "spol")
-        rep = check_thm5_exhaustive(events, build_registry(events), ring)
+        rep = check_thm5_exhaustive(events, build_registry(events, ring), ring)
         assert not rep.passed
         assert rep.failures[0][1] == tuple(sorted((dropped["p1"], dropped["p2"])))
         assert (rep.checked, rep.failures) == thm5_brute_force(events, ring)
@@ -1006,7 +1011,7 @@ class TestThm5:
         # values, so its keys and degrees are checked against Monomial
         # arithmetic
         ring, res = thm5_run(name)
-        registry = build_registry(res.events)
+        registry = build_registry(res.events, ring)
         rules = _PairRules(res.events, registry, ring.order)
         members = [e for e in registry.entries.values() if e.head is not None]
         assert len(members) > 2
@@ -1020,7 +1025,7 @@ class TestThm5:
         """The check's evidence index of the log, after showing that it holds,
         for every pair of elements with a head, the least from-seq of the
         reference's evidence, and no entry for a pair with none."""
-        registry = build_registry(events)
+        registry = build_registry(events, ring)
         index = EvidenceIndex(events, registry, ring.order.lay)
         rules = _PairRules(events, registry, ring.order)
         heads = sorted(pos for pos, e in registry.entries.items() if e.head is not None)
@@ -1059,13 +1064,13 @@ class TestThm5:
         dropped_log = [ev for ev in events if ev is not target]
         forged = self._index_matches_reference(forged_log, ring)
         assert forged == self._index_matches_reference(dropped_log, ring)
-        index = EvidenceIndex(events, build_registry(events), ring.order.lay)
+        index = EvidenceIndex(events, build_registry(events, ring), ring.order.lay)
         p, q = (target["p1"], target["p2"]) if field == "u1" else (target["h"], target["cand"])
         assert index[index.pair_id(p, q)] == target["seq"]
         assert forged.get(forged.pair_id(p, q)) == (None if field == "u1" else 128)
 
         def report(log):
-            rep = check_thm5_exhaustive(log, build_registry(log), ring)
+            rep = check_thm5_exhaustive(log, build_registry(log, ring), ring)
             return rep.passed, rep.checked, rep.failures
 
         assert report(forged_log) == report(dropped_log)
@@ -1101,8 +1106,8 @@ class TestThm5:
             ring, res = thm5_run(name)
             stripped = strip_rejections(res.events)
             got[name] = (
-                check_thm5_exhaustive(res.events, build_registry(res.events), ring).checked,
-                len(check_thm5_exhaustive(stripped, build_registry(stripped), ring).failures),
+                check_thm5_exhaustive(res.events, build_registry(res.events, ring), ring).checked,
+                len(check_thm5_exhaustive(stripped, build_registry(stripped, ring), ring).failures),
             )
         assert got == {
             "random578-degrevlex": (249, 192),
@@ -1118,7 +1123,7 @@ class TestThm5:
 
     @staticmethod
     def _check_stripped_log_fails(ring, res):
-        registry = build_registry(res.events)
+        registry = build_registry(res.events, ring)
         done_events = [ev for ev in res.events if ev["kind"] == "DoneInserted"]
         baseline = {}
         for ev in done_events:
@@ -1131,7 +1136,7 @@ class TestThm5:
         # drop every pair-level rejection event: previously rejected pairs
         # can no longer be classified
         stripped = strip_rejections(res.events)
-        rep = check_thm5_exhaustive(stripped, build_registry(stripped), ring)
+        rep = check_thm5_exhaustive(stripped, build_registry(stripped, ring), ring)
         assert not rep.passed
         # the failures found without enumerating every pair are exactly the
         # pairs the per-insertion classification calls unclassified
@@ -1153,14 +1158,15 @@ class TestReplay:
         names, texts = SUITE[name]
         ring = make_ring(32003, names, order)
         res = incremental_f5(polys(ring, *texts))
-        rep = check_replay(res.events, ring)
+        registry = build_registry(res.events, ring)
+        rep = registry.replay
         vectors = rep.vectors
         assert rep.passed
         assert rep.polys == {lp.pos: lp.poly for lp in res.R}
         inputs = replayed_inputs(res)
         assert all(vectors[lp.pos].value(inputs) == lp.poly for lp in res.R)
         assert all(vectors[lp.pos].lead()[1] == lp.sig for lp in res.R)
-        assert all_admissible(build_registry(res.events), rep)
+        assert all_admissible(registry)
 
     def test_decoded_trails_sum_to_final_polys(self):
         # A trail reads final = alpha * creation - sum of c * t *
@@ -1183,11 +1189,11 @@ class TestReplay:
                 else:
                     contribs.append((step[1], Monomial(step[2]), step[3]))
             reductions += len(contribs)
-            creation = trace.poly_from_payload(ring, ev["creation_poly"])
+            creation = poly_from_payload(ring, ev["creation_poly"])
             terms = [(alpha * c, m) for c, m in creation.terms]
             for c, t, j in contribs:
                 terms += [(-c * cj, mj.mul(t)) for cj, mj in res.R[j].poly.terms]
-            assert ring.poly(terms) == trace.poly_from_payload(ring, ev["poly"])
+            assert ring.poly(terms) == poly_from_payload(ring, ev["poly"])
         assert done and reductions > 0
 
     def test_zero_reduction_without_its_step_fails(self):
@@ -1211,7 +1217,7 @@ class TestReplay:
 class TestGenealogyChecker:
     def test_passes_on_runs(self, cyclic):
         ring, res = cyclic
-        assert check_genealogy(build_registry(res.events), ring.order).passed
+        assert check_genealogy(build_registry(res.events, ring), ring.order).passed
 
     def test_tampered_signature_detected(self, cyclic):
         ring, res = cyclic
@@ -1220,7 +1226,7 @@ class TestGenealogyChecker:
             if ev["kind"] == "SPolCreated":
                 ev["sig"] = {"mono": [9, 9, 9, 9], "index": ev["sig"]["index"]}
                 break
-        assert not check_genealogy(build_registry(events), ring.order).passed
+        assert not check_genealogy(build_registry(events, ring), ring.order).passed
 
 
 class TestLogRoundTrip:
@@ -1263,9 +1269,9 @@ class TestLogRoundTrip:
         ring, res = cyclic
         calls = []
 
-        def counting(events):
+        def counting(events, ring):
             calls.append(1)
-            return build_registry(events)
+            return build_registry(events, ring)
 
         monkeypatch.setattr(trace, "build_registry", counting)
         assert all(run_all_checkers(res.events, ring))
@@ -1276,7 +1282,7 @@ class TestLogRoundTrip:
         # insertion, pinned to the values of the snapshot records the engine
         # kept before snapshots were rebuilt from the log
         ring, res = cyclic
-        registry = build_registry(res.events)
+        registry = build_registry(res.events, ring)
         got = [
             (
                 registry.entries[snap.g_pos].done_seq,
@@ -1284,7 +1290,7 @@ class TestLogRoundTrip:
                 snap.members,
                 tuple(snap.rule_count(i) for i in (1, 2, 3)),
             )
-            for snap in done_snapshots(ring, registry, check_replay(res.events, ring))
+            for snap in done_snapshots(registry)
         ]
         assert got == [
             (9, 2, (0, 1, 2), (0, 2, 1)),
@@ -1698,8 +1704,9 @@ class TestMalformedTerm:
         ring, _ = plant_run("cyclic4")
         events = _malformed_term_log(kind)
         damage = (MALFORMED_TERMS[kind], f"{kind} field 'poly' is not a valid polynomial")
-        assert build_registry(events).unknown == damage
-        assert check_replay(events, ring).unknown == damage
+        registry = build_registry(events, ring)
+        assert registry.unknown == damage == registry.damage
+        assert registry.replay.failures[0] == damage
         failing = {rep.name: rep.failures[0] for rep in run_all_checkers(events, ring)
                    if not rep.passed}
         assert failing == dict.fromkeys(["rule_degrees", "genealogy", "trail_replay", "chains",
@@ -1755,6 +1762,28 @@ BAD_ROWS = {
 }
 
 
+def _as_bools(exps: tuple) -> tuple:
+    return tuple(map(bool, exps))
+
+
+# a field of cyclic-4's log, a change that writes a vector of it with entries
+# of another type, and the message that names its line: the first event of
+# the kind whose field the change leaves equal (False == 0, 1.0 == 1) is
+# changed
+EQUAL_VECTORS = {
+    "bool_signature_mono": ("CallBegin", "sig",
+                            lambda sig: {**sig, "mono": _as_bools(sig["mono"])},
+                            "field 'sig' is not a valid signature"),
+    "bool_mult": ("PhiPreReduce", "mult", _as_bools,
+                  "field 'mult' is not a valid exponent vector"),
+    "bool_term": ("CallBegin", "poly",
+                  lambda poly: [[poly[0][0], _as_bools(poly[0][1])]] + poly[1:],
+                  "field 'poly' is not a valid polynomial"),
+    "float_mono": ("RuleAdded", "mono", lambda mono: tuple(map(float, mono)),
+                   "field 'mono' is not a valid exponent vector"),
+}
+
+
 class TestRowRule:
     """Every line must fit its row of ``EVENT_SHAPES`` exactly: the reader
     rejects any other, naming its line, before a checker sees it."""
@@ -1767,6 +1796,20 @@ class TestRowRule:
         change(target)
         with pytest.raises(ValueError, match=rf"^line {target['seq'] + 1}: {re.escape(message)}"):
             events_from_jsonl(io.StringIO("".join(jsonl_lines(events))))
+
+    @pytest.mark.parametrize("case", EQUAL_VECTORS)
+    @pytest.mark.parametrize("first", [True, False], ids=["as_line_1", "after_its_int_vector"])
+    def test_vector_equal_to_ints_is_rejected_in_either_order(self, case, first):
+        # each occurrence of a vector is tested, not only the first of the
+        # vectors equal to it
+        kind, name, change, message = EQUAL_VECTORS[case]
+        events = plant_run("cyclic4")[1]
+        target = next(ev for ev in events if ev["kind"] == kind and change(ev[name]) == ev[name])
+        forged = {**target, name: change(target[name])}
+        log = [forged] + events if first else events + [forged]
+        line = 1 if first else len(log)
+        with pytest.raises(ValueError, match=rf"^line {line}: {re.escape(message)}$"):
+            events_from_jsonl(io.StringIO("".join(jsonl_lines(log))))
 
     def test_every_line_read_is_written_through_its_row(self, monkeypatch):
         # each writer variant reads back to an event that takes its row's
