@@ -40,7 +40,6 @@ from .oracle import (
     find_unrejected_reductor,
     harvest_descent_seeds,
     ideal_equal,
-    reductor_passes_engine_checks,
 )
 from .poly import (
     ORDER_KINDS,
@@ -274,7 +273,7 @@ def run_check(problem: ProblemFile, config: EngineConfig, descent_samples: int,
     events, ring = result.events, problem.ring
     registry = build_registry(events, ring)
     damage = registry.damage and _DAMAGED_LOG % registry.damage
-    polys = registry.replay.polys
+    polys = registry.polys
     f5_basis = sorted_by_head((polys[p] for p in ([] if damage else registry.basis)), ring.order)
     oracle_basis = buchberger(problem.polynomials)
     reports = run_all_checkers(events, ring, registry)
@@ -310,7 +309,8 @@ def run_check(problem: ProblemFile, config: EngineConfig, descent_samples: int,
             thm4["pairs"] += 1
             try:
                 mono, pos, _ = find_unrejected_reductor(f, fprime, snap, descent_cap)
-                verdict = reductor_passes_engine_checks(snap, mono, pos, f)
+                target = snap.entries[f]  # whose head the reductor's is: (a) holds
+                verdict = snap.failed_check(pos, target.head, target.sig)
                 if verdict is None:
                     thm4["reductor_ok"] += 1
                     witness = f"reductor {mono.text(ring.names)}*r{pos} passes (a)-(d)"

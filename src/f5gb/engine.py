@@ -297,7 +297,7 @@ class Engine:
         that is created."""
         rows = self.rows
         lay = self.lay
-        guard, shift, fieldwise = lay.guard, lay.shift, lay.fieldwise
+        guard, shift, lcm = lay.guard, lay.shift, lay.lcm
         vkey = self.order.vkey
         exps = self.trace.exps
         log = self.trace.log
@@ -308,7 +308,7 @@ class Engine:
         out: list[CriticalPair] = []
         for rb in others:
             hb, sb, ib = rows[rb]
-            t = fieldwise(ha, hb, True)
+            t = lcm(ha, hb)
             u1, u2 = t - ha, t - hb
             m1, m2 = u1 + sa, u2 + sb
             if (m1 | m2) & guard:

@@ -6,8 +6,10 @@ insertion, rebuilt from the run's event log (``done_snapshots``).
 The descent repeatedly rewrites offending elements (shifted-signature
 reducible, or rewritable by a newer rule) into strictly smaller
 representations until none is left; the final representation yields a
-reductor that passes all four engine checks.  A head above the target is not
-rewritten: it is reported as the descent's form of a thm5 failure.
+reductor that passes all four engine checks.  The criteria are tested in
+one place, ``trace.InsertionView.blocker``, for the descent as for the
+insertion audit.  A head above the target is not rewritten: it is reported
+as the descent's form of a thm5 failure.
 
 Elements compare by one int each (``DescentRun.elem_key``), and
 representations only where a rewrite changes them (``DescentState.rewrite``);
@@ -83,7 +85,7 @@ class DescentRun:
     ``done_snapshots``: the ring and order, the elements (``entries``, the
     registry's signatures with the replayed polynomials), the rule tables
     (``Registry.rules``), the input positions (input index -> position) and
-    the replayed module vectors (``trace.ReplayReport.vectors``).
+    the replayed module vectors (``trace.Registry.vectors``).
 
     The rest is computed on first use: ``triples[pos]`` is b_pos over the
     inputs (``sig.input_representation``), whose first read replays the log
@@ -149,6 +151,10 @@ class DescentRun:
         return hit
 
 
+# the descent's name of each check that ``InsertionView.blocker`` returns
+_PROPERTY = {"b": "P1", "c": "P2", None: None}
+
+
 class GgSnapshot(InsertionView):
     """Basis state frozen at one Done insertion: the ``InsertionView`` of the
     reductor checks over its ``DescentRun``, which holds what the descent
@@ -163,7 +169,7 @@ class GgSnapshot(InsertionView):
         self.member_set = set(self.members)
         g = self.entries[g_pos]  # inserted by the call of its index
         self.g_scope = (sig_key(g.sig, run.order), g.poly.head_mono.deg)
-        self._violated: dict[int, Optional[str]] = {}
+        self._violated: dict[int, tuple[Optional[str], Optional[int]]] = {}
 
     @classmethod
     def from_result(cls, run: DescentRun, registry: Registry, seq: int, call: int,
@@ -172,23 +178,17 @@ class GgSnapshot(InsertionView):
         inserts ``pos`` in call ``call`` (an entry of ``registry.insertions``)."""
         return cls(run, membership_at(registry, call, seq) + [pos], pos, seq)
 
-    def violated_by(self, key: int, t: Monomial, pos: int) -> Optional[str]:
-        """"P1" when t * b_pos is F5-rejectable (``phi_divisor``), else "P2"
-        when a newer rule rewrites it (``rule_owner``), else None; ``key`` is
-        its ``DescentRun.elem_key``, under which the answer is kept."""
-        memo = self._violated
-        if key in memo:
-            return memo[key]
-        sig = self.entries[pos].sig
-        mono = t.mul(sig.mono)  # the shifted signature monomial of both tests
-        if self.phi_divisor(sig.index, mono) is not None:
-            which = "P1"
-        elif self.rule_owner(sig.index, mono, pos) not in (None, pos):
-            which = "P2"
-        else:
-            which = None
-        memo[key] = which
-        return which
+    def violated_by(self, key: int, t: Monomial, pos: int) -> tuple[Optional[str], Optional[int]]:
+        """("P1", divisor) when t * b_pos is F5-rejectable, ("P2", rewriter)
+        when a newer rule rewrites it, else (None, owner): checks (b) and
+        (c) of ``blocker`` on its shifted signature.  ``key`` is its
+        ``DescentRun.elem_key``, under which the answer is kept."""
+        found = self._violated.get(key)
+        if found is None:
+            sig = self.entries[pos].sig
+            check, at = self.blocker(sig.index, t.mul(sig.mono), pos)
+            found = self._violated[key] = (_PROPERTY[check], at)
+        return found
 
 
 # ---------------------------------------------------------------------------
@@ -266,16 +266,31 @@ def _expansion(
 # the two rewrites
 
 
+def _blocked(
+    K: ReprElement, snap: GgSnapshot, which: str
+) -> tuple[tuple[int, Monomial, int], list[tuple[int, Monomial, int]], int]:
+    """K's expansion (``_expansion``) and the position that makes K violate
+    ``which``, read from the snapshot's memo (``GgSnapshot.violated_by``).
+    The blocker was found on K's logged signature, so the expansion of its
+    position must lead with it."""
+    coeff, t, pos = K
+    run = snap.run
+    sig = snap.entries[pos].sig
+    _, m, index = run.triples[pos][0]
+    if index != sig.index or m.v != sig.mono.v:
+        raise DescentError(f"the expansion of {K!r} does not lead with its signature")
+    found, at = snap.violated_by(run.elem_key(t, pos), t, pos)
+    if found != which:
+        raise (NoDivisorFound if which == "P1" else RewriterNotFound)(
+            f"element {K!r} does not violate {which}")
+    return (*_expansion(snap, coeff, t, pos), at)
+
+
 def f5_replacement(K: ReprElement, snap: GgSnapshot) -> list[tuple[int, Monomial, int]]:
     """What replaces an element whose shifted signature is reducible by the
     next basis: the reduction pushed into its input representation."""
     p = snap.run.ring.p
-    (c0, s0, j0), rest = _expansion(snap, *K)
-    divisor_pos = snap.phi_divisor(j0, s0)
-    if divisor_pos is None:
-        raise NoDivisorFound(
-            f"no basis head above index {j0} divides the shifted signature {s0!r}"
-        )
+    (c0, s0, j0), rest, divisor_pos = _blocked(K, snap, "P1")
     b = snap.entries[divisor_pos]
     s1 = s0.divide(b.poly.head_mono)
     fj_pos = snap.run.input_pos[j0]
@@ -292,17 +307,12 @@ def rewritten_replacement(
     when the rewriter reduced to zero, its syzygy expansion)."""
     run = snap.run
     p = run.ring.p
-    coeff, t, pos = K
-    (c0, s0, j0), rest = _expansion(snap, coeff, t, pos)
-    sig = snap.entries[pos].sig
-    rw_pos = snap.rule_owner(sig.index, t.mul(sig.mono), pos)
-    if rw_pos in (None, pos):
-        raise RewriterNotFound(f"element {K!r} is not rewritten by any newer rule")
+    (c0, s0, j0), rest, rw_pos = _blocked(K, snap, "P2")
     rw = snap.entries[rw_pos]
     s_prime = s0.divide(rw.sig.mono)
     if s_prime is None:
         raise RewriterNotFound("rewriter signature does not divide the element's")
-    c_prime, head_mono, head_idx = run.triples[rw_pos][0]
+    _, head_mono, head_idx = run.triples[rw_pos][0]
     if s_prime.mul(head_mono) != s0 or head_idx != j0:
         raise RewriterNotFound("rewriter expansion does not lead with the signature")
     c_fix = c0 * run.lead_inverse[rw_pos] % p
@@ -386,7 +396,7 @@ class DescentState:
             i -= 1
             k = keys[i]
             e = elems[k]
-            which = violated_by(k, e[1], e[2])
+            which = violated_by(k, e[1], e[2])[0]
             if which is not None:
                 return which, e
         if keys:
@@ -577,18 +587,6 @@ def find_unrejected_reductor(
     return e.mono, e.pos, result
 
 
-def reductor_passes_engine_checks(
-    snap: GgSnapshot, cand_mono: Monomial, cand_pos: int, f_pos: int
-) -> Optional[str]:
-    """Checks (a)-(d) for the found reductor cand_mono * b_cand against f,
-    evaluated on the snapshot's view of the basis; returns the failing check
-    name or None when all four pass."""
-    f = snap.entries[f_pos]
-    if cand_mono.mul(snap.entries[cand_pos].head) != f.head:
-        return "a"
-    return snap.failed_check(cand_pos, f.head, f.sig)
-
-
 # ---------------------------------------------------------------------------
 # Buchberger reference and ideal comparison
 
@@ -772,10 +770,10 @@ def done_snapshots(registry: Registry) -> list[GgSnapshot]:
     polynomial.  The snapshots share one ``DescentRun``, built here: the
     elements, the registry's rule tables, the input positions and the
     replayed vectors."""
-    replay = registry.replay
-    entries = {p: LabeledPolynomial(p, e.sig, replay.polys[p]) for p, e in registry.entries.items()}
+    polys = registry.polys
+    entries = {p: LabeledPolynomial(p, e.sig, polys[p]) for p, e in registry.entries.items()}
     input_pos = {call: begin["input_pos"] for call, begin in registry.calls.items()}
-    run = DescentRun(replay.ring, entries, registry.rules, input_pos, replay.vectors)
+    run = DescentRun(registry.ring, entries, registry.rules, input_pos, registry.vectors)
     return [
         GgSnapshot.from_result(run, registry, seq, call, pos)
         for call, done in registry.insertions.items()

@@ -86,16 +86,15 @@ class Layout:
         v, ones, guard = v | self.exp_guard, self.ones, self.exp_guard
         return (v - ones) & guard | ((v - 2 * ones) & guard) >> 1
 
-    def fieldwise(self, a: int, b: int, take_max: bool) -> int:
-        """The fieldwise max (lcm) or min (gcd) of the packed values a, b.
+    def lcm(self, a: int, b: int) -> int:
+        """The fieldwise max of the packed values a, b: their lcm.
 
         The new degree is the sum of the exponent fields: as 2^16 = 1 modulo
         2^16 - 1, that is their packed value modulo 2^16 - 1, and it is exact
         because the sum is at most deg(a) + deg(b) < 2^16 - 1."""
         ge = ((a | self.guard) - b) & self.guard  # guard bit set where a >= b
         from_a = (ge - (ge >> (FIELD_BITS - 1))) & self.low  # value bits of those fields
-        x, y = (a, b) if take_max else (b, a)
-        exps = (y ^ ((x ^ y) & from_a)) & self.low
+        exps = (b ^ ((a ^ b) & from_a)) & self.low
         deg = exps % 0xFFFF
         if deg >= BOUND:
             raise overflow_error(f"lcm of {self.unpack(a)} and {self.unpack(b)}")
@@ -120,7 +119,7 @@ class Monomial:
     building a monomial past that bound, or a ``mul`` or ``lcm`` whose result
     would pass it, raises ``OverflowError``; nothing wraps.  On this form
     ``mul`` is one addition, ``divides`` and ``divide`` one subtraction with
-    a test of the guard bits, and ``lcm``/``gcd`` a fieldwise max/min.
+    a test of the guard bits, and ``lcm`` a fieldwise max.
 
     Two values are computed on first use only: the exponent tuple (``exps``)
     and the divisibility mask (``mask``).  Order keys are not stored on the
@@ -199,11 +198,7 @@ class Monomial:
 
     def lcm(self, other: "Monomial") -> "Monomial":
         lay = self.lay
-        return packed_monomial(lay.fieldwise(self.v, other.v, True), lay)
-
-    def gcd(self, other: "Monomial") -> "Monomial":
-        lay = self.lay
-        return packed_monomial(lay.fieldwise(self.v, other.v, False), lay)
+        return packed_monomial(lay.lcm(self.v, other.v), lay)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Monomial) and self.v == other.v and self.lay.n == other.lay.n

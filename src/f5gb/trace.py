@@ -308,12 +308,13 @@ def _decode_chunk(
 ) -> None:
     """Append the events of ``lines`` to ``out``.
 
-    The chunk is decoded as one JSON array when no line holds an object
-    boundary.  Then every top-level comma of an array of objects is one put
-    between two lines, so an array of one object per line holds each line's
-    object.  Any other chunk, and one with an object that does not fit its
-    row, is decoded line by line, which raises at its first bad line."""
-    if not any(map(_OBJECT_BOUNDARY.search, lines)):
+    The chunk is decoded as one JSON array when one search of its text
+    finds no object boundary, in a line or across two.  Then every
+    top-level comma of an array of objects is one put between two lines, so
+    an array of one object per line holds each line's object.  Any other
+    chunk, and one with an object that does not fit its row, is decoded
+    line by line, which raises at its first bad line."""
+    if not _OBJECT_BOUNDARY.search("".join(lines)):
         try:
             events = json.loads("[" + ",".join(lines) + "]")
             if len(events) == len(lines):
@@ -478,27 +479,12 @@ class RegistryEntry:
 
 
 @dataclass
-class ReplayReport(CheckReport):
-    """The ``trail_replay`` report of the walk of the log
-    (``build_registry``), with the operations the replay performed, in log
-    order, each position's polynomial at the end of the log, and its ring.
-    ``vectors`` maps each position to its module vector, replayed from the
-    operations when it is first read (``sig.ReplayedVectors``), so a run
+class Registry:
+    """The view of a log that its one walk (``build_registry``) gives.
+    ``vectors`` maps each position to its module vector, replayed from
+    ``ops`` when it is first read (``sig.ReplayedVectors``), so a run
     replays the operations only up to the last one on a position its
     descents read."""
-
-    ops: list = field(default_factory=list)
-    polys: dict = field(default_factory=dict)
-    ring: Optional[Ring] = None
-
-    @cached_property
-    def vectors(self) -> ReplayedVectors:
-        return ReplayedVectors(self.ring, self.ops)
-
-
-@dataclass
-class Registry:
-    """The view of a log that its one walk (``build_registry``) gives."""
 
     entries: dict[int, RegistryEntry]
     calls: dict[int, dict]  # call index -> CallBegin payload
@@ -506,7 +492,12 @@ class Registry:
     insertions: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
     # signature index -> (seq, mono, pos) of each RuleAdded, in log order
     rules: dict[int, list[tuple[int, Monomial, int]]] = field(default_factory=dict)
-    replay: Optional[ReplayReport] = None
+    ring: Optional[Ring] = None  # the ring the walk replays the log in
+    # the replay: its ``trail_replay`` report, the operations it performed,
+    # in log order, and each position's polynomial at the end of the log
+    replay: Optional[CheckReport] = None
+    ops: list[tuple] = field(default_factory=list)
+    polys: dict[int, Polynomial] = field(default_factory=dict)
     # the positions of call 1's last CallEnd, the checked basis; none when
     # the log has no such CallEnd
     basis: list[int] = field(default_factory=list)
@@ -521,6 +512,10 @@ class Registry:
     # position replays to zero; or call 1's last CallEnd, when its basis
     # names a position that the replay did not build or that replays to zero
     damage: Optional[tuple[int, str]] = None
+
+    @cached_property
+    def vectors(self) -> ReplayedVectors:
+        return ReplayedVectors(self.ring, self.ops)
 
 
 # the kinds the walk reads, each with the positions it reads, which an
@@ -543,9 +538,9 @@ def _same_poly(q: Polynomial, payload: list, monos: Lazy) -> bool:
 def build_registry(events: Sequence[dict], ring: Ring) -> Registry:
     """The one walk of the log: every labeled polynomial, with its calls,
     insertions and rules; the replay of every position's polynomial in
-    ``ring`` (``Registry.replay``); call 1's checked basis; and the first
-    damage, of the registry and of the whole log.  Each distinct payload
-    exponent vector is decoded once.
+    ``ring`` (``Registry.replay``, ``ops`` and ``polys``); call 1's checked
+    basis; and the first damage, of the registry and of the whole log.
+    Each distinct payload exponent vector is decoded once.
 
     The replay rebuilds every position's polynomial P from the log, in
     ``seq`` order, and checks it against the log.  An input is its logged
@@ -687,12 +682,12 @@ def build_registry(events: Sequence[dict], ring: Ring) -> Registry:
     if bad:
         found.append((end["seq"], f"call 1's CallEnd names r{bad[0]}, which the replay "
                       + ("did not build" if bad[0] not in P else "reduced to zero")))
-    replay = ReplayReport("trail_replay", not failures, checked, failures, ops, P, ring)
-    return Registry(entries, calls, insertions, rules, replay, basis, unknown,
+    return Registry(entries, calls, insertions, rules, ring,
+                    _report("trail_replay", checked, failures), ops, P, basis, unknown,
                     min(found, default=None))
 
 
-def check_replay(events: Sequence[dict], ring: Ring) -> ReplayReport:
+def check_replay(events: Sequence[dict], ring: Ring) -> CheckReport:
     """The ``trail_replay`` report of the log's walk (``build_registry``)."""
     return build_registry(events, ring).replay
 
@@ -777,9 +772,10 @@ def check_rule_degrees(registry: Registry) -> CheckReport:
     return _report("rule_degrees", checked, failures)
 
 
-def check_genealogy(registry: Registry, order) -> CheckReport:
+def check_genealogy(registry: Registry) -> CheckReport:
     """Created elements: sig equals u_over * S(greater part) and strictly
     exceeds u_under * S(smaller part); Done events follow their creation."""
+    order = registry.ring.order
     failures = []
     checked = 0
     for e in registry.entries.values():
@@ -803,7 +799,7 @@ def check_genealogy(registry: Registry, order) -> CheckReport:
 
 def all_admissible(registry: Registry) -> bool:
     """Whether every element's module vector, replayed from the log
-    (``Registry.replay``), leads with the element's logged signature; one
+    (``Registry.ops``), leads with the element's logged signature; one
     the replay did not build does not.
 
     Each vector's leading module term follows from the leads of the
@@ -823,9 +819,8 @@ def all_admissible(registry: Registry) -> bool:
     A vector's coordinate k multiplies input f_{k+1}, so the fallback's
     inputs are indexed by call, with zero for a call the log lacks: a log
     cut short by a budget exit stops before call 1."""
-    replay = registry.replay
-    ring, polys = replay.ring, replay.polys
-    leads = replay_leads(ring, replay.ops)
+    ring, polys = registry.ring, registry.polys
+    leads = replay_leads(ring, registry.ops)
     unsure = []
     for pos, e in registry.entries.items():
         if pos not in leads:
@@ -839,7 +834,7 @@ def all_admissible(registry: Registry) -> bool:
         return True
     begun = {i: polys[ev["input_pos"]] for i, ev in registry.calls.items()}
     inputs = [begun.get(i, ring.zero) for i in range(1, max(begun, default=0) + 1)]
-    return all(check_admissible(replay.vectors[pos], sig, polys[pos], inputs)
+    return all(check_admissible(registry.vectors[pos], sig, polys[pos], inputs)
                for pos, sig in unsure)
 
 
@@ -859,7 +854,7 @@ class ChainReport:
         return self.divisibility_ok and self.quotient_descent_ok and self.distinct_hm_ok
 
 
-def extract_chain(pos: int, registry: Registry, ring: Ring) -> ChainReport:
+def extract_chain(pos: int, registry: Registry) -> ChainReport:
     """Walk greater-part links back to the input polynomial of the index.
 
     Along the chain the signatures divide consecutively, the head/signature
@@ -885,7 +880,7 @@ def extract_chain(pos: int, registry: Registry, ring: Ring) -> ChainReport:
     )
 
     withhm = [registry.entries[p] for p in chain if registry.entries[p].head is not None]
-    keys = [quotient_key(e.head, e.sig.mono, ring.order) for e in withhm]
+    keys = [quotient_key(e.head, e.sig.mono, registry.ring.order) for e in withhm]
     quot_ok = all(a > b for a, b in zip(keys, keys[1:]))
     distinct_ok = all(
         a != b and not (a.divides(b) and not (i < j and a.deg < b.deg))
@@ -894,14 +889,14 @@ def extract_chain(pos: int, registry: Registry, ring: Ring) -> ChainReport:
     return ChainReport(chain, div_ok, quot_ok, distinct_ok)
 
 
-def check_chains(registry: Registry, ring: Ring) -> CheckReport:
+def check_chains(registry: Registry) -> CheckReport:
     failures = []
     checked = 0
     for e in registry.entries.values():
         if e.is_input:
             continue
         checked += 1
-        rep = extract_chain(e.pos, registry, ring)
+        rep = extract_chain(e.pos, registry)
         if not rep.passed:
             failures.append((e.pos, rep))
     return _report("chains", checked, failures)
@@ -982,24 +977,35 @@ class InsertionView:
                 return owner
         return None
 
+    def blocker(self, index: int, mono: Monomial, pos: int) -> tuple[Optional[str], Optional[int]]:
+        """Checks (b) and (c), the one test of both criteria, of b_pos at the
+        shifted signature monomial ``mono`` of ``index``: ("b", divisor) when
+        a head of ``phi_basis(index)`` divides ``mono``, else ("c", rewriter)
+        when a newer rule does, else (None, owner), with ``owner`` None when
+        no rule divides ``mono``."""
+        divisor = self.phi_divisor(index, mono)
+        if divisor is not None:
+            return "b", divisor
+        owner = self.rule_owner(index, mono, pos)
+        return ("c" if owner not in (None, pos) else None), owner
+
     def failed_check(
         self, cand: int, target_head: Monomial, target_sig: Signature
     ) -> Optional[str]:
         """The first of checks (a)-(d) that member ``cand`` fails as a
         reductor of a target with this head and signature, or None when it
-        passes all four; (b) and (c) test the shifted signature monomial."""
+        passes all four; (b) and (c) test the shifted signature monomial
+        (``blocker``)."""
         e = self.entries[cand]
         u = target_head.divide(e.head)
         if u is None:
             return "a"
         mono = u.mul(e.sig.mono)
-        if self.phi_divisor(e.index, mono) is not None:
-            return "b"
-        owner = self.rule_owner(e.index, mono, cand)
+        check, owner = self.blocker(e.index, mono, cand)
+        if check is not None:
+            return check
         if owner is None:
             raise BrokenLink(f"r{cand} has no rule entry")
-        if owner != cand:
-            return "c"
         if e.index == target_sig.index and mono == target_sig.mono:
             return "d"
         return None
@@ -1110,19 +1116,19 @@ class EvidenceIndex(dict):
     the log (``low``), the lower shifted above every bit of the higher.
     """
 
-    def __init__(self, events: Sequence[dict], registry: Registry, lay: Layout):
+    def __init__(self, events: Sequence[dict], registry: Registry):
         super().__init__()
         entries = registry.entries
         self.low = min(entries, default=0)
         self.bits = (max(entries, default=0) - self.low).bit_length()
         heads = {pos: e.head.v for pos, e in entries.items() if e.head is not None}
-        fieldwise, get, inf = lay.fieldwise, self.get, math.inf
+        lcm, get, inf = registry.ring.order.lay.lcm, self.get, math.inf
         for p, q, seq, up, uq in _evidence_items(events, registry, heads):
             # the check forms no pair of a member with no head, nor one
             # whose lcm overflows
             try:
                 hp, hq = heads[p], heads[q]
-                t = fieldwise(hp, hq, True)
+                t = lcm(hp, hq)
             except (KeyError, OverflowError):
                 continue
             if uq == t - hq and (up is None or up == t - hp):
@@ -1163,7 +1169,7 @@ class _DominanceCount:
         return len(keys) - bisect_right(keys, key)
 
 
-def check_thm5_exhaustive(events: Sequence[dict], registry: Registry, ring: Ring) -> CheckReport:
+def check_thm5_exhaustive(events: Sequence[dict], registry: Registry) -> CheckReport:
     """Every in-scope pair at every insertion is classified into exactly one
     of {f5, rewritten, completed} by its first processing outcome.
 
@@ -1195,13 +1201,13 @@ def check_thm5_exhaustive(events: Sequence[dict], registry: Registry, ring: Ring
     key(sig) - key(1) + key(u).  Nothing is kept per pair: a pair of two
     members of G_{c+1} is formed again in each later call.
     """
-    order = ring.order
+    order = registry.ring.order
     lay = order.lay
-    guard, shift, fieldwise, vkey = lay.guard, lay.shift, lay.fieldwise, order.vkey
+    guard, shift, lcm, vkey = lay.guard, lay.shift, lay.lcm, order.vkey
     # a key of index i shifted right by this is -i (``sig.key_index``)
     index_shift = shift + FIELD_BITS
     entries = registry.entries
-    evidence = EvidenceIndex(events, registry, lay)
+    evidence = EvidenceIndex(events, registry)
     first_of, low, bits = evidence.get, evidence.low, evidence.bits
     key_one = vkey(0)
     inf = math.inf
@@ -1238,7 +1244,7 @@ def check_thm5_exhaustive(events: Sequence[dict], registry: Registry, ring: Ring
             for i in range(start) if k == 0 else (start + k - 1,):
                 b_top, b_rel, hb, sb, base_b = rows[i]
                 for a_top, a_rel, ha, sa, base_a in rows[:i]:
-                    t = fieldwise(ha, hb, True)
+                    t = lcm(ha, hb)
                     ua, ub = t - ha, t - hb
                     if (ua + sa | ub + sb) & guard:
                         a_pos, b_pos = sorted((a_rel + low, b_rel + low))
@@ -1276,8 +1282,8 @@ _CHECKER_NAMES = (
 def run_all_checkers(events: Sequence[dict], ring: Ring,
                      registry: Optional[Registry] = None) -> list[CheckReport]:
     """Every checker's report, read off ``events`` and their walk
-    (``build_registry``), which is made here unless it is passed; the
-    ``trail_replay`` report is the walk's replay.  On a log with no
+    (``build_registry``), which is made here in ``ring`` unless it is
+    passed; the ``trail_replay`` report is the walk's replay.  On a log with no
     ``CallBegin`` no check has anything to run on, so each report fails
     with that reason.  On a log whose registry is damaged
     (``Registry.unknown``) the registry is not the run's, so each report
@@ -1287,13 +1293,13 @@ def run_all_checkers(events: Sequence[dict], ring: Ring,
     if registry is None:
         registry = build_registry(events, ring)
     reports = {"d_progression": check_d_progression(events),
-               "signature_safety": check_signature_safety(events, ring.order),
+               "signature_safety": check_signature_safety(events, registry.ring.order),
                "trail_replay": registry.replay}
     if registry.unknown is None:
         reports.update(rule_degrees=check_rule_degrees(registry),
-                       genealogy=check_genealogy(registry, ring.order),
-                       chains=check_chains(registry, ring),
+                       genealogy=check_genealogy(registry),
+                       chains=check_chains(registry),
                        done_insertion_audit=done_insertion_audit(registry),
-                       thm5_exhaustive=check_thm5_exhaustive(events, registry, ring))
+                       thm5_exhaustive=check_thm5_exhaustive(events, registry))
     return [reports[name] if name in reports else _report(name, 0, [registry.unknown])
             for name in _CHECKER_NAMES]

@@ -53,10 +53,10 @@ def one_pass(problem, path: str, timed) -> list:
         timed("d_progression", trace.check_d_progression, events),
         timed("signature_safety", trace.check_signature_safety, events, ring.order),
         timed("rule_degrees", trace.check_rule_degrees, registry),
-        timed("genealogy", trace.check_genealogy, registry, ring.order),
-        timed("chains", trace.check_chains, registry, ring),
+        timed("genealogy", trace.check_genealogy, registry),
+        timed("chains", trace.check_chains, registry),
         timed("done_insertion_audit", trace.done_insertion_audit, registry),
-        timed("thm5_exhaustive", trace.check_thm5_exhaustive, events, registry, ring),
+        timed("thm5_exhaustive", trace.check_thm5_exhaustive, events, registry),
     ]
     f5_basis = result.basis_polynomials()
     reference = timed("buchberger", oracle.buchberger, problem.polynomials)

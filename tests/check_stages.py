@@ -41,8 +41,7 @@ STAGES = (
     ("the other checkers", ("run_all_checkers",)),
     ("seed harvest", ("harvest_descent_seeds",)),
     ("descents", ("descend",)),
-    ("thm4 scan", ("find_thm4_pairs_in_snapshot", "find_unrejected_reductor",
-                   "reductor_passes_engine_checks")),
+    ("thm4 scan", ("find_thm4_pairs_in_snapshot", "find_unrejected_reductor")),
 )
 
 

@@ -14,8 +14,7 @@ from f5gb.oracle import DescentRun, GgSnapshot, done_snapshots
 from f5gb.poly import ORDER_KINDS, Lazy, Monomial, MonomialOrder, Polynomial, Ring, overflow_error
 from f5gb.sig import Signature, _input_count, apply_ops, sig_key
 from f5gb.trace import EVENT_SHAPES
-from f5gb.trace import (Registry, RegistryEntry, build_registry, check_replay, in_scope,
-                        membership_at)
+from f5gb.trace import Registry, RegistryEntry, build_registry, in_scope, membership_at
 
 
 def make_ring(p: int, names, order: str = "degrevlex") -> Ring:
@@ -42,7 +41,7 @@ def poly_from_payload(ring: Ring, payload: list) -> Polynomial:
 
 def replay_vectors(ring: Ring, ops: Sequence[tuple]) -> dict:
     """Each position's module vector at the end of the log: every operation
-    of the log replay (``check_replay``), in order.  The reference that
+    of the log replay (``build_registry``), in order.  The reference that
     ``sig.ReplayedVectors`` and ``sig.replay_leads`` are tested against."""
     vectors: dict = {}
     apply_ops(ring, _input_count(ops), ops, vectors)
@@ -52,13 +51,13 @@ def replay_vectors(ring: Ring, ops: Sequence[tuple]) -> dict:
 def replayed_vectors(result) -> dict:
     """The module vector of every position of an engine run, replayed from
     its log."""
-    return check_replay(result.events, result.ring).vectors
+    return build_registry(result.events, result.ring).vectors
 
 
 def replayed_inputs(result) -> list:
     """The monic inputs f_1, ..., f_m of an engine run, as the replay of its
     log rebuilds them from the ``CallBegin`` events."""
-    polys = check_replay(result.events, result.ring).polys
+    polys = build_registry(result.events, result.ring).polys
     begins = sorted((ev["call"], ev["input_pos"]) for ev in result.events
                     if ev["kind"] == "CallBegin")
     return [polys[pos] for _, pos in begins]
@@ -204,7 +203,7 @@ class _PairRules:
         a, b = self.entries[a_pos], self.entries[b_pos]
         lay = self.order.lay
         ha, hb = a.head.v, b.head.v
-        t = lay.fieldwise(ha, hb, True)
+        t = lay.lcm(ha, hb)
         ua, ub = t - ha, t - hb
         ma, mb = ua + a.sig.mono.v, ub + b.sig.mono.v
         if (ma | mb) & lay.guard:

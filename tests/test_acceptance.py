@@ -121,7 +121,7 @@ def test_criterion_4_chain_properties(suite):
             if entry.is_input:
                 continue
             checked += 1
-            rep = extract_chain(pos, registry, run["ring"])
+            rep = extract_chain(pos, registry)
             if not rep.passed:
                 failures.append((run["name"], pos))
     _report(4, not failures, f"{checked} chains back-walked")
@@ -133,7 +133,7 @@ def test_criterion_5_admissibility(suite):
     for run in suite["runs"]:
         for lp in run["result"].R:
             checked += 1
-            mv = run["registry"].replay.vectors[lp.pos]
+            mv = run["registry"].vectors[lp.pos]
             if not check_admissible(mv, lp.sig, lp.poly, run["inputs"]):
                 failures.append((run["name"], lp.pos))
     _report(5, not failures, f"{checked} labeled polynomials, 100% admissible")
@@ -145,7 +145,7 @@ def test_criterion_6_thm5_exhaustiveness(suite):
     for run in suite["runs"]:
         assert run["result"].counters["pairs_created"] < 5000
         events = run["result"].events
-        rep = check_thm5_exhaustive(events, run["registry"], run["ring"])
+        rep = check_thm5_exhaustive(events, run["registry"])
         checked += rep.checked
         if not rep.passed:
             failures.append((run["name"], rep.failures[:2]))

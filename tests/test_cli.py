@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -283,14 +284,43 @@ class TestCommands:
         assert snapshots and len(snapshots) == len(set(snapshots))
         assert built and len(built) == len(set(built))
 
+    @pytest.mark.parametrize("system", ["cyclic4", "katsura3"])
+    def test_criteria_are_tested_in_blocker_once_per_element(self, system, monkeypatch):
+        # checks (b) and (c) are evaluated by ``InsertionView.blocker`` alone,
+        # for the audit, the descent's P1/P2 test and its rewrites, and a
+        # snapshot tests each element key once
+        names, texts = {"cyclic4": CYCLIC4, "katsura3": SUITE["katsura3_homog"]}[system]
+        blocker = trace.InsertionView.blocker
+        scans = []  # (view, packed shifted signature monomial, position)
+
+        def scanning(view, index, mono, pos):
+            scans.append((view, mono.v, pos))
+            return blocker(view, index, mono, pos)
+
+        callers = []
+        for name in ("phi_divisor", "rule_owner"):
+            def counted(view, *args, method=getattr(trace.InsertionView, name)):
+                callers.append(sys._getframe(1).f_code)
+                return method(view, *args)
+
+            monkeypatch.setattr(trace.InsertionView, name, counted)
+        monkeypatch.setattr(trace.InsertionView, "blocker", scanning)
+        report = run_check(parse_problem(problem_text(32003, names, texts)), EngineConfig(),
+                           25, 10**5, 0)
+        assert report["ok"] and report["descents"]["max_steps"] > 0
+        assert callers and set(callers) == {blocker.__code__}
+        on_snapshots = [(id(view), v, pos) for view, v, pos in scans
+                        if isinstance(view, oracle.GgSnapshot)]
+        assert on_snapshots and len(on_snapshots) == len(set(on_snapshots))
+
     def test_failed_check_is_not_ok(self, cyclic_file, monkeypatch):
         # thm5_exhaustive on the log without its criterion rejections: the
         # pairs they classified are unclassified, and the check fails
         check = trace.check_thm5_exhaustive
 
-        def check_stripped(events, registry, ring):
+        def check_stripped(events, registry):
             stripped = strip_rejections(events)
-            return check(stripped, trace.build_registry(stripped, ring), ring)
+            return check(stripped, trace.build_registry(stripped, registry.ring))
 
         monkeypatch.setattr(trace, "check_thm5_exhaustive", check_stripped)
         code, out = run_main(["check", cyclic_file, "--json-report"])
@@ -905,7 +935,7 @@ def _plant_no_rule(monkeypatch):
 def _reducible_insertions(events, ring) -> tuple[int, int]:
     """How many ``DoneInserted`` polynomials are not in normal form modulo
     the previous call's ``CallEnd.basis``, and how many there are."""
-    polys = trace.check_replay(events, ring).polys
+    polys = trace.build_registry(events, ring).polys
     basis = {ev["call"]: ev["basis"] for ev in events if ev["kind"] == "CallEnd"}
     done = [ev for ev in events if ev["kind"] == "DoneInserted"]
     previous = [[polys[p] for p in basis.get(ev["call"] + 1, [])] for ev in done]

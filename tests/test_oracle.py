@@ -29,7 +29,6 @@ from f5gb.oracle import (
     harvest_descent_seeds,
     ideal_equal,
     reduced_basis,
-    reductor_passes_engine_checks,
     repr_sum_check,
 )
 from f5gb.oracle import _spoly
@@ -440,6 +439,45 @@ class TestRewriteF5Case:
         assert res.step_count >= 1
 
 
+class TestLeadGuard:
+    def test_expansion_that_does_not_lead_with_the_signature_is_a_descent_error(self):
+        # the blockers are found on the logged signatures: x * r3 shifts
+        # to x*y*F1, which the head y of F2 blocks (P1), and x * r1 to x*F1,
+        # which the rule of r4 rewrites (P2); but the expansions of r3 and r1
+        # lead with x*F1 and y*F1
+        ring = make_ring(7, ["x", "y"])
+        entries = {
+            0: lp(0, Signature(M(0, 0), 2), P(ring, "y")),
+            1: lp(1, Signature(M(0, 0), 1), P(ring, "x")),
+            3: lp(3, Signature(M(0, 1), 1), P(ring, "x*y")),
+            4: lp(4, Signature(M(1, 0), 1), P(ring, "x^2")),
+        }
+        vectors = {
+            0: ModuleVector.unit(ring, 2, 2),
+            1: ModuleVector((P(ring, "y"), ring.zero)),
+            3: ModuleVector((P(ring, "x"), ring.zero)),
+            4: ModuleVector((P(ring, "x"), ring.zero)),
+        }
+        snap = snapshot(
+            ring,
+            entries,
+            members=(0, 1, 3, 4),
+            g_pos=4,
+            rules=rule_tables({1: ((M(0, 0), 1), (M(0, 1), 3), (M(1, 0), 4)),
+                               2: ((M(0, 0), 0),)}),
+            seq=math.inf,
+            input_pos={1: 1, 2: 0},
+            vectors=vectors,
+        )
+        for which, K in (("P1", E(1, M(1, 0), 3)), ("P2", E(1, M(1, 0), 1))):
+            key = snap.run.elem_key(K.mono, K.pos)
+            assert snap.violated_by(key, K.mono, K.pos)[0] == which
+            state = DescentState([K], key >> oracle.POS_BITS, ring.one_mono(), snap)
+            message = f"the expansion of {K!r} does not lead with its signature"
+            with pytest.raises(DescentError, match=re.escape(message)):
+                state.rewrite(which, K)
+
+
 class TestRewriteRewrittenZeroBranch:
     def test_syzygy_rewriter_expansion(self):
         # engine-produced duplicate work: the second element's rule owner
@@ -611,7 +649,8 @@ class TestFindUnrejectedReductor:
         mono, pos, res = find_unrejected_reductor(3, 1, snap)
         assert (mono, pos) == (M(1, 0), 0)  # x * (second input y)
         assert res.step_count == 1
-        assert reductor_passes_engine_checks(snap, mono, pos, 3) is None
+        f = snap.entries[3]
+        assert snap.failed_check(pos, f.head, f.sig) is None
 
     def test_unblocked_start_returns_immediately(self):
         ring = make_ring(7, ["x", "y"])
@@ -643,14 +682,17 @@ class TestFindUnrejectedReductor:
         mono, pos, res = find_unrejected_reductor(3, 1, snap)
         assert (mono, pos) == (M(0, 1), 1)
         assert res.step_count == 0
-        assert reductor_passes_engine_checks(snap, mono, pos, 3) is None
+        f = snap.entries[3]
+        assert snap.failed_check(pos, f.head, f.sig) is None
 
 
 class TestReductorChecks:
+    # the reductor mono * r_cand of r_f, as ``failed_check`` judges it
+    # from the two heads
     @pytest.mark.parametrize(
         "mono, cand, f, verdict",
         [
-            (M(1, 0), 1, 3, "a"),  # x * x is not the head x*y of r3
+            (M(1, 0), 0, 4, "a"),  # the head y of r0 does not divide x^2
             (M(0, 1), 1, 3, "b"),  # y*F1 is top-reducible by the head y of F2
             (M(1, 0), 1, 4, "c"),  # x*F1 is rewritten by the newer rule of r4
             (M(0, 0), 4, 4, "d"),  # the target's own signature
@@ -659,7 +701,9 @@ class TestReductorChecks:
     )
     def test_each_check_decides(self, mono, cand, f, verdict):
         ring, snap = reductor_world()
-        assert reductor_passes_engine_checks(snap, mono, cand, f) == verdict
+        target = snap.entries[f]
+        assert (mono.mul(snap.entries[cand].head) == target.head) == (verdict != "a")
+        assert snap.failed_check(cand, target.head, target.sig) == verdict
 
 
 # ---------------------------------------------------------------------------

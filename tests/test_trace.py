@@ -218,7 +218,7 @@ class TestChains:
         registry = build_registry(demo.events, ring)
         created = [p for p, e in registry.entries.items() if not e.is_input]
         (pos,) = created
-        rep = extract_chain(pos, registry, ring)
+        rep = extract_chain(pos, registry)
         assert rep.chain == [1, 2]  # input of the last call, then its product
         assert rep.passed
         # the hand-checked facts: sig divisibility and the quotient descent
@@ -235,12 +235,12 @@ class TestChains:
 
     def test_trivial_chain_of_input(self, demo, ring):
         registry = build_registry(demo.events, ring)
-        rep = extract_chain(1, registry, ring)
+        rep = extract_chain(1, registry)
         assert rep.chain == [1] and rep.passed
 
     def test_all_chains_pass_on_runs(self, cyclic):
         ring, res = cyclic
-        assert check_chains(build_registry(res.events, ring), ring).passed
+        assert check_chains(build_registry(res.events, ring)).passed
 
 
 class TestThm4Scan:
@@ -418,7 +418,7 @@ class TestExtractChainBroken:
         spol["p1"] = 7  # no element was created at position 7
         registry = build_registry(events, ring)
         with pytest.raises(trace.BrokenLink, match="broken ancestor link at r1"):
-            extract_chain(1, registry, ring)
+            extract_chain(1, registry)
 
 
 # Lex systems 510, 328 and 32 of the random small-system generator in
@@ -696,10 +696,10 @@ def full_vector_admissible(registry) -> bool:
     """The ``admissible`` verdict from every replayed vector, each summed
     against the inputs and its lead compared with the signature: the
     reference of ``all_admissible``."""
-    replay = registry.replay
-    polys, vectors = replay.polys, replay_vectors(replay.ring, replay.ops)
+    ring, polys = registry.ring, registry.polys
+    vectors = replay_vectors(ring, registry.ops)
     begun = {i: polys[ev["input_pos"]] for i, ev in registry.calls.items()}
-    inputs = [begun.get(i, replay.ring.zero) for i in range(1, max(begun, default=0) + 1)]
+    inputs = [begun.get(i, ring.zero) for i in range(1, max(begun, default=0) + 1)]
     return all(
         pos in vectors and check_admissible(vectors[pos], e.sig, polys[pos], inputs)
         for pos, e in registry.entries.items()
@@ -760,17 +760,17 @@ class TestVectorsOnDemand:
     def test_each_read_equals_the_full_replay_and_sums_to_its_polynomial(self):
         rng = random.Random(0)
         for name, ring, events, whole in exactness_logs():
-            replay = check_replay(events, ring)
-            full = replay_vectors(ring, replay.ops)
-            vectors = ReplayedVectors(ring, replay.ops)
+            registry = build_registry(events, ring)
+            full = replay_vectors(ring, registry.ops)
+            vectors = ReplayedVectors(ring, registry.ops)
             assert not vectors.done, name  # nothing is replayed before a read
-            assert set(vectors) == set(full) == set(replay.polys), name
+            assert set(vectors) == set(full) == set(registry.polys), name
             order = sorted(full)
             rng.shuffle(order)
             inputs = logged_inputs(events, ring)
             for pos in order:
                 assert vectors[pos].coords == full[pos].coords, (name, pos)
-                assert full[pos].value(inputs) == replay.polys[pos], (name, pos)
+                assert full[pos].value(inputs) == registry.polys[pos], (name, pos)
 
     def test_a_read_applies_no_operation_past_its_positions_last(self, monkeypatch):
         # each read applies the operations after those already applied,
@@ -785,7 +785,7 @@ class TestVectorsOnDemand:
         monkeypatch.setattr(sig, "apply_ops", recording_ops)
         rng = random.Random(1)
         for name, ring, events, _ in exactness_logs():
-            ops = check_replay(events, ring).ops
+            ops = build_registry(events, ring).ops
             vectors = ReplayedVectors(ring, ops)
             last = {}
             for i, op in enumerate(ops):
@@ -830,8 +830,7 @@ class TestVectorsOnDemand:
         r2 = poly_axpy(f1.term_mul(1, x), 1, y, f2)
         ops = [("input", 0, 1), ("input", 1, 2), ("new", 2, 0, x, 1, y, 1),
                ("top", 2, 1, x, 0)]
-        replay = trace.ReplayReport("trail_replay", True, 0, [], ops,
-                                    {0: f1, 1: f2, 2: poly_axpy(r2, 1, x, f1)}, ring)
+        replayed = {0: f1, 1: f2, 2: poly_axpy(r2, 1, x, f1)}
         assert replay_leads(ring, ops)[2] is None
         fallbacks = []
         check = trace.check_admissible
@@ -846,7 +845,7 @@ class TestVectorsOnDemand:
             entries = {0: trace.RegistryEntry(0, 1, Signature(M(0, 0), 1), None),
                        1: trace.RegistryEntry(1, 2, Signature(M(0, 0), 2), None),
                        2: trace.RegistryEntry(2, 2, sig, None)}
-            registry = trace.Registry(entries, calls, replay=replay)
+            registry = trace.Registry(entries, calls, ring=ring, ops=ops, polys=replayed)
             assert all_admissible(registry) is verdict
             assert full_vector_admissible(registry) is verdict
         assert fallbacks == [Signature(y, 2), Signature(x, 1)]
@@ -938,12 +937,12 @@ UNSTEPPED_CALLS = {
 class TestThm5:
     def test_passes_on_runs(self, cyclic):
         ring, res = cyclic
-        rep = check_thm5_exhaustive(res.events, build_registry(res.events, ring), ring)
+        rep = check_thm5_exhaustive(res.events, build_registry(res.events, ring))
         assert rep.passed and rep.checked > 0
 
     def test_checked_count_pinned(self, cyclic):
         ring, res = cyclic
-        rep = check_thm5_exhaustive(res.events, build_registry(res.events, ring), ring)
+        rep = check_thm5_exhaustive(res.events, build_registry(res.events, ring))
         assert rep.checked == 14
 
     @pytest.mark.parametrize("system, most", [("cyclic4", 21), ("katsura5", 134)])
@@ -959,7 +958,7 @@ class TestThm5:
             return in_scope(*args)
 
         monkeypatch.setattr(trace, "in_scope", counting)
-        assert check_thm5_exhaustive(events, build_registry(events, ring), ring).passed
+        assert check_thm5_exhaustive(events, build_registry(events, ring)).passed
         assert 0 < len(calls) <= most
 
     @pytest.mark.parametrize("forge, system, checked, failures", UNSTEPPED_CALLS.values(),
@@ -972,7 +971,7 @@ class TestThm5:
         names, texts = system
         ring = make_ring(32003, names)
         events = forge(incremental_f5(polys(ring, *texts)).events)
-        rep = check_thm5_exhaustive(events, build_registry(events, ring), ring)
+        rep = check_thm5_exhaustive(events, build_registry(events, ring))
         assert rep.checked == checked
         assert rep.failures == [(g, pair, "unclassified") for g, pair in failures]
 
@@ -980,13 +979,13 @@ class TestThm5:
     def test_lex_regressions_pass(self, name):
         system, checked = LEX_SYSTEMS[name]
         ring, res = lex_run(*system)
-        rep = check_thm5_exhaustive(res.events, build_registry(res.events, ring), ring)
+        rep = check_thm5_exhaustive(res.events, build_registry(res.events, ring))
         assert rep.passed and rep.failures == [] and rep.checked == checked
 
     @pytest.mark.parametrize("system", THM5_SYSTEMS)
     def test_checked_is_sum_of_classified(self, system):
         ring, res = thm5_run(system)
-        rep = check_thm5_exhaustive(res.events, build_registry(res.events, ring), ring)
+        rep = check_thm5_exhaustive(res.events, build_registry(res.events, ring))
         assert rep.passed and rep.checked > 0
         assert (rep.checked, rep.failures) == thm5_brute_force(res.events, ring)
 
@@ -1000,7 +999,7 @@ class TestThm5:
         # unclassified there, which fails the check.
         ring, events, dropped = planted_log(*plant)
         assert dropped["where"] in ("crit_pair", "spol")
-        rep = check_thm5_exhaustive(events, build_registry(events, ring), ring)
+        rep = check_thm5_exhaustive(events, build_registry(events, ring))
         assert not rep.passed
         assert rep.failures[0][1] == tuple(sorted((dropped["p1"], dropped["p2"])))
         assert (rep.checked, rep.failures) == thm5_brute_force(events, ring)
@@ -1026,7 +1025,7 @@ class TestThm5:
         for every pair of elements with a head, the least from-seq of the
         reference's evidence, and no entry for a pair with none."""
         registry = build_registry(events, ring)
-        index = EvidenceIndex(events, registry, ring.order.lay)
+        index = EvidenceIndex(events, registry)
         rules = _PairRules(events, registry, ring.order)
         heads = sorted(pos for pos, e in registry.entries.items() if e.head is not None)
         with_evidence = 0
@@ -1064,13 +1063,13 @@ class TestThm5:
         dropped_log = [ev for ev in events if ev is not target]
         forged = self._index_matches_reference(forged_log, ring)
         assert forged == self._index_matches_reference(dropped_log, ring)
-        index = EvidenceIndex(events, build_registry(events, ring), ring.order.lay)
+        index = EvidenceIndex(events, build_registry(events, ring))
         p, q = (target["p1"], target["p2"]) if field == "u1" else (target["h"], target["cand"])
         assert index[index.pair_id(p, q)] == target["seq"]
         assert forged.get(forged.pair_id(p, q)) == (None if field == "u1" else 128)
 
         def report(log):
-            rep = check_thm5_exhaustive(log, build_registry(log, ring), ring)
+            rep = check_thm5_exhaustive(log, build_registry(log, ring))
             return rep.passed, rep.checked, rep.failures
 
         assert report(forged_log) == report(dropped_log)
@@ -1106,8 +1105,8 @@ class TestThm5:
             ring, res = thm5_run(name)
             stripped = strip_rejections(res.events)
             got[name] = (
-                check_thm5_exhaustive(res.events, build_registry(res.events, ring), ring).checked,
-                len(check_thm5_exhaustive(stripped, build_registry(stripped, ring), ring).failures),
+                check_thm5_exhaustive(res.events, build_registry(res.events, ring)).checked,
+                len(check_thm5_exhaustive(stripped, build_registry(stripped, ring)).failures),
             )
         assert got == {
             "random578-degrevlex": (249, 192),
@@ -1136,7 +1135,7 @@ class TestThm5:
         # drop every pair-level rejection event: previously rejected pairs
         # can no longer be classified
         stripped = strip_rejections(res.events)
-        rep = check_thm5_exhaustive(stripped, build_registry(stripped, ring), ring)
+        rep = check_thm5_exhaustive(stripped, build_registry(stripped, ring))
         assert not rep.passed
         # the failures found without enumerating every pair are exactly the
         # pairs the per-insertion classification calls unclassified
@@ -1159,10 +1158,9 @@ class TestReplay:
         ring = make_ring(32003, names, order)
         res = incremental_f5(polys(ring, *texts))
         registry = build_registry(res.events, ring)
-        rep = registry.replay
-        vectors = rep.vectors
-        assert rep.passed
-        assert rep.polys == {lp.pos: lp.poly for lp in res.R}
+        vectors = registry.vectors
+        assert registry.replay.passed
+        assert registry.polys == {lp.pos: lp.poly for lp in res.R}
         inputs = replayed_inputs(res)
         assert all(vectors[lp.pos].value(inputs) == lp.poly for lp in res.R)
         assert all(vectors[lp.pos].lead()[1] == lp.sig for lp in res.R)
@@ -1217,7 +1215,7 @@ class TestReplay:
 class TestGenealogyChecker:
     def test_passes_on_runs(self, cyclic):
         ring, res = cyclic
-        assert check_genealogy(build_registry(res.events, ring), ring.order).passed
+        assert check_genealogy(build_registry(res.events, ring)).passed
 
     def test_tampered_signature_detected(self, cyclic):
         ring, res = cyclic
@@ -1226,7 +1224,7 @@ class TestGenealogyChecker:
             if ev["kind"] == "SPolCreated":
                 ev["sig"] = {"mono": [9, 9, 9, 9], "index": ev["sig"]["index"]}
                 break
-        assert not check_genealogy(build_registry(events, ring), ring.order).passed
+        assert not check_genealogy(build_registry(events, ring)).passed
 
 
 class TestLogRoundTrip:
