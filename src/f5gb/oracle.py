@@ -2,7 +2,9 @@
 
 A representation writes a multiplied basis element as a sum of coefficient *
 monomial * basis-element products over a snapshot of the basis at one Done
-insertion, rebuilt from the run's event log (``done_snapshots``).
+insertion, read off the walk of the run's event log, the ``trace.Registry``
+(``done_snapshots``): the registry's elements and rule tables, and the
+polynomials and module vectors its replay rebuilt.
 The descent repeatedly rewrites offending elements (shifted-signature
 reducible, or rewritable by a newer rule) into strictly smaller
 representations until none is left; the final representation yields a
@@ -22,7 +24,7 @@ import heapq
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Collection, Iterable, Mapping, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 from .poly import (
     EQ,
@@ -31,19 +33,12 @@ from .poly import (
     Lazy,
     Monomial,
     Polynomial,
-    Ring,
     normal_form,
     overflow_error,
     poly_axpy,
     quotient_key,
 )
-from .sig import (
-    LabeledPolynomial,
-    ModuleVector,
-    input_representation,
-    sig_divides,
-    sig_key,
-)
+from .sig import input_representation, sig_divides, sig_key
 from .trace import InsertionView, Registry, in_scope, membership_at
 
 
@@ -81,36 +76,39 @@ POS_MASK = (1 << POS_BITS) - 1
 
 
 class DescentRun:
-    """What the descent snapshots of one run share, built once per run by
-    ``done_snapshots``: the ring and order, the elements (``entries``, the
-    registry's signatures with the replayed polynomials), the rule tables
-    (``Registry.rules``), the input positions (input index -> position) and
-    the replayed module vectors (``trace.Registry.vectors``).
+    """What the descent snapshots of one run share, read off its
+    ``Registry`` once per run by ``done_snapshots``: the registry itself,
+    its ring and order, its elements (``entries``), rule tables (``rules``)
+    and replayed polynomials (``polys``), and the input positions (input
+    index -> position, from ``calls``).  The criteria read the entries'
+    heads and signatures; the descent's arithmetic reads ``polys``.
 
     The rest is computed on first use: ``triples[pos]`` is b_pos over the
-    inputs (``sig.input_representation``), whose first read replays the log
-    up to the last operation on b_pos; ``key_base`` and ``head_base`` are
-    the per-position parts of ``elem_key`` and ``head_key``;
-    ``lead_inverse[pos]`` inverts the leading coefficient of b_pos's
-    expansion; ``targets`` is the memo of ``target``."""
+    inputs (``sig.input_representation``) from its replayed module vector
+    (``Registry.vectors``), whose first read replays the log up to the last
+    operation on b_pos; ``key_base`` and ``head_base`` are the per-position
+    parts of ``elem_key`` and ``head_key``; ``lead_inverse[pos]`` inverts
+    the leading coefficient of b_pos's expansion; ``targets`` is the memo
+    of ``target``."""
 
-    __slots__ = ("ring", "order", "entries", "rules", "input_pos", "vectors", "vkey",
+    __slots__ = ("registry", "ring", "order", "entries", "rules", "polys", "input_pos", "vkey",
                  "triples", "key_base", "head_base", "lead_inverse", "targets")
 
-    def __init__(self, ring: Ring, entries: Mapping[int, LabeledPolynomial], rules: dict,
-                 input_pos: dict[int, int], vectors: Mapping[int, ModuleVector]):
+    def __init__(self, registry: Registry):
+        self.registry, self.rules, vectors = registry, registry.rules, registry.vectors
+        ring = self.ring = registry.ring
         order = self.order = ring.order
-        self.ring, self.entries, self.rules = ring, entries, rules
-        self.input_pos, self.vectors = input_pos, vectors
+        entries, polys = self.entries, self.polys = registry.entries, registry.polys
+        self.input_pos = {call: begin["input_pos"] for call, begin in registry.calls.items()}
         vkey = self.vkey = order.vkey
         key_one = vkey(0)  # the order key of 1
-        self.triples = Lazy(lambda pos: input_representation(self.vectors[pos]))
+        triples = self.triples = Lazy(lambda pos: input_representation(vectors[pos]))
         self.key_base = Lazy(
             lambda pos: (sig_key(entries[pos].sig, order) - key_one << POS_BITS)
             + POS_MASK - pos
         )
-        self.head_base = Lazy(lambda pos: vkey(entries[pos].poly.head_mono.v) - key_one)
-        self.lead_inverse = Lazy(lambda pos: ring.inv(self.triples[pos][0][0]))
+        self.head_base = Lazy(lambda pos: vkey(polys[pos].head_mono.v) - key_one)
+        self.lead_inverse = Lazy(lambda pos: ring.inv(triples[pos][0][0]))
         self.targets: dict[tuple[int, int], tuple[int, int]] = {}
 
     def elem_key(self, t: Monomial, pos: int) -> int:
@@ -142,12 +140,11 @@ class DescentRun:
         memo = (t.v, pos)
         hit = self.targets.get(memo)
         if hit is None:
-            e = self.entries[pos]
-            mono = e.sig.mono
+            mono = self.entries[pos].sig.mono
             if (t.v + mono.v) & t.lay.guard:
                 raise overflow_error(f"product of {t!r} and {mono!r}")
             hit = self.targets[memo] = (self.elem_key(t, pos) >> POS_BITS,
-                                        t.deg + e.poly.head_mono.deg)
+                                        t.deg + self.polys[pos].head_mono.deg)
         return hit
 
 
@@ -167,16 +164,17 @@ class GgSnapshot(InsertionView):
     def __init__(self, run: DescentRun, members: Sequence[int], g_pos: int, seq: int):
         super().__init__(run, members, g_pos, seq)
         self.member_set = set(self.members)
-        g = self.entries[g_pos]  # inserted by the call of its index
-        self.g_scope = (sig_key(g.sig, run.order), g.poly.head_mono.deg)
+        # inserted by the call of its index
+        self.g_scope = (sig_key(self.entries[g_pos].sig, run.order),
+                        run.polys[g_pos].head_mono.deg)
         self._violated: dict[int, tuple[Optional[str], Optional[int]]] = {}
 
     @classmethod
-    def from_result(cls, run: DescentRun, registry: Registry, seq: int, call: int,
-                    pos: int) -> "GgSnapshot":
+    def from_result(cls, run: DescentRun, seq: int, call: int, pos: int) -> "GgSnapshot":
         """The snapshot of the ``DoneInserted`` event at ``seq``, which
-        inserts ``pos`` in call ``call`` (an entry of ``registry.insertions``)."""
-        return cls(run, membership_at(registry, call, seq) + [pos], pos, seq)
+        inserts ``pos`` in call ``call`` (an entry of the run's
+        ``Registry.insertions``)."""
+        return cls(run, membership_at(run.registry, call, seq) + [pos], pos, seq)
 
     def violated_by(self, key: int, t: Monomial, pos: int) -> tuple[Optional[str], Optional[int]]:
         """("P1", divisor) when t * b_pos is F5-rejectable, ("P2", rewriter)
@@ -229,11 +227,6 @@ class Representation:
     def __iter__(self):
         return iter(self.elements)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Representation) and set(self.elements) == set(
-            other.elements
-        )
-
     def __repr__(self) -> str:
         return f"Representation({list(self.elements)!r})"
 
@@ -242,8 +235,8 @@ def repr_sum_check(r: Representation, target: Polynomial, snap: GgSnapshot) -> b
     """Whether the representation sums to ``target``.  The sum is built in
     one pass by ``Ring.product_terms`` and compared with ``target`` as
     unordered terms, so nothing is sorted."""
-    entries, ring = snap.entries, snap.run.ring
-    value = ring.product_terms((c, t, entries[pos].poly) for c, t, pos in r.elements)
+    polys, ring = snap.run.polys, snap.run.ring
+    value = ring.product_terms((c, t, polys[pos]) for c, t, pos in r.elements)
     return value == {m.v: c for c, m in target.terms} and ring == target.ring
 
 
@@ -289,14 +282,14 @@ def _blocked(
 def f5_replacement(K: ReprElement, snap: GgSnapshot) -> list[tuple[int, Monomial, int]]:
     """What replaces an element whose shifted signature is reducible by the
     next basis: the reduction pushed into its input representation."""
-    p = snap.run.ring.p
+    run = snap.run
+    p, polys = run.ring.p, run.polys
     (c0, s0, j0), rest, divisor_pos = _blocked(K, snap, "P1")
-    b = snap.entries[divisor_pos]
-    s1 = s0.divide(b.poly.head_mono)
-    fj_pos = snap.run.input_pos[j0]
-    fj = snap.entries[fj_pos].poly
-    replacement = [(c0 * c % p, s1.mul(m), divisor_pos) for c, m in fj.terms]
-    replacement += [((-c0 * c) % p, s1.mul(m), fj_pos) for c, m in b.poly.terms[1:]]
+    # the head that ``blocker`` found dividing s0
+    s1 = s0.divide(snap.entries[divisor_pos].head)
+    fj_pos = run.input_pos[j0]
+    replacement = [(c0 * c % p, s1.mul(m), divisor_pos) for c, m in polys[fj_pos].terms]
+    replacement += [((-c0 * c) % p, s1.mul(m), fj_pos) for c, m in polys[divisor_pos].terms[1:]]
     return replacement + rest
 
 
@@ -308,8 +301,7 @@ def rewritten_replacement(
     run = snap.run
     p = run.ring.p
     (c0, s0, j0), rest, rw_pos = _blocked(K, snap, "P2")
-    rw = snap.entries[rw_pos]
-    s_prime = s0.divide(rw.sig.mono)
+    s_prime = s0.divide(snap.entries[rw_pos].sig.mono)
     if s_prime is None:
         raise RewriterNotFound("rewriter signature does not divide the element's")
     _, head_mono, head_idx = run.triples[rw_pos][0]
@@ -317,7 +309,7 @@ def rewritten_replacement(
         raise RewriterNotFound("rewriter expansion does not lead with the signature")
     c_fix = c0 * run.lead_inverse[rw_pos] % p
     replacement: list[tuple[int, Monomial, int]] = []
-    if not rw.poly.is_zero:
+    if not run.polys[rw_pos].is_zero:
         if rw_pos not in snap.member_set:
             raise RewriterNotFound(f"nonzero rewriter r{rw_pos} missing from the basis")
         replacement.append((c_fix, s_prime, rw_pos))
@@ -418,7 +410,7 @@ class DescentState:
         text = [f"{e.coeff}*{e.mono.text(names)}*r{e.pos}" for e in top]
         attained = (f"only by {text[0]}" if len(text) == 1
                     else f"by the head pair {text[0]}, {text[1]}")
-        head = top[0].mono.mul(snap.entries[top[0].pos].poly.head_mono)
+        head = top[0].mono.mul(run.polys[top[0].pos].head_mono)
         raise DescentError(
             f"P3: head {head.text(names)} above the target head"
             f" {self.head.text(names)} is attained {attained}, with no element"
@@ -466,10 +458,9 @@ class DescentState:
             verdict = LT if not new else GT if not old else None
         if verdict != LT:
             raise DescentError(f"rewrite failed to decrease the representation ({verdict})")
-        entries = snap.entries
+        polys = run.polys
         if run.ring.product_terms(
-            [(-coeff, t, entries[pos].poly)]
-            + [(c, m, entries[q].poly) for c, m, q in replacement]
+            [(-coeff, t, polys[pos])] + [(c, m, polys[q]) for c, m, q in replacement]
         ):
             raise DescentError("rewrite changed the represented value")
         del elems[k_K]
@@ -539,16 +530,16 @@ def descend(
             "descent target out of scope: its signature is not below the inserted"
             " element's, or in the inserting call's index its degree exceeds the head's"
         )
-    h = snap.entries[h_pos]
+    h = run.polys[h_pos]
     state = DescentState(
-        [ReprElement(coeff % run.ring.p, t, h_pos)], key, t.mul(h.poly.head_mono), snap
+        [ReprElement(coeff % run.ring.p, t, h_pos)], key, t.mul(h.head_mono), snap
     )
     log: list[dict] = []
     for step in range(step_cap):
         violation = state.violation()
         if violation is None:
             rep = state.representation()
-            if step and not repr_sum_check(rep, h.poly.term_mul(coeff, t), snap):
+            if step and not repr_sum_check(rep, h.term_mul(coeff, t), snap):
                 raise DescentError("the final representation does not sum to the target")
             log.append({"kind": "DescentDone", "step": step, "size": len(rep)})
             return DescentResult(rep, log)
@@ -573,14 +564,14 @@ def find_unrejected_reductor(
     """Descend the multiplied earlier element and pick, of the elements
     matching the target head, the greatest (``DescentRun.elem_key``): a
     reductor no criterion rejects."""
-    entries = snap.entries
-    target_head = entries[f_pos].poly.head_mono
-    t = target_head.divide(entries[fprime_pos].poly.head_mono)
+    polys = snap.run.polys
+    target_head = polys[f_pos].head_mono
+    t = target_head.divide(polys[fprime_pos].head_mono)
     if t is None:
         raise ValueError("earlier head does not divide the later head")
     result = descend(1, t, fprime_pos, snap, step_cap)
     matches = [e for e in result.representation
-               if e.mono.mul(entries[e.pos].poly.head_mono) == target_head]
+               if e.mono.mul(polys[e.pos].head_mono) == target_head]
     if not matches:
         raise NoHeadMatch("no element of the final representation achieves the head")
     e = max(matches, key=lambda e: snap.run.elem_key(e.mono, e.pos))
@@ -745,19 +736,19 @@ def find_thm4_pairs_in_snapshot(
     its two elements, and members only grow from one snapshot of a run to
     the next, so passing the previous snapshot's members as ``old`` reports
     each pair once, at the first snapshot that holds both."""
-    order, entries = snap.run.order, snap.entries
+    order, entries, polys = snap.run.order, snap.entries, snap.run.polys
     out = []
     for a_pos in snap.members:
-        a = entries[a_pos]
+        a, ha = entries[a_pos], polys[a_pos].head_mono
         a_old = a_pos in old
-        qa = quotient_key(a.poly.head_mono, a.sig.mono, order)
+        qa = quotient_key(ha, a.sig.mono, order)
         for b_pos in snap.members:
             if a_pos >= b_pos or a_old and b_pos in old:
                 continue
-            b = entries[b_pos]
-            if not a.poly.head_mono.divides(b.poly.head_mono):
+            b, hb = entries[b_pos], polys[b_pos].head_mono
+            if not ha.divides(hb):
                 continue
-            qb = quotient_key(b.poly.head_mono, b.sig.mono, order)
+            qb = quotient_key(hb, b.sig.mono, order)
             if qb < qa and sig_divides(a.sig, b.sig):
                 out.append((a_pos, b_pos))
     return out
@@ -765,17 +756,11 @@ def find_thm4_pairs_in_snapshot(
 
 def done_snapshots(registry: Registry) -> list[GgSnapshot]:
     """One snapshot per Done insertion of a run, in log order, from its log
-    alone, through its walk ``registry`` (``trace.build_registry``).  A
-    position's element carries its logged signature and replayed
-    polynomial.  The snapshots share one ``DescentRun``, built here: the
-    elements, the registry's rule tables, the input positions and the
-    replayed vectors."""
-    polys = registry.polys
-    entries = {p: LabeledPolynomial(p, e.sig, polys[p]) for p, e in registry.entries.items()}
-    input_pos = {call: begin["input_pos"] for call, begin in registry.calls.items()}
-    run = DescentRun(registry.ring, entries, registry.rules, input_pos, registry.vectors)
+    alone, through its walk ``registry`` (``trace.build_registry``).  The
+    snapshots share one ``DescentRun`` of the registry, built here."""
+    run = DescentRun(registry)
     return [
-        GgSnapshot.from_result(run, registry, seq, call, pos)
+        GgSnapshot.from_result(run, seq, call, pos)
         for call, done in registry.insertions.items()
         for seq, pos in done
     ]

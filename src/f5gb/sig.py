@@ -11,8 +11,9 @@ element's leading module term, which the ``admissible`` verdict compares
 with its signature, so admissibility is a checkable invariant rather than a
 bookkeeping assumption.  ``ReplayedVectors`` replays full vectors on first
 read, as a prefix of the log in order, up to the last operation on the
-position read: only the descent snapshots read them, and only for the
-elements they rewrite.
+position read: the registry keeps them (``trace.Registry.vectors``), and
+only the descent (``oracle.DescentRun``) and the admissibility fallback
+read them, each only for the elements it needs.
 """
 
 from __future__ import annotations
@@ -145,7 +146,8 @@ class ReplayedVectors(Mapping):
     position.  No later operation writes it, and those before it run in the
     same order as in a replay of the whole log, so every read is exact on
     every log.  The keys are the positions the operations build; one no
-    operation built is missing, as from a dict."""
+    operation built is missing, as from a dict, and ``in`` replays up to
+    the position it finds."""
 
     __slots__ = ("ring", "m", "ops", "last", "applied", "done")
 
@@ -162,9 +164,6 @@ class ReplayedVectors(Mapping):
             apply_ops(self.ring, self.m, self.ops[self.applied:end], self.done)
             self.applied = end
         return self.done[pos]
-
-    def __contains__(self, pos) -> bool:
-        return pos in self.last
 
     def __iter__(self):
         return iter(self.last)

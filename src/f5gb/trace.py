@@ -13,7 +13,10 @@ read off it, and both directions of the codec compile its rows (``_Row``).
 ``json.dumps``'s either way; ``events_from_jsonl`` rejects every line that
 does not fit its row exactly.  One walk of the log (``build_registry``)
 gives the registry of labeled polynomials, the replay and the damage; it
-treats a malformed polynomial in memory as log damage.
+treats a malformed polynomial in memory as log damage.  Every checker, and
+the descent (``oracle.DescentRun``), reads the log through that
+``Registry`` alone: it keeps the events and the walk's one memo of
+monomials, and it carries the ring.
 """
 
 from __future__ import annotations
@@ -439,9 +442,6 @@ class CheckReport:
     checked: int
     failures: list = field(default_factory=list)
 
-    def __bool__(self) -> bool:
-        return self.passed
-
     def line(self) -> str:
         status = "pass" if self.passed else "FAIL"
         extra = f" first_failure={self.failures[0]}" if self.failures else ""
@@ -480,11 +480,11 @@ class RegistryEntry:
 
 @dataclass
 class Registry:
-    """The view of a log that its one walk (``build_registry``) gives.
-    ``vectors`` maps each position to its module vector, replayed from
-    ``ops`` when it is first read (``sig.ReplayedVectors``), so a run
-    replays the operations only up to the last one on a position its
-    descents read."""
+    """The view of a log that its one walk (``build_registry``) gives, and
+    the one view every checker and the descent read.  ``vectors`` maps each
+    position to its module vector, replayed from ``ops`` when it is first
+    read (``sig.ReplayedVectors``), so a run replays the operations only up
+    to the last one on a position its descents read."""
 
     entries: dict[int, RegistryEntry]
     calls: dict[int, dict]  # call index -> CallBegin payload
@@ -505,13 +505,19 @@ class Registry:
     # reads: one that names a position no earlier event created, logs an
     # empty input or inserted polynomial or a polynomial with a term that is
     # not [c, vector] (``_malformed``), or Done-inserts into a call no
-    # earlier CallBegin began
+    # earlier CallBegin began; when there is none, the first RuleAdded whose
+    # owner no event creates, which only the walk's end can tell
     unknown: Optional[tuple[int, str]] = None
     # (seq, reason) of the log's first damage: ``unknown``; a step that
     # names a position no earlier event created; a DoneInserted whose
     # position replays to zero; or call 1's last CallEnd, when its basis
     # names a position that the replay did not build or that replays to zero
     damage: Optional[tuple[int, str]] = None
+    # the events the walk read, and its memo of each payload exponent tuple's
+    # ``Monomial``, which the checkers that read events share; a registry
+    # built by hand has neither
+    events: Sequence[dict] = ()
+    monos: Optional[Lazy] = None
 
     @cached_property
     def vectors(self) -> ReplayedVectors:
@@ -544,13 +550,13 @@ def build_registry(events: Sequence[dict], ring: Ring) -> Registry:
 
     The replay rebuilds every position's polynomial P from the log, in
     ``seq`` order, and checks it against the log.  An input is its logged
-    polynomial, a created element monic(u_over * P[greater] - u_under *
-    P[smaller]); a ``PhiPreReduce`` or ``ReductionStep`` subtracts coeff *
-    mult * P[reductor] from P[h], and a ``ReductionStep`` then makes h
-    monic, by its ``post_scale``.  The engine makes h monic at the end of
-    each φ pass too, unlogged: the replay does so at the first event it
-    reads after the pass's run of ``PhiPreReduce`` events.  Each failure
-    names an event's ``seq``: a polynomial, ``post_scale``, trail or
+    terms read into ``ring``, a created element monic(u_over * P[greater]
+    - u_under * P[smaller]); a ``PhiPreReduce`` or ``ReductionStep``
+    subtracts coeff * mult * P[reductor] from P[h], and a ``ReductionStep``
+    then makes h monic, by its ``post_scale``.  The engine makes h monic at
+    the end of each φ pass too, unlogged: the replay does so at the first
+    event it reads after the pass's run of ``PhiPreReduce`` events.  Each
+    failure names an event's ``seq``: a polynomial, ``post_scale``, trail or
     creation polynomial that differs from the replay, a nonzero
     ``ReductionToZero``, a position that no earlier event created, or a
     polynomial with a term that is not [c, vector] (``_malformed``), whose
@@ -650,8 +656,8 @@ def build_registry(events: Sequence[dict], ring: Ring) -> Registry:
                 else:
                     q, s = poly_axpy(P[a].term_mul(1, ua), 1, ub, P[b]).monic_scale()
                     ops.append(("new", pos, a, ua, b, ub, s))
-                    if not _same_poly(q, ev["poly"], monos):
-                        failures.append((seq, f"{kind} polynomial differs from the replay"))
+                if not _same_poly(q, ev["poly"], monos):
+                    failures.append((seq, f"{kind} polynomial differs from the replay"))
                 P[pos] = created[pos] = q
                 trails[pos] = []
         elif kind == "ReductionToZero":
@@ -674,6 +680,10 @@ def build_registry(events: Sequence[dict], ring: Ring) -> Registry:
                 if not _same_poly(created[pos], ev["creation_poly"], monos):
                     failures.append((seq, "creation polynomial differs from the replay"))
 
+    unknown = unknown or min(
+        ((seq, f"RuleAdded names r{pos}, which no event creates")
+         for table in rules.values() for seq, _, pos in table if pos not in entries),
+        default=None)
     found = [d for d in (unknown, replay_unknown) if d is not None]
     found += [(e.done_seq, f"Done-inserted r{p} replays to zero") for p, e in entries.items()
               if e.done_seq is not None and p in P and P[p].is_zero]
@@ -684,7 +694,7 @@ def build_registry(events: Sequence[dict], ring: Ring) -> Registry:
                       + ("did not build" if bad[0] not in P else "reduced to zero")))
     return Registry(entries, calls, insertions, rules, ring,
                     _report("trail_replay", checked, failures), ops, P, basis, unknown,
-                    min(found, default=None))
+                    min(found, default=None), events, monos)
 
 
 def check_replay(events: Sequence[dict], ring: Ring) -> CheckReport:
@@ -709,10 +719,10 @@ def membership_at(registry: Registry, call: int, seq: int) -> list[int]:
 # claim checkers
 
 
-def check_d_progression(events: Sequence[dict]) -> CheckReport:
+def check_d_progression(registry: Registry) -> CheckReport:
     """Per call: the degree sequence never decreases and d_{j+2} > d_j."""
     per_call: dict[int, list[int]] = {}
-    for ev in events:
+    for ev in registry.events:
         if ev["kind"] == "DegreeStep":
             per_call.setdefault(ev["call"], []).append(ev["d"])
     failures = []
@@ -729,18 +739,18 @@ def check_d_progression(events: Sequence[dict]) -> CheckReport:
     return _report("d_progression", checked, failures)
 
 
-def check_signature_safety(events: Sequence[dict], order) -> CheckReport:
+def check_signature_safety(registry: Registry) -> CheckReport:
     """Every executed top-reduction step is signature-safe; every pre-reduction
     step uses a strictly higher-index reductor.  Each distinct payload
-    exponent vector is decoded once."""
-    monos = Lazy(Monomial)
+    exponent vector is decoded once, in the walk's memo."""
+    monos, order = registry.monos, registry.ring.order
 
     def key(d: dict) -> int:
         return sig_key(Signature(monos[tuple(d["mono"])], d["index"]), order)
 
     failures = []
     checked = 0
-    for ev in events:
+    for ev in registry.events:
         if ev["kind"] == "ReductionStep":
             checked += 1
             if key(ev["h_sig"]) <= key(ev["msig"]):
@@ -909,13 +919,11 @@ def check_chains(registry: Registry) -> CheckReport:
 class InsertionView:
     """The basis at one Done insertion, with checks (a)-(d).
 
-    ``run`` holds the run's ``entries`` and ``rules``: the ``Registry``, in
-    the insertion audit, or the ``oracle.DescentRun`` that a descent
-    snapshot extends the view over.  ``entries`` gives, by position, a
-    record with ``sig``, ``index`` and ``head``: a ``RegistryEntry``, or a
-    ``LabeledPolynomial`` of the registry's signature and the replayed
-    polynomial.  ``rules`` are the run's rule tables as ``Registry.rules``
-    holds them, shared, not copied: per signature index, the (seq,
+    ``run`` holds the registry's ``entries`` and ``rules``: the ``Registry``
+    itself, in the insertion audit, or the ``oracle.DescentRun`` that a
+    descent snapshot extends the view over.  ``entries`` maps each position
+    to its ``RegistryEntry``; ``rules`` are the rule tables of
+    ``Registry.rules``, shared, not copied: per signature index, the (seq,
     monomial, owner) entries in log order.  ``members`` are the positions
     of G ∪ Done at the insertion together with the inserted element
     ``g_pos``.  The view reads each table up to the entries logged before
@@ -1062,18 +1070,18 @@ def in_scope(key: int, deg: int, g_key: int, g_deg: int, order) -> bool:
     return key < g_key and (deg <= g_deg or key_index(key, order) != key_index(g_key, order))
 
 
-def _evidence_items(events: Sequence[dict], registry: Registry, heads: dict):
+def _evidence_items(registry: Registry, heads: dict):
     """(p, q, seq, u_p, u_q) per item of evidence for the pair of positions p
     and q (``EvidenceIndex``), from ``seq`` on: a rejection, and an element
     built from the pair once it has its outcome.  u_p and u_q are the packed
     multipliers it gives p and q; u_p is None for an ``is_reducible``
     rejection of p, which is yielded only when its ``h_head`` is ``heads[p]``.
-    Each distinct payload exponent vector is packed once, through
-    ``Monomial``, which rejects a bad one."""
-    monos = Lazy(Monomial)
+    Each distinct payload exponent vector is packed once, in the walk's
+    memo, through ``Monomial``, which rejects a bad one."""
+    monos = registry.monos
     # where each kind of rejection is logged against a whole pair
     pair_where = {"F5CritPairReject": "crit_pair", "RewrittenReject": "spol"}
-    for ev in events:
+    for ev in registry.events:
         kind = ev["kind"]
         if kind in pair_where:
             if ev["where"] == pair_where[kind]:
@@ -1116,14 +1124,14 @@ class EvidenceIndex(dict):
     the log (``low``), the lower shifted above every bit of the higher.
     """
 
-    def __init__(self, events: Sequence[dict], registry: Registry):
+    def __init__(self, registry: Registry):
         super().__init__()
         entries = registry.entries
         self.low = min(entries, default=0)
         self.bits = (max(entries, default=0) - self.low).bit_length()
         heads = {pos: e.head.v for pos, e in entries.items() if e.head is not None}
         lcm, get, inf = registry.ring.order.lay.lcm, self.get, math.inf
-        for p, q, seq, up, uq in _evidence_items(events, registry, heads):
+        for p, q, seq, up, uq in _evidence_items(registry, heads):
             # the check forms no pair of a member with no head, nor one
             # whose lcm overflows
             try:
@@ -1169,7 +1177,7 @@ class _DominanceCount:
         return len(keys) - bisect_right(keys, key)
 
 
-def check_thm5_exhaustive(events: Sequence[dict], registry: Registry) -> CheckReport:
+def check_thm5_exhaustive(registry: Registry) -> CheckReport:
     """Every in-scope pair at every insertion is classified into exactly one
     of {f5, rewritten, completed} by its first processing outcome.
 
@@ -1207,7 +1215,7 @@ def check_thm5_exhaustive(events: Sequence[dict], registry: Registry) -> CheckRe
     # a key of index i shifted right by this is -i (``sig.key_index``)
     index_shift = shift + FIELD_BITS
     entries = registry.entries
-    evidence = EvidenceIndex(events, registry)
+    evidence = EvidenceIndex(registry)
     first_of, low, bits = evidence.get, evidence.low, evidence.bits
     key_one = vkey(0)
     inf = math.inf
@@ -1281,7 +1289,7 @@ _CHECKER_NAMES = (
 
 def run_all_checkers(events: Sequence[dict], ring: Ring,
                      registry: Optional[Registry] = None) -> list[CheckReport]:
-    """Every checker's report, read off ``events`` and their walk
+    """Every checker's report, read off the walk of ``events``
     (``build_registry``), which is made here in ``ring`` unless it is
     passed; the ``trail_replay`` report is the walk's replay.  On a log with no
     ``CallBegin`` no check has anything to run on, so each report fails
@@ -1292,14 +1300,14 @@ def run_all_checkers(events: Sequence[dict], ring: Ring,
         return [_report(name, 0, ["no CallBegin in the log"]) for name in _CHECKER_NAMES]
     if registry is None:
         registry = build_registry(events, ring)
-    reports = {"d_progression": check_d_progression(events),
-               "signature_safety": check_signature_safety(events, registry.ring.order),
+    reports = {"d_progression": check_d_progression(registry),
+               "signature_safety": check_signature_safety(registry),
                "trail_replay": registry.replay}
     if registry.unknown is None:
         reports.update(rule_degrees=check_rule_degrees(registry),
                        genealogy=check_genealogy(registry),
                        chains=check_chains(registry),
                        done_insertion_audit=done_insertion_audit(registry),
-                       thm5_exhaustive=check_thm5_exhaustive(events, registry))
+                       thm5_exhaustive=check_thm5_exhaustive(registry))
     return [reports[name] if name in reports else _report(name, 0, [registry.unknown])
             for name in _CHECKER_NAMES]

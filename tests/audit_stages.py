@@ -16,7 +16,7 @@ where it lands; and the process's peak resident set (``ru_maxrss``) just
 after the stage in the first pass, so the stage at which that figure
 rises is the one that sets the peak.  The input comes
 from ``perfbench/workloads.py``, read and not changed.  pytest does not
-collect this script.
+collect this script; ``test_cli.py::TestStageScripts`` runs one pass.
 """
 
 from __future__ import annotations
@@ -50,13 +50,13 @@ def one_pass(problem, path: str, timed) -> list:
     registry = timed("log walk", trace.build_registry, events, ring)
     kept = [
         result, events, registry,
-        timed("d_progression", trace.check_d_progression, events),
-        timed("signature_safety", trace.check_signature_safety, events, ring.order),
+        timed("d_progression", trace.check_d_progression, registry),
+        timed("signature_safety", trace.check_signature_safety, registry),
         timed("rule_degrees", trace.check_rule_degrees, registry),
         timed("genealogy", trace.check_genealogy, registry),
         timed("chains", trace.check_chains, registry),
         timed("done_insertion_audit", trace.done_insertion_audit, registry),
-        timed("thm5_exhaustive", trace.check_thm5_exhaustive, events, registry),
+        timed("thm5_exhaustive", trace.check_thm5_exhaustive, registry),
     ]
     f5_basis = result.basis_polynomials()
     reference = timed("buchberger", oracle.buchberger, problem.polynomials)

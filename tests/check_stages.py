@@ -14,7 +14,7 @@ most of a shared machine's speed changes out.  Module vector replays
 are printed apart, with their count of operations per pass and the count
 of operations in the logs of the runs that read a vector.  The inputs
 come from ``perfbench/workloads.py``, read and not changed.  pytest does
-not collect this script.
+not collect this script; ``test_cli.py::TestStageScripts`` runs one pass.
 """
 
 from __future__ import annotations

@@ -40,7 +40,7 @@ def element_sig(e: ReprElement, snap: GgSnapshot) -> Signature:
 
 
 def element_head(e: ReprElement, snap: GgSnapshot) -> Monomial:
-    return e.mono.mul(snap.entries[e.pos].poly.head_mono)
+    return e.mono.mul(snap.run.polys[e.pos].head_mono)
 
 
 def elem_cmp(e1: ReprElement, e2: ReprElement, snap: GgSnapshot) -> Optional[int]:
@@ -184,9 +184,9 @@ def rewrite_rewritten_case(r, K, snap):
 
 def reference_start(coeff, t, h_pos, snap):
     """(first representation, target signature, target head, target value)."""
-    h = snap.entries[h_pos]
+    h, poly = snap.entries[h_pos], snap.run.polys[h_pos]
     rep = Representation([ReprElement(coeff % snap.run.ring.p, t, h_pos)])
-    return rep, sig_mul(t, h.sig), t.mul(h.poly.head_mono), h.poly.term_mul(coeff, t)
+    return rep, sig_mul(t, h.sig), t.mul(poly.head_mono), poly.term_mul(coeff, t)
 
 
 def reference_step(rep, which, K, target, snap):

@@ -70,9 +70,16 @@ def run_snapshots(result) -> list:
 
 def snapshot(ring: Ring, entries, members, g_pos: int, rules: dict, seq, input_pos: dict,
              vectors) -> GgSnapshot:
-    """A hand-built descent snapshot at ``seq``, over a run of its own with
-    these elements, rule tables, input positions and module vectors."""
-    return GgSnapshot(DescentRun(ring, entries, rules, input_pos, vectors), members, g_pos, seq)
+    """A hand-built descent snapshot at ``seq``, over a registry of its own
+    with these elements (``sig.LabeledPolynomial``s), rule tables, input
+    positions (input index -> position) and module vectors."""
+    registry = Registry(
+        {pos: RegistryEntry(pos, e.sig.index, e.sig, e.head)
+         for pos, e in entries.items()},
+        {call: {"input_pos": pos} for call, pos in input_pos.items()},
+        rules=rules, ring=ring, polys={pos: e.poly for pos, e in entries.items()})
+    registry.vectors = vectors
+    return GgSnapshot(DescentRun(registry), members, g_pos, seq)
 
 
 def rule_tables(rules: dict) -> dict:

@@ -94,7 +94,7 @@ def test_criterion_2_degree_progression(suite):
     failures = []
     checked = 0
     for run in suite["runs"]:
-        rep = check_d_progression(run["result"].events)
+        rep = check_d_progression(run["registry"])
         checked += rep.checked
         if not rep.passed:
             failures.append((run["name"], rep.failures[:2]))
@@ -105,7 +105,7 @@ def test_criterion_3_signature_safety(suite):
     failures = []
     checked = 0
     for run in suite["runs"]:
-        rep = check_signature_safety(run["result"].events, run["ring"].order)
+        rep = check_signature_safety(run["registry"])
         checked += rep.checked
         if not rep.passed:
             failures.append((run["name"], rep.failures[:2]))
@@ -144,8 +144,7 @@ def test_criterion_6_thm5_exhaustiveness(suite):
     checked = 0
     for run in suite["runs"]:
         assert run["result"].counters["pairs_created"] < 5000
-        events = run["result"].events
-        rep = check_thm5_exhaustive(events, run["registry"])
+        rep = check_thm5_exhaustive(run["registry"])
         checked += rep.checked
         if not rep.passed:
             failures.append((run["name"], rep.failures[:2]))
@@ -173,14 +172,14 @@ def test_criterion_7_descents(suite):
                 failures.append((run["name"], pos, str(exc)))
                 continue
             max_steps = max(max_steps, out.step_count)
-            target = snap.entries[pos].poly.term_mul(coeff, mono)
+            target = snap.run.polys[pos].term_mul(coeff, mono)
             if not repr_sum_check(out.representation, target, snap):
                 failures.append((run["name"], pos, "sum mismatch"))
             if (
                 descent_violation(
                     out.representation,
                     sig_mul(mono, snap.entries[pos].sig),
-                    mono.mul(snap.entries[pos].poly.head_mono),
+                    mono.mul(snap.run.polys[pos].head_mono),
                     snap,
                 )
                 is not None

@@ -1,10 +1,12 @@
 """Front end: problem parsing, commands, exit codes, trace files."""
 
 import ast
+import gc
 import hashlib
 import io
 import json
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -248,6 +250,18 @@ class TestCommands:
         assert report["ok"] and report["descents"]["attempted"] == 5
         assert config == EngineConfig(max_degree=20)
 
+    def test_run_check_leaves_no_reference_cycle(self):
+        # the descent run holds the registry and with it the log: in a
+        # cycle, every run's log would wait for the cyclic collector
+        gc.collect()
+        gc.disable()
+        try:
+            report = _check_report(problem_text(32003, *CYCLIC4))
+            alive = [o for o in gc.get_objects() if isinstance(o, oracle.DescentRun)]
+        finally:
+            gc.enable()
+        assert report["ok"] and report["descents"]["attempted"] and alive == []
+
     def test_run_check_builds_one_registry_and_each_snapshot_once(self, cyclic_file, monkeypatch):
         # ``build_registry`` is the one walk of the log: the registry, the
         # replay and the damage; run_check also builds each snapshot once
@@ -266,9 +280,9 @@ class TestCommands:
         snapshots = []
         from_result = oracle.GgSnapshot.from_result.__func__
 
-        def counting_snapshot(cls, run, registry, seq, *rest):
+        def counting_snapshot(cls, run, seq, *rest):
             snapshots.append(seq)
-            return from_result(cls, run, registry, seq, *rest)
+            return from_result(cls, run, seq, *rest)
 
         built = []  # the position of each vector replay begins: an input or a creation
         apply_ops = sig.apply_ops
@@ -318,9 +332,9 @@ class TestCommands:
         # pairs they classified are unclassified, and the check fails
         check = trace.check_thm5_exhaustive
 
-        def check_stripped(events, registry):
-            stripped = strip_rejections(events)
-            return check(stripped, trace.build_registry(stripped, registry.ring))
+        def check_stripped(registry):
+            stripped = strip_rejections(registry.events)
+            return check(trace.build_registry(stripped, registry.ring))
 
         monkeypatch.setattr(trace, "check_thm5_exhaustive", check_stripped)
         code, out = run_main(["check", cyclic_file, "--json-report"])
@@ -912,6 +926,26 @@ class TestDamagedLogCheck:
         code, out = run_main(["descend", str(path), "--snapshot", "3"])
         assert code == 2 and out.startswith("damaged log: seq ")
 
+    @pytest.mark.parametrize("system", ["cyclic4", "katsura3"])
+    def test_rule_of_an_uncreated_position_is_damage(self, monkeypatch, system):
+        # a RuleAdded precedes its owner's creation, so the walk tells an
+        # owner that no event creates only at its end, and names the rule
+        text = problem_text(32003, *{"cyclic4": CYCLIC4,
+                                     "katsura3": SUITE["katsura3_homog"]}[system])
+        events = engine.incremental_f5(parse_problem(text).polynomials).events
+        rules = [ev for ev in events if ev["kind"] == "RuleAdded"]
+        assert len(rules) == {"cyclic4": 24, "katsura3": 14}[system]
+        for rule in rules:
+            with monkeypatch.context() as m:
+                _engine_returning(m, lambda log: [
+                    {**ev, "pos": 10**6} if ev["seq"] == rule["seq"] else ev for ev in log])
+                report = _check_report(text)
+            reason = (f"damaged log: seq {rule['seq']}: RuleAdded names r1000000, which no"
+                      " event creates")
+            assert report["damaged_log"] == reason and report["ok"] is False
+            assert [report["verdicts"][name] for name in DAMAGE_VERDICTS] == [False] * 4
+            assert report["descents"]["attempted"] == 0 and report["thm4"]["pairs"] == 0
+
     def test_whole_log_has_no_damage(self):
         report = _check_report(problem_text(32003, *SUITE["two_gen_demo"]))
         assert report["ok"] and "damaged_log" not in report
@@ -1127,3 +1161,27 @@ class TestReportPin:
     def test_random_reports_pinned(self):
         texts = random_problem_texts(36, 0)
         assert _reports_digest(texts, EngineConfig(max_degree=12)) == PINNED_RANDOM_REPORTS
+
+
+class TestStageScripts:
+    """The stage scripts, which pytest does not collect, still run: each
+    exits 0 and prints one row of seconds per stage, then the whole pass."""
+
+    @staticmethod
+    def _rows(script: str, *args: str) -> list[str]:
+        done = subprocess.run([sys.executable, str(Path(__file__).parent / script), *args],
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return re.findall(r"^  (\S.*?)\s{2,}\d+\.\d{3} s", done.stdout, re.M)
+
+    def test_audit_stages(self):
+        assert self._rows("audit_stages.py", "1") == [
+            "engine", "to_jsonl", "events_from_jsonl", "log walk", "d_progression",
+            "signature_safety", "rule_degrees", "genealogy", "chains", "done_insertion_audit",
+            "thm5_exhaustive", "buchberger", "ideal_equal", "whole pass"]
+
+    def test_check_stages(self):
+        import check_stages
+
+        assert self._rows("check_stages.py", "0", "1") == [
+            stage for stage, _ in check_stages.STAGES] + ["whole pass"]

@@ -154,7 +154,8 @@ class TestOrderedForm:
     def test_sorted_per_snapshot(self, cmp_snap):
         # where the third element carries F1 instead of x*F1, y^2*F1 from
         # the first beats y*F1: the order found under cmp_snap is not reused
-        entries = dict(cmp_snap.entries)
+        entries = {pos: lp(pos, e.sig, cmp_snap.run.polys[pos])
+                   for pos, e in cmp_snap.entries.items()}
         entries[2] = lp(2, Signature(M(0, 0), 1), entries[2].poly)
         other = snapshot(
             cmp_snap.run.ring, entries, members=(0, 1, 2), g_pos=2, rules={}, seq=0,
@@ -289,7 +290,7 @@ class TestSumCheck:
         # element carries exactly the signature
         ring, snap = sum_snap
         r = Representation(E(c, m, snap.run.input_pos[idx]) for c, m, idx in snap.run.triples[1])
-        assert r == Representation([E(1, M(0, 0), 1)])
+        assert set(r.elements) == {E(1, M(0, 0), 1)}
         assert repr_sum_check(r, P(ring, "x^2 + y^2"), snap)
 
 
@@ -394,7 +395,7 @@ class TestRewriteF5Case:
         assert repr_cmp(new, r, snap) == LT
         assert {e.pos for e in new.elements} == {0}
         # the divisor is a monomial: no second element family
-        assert new == Representation([E(1, M(2, 0), 0), E(1, M(0, 2), 0)])
+        assert set(new.elements) == {E(1, M(2, 0), 0), E(1, M(0, 2), 0)}
 
     def test_first_divisor_in_position_order(self):
         # both higher-index inputs divide the shifted signature x*y; the
@@ -428,7 +429,7 @@ class TestRewriteF5Case:
         assert snap.phi_divisor(1, M(0, 0, 2)) is None
         K = E(1, M(1, 1, 0), 2)
         new = rewrite_f5_case(Representation([K]), K, snap)
-        assert new == Representation([E(1, M(1, 0, 2), 0)])  # x*z^2 times y
+        assert set(new.elements) == {E(1, M(1, 0, 2), 0)}  # x*z^2 times y
 
     def test_descent_finishes_after_rewrite(self, f5_case_snap):
         ring, snap = f5_case_snap
@@ -499,7 +500,7 @@ class TestRewriteRewrittenZeroBranch:
                 if pos == snap.g_pos:
                     continue
                 rw = newer_rewriter(ring.one_mono(), pos, snap)
-                if rw is not None and snap.entries[rw].poly.is_zero:
+                if rw is not None and snap.run.polys[rw].is_zero:
                     hit = (snap, pos, rw)
                     break
             if hit:
@@ -509,7 +510,7 @@ class TestRewriteRewrittenZeroBranch:
         K = E(1, ring.one_mono(), pos)
         r = Representation([K])
         new = rewrite_rewritten_case(r, K, snap)
-        assert repr_sum_check(new, snap.entries[pos].poly, snap)
+        assert repr_sum_check(new, snap.run.polys[pos], snap)
         assert repr_cmp(new, r, snap) == LT
         assert all(e.pos != rw for e in new.elements)
 
@@ -728,13 +729,13 @@ class TestEngineDescents:
         assert seeds
         for snap, coeff, mono, pos in seeds:
             out = descend(coeff, mono, pos, snap)
-            target = snap.entries[pos].poly.term_mul(coeff, mono)
+            target = snap.run.polys[pos].term_mul(coeff, mono)
             assert repr_sum_check(out.representation, target, snap)
             assert (
                 descent_violation(
                     out.representation,
                     sig_mul(mono, snap.entries[pos].sig),
-                    mono.mul(snap.entries[pos].poly.head_mono),
+                    mono.mul(snap.run.polys[pos].head_mono),
                     snap,
                 )
                 is None
@@ -1008,7 +1009,7 @@ def test_substitute_identity(cmp_snap):
     out = substitute_and_combine(
         r, ReprElement(1, M(1, 0), 0), [(1, M(1, 0), 0)], 101
     )
-    assert out == r
+    assert set(out.elements) == set(r.elements)
 
 
 def test_descent_step_cap_is_loud(f5_case_snap):

@@ -82,5 +82,5 @@ def test_thm5_count_matches_brute_force(data):
         except BudgetExceeded:
             continue
         for events in (result.events, strip_rejections(result.events)):
-            rep = check_thm5_exhaustive(events, build_registry(events, ring))
+            rep = check_thm5_exhaustive(build_registry(events, ring))
             assert (rep.checked, rep.failures) == thm5_brute_force(events, ring)

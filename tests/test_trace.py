@@ -85,29 +85,29 @@ def cyclic(ring_unused=None):
 
 
 class TestDProgression:
-    def test_pass(self):
+    def test_pass(self, ring):
         ev = [
             {"seq": 0, "kind": "DegreeStep", "call": 1, "d": 3, "pairs": 1},
             {"seq": 1, "kind": "DegreeStep", "call": 1, "d": 4, "pairs": 1},
             {"seq": 2, "kind": "DegreeStep", "call": 1, "d": 5, "pairs": 1},
         ]
-        assert check_d_progression(ev).passed
+        assert check_d_progression(build_registry(ev, ring)).passed
 
-    def test_fail_flat_run(self):
+    def test_fail_flat_run(self, ring):
         ev = [
             {"seq": k, "kind": "DegreeStep", "call": 1, "d": 3, "pairs": 1}
             for k in range(3)
         ]
-        rep = check_d_progression(ev)
+        rep = check_d_progression(build_registry(ev, ring))
         assert not rep.passed
         assert rep.failures[0][1] == 0  # first violation at j=0
 
-    def test_fail_decrease(self):
+    def test_fail_decrease(self, ring):
         ev = [
             {"seq": 0, "kind": "DegreeStep", "call": 1, "d": 4, "pairs": 1},
             {"seq": 1, "kind": "DegreeStep", "call": 1, "d": 3, "pairs": 1},
         ]
-        assert not check_d_progression(ev).passed
+        assert not check_d_progression(build_registry(ev, ring)).passed
 
 
 # sha256 over the tables of ``build_registry(log, ring)`` of the 18 SUITE
@@ -126,7 +126,8 @@ class TestPayloadDecode:
                            f"{r.insertions!r}, rules={r.rules!r}, unknown={r.unknown!r})").encode())
         assert digest.hexdigest() == PINNED_SUITE_REGISTRIES
 
-    def test_each_payload_vector_is_decoded_once_per_call(self, monkeypatch):
+    def test_each_payload_vector_is_decoded_once_per_log(self, monkeypatch):
+        # the walk's memo serves every checker that reads the events
         decoded = []
 
         def counting(exps):
@@ -135,16 +136,15 @@ class TestPayloadDecode:
 
         monkeypatch.setattr(trace, "Monomial", counting)
         ring, events = plant_run("katsura5")
-        for check in (lambda log: build_registry(log, ring),
-                      lambda log: check_signature_safety(log, ring.order)):
-            del decoded[:]
-            check(events)
-            assert decoded and len(decoded) == len(set(decoded))
+        registry = build_registry(events, ring)
+        for check in (check_signature_safety, check_thm5_exhaustive):
+            assert check(registry).passed
+        assert decoded and len(decoded) == len(set(decoded))
 
 
 class TestSignatureSafety:
     def test_vacuous(self, ring):
-        assert check_signature_safety([], ring.order).passed
+        assert check_signature_safety(build_registry([], ring)).passed
 
     def test_fabricated_violation(self, ring):
         ev = [
@@ -161,7 +161,7 @@ class TestSignatureSafety:
                 "post_scale": 1,
             }
         ]
-        assert not check_signature_safety(ev, ring.order).passed
+        assert not check_signature_safety(build_registry(ev, ring)).passed
 
     def test_phi_step_must_use_higher_index(self, ring):
         ev = [
@@ -178,7 +178,7 @@ class TestSignatureSafety:
                 "coeff": 1,
             }
         ]
-        assert not check_signature_safety(ev, ring.order).passed
+        assert not check_signature_safety(build_registry(ev, ring)).passed
 
 
 class TestRuleDegrees:
@@ -636,7 +636,7 @@ class TestLogPlants:
     @pytest.mark.parametrize("system", PLANT_SYSTEMS)
     def test_unplanted_log_passes(self, system):
         ring, events = plant_run(system)
-        assert all(run_all_checkers(events, ring))
+        assert all(rep.passed for rep in run_all_checkers(events, ring))
         assert replayed_admissible(events, ring)
 
     @pytest.mark.parametrize("system", PLANT_SYSTEMS)
@@ -683,7 +683,7 @@ class TestDroppedCreation:
             dropped = events[k]
             pos = dropped[trace.CREATION_FIELDS[dropped["kind"]].pos]
             reports = run_all_checkers(events[:k] + events[k + 1:], ring)
-            assert len(reports) == 8 and not all(reports)
+            assert len(reports) == 8 and not all(rep.passed for rep in reports)
             failed = {rep.name: rep.failures for rep in reports if not rep.passed}
             assert sorted(failed) == sorted(REGISTRY_REPORTS + ["trail_replay"])
             ((seq, reason),) = failed["rule_degrees"]
@@ -937,12 +937,12 @@ UNSTEPPED_CALLS = {
 class TestThm5:
     def test_passes_on_runs(self, cyclic):
         ring, res = cyclic
-        rep = check_thm5_exhaustive(res.events, build_registry(res.events, ring))
+        rep = check_thm5_exhaustive(build_registry(res.events, ring))
         assert rep.passed and rep.checked > 0
 
     def test_checked_count_pinned(self, cyclic):
         ring, res = cyclic
-        rep = check_thm5_exhaustive(res.events, build_registry(res.events, ring))
+        rep = check_thm5_exhaustive(build_registry(res.events, ring))
         assert rep.checked == 14
 
     @pytest.mark.parametrize("system, most", [("cyclic4", 21), ("katsura5", 134)])
@@ -958,7 +958,7 @@ class TestThm5:
             return in_scope(*args)
 
         monkeypatch.setattr(trace, "in_scope", counting)
-        assert check_thm5_exhaustive(events, build_registry(events, ring)).passed
+        assert check_thm5_exhaustive(build_registry(events, ring)).passed
         assert 0 < len(calls) <= most
 
     @pytest.mark.parametrize("forge, system, checked, failures", UNSTEPPED_CALLS.values(),
@@ -971,7 +971,7 @@ class TestThm5:
         names, texts = system
         ring = make_ring(32003, names)
         events = forge(incremental_f5(polys(ring, *texts)).events)
-        rep = check_thm5_exhaustive(events, build_registry(events, ring))
+        rep = check_thm5_exhaustive(build_registry(events, ring))
         assert rep.checked == checked
         assert rep.failures == [(g, pair, "unclassified") for g, pair in failures]
 
@@ -979,13 +979,13 @@ class TestThm5:
     def test_lex_regressions_pass(self, name):
         system, checked = LEX_SYSTEMS[name]
         ring, res = lex_run(*system)
-        rep = check_thm5_exhaustive(res.events, build_registry(res.events, ring))
+        rep = check_thm5_exhaustive(build_registry(res.events, ring))
         assert rep.passed and rep.failures == [] and rep.checked == checked
 
     @pytest.mark.parametrize("system", THM5_SYSTEMS)
     def test_checked_is_sum_of_classified(self, system):
         ring, res = thm5_run(system)
-        rep = check_thm5_exhaustive(res.events, build_registry(res.events, ring))
+        rep = check_thm5_exhaustive(build_registry(res.events, ring))
         assert rep.passed and rep.checked > 0
         assert (rep.checked, rep.failures) == thm5_brute_force(res.events, ring)
 
@@ -999,7 +999,7 @@ class TestThm5:
         # unclassified there, which fails the check.
         ring, events, dropped = planted_log(*plant)
         assert dropped["where"] in ("crit_pair", "spol")
-        rep = check_thm5_exhaustive(events, build_registry(events, ring))
+        rep = check_thm5_exhaustive(build_registry(events, ring))
         assert not rep.passed
         assert rep.failures[0][1] == tuple(sorted((dropped["p1"], dropped["p2"])))
         assert (rep.checked, rep.failures) == thm5_brute_force(events, ring)
@@ -1025,7 +1025,7 @@ class TestThm5:
         for every pair of elements with a head, the least from-seq of the
         reference's evidence, and no entry for a pair with none."""
         registry = build_registry(events, ring)
-        index = EvidenceIndex(events, registry)
+        index = EvidenceIndex(registry)
         rules = _PairRules(events, registry, ring.order)
         heads = sorted(pos for pos, e in registry.entries.items() if e.head is not None)
         with_evidence = 0
@@ -1063,13 +1063,13 @@ class TestThm5:
         dropped_log = [ev for ev in events if ev is not target]
         forged = self._index_matches_reference(forged_log, ring)
         assert forged == self._index_matches_reference(dropped_log, ring)
-        index = EvidenceIndex(events, build_registry(events, ring))
+        index = EvidenceIndex(build_registry(events, ring))
         p, q = (target["p1"], target["p2"]) if field == "u1" else (target["h"], target["cand"])
         assert index[index.pair_id(p, q)] == target["seq"]
         assert forged.get(forged.pair_id(p, q)) == (None if field == "u1" else 128)
 
         def report(log):
-            rep = check_thm5_exhaustive(log, build_registry(log, ring))
+            rep = check_thm5_exhaustive(build_registry(log, ring))
             return rep.passed, rep.checked, rep.failures
 
         assert report(forged_log) == report(dropped_log)
@@ -1105,8 +1105,8 @@ class TestThm5:
             ring, res = thm5_run(name)
             stripped = strip_rejections(res.events)
             got[name] = (
-                check_thm5_exhaustive(res.events, build_registry(res.events, ring)).checked,
-                len(check_thm5_exhaustive(stripped, build_registry(stripped, ring)).failures),
+                check_thm5_exhaustive(build_registry(res.events, ring)).checked,
+                len(check_thm5_exhaustive(build_registry(stripped, ring)).failures),
             )
         assert got == {
             "random578-degrevlex": (249, 192),
@@ -1135,7 +1135,7 @@ class TestThm5:
         # drop every pair-level rejection event: previously rejected pairs
         # can no longer be classified
         stripped = strip_rejections(res.events)
-        rep = check_thm5_exhaustive(stripped, build_registry(stripped, ring))
+        rep = check_thm5_exhaustive(build_registry(stripped, ring))
         assert not rep.passed
         # the failures found without enumerating every pair are exactly the
         # pairs the per-insertion classification calls unclassified
@@ -1201,6 +1201,21 @@ class TestReplay:
         (step,) = [ev for ev in events if ev.get("h") == 22 and "reductor" in ev]
         rep = check_replay([ev for ev in events if ev is not step], ring)
         assert rep.failures == [(step["seq"] + 1, "nonzero on replay")]
+
+    @pytest.mark.parametrize("call", [4, 3, 2, 1])
+    def test_input_out_of_term_order_fails_the_replay(self, call):
+        # the replay reads an input's logged terms into the ring, which
+        # sorts them, and compares the result with the log: an input logged
+        # with its terms reversed has a logged head that is not its own
+        ring, events = plant_run("cyclic4")
+        begin = next(ev for ev in events if ev["kind"] == "CallBegin" and ev["call"] == call)
+        forged = [{**ev, "poly": ev["poly"][::-1]} if ev is begin else ev for ev in events]
+        registry = build_registry(forged, ring)
+        assert registry.replay.failures == [
+            (begin["seq"], "CallBegin polynomial differs from the replay")]
+        assert registry.damage is None
+        pos = begin["input_pos"]
+        assert registry.entries[pos].head != registry.polys[pos].head_mono
 
     def test_corrupted_final_poly_detected(self, cyclic):
         ring, res = cyclic
@@ -1272,7 +1287,7 @@ class TestLogRoundTrip:
             return build_registry(events, ring)
 
         monkeypatch.setattr(trace, "build_registry", counting)
-        assert all(run_all_checkers(res.events, ring))
+        assert all(rep.passed for rep in run_all_checkers(res.events, ring))
         assert len(calls) == 1
 
     def test_membership_and_rules_match_engine_snapshots(self, cyclic):
