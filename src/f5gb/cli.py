@@ -309,8 +309,8 @@ def run_check(problem: ProblemFile, config: EngineConfig, descent_samples: int,
             thm4["pairs"] += 1
             try:
                 mono, pos, _ = find_unrejected_reductor(f, fprime, snap, descent_cap)
-                target = snap.entries[f]  # whose head the reductor's is: (a) holds
-                verdict = snap.failed_check(pos, target.head, target.sig)
+                # f's head is the reductor's, so (a) holds
+                verdict = snap.failed_check(pos, snap.heads[f], snap.entries[f].sig)
                 if verdict is None:
                     thm4["reductor_ok"] += 1
                     witness = f"reductor {mono.text(ring.names)}*r{pos} passes (a)-(d)"

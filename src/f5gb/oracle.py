@@ -4,7 +4,7 @@ A representation writes a multiplied basis element as a sum of coefficient *
 monomial * basis-element products over a snapshot of the basis at one Done
 insertion, read off the walk of the run's event log, the ``trace.Registry``
 (``done_snapshots``): the registry's elements and rule tables, and the
-polynomials and module vectors its replay rebuilt.
+polynomials and module vectors its replay rebuilt, one per position.
 The descent repeatedly rewrites offending elements (shifted-signature
 reducible, or rewritable by a newer rule) into strictly smaller
 representations until none is left; the final representation yields a
@@ -78,10 +78,9 @@ POS_MASK = (1 << POS_BITS) - 1
 class DescentRun:
     """What the descent snapshots of one run share, read off its
     ``Registry`` once per run by ``done_snapshots``: the registry itself,
-    its ring and order, its elements (``entries``), rule tables (``rules``)
-    and replayed polynomials (``polys``), and the input positions (input
-    index -> position, from ``calls``).  The criteria read the entries'
-    heads and signatures; the descent's arithmetic reads ``polys``.
+    its ring and order, its elements (``entries``) and replayed polynomials
+    (``polys``), and the input positions (input index -> position, from
+    ``calls``).  The criteria read their heads (``Registry.heads``).
 
     The rest is computed on first use: ``triples[pos]`` is b_pos over the
     inputs (``sig.input_representation``) from its replayed module vector
@@ -91,11 +90,11 @@ class DescentRun:
     the leading coefficient of b_pos's expansion; ``targets`` is the memo
     of ``target``."""
 
-    __slots__ = ("registry", "ring", "order", "entries", "rules", "polys", "input_pos", "vkey",
-                 "triples", "key_base", "head_base", "lead_inverse", "targets")
+    __slots__ = ("registry", "ring", "order", "entries", "polys", "input_pos", "vkey", "triples",
+                 "key_base", "head_base", "lead_inverse", "targets")
 
     def __init__(self, registry: Registry):
-        self.registry, self.rules, vectors = registry, registry.rules, registry.vectors
+        self.registry, vectors = registry, registry.vectors
         ring = self.ring = registry.ring
         order = self.order = ring.order
         entries, polys = self.entries, self.polys = registry.entries, registry.polys
@@ -154,19 +153,19 @@ _PROPERTY = {"b": "P1", "c": "P2", None: None}
 
 class GgSnapshot(InsertionView):
     """Basis state frozen at one Done insertion: the ``InsertionView`` of the
-    reductor checks over its ``DescentRun``, which holds what the descent
-    rewrites with.  ``members`` lists the positions of G ∪ Done ascending by
-    creation order, so position comparison doubles as list-rank comparison.
-    The snapshot keeps only what its insertion fixes: ``member_set``,
-    ``g_scope`` (the inserted element's arguments of ``trace.in_scope``) and
-    the memo of ``violated_by``."""
+    reductor checks, with the ``DescentRun`` (``run``) that holds what the
+    descent rewrites with.  ``members`` lists the positions of G ∪ Done
+    ascending by creation order, so position comparison doubles as
+    list-rank comparison.  The snapshot keeps only what its insertion
+    fixes: ``member_set``, ``g_scope`` (the inserted element's arguments of
+    ``trace.in_scope``) and the memo of ``violated_by``."""
 
     def __init__(self, run: DescentRun, members: Sequence[int], g_pos: int, seq: int):
-        super().__init__(run, members, g_pos, seq)
+        super().__init__(run.registry, members, g_pos, seq)
+        self.run = run
         self.member_set = set(self.members)
         # inserted by the call of its index
-        self.g_scope = (sig_key(self.entries[g_pos].sig, run.order),
-                        run.polys[g_pos].head_mono.deg)
+        self.g_scope = (sig_key(self.entries[g_pos].sig, run.order), self.heads[g_pos].deg)
         self._violated: dict[int, tuple[Optional[str], Optional[int]]] = {}
 
     @classmethod
@@ -286,7 +285,7 @@ def f5_replacement(K: ReprElement, snap: GgSnapshot) -> list[tuple[int, Monomial
     p, polys = run.ring.p, run.polys
     (c0, s0, j0), rest, divisor_pos = _blocked(K, snap, "P1")
     # the head that ``blocker`` found dividing s0
-    s1 = s0.divide(snap.entries[divisor_pos].head)
+    s1 = s0.divide(snap.heads[divisor_pos])
     fj_pos = run.input_pos[j0]
     replacement = [(c0 * c % p, s1.mul(m), divisor_pos) for c, m in polys[fj_pos].terms]
     replacement += [((-c0 * c) % p, s1.mul(m), fj_pos) for c, m in polys[divisor_pos].terms[1:]]
@@ -736,16 +735,16 @@ def find_thm4_pairs_in_snapshot(
     its two elements, and members only grow from one snapshot of a run to
     the next, so passing the previous snapshot's members as ``old`` reports
     each pair once, at the first snapshot that holds both."""
-    order, entries, polys = snap.run.order, snap.entries, snap.run.polys
+    order, entries, heads = snap.run.order, snap.entries, snap.heads
     out = []
     for a_pos in snap.members:
-        a, ha = entries[a_pos], polys[a_pos].head_mono
+        a, ha = entries[a_pos], heads[a_pos]
         a_old = a_pos in old
         qa = quotient_key(ha, a.sig.mono, order)
         for b_pos in snap.members:
             if a_pos >= b_pos or a_old and b_pos in old:
                 continue
-            b, hb = entries[b_pos], polys[b_pos].head_mono
+            b, hb = entries[b_pos], heads[b_pos]
             if not ha.divides(hb):
                 continue
             qb = quotient_key(hb, b.sig.mono, order)

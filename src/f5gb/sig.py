@@ -266,11 +266,8 @@ def input_representation(mv: ModuleVector) -> list[tuple[int, Monomial, int]]:
     """Expand the module vector into (coeff, mono, input index) triples.
 
     Descending in the signature order with no sort: the coordinates come in
-    index order, a smaller index is greater, and each coordinate's terms
-    already descend.  For the vector of an admissible labeled polynomial the
-    first triple carries exactly its signature, and it is unique.
+    index order, a smaller index is greater, and each coordinate's terms,
+    of distinct monomials, already descend.  For the vector of an admissible
+    labeled polynomial the first triple carries exactly its signature.
     """
-    out = [(c, m, k + 1) for k, g in enumerate(mv.coords) for c, m in g.terms]
-    if len(out) >= 2 and out[0][1:] == out[1][1:]:
-        raise InconsistentModuleVector("the input representation has no unique greatest element")
-    return out
+    return [(c, m, k + 1) for k, g in enumerate(mv.coords) for c, m in g.terms]

@@ -16,7 +16,7 @@ gives the registry of labeled polynomials, the replay and the damage; it
 treats a malformed polynomial in memory as log damage.  Every checker, and
 the descent (``oracle.DescentRun``), reads the log through that
 ``Registry`` alone: it keeps the events and the walk's one memo of
-monomials, and it carries the ring.
+monomials, and it carries the ring and each position's one polynomial.
 """
 
 from __future__ import annotations
@@ -458,12 +458,11 @@ def _report(name: str, checked: int, failures: list) -> CheckReport:
 
 @dataclass
 class RegistryEntry:
+    """What the log claims of an element that its replay cannot derive; its
+    polynomial, and so its head, is the replay's (``Registry.polys``)."""
+
     pos: int
-    call: int
     sig: Signature
-    # head monomial of the Done-inserted polynomial, None once reduced to
-    # zero, and of the creation-time one while the log holds no outcome
-    head: Optional[Monomial]
     genealogy: Optional[tuple] = None  # (greater, smaller, u_over, u_under)
     created_seq: int = -1
     done_seq: Optional[int] = None
@@ -502,16 +501,16 @@ class Registry:
     # the log has no such CallEnd
     basis: list[int] = field(default_factory=list)
     # (seq, reason) of the first event that damages what the registry
-    # reads: one that names a position no earlier event created, logs an
-    # empty input or inserted polynomial or a polynomial with a term that is
-    # not [c, vector] (``_malformed``), or Done-inserts into a call no
-    # earlier CallBegin began; when there is none, the first RuleAdded whose
-    # owner no event creates, which only the walk's end can tell
+    # reads: one that names a position no earlier event created, begins a
+    # call with one no DoneInserted inserted, logs an input or inserted
+    # polynomial that is empty or replays to zero (it has no head) or one
+    # with a term that is not [c, vector] (``_malformed``), or Done-inserts
+    # into a call no earlier CallBegin began; when there is none, the first
+    # RuleAdded whose owner no event creates, which only the walk's end can tell
     unknown: Optional[tuple[int, str]] = None
     # (seq, reason) of the log's first damage: ``unknown``; a step that
-    # names a position no earlier event created; a DoneInserted whose
-    # position replays to zero; or call 1's last CallEnd, when its basis
-    # names a position that the replay did not build or that replays to zero
+    # names a position no earlier event created; or call 1's last CallEnd,
+    # naming a position that the replay did not build or reduced to zero
     damage: Optional[tuple[int, str]] = None
     # the events the walk read, and its memo of each payload exponent tuple's
     # ``Monomial``, which the checkers that read events share; a registry
@@ -522,6 +521,11 @@ class Registry:
     @cached_property
     def vectors(self) -> ReplayedVectors:
         return ReplayedVectors(self.ring, self.ops)
+
+    @cached_property
+    def heads(self) -> dict[int, Monomial]:
+        """Each position's head, read off ``polys`` once; a zero one has none."""
+        return {pos: q.head_mono for pos, q in self.polys.items() if q.terms}
 
 
 # the kinds the walk reads, each with the positions it reads, which an
@@ -558,18 +562,15 @@ def build_registry(events: Sequence[dict], ring: Ring) -> Registry:
     event it reads after the pass's run of ``PhiPreReduce`` events.  Each
     failure names an event's ``seq``: a polynomial, ``post_scale``, trail or
     creation polynomial that differs from the replay, a nonzero
-    ``ReductionToZero``, a position that no earlier event created, or a
-    polynomial with a term that is not [c, vector] (``_malformed``), whose
-    event is not replayed.  ``checked`` counts the Done insertions.  The
+    ``ReductionToZero``, or, with an event that is not replayed, a step on a
+    position that has its outcome, a position that no earlier event
+    created, or a polynomial with a term that is not [c, vector]
+    (``_malformed``).  ``checked`` counts the Done insertions.  The
     operations are ``("input", pos, index)``,
     ``("new", pos, a, ua, b, ub, s)`` for s * (ua * P[a] - ub * P[b]),
     ``(step, h, c, u, r)`` for P[h] - c * u * P[r] with step "phi" or
     "top", and ``("monic", h, s)`` for s * P[h], s != 1."""
     monos = Lazy(Monomial)
-
-    def head(payload: list) -> Optional[Monomial]:
-        return monos[tuple(payload[0][1])] if payload else None
-
     entries: dict[int, RegistryEntry] = {}
     calls: dict[int, dict] = {}
     insertions: dict[int, list[tuple[int, int]]] = {}
@@ -610,8 +611,13 @@ def build_registry(events: Sequence[dict], ring: Ring) -> Registry:
             failures.append((seq, f"unknown position r{unbuilt[0]}" if unbuilt else malformed))
             replay_unknown = replay_unknown or failures[-1]
         if kind in ("PhiPreReduce", "ReductionStep"):
-            if replayed:
-                h, c, u, r = ev["h"], ev["coeff"], monos[tuple(ev["mult"])], ev["reductor"]
+            h = ev["h"]
+            outcome = replayed and (entries[h].done_seq is not None and "DoneInserted"
+                                    or entries[h].zero_seq is not None and "ReductionToZero")
+            if outcome:
+                failures.append((seq, f"step on r{h} after its {outcome}"))
+            elif replayed:
+                c, u, r = ev["coeff"], monos[tuple(ev["mult"])], ev["reductor"]
                 step = "phi" if kind == "PhiPreReduce" else "top"
                 P[h] = poly_axpy(P[h], c, u, P[r])
                 ops.append((step, h, c, u, r))
@@ -627,17 +633,9 @@ def build_registry(events: Sequence[dict], ring: Ring) -> Registry:
         pos = ev[CREATION_FIELDS[kind].pos if kind in CREATION_FIELDS else "pos"]
         missing = [p for p in ev["g_next"] if p not in P] if kind == "CallBegin" else unbuilt
         unbegun = kind == "DoneInserted" and not missing and ev["call"] not in calls
-        if missing:
-            damage = f"unknown position r{missing[0]}"
-        elif unbegun:
-            damage = (f"DoneInserted of r{pos} into call {ev['call']}, which no earlier"
-                      " CallBegin began")
-        elif kind in ("CallBegin", "DoneInserted") and not ev["poly"]:
-            damage = f"empty {kind} polynomial of r{pos}"
-        else:
-            damage = malformed
-        if unknown is None and damage is not None:
-            unknown = (seq, damage)
+        # a call begins with inputs and earlier Done insertions alone
+        uninserted = kind == "CallBegin" and not missing and [
+            p for p in ev["g_next"] if entries[p].done_seq is None and not entries[p].is_input]
         if kind in CREATION_FIELDS and malformed is None:
             gen = CREATION_FIELDS[kind].genealogy
             if gen is not None:
@@ -647,8 +645,7 @@ def build_registry(events: Sequence[dict], ring: Ring) -> Registry:
             if kind == "CallBegin":
                 calls[ev["call"]] = ev
             entries[pos] = RegistryEntry(
-                pos, ev["call"], Signature(monos[tuple(ev["sig"]["mono"])], ev["sig"]["index"]),
-                head(ev["poly"]), genealogy=gen, created_seq=seq)
+                pos, Signature(monos[tuple(ev["sig"]["mono"])], ev["sig"]["index"]), gen, seq)
             if replayed:
                 if gen is None:
                     q = ring.poly([(c, monos[tuple(exps)]) for c, exps in ev["poly"]])
@@ -662,14 +659,12 @@ def build_registry(events: Sequence[dict], ring: Ring) -> Registry:
                 trails[pos] = []
         elif kind == "ReductionToZero":
             if not missing:
-                e = entries[pos]
-                e.zero_seq, e.head = seq, None
+                entries[pos].zero_seq = seq
             if replayed and not P[pos].is_zero:
                 failures.append((seq, "nonzero on replay"))
         elif kind == "DoneInserted":
             if not missing and not unbegun and malformed is None:
-                e = entries[pos]
-                e.done_seq, e.head = seq, head(ev["poly"])
+                entries[pos].done_seq = seq
                 insertions.setdefault(ev["call"], []).append((seq, pos))
             if replayed:
                 checked += 1
@@ -679,14 +674,27 @@ def build_registry(events: Sequence[dict], ring: Ring) -> Registry:
                     failures.append((seq, "trail differs from the replay"))
                 if not _same_poly(created[pos], ev["creation_poly"], monos):
                     failures.append((seq, "creation polynomial differs from the replay"))
+        if missing:
+            damage = f"unknown position r{missing[0]}"
+        elif uninserted:
+            damage = f"CallBegin g_next names r{uninserted[0]}, which no DoneInserted inserted"
+        elif unbegun:
+            damage = (f"DoneInserted of r{pos} into call {ev['call']}, which no earlier"
+                      " CallBegin began")
+        elif kind in ("CallBegin", "DoneInserted") and not ev["poly"]:
+            damage = f"empty {kind} polynomial of r{pos}"
+        elif kind in ("CallBegin", "DoneInserted") and replayed and P[pos].is_zero:
+            damage = f"{'input' if kind == 'CallBegin' else 'Done-inserted'} r{pos} replays to zero"
+        else:
+            damage = malformed
+        if unknown is None and damage is not None:
+            unknown = (seq, damage)
 
     unknown = unknown or min(
         ((seq, f"RuleAdded names r{pos}, which no event creates")
          for table in rules.values() for seq, _, pos in table if pos not in entries),
         default=None)
     found = [d for d in (unknown, replay_unknown) if d is not None]
-    found += [(e.done_seq, f"Done-inserted r{p} replays to zero") for p, e in entries.items()
-              if e.done_seq is not None and p in P and P[p].is_zero]
     basis = [] if end is None else end["basis"]
     bad = [p for p in basis if p not in P or P[p].is_zero]
     if bad:
@@ -874,27 +882,25 @@ def extract_chain(pos: int, registry: Registry) -> ChainReport:
     strictly larger degree.  A zero-reduced final element takes part only in
     the divisibility check: it has no head monomial.
     """
+    entries, heads = registry.entries, registry.heads
     chain = [pos]
-    cur = registry.entries[pos]
+    cur = entries[pos]
     while not cur.is_input:
         parent = cur.genealogy[0]
-        if parent not in registry.entries or parent in chain:
+        if parent not in entries or parent in chain:
             raise BrokenLink(f"broken ancestor link at r{cur.pos}")
         chain.append(parent)
-        cur = registry.entries[parent]
+        cur = entries[parent]
     chain.reverse()
 
-    div_ok = all(
-        sig_divides(registry.entries[a].sig, registry.entries[b].sig)
-        for a, b in zip(chain, chain[1:])
-    )
+    div_ok = all(sig_divides(entries[a].sig, entries[b].sig) for a, b in zip(chain, chain[1:]))
 
-    withhm = [registry.entries[p] for p in chain if registry.entries[p].head is not None]
-    keys = [quotient_key(e.head, e.sig.mono, registry.ring.order) for e in withhm]
+    held = [p for p in chain if p in heads]  # the elements with a head
+    keys = [quotient_key(heads[p], entries[p].sig.mono, registry.ring.order) for p in held]
     quot_ok = all(a > b for a, b in zip(keys, keys[1:]))
     distinct_ok = all(
         a != b and not (a.divides(b) and not (i < j and a.deg < b.deg))
-        for (i, a), (j, b) in permutations(enumerate(e.head for e in withhm), 2)
+        for (i, a), (j, b) in permutations(enumerate(heads[p] for p in held), 2)
     )
     return ChainReport(chain, div_ok, quot_ok, distinct_ok)
 
@@ -917,22 +923,20 @@ def check_chains(registry: Registry) -> CheckReport:
 
 
 class InsertionView:
-    """The basis at one Done insertion, with checks (a)-(d).
+    """The basis at one Done insertion of a log, read off its ``Registry``,
+    with checks (a)-(d).
 
-    ``run`` holds the registry's ``entries`` and ``rules``: the ``Registry``
-    itself, in the insertion audit, or the ``oracle.DescentRun`` that a
-    descent snapshot extends the view over.  ``entries`` maps each position
-    to its ``RegistryEntry``; ``rules`` are the rule tables of
-    ``Registry.rules``, shared, not copied: per signature index, the (seq,
-    monomial, owner) entries in log order.  ``members`` are the positions
-    of G ∪ Done at the insertion together with the inserted element
-    ``g_pos``.  The view reads each table up to the entries logged before
-    ``seq``, the insertion's sequence number.
+    ``entries`` maps each position to its ``RegistryEntry``; ``rules`` are
+    the rule tables of ``Registry.rules``, shared, not copied: per signature
+    index, the (seq, monomial, owner) entries in log order; ``heads`` are
+    ``Registry.heads``.  ``members`` are the positions of G ∪ Done at the
+    insertion together with the inserted element ``g_pos``.  The view
+    reads each table up to the entries logged before ``seq``, the
+    insertion's sequence number.
     """
 
-    def __init__(self, run, members: Sequence[int], g_pos: int, seq: int):
-        self.run = run
-        self.entries, self.rules = run.entries, run.rules
+    def __init__(self, registry: Registry, members: Sequence[int], g_pos: int, seq: int):
+        self.entries, self.rules, self.heads = registry.entries, registry.rules, registry.heads
         self.members = tuple(sorted(members))
         self.g_pos = g_pos
         self.seq = seq
@@ -953,9 +957,9 @@ class InsertionView:
         ascending by position."""
         basis = self._phi.get(index)
         if basis is None:
-            entries = self.entries
+            entries, heads = self.entries, self.heads
             basis = self._phi[index] = [
-                (entries[p].head, p) for p in self.members if entries[p].index > index
+                (heads[p], p) for p in self.members if entries[p].index > index
             ]
         return basis
 
@@ -1005,7 +1009,7 @@ class InsertionView:
         passes all four; (b) and (c) test the shifted signature monomial
         (``blocker``)."""
         e = self.entries[cand]
-        u = target_head.divide(e.head)
+        u = target_head.divide(self.heads[cand])
         if u is None:
             return "a"
         mono = u.mul(e.sig.mono)
@@ -1028,14 +1032,13 @@ def done_insertion_audit(registry: Registry) -> CheckReport:
     for call, done in registry.insertions.items():
         for seq, pos in done:
             checked += 1
+            view = InsertionView(registry, membership_at(registry, call, seq) + [pos], pos, seq)
             g = registry.entries[pos]
-            members = membership_at(registry, call, seq) + [pos]
-            view = InsertionView(registry, members, pos, seq)
             for cand in view.members:
                 if cand == pos:
                     continue
                 try:
-                    if view.failed_check(cand, g.head, g.sig) is None:
+                    if view.failed_check(cand, view.heads[pos], g.sig) is None:
                         failures.append((pos, cand, "candidate passes all four checks"))
                 except BrokenLink as exc:
                     failures.append((pos, cand, str(exc)))
@@ -1105,14 +1108,14 @@ class EvidenceIndex(dict):
     logged outcome classifies the pair at every insertion.  A pair with no
     such outcome has no entry.
 
-    A pair of members a and b has the multipliers the registry heads give,
+    A pair of members a and b has the multipliers the replayed heads give,
     u_a = lcm(head(a), head(b)) / head(a) and u_b alike, and an item counts
     for it only with those.  The items are
       * a ``crit_pair`` F5 rejection or a ``spol`` rewritten rejection of
         the pair, with multipliers u_a and u_b, from its ``seq`` on;
       * an ``is_reducible`` rejection, of either kind, of one member h by the
-        other with multiplier u of that other and ``h_head`` the registry
-        head of h, from its ``seq`` on;
+        other with multiplier u of that other and ``h_head`` the head of h,
+        from its ``seq`` on;
       * an element built from the pair, with multipliers u_a and u_b, once
         it is Done-inserted (completed) or reduced to zero (its rule,
         added at creation, rewrites both parts from then on), from the
@@ -1129,7 +1132,7 @@ class EvidenceIndex(dict):
         entries = registry.entries
         self.low = min(entries, default=0)
         self.bits = (max(entries, default=0) - self.low).bit_length()
-        heads = {pos: e.head.v for pos, e in entries.items() if e.head is not None}
+        heads = {pos: head.v for pos, head in registry.heads.items()}
         lcm, get, inf = registry.ring.order.lay.lcm, self.get, math.inf
         for p, q, seq, up, uq in _evidence_items(registry, heads):
             # the check forms no pair of a member with no head, nor one
@@ -1214,7 +1217,7 @@ def check_thm5_exhaustive(registry: Registry) -> CheckReport:
     guard, shift, lcm, vkey = lay.guard, lay.shift, lay.lcm, order.vkey
     # a key of index i shifted right by this is -i (``sig.key_index``)
     index_shift = shift + FIELD_BITS
-    entries = registry.entries
+    entries, heads = registry.entries, registry.heads
     evidence = EvidenceIndex(registry)
     first_of, low, bits = evidence.get, evidence.low, evidence.bits
     key_one = vkey(0)
@@ -1225,7 +1228,7 @@ def check_thm5_exhaustive(registry: Registry) -> CheckReport:
         g_seq = [seq for seq, _ in done]
         g_pos = [pos for _, pos in done]
         g_key = [sig_key(entries[pos].sig, order) for pos in g_pos]
-        g_deg = [entries[pos].head.deg for pos in g_pos]
+        g_deg = [heads[pos].deg for pos in g_pos]
         # whether the call steps by degree: its insertions are in seq order,
         # of the call's index, with head degrees that never decrease
         stepped = (all(a < b for a, b in zip(g_seq, g_seq[1:]))
@@ -1241,10 +1244,9 @@ def check_thm5_exhaustive(registry: Registry) -> CheckReport:
         # order key of 1
         rows = []
         for pos in members:
-            e = entries[pos]
-            head = None if e.head is None else e.head.v
-            rows.append((pos - low << bits, pos - low, head, e.sig.mono.v,
-                         sig_key(e.sig, order) - key_one))
+            sig = entries[pos].sig
+            rows.append((pos - low << bits, pos - low, heads[pos].v, sig.mono.v,
+                         sig_key(sig, order) - key_one))
         count = _DominanceCount(g_deg)
         above = count.above
         for k in range(len(done) - 1, -1, -1):

@@ -74,8 +74,7 @@ def snapshot(ring: Ring, entries, members, g_pos: int, rules: dict, seq, input_p
     with these elements (``sig.LabeledPolynomial``s), rule tables, input
     positions (input index -> position) and module vectors."""
     registry = Registry(
-        {pos: RegistryEntry(pos, e.sig.index, e.sig, e.head)
-         for pos, e in entries.items()},
+        {pos: RegistryEntry(pos, e.sig) for pos, e in entries.items()},
         {call: {"input_pos": pos} for call, pos in input_pos.items()},
         rules=rules, ring=ring, polys={pos: e.poly for pos, e in entries.items()})
     registry.vectors = vectors
@@ -183,7 +182,7 @@ class _PairRules:
     """
 
     def __init__(self, events: Sequence[dict], registry: Registry, order):
-        self.entries = registry.entries
+        self.entries, self.polys = registry.entries, registry.polys
         self.order = order
         key_one = order.vkey(0)
         # each entry's ``sig_key`` less the order key of 1, so that a part's
@@ -209,7 +208,7 @@ class _PairRules:
             a_pos, b_pos = b_pos, a_pos
         a, b = self.entries[a_pos], self.entries[b_pos]
         lay = self.order.lay
-        ha, hb = a.head.v, b.head.v
+        ha, hb = self.polys[a_pos].head_mono.v, self.polys[b_pos].head_mono.v
         t = lay.lcm(ha, hb)
         ua, ub = t - ha, t - hb
         ma, mb = ua + a.sig.mono.v, ub + b.sig.mono.v
@@ -277,7 +276,7 @@ def classify_pairs_at_insertion(
     g_pos = done_event["pos"]
     g = registry.entries[g_pos]
     g_key = sig_key(g.sig, ring.order)
-    g_deg = g.head.deg
+    g_deg = registry.polys[g_pos].head_mono.deg
     seq = done_event["seq"]
     members = membership_at(registry, done_event["call"], seq)
     out = []

@@ -663,6 +663,14 @@ def _self_reduced_insertion(events):
     return [{**ev, "seq": seq} for seq, ev in enumerate(forged)]
 
 
+def _vanishing_second_input(events):
+    """The log with the second ``CallBegin`` polynomial's coefficients times
+    p, so that its terms are logged and the input replays to zero."""
+    second = [ev for ev in events if ev["kind"] == "CallBegin"][1]
+    poly = [[c * 32003, exps] for c, exps in second["poly"]]
+    return [{**ev, "poly": poly} if ev is second else ev for ev in events]
+
+
 def _first_insertion_into(call):
     """The change that moves the first ``DoneInserted`` (seq 9, r2, call 3)
     into ``call``."""
@@ -684,13 +692,18 @@ ZERO_POLY_FORGERIES = {
         _empty_second_input, "damaged log: seq 3: empty CallBegin polynomial of r1",
         ["rule_degrees", "genealogy", "trail_replay", "chains", "done_insertion_audit",
          "thm5_exhaustive"]),
+    "vanishing_input": (
+        _vanishing_second_input, "damaged log: seq 3: input r1 replays to zero",
+        ["rule_degrees", "genealogy", "trail_replay", "chains", "done_insertion_audit",
+         "thm5_exhaustive"]),
     "zero_in_checked_basis": (
         _zero_in_checked_basis,
         "damaged log: seq 361: call 1's CallEnd names r19, which the replay reduced to zero",
         []),
     "self_reduced_insertion": (
         _self_reduced_insertion, "damaged log: seq 10: Done-inserted r2 replays to zero",
-        ["signature_safety", "trail_replay"]),
+        ["signature_safety", "rule_degrees", "genealogy", "trail_replay", "chains",
+         "done_insertion_audit", "thm5_exhaustive"]),
 }
 # a forged cyclic-4 log with an insertion into a call that no earlier
 # CallBegin began (cyclic-4's calls are 4, 3, 2, 1) -> its damage; the five
@@ -797,6 +810,18 @@ class TestLogOnlyCheck:
         # membership at an insertion reads its call's CallBegin, so the
         # registry keeps such an insertion out and names it as damage
         self._damage_is_reported(tmp_path, monkeypatch, forge, damage, failing)
+
+    def test_basis_member_without_its_insertion_is_damage(self, tmp_path, monkeypatch):
+        # without cyclic-4's first DoneInserted (seq 9, r2, call 3), call 2
+        # begins with r2 in its basis, which the registry never inserted
+        def forge(events):
+            first = next(ev for ev in events if ev["kind"] == "DoneInserted")
+            return [ev for ev in events if ev is not first]
+
+        self._damage_is_reported(
+            tmp_path, monkeypatch, forge,
+            "damaged log: seq 31: CallBegin g_next names r2, which no DoneInserted inserted",
+            ["rule_degrees", "genealogy", "chains", "done_insertion_audit", "thm5_exhaustive"])
 
     @pytest.mark.parametrize("forge, damage, failing", MALFORMED_TERM_FORGERIES.values(),
                              ids=list(MALFORMED_TERM_FORGERIES))
@@ -1164,8 +1189,9 @@ class TestReportPin:
 
 
 class TestStageScripts:
-    """The stage scripts, which pytest does not collect, still run: each
-    exits 0 and prints one row of seconds per stage, then the whole pass."""
+    """The scripts that pytest does not collect still run: each stage script
+    exits 0 and prints one row of seconds per stage, then the whole pass,
+    and ``forged_logs.py`` prints its counts and hash."""
 
     @staticmethod
     def _rows(script: str, *args: str) -> list[str]:
@@ -1185,3 +1211,14 @@ class TestStageScripts:
 
         assert self._rows("check_stages.py", "0", "1") == [
             stage for stage, _ in check_stages.STAGES] + ["whole pass"]
+
+    def test_forged_logs(self):
+        # katsura-3's log with each event dropped: no report raises, and
+        # the reports are pinned by their hash
+        done = subprocess.run(
+            [sys.executable, str(Path(__file__).parent / "forged_logs.py"), "katsura3", "drop"],
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        line = ("182 logs, 0 raised, 84 ok,"
+                " sha256 a32996ad4055122495903a813ef9e0732fc007e0654db87f91ef1e0467fadd81")
+        assert done.stdout == f"katsura3 drop: {line}\nall: {line}\n"

@@ -650,8 +650,7 @@ class TestFindUnrejectedReductor:
         mono, pos, res = find_unrejected_reductor(3, 1, snap)
         assert (mono, pos) == (M(1, 0), 0)  # x * (second input y)
         assert res.step_count == 1
-        f = snap.entries[3]
-        assert snap.failed_check(pos, f.head, f.sig) is None
+        assert snap.failed_check(pos, snap.heads[3], snap.entries[3].sig) is None
 
     def test_unblocked_start_returns_immediately(self):
         ring = make_ring(7, ["x", "y"])
@@ -683,8 +682,7 @@ class TestFindUnrejectedReductor:
         mono, pos, res = find_unrejected_reductor(3, 1, snap)
         assert (mono, pos) == (M(0, 1), 1)
         assert res.step_count == 0
-        f = snap.entries[3]
-        assert snap.failed_check(pos, f.head, f.sig) is None
+        assert snap.failed_check(pos, snap.heads[3], snap.entries[3].sig) is None
 
 
 class TestReductorChecks:
@@ -702,9 +700,9 @@ class TestReductorChecks:
     )
     def test_each_check_decides(self, mono, cand, f, verdict):
         ring, snap = reductor_world()
-        target = snap.entries[f]
-        assert (mono.mul(snap.entries[cand].head) == target.head) == (verdict != "a")
-        assert snap.failed_check(cand, target.head, target.sig) == verdict
+        head = snap.heads[f]
+        assert (mono.mul(snap.heads[cand]) == head) == (verdict != "a")
+        assert snap.failed_check(cand, head, snap.entries[f].sig) == verdict
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from f5gb.trace import (
     run_all_checkers,
 )
 
+import forged_logs
 from order_reference import MonomialQuotient, quotient_cmp
 from systems import (
     CYCLIC4,
@@ -114,7 +115,7 @@ class TestDProgression:
 # logs, in ``suite_instances`` order, each log's written as
 # ``Registry(entries=..., calls=..., insertions=..., rules=..., unknown=...)``
 # with the repr of each: every field of every entry, call, insertion and rule
-PINNED_SUITE_REGISTRIES = "65ec4e976e2b50f0fcd29f5f4dd4f2efdc7f0a4b798b46cba856c491b29d59eb"
+PINNED_SUITE_REGISTRIES = "05f9635ae83cd302c6578a5e693b1956233d42e190ce73c97552f57cae9e07b7"
 
 
 class TestPayloadDecode:
@@ -223,14 +224,15 @@ class TestChains:
         assert rep.passed
         # the hand-checked facts: sig divisibility and the quotient descent
         a, b = registry.entries[1], registry.entries[2]
+        ha, hb = registry.polys[1].head_mono, registry.polys[2].head_mono
         assert a.sig == Signature(M(0, 0), 1) and b.sig == Signature(M(0, 1), 1)
         assert quotient_cmp(
-            MonomialQuotient(a.head, a.sig.mono),
-            MonomialQuotient(b.head, b.sig.mono),
+            MonomialQuotient(ha, a.sig.mono),
+            MonomialQuotient(hb, b.sig.mono),
             ring.order,
         ) == GT
-        assert quotient_key(a.head, a.sig.mono, ring.order) > quotient_key(
-            b.head, b.sig.mono, ring.order
+        assert quotient_key(ha, a.sig.mono, ring.order) > quotient_key(
+            hb, b.sig.mono, ring.order
         )
 
     def test_trivial_chain_of_input(self, demo, ring):
@@ -267,7 +269,8 @@ class TestThm4Scan:
 
 
 def fabricated_audit_log(done_sig_mono):
-    """Minimal log: input x^2, then a Done element with head x^2*y.
+    """Minimal log: input x^2, then a Done element y*x^2 - x^2, with head
+    x^2*y, built from the input as the replay rebuilds it.
 
     The input's head divides it with multiplier y.  With signature (x,1) the
     input passes all four reductor checks and the audit must fail.  With
@@ -290,11 +293,11 @@ def fabricated_audit_log(done_sig_mono):
         call=1,
         pos=1,
         sig={"mono": list(done_sig_mono), "index": 1},
-        poly=[[1, [2, 1]]],
+        poly=[[1, [2, 1]], [6, [2, 0]]],
         p1=0,
         u1=[0, 1],
         p2=0,
-        u2=[0, 1],
+        u2=[0, 0],
         d=3,
     )
     t.emit("RuleAdded", index=1, mono=list(done_sig_mono), pos=1)
@@ -303,8 +306,8 @@ def fabricated_audit_log(done_sig_mono):
         call=1,
         pos=1,
         sig={"mono": list(done_sig_mono), "index": 1},
-        poly=[[1, [2, 1]]],
-        creation_poly=[[1, [2, 1]]],
+        poly=[[1, [2, 1]], [6, [2, 0]]],
+        creation_poly=[[1, [2, 1]], [6, [2, 0]]],
         trail=[],
     )
     return t.events
@@ -312,8 +315,9 @@ def fabricated_audit_log(done_sig_mono):
 
 def check_d_audit_log():
     """Input x^2, then r1 with signature (x*y,1) and head x^3*y, then r2 with
-    signature (y,1) and head x^2*y.  r2 is newer than r1 but has the smaller
-    signature, so it is Done-inserted first.
+    signature (y,1) and head x^2*y, each its signature's monomial times the
+    input less the input, as the replay rebuilds it.  r2 is newer than r1
+    but has the smaller signature, so it is Done-inserted first.
 
     At r1's insertion r2's head divides r1's with multiplier x.  r2 owns the
     newest rule dividing x*y, so check (c) passes it, and x*y is r1's
@@ -337,11 +341,11 @@ def check_d_audit_log():
             call=1,
             pos=pos,
             sig={"mono": sig, "index": 1},
-            poly=[[1, head]],
+            poly=[[1, head], [6, [2, 0]]],
             p1=0,
             u1=sig,
             p2=0,
-            u2=sig,
+            u2=[0, 0],
             d=sum(head),
         )
         t.emit("RuleAdded", index=1, mono=sig, pos=pos)
@@ -351,8 +355,8 @@ def check_d_audit_log():
             call=1,
             pos=pos,
             sig={"mono": sig, "index": 1},
-            poly=[[1, head]],
-            creation_poly=[[1, head]],
+            poly=[[1, head], [6, [2, 0]]],
+            creation_poly=[[1, head], [6, [2, 0]]],
             trail=[],
         )
     return t.events
@@ -361,7 +365,7 @@ def check_d_audit_log():
 def insertion_view(registry, pos):
     """The audit's view of the basis at the Done insertion of ``pos``."""
     seq = registry.entries[pos].done_seq
-    call = registry.entries[pos].call
+    call = next(call for call, done in registry.insertions.items() if (seq, pos) in done)
     return InsertionView(registry, membership_at(registry, call, seq) + [pos], pos, seq)
 
 
@@ -382,8 +386,8 @@ class TestDoneInsertionAudit:
         registry = build_registry(events, ring)
         rep = done_insertion_audit(registry)
         assert rep.passed and rep.checked == 1
-        g = registry.entries[1]
-        assert insertion_view(registry, 1).failed_check(0, g.head, g.sig) == "c"
+        view = insertion_view(registry, 1)
+        assert view.failed_check(0, view.heads[1], registry.entries[1].sig) == "c"
 
     def test_check_d_rescues_equal_signature(self, ring):
         events = check_d_audit_log()
@@ -392,9 +396,9 @@ class TestDoneInsertionAudit:
         assert rep.passed and rep.checked == 2
         view = insertion_view(registry, 1)
         assert view.members == (0, 1, 2)
-        g = registry.entries[1]
-        assert view.failed_check(0, g.head, g.sig) == "c"
-        assert view.failed_check(2, g.head, g.sig) == "d"
+        head, sig = view.heads[1], registry.entries[1].sig
+        assert view.failed_check(0, head, sig) == "c"
+        assert view.failed_check(2, head, sig) == "d"
 
     def test_candidate_without_rule_entry_is_loud(self, ring):
         # the input passes checks (a) and (b); with its RuleAdded gone there
@@ -406,9 +410,9 @@ class TestDoneInsertionAudit:
         registry = build_registry(events, ring)
         rep = done_insertion_audit(registry)
         assert not rep.passed and rep.failures == [(1, 0, "r0 has no rule entry")]
-        g = registry.entries[1]
+        view = insertion_view(registry, 1)
         with pytest.raises(trace.BrokenLink, match="r0 has no rule entry"):
-            insertion_view(registry, 1).failed_check(0, g.head, g.sig)
+            view.failed_check(0, view.heads[1], registry.entries[1].sig)
 
 
 class TestExtractChainBroken:
@@ -561,7 +565,14 @@ PLANT_OUTCOMES = {
     ("cyclic4", "RewrittenReject"): [("thm5_exhaustive", (4, (1, 2), "unclassified"))],
     ("cyclic4", "RuleAdded"): [("rule_degrees", (2, "not exactly one rule, with its signature"))],
     ("cyclic4", "PhiPreReduce"): [("trail_replay", (57, "post_scale differs from the replay"))],
-    ("cyclic4", "ReductionStep"): [("trail_replay", (59, "post_scale differs from the replay"))],
+    # a dropped step leaves its h unreduced in the replay, and so do the
+    # heads the registry reports read
+    ("cyclic4", "ReductionStep"): [
+        ("trail_replay", (59, "post_scale differs from the replay")),
+        ("chains", (11, ChainReport([5, 6, 8, 11], True, False, True))),
+        ("done_insertion_audit", (8, 5, "candidate passes all four checks")),
+        ("thm5_exhaustive", (9, (5, 8), "unclassified")),
+    ],
     ("katsura5", "F5CritPairReject"): [("thm5_exhaustive", (4, (0, 2), "unclassified"))],
     ("katsura5", "RewrittenReject"): [("thm5_exhaustive", (6, (0, 4), "unclassified"))],
     ("katsura5", "RuleAdded"): [
@@ -569,10 +580,15 @@ PLANT_OUTCOMES = {
         ("done_insertion_audit", (26, 22, "candidate passes all four checks")),
     ],
     ("katsura5", "PhiPreReduce"): [
-        ("trail_replay", (10, "DoneInserted polynomial differs from the replay"))
+        ("trail_replay", (10, "DoneInserted polynomial differs from the replay")),
+        ("done_insertion_audit", (43, 0, "candidate passes all four checks")),
+        ("thm5_exhaustive", (44, (0, 43), "unclassified")),
     ],
     ("katsura5", "ReductionStep"): [
-        ("trail_replay", (158, "DoneInserted polynomial differs from the replay"))
+        ("trail_replay", (158, "DoneInserted polynomial differs from the replay")),
+        ("chains", (15, ChainReport([7, 8, 13, 14, 15], True, False, True))),
+        ("done_insertion_audit", (12, 8, "candidate passes all four checks")),
+        ("thm5_exhaustive", (13, (8, 12), "unclassified")),
     ],
     ("cyclic4", "post_scale"): [("trail_replay", (57, "post_scale differs from the replay"))],
     ("cyclic4", "trail_coeff"): [("trail_replay", (61, "trail differs from the replay"))],
@@ -842,9 +858,9 @@ class TestVectorsOnDemand:
         monkeypatch.setattr(trace, "check_admissible", counting_check)
         calls = {1: {"input_pos": 0}, 2: {"input_pos": 1}}
         for sig, verdict in ((Signature(y, 2), True), (Signature(x, 1), False)):
-            entries = {0: trace.RegistryEntry(0, 1, Signature(M(0, 0), 1), None),
-                       1: trace.RegistryEntry(1, 2, Signature(M(0, 0), 2), None),
-                       2: trace.RegistryEntry(2, 2, sig, None)}
+            entries = {0: trace.RegistryEntry(0, Signature(M(0, 0), 1)),
+                       1: trace.RegistryEntry(1, Signature(M(0, 0), 2)),
+                       2: trace.RegistryEntry(2, sig)}
             registry = trace.Registry(entries, calls, ring=ring, ops=ops, polys=replayed)
             assert all_admissible(registry) is verdict
             assert full_vector_admissible(registry) is verdict
@@ -1012,12 +1028,13 @@ class TestThm5:
         ring, res = thm5_run(name)
         registry = build_registry(res.events, ring)
         rules = _PairRules(res.events, registry, ring.order)
-        members = [e for e in registry.entries.values() if e.head is not None]
-        assert len(members) > 2
-        for a, b in itertools.combinations(members, 2):
-            t = a.head.lcm(b.head)
-            key = max(sig_key(sig_mul(t.divide(e.head), e.sig), ring.order) for e in (a, b))
-            assert rules.pair(a.pos, b.pos)[:2] == rules.pair(b.pos, a.pos)[:2] == (key, t.deg)
+        heads = {pos: q.head_mono for pos, q in registry.polys.items() if not q.is_zero}
+        assert len(heads) > 2
+        for a, b in itertools.combinations(heads, 2):
+            t = heads[a].lcm(heads[b])
+            key = max(sig_key(sig_mul(t.divide(heads[p]), registry.entries[p].sig), ring.order)
+                      for p in (a, b))
+            assert rules.pair(a, b)[:2] == rules.pair(b, a)[:2] == (key, t.deg)
 
     @staticmethod
     def _index_matches_reference(events, ring) -> EvidenceIndex:
@@ -1027,7 +1044,7 @@ class TestThm5:
         registry = build_registry(events, ring)
         index = EvidenceIndex(registry)
         rules = _PairRules(events, registry, ring.order)
-        heads = sorted(pos for pos, e in registry.entries.items() if e.head is not None)
+        heads = sorted(pos for pos, q in registry.polys.items() if not q.is_zero)
         with_evidence = 0
         for a, b in itertools.combinations(heads, 2):
             evidence = rules.evidence(a, b)
@@ -1202,6 +1219,26 @@ class TestReplay:
         rep = check_replay([ev for ev in events if ev is not step], ring)
         assert rep.failures == [(step["seq"] + 1, "nonzero on replay")]
 
+    @pytest.mark.parametrize("system, outcomes", [("cyclic4", 16 + 4), ("katsura3", 10)])
+    def test_step_after_its_outcome_fails_the_replay(self, system, outcomes):
+        # the engine never steps an element after its DoneInserted or
+        # ReductionToZero: a step forged there fails the replay at its seq
+        # and is not replayed, so every position ends as the unforged log
+        # left it
+        names, texts = {"cyclic4": CYCLIC4, "katsura3": SUITE["katsura3_homog"]}[system]
+        ring = make_ring(32003, names)
+        events = incremental_f5(polys(ring, *texts), EngineConfig()).events
+        polys_of = build_registry(events, ring).polys
+        # the step goes before the last CallEnd, and takes its seq
+        seq = max(k for k, ev in enumerate(events) if ev["kind"] == "CallEnd")
+        done = [ev for ev in events if ev["kind"] in ("DoneInserted", "ReductionToZero")]
+        assert len(done) == outcomes
+        for ev in done:
+            registry = build_registry(forged_logs.step_after(events, ev), ring)
+            assert registry.replay.failures == [
+                (seq, f"step on r{ev['pos']} after its {ev['kind']}")]
+            assert registry.polys == polys_of and registry.damage is None
+
     @pytest.mark.parametrize("call", [4, 3, 2, 1])
     def test_input_out_of_term_order_fails_the_replay(self, call):
         # the replay reads an input's logged terms into the ring, which
@@ -1214,8 +1251,9 @@ class TestReplay:
         assert registry.replay.failures == [
             (begin["seq"], "CallBegin polynomial differs from the replay")]
         assert registry.damage is None
-        pos = begin["input_pos"]
-        assert registry.entries[pos].head != registry.polys[pos].head_mono
+        # the replay keeps the input's own head, not the forged log's
+        head = registry.polys[begin["input_pos"]].head_mono
+        assert head == Monomial(begin["poly"][0][1]) != Monomial(begin["poly"][-1][1])
 
     def test_corrupted_final_poly_detected(self, cyclic):
         ring, res = cyclic
