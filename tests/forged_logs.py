@@ -1,6 +1,6 @@
 """Reports of ``cli.run_check`` on a family of forged event logs.
 
-    python tests/forged_logs.py [SYSTEM [FAMILY]]
+    python tests/forged_logs.py [--ledger] [SYSTEM [FAMILY]]
 
 Cyclic-4, katsura-3 and the two-generator demo (``systems.py``, over
 GF(32003)) are each run once; their logs are then forged one change at a
@@ -26,8 +26,20 @@ seed 0).  One line per system and family gives the count of logs, how many
 raised instead of giving a report, how many reports are ``ok``, and one
 sha256 of the reports without ``elapsed_s`` (an exception's repr in place of
 a raised one's report), in log order; a last line gives the same over every
-log run.  SYSTEM and FAMILY select a slice.  pytest does not collect this
-script; ``test_cli.py::TestStageScripts`` runs katsura-3's drop slice.
+log run.  SYSTEM and FAMILY select a slice.
+
+Each forged log also falls in one ledger row: its system, family, the kind
+of the event it forges, and the field it changes, or for a dropped event its
+``where`` ("-" when it has none, and for the unforged log).  ``--ledger``
+prints one line per row, with its count of logs and of ``ok`` reports, in
+place of the family lines.  ``forged_ledger.txt`` is that output on every
+system.  Each run compares its rows with the committed ones: a row whose
+counts differ, or that the file lacks, is printed on stderr, and the script
+exits 1 if any row's ``ok`` count is above the committed one.  To commit new
+counts, run ``python tests/forged_logs.py --ledger > tests/forged_ledger.txt``;
+a change may only lower a row's ``ok`` count, or add rows.  pytest does not
+collect this script; ``test_cli.py::TestStageScripts`` runs katsura-3's drop
+slice and its ledger.
 """
 
 from __future__ import annotations
@@ -36,7 +48,9 @@ import copy
 import hashlib
 import json
 import os
+import re
 import sys
+from collections import Counter
 from types import SimpleNamespace
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -52,6 +66,9 @@ SYSTEMS = {"cyclic4": CYCLIC4, "katsura3": SUITE["katsura3_homog"],
 POSITION_FIELDS = ("input_pos", "pos", "p1", "p2", "j", "h", "cand", "blocked_by", "rewriter",
                    "reductor")
 SIGNATURE_FIELDS = ("sig", "sig1", "sig2", "msig", "h_sig")
+LEDGER = os.path.join(ROOT, "tests", "forged_ledger.txt")
+# a ledger line: system, family, kind and field or ``where``; logs; ok
+LEDGER_ROW = re.compile(r"^(\S+ \S+ \S+ \S+): (\d+) logs, (\d+) ok$", re.M)
 
 
 def _changed(events: list, k: int, change) -> list:
@@ -83,38 +100,42 @@ def step_after(events: list, outcome: dict) -> list:
 
 
 def families(events: list) -> dict:
-    """Family name -> its forged logs, in log order, over the log ``events``."""
+    """Family name -> (kind, field or ``where``, forged log) of each of its
+    logs, in log order, over the log ``events``."""
     out = {name: [] for name in ("unforged", "drop", "position", "call", "empty", "malformed",
                                  "reversed", "g_next", "rule_mono", "sig_mono", "sig_index",
                                  "step_after")}
-    out["unforged"].append(events)
+    out["unforged"].append(("-", "-", events))
     for k, ev in enumerate(events):
-        def forge(family, change):
-            out[family].append(_changed(events, k, change))
+        kind = ev["kind"]
 
-        out["drop"].append(events[:k] + events[k + 1:])
+        def forge(family, name, change):
+            out[family].append((kind, name, _changed(events, k, change)))
+
+        out["drop"].append((kind, ev.get("where", "-"), events[:k] + events[k + 1:]))
         for name in POSITION_FIELDS:
             if name in ev:
-                forge("position", lambda e, name=name: e.update({name: 1_000_000}))
+                forge("position", name, lambda e, name=name: e.update({name: 1_000_000}))
         if "call" in ev:
-            forge("call", lambda e: e.update(call=9))
-        for name in trace._POLY_FIELDS[ev["kind"]]:
+            forge("call", "call", lambda e: e.update(call=9))
+        for name in trace._POLY_FIELDS[kind]:
             if ev[name]:
-                forge("empty", lambda e, name=name: e.update({name: []}))
-                forge("malformed", lambda e, name=name: e[name][0].append(1))
+                forge("empty", name, lambda e, name=name: e.update({name: []}))
+                forge("malformed", name, lambda e, name=name: e[name][0].append(1))
             if len(ev[name]) > 1:
-                forge("reversed", lambda e, name=name: e[name].reverse())
-        if ev["kind"] == "CallBegin":
-            forge("g_next", lambda e: e["g_next"].append(e["input_pos"]))
-        elif ev["kind"] == "RuleAdded":
-            forge("rule_mono", lambda e: e.update(mono=_raised(e["mono"])))
-        elif ev["kind"] == "DoneInserted":
-            out["step_after"].append(step_after(events, ev))
-        if ev["kind"] in trace.CREATION_FIELDS:
-            forge("sig_mono", lambda e: e["sig"].update(mono=_raised(e["sig"]["mono"])))
+                forge("reversed", name, lambda e, name=name: e[name].reverse())
+        if kind == "CallBegin":
+            forge("g_next", "g_next", lambda e: e["g_next"].append(e["input_pos"]))
+        elif kind == "RuleAdded":
+            forge("rule_mono", "mono", lambda e: e.update(mono=_raised(e["mono"])))
+        elif kind == "DoneInserted":
+            out["step_after"].append((kind, "-", step_after(events, ev)))
+        if kind in trace.CREATION_FIELDS:
+            forge("sig_mono", "sig", lambda e: e["sig"].update(mono=_raised(e["sig"]["mono"])))
         for name in SIGNATURE_FIELDS:
             if name in ev:
-                forge("sig_index", lambda e, name=name: e[name].update(index=e[name]["index"] + 1))
+                forge("sig_index", name,
+                      lambda e, name=name: e[name].update(index=e[name]["index"] + 1))
     return out
 
 
@@ -133,10 +154,32 @@ def check(text: str, events: list, counters: dict) -> dict:
     return report
 
 
+def moved_rows(logs: Counter, ok: Counter) -> tuple[list[str], bool]:
+    """The lines of each row of this run whose counts are not the committed
+    ones, and whether any row's ``ok`` count went up."""
+    with open(LEDGER, encoding="utf-8") as fp:
+        committed = {row: (int(n), int(k)) for row, n, k in LEDGER_ROW.findall(fp.read())}
+    lines, up = [], False
+    for row in logs:
+        now = (logs[row], ok[row])
+        if committed.get(row) != now:
+            was = committed.get(row)
+            up = up or was is not None and now[1] > was[1]
+            lines.append(f"moved: {row}: {now[0]} logs, {now[1]} ok"
+                         + (" (a new row)" if was is None
+                            else f" (committed: {was[0]} logs, {was[1]} ok)"))
+    return lines, up
+
+
 def main() -> None:
-    only_system = sys.argv[1] if len(sys.argv) > 1 else None
-    only_family = sys.argv[2] if len(sys.argv) > 2 else None
+    args = sys.argv[1:]
+    ledger = "--ledger" in args
+    if ledger:
+        args.remove("--ledger")
+    only_system = args[0] if args else None
+    only_family = args[1] if len(args) > 1 else None
     total, total_raised, total_ok, everything = 0, 0, 0, hashlib.sha256()
+    row_logs, row_ok = Counter(), Counter()
     for system, (names, texts) in SYSTEMS.items():
         if only_system not in (None, system):
             continue
@@ -146,18 +189,32 @@ def main() -> None:
             if only_family not in (None, family):
                 continue
             digest, raised, ok = hashlib.sha256(), 0, 0
-            for events in logs:
+            for kind, name, events in logs:
                 report = check(text, events, result.counters)
                 raised += "raised" in report
                 ok += report.get("ok") is True
+                row = f"{system} {family} {kind} {name}"
+                row_logs[row] += 1
+                row_ok[row] += report.get("ok") is True
                 line = json.dumps(report, sort_keys=True, separators=(",", ":")).encode() + b"\n"
                 digest.update(line)
                 everything.update(line)
             total, total_raised, total_ok = total + len(logs), total_raised + raised, total_ok + ok
-            print(f"{system} {family}: {len(logs)} logs, {raised} raised, {ok} ok,"
-                  f" sha256 {digest.hexdigest()}", flush=True)
+            if not ledger:
+                print(f"{system} {family}: {len(logs)} logs, {raised} raised, {ok} ok,"
+                      f" sha256 {digest.hexdigest()}", flush=True)
+    if ledger:
+        print("# python tests/forged_logs.py --ledger: system family kind field-or-where:"
+              " forged logs, ok reports")
+        for row in row_logs:
+            print(f"{row}: {row_logs[row]} logs, {row_ok[row]} ok")
     print(f"all: {total} logs, {total_raised} raised, {total_ok} ok,"
           f" sha256 {everything.hexdigest()}")
+    moved, up = moved_rows(row_logs, row_ok)
+    for line in moved:
+        print(line, file=sys.stderr)
+    if up:
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ from f5gb.engine import BudgetExceeded, EngineConfig, NonHomogeneousInput
 from f5gb.poly import ORDER_KINDS, normal_form
 from f5gb.trace import events_from_jsonl, run_all_checkers
 
+import forged_logs
 from systems import (
     CYCLIC4,
     LEX_SCOPE,
@@ -1191,7 +1192,7 @@ class TestReportPin:
 class TestStageScripts:
     """The scripts that pytest does not collect still run: each stage script
     exits 0 and prints one row of seconds per stage, then the whole pass,
-    and ``forged_logs.py`` prints its counts and hash."""
+    and ``forged_logs.py`` prints its counts and hash, and its ledger rows."""
 
     @staticmethod
     def _rows(script: str, *args: str) -> list[str]:
@@ -1222,3 +1223,16 @@ class TestStageScripts:
         line = ("182 logs, 0 raised, 84 ok,"
                 " sha256 a32996ad4055122495903a813ef9e0732fc007e0654db87f91ef1e0467fadd81")
         assert done.stdout == f"katsura3 drop: {line}\nall: {line}\n"
+
+    def test_forged_ledger(self):
+        # katsura-3's ledger rows are the committed ones
+        done = subprocess.run(
+            [sys.executable, str(Path(__file__).parent / "forged_logs.py"), "--ledger", "katsura3"],
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+        with open(forged_logs.LEDGER, encoding="utf-8") as fp:
+            committed = [row for row in forged_logs.LEDGER_ROW.findall(fp.read())
+                         if row[0].startswith("katsura3 ")]
+        rows = forged_logs.LEDGER_ROW.findall(done.stdout)
+        assert rows and rows == committed
