@@ -15,8 +15,9 @@ does not fit its row exactly.  One walk of the log (``build_registry``)
 gives the registry of labeled polynomials, the replay and the damage; it
 treats a malformed polynomial in memory as log damage.  Every checker, and
 the descent (``oracle.DescentRun``), reads the log through that
-``Registry`` alone: it keeps the events and the walk's one memo of
-monomials, and it carries the ring and each position's one polynomial.
+``Registry`` alone: it carries the ring, each position's one polynomial and
+signature, and the tables the walk fills for the checkers, so nothing reads
+an event after the walk, and the walk reads any iterable of events once.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from functools import cached_property, partial
 from itertools import permutations
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .poly import (BOUND, FIELD_BITS, Layout, Lazy, Monomial, Polynomial, Ring, overflow_error,
                    poly_axpy, quotient_key)
@@ -502,21 +503,29 @@ class Registry:
     basis: list[int] = field(default_factory=list)
     # (seq, reason) of the first event that damages what the registry
     # reads: one that names a position no earlier event created, begins a
-    # call with one no DoneInserted inserted, logs an input or inserted
-    # polynomial that is empty or replays to zero (it has no head) or one
-    # with a term that is not [c, vector] (``_malformed``), or Done-inserts
-    # into a call no earlier CallBegin began; when there is none, the first
-    # RuleAdded whose owner no event creates, which only the walk's end can tell
+    # call with one no DoneInserted inserted, begins a call with a g_next
+    # that is not the basis of the CallEnd just before it, or after a
+    # CallEnd of another call than the next (the log's first call begins
+    # with no CallEnd before it and an empty g_next), logs an input or
+    # inserted polynomial that is empty or replays to zero (it has no head)
+    # or one with a term that is not [c, vector] (``_malformed``), or
+    # Done-inserts into a call no earlier CallBegin began; when there is
+    # none, the first RuleAdded whose owner no event creates, which only the
+    # walk's end can tell
     unknown: Optional[tuple[int, str]] = None
     # (seq, reason) of the log's first damage: ``unknown``; a step that
-    # names a position no earlier event created; or call 1's last CallEnd,
-    # naming a position that the replay did not build or reduced to zero
+    # names a position no earlier event created, or that copies a signature
+    # or an index other than the registry's (``_STEP_COPIES``); or call 1's
+    # last CallEnd, naming a position that the replay did not build,
+    # reduced to zero, or that is neither an input nor Done-inserted
     damage: Optional[tuple[int, str]] = None
-    # the events the walk read, and its memo of each payload exponent tuple's
-    # ``Monomial``, which the checkers that read events share; a registry
-    # built by hand has neither
-    events: Sequence[dict] = ()
-    monos: Optional[Lazy] = None
+    # call index -> the d of each of its DegreeStep events, in log order
+    degrees: dict[int, list[int]] = field(default_factory=dict)
+    # (p, q, seq, u_p, u_q), packed, of each ``crit_pair`` or ``spol`` pair
+    # rejection (``_PAIR_WHERE``) of p1 and p2, and of each ``is_reducible``
+    # rejection of h by cand whose ``h_head`` is h's replayed head, with
+    # u_p None: the rejections ``EvidenceIndex`` reads
+    rejections: list[tuple] = field(default_factory=list)
 
     @cached_property
     def vectors(self) -> ReplayedVectors:
@@ -535,6 +544,13 @@ class Registry:
 _READS = {**{kind: (fields.genealogy or ())[:2] for kind, fields in CREATION_FIELDS.items()},
           "PhiPreReduce": ("h", "reductor"), "ReductionStep": ("h", "reductor"),
           "DoneInserted": ("pos",), "ReductionToZero": ("pos",)}
+# the fields of each step kind that copy what the registry holds: h's
+# signature, h's and the reductor's index, and mult times the reductor's
+# signature
+_STEP_COPIES = {"PhiPreReduce": ("h_sig", "h_index", "reductor_index"),
+                "ReductionStep": ("h_sig", "msig")}
+# the ``where`` of each kind of rejection that is logged against a whole pair
+_PAIR_WHERE = {"F5CritPairReject": "crit_pair", "RewrittenReject": "spol"}
 
 
 def _same_poly(q: Polynomial, payload: list, monos: Lazy) -> bool:
@@ -545,12 +561,47 @@ def _same_poly(q: Polynomial, payload: list, monos: Lazy) -> bool:
     )
 
 
-def build_registry(events: Sequence[dict], ring: Ring) -> Registry:
+def _miscopied(ev: dict, h: Signature, r: Signature, u: Monomial, monos: Lazy) -> Optional[str]:
+    """The first field of the step ``ev`` (``_STEP_COPIES``) that differs
+    from what the registry holds: h's signature ``h`` or its index, the
+    reductor's index, or the product of the multiplier ``u`` and the
+    reductor's signature ``r``; None when every copy agrees.  A signature
+    is compared as its index and packed monomial."""
+    held = {"h_sig": (h.index, h.mono.v), "h_index": h.index, "reductor_index": r.index,
+            "msig": (r.index, u.v + r.mono.v)}
+    for name in _STEP_COPIES[ev["kind"]]:
+        logged = ev[name]
+        if type(logged) is dict:
+            logged = (logged["index"], monos[tuple(logged["mono"])].v)
+        if logged != held[name]:
+            return name
+    return None
+
+
+def _unlinked(ev: dict, end: Optional[dict], first: bool) -> Optional[str]:
+    """Why the ``CallBegin`` ``ev`` does not follow on ``end``, the latest
+    ``CallEnd`` since the ``CallBegin`` before it (None when there is none),
+    or None.  The log's first call (``first``) begins with no CallEnd
+    before it (its g_next is empty, as no earlier event creates a
+    position); every other call begins after the CallEnd of call + 1, with
+    that CallEnd's basis as its g_next."""
+    call = ev["call"]
+    if first:
+        return end and f"CallEnd of call {end['call']} before the log's first CallBegin"
+    if end is None or end["call"] != call + 1:
+        return f"CallBegin of call {call} does not follow the CallEnd of call {call + 1}"
+    if ev["g_next"] != end["basis"]:
+        return f"CallBegin g_next is not the basis of call {call + 1}'s CallEnd"
+    return None
+
+
+def build_registry(events: Iterable[dict], ring: Ring) -> Registry:
     """The one walk of the log: every labeled polynomial, with its calls,
     insertions and rules; the replay of every position's polynomial in
     ``ring`` (``Registry.replay``, ``ops`` and ``polys``); call 1's checked
-    basis; and the first damage, of the registry and of the whole log.
-    Each distinct payload exponent vector is decoded once.
+    basis; the degrees and rejections the other checkers read; and the first
+    damage, of the registry and of the whole log.  It reads each event once,
+    in log order, and decodes each distinct payload exponent vector once.
 
     The replay rebuilds every position's polynomial P from the log, in
     ``seq`` order, and checks it against the log.  An input is its logged
@@ -561,11 +612,12 @@ def build_registry(events: Sequence[dict], ring: Ring) -> Registry:
     the end of each φ pass too, unlogged: the replay does so at the first
     event it reads after the pass's run of ``PhiPreReduce`` events.  Each
     failure names an event's ``seq``: a polynomial, ``post_scale``, trail or
-    creation polynomial that differs from the replay, a nonzero
-    ``ReductionToZero``, or, with an event that is not replayed, a step on a
-    position that has its outcome, a position that no earlier event
-    created, or a polynomial with a term that is not [c, vector]
-    (``_malformed``).  ``checked`` counts the Done insertions.  The
+    creation polynomial that differs from the replay, a replayed step's copy
+    of a signature or an index that differs from the registry
+    (``_miscopied``), a nonzero ``ReductionToZero``, or, with an event that
+    is not replayed, a step on a position that has its outcome, a position
+    that no earlier event created, or a polynomial with a term that is not
+    [c, vector] (``_malformed``).  ``checked`` counts the Done insertions.  The
     operations are ``("input", pos, index)``,
     ``("new", pos, a, ua, b, ub, s)`` for s * (ua * P[a] - ub * P[b]),
     ``(step, h, c, u, r)`` for P[h] - c * u * P[r] with step "phi" or
@@ -575,15 +627,19 @@ def build_registry(events: Sequence[dict], ring: Ring) -> Registry:
     calls: dict[int, dict] = {}
     insertions: dict[int, list[tuple[int, int]]] = {}
     rules: dict[int, list[tuple[int, Monomial, int]]] = {}
+    degrees: dict[int, list[int]] = {}
+    rejections: list[tuple] = []
+    reducible: list[tuple[int, tuple]] = []  # (h_head, evidence) of each is_reducible rejection
     P: dict[int, Polynomial] = {}
     created: dict[int, Polynomial] = {}
     trails: dict[int, list] = {}
     ops: list[tuple] = []
     failures = []
     checked = 0
-    # h of the φ pass in progress, call 1's last CallEnd, and the first
-    # damage of the registry and of the replay
-    phi_h = end = unknown = replay_unknown = None
+    # h of the φ pass in progress, call 1's last CallEnd, the latest CallEnd
+    # since the last CallBegin, and the first damage of the registry and of
+    # the replay
+    phi_h = end = last_end = unknown = replay_damage = None
 
     def monic(pos: int) -> int:
         P[pos], s = P[pos].monic_scale()
@@ -596,8 +652,19 @@ def build_registry(events: Sequence[dict], ring: Ring) -> Registry:
         kind, seq = ev["kind"], ev["seq"]
         if kind == "RuleAdded":
             rules.setdefault(ev["index"], []).append((seq, monos[tuple(ev["mono"])], ev["pos"]))
-        elif kind == "CallEnd" and ev["call"] == 1:
-            end = ev
+        elif kind == "CallEnd":
+            last_end = ev
+            if ev["call"] == 1:
+                end = ev
+        elif kind == "DegreeStep":
+            degrees.setdefault(ev["call"], []).append(ev["d"])
+        elif kind in _PAIR_WHERE:
+            if ev["where"] == _PAIR_WHERE[kind]:
+                rejections.append((ev["p1"], ev["p2"], seq, monos[tuple(ev["u1"])].v,
+                                   monos[tuple(ev["u2"])].v))
+            elif ev["where"] == "is_reducible":
+                reducible.append((monos[tuple(ev["h_head"])].v,
+                                  (ev["h"], ev["cand"], seq, None, monos[tuple(ev["mult"])].v)))
         reads = _READS.get(kind)
         if reads is None:
             continue
@@ -609,8 +676,8 @@ def build_registry(events: Sequence[dict], ring: Ring) -> Registry:
         replayed = not unbuilt and malformed is None
         if not replayed:
             failures.append((seq, f"unknown position r{unbuilt[0]}" if unbuilt else malformed))
-            replay_unknown = replay_unknown or failures[-1]
-        if kind in ("PhiPreReduce", "ReductionStep"):
+            replay_damage = replay_damage or failures[-1]
+        if kind in _STEP_COPIES:
             h = ev["h"]
             outcome = replayed and (entries[h].done_seq is not None and "DoneInserted"
                                     or entries[h].zero_seq is not None and "ReductionToZero")
@@ -618,6 +685,10 @@ def build_registry(events: Sequence[dict], ring: Ring) -> Registry:
                 failures.append((seq, f"step on r{h} after its {outcome}"))
             elif replayed:
                 c, u, r = ev["coeff"], monos[tuple(ev["mult"])], ev["reductor"]
+                miscopied = _miscopied(ev, entries[h].sig, entries[r].sig, u, monos)
+                if miscopied:
+                    failures.append((seq, f"{miscopied} differs from the registry"))
+                    replay_damage = replay_damage or failures[-1]
                 step = "phi" if kind == "PhiPreReduce" else "top"
                 P[h] = poly_axpy(P[h], c, u, P[r])
                 ops.append((step, h, c, u, r))
@@ -636,14 +707,16 @@ def build_registry(events: Sequence[dict], ring: Ring) -> Registry:
         # a call begins with inputs and earlier Done insertions alone
         uninserted = kind == "CallBegin" and not missing and [
             p for p in ev["g_next"] if entries[p].done_seq is None and not entries[p].is_input]
+        unlinked = kind == "CallBegin" and _unlinked(ev, last_end, not calls)
+        if kind == "CallBegin":
+            calls[ev["call"]] = ev
+            last_end = None
         if kind in CREATION_FIELDS and malformed is None:
             gen = CREATION_FIELDS[kind].genealogy
             if gen is not None:
                 a, b, ua, ub = (ev[name] for name in gen)
                 ua, ub = monos[tuple(ua)], monos[tuple(ub)]
                 gen = (a, b, ua, ub)
-            if kind == "CallBegin":
-                calls[ev["call"]] = ev
             entries[pos] = RegistryEntry(
                 pos, Signature(monos[tuple(ev["sig"]["mono"])], ev["sig"]["index"]), gen, seq)
             if replayed:
@@ -678,6 +751,8 @@ def build_registry(events: Sequence[dict], ring: Ring) -> Registry:
             damage = f"unknown position r{missing[0]}"
         elif uninserted:
             damage = f"CallBegin g_next names r{uninserted[0]}, which no DoneInserted inserted"
+        elif unlinked:
+            damage = unlinked
         elif unbegun:
             damage = (f"DoneInserted of r{pos} into call {ev['call']}, which no earlier"
                       " CallBegin began")
@@ -694,18 +769,25 @@ def build_registry(events: Sequence[dict], ring: Ring) -> Registry:
         ((seq, f"RuleAdded names r{pos}, which no event creates")
          for table in rules.values() for seq, _, pos in table if pos not in entries),
         default=None)
-    found = [d for d in (unknown, replay_unknown) if d is not None]
+    found = [d for d in (unknown, replay_damage) if d is not None]
     basis = [] if end is None else end["basis"]
-    bad = [p for p in basis if p not in P or P[p].is_zero]
-    if bad:
-        found.append((end["seq"], f"call 1's CallEnd names r{bad[0]}, which the replay "
-                      + ("did not build" if bad[0] not in P else "reduced to zero")))
+    for p in basis:
+        why = ("the replay did not build" if p not in P
+               else "the replay reduced to zero" if P[p].is_zero
+               else "no DoneInserted inserted"
+               if entries[p].done_seq is None and not entries[p].is_input else None)
+        if why:
+            found.append((end["seq"], f"call 1's CallEnd names r{p}, which {why}"))
+            break
+    # an is_reducible rejection is evidence only at h's replayed head
+    rejections += [item for head, item in reducible
+                   if item[0] in P and P[item[0]].terms and P[item[0]].head_mono.v == head]
     return Registry(entries, calls, insertions, rules, ring,
                     _report("trail_replay", checked, failures), ops, P, basis, unknown,
-                    min(found, default=None), events, monos)
+                    min(found, default=None), degrees, rejections)
 
 
-def check_replay(events: Sequence[dict], ring: Ring) -> CheckReport:
+def check_replay(events: Iterable[dict], ring: Ring) -> CheckReport:
     """The ``trail_replay`` report of the log's walk (``build_registry``)."""
     return build_registry(events, ring).replay
 
@@ -728,14 +810,10 @@ def membership_at(registry: Registry, call: int, seq: int) -> list[int]:
 
 
 def check_d_progression(registry: Registry) -> CheckReport:
-    """Per call: the degree sequence never decreases and d_{j+2} > d_j."""
-    per_call: dict[int, list[int]] = {}
-    for ev in registry.events:
-        if ev["kind"] == "DegreeStep":
-            per_call.setdefault(ev["call"], []).append(ev["d"])
+    """Per call (``Registry.degrees``): the degrees never decrease and d_{j+2} > d_j."""
     failures = []
     checked = 0
-    for call, ds in sorted(per_call.items()):
+    for call, ds in sorted(registry.degrees.items()):
         for j in range(len(ds) - 1):
             checked += 1
             if ds[j + 1] < ds[j]:
@@ -748,26 +826,21 @@ def check_d_progression(registry: Registry) -> CheckReport:
 
 
 def check_signature_safety(registry: Registry) -> CheckReport:
-    """Every executed top-reduction step is signature-safe; every pre-reduction
-    step uses a strictly higher-index reductor.  Each distinct payload
-    exponent vector is decoded once, in the walk's memo."""
-    monos, order = registry.monos, registry.ring.order
-
-    def key(d: dict) -> int:
-        return sig_key(Signature(monos[tuple(d["mono"])], d["index"]), order)
-
+    """Every replayed step (``Registry.ops``) of h by r is safe on the
+    registry's signatures, and a failure names h and r: a φ step has
+    index(r) > index(h), a top step by u * r has sig(h) > u * sig(r), keyed
+    as key(sig(r)) + key(u) - key(1) (``sig_key``) with no product formed."""
+    entries, order = registry.entries, registry.ring.order
+    key_one = order.vkey(0)
     failures = []
-    checked = 0
-    for ev in registry.events:
-        if ev["kind"] == "ReductionStep":
-            checked += 1
-            if key(ev["h_sig"]) <= key(ev["msig"]):
-                failures.append((ev["seq"], "unsafe reduction step"))
-        elif ev["kind"] == "PhiPreReduce":
-            checked += 1
-            if not ev["reductor_index"] > ev["h_index"]:
-                failures.append((ev["seq"], "pre-reduction by non-higher index"))
-    return _report("signature_safety", checked, failures)
+    steps = [op for op in registry.ops if op[0] in ("phi", "top")]
+    for step, h, _, u, r in steps:
+        if step == "phi" and not entries[r].index > entries[h].index:
+            failures.append((h, r, "pre-reduction by non-higher index"))
+        elif step == "top" and sig_key(entries[h].sig, order) <= (
+                sig_key(entries[r].sig, order) + order.vkey(u.v) - key_one):
+            failures.append((h, r, "unsafe reduction step"))
+    return _report("signature_safety", len(steps), failures)
 
 
 def check_rule_degrees(registry: Registry) -> CheckReport:
@@ -1073,28 +1146,13 @@ def in_scope(key: int, deg: int, g_key: int, g_deg: int, order) -> bool:
     return key < g_key and (deg <= g_deg or key_index(key, order) != key_index(g_key, order))
 
 
-def _evidence_items(registry: Registry, heads: dict):
+def _evidence_items(registry: Registry):
     """(p, q, seq, u_p, u_q) per item of evidence for the pair of positions p
-    and q (``EvidenceIndex``), from ``seq`` on: a rejection, and an element
-    built from the pair once it has its outcome.  u_p and u_q are the packed
-    multipliers it gives p and q; u_p is None for an ``is_reducible``
-    rejection of p, which is yielded only when its ``h_head`` is ``heads[p]``.
-    Each distinct payload exponent vector is packed once, in the walk's
-    memo, through ``Monomial``, which rejects a bad one."""
-    monos = registry.monos
-    # where each kind of rejection is logged against a whole pair
-    pair_where = {"F5CritPairReject": "crit_pair", "RewrittenReject": "spol"}
-    for ev in registry.events:
-        kind = ev["kind"]
-        if kind in pair_where:
-            if ev["where"] == pair_where[kind]:
-                yield (ev["p1"], ev["p2"], ev["seq"], monos[tuple(ev["u1"])].v,
-                       monos[tuple(ev["u2"])].v)
-            elif ev["where"] == "is_reducible":
-                h, h_head = ev["h"], monos[tuple(ev["h_head"])].v
-                u = monos[tuple(ev["mult"])].v
-                if heads.get(h) == h_head:
-                    yield h, ev["cand"], ev["seq"], None, u
+    and q (``EvidenceIndex``), from ``seq`` on: a rejection
+    (``Registry.rejections``), and an element built from the pair once it
+    has its outcome.  u_p and u_q are the packed multipliers it gives p and
+    q; u_p is None for an ``is_reducible`` rejection of p."""
+    yield from registry.rejections
     for e in registry.entries.values():
         outcome = e.done_seq if e.done_seq is not None else e.zero_seq
         if not e.is_input and outcome is not None:
@@ -1134,7 +1192,7 @@ class EvidenceIndex(dict):
         self.bits = (max(entries, default=0) - self.low).bit_length()
         heads = {pos: head.v for pos, head in registry.heads.items()}
         lcm, get, inf = registry.ring.order.lay.lcm, self.get, math.inf
-        for p, q, seq, up, uq in _evidence_items(registry, heads):
+        for p, q, seq, up, uq in _evidence_items(registry):
             # the check forms no pair of a member with no head, nor one
             # whose lcm overflows
             try:
@@ -1289,19 +1347,19 @@ _CHECKER_NAMES = (
 )
 
 
-def run_all_checkers(events: Sequence[dict], ring: Ring,
+def run_all_checkers(events: Iterable[dict], ring: Ring,
                      registry: Optional[Registry] = None) -> list[CheckReport]:
     """Every checker's report, read off the walk of ``events``
     (``build_registry``), which is made here in ``ring`` unless it is
     passed; the ``trail_replay`` report is the walk's replay.  On a log with no
-    ``CallBegin`` no check has anything to run on, so each report fails
-    with that reason.  On a log whose registry is damaged
+    ``CallBegin`` (``Registry.calls``) no check has anything to run on, so
+    each report fails with that reason.  On a log whose registry is damaged
     (``Registry.unknown``) the registry is not the run's, so each report
     read off it fails with that event's ``seq`` and reason."""
-    if not any(ev["kind"] == "CallBegin" for ev in events):
-        return [_report(name, 0, ["no CallBegin in the log"]) for name in _CHECKER_NAMES]
     if registry is None:
         registry = build_registry(events, ring)
+    if not registry.calls:
+        return [_report(name, 0, ["no CallBegin in the log"]) for name in _CHECKER_NAMES]
     reports = {"d_progression": check_d_progression(registry),
                "signature_safety": check_signature_safety(registry),
                "trail_replay": registry.replay}

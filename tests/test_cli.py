@@ -329,15 +329,11 @@ class TestCommands:
         assert on_snapshots and len(on_snapshots) == len(set(on_snapshots))
 
     def test_failed_check_is_not_ok(self, cyclic_file, monkeypatch):
-        # thm5_exhaustive on the log without its criterion rejections: the
-        # pairs they classified are unclassified, and the check fails
-        check = trace.check_thm5_exhaustive
-
-        def check_stripped(registry):
-            stripped = strip_rejections(registry.events)
-            return check(trace.build_registry(stripped, registry.ring))
-
-        monkeypatch.setattr(trace, "check_thm5_exhaustive", check_stripped)
+        # the walk of the log without its criterion rejections: the pairs
+        # they classified are unclassified, and thm5_exhaustive fails
+        build = trace.build_registry
+        monkeypatch.setattr(cli, "build_registry",
+                            lambda events, ring: build(strip_rejections(events), ring))
         code, out = run_main(["check", cyclic_file, "--json-report"])
         report = json.loads(out)
         assert code == 2 and report["ok"] is False
@@ -720,6 +716,57 @@ UNBEGUN_CALL_FORGERIES = {
 
 
 
+def _raised_step_copy(kind, name):
+    """The change that raises by one the index that field ``name`` of the
+    first ``kind`` event holds: the field itself, or a signature's index."""
+    def forge(events):
+        first = next(ev for ev in events if ev["kind"] == kind)
+        value = first[name]
+        value = value + 1 if type(value) is int else {**value, "index": value["index"] + 1}
+        return [{**ev, name: value} if ev is first else ev for ev in events]
+    return forge
+
+
+# a forged cyclic-4 log with a step field that copies a signature or an
+# index other than the registry's -> its damage; only the replay fails on it
+STEP_COPY_FORGERIES = {
+    f"{kind}_{name}": (
+        _raised_step_copy(kind, name),
+        f"damaged log: seq {seq}: {name} differs from the registry", ["trail_replay"])
+    for kind, seq, names in (("PhiPreReduce", 56, ("h_sig", "h_index", "reductor_index")),
+                             ("ReductionStep", 57, ("h_sig", "msig")))
+    for name in names
+}
+
+
+def _without_seq(seq):
+    """The change that drops the event with ``seq``."""
+    return lambda events: [ev for ev in events if ev["seq"] != seq]
+
+
+def _changed_at(seq, change):
+    """The change that replaces the event with ``seq`` by ``change`` of a
+    copy of it."""
+    return lambda events: [change(dict(ev)) if ev["seq"] == seq else ev for ev in events]
+
+
+# a forged cyclic-4 log whose CallBegin does not follow on the CallEnd just
+# before it (cyclic-4's call 3 ends at seq 30 and call 2 begins at seq 31;
+# call 2 ends at seq 239 and call 1 begins at seq 240) -> its damage; the
+# five registry reports fail on it
+CALL_LINK_FORGERIES = {
+    "dropped_call_end_of_call_2": (
+        _without_seq(239),
+        "damaged log: seq 240: CallBegin of call 1 does not follow the CallEnd of call 2"),
+    "call_end_of_call_3_as_call_9": (
+        _changed_at(30, lambda ev: {**ev, "call": 9}),
+        "damaged log: seq 31: CallBegin of call 2 does not follow the CallEnd of call 3"),
+    "g_next_without_its_last_position": (
+        _changed_at(31, lambda ev: {**ev, "g_next": ev["g_next"][:-1]}),
+        "damaged log: seq 31: CallBegin g_next is not the basis of call 3's CallEnd"),
+}
+
+
 def _extra_term_value(kind):
     """The change that appends 1 to the first term of the polynomial of the
     first ``kind`` event."""
@@ -823,6 +870,30 @@ class TestLogOnlyCheck:
             tmp_path, monkeypatch, forge,
             "damaged log: seq 31: CallBegin g_next names r2, which no DoneInserted inserted",
             ["rule_degrees", "genealogy", "chains", "done_insertion_audit", "thm5_exhaustive"])
+
+    def test_checked_basis_member_without_its_insertion_is_damage(self, tmp_path, monkeypatch):
+        # without cyclic-4's DoneInserted of r20 (seq 319), call 1 ends with
+        # r20 in the checked basis, which the registry never inserted
+        self._damage_is_reported(
+            tmp_path, monkeypatch, _without_seq(319),
+            "damaged log: seq 361: call 1's CallEnd names r20, which no DoneInserted inserted",
+            [])
+
+    @pytest.mark.parametrize("forge, damage", CALL_LINK_FORGERIES.values(),
+                             ids=list(CALL_LINK_FORGERIES))
+    def test_call_that_does_not_follow_its_call_end_is_damage(self, tmp_path, monkeypatch,
+                                                              forge, damage):
+        self._damage_is_reported(
+            tmp_path, monkeypatch, forge, damage,
+            ["rule_degrees", "genealogy", "chains", "done_insertion_audit", "thm5_exhaustive"])
+
+    @pytest.mark.parametrize("forge, damage, failing", STEP_COPY_FORGERIES.values(),
+                             ids=list(STEP_COPY_FORGERIES))
+    def test_step_copy_that_differs_from_the_registry_is_damage(self, tmp_path, monkeypatch,
+                                                                forge, damage, failing):
+        # the walk compares each replayed step's copies with the registry,
+        # and the damage names the field
+        self._damage_is_reported(tmp_path, monkeypatch, forge, damage, failing)
 
     @pytest.mark.parametrize("forge, damage, failing", MALFORMED_TERM_FORGERIES.values(),
                              ids=list(MALFORMED_TERM_FORGERIES))
@@ -1220,8 +1291,8 @@ class TestStageScripts:
             [sys.executable, str(Path(__file__).parent / "forged_logs.py"), "katsura3", "drop"],
             capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        line = ("182 logs, 0 raised, 84 ok,"
-                " sha256 a32996ad4055122495903a813ef9e0732fc007e0654db87f91ef1e0467fadd81")
+        line = ("182 logs, 0 raised, 79 ok,"
+                " sha256 6ece6837e97f71a7b2777ad9087e4a0488710fbea505bc7a6a25301352147259")
         assert done.stdout == f"katsura3 drop: {line}\nall: {line}\n"
 
     def test_forged_ledger(self):

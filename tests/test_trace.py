@@ -128,7 +128,7 @@ class TestPayloadDecode:
         assert digest.hexdigest() == PINNED_SUITE_REGISTRIES
 
     def test_each_payload_vector_is_decoded_once_per_log(self, monkeypatch):
-        # the walk's memo serves every checker that reads the events
+        # the walk decodes each vector once, and no checker decodes one
         decoded = []
 
         def counting(exps):
@@ -143,43 +143,43 @@ class TestPayloadDecode:
         assert decoded and len(decoded) == len(set(decoded))
 
 
+def _two_inputs(step: dict) -> list[dict]:
+    """A log over GF(7) in x, y: call 2 begins with r0 = y, of signature e2,
+    call 1 with r1 = x, of signature e1, which is the greater (a smaller
+    index is greater), and ``step`` follows, with seq 3."""
+    return [
+        {"seq": 0, "kind": "CallBegin", "call": 2, "input_pos": 0,
+         "sig": {"mono": (0, 0), "index": 2}, "poly": [[1, (0, 1)]], "g_next": []},
+        {"seq": 1, "kind": "CallEnd", "call": 2, "basis": [0]},
+        {"seq": 2, "kind": "CallBegin", "call": 1, "input_pos": 1,
+         "sig": {"mono": (0, 0), "index": 1}, "poly": [[1, (1, 0)]], "g_next": [0]},
+        {"seq": 3, **step},
+    ]
+
+
 class TestSignatureSafety:
     def test_vacuous(self, ring):
         assert check_signature_safety(build_registry([], ring)).passed
 
     def test_fabricated_violation(self, ring):
-        ev = [
-            {
-                "seq": 0,
-                "kind": "ReductionStep",
-                "call": 1,
-                "h": 2,
-                "h_sig": {"mono": [0, 1], "index": 1},
-                "reductor": 1,
-                "mult": [1, 0],
-                "msig": {"mono": [1, 0], "index": 1},  # x > y: unsafe
-                "coeff": 1,
-                "post_scale": 1,
-            }
-        ]
-        assert not check_signature_safety(build_registry(ev, ring)).passed
+        # r0 - r1 = 6x + y, made monic by 6: its copies are the registry's,
+        # so the replay passes, but 1 * e1 is above e2
+        registry = build_registry(_two_inputs({
+            "kind": "ReductionStep", "call": 1, "h": 0, "h_sig": {"mono": (0, 0), "index": 2},
+            "reductor": 1, "mult": (0, 0), "msig": {"mono": (0, 0), "index": 1}, "coeff": 1,
+            "post_scale": 6}), ring)
+        assert registry.replay.passed and registry.damage is None
+        rep = check_signature_safety(registry)
+        assert rep.failures == [(0, 1, "unsafe reduction step")] and rep.checked == 1
 
     def test_phi_step_must_use_higher_index(self, ring):
-        ev = [
-            {
-                "seq": 0,
-                "kind": "PhiPreReduce",
-                "call": 1,
-                "h": 2,
-                "h_sig": {"mono": [0, 0], "index": 1},
-                "h_index": 1,
-                "reductor": 1,
-                "reductor_index": 1,  # same index: not a pre-reduction
-                "mult": [0, 0],
-                "coeff": 1,
-            }
-        ]
-        assert not check_signature_safety(build_registry(ev, ring)).passed
+        registry = build_registry(_two_inputs({
+            "kind": "PhiPreReduce", "call": 1, "h": 0, "h_sig": {"mono": (0, 0), "index": 2},
+            "h_index": 2, "reductor": 1, "reductor_index": 1,  # a lower index
+            "mult": (0, 0), "coeff": 1}), ring)
+        assert registry.replay.passed and registry.damage is None
+        rep = check_signature_safety(registry)
+        assert rep.failures == [(0, 1, "pre-reduction by non-higher index")] and rep.checked == 1
 
 
 class TestRuleDegrees:
@@ -599,10 +599,12 @@ PLANT_OUTCOMES = {
         ("trail_replay", (8, "SPolCreated polynomial differs from the replay"))
     ],
     ("cyclic4", "unknown_reductor"): [("trail_replay", (56, "unknown position r1000000"))],
-    # the replayed vector still leads with u1 * S(p1): not admissible either
+    # the replayed vector still leads with u1 * S(p1): not admissible
+    # either; a φ step by r2 copies its old index
     ("cyclic4", "sig_swap"): [
         ("rule_degrees", (2, "not exactly one rule, with its signature")),
         ("genealogy", (2, "sig != u_over * S(greater)")),
+        ("trail_replay", (60, "reductor_index differs from the registry")),
         ("chains", (2, ChainReport([1, 2], False, False, True))),
         ("thm5_exhaustive", (3, (0, 2), "unclassified")),
     ],
@@ -689,7 +691,8 @@ class TestDroppedCreation:
     def test_drop_one_fails_reports_and_never_raises(self, system, creations):
         # a log without the event that created a position: each report read
         # off the registry fails at the first event that names the position,
-        # the reports of the events alone still run, and the replay fails
+        # the reports of the walk's tables still run, signature_safety on
+        # each replayed step, and the replay fails
         names, texts = {"cyclic4": CYCLIC4, "katsura3": SUITE["katsura3_homog"]}[system]
         ring = make_ring(32003, names)
         events = incremental_f5(polys(ring, *texts), EngineConfig()).events
@@ -705,7 +708,9 @@ class TestDroppedCreation:
             ((seq, reason),) = failed["rule_degrees"]
             assert all(failed[name] == [(seq, reason)] for name in REGISTRY_REPORTS)
             assert seq > dropped["seq"] and reason == f"unknown position r{pos}"
-            assert all(rep.checked for rep in reports[:2])
+            steps = [op for op in build_registry(events[:k] + events[k + 1:], ring).ops
+                     if op[0] in ("phi", "top")]
+            assert reports[0].checked > 0 and reports[1].checked == len(steps)
 
 
 def full_vector_admissible(registry) -> bool:
@@ -1327,6 +1332,21 @@ class TestLogRoundTrip:
         monkeypatch.setattr(trace, "build_registry", counting)
         assert all(rep.passed for rep in run_all_checkers(res.events, ring))
         assert len(calls) == 1
+
+    def test_nothing_reads_an_event_after_the_walk(self):
+        # a one-shot iterator of the log gives the list's registry and
+        # reports: the walk reads each event once, and no checker reads one
+        for name, ring, inputs in suite_instances():
+            events = incremental_f5(inputs).events
+            assert build_registry(iter(events), ring) == build_registry(events, ring), name
+            assert run_all_checkers(iter(events), ring) == run_all_checkers(events, ring), name
+
+    def test_first_call_after_a_call_end_is_damage(self, ring):
+        events = _two_inputs({"kind": "CallEnd", "call": 1, "basis": [0, 1]})
+        assert build_registry(events, ring).unknown is None
+        before = {"seq": -1, "kind": "CallEnd", "call": 3, "basis": []}
+        assert build_registry([before] + events, ring).unknown == (
+            0, "CallEnd of call 3 before the log's first CallBegin")
 
     def test_membership_and_rules_match_engine_snapshots(self, cyclic):
         # (seq, g_pos, members, rule count per index) at every Done
