@@ -10,8 +10,10 @@ sequence the engine logs, with the shape of each field.  ``EVENT_KINDS`` is
 read off it, and both directions of the codec compile its rows (``_Row``).
 ``Trace.to_jsonl`` renders every event that fits a row through the row's
 ``%`` template and encodes any other whole, so the bytes are
-``json.dumps``'s either way; ``events_from_jsonl`` rejects every line that
-does not fit its row exactly.  One walk of the log (``build_registry``)
+``json.dumps``'s either way.  ``events_from_jsonl`` reads a line that is
+exactly a template's output through the row's line pattern, the template's
+inverse, and decodes any other line alone; either way it rejects every line
+that does not fit its row exactly.  One walk of the log (``build_registry``)
 gives the registry of labeled polynomials, the replay and the damage; it
 treats a malformed polynomial in memory as log damage.  Every checker, and
 the descent (``oracle.DescentRun``), reads the log through that
@@ -25,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -40,8 +43,9 @@ from .sig import (ReplayedVectors, Signature, check_admissible, key_index, repla
 
 
 def _fields(spec: str) -> tuple[tuple[str, str], ...]:
-    """The (name, shape) of each ``name:shape`` of ``spec``."""
-    return tuple(tuple(field.split(":")) for field in spec.split())
+    """The (name, shape) of each ``name:shape`` of ``spec``, interned, so a
+    name is the key string of every event the reader builds."""
+    return tuple(tuple(map(sys.intern, field.split(":"))) for field in spec.split())
 
 
 # The fields of each event the engine logs, after ``seq`` (an int) and
@@ -107,17 +111,11 @@ CREATION_FIELDS = {
     "NewFromTopReduction": CreationFields("pos", ("j", "h", "u", "u_under")),
 }
 
-# the JSON Lines codec writes and decodes this many lines at a time: one
-# json.loads per chunk lets the decoder share each key string among the
-# chunk's events
+# ``Trace.to_jsonl`` writes this many lines per ``writelines``
 _CHUNK_LINES = 1024
 # the one shared string of each rejection's ``where`` and of each trail
 # step's kind, as the engine's events share them
 _VALUES = {value: value for value in ("crit_pair", "spol", "is_reducible", "phi", "top", "monic")}
-# "}", "," and "{", the end of one object and the start of the next; no
-# line that to_jsonl writes holds one, because no event holds a list of
-# objects
-_OBJECT_BOUNDARY = re.compile(r"}\s*,\s*{")
 
 
 class _Row(NamedTuple):
@@ -286,72 +284,90 @@ def _line_renderer() -> Callable[[object], str]:
 
 
 def events_from_jsonl(fp) -> list[dict]:
-    """Read the events ``Trace.to_jsonl`` wrote; blank lines are skipped.
+    """Read the events ``Trace.to_jsonl`` wrote, one line at a time; blank
+    lines are skipped.
 
-    Each non-blank line must hold one JSON object that fits a row of
-    ``EVENT_SHAPES`` (``_event_reader``); otherwise ``ValueError`` names the
-    first bad line (1-based).  As in the engine's log, each exponent vector
-    becomes a tuple of ints, one per distinct vector of the read."""
+    A line that is exactly the one ``to_jsonl`` writes for a row of
+    ``EVENT_SHAPES`` with no polynomial, trail or int list is read through
+    the row's line pattern (``_event_reader``'s ``parse``).  Any other line
+    must hold one JSON object that fits a row (``_decode_line``); otherwise
+    ``ValueError`` names the first bad line (1-based).  As in the engine's
+    log, each exponent vector becomes a tuple of ints, one per distinct
+    vector of the read, whichever way its line was read."""
+    read, parse = _event_reader()
     events: list[dict] = []
-    lines: list[str] = []
-    linenos: list[int] = []
-    read = _event_reader()
     for lineno, line in enumerate(fp, 1):
-        if line.strip():
-            lines.append(line)
-            linenos.append(lineno)
-            if len(lines) == _CHUNK_LINES:
-                _decode_chunk(lines, linenos, events, read)
-                lines, linenos = [], []
-    _decode_chunk(lines, linenos, events, read)
+        ev = parse(line)
+        if ev is not None:
+            events.append(ev)
+        elif line.strip():
+            events.append(_decode_line(line, lineno, read))
     return events
 
 
-def _decode_chunk(
-    lines: list[str], linenos: list[int], out: list[dict], read: Callable[[dict], None]
-) -> None:
-    """Append the events of ``lines`` to ``out``.
-
-    The chunk is decoded as one JSON array when one search of its text
-    finds no object boundary, in a line or across two.  Then every
-    top-level comma of an array of objects is one put between two lines, so
-    an array of one object per line holds each line's object.  Any other
-    chunk, and one with an object that does not fit its row, is decoded
-    line by line, which raises at its first bad line."""
-    if not _OBJECT_BOUNDARY.search("".join(lines)):
-        try:
-            events = json.loads("[" + ",".join(lines) + "]")
-            if len(events) == len(lines):
-                for ev in events:
-                    read(ev)
-                out += events
-                return
-        except (ValueError, KeyError, TypeError):
-            pass
-    out += [_decode_line(line, lineno, read) for line, lineno in zip(lines, linenos)]
-
-
-def _decode_line(line: str, lineno: int, read: Callable[[dict], None]) -> dict:
+def _decode_line(line: str, lineno: int, read: Callable[[dict], dict]) -> dict:
     try:
         ev = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ValueError(f"line {lineno}, column {exc.colno}: {exc.msg}") from None
     try:
-        read(ev)
+        return read(ev)
     except ValueError as exc:
         raise ValueError(f"line {lineno}: {exc}") from None
-    return ev
 
 
-def _event_reader() -> Callable[[dict], None]:
-    """A function that checks a decoded object against its row of
-    ``EVENT_SHAPES``, by its keys, and shares its values in place.
+# the text of each field of a line that a pattern reads, as to_jsonl writes
+# it: a JSON integer; a JSON string with no escape or control character, so
+# that the text is the value; an exponent vector, whose text is checked as
+# JSON when it is new to the read; a signature
+_INT_TEXT = r"(-?(?:0|[1-9][0-9]*))"
+_VECTOR_TEXT = r"(\[[0-9,]*\])"
+_FIELD_TEXT = {"int": _INT_TEXT, "str": r'"([^"\\\x00-\x1f]*)"', "vector": _VECTOR_TEXT,
+               "signature": r'\{"mono":' + _VECTOR_TEXT + r',"index":' + _INT_TEXT + r"\}"}
+# the value of each field from its texts: T maps a vector's text to its
+# tuple, S a str to its shared string
+_FIELD_VALUE = {"int": "int({})", "str": "S({0}, {0})", "vector": "T[{}]",
+                "signature": '{{"mono": T[{}], "index": int({})}}'}
 
-    The kind must be the row's and each value exactly of its shape, with
-    vector entries ints from 0 to ``poly.BOUND`` - 1, as many as in the
-    first vector read; otherwise ``ValueError`` names the first fault.  Each
-    vector becomes a tuple, one per distinct vector; the kind, str fields
-    and step kinds become the row's string or ``_VALUES``', if any."""
+
+def _line_builder(row: _Row, texts: dict) -> Callable[..., dict]:
+    """The function from the texts of a line of ``row``, in log order, to
+    its event: one dict literal, generated per row, as ``namedtuple``
+    generates its class."""
+    args, items = [], []
+    for name, shape in row.fields:
+        if name == "kind":
+            items.append("'kind': kind")
+            continue
+        texts_of = [f"_{len(args) + k}" for k in range(2 if shape == "signature" else 1)]
+        args += texts_of
+        items.append(f"{name!r}: " + _FIELD_VALUE[shape].format(*texts_of))
+    source = (f"def make(T, S, kind):\n def build({', '.join(args)}):\n"
+              f"  return {{{', '.join(items)}}}\n return build\n")
+    namespace: dict = {}
+    exec(source, namespace)
+    return namespace["make"](texts, _VALUES.get, row.kind)
+
+
+def _event_reader() -> tuple[Callable[[dict], dict], Callable[[str], Optional[dict]]]:
+    """Two functions of one read: ``read`` checks a decoded object against
+    its row of ``EVENT_SHAPES``, by its keys, and gives it with its values
+    and keys shared; ``parse`` reads a line through its row's line pattern.
+
+    For ``read``, the kind must be the row's and each value exactly of its
+    shape, with vector entries ints from 0 to ``poly.BOUND`` - 1, as many as
+    in the first vector read; otherwise ``ValueError`` names the first
+    fault.  Each vector becomes a tuple, one per distinct vector; the kind,
+    str fields and step kinds become the row's string or ``_VALUES``', if
+    any, and each key the row's, which every event of the read shares.
+
+    A row with no polynomial, trail or int list has a line pattern, the
+    inverse of its ``_Row.template``: one group per int, str and vector
+    text, two per signature.  ``parse`` gives the event of a line that its
+    kind's pattern matches, built with no JSON list (``_line_builder``), or
+    None.  A vector text new to the read is checked once, by ``read``'s own
+    walk, which also gives its tuple; a line with a text that fails it gives
+    None, so its error is ``read``'s."""
     shape = None  # [int] per entry of the first vector read: every vector's types
 
     def exponents(t: tuple) -> tuple:
@@ -405,15 +421,17 @@ def _event_reader() -> Callable[[dict], None]:
 
     walks = {"str": lambda value: _VALUES.get(value, value), "vector": vector,
              "signature": signature, "polynomial": polynomial, "trail": trail, "ints": ints}
-    # each row with the (name, walk) of each field it walks after ``kind``
-    rows = {keys: (row, [(name, walks[shape]) for name, shape in row.fields[2:] if shape in walks])
+    # each row with its keys and the (name, walk) of each field it walks
+    # after ``kind``
+    rows = {keys: (row, keys, [(name, walks[shape]) for name, shape in row.fields[2:]
+                               if shape in walks])
             for keys, row in _rows().items()}
 
-    def read(ev) -> None:
+    def read(ev) -> dict:
         if type(ev) is not dict:
             raise ValueError("not a JSON object")
         kind = ev.get("kind")
-        row, walked = rows.get(tuple(ev), (None, ()))
+        row, keys, walked = rows.get(tuple(ev), (None, (), ()))
         if row is None or kind != row.kind:
             raise ValueError(f"no {kind} row has the keys {list(ev)}" if kind in EVENT_KINDS
                              else f"unknown kind {kind!r}")
@@ -428,8 +446,35 @@ def _event_reader() -> Callable[[dict], None]:
             shape = dict(row.fields)[name]
             shape = {"vector": "exponent vector", "ints": "list of ints"}.get(shape, shape)
             raise ValueError(f"field {name!r} is not a valid {shape}") from None
+        return dict(zip(keys, ev.values()))
 
-    return read
+    texts = Lazy(lambda text: vector(json.loads(text)))
+    # kind -> (fullmatch, build) of each of its rows with a line pattern, the
+    # last row of EVENT_SHAPES first: a rejection's pair row, which most of
+    # a log's rejections fit
+    patterns: dict[str, list[tuple[Callable, Callable[..., dict]]]] = {}
+    for row, _, _ in rows.values():
+        if not row.encoded:
+            pattern = ",".join(f'"{name}":' + (re.escape(encode_basestring_ascii(row.kind))
+                                               if name == "kind" else _FIELD_TEXT[shape])
+                               for name, shape in row.fields)
+            patterns.setdefault(row.kind, []).insert(
+                0, (re.compile(r"\{" + pattern + r"\}\n?").fullmatch, _line_builder(row, texts)))
+
+    def parse(line: str) -> Optional[dict]:
+        # the kind is the text after the first '"kind":"'; the kind's
+        # patterns match a whole line or none of it
+        start = line.find('"kind":"') + 8
+        for match, build in patterns.get(line[start:line.find('"', start)], ()):
+            found = match(line)
+            if found:
+                try:
+                    return build(*found.groups())
+                except (TypeError, ValueError):  # a vector text that fails the walk
+                    return None
+        return None
+
+    return read, parse
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +547,9 @@ class Registry:
     # the log has no such CallEnd
     basis: list[int] = field(default_factory=list)
     # (seq, reason) of the first event that damages what the registry
-    # reads: one that names a position no earlier event created, begins a
-    # call with one no DoneInserted inserted, begins a call with a g_next
+    # reads: one that names a position no earlier event created (a pair or
+    # a rejection too, ``_NAMED``), begins a call with one no DoneInserted
+    # inserted, begins a call with a g_next
     # that is not the basis of the CallEnd just before it, or after a
     # CallEnd of another call than the next (the log's first call begins
     # with no CallEnd before it and an empty g_next), logs an input or
@@ -515,9 +561,12 @@ class Registry:
     unknown: Optional[tuple[int, str]] = None
     # (seq, reason) of the log's first damage: ``unknown``; a step that
     # names a position no earlier event created, or that copies a signature
-    # or an index other than the registry's (``_STEP_COPIES``); or call 1's
-    # last CallEnd, naming a position that the replay did not build,
-    # reduced to zero, or that is neither an input nor Done-inserted
+    # or an index other than the registry's (``_STEP_COPIES``); or, on a
+    # log that reaches call 1's last CallEnd, that CallEnd, naming a
+    # position that the replay did not build, reduced to zero, or that is
+    # neither an input nor Done-inserted, or a created element with no
+    # outcome (a DoneInserted or a ReductionToZero), or an element's second
+    # outcome; of two at one seq, the earlier in this list
     damage: Optional[tuple[int, str]] = None
     # call index -> the d of each of its DegreeStep events, in log order
     degrees: dict[int, list[int]] = field(default_factory=dict)
@@ -551,6 +600,11 @@ _STEP_COPIES = {"PhiPreReduce": ("h_sig", "h_index", "reductor_index"),
                 "ReductionStep": ("h_sig", "msig")}
 # the ``where`` of each kind of rejection that is logged against a whole pair
 _PAIR_WHERE = {"F5CritPairReject": "crit_pair", "RewrittenReject": "spol"}
+# the position fields of a pair and of each kind of rejection, as many as its
+# row has: each must name a position that an earlier event created
+_NAMED = {"CritPairCreated": ("p1", "p2"),
+          "F5CritPairReject": ("h", "cand", "pos", "blocked_by", "p1", "p2"),
+          "RewrittenReject": ("h", "cand", "pos", "rewriter", "p1", "p2")}
 
 
 def _same_poly(q: Polynomial, payload: list, monos: Lazy) -> bool:
@@ -637,9 +691,9 @@ def build_registry(events: Iterable[dict], ring: Ring) -> Registry:
     failures = []
     checked = 0
     # h of the φ pass in progress, call 1's last CallEnd, the latest CallEnd
-    # since the last CallBegin, and the first damage of the registry and of
-    # the replay
-    phi_h = end = last_end = unknown = replay_damage = None
+    # since the last CallBegin, the first damage of the registry and of the
+    # replay, and the first second outcome of a position
+    phi_h = end = last_end = unknown = replay_damage = second = None
 
     def monic(pos: int) -> int:
         P[pos], s = P[pos].monic_scale()
@@ -665,6 +719,12 @@ def build_registry(events: Iterable[dict], ring: Ring) -> Registry:
             elif ev["where"] == "is_reducible":
                 reducible.append((monos[tuple(ev["h_head"])].v,
                                   (ev["h"], ev["cand"], seq, None, monos[tuple(ev["mult"])].v)))
+        if kind in _NAMED and unknown is None:
+            for name in _NAMED[kind]:
+                if name in ev and ev[name] not in P:
+                    unknown = (seq, f"{kind} {name} names r{ev[name]}, which no earlier event"
+                                    " created")
+                    break
         reads = _READS.get(kind)
         if reads is None:
             continue
@@ -708,6 +768,12 @@ def build_registry(events: Iterable[dict], ring: Ring) -> Registry:
         uninserted = kind == "CallBegin" and not missing and [
             p for p in ev["g_next"] if entries[p].done_seq is None and not entries[p].is_input]
         unlinked = kind == "CallBegin" and _unlinked(ev, last_end, not calls)
+        # an outcome of a position that already has its outcome
+        prior = kind in ("ReductionToZero", "DoneInserted") and not missing and (
+            entries[pos].done_seq is not None and "DoneInserted"
+            or entries[pos].zero_seq is not None and "ReductionToZero")
+        if prior and second is None:
+            second = (seq, f"{kind} of r{pos} after its {prior}")
         if kind == "CallBegin":
             calls[ev["call"]] = ev
             last_end = None
@@ -779,12 +845,21 @@ def build_registry(events: Iterable[dict], ring: Ring) -> Registry:
         if why:
             found.append((end["seq"], f"call 1's CallEnd names r{p}, which {why}"))
             break
+    if end is not None:
+        # a log that ends its run gives each created element one outcome
+        undecided = next((pos for pos, e in entries.items() if not e.is_input
+                          and e.done_seq is None and e.zero_seq is None), None)
+        if undecided is not None:
+            found.append((end["seq"], f"call 1's CallEnd ends the run with r{undecided}, which"
+                                      " has no DoneInserted or ReductionToZero"))
+        if second is not None:
+            found.append(second)
     # an is_reducible rejection is evidence only at h's replayed head
     rejections += [item for head, item in reducible
                    if item[0] in P and P[item[0]].terms and P[item[0]].head_mono.v == head]
     return Registry(entries, calls, insertions, rules, ring,
                     _report("trail_replay", checked, failures), ops, P, basis, unknown,
-                    min(found, default=None), degrees, rejections)
+                    min(found, key=itemgetter(0), default=None), degrees, rejections)
 
 
 def check_replay(events: Iterable[dict], ring: Ring) -> CheckReport:

@@ -12,11 +12,15 @@ the end of its pass, as the workload keeps them.  For each stage the best
 of the N passes is printed; then the seconds the garbage collector ran
 inside the stage, per pass on average (timed through ``gc.callbacks``), so
 a collection that the allocations of one stage set off in another shows
-where it lands; and the process's peak resident set (``ru_maxrss``) just
+where it lands; the process's peak resident set (``ru_maxrss``) just
 after the stage in the first pass, so the stage at which that figure
-rises is the one that sets the peak.  The input comes
+rises is the one that sets the peak; and the GC-tracked objects the stage
+adds (``len(gc.get_objects())`` after it less before it, each count just
+after a ``gc.collect()``), counted in one more pass that is not timed, so
+the collections and the lists of the count touch neither the seconds nor
+the peak.  The input comes
 from ``perfbench/workloads.py``, read and not changed.  pytest does not
-collect this script; ``test_cli.py::TestStageScripts`` runs one pass.
+collect this script; ``test_cli.py::TestStageScripts`` runs one timed pass.
 """
 
 from __future__ import annotations
@@ -100,14 +104,25 @@ def main() -> None:
                 one_pass(problem, path, timed)
                 best["pass"] = min(best["pass"], time.perf_counter() - t0)
                 gc_s["pass"] += collecting[0] - g0
+            added: dict = {}  # stage -> GC-tracked objects it adds
+
+            def counted(stage: str, fn, *args):
+                gc.collect()
+                before = len(gc.get_objects())
+                out = fn(*args)
+                gc.collect()
+                added[stage] = len(gc.get_objects()) - before
+                return out
+
+            one_pass(problem, path, counted)
     finally:
         gc.callbacks.remove(on_gc)
     print(f"audit-cyclic5 ({name}): best of {passes} passes; collector seconds per"
           f" pass; peak RSS after the first pass's stage, from {start_rss:.1f} MiB at"
-          " the start")
+          " the start; GC-tracked objects the stage adds, in an untimed pass")
     for stage in stages:
         print(f"  {stage:<22} {best[stage]:7.3f} s  gc {gc_s[stage] / passes:6.3f} s"
-              f"  {peak_after[stage]:7.1f} MiB")
+              f"  {peak_after[stage]:7.1f} MiB  {added[stage]:+8d} objects")
     print(f"  {'whole pass':<22} {best['pass']:7.3f} s  gc {gc_s['pass'] / passes:6.3f} s")
 
 

@@ -767,6 +767,56 @@ CALL_LINK_FORGERIES = {
 }
 
 
+def _named_position(kind, where, name):
+    """The change that sets field ``name`` of the first ``kind`` event with
+    ``where`` (None for a kind without one) to r1000000, which no event
+    creates."""
+    def forge(events):
+        first = next(ev for ev in events if ev["kind"] == kind and ev.get("where") == where)
+        return [{**ev, name: 10**6} if ev is first else ev for ev in events]
+    return forge
+
+
+# a forged cyclic-4 log whose pair or rejection names a position no earlier
+# event created -> its damage, which names the field; the five registry
+# reports fail on it
+NAMED_POSITION_FORGERIES = {
+    f"{kind}_{where}_{name}": (
+        _named_position(kind, where, name),
+        f"damaged log: seq {seq}: {kind} {name} names r1000000, which no earlier event created")
+    for kind, where, seq, names in (
+        ("CritPairCreated", None, 5, ("p1", "p2")),
+        ("RewrittenReject", "spol", 15, ("pos", "rewriter", "p1", "p2")),
+        ("F5CritPairReject", "crit_pair", 26, ("pos", "blocked_by", "p1", "p2")),
+        ("RewrittenReject", "is_reducible", 88, ("h", "cand", "rewriter")),
+        ("F5CritPairReject", "is_reducible", 158, ("h", "cand", "blocked_by")))
+    for name in names
+}
+
+
+def _second_insertion(events):
+    """The log with its last ``DoneInserted`` logged again just before the
+    last ``CallEnd``, the events renumbered."""
+    last = max(k for k, ev in enumerate(events) if ev["kind"] == "CallEnd")
+    again = [ev for ev in events[:last] if ev["kind"] == "DoneInserted"][-1]
+    forged = events[:last] + [again] + events[last:]
+    return [{**ev, "seq": seq} for seq, ev in enumerate(forged)]
+
+
+# a forged cyclic-4 log that reaches call 1's last CallEnd (seq 361) with a
+# created element that has no outcome, or with one that has two -> its
+# damage and the reports that fail on it
+OUTCOME_FORGERIES = {
+    "dropped_reduction_to_zero": (
+        _without_seq(292),
+        "damaged log: seq 361: call 1's CallEnd ends the run with r19, which has no"
+        " DoneInserted or ReductionToZero", ["thm5_exhaustive"]),
+    "second_done_insertion": (
+        _second_insertion,
+        "damaged log: seq 361: DoneInserted of r20 after its DoneInserted", []),
+}
+
+
 def _extra_term_value(kind):
     """The change that appends 1 to the first term of the polynomial of the
     first ``kind`` event."""
@@ -895,6 +945,20 @@ class TestLogOnlyCheck:
         # and the damage names the field
         self._damage_is_reported(tmp_path, monkeypatch, forge, damage, failing)
 
+    @pytest.mark.parametrize("forge, damage", NAMED_POSITION_FORGERIES.values(),
+                             ids=list(NAMED_POSITION_FORGERIES))
+    def test_pair_or_rejection_of_an_uncreated_position_is_damage(self, tmp_path, monkeypatch,
+                                                                  forge, damage):
+        self._damage_is_reported(
+            tmp_path, monkeypatch, forge, damage,
+            ["rule_degrees", "genealogy", "chains", "done_insertion_audit", "thm5_exhaustive"])
+
+    @pytest.mark.parametrize("forge, damage, failing", OUTCOME_FORGERIES.values(),
+                             ids=list(OUTCOME_FORGERIES))
+    def test_element_without_one_outcome_is_damage(self, tmp_path, monkeypatch, forge, damage,
+                                                   failing):
+        self._damage_is_reported(tmp_path, monkeypatch, forge, damage, failing)
+
     @pytest.mark.parametrize("forge, damage, failing", MALFORMED_TERM_FORGERIES.values(),
                              ids=list(MALFORMED_TERM_FORGERIES))
     def test_malformed_polynomial_term_is_damage(self, tmp_path, monkeypatch, forge, damage,
@@ -941,7 +1005,8 @@ class TestDamagedLogCheck:
         _engine_returning(monkeypatch, drop)
 
     @pytest.mark.parametrize("kind, k, reason", [
-        ("CallBegin", 1, "damaged log: seq 8: unknown position r1"),
+        ("CallBegin", 1, "damaged log: seq 5: CritPairCreated p1 names r1, which no earlier"
+                         " event created"),
         ("SPolCreated", 0, "damaged log: seq 9: unknown position r2"),
     ])
     def test_demo_drop_fails_with_a_reason(self, monkeypatch, kind, k, reason):
@@ -1263,25 +1328,38 @@ class TestReportPin:
 class TestStageScripts:
     """The scripts that pytest does not collect still run: each stage script
     exits 0 and prints one row of seconds per stage, then the whole pass,
-    and ``forged_logs.py`` prints its counts and hash, and its ledger rows."""
+    ``audit_stages.py`` with the GC-tracked objects each stage adds, and
+    ``forged_logs.py`` prints its counts and hash, and its ledger rows."""
 
     @staticmethod
-    def _rows(script: str, *args: str) -> list[str]:
+    def _output(script: str, *args: str) -> str:
         done = subprocess.run([sys.executable, str(Path(__file__).parent / script), *args],
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        return re.findall(r"^  (\S.*?)\s{2,}\d+\.\d{3} s", done.stdout, re.M)
+        return done.stdout
+
+    @staticmethod
+    def _rows(output: str) -> list[str]:
+        return re.findall(r"^  (\S.*?)\s{2,}\d+\.\d{3} s", output, re.M)
 
     def test_audit_stages(self):
-        assert self._rows("audit_stages.py", "1") == [
-            "engine", "to_jsonl", "events_from_jsonl", "log walk", "d_progression",
-            "signature_safety", "rule_degrees", "genealogy", "chains", "done_insertion_audit",
-            "thm5_exhaustive", "buchberger", "ideal_equal", "whole pass"]
+        stages = ["engine", "to_jsonl", "events_from_jsonl", "log walk", "d_progression",
+                  "signature_safety", "rule_degrees", "genealogy", "chains",
+                  "done_insertion_audit", "thm5_exhaustive", "buchberger", "ideal_equal"]
+        output = self._output("audit_stages.py", "1")
+        assert self._rows(output) == stages + ["whole pass"]
+        # each stage's row ends with the GC-tracked objects it adds: the
+        # decoded log holds some, and no checker keeps more than its report
+        added = dict(re.findall(r"^  (\S.*?)\s{2,}\d+\.\d{3} s .* MiB\s+([+-]\d+) objects$",
+                                output, re.M))
+        assert list(added) == stages
+        assert int(added["events_from_jsonl"]) > 0
+        assert all(int(added[stage]) < 100 for stage in stages[4:11])
 
     def test_check_stages(self):
         import check_stages
 
-        assert self._rows("check_stages.py", "0", "1") == [
+        assert self._rows(self._output("check_stages.py", "0", "1")) == [
             stage for stage, _ in check_stages.STAGES] + ["whole pass"]
 
     def test_forged_logs(self):
@@ -1292,7 +1370,7 @@ class TestStageScripts:
             capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         line = ("182 logs, 0 raised, 79 ok,"
-                " sha256 6ece6837e97f71a7b2777ad9087e4a0488710fbea505bc7a6a25301352147259")
+                " sha256 2b3f8636bc82d96b6cc80fc6c72a19b7e8cf008bfb72880b494ac8d5fc57de4e")
         assert done.stdout == f"katsura3 drop: {line}\nall: {line}\n"
 
     def test_forged_ledger(self):

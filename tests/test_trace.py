@@ -44,6 +44,7 @@ import forged_logs
 from order_reference import MonomialQuotient, quotient_cmp
 from systems import (
     CYCLIC4,
+    CYCLIC5,
     KATSURA5,
     PLANT_SYSTEMS,
     ROW_FIELDS,
@@ -691,8 +692,8 @@ class TestDroppedCreation:
     def test_drop_one_fails_reports_and_never_raises(self, system, creations):
         # a log without the event that created a position: each report read
         # off the registry fails at the first event that names the position,
-        # the reports of the walk's tables still run, signature_safety on
-        # each replayed step, and the replay fails
+        # a pair or a rejection too, the reports of the walk's tables still
+        # run, signature_safety on each replayed step, and the replay fails
         names, texts = {"cyclic4": CYCLIC4, "katsura3": SUITE["katsura3_homog"]}[system]
         ring = make_ring(32003, names)
         events = incremental_f5(polys(ring, *texts), EngineConfig()).events
@@ -707,7 +708,10 @@ class TestDroppedCreation:
             assert sorted(failed) == sorted(REGISTRY_REPORTS + ["trail_replay"])
             ((seq, reason),) = failed["rule_degrees"]
             assert all(failed[name] == [(seq, reason)] for name in REGISTRY_REPORTS)
-            assert seq > dropped["seq"] and reason == f"unknown position r{pos}"
+            named = {f"unknown position r{pos}"} | {
+                f"{ev['kind']} {name} names r{pos}, which no earlier event created"
+                for ev in events[k + 1:] for name in trace._NAMED.get(ev["kind"], ())}
+            assert seq > dropped["seq"] and reason in named
             steps = [op for op in build_registry(events[:k] + events[k + 1:], ring).ops
                      if op[0] in ("phi", "top")]
             assert reports[0].checked > 0 and reports[1].checked == len(steps)
@@ -1341,6 +1345,17 @@ class TestLogRoundTrip:
             assert build_registry(iter(events), ring) == build_registry(events, ring), name
             assert run_all_checkers(iter(events), ring) == run_all_checkers(events, ring), name
 
+    def test_outcomes_are_counted_only_when_the_run_ends(self):
+        # a prefix that stops before call 1's last CallEnd, as a budget exit
+        # does, leaves elements without their outcome: no damage
+        ring, events = plant_run("cyclic4")
+        last = max(k for k, ev in enumerate(events) if ev["kind"] == "SPolCreated")
+        registry = build_registry(events[:last + 1], ring)
+        assert registry.damage is None
+        assert [pos for pos, e in registry.entries.items()
+                if not e.is_input and e.done_seq is None and e.zero_seq is None] == [22, 23]
+        assert build_registry(events, ring).damage is None
+
     def test_first_call_after_a_call_end_is_damage(self, ring):
         events = _two_inputs({"kind": "CallEnd", "call": 1, "basis": [0, 1]})
         assert build_registry(events, ring).unknown is None
@@ -1530,20 +1545,29 @@ DONE_LINE = ('{"seq":6,"kind":"DoneInserted","call":1,"pos":3,"sig":{"mono":[0,0
              '"poly":[],"creation_poly":%s,"trail":%s}')
 
 
-def boundary_line(events, seq: int) -> str:
-    """A line that fits its row yet holds an object boundary: the first
-    rejection of ``events``, at ``seq``, with ``where`` "},{"."""
-    ev = next(ev for ev in events if "where" in ev)
-    return json.dumps({**ev, "seq": seq, "where": "},{"}, separators=(",", ":")) + "\n"
+def decode_per_line(text: str) -> list[dict]:
+    """The events of ``text`` with every line decoded alone through
+    ``trace._decode_line``, the way ``events_from_jsonl`` reads a line that
+    no line pattern reads."""
+    read, _ = trace._event_reader()
+    return [trace._decode_line(line, lineno, read)
+            for lineno, line in enumerate(io.StringIO(text), 1) if line.strip()]
+
+
+# the two ways a test reads a text: ``events_from_jsonl`` reading the whole
+# text, each line through its row's pattern if one reads it, and every
+# line decoded alone
+READS = {"bulk": lambda text: events_from_jsonl(io.StringIO(text)), "per_line": decode_per_line}
 
 
 class TestJsonlCodec:
-    """``events_from_jsonl`` decodes a chunk of lines per ``json.loads``;
-    every line must still hold one object that fits its row on its own."""
+    """``events_from_jsonl`` reads each line through its row's line pattern
+    or, failing that, decodes it alone; every line must hold one object that
+    fits its row on its own."""
 
     @pytest.fixture
     def long_log(self, cyclic):
-        # more than one chunk and not a multiple of it
+        # more than one of the writer's chunks and not a multiple of it
         _, res = cyclic
         events = []
         while len(events) < trace._CHUNK_LINES + 226:
@@ -1567,18 +1591,16 @@ class TestJsonlCodec:
         assert events == long_log
         kinds = dict(zip(trace.EVENT_KINDS, trace.EVENT_KINDS))
         assert all(ev["kind"] is kinds[ev["kind"]] for ev in events)
-        # one chunk's events share each key string
+        # every event shares each key string, whichever way its line was read
         keys = {}
-        assert all(keys.setdefault(key, key) is key for ev in events[:n] for key in ev)
+        assert all(keys.setdefault(key, key) is key for ev in events for key in ev)
 
     @pytest.mark.parametrize("path", ["bulk", "per_line"])
     def test_decoded_strings_are_shared(self, path):
-        # cyclic-4's log is one chunk; a last line holding an object
-        # boundary sends it down the line-by-line path
+        # the whole text through events_from_jsonl, or every line decoded
+        # alone (READS)
         _, events = plant_run("cyclic4")
-        boundary = boundary_line(events, len(events))
-        lines = jsonl_lines(events) + ([boundary] if path == "per_line" else [])
-        decoded = self.read("".join(lines))[:len(events)]
+        decoded = READS[path]("".join(jsonl_lines(events)))
         assert decoded == events
         wheres = [ev["where"] for ev in decoded if "where" in ev]
         steps = [step[0] for ev in decoded for step in ev.get("trail", ())]
@@ -1652,12 +1674,133 @@ class TestJsonlCodec:
             "sig_bool_index", "poly_term", "trail_step", "poly_long_term", "poly_float_coeff"])
     @pytest.mark.parametrize("path", ["bulk", "per_line"])
     def test_bad_exponent_field(self, long_log, bad, message, path):
-        # a valid line holding an object boundary sends its whole chunk down
-        # the line-by-line path
-        boundary = boundary_line(long_log, 7)
-        lines = [bad + "\n"] + ([boundary] if path == "per_line" else [])
+        # the whole text through events_from_jsonl, or every line decoded
+        # alone (READS): the same error
         at = trace._CHUNK_LINES + 17
-        self.check_bad(long_log, lines, at, rf"^line {at}: {message}$")
+        lines = jsonl_lines(long_log)
+        lines.insert(5, "\n")
+        lines[at - 1] = bad + "\n"
+        with pytest.raises(ValueError, match=rf"^line {at}: {message}$"):
+            READS[path]("".join(lines))
+
+
+def _vectors(events: list[dict]):
+    """Each exponent vector of ``events``, as often as it occurs, found by
+    the shapes of each event's row."""
+    rows = trace._rows()
+    for ev in events:
+        for name, shape in rows[tuple(ev)].fields:
+            value = ev[name]
+            if shape == "vector":
+                yield value
+            elif shape == "signature":
+                yield value["mono"]
+            elif shape == "polynomial":
+                yield from (exps for _, exps in value)
+            elif shape == "trail":
+                yield from (step[2] for step in value if len(step) == 4)
+
+
+def assert_read_alike(events: list[dict], other: list[dict]) -> None:
+    """``events`` and ``other`` hold equal events, with their keys in the
+    same order and values of the same exact types (``repr`` tells 1 from
+    True and 1.0, and a list from a tuple); each read shares one tuple per
+    distinct vector, and the two share each key and kind string."""
+    assert list(map(repr, events)) == list(map(repr, other))
+    for read in (events, other):
+        shared: dict = {}
+        assert all(type(t) is tuple and shared.setdefault(t, t) is t for t in _vectors(read))
+    # the key strings of each distinct object of keys, and the kind strings
+    keyed = {tuple(map(id, ev)): tuple(ev) for ev in events + other}
+    strings = dict(zip(trace.EVENT_KINDS, trace.EVENT_KINDS))
+    assert all(strings.setdefault(key, key) is key for keys in keyed.values() for key in keys)
+    assert {id(ev["kind"]) for ev in events + other} <= set(map(id, trace.EVENT_KINDS))
+
+
+def _mult(change):
+    """The line of a rejection whose ``mult`` vector is changed by
+    ``change``."""
+    return lambda ev, line: json.dumps({**ev, "mult": change(ev["mult"])},
+                                       separators=(",", ":")) + "\n"
+
+
+# a change of the line of cyclic-4's first crit_pair rejection (seq 26, line
+# 27) to a line that to_jsonl does not write, and the error that reading it
+# names, or None when it reads as an event; "no_final_newline" also ends the
+# text at that line
+NEAR_CANONICAL = {
+    "spaces": (lambda ev, line: json.dumps(ev) + "\n", None),
+    "crlf": (lambda ev, line: line.replace("\n", "\r\n"), None),
+    "no_final_newline": (lambda ev, line: line.rstrip("\n"), None),
+    "minus_zero": (lambda ev, line: line.replace('"call":3', '"call":-0'), None),
+    "leading_zero": (lambda ev, line: line.replace('"call":3', '"call":03'),
+                     "line 27, column 45: Expecting ',' delimiter"),
+    "vector_leading_zero": (lambda ev, line: line.replace('"mult":[', '"mult":[0'),
+                            "line 27, column 92: Expecting ',' delimiter"),
+    "vector_negative": (_mult(lambda mult: (-1,) + mult[1:]),
+                        "line 27: field 'mult' is not a valid exponent vector"),
+    "vector_true": (_mult(lambda mult: (True,) + mult[1:]),
+                    "line 27: field 'mult' is not a valid exponent vector"),
+    "vector_at_bound": (_mult(lambda mult: (BOUND,) + mult[1:]),
+                        "line 27: field 'mult' is not a valid exponent vector"),
+    "vector_too_long": (_mult(lambda mult: mult + (0,)),
+                        "line 27: field 'mult' is not a valid exponent vector"),
+    "escaped_quote": (lambda ev, line: json.dumps({**ev, "where": 'crit"pair'},
+                                                  separators=(",", ":")) + "\n", None),
+}
+
+
+class TestLinePatterns:
+    """A line that its row's pattern reads gives the event that decoding it
+    alone gives (``decode_per_line``); any other line is decoded alone, so
+    it gives the same event or the same error."""
+
+    @pytest.fixture(scope="class")
+    def logs(self):
+        # every suite log under the three orders at both suite primes, and
+        # cyclic-5's
+        logs = [incremental_f5(polys(make_ring(p, names, order), *texts)).events
+                for order in ORDER_KINDS for names, texts in SUITE.values() for p in SUITE_PRIMES]
+        ring = make_ring(32003, CYCLIC5[0])
+        return logs + [incremental_f5(polys(ring, *CYCLIC5[1])).events]
+
+    def test_pattern_and_per_line_reads_agree(self, logs, monkeypatch):
+        # only the lines of rows with a polynomial, a trail or an int list
+        # are decoded alone
+        encoded = {keys for keys, row in trace._rows().items() if row.encoded}
+        alone = []
+        decode = trace._decode_line
+        monkeypatch.setattr(trace, "_decode_line", lambda *args: alone.append(1) or decode(*args))
+        for events in logs:
+            text = "".join(jsonl_lines(events))
+            del alone[:]
+            read = events_from_jsonl(io.StringIO(text))
+            read_alone = len(alone)
+            assert read_alone == sum(tuple(ev) in encoded for ev in events) < len(events)
+            assert_read_alike(read, decode_per_line(text))
+            assert read == events
+            strings = [ev["where"] for ev in read if "where" in ev] + [
+                step[0] for ev in read for step in ev.get("trail", ())]
+            assert all(value is trace._VALUES[value] for value in strings)
+        assert (read_alone, len(read)) == (402, 24259)  # cyclic-5's
+
+    @pytest.mark.parametrize("case", NEAR_CANONICAL)
+    def test_near_canonical_line(self, case):
+        change, message = NEAR_CANONICAL[case]
+        events = plant_run("cyclic4")[1]
+        lines = jsonl_lines(events)
+        k = next(k for k, ev in enumerate(events) if ev.get("where") == "crit_pair")
+        assert k == 26
+        after = [] if case == "no_final_newline" else lines[k + 1:]
+        text = "".join(lines[:k] + [change(events[k], lines[k])] + after)
+        if message is None:
+            read = events_from_jsonl(io.StringIO(text))
+            assert_read_alike(read, decode_per_line(text))
+            assert len(read) == k + 1 + len(after) and read[:k] == events[:k]
+        else:
+            for path in READS.values():
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    path(text)
 
 
 class _Int(int):
