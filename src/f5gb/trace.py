@@ -6,20 +6,22 @@ serialized log alone.  Events are plain dicts with stable field names so the
 log round-trips through JSON Lines.
 
 ``EVENT_SHAPES`` is the one description of an event: per kind, each key
-sequence the engine logs, with the shape of each field.  ``EVENT_KINDS`` is
-read off it, and both directions of the codec compile its rows (``_Row``).
+sequence the engine logs, with the shape of each field, or its role where
+the walk reads it.  ``EVENT_KINDS`` and ``CREATION_FIELDS`` are read off it,
+and the codec and the walk compile its rows (``_Row``).
 ``Trace.to_jsonl`` renders every event that fits a row through the row's
 ``%`` template and encodes any other whole, so the bytes are
 ``json.dumps``'s either way.  ``events_from_jsonl`` reads a line that is
 exactly a template's output through the row's line pattern, the template's
 inverse, and decodes any other line alone; either way it rejects every line
 that does not fit its row exactly.  One walk of the log (``build_registry``)
-gives the registry of labeled polynomials, the replay and the damage; it
-treats a malformed polynomial in memory as log damage.  Every checker, and
-the descent (``oracle.DescentRun``), reads the log through that
-``Registry`` alone: it carries the ring, each position's one polynomial and
-signature, and the tables the walk fills for the checkers, so nothing reads
-an event after the walk, and the walk reads any iterable of events once.
+reads each event by the row its keys fit, and gives the registry of labeled
+polynomials, the replay and the damage: an event, in memory too, that fits
+no row or fails its row's test.  Every checker, and the descent
+(``oracle.DescentRun``), reads the log through that ``Registry`` alone: it
+carries the ring, each position's one polynomial and signature, and the
+tables the walk fills for the checkers, so nothing reads an event after the
+walk, and the walk reads any iterable of events once.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import re
 import sys
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from itertools import permutations
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -58,42 +60,53 @@ def _fields(spec: str) -> tuple[tuple[str, str], ...]:
 # reductor in ``_is_reducible`` (``where`` "is_reducible", and for a
 # rewritten one ``check`` "c" or "d"), listed first, and one of a pair
 # (``where`` "crit_pair" or "spol") that also logs the pair's t, u1 and u2.
+# Where the walk (``build_registry``) reads a field, its shape is its role,
+# which the codec writes as an int, a str or a list of ints (``_WIRE``):
+# ``new``, the position the event creates; ``pos``, one an earlier event
+# created; ``owner``, one some event creates; ``positions``, a list of
+# ``pos``; ``call``, the enclosing ``CallBegin``'s call; ``is(w)``, the
+# row's ``where`` w; and a copy of the registry's signature of the position
+# in field p, ``sig(p)``, times the vector field u, ``sig(u*p)``, or of its
+# index, ``index(p)``.
 EVENT_SHAPES = (
-    ("CallBegin", _fields("call:int input_pos:int sig:signature poly:polynomial g_next:ints")),
-    ("CallEnd", _fields("call:int basis:ints")),
-    ("DegreeStep", _fields("call:int d:int pairs:int")),
-    ("RuleAdded", _fields("index:int mono:vector pos:int")),
-    ("CritPairCreated", _fields("call:int deg:int sig1:signature sig2:signature"
-                                " t:vector u1:vector p1:int u2:vector p2:int")),
-    ("F5CritPairReject", _fields("call:int where:str h:int h_head:vector cand:int mult:vector"
-                                 " msig:signature blocked_by:int")),
-    ("F5CritPairReject", _fields("call:int where:str part:int pos:int mult:vector"
-                                 " msig:signature blocked_by:int"
-                                 " t:vector u1:vector p1:int u2:vector p2:int")),
-    ("RewrittenReject", _fields("call:int where:str check:str h:int h_head:vector cand:int"
-                                " mult:vector msig:signature rewriter:int")),
-    ("RewrittenReject", _fields("call:int where:str part:int pos:int mult:vector"
-                                " msig:signature rewriter:int"
-                                " t:vector u1:vector p1:int u2:vector p2:int")),
-    ("SPolCreated", _fields("call:int pos:int sig:signature poly:polynomial"
-                            " p1:int u1:vector p2:int u2:vector d:int")),
-    ("PhiPreReduce", _fields("call:int h:int h_sig:signature h_index:int reductor:int"
-                             " reductor_index:int mult:vector coeff:int")),
-    ("ReductionStep", _fields("call:int h:int h_sig:signature reductor:int mult:vector"
-                              " msig:signature coeff:int post_scale:int")),
-    ("NewFromTopReduction", _fields("call:int pos:int sig:signature poly:polynomial"
-                                    " j:int h:int u:vector u_under:vector")),
-    ("ReductionToZero", _fields("call:int pos:int sig:signature")),
-    ("DoneInserted", _fields("call:int pos:int sig:signature poly:polynomial"
+    ("CallBegin", _fields("call:int input_pos:new sig:signature poly:polynomial"
+                          " g_next:positions")),
+    ("CallEnd", _fields("call:call basis:ints")),
+    ("DegreeStep", _fields("call:call d:int pairs:int")),
+    ("RuleAdded", _fields("index:int mono:vector pos:owner")),
+    ("CritPairCreated", _fields("call:call deg:int sig1:sig(u1*p1) sig2:sig(u2*p2)"
+                                " t:vector u1:vector p1:pos u2:vector p2:pos")),
+    ("F5CritPairReject", _fields("call:call where:is(is_reducible) h:pos h_head:vector cand:pos"
+                                 " mult:vector msig:sig(mult*cand) blocked_by:pos")),
+    ("F5CritPairReject", _fields("call:call where:is(crit_pair) part:int pos:pos mult:vector"
+                                 " msig:sig(mult*pos) blocked_by:pos"
+                                 " t:vector u1:vector p1:pos u2:vector p2:pos")),
+    ("RewrittenReject", _fields("call:call where:is(is_reducible) check:str h:pos h_head:vector"
+                                " cand:pos mult:vector msig:sig(mult*cand) rewriter:pos")),
+    ("RewrittenReject", _fields("call:call where:is(spol) part:int pos:pos mult:vector"
+                                " msig:sig(mult*pos) rewriter:pos"
+                                " t:vector u1:vector p1:pos u2:vector p2:pos")),
+    ("SPolCreated", _fields("call:call pos:new sig:signature poly:polynomial"
+                            " p1:pos u1:vector p2:pos u2:vector d:int")),
+    ("PhiPreReduce", _fields("call:call h:pos h_sig:sig(h) h_index:index(h) reductor:pos"
+                             " reductor_index:index(reductor) mult:vector coeff:int")),
+    ("ReductionStep", _fields("call:call h:pos h_sig:sig(h) reductor:pos mult:vector"
+                              " msig:sig(mult*reductor) coeff:int post_scale:int")),
+    ("NewFromTopReduction", _fields("call:call pos:new sig:signature poly:polynomial"
+                                    " j:pos h:pos u:vector u_under:vector")),
+    ("ReductionToZero", _fields("call:call pos:pos sig:sig(pos)")),
+    ("DoneInserted", _fields("call:call pos:pos sig:sig(pos) poly:polynomial"
                              " creation_poly:polynomial trail:trail")),
 )
+# the shape the codec writes for each role
+_WIRE = {"new": "int", "pos": "int", "owner": "int", "call": "int", "positions": "ints",
+         "is": "str", "index": "int", "sig": "signature"}
+# a shape: its name, a copy's multiplier field and the field or value named
+_ROLE = re.compile(r"(\w+)(?:\((?:(\w+)\*)?(\w+)\))?")
 
 
 # each kind once, in the order of its first row
 EVENT_KINDS = tuple(dict.fromkeys(kind for kind, _ in EVENT_SHAPES))
-# the polynomial fields of each kind, which all its rows share
-_POLY_FIELDS = {kind: tuple(name for name, shape in fields if shape == "polynomial")
-                for kind, fields in EVENT_SHAPES}
 
 
 class CreationFields(NamedTuple):
@@ -105,11 +118,11 @@ class CreationFields(NamedTuple):
     genealogy: Optional[tuple[str, str, str, str]] = None
 
 
-CREATION_FIELDS = {
-    "CallBegin": CreationFields("input_pos"),
-    "SPolCreated": CreationFields("pos", ("p1", "p2", "u1", "u2")),
-    "NewFromTopReduction": CreationFields("pos", ("j", "h", "u", "u_under")),
-}
+# the creation fields of each kind that creates a labeled polynomial: its
+# ``new`` field, and its ``pos`` fields, then its vectors
+CREATION_FIELDS = {kind: CreationFields(new, tuple(
+    name for wanted in ("pos", "vector") for name, shape in fields if shape == wanted) or None)
+    for kind, fields in EVENT_SHAPES for new, shape in fields if shape == "new"}
 
 # ``Trace.to_jsonl`` writes this many lines per ``writelines``
 _CHUNK_LINES = 1024
@@ -120,10 +133,10 @@ _VALUES = {value: value for value in ("crit_pair", "spol", "is_reducible", "phi"
 
 class _Row(NamedTuple):
     """A row of ``EVENT_SHAPES`` as the JSON Lines codec reads and writes
-    it, ``seq`` and ``kind`` first."""
+    it, ``seq`` and ``kind`` first, and as the walk reads it."""
 
     kind: str
-    fields: tuple[tuple[str, str], ...]  # (name, shape), in log order
+    fields: tuple[tuple[str, str], ...]  # (name, wire shape), in log order
     types: list[type]  # the exact type of each value in memory, in log order
     # the line's ``%`` template, and the positions of the str and vector
     # values, of the signatures, and of the polynomial, trail and int-list
@@ -132,22 +145,32 @@ class _Row(NamedTuple):
     atoms: tuple[int, ...]
     sigs: tuple[int, ...]
     encoded: tuple[int, ...]
+    # each field's shape in ``EVENT_SHAPES``, by name, the row's ``where``,
+    # if it has one, and its test (``_role_check``)
+    roles: dict[str, str]
+    where: Optional[str]
+    check: Callable[..., Optional[str]]
 
 
+@cache
 def _rows() -> dict[tuple[str, ...], _Row]:
-    """Each row of ``EVENT_SHAPES``, compiled, by its keys."""
+    """Each row of ``EVENT_SHAPES``, compiled, by its keys: built once, and
+    shared by every caller, which changes nothing in it."""
     types = {"int": int, "str": str, "vector": tuple, "signature": dict}
     rows = {}
-    for kind, fields in EVENT_SHAPES:
-        fields = (("seq", "int"), ("kind", "str")) + fields
+    for kind, roles in EVENT_SHAPES:
+        fields = (("seq", "int"), ("kind", "str")) + tuple(
+            (name, _WIRE.get(shape.split("(")[0], shape)) for name, shape in roles)
 
         def at(*wanted: str) -> tuple[int, ...]:
             return tuple(i for i, (_, shape) in enumerate(fields) if shape in wanted)
 
         template = ",".join(f'"{name}":%{"d" if shape == "int" else "s"}' for name, shape in fields)
+        where = next((_ROLE.fullmatch(s)[3] for _, s in roles if s[:3] == "is("), None)
         rows[tuple(name for name, _ in fields)] = _Row(
             kind, fields, [types.get(shape, list) for _, shape in fields], "{" + template + "}\n",
-            at("str", "vector"), at("signature"), at("polynomial", "trail", "ints"))
+            at("str", "vector"), at("signature"), at("polynomial", "trail", "ints"),
+            dict(roles), where, _role_check(roles))
     return rows
 
 
@@ -164,16 +187,6 @@ def _is_term(term) -> bool:
     """Whether ``term`` of a logged polynomial is a list [c, vector] with
     an int c; the vector is checked where it is read."""
     return type(term) is list and len(term) == 2 and type(term[0]) is int
-
-
-def _malformed(ev: dict) -> Optional[str]:
-    """Why a polynomial field of ``ev`` is not a list of terms
-    (``_is_term``), naming the first such field, or None."""
-    for name in _POLY_FIELDS[ev["kind"]]:
-        payload = ev.get(name, [])
-        if type(payload) is not list or not all(map(_is_term, payload)):
-            return f"{ev['kind']} field {name!r} is not a valid polynomial"
-    return None
 
 
 class Trace:
@@ -349,6 +362,12 @@ def _line_builder(row: _Row, texts: dict) -> Callable[..., dict]:
     return namespace["make"](texts, _VALUES.get, row.kind)
 
 
+def _unfit(kind, ev: dict) -> str:
+    """Why the event ``ev``, of ``kind``, fits no row of ``EVENT_SHAPES``."""
+    return (f"no {kind} row has the keys {list(ev)}" if kind in EVENT_KINDS
+            else f"unknown kind {kind!r}")
+
+
 def _event_reader() -> tuple[Callable[[dict], dict], Callable[[str], Optional[dict]]]:
     """Two functions of one read: ``read`` checks a decoded object against
     its row of ``EVENT_SHAPES``, by its keys, and gives it with its values
@@ -433,8 +452,7 @@ def _event_reader() -> tuple[Callable[[dict], dict], Callable[[str], Optional[di
         kind = ev.get("kind")
         row, keys, walked = rows.get(tuple(ev), (None, (), ()))
         if row is None or kind != row.kind:
-            raise ValueError(f"no {kind} row has the keys {list(ev)}" if kind in EVENT_KINDS
-                             else f"unknown kind {kind!r}")
+            raise ValueError(_unfit(kind, ev))
         ev["kind"] = row.kind
         try:
             for name, walk in walked:
@@ -547,33 +565,25 @@ class Registry:
     # the log has no such CallEnd
     basis: list[int] = field(default_factory=list)
     # (seq, reason) of the first event that damages what the registry
-    # reads: one that names a position no earlier event created (a pair or
-    # a rejection too, ``_NAMED``), begins a call with one no DoneInserted
-    # inserted, begins a call with a g_next
-    # that is not the basis of the CallEnd just before it, or after a
-    # CallEnd of another call than the next (the log's first call begins
-    # with no CallEnd before it and an empty g_next), logs an input or
-    # inserted polynomial that is empty or replays to zero (it has no head)
-    # or one with a term that is not [c, vector] (``_malformed``), or
-    # Done-inserts into a call no earlier CallBegin began; when there is
-    # none, the first RuleAdded whose owner no event creates, which only the
-    # walk's end can tell
+    # reads: one that fits no row, or not a step that fails its row's test
+    # (``_role_check``); a CallBegin with a g_next position neither input
+    # nor Done-inserted, or not after the CallEnd of call + 1 with its basis
+    # as g_next; an empty input or insertion, or one that replays to zero;
+    # else the first RuleAdded whose owner no event creates
     unknown: Optional[tuple[int, str]] = None
     # (seq, reason) of the log's first damage: ``unknown``; a step that
-    # names a position no earlier event created, or that copies a signature
-    # or an index other than the registry's (``_STEP_COPIES``); or, on a
-    # log that reaches call 1's last CallEnd, that CallEnd, naming a
-    # position that the replay did not build, reduced to zero, or that is
-    # neither an input nor Done-inserted, or a created element with no
-    # outcome (a DoneInserted or a ReductionToZero), or an element's second
-    # outcome; of two at one seq, the earlier in this list
+    # breaks a test of its row; or, on a log that reaches call 1's last
+    # CallEnd, that CallEnd, naming a position that the replay did not
+    # build, reduced to zero, or that is neither an input nor Done-inserted,
+    # or a created element with no outcome, or an element's second outcome;
+    # of two at one seq, the earlier in this list
     damage: Optional[tuple[int, str]] = None
     # call index -> the d of each of its DegreeStep events, in log order
     degrees: dict[int, list[int]] = field(default_factory=dict)
-    # (p, q, seq, u_p, u_q), packed, of each ``crit_pair`` or ``spol`` pair
-    # rejection (``_PAIR_WHERE``) of p1 and p2, and of each ``is_reducible``
-    # rejection of h by cand whose ``h_head`` is h's replayed head, with
-    # u_p None: the rejections ``EvidenceIndex`` reads
+    # (p, q, seq, u_p, u_q), packed, of each pair rejection (a row whose
+    # ``where`` is "crit_pair" or "spol") of p1 and p2, and of each
+    # ``is_reducible`` rejection of h by cand whose ``h_head`` is h's
+    # replayed head, with u_p None: the rejections ``EvidenceIndex`` reads
     rejections: list[tuple] = field(default_factory=list)
 
     @cached_property
@@ -586,27 +596,6 @@ class Registry:
         return {pos: q.head_mono for pos, q in self.polys.items() if q.terms}
 
 
-# the kinds the walk reads, each with the positions it reads, which an
-# earlier event must have created: a created element's two parts, a step's h
-# and reductor, and the position of an outcome.  The registry reads no step;
-# it reads a CallBegin's g_next as well.  A RuleAdded precedes its owner.
-_READS = {**{kind: (fields.genealogy or ())[:2] for kind, fields in CREATION_FIELDS.items()},
-          "PhiPreReduce": ("h", "reductor"), "ReductionStep": ("h", "reductor"),
-          "DoneInserted": ("pos",), "ReductionToZero": ("pos",)}
-# the fields of each step kind that copy what the registry holds: h's
-# signature, h's and the reductor's index, and mult times the reductor's
-# signature
-_STEP_COPIES = {"PhiPreReduce": ("h_sig", "h_index", "reductor_index"),
-                "ReductionStep": ("h_sig", "msig")}
-# the ``where`` of each kind of rejection that is logged against a whole pair
-_PAIR_WHERE = {"F5CritPairReject": "crit_pair", "RewrittenReject": "spol"}
-# the position fields of a pair and of each kind of rejection, as many as its
-# row has: each must name a position that an earlier event created
-_NAMED = {"CritPairCreated": ("p1", "p2"),
-          "F5CritPairReject": ("h", "cand", "pos", "blocked_by", "p1", "p2"),
-          "RewrittenReject": ("h", "cand", "pos", "rewriter", "p1", "p2")}
-
-
 def _same_poly(q: Polynomial, payload: list, monos: Lazy) -> bool:
     """Whether the logged polynomial ``payload`` holds the terms of ``q``;
     ``monos`` maps an exponent tuple to its ``Monomial``."""
@@ -615,38 +604,49 @@ def _same_poly(q: Polynomial, payload: list, monos: Lazy) -> bool:
     )
 
 
-def _miscopied(ev: dict, h: Signature, r: Signature, u: Monomial, monos: Lazy) -> Optional[str]:
-    """The first field of the step ``ev`` (``_STEP_COPIES``) that differs
-    from what the registry holds: h's signature ``h`` or its index, the
-    reductor's index, or the product of the multiplier ``u`` and the
-    reductor's signature ``r``; None when every copy agrees.  A signature
-    is compared as its index and packed monomial."""
-    held = {"h_sig": (h.index, h.mono.v), "h_index": h.index, "reductor_index": r.index,
-            "msig": (r.index, u.v + r.mono.v)}
-    for name in _STEP_COPIES[ev["kind"]]:
-        logged = ev[name]
-        if type(logged) is dict:
-            logged = (logged["index"], monos[tuple(logged["mono"])].v)
-        if logged != held[name]:
-            return name
-    return None
+# the test that an event's field {0} fails, by shape, with {1} a copy's
+# multiplier and {2} the field or value a role names (``_ROLE``)
+_ROLE_TESTS = {
+    "polynomial": "type({0}) is not list or not all(map(is_term, {0}))",
+    "call": "{0} != call", "is": "{0} != {2!r}", "new": "{0} in entries", "pos": "{0} not in P",
+    "positions": "not P.keys() >= set({0})", "index": "{0} != entries[ev[{2!r}]].sig.index",
+    "sig": "(c := {0})['index'] != (s := entries[ev[{2!r}]].sig).index"
+           " or monos[T(c['mono'])].v != s.mono.v{1}"}
 
 
-def _unlinked(ev: dict, end: Optional[dict], first: bool) -> Optional[str]:
-    """Why the ``CallBegin`` ``ev`` does not follow on ``end``, the latest
-    ``CallEnd`` since the ``CallBegin`` before it (None when there is none),
-    or None.  The log's first call (``first``) begins with no CallEnd
-    before it (its g_next is empty, as no earlier event creates a
-    position); every other call begins after the CallEnd of call + 1, with
-    that CallEnd's basis as its g_next."""
-    call = ev["call"]
-    if first:
-        return end and f"CallEnd of call {end['call']} before the log's first CallBegin"
-    if end is None or end["call"] != call + 1:
-        return f"CallBegin of call {call} does not follow the CallEnd of call {call + 1}"
-    if ev["g_next"] != end["basis"]:
-        return f"CallBegin g_next is not the basis of call {call + 1}'s CallEnd"
-    return None
+def _role_check(roles: tuple[tuple[str, str], ...]) -> Callable[..., Optional[str]]:
+    """The test of a row with fields ``roles`` (``EVENT_SHAPES``): the
+    function of an event, the enclosing call, the replayed polynomials, the
+    entries and a ``Monomial`` memo that names the first field failing its
+    ``_ROLE_TESTS``, never reading a malformed polynomial or an unbuilt
+    position, or gives None; generated, as ``_line_builder``."""
+    tests = []
+    for name, shape in roles:
+        role, mult, named = _ROLE.fullmatch(shape).groups()
+        if role in _ROLE_TESTS:  # the polynomials first, then the roles, then the copies
+            product = f" + monos[T(ev[{mult!r}])].v" if mult else ""
+            tests.append(((role != "polynomial") + (role in ("sig", "index")), name,
+                          _ROLE_TESTS[role].format(f"ev[{name!r}]", product, named)))
+    body = "".join(f" if {test}: return {name!r}\n" for _, name, test in sorted(
+        tests, key=itemgetter(0)))
+    namespace = {"is_term": _is_term}
+    exec(f"def check(ev, call, P, entries, monos, T=tuple):\n{body} return None\n", namespace)
+    return namespace["check"]
+
+
+def _broken(ev: dict, row: _Row, name: str, call: Optional[int], P: dict) -> str:
+    """The damage of ``ev``, of ``row``, whose field ``name`` breaks its
+    test (``_role_check``), named by the field."""
+    role = row.roles[name].split("(")[0]
+    value = next(p for p in ev[name] if p not in P) if role == "positions" else ev[name]
+    earlier = "an" if role == "new" else "no"
+    return f"{row.kind} " + {
+        "polynomial": f"field {name!r} is not a valid polynomial",
+        "call": f"call {value} " + ("comes before the log's first CallBegin" if call is None else
+                                    f"is not call {call}, which the enclosing CallBegin began"),
+        "is": f"where {value!r} is not its row's {row.where!r}",
+        "sig": f"{name} differs from the registry", "index": f"{name} differs from the registry",
+    }.get(role, f"{name} names r{value}, which {earlier} earlier event created")
 
 
 def build_registry(events: Iterable[dict], ring: Ring) -> Registry:
@@ -655,7 +655,12 @@ def build_registry(events: Iterable[dict], ring: Ring) -> Registry:
     ``ring`` (``Registry.replay``, ``ops`` and ``polys``); call 1's checked
     basis; the degrees and rejections the other checkers read; and the first
     damage, of the registry and of the whole log.  It reads each event once,
-    in log order, and decodes each distinct payload exponent vector once.
+    in log order, by the row of ``EVENT_SHAPES`` its keys fit, after the
+    row's test (``_role_check``), and decodes each distinct payload exponent
+    vector once.  An event that fits no row or fails its test is damage,
+    named by the field (``_broken``): a step's to the replay, which still
+    replays it if every position it names was built, any other to the
+    registry.  An insertion is filed under the enclosing call.
 
     The replay rebuilds every position's polynomial P from the log, in
     ``seq`` order, and checks it against the log.  An input is its logged
@@ -666,16 +671,15 @@ def build_registry(events: Iterable[dict], ring: Ring) -> Registry:
     the end of each φ pass too, unlogged: the replay does so at the first
     event it reads after the pass's run of ``PhiPreReduce`` events.  Each
     failure names an event's ``seq``: a polynomial, ``post_scale``, trail or
-    creation polynomial that differs from the replay, a replayed step's copy
-    of a signature or an index that differs from the registry
-    (``_miscopied``), a nonzero ``ReductionToZero``, or, with an event that
-    is not replayed, a step on a position that has its outcome, a position
-    that no earlier event created, or a polynomial with a term that is not
-    [c, vector] (``_malformed``).  ``checked`` counts the Done insertions.  The
-    operations are ``("input", pos, index)``,
+    creation polynomial that differs from the replay, a nonzero
+    ``ReductionToZero``, a step that fails its test, or, with an event that
+    is not replayed, a step on a position that has its outcome, or a
+    creation or outcome that fails its test.  ``checked`` counts the Done
+    insertions.  The operations are ``("input", pos, index)``,
     ``("new", pos, a, ua, b, ub, s)`` for s * (ua * P[a] - ub * P[b]),
     ``(step, h, c, u, r)`` for P[h] - c * u * P[r] with step "phi" or
     "top", and ``("monic", h, s)`` for s * P[h], s != 1."""
+    rows = _rows()
     monos = Lazy(Monomial)
     entries: dict[int, RegistryEntry] = {}
     calls: dict[int, dict] = {}
@@ -688,12 +692,12 @@ def build_registry(events: Iterable[dict], ring: Ring) -> Registry:
     created: dict[int, Polynomial] = {}
     trails: dict[int, list] = {}
     ops: list[tuple] = []
-    failures = []
-    checked = 0
-    # h of the φ pass in progress, call 1's last CallEnd, the latest CallEnd
-    # since the last CallBegin, the first damage of the registry and of the
-    # replay, and the first second outcome of a position
-    phi_h = end = last_end = unknown = replay_damage = second = None
+    failures, checked = [], 0
+    # h of the φ pass in progress, the call of the latest CallBegin, call
+    # 1's last CallEnd, the latest CallEnd since the last CallBegin, the
+    # first damage of the registry and of the replay, and the first second
+    # outcome of a position
+    phi_h = call = end = last_end = unknown = replay_damage = second = None
 
     def monic(pos: int) -> int:
         P[pos], s = P[pos].monic_scale()
@@ -704,52 +708,50 @@ def build_registry(events: Iterable[dict], ring: Ring) -> Registry:
 
     for ev in events:
         kind, seq = ev["kind"], ev["seq"]
-        if kind == "RuleAdded":
-            rules.setdefault(ev["index"], []).append((seq, monos[tuple(ev["mono"])], ev["pos"]))
-        elif kind == "CallEnd":
-            last_end = ev
-            if ev["call"] == 1:
-                end = ev
-        elif kind == "DegreeStep":
-            degrees.setdefault(ev["call"], []).append(ev["d"])
-        elif kind in _PAIR_WHERE:
-            if ev["where"] == _PAIR_WHERE[kind]:
-                rejections.append((ev["p1"], ev["p2"], seq, monos[tuple(ev["u1"])].v,
-                                   monos[tuple(ev["u2"])].v))
-            elif ev["where"] == "is_reducible":
-                reducible.append((monos[tuple(ev["h_head"])].v,
-                                  (ev["h"], ev["cand"], seq, None, monos[tuple(ev["mult"])].v)))
-        if kind in _NAMED and unknown is None:
-            for name in _NAMED[kind]:
-                if name in ev and ev[name] not in P:
-                    unknown = (seq, f"{kind} {name} names r{ev[name]}, which no earlier event"
-                                    " created")
-                    break
-        reads = _READS.get(kind)
-        if reads is None:
+        row = rows.get(tuple(ev))
+        if row is None or row.kind != kind:
+            unknown = unknown or (seq, _unfit(kind, ev))
             continue
         if phi_h is not None and not (kind == "PhiPreReduce" and ev["h"] == phi_h):
             monic(phi_h)
             phi_h = None
-        malformed = _malformed(ev) if _POLY_FIELDS[kind] else None
-        unbuilt = [ev[name] for name in reads if ev[name] not in P]
-        replayed = not unbuilt and malformed is None
-        if not replayed:
-            failures.append((seq, f"unknown position r{unbuilt[0]}" if unbuilt else malformed))
+        broken = row.check(ev, call, P, entries, monos)
+        why = broken and _broken(ev, row, broken, call, P)
+        step = "phi" if kind == "PhiPreReduce" else "top" if kind == "ReductionStep" else None
+        if why and step is None and unknown is None:
+            unknown = (seq, why)
+        if row.where == "is_reducible":
+            reducible.append((monos[tuple(ev["h_head"])].v,
+                              (ev["h"], ev["cand"], seq, None, monos[tuple(ev["mult"])].v)))
+        elif row.where is not None:
+            rejections.append((ev["p1"], ev["p2"], seq, monos[tuple(ev["u1"])].v,
+                               monos[tuple(ev["u2"])].v))
+        elif kind == "RuleAdded":
+            rules.setdefault(ev["index"], []).append((seq, monos[tuple(ev["mono"])], ev["pos"]))
+        elif kind == "CallEnd":
+            last_end, end = ev, ev if ev["call"] == 1 else end
+        elif kind == "DegreeStep":
+            degrees.setdefault(ev["call"], []).append(ev["d"])
+        if row.where is not None or kind in ("RuleAdded", "CallEnd", "DegreeStep",
+                                             "CritPairCreated"):
+            continue
+
+        # the replay reads the creations, the steps and the outcomes
+        malformed = broken is not None and row.roles[broken] == "polynomial"
+        built = broken is None or all(
+            ev[name] in P for name, role in row.roles.items() if role == "pos")
+        replayed = built and not malformed
+        if why and (step or not replayed):
+            failures.append((seq, why))
             replay_damage = replay_damage or failures[-1]
-        if kind in _STEP_COPIES:
+        if step is not None:
             h = ev["h"]
-            outcome = replayed and (entries[h].done_seq is not None and "DoneInserted"
-                                    or entries[h].zero_seq is not None and "ReductionToZero")
+            outcome = built and (entries[h].done_seq is not None and "DoneInserted"
+                                 or entries[h].zero_seq is not None and "ReductionToZero")
             if outcome:
                 failures.append((seq, f"step on r{h} after its {outcome}"))
-            elif replayed:
+            elif built:
                 c, u, r = ev["coeff"], monos[tuple(ev["mult"])], ev["reductor"]
-                miscopied = _miscopied(ev, entries[h].sig, entries[r].sig, u, monos)
-                if miscopied:
-                    failures.append((seq, f"{miscopied} differs from the registry"))
-                    replay_damage = replay_damage or failures[-1]
-                step = "phi" if kind == "PhiPreReduce" else "top"
                 P[h] = poly_axpy(P[h], c, u, P[r])
                 ops.append((step, h, c, u, r))
                 trails[h].append([step, c, ev["mult"], r])
@@ -759,26 +761,32 @@ def build_registry(events: Iterable[dict], ring: Ring) -> Registry:
                     failures.append((seq, "post_scale differs from the replay"))
             continue
 
-        # the registry reads the other kinds, a CallBegin's g_next too, and
-        # records each event it can
-        pos = ev[CREATION_FIELDS[kind].pos if kind in CREATION_FIELDS else "pos"]
-        missing = [p for p in ev["g_next"] if p not in P] if kind == "CallBegin" else unbuilt
-        unbegun = kind == "DoneInserted" and not missing and ev["call"] not in calls
-        # a call begins with inputs and earlier Done insertions alone
-        uninserted = kind == "CallBegin" and not missing and [
-            p for p in ev["g_next"] if entries[p].done_seq is None and not entries[p].is_input]
-        unlinked = kind == "CallBegin" and _unlinked(ev, last_end, not calls)
+        # the registry reads the rest, a CallBegin's g_next too, and records
+        # each event it can
+        creation = CREATION_FIELDS.get(kind)
+        pos = ev[creation.pos if creation else "pos"]
+        unlinked = uninserted = None
+        if kind == "CallBegin":
+            # a call begins with inputs and earlier Done insertions alone, and
+            # every call but the log's first after the CallEnd of call + 1,
+            # with its basis as g_next
+            uninserted = broken is None and [
+                p for p in ev["g_next"] if entries[p].done_seq is None and not entries[p].is_input]
+            call = ev["call"]
+            if calls and (last_end is None or last_end["call"] != call + 1):
+                unlinked = (f"CallBegin of call {call} does not follow the CallEnd of call"
+                            f" {call + 1}")
+            elif calls and ev["g_next"] != last_end["basis"]:
+                unlinked = f"CallBegin g_next is not the basis of call {call + 1}'s CallEnd"
+            calls[call], last_end = ev, None
         # an outcome of a position that already has its outcome
-        prior = kind in ("ReductionToZero", "DoneInserted") and not missing and (
+        prior = creation is None and built and (
             entries[pos].done_seq is not None and "DoneInserted"
             or entries[pos].zero_seq is not None and "ReductionToZero")
         if prior and second is None:
             second = (seq, f"{kind} of r{pos} after its {prior}")
-        if kind == "CallBegin":
-            calls[ev["call"]] = ev
-            last_end = None
-        if kind in CREATION_FIELDS and malformed is None:
-            gen = CREATION_FIELDS[kind].genealogy
+        if creation is not None and not malformed:
+            gen = creation.genealogy
             if gen is not None:
                 a, b, ua, ub = (ev[name] for name in gen)
                 ua, ub = monos[tuple(ua)], monos[tuple(ub)]
@@ -797,42 +805,33 @@ def build_registry(events: Iterable[dict], ring: Ring) -> Registry:
                 P[pos] = created[pos] = q
                 trails[pos] = []
         elif kind == "ReductionToZero":
-            if not missing:
+            if built:
                 entries[pos].zero_seq = seq
             if replayed and not P[pos].is_zero:
                 failures.append((seq, "nonzero on replay"))
-        elif kind == "DoneInserted":
-            if not missing and not unbegun and malformed is None:
+        elif kind == "DoneInserted" and replayed:
+            if call is not None:
                 entries[pos].done_seq = seq
-                insertions.setdefault(ev["call"], []).append((seq, pos))
-            if replayed:
-                checked += 1
-                if not _same_poly(P[pos], ev["poly"], monos):
-                    failures.append((seq, "DoneInserted polynomial differs from the replay"))
-                if ev["trail"] != trails[pos]:
-                    failures.append((seq, "trail differs from the replay"))
-                if not _same_poly(created[pos], ev["creation_poly"], monos):
-                    failures.append((seq, "creation polynomial differs from the replay"))
-        if missing:
-            damage = f"unknown position r{missing[0]}"
-        elif uninserted:
-            damage = f"CallBegin g_next names r{uninserted[0]}, which no DoneInserted inserted"
-        elif unlinked:
-            damage = unlinked
-        elif unbegun:
-            damage = (f"DoneInserted of r{pos} into call {ev['call']}, which no earlier"
-                      " CallBegin began")
-        elif kind in ("CallBegin", "DoneInserted") and not ev["poly"]:
-            damage = f"empty {kind} polynomial of r{pos}"
-        elif kind in ("CallBegin", "DoneInserted") and replayed and P[pos].is_zero:
-            damage = f"{'input' if kind == 'CallBegin' else 'Done-inserted'} r{pos} replays to zero"
-        else:
-            damage = malformed
-        if unknown is None and damage is not None:
+                insertions.setdefault(call, []).append((seq, pos))
+            checked += 1
+            if not _same_poly(P[pos], ev["poly"], monos):
+                failures.append((seq, "DoneInserted polynomial differs from the replay"))
+            if ev["trail"] != trails[pos]:
+                failures.append((seq, "trail differs from the replay"))
+            if not _same_poly(created[pos], ev["creation_poly"], monos):
+                failures.append((seq, "creation polynomial differs from the replay"))
+        damage = (uninserted and f"CallBegin g_next names r{uninserted[0]}, which no DoneInserted"
+                                 " inserted"
+                  or unlinked or kind in ("CallBegin", "DoneInserted") and (
+                      not ev["poly"] and f"empty {kind} polynomial of r{pos}"
+                      or replayed and P[pos].is_zero
+                      and f"{'input' if kind == 'CallBegin' else 'Done-inserted'} r{pos} replays"
+                          " to zero"))
+        if unknown is None and damage:
             unknown = (seq, damage)
 
     unknown = unknown or min(
-        ((seq, f"RuleAdded names r{pos}, which no event creates")
+        ((seq, f"RuleAdded pos names r{pos}, which no event creates")
          for table in rules.values() for seq, _, pos in table if pos not in entries),
         default=None)
     found = [d for d in (unknown, replay_damage) if d is not None]

@@ -19,6 +19,8 @@ time, in these families:
   sig_index       each signature's index raised by one
   step_after      a ``PhiPreReduce`` of each Done-inserted h, by x0^2 times
                   the log's first input, before the last ``CallEnd``
+  where           each rejection's ``where`` set to its kind's other row's
+  key             the first event of each row without its last key
 
 Each log goes through ``run_check`` with the engine patched to return it,
 and the workload's descent settings of the tests (25 samples, cap 10^5,
@@ -28,18 +30,23 @@ sha256 of the reports without ``elapsed_s`` (an exception's repr in place of
 a raised one's report), in log order; a last line gives the same over every
 log run.  SYSTEM and FAMILY select a slice.
 
+The position fields (roles ``new``, ``pos`` and ``owner``) and the
+signature fields are read off each event's row of ``trace.EVENT_SHAPES``.
+
 Each forged log also falls in one ledger row: its system, family, the kind
-of the event it forges, and the field it changes, or for a dropped event its
-``where`` ("-" when it has none, and for the unforged log).  ``--ledger``
-prints one line per row, with its count of logs and of ``ok`` reports, in
-place of the family lines.  ``forged_ledger.txt`` is that output on every
-system.  Each run compares its rows with the committed ones: a row whose
-counts differ, or that the file lacks, is printed on stderr, and the script
-exits 1 if any row's ``ok`` count is above the committed one.  To commit new
-counts, run ``python tests/forged_logs.py --ledger > tests/forged_ledger.txt``;
-a change may only lower a row's ``ok`` count, or add rows.  pytest does not
-collect this script; ``test_cli.py::TestStageScripts`` runs katsura-3's drop
-slice and its ledger.
+of the event it forges, and the field it changes, or for a dropped event and
+a forged ``where`` its ``where`` ("-" when it has none, and for the unforged
+log).  ``--ledger`` prints one line per row, with its count of logs and of
+``ok`` reports, in place of the family lines; a row above 0 ``ok`` ends with
+a note that names the ROADMAP item expected to bring it to 0 (``EXPECTED``).
+``forged_ledger.txt`` is that output on every system.  Each run compares its
+rows with the committed ones, notes aside: a row whose counts differ, or
+that the file lacks, is printed on stderr, and the script exits 1 if any
+row's ``ok`` count is above the committed one.  To commit new counts, run
+``python tests/forged_logs.py --ledger > tests/forged_ledger.txt``; a change
+may only lower a row's ``ok`` count, or add rows.  pytest does not collect
+this script; ``test_cli.py::TestStageScripts`` runs katsura-3's drop slice
+and its ledger.
 """
 
 from __future__ import annotations
@@ -62,13 +69,22 @@ from systems import CYCLIC4, SUITE, problem_text  # noqa: E402
 
 SYSTEMS = {"cyclic4": CYCLIC4, "katsura3": SUITE["katsura3_homog"],
            "two_gen_demo": SUITE["two_gen_demo"]}
-# the fields that name one position
-POSITION_FIELDS = ("input_pos", "pos", "p1", "p2", "j", "h", "cand", "blocked_by", "rewriter",
-                   "reductor")
-SIGNATURE_FIELDS = ("sig", "sig1", "sig2", "msig", "h_sig")
+ROWS = trace._rows()
 LEDGER = os.path.join(ROOT, "tests", "forged_ledger.txt")
-# a ledger line: system, family, kind and field or ``where``; logs; ok
-LEDGER_ROW = re.compile(r"^(\S+ \S+ \S+ \S+): (\d+) logs, (\d+) ok$", re.M)
+# a ledger line: system, family, kind and field or ``where``; logs; ok; a
+# note, if any
+LEDGER_ROW = re.compile(r"^(\S+ \S+ \S+ \S+): (\d+) logs, (\d+) ok(?:  # .*)?$", re.M)
+# (family, kind, field or ``where``) -> what is expected to bring the ledger
+# row of each system to 0 ``ok``: the ROADMAP item that would catch its
+# forgeries
+EXPECTED = {
+    ("unforged", "-", "-"): "none: the log itself",
+    ("drop", "CritPairCreated", "-"): "item 14",
+    ("drop", "DegreeStep", "-"): "item 14",
+    ("drop", "F5CritPairReject", "crit_pair"): "item 14",
+    ("drop", "RewrittenReject", "spol"): "item 7",
+    ("drop", "RewrittenReject", "is_reducible"): "item 7",
+}
 
 
 def _changed(events: list, k: int, change) -> list:
@@ -86,15 +102,15 @@ def step_after(events: list, outcome: dict) -> list:
     """The log with a φ step of the position h of ``outcome``, a
     ``DoneInserted`` or ``ReductionToZero``, by x0^2 times the first input
     the log begins a call with, coefficient 1, inserted before the last
-    ``CallEnd``; the events are renumbered.  The engine never steps an
-    element after its outcome."""
+    ``CallEnd``, in the call that CallEnd ends; the events are renumbered.
+    The engine never steps an element after its outcome."""
     first = next(ev for ev in events if ev["kind"] == "CallBegin")
-    sig = outcome["sig"]
-    step = {"seq": None, "kind": "PhiPreReduce", "call": outcome["call"], "h": outcome["pos"],
-            "h_sig": sig, "h_index": sig["index"], "reductor": first["input_pos"],
-            "reductor_index": first["call"], "mult": (2,) + (0,) * (len(sig["mono"]) - 1),
-            "coeff": 1}
     last = max(k for k, ev in enumerate(events) if ev["kind"] == "CallEnd")
+    sig = outcome["sig"]
+    step = {"seq": None, "kind": "PhiPreReduce", "call": events[last]["call"],
+            "h": outcome["pos"], "h_sig": sig, "h_index": sig["index"],
+            "reductor": first["input_pos"], "reductor_index": first["call"],
+            "mult": (2,) + (0,) * (len(sig["mono"]) - 1), "coeff": 1}
     forged = events[:last] + [step] + events[last:]
     return [{**ev, "seq": seq} for seq, ev in enumerate(forged)]
 
@@ -104,21 +120,24 @@ def families(events: list) -> dict:
     logs, in log order, over the log ``events``."""
     out = {name: [] for name in ("unforged", "drop", "position", "call", "empty", "malformed",
                                  "reversed", "g_next", "rule_mono", "sig_mono", "sig_index",
-                                 "step_after")}
+                                 "step_after", "where", "key")}
     out["unforged"].append(("-", "-", events))
+    first_of_row = set()
     for k, ev in enumerate(events):
         kind = ev["kind"]
+        keys = tuple(ev)
+        row = ROWS[keys]
 
         def forge(family, name, change):
             out[family].append((kind, name, _changed(events, k, change)))
 
         out["drop"].append((kind, ev.get("where", "-"), events[:k] + events[k + 1:]))
-        for name in POSITION_FIELDS:
-            if name in ev:
+        for name, role in row.roles.items():
+            if role in ("new", "pos", "owner"):
                 forge("position", name, lambda e, name=name: e.update({name: 1_000_000}))
         if "call" in ev:
             forge("call", "call", lambda e: e.update(call=9))
-        for name in trace._POLY_FIELDS[kind]:
+        for name in [name for name, shape in row.fields if shape == "polynomial"]:
             if ev[name]:
                 forge("empty", name, lambda e, name=name: e.update({name: []}))
                 forge("malformed", name, lambda e, name=name: e[name][0].append(1))
@@ -132,10 +151,18 @@ def families(events: list) -> dict:
             out["step_after"].append((kind, "-", step_after(events, ev)))
         if kind in trace.CREATION_FIELDS:
             forge("sig_mono", "sig", lambda e: e["sig"].update(mono=_raised(e["sig"]["mono"])))
-        for name in SIGNATURE_FIELDS:
-            if name in ev:
+        for name, shape in row.fields:
+            if shape == "signature":
                 forge("sig_index", name,
                       lambda e, name=name: e[name].update(index=e[name]["index"] + 1))
+        if row.where is not None:
+            other = next(r.where for r in ROWS.values()
+                         if r.kind == kind and r.where not in (None, row.where))
+            out["where"].append((kind, row.where, _changed(events, k,
+                                                           lambda e: e.update(where=other))))
+        if keys not in first_of_row:
+            first_of_row.add(keys)
+            forge("key", keys[-1], lambda e: e.pop(keys[-1]))
     return out
 
 
@@ -207,7 +234,9 @@ def main() -> None:
         print("# python tests/forged_logs.py --ledger: system family kind field-or-where:"
               " forged logs, ok reports")
         for row in row_logs:
-            print(f"{row}: {row_logs[row]} logs, {row_ok[row]} ok")
+            note = EXPECTED.get(tuple(row.split()[1:]), "no item yet") if row_ok[row] else None
+            print(f"{row}: {row_logs[row]} logs, {row_ok[row]} ok"
+                  + (f"  # {note}" if note else ""))
     print(f"all: {total} logs, {total_raised} raised, {total_ok} ok,"
           f" sha256 {everything.hexdigest()}")
     moved, up = moved_rows(row_logs, row_ok)

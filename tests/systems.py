@@ -13,8 +13,7 @@ from f5gb.engine import EngineConfig
 from f5gb.oracle import DescentRun, GgSnapshot, done_snapshots
 from f5gb.poly import ORDER_KINDS, Lazy, Monomial, MonomialOrder, Polynomial, Ring, overflow_error
 from f5gb.sig import Signature, _input_count, apply_ops, sig_key
-from f5gb.trace import EVENT_SHAPES
-from f5gb.trace import Registry, RegistryEntry, build_registry, in_scope, membership_at
+from f5gb.trace import Registry, RegistryEntry, _rows, build_registry, in_scope, membership_at
 
 
 def make_ring(p: int, names, order: str = "degrevlex") -> Ring:
@@ -436,10 +435,9 @@ CYCLIC5 = (
 # (test_cli.py), over GF(32003) under degrevlex
 PLANT_SYSTEMS = {"cyclic4": CYCLIC4, "katsura5": KATSURA5}
 
-# the fields of each row of EVENT_SHAPES, (name, shape) in log order, by the
-# row's keys
-ROW_FIELDS = {("seq", "kind") + tuple(name for name, _ in fields): fields
-              for _, fields in EVENT_SHAPES}
+# the fields of each row of EVENT_SHAPES after ``kind``, (name, shape) in
+# log order, with the shape the codec writes for a role, by the row's keys
+ROW_FIELDS = {keys: row.fields[2:] for keys, row in _rows().items()}
 
 
 # Not regular under deglex: its reduced basis tops out at degree 7, but F5

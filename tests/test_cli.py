@@ -703,12 +703,13 @@ ZERO_POLY_FORGERIES = {
          "done_insertion_audit", "thm5_exhaustive"]),
 }
 # a forged cyclic-4 log with an insertion into a call that no earlier
-# CallBegin began (cyclic-4's calls are 4, 3, 2, 1) -> its damage; the five
-# registry reports fail on it
+# CallBegin began (cyclic-4's calls are 4, 3, 2, 1, and the first insertion
+# is in call 3) -> its damage, which names the call field; the five registry
+# reports fail on it
 UNBEGUN_CALL_FORGERIES = {
     f"insertion_into_call_{call}": (
         _first_insertion_into(call),
-        f"damaged log: seq 9: DoneInserted of r2 into call {call}, which no earlier"
+        f"damaged log: seq 9: DoneInserted call {call} is not call 3, which the enclosing"
         " CallBegin began",
         ["rule_degrees", "genealogy", "chains", "done_insertion_audit", "thm5_exhaustive"])
     for call in (9, 0)
@@ -732,7 +733,7 @@ def _raised_step_copy(kind, name):
 STEP_COPY_FORGERIES = {
     f"{kind}_{name}": (
         _raised_step_copy(kind, name),
-        f"damaged log: seq {seq}: {name} differs from the registry", ["trail_replay"])
+        f"damaged log: seq {seq}: {kind} {name} differs from the registry", ["trail_replay"])
     for kind, seq, names in (("PhiPreReduce", 56, ("h_sig", "h_index", "reductor_index")),
                              ("ReductionStep", 57, ("h_sig", "msig")))
     for name in names
@@ -752,15 +753,17 @@ def _changed_at(seq, change):
 
 # a forged cyclic-4 log whose CallBegin does not follow on the CallEnd just
 # before it (cyclic-4's call 3 ends at seq 30 and call 2 begins at seq 31;
-# call 2 ends at seq 239 and call 1 begins at seq 240) -> its damage; the
-# five registry reports fail on it
+# call 2 ends at seq 239 and call 1 begins at seq 240), or whose CallEnd
+# names another call than the one it ends -> its damage; the five registry
+# reports fail on it
 CALL_LINK_FORGERIES = {
     "dropped_call_end_of_call_2": (
         _without_seq(239),
         "damaged log: seq 240: CallBegin of call 1 does not follow the CallEnd of call 2"),
     "call_end_of_call_3_as_call_9": (
         _changed_at(30, lambda ev: {**ev, "call": 9}),
-        "damaged log: seq 31: CallBegin of call 2 does not follow the CallEnd of call 3"),
+        "damaged log: seq 30: CallEnd call 9 is not call 3, which the enclosing CallBegin"
+        " began"),
     "g_next_without_its_last_position": (
         _changed_at(31, lambda ev: {**ev, "g_next": ev["g_next"][:-1]}),
         "damaged log: seq 31: CallBegin g_next is not the basis of call 3's CallEnd"),
@@ -905,8 +908,8 @@ class TestLogOnlyCheck:
                              ids=list(UNBEGUN_CALL_FORGERIES))
     def test_insertion_into_an_unbegun_call_is_damage(self, tmp_path, monkeypatch, forge,
                                                       damage, failing):
-        # membership at an insertion reads its call's CallBegin, so the
-        # registry keeps such an insertion out and names it as damage
+        # the registry files an insertion under its enclosing call, and
+        # names a call field that is not that call as damage
         self._damage_is_reported(tmp_path, monkeypatch, forge, damage, failing)
 
     def test_basis_member_without_its_insertion_is_damage(self, tmp_path, monkeypatch):
@@ -984,6 +987,60 @@ class TestLogOnlyCheck:
         assert run_main(["descend", str(path)]) == (2, damage + "\n")
 
 
+def _where_set(kind, where, to):
+    """The change that sets the ``where`` of the first ``kind`` event with
+    ``where`` to ``to``."""
+    def forge(events):
+        first = next(ev for ev in events if ev["kind"] == kind and ev.get("where") == where)
+        return [{**ev, "where": to} if ev is first else ev for ev in events]
+    return forge
+
+
+def _through_jsonl(events):
+    """``events`` written by ``Trace.to_jsonl`` and read back."""
+    log = trace.Trace()
+    log.events = events
+    buf = io.StringIO()
+    log.to_jsonl(buf)
+    buf.seek(0)
+    return events_from_jsonl(buf)
+
+
+# a forged cyclic-4 log whose rejection names its other row's ``where``, or
+# none of its kind's -> its damage, which names the field: the row is found
+# by the keys, so the reader accepts the line
+WHERE_FORGERIES = {
+    f"{kind}_{where}_as_{to}": (_where_set(kind, where, to), f"damaged log: seq {seq}: {kind}"
+                                f" where {to!r} is not its row's {where!r}")
+    for kind, where, to, seq in (
+        ("F5CritPairReject", "crit_pair", "is_reducible", 26),
+        ("F5CritPairReject", "is_reducible", "crit_pair", 158),
+        ("RewrittenReject", "spol", "is_reducible", 15),
+        ("RewrittenReject", "is_reducible", "spol", 88),
+        ("RewrittenReject", "spol", "x", 15))
+}
+
+
+# the problem text of each system whose logs hold every row between them
+_SYSTEM_TEXTS = {system: problem_text(32003, *names_texts) for system, names_texts in
+                 (("cyclic4", CYCLIC4), ("katsura3", SUITE["katsura3_homog"]))}
+
+
+def _first_of_each_row() -> list:
+    """(system, kind, keys, seq) of the first event of each row in the
+    cyclic-4 and katsura-3 logs, which hold every row between them."""
+    out = []
+    for system, text in _SYSTEM_TEXTS.items():
+        firsts = {}
+        for ev in engine.incremental_f5(parse_problem(text).polynomials).events:
+            firsts.setdefault(tuple(ev), (ev["kind"], ev["seq"]))
+        out += [(system, kind, keys, seq) for keys, (kind, seq) in firsts.items()]
+    return out
+
+
+# the damage of a PhiPreReduce whose reductor is r1000000, which no event
+# creates
+UNKNOWN_REDUCTOR = "PhiPreReduce reductor names r1000000, which no earlier event created"
 # the four verdicts a damaged log cannot give
 DAMAGE_VERDICTS = ("ideal_equal", "admissible", "descents", "thm4_reductors")
 
@@ -1005,9 +1062,10 @@ class TestDamagedLogCheck:
         _engine_returning(monkeypatch, drop)
 
     @pytest.mark.parametrize("kind, k, reason", [
-        ("CallBegin", 1, "damaged log: seq 5: CritPairCreated p1 names r1, which no earlier"
-                         " event created"),
-        ("SPolCreated", 0, "damaged log: seq 9: unknown position r2"),
+        ("CallBegin", 1, "damaged log: seq 5: CritPairCreated call 1 is not call 2, which the"
+                         " enclosing CallBegin began"),
+        ("SPolCreated", 0, "damaged log: seq 9: DoneInserted pos names r2, which no earlier"
+                           " event created"),
     ])
     def test_demo_drop_fails_with_a_reason(self, monkeypatch, kind, k, reason):
         self._dropping(monkeypatch, kind, k)
@@ -1038,24 +1096,26 @@ class TestDamagedLogCheck:
 
         _engine_returning(monkeypatch, forge)
         report = _check_report(problem_text(32003, *CYCLIC4))
-        assert report["damaged_log"] == "damaged log: seq 56: unknown position r1000000"
+        assert report["damaged_log"] == ("damaged log: seq 56: PhiPreReduce reductor names"
+                                         " r1000000, which no earlier event created")
         assert [report["verdicts"][name] for name in DAMAGE_VERDICTS] == [False] * 4
         failing = [line.split(":")[0] for line in report["checker_lines"] if ": FAIL" in line]
         assert len(report["checker_lines"]) == 8 and failing == ["trail_replay"]
 
     @pytest.mark.parametrize("phi, done, damage, registry_damage, replay_damage", [
-        ("first", "last", (56, "unknown position r1000000"),
-         (319, "DoneInserted of r20 into call 9, which no earlier CallBegin began"),
-         (56, "unknown position r1000000")),
-        ("last", "first", (9, "DoneInserted of r2 into call 9, which no earlier CallBegin began"),
-         (9, "DoneInserted of r2 into call 9, which no earlier CallBegin began"),
-         (354, "unknown position r1000000")),
+        ("first", "last", (56, UNKNOWN_REDUCTOR),
+         (319, "DoneInserted call 9 is not call 1, which the enclosing CallBegin began"),
+         (56, UNKNOWN_REDUCTOR)),
+        ("last", "first", (9, "DoneInserted call 9 is not call 3, which the enclosing CallBegin"
+                              " began"),
+         (9, "DoneInserted call 9 is not call 3, which the enclosing CallBegin began"),
+         (354, UNKNOWN_REDUCTOR)),
     ], ids=["replay_damage_first", "registry_damage_first"])
     def test_two_damaged_events(self, tmp_path, monkeypatch, phi, done, damage,
                                 registry_damage, replay_damage):
         # an unknown reductor is damage to the replay alone, an insertion
-        # into an unbegun call to the registry alone: the log names the
-        # earlier of the two, and each report the one it reads
+        # whose call is not its enclosing call to the registry alone: the
+        # log names the earlier of the two, and each report the one it reads
         def forge(events):
             pick = {"first": 0, "last": -1}
             step = [ev for ev in events if ev["kind"] == "PhiPreReduce"][pick[phi]]
@@ -1081,6 +1141,39 @@ class TestDamagedLogCheck:
         path.write_text(text)
         assert run_main(["descend", str(path)]) == (2, reason + "\n")
 
+    @pytest.mark.parametrize("forge, damage", WHERE_FORGERIES.values(),
+                             ids=list(WHERE_FORGERIES))
+    @pytest.mark.parametrize("path", ["memory", "jsonl"])
+    def test_rejection_of_another_row_is_damage(self, monkeypatch, forge, damage, path):
+        # the walk reads a rejection through the row its keys fit, so a
+        # where of the other row is damage, in memory and read back alike
+        read = forge if path == "memory" else lambda events: _through_jsonl(forge(events))
+        _engine_returning(monkeypatch, read)
+        report = _check_report(problem_text(32003, *CYCLIC4))
+        assert report["damaged_log"] == damage and report["ok"] is False
+        assert [report["verdicts"][name] for name in DAMAGE_VERDICTS] == [False] * 4
+
+    def test_each_row_without_its_last_key_is_damage(self, monkeypatch):
+        # an event that fits no row is damage, named as the reader names
+        # its line, which the reader rejects; it never raises in the walk
+        firsts = _first_of_each_row()
+        assert {keys for _, _, keys, _ in firsts} == set(trace._rows())
+        for system, kind, keys, seq in firsts:
+            def forge(events):
+                return [{name: ev[name] for name in keys[:-1]} if ev["seq"] == seq else ev
+                        for ev in events]
+
+            unfit = f"no {kind} row has the keys {list(keys[:-1])}"
+            with monkeypatch.context() as m:
+                _engine_returning(m, forge)
+                report = _check_report(_SYSTEM_TEXTS[system])
+            assert report["damaged_log"] == f"damaged log: seq {seq}: {unfit}", (system, keys)
+            assert [report["verdicts"][name] for name in DAMAGE_VERDICTS] == [False] * 4
+            problem = parse_problem(_SYSTEM_TEXTS[system])
+            events = engine.incremental_f5(problem.polynomials).events
+            with pytest.raises(ValueError, match=re.escape(f"line {seq + 1}: {unfit}")):
+                _through_jsonl(forge(events))
+
     def test_descend_on_a_damaged_log_exits_2(self, tmp_path, monkeypatch):
         path = tmp_path / "cyclic4.txt"
         path.write_text(problem_text(32003, *CYCLIC4))
@@ -1102,7 +1195,7 @@ class TestDamagedLogCheck:
                 _engine_returning(m, lambda log: [
                     {**ev, "pos": 10**6} if ev["seq"] == rule["seq"] else ev for ev in log])
                 report = _check_report(text)
-            reason = (f"damaged log: seq {rule['seq']}: RuleAdded names r1000000, which no"
+            reason = (f"damaged log: seq {rule['seq']}: RuleAdded pos names r1000000, which no"
                       " event creates")
             assert report["damaged_log"] == reason and report["ok"] is False
             assert [report["verdicts"][name] for name in DAMAGE_VERDICTS] == [False] * 4
@@ -1370,7 +1463,7 @@ class TestStageScripts:
             capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         line = ("182 logs, 0 raised, 79 ok,"
-                " sha256 2b3f8636bc82d96b6cc80fc6c72a19b7e8cf008bfb72880b494ac8d5fc57de4e")
+                " sha256 c52215637d7129a0fcd51d9ccfde90e207ae90ca3fc1a17ff7bbed68b3d5b512")
         assert done.stdout == f"katsura3 drop: {line}\nall: {line}\n"
 
     def test_forged_ledger(self):

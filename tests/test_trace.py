@@ -599,15 +599,17 @@ PLANT_OUTCOMES = {
     ("cyclic4", "spol_poly"): [
         ("trail_replay", (8, "SPolCreated polynomial differs from the replay"))
     ],
-    ("cyclic4", "unknown_reductor"): [("trail_replay", (56, "unknown position r1000000"))],
-    # the replayed vector still leads with u1 * S(p1): not admissible
-    # either; a φ step by r2 copies its old index
+    ("cyclic4", "unknown_reductor"): [("trail_replay", (
+        56, "PhiPreReduce reductor names r1000000, which no earlier event created"))],
+    # r2's DoneInserted copies its old signature, so the registry is
+    # damaged there; the replayed vector still leads with u1 * S(p1): not
+    # admissible either; a φ step by r2 copies its old index
     ("cyclic4", "sig_swap"): [
-        ("rule_degrees", (2, "not exactly one rule, with its signature")),
-        ("genealogy", (2, "sig != u_over * S(greater)")),
-        ("trail_replay", (60, "reductor_index differs from the registry")),
-        ("chains", (2, ChainReport([1, 2], False, False, True))),
-        ("thm5_exhaustive", (3, (0, 2), "unclassified")),
+        *((name, (9, "DoneInserted sig differs from the registry"))
+          for name in ("rule_degrees", "genealogy")),
+        ("trail_replay", (60, "PhiPreReduce reductor_index differs from the registry")),
+        *((name, (9, "DoneInserted sig differs from the registry"))
+          for name in ("chains", "done_insertion_audit", "thm5_exhaustive")),
     ],
 }
 REJECTION_PLANTS = [
@@ -692,8 +694,9 @@ class TestDroppedCreation:
     def test_drop_one_fails_reports_and_never_raises(self, system, creations):
         # a log without the event that created a position: each report read
         # off the registry fails at the first event that names the position,
-        # a pair or a rejection too, the reports of the walk's tables still
-        # run, signature_safety on each replayed step, and the replay fails
+        # a pair or a rejection too, or, without a CallBegin, at the first
+        # event of its call; the reports of the walk's tables still run,
+        # signature_safety on each replayed step, and the replay fails
         names, texts = {"cyclic4": CYCLIC4, "katsura3": SUITE["katsura3_homog"]}[system]
         ring = make_ring(32003, names)
         events = incremental_f5(polys(ring, *texts), EngineConfig()).events
@@ -708,9 +711,14 @@ class TestDroppedCreation:
             assert sorted(failed) == sorted(REGISTRY_REPORTS + ["trail_replay"])
             ((seq, reason),) = failed["rule_degrees"]
             assert all(failed[name] == [(seq, reason)] for name in REGISTRY_REPORTS)
-            named = {f"unknown position r{pos}"} | {
-                f"{ev['kind']} {name} names r{pos}, which no earlier event created"
-                for ev in events[k + 1:] for name in trace._NAMED.get(ev["kind"], ())}
+            named = {f"{ev['kind']} {name} names r{pos}, which no earlier event created"
+                     for ev in events[k + 1:] for name in ev}
+            if dropped["kind"] == "CallBegin":
+                call = dropped["call"]
+                first = next(ev["kind"] for ev in events[k + 1:] if "call" in ev)
+                named.add(f"{first} call {call} " + (
+                    "comes before the log's first CallBegin" if k == 0
+                    else f"is not call {call + 1}, which the enclosing CallBegin began"))
             assert seq > dropped["seq"] and reason in named
             steps = [op for op in build_registry(events[:k] + events[k + 1:], ring).ops
                      if op[0] in ("phi", "top")]
@@ -1361,7 +1369,7 @@ class TestLogRoundTrip:
         assert build_registry(events, ring).unknown is None
         before = {"seq": -1, "kind": "CallEnd", "call": 3, "basis": []}
         assert build_registry([before] + events, ring).unknown == (
-            0, "CallEnd of call 3 before the log's first CallBegin")
+            -1, "CallEnd call 3 comes before the log's first CallBegin")
 
     def test_membership_and_rules_match_engine_snapshots(self, cyclic):
         # (seq, g_pos, members, rule count per index) at every Done
@@ -1450,9 +1458,9 @@ class TestSchemaTables:
                         assert is_shape[shape](ev[name], n), (ev["kind"], name)
         # every field of such a shape occurs in some event
         assert used == {
-            (kind, name)
-            for kind, fields in trace.EVENT_SHAPES
-            for name, shape in fields
+            (row.kind, name)
+            for row in trace._rows().values()
+            for name, shape in row.fields
             if shape in is_shape
         }
 
@@ -1482,16 +1490,71 @@ class TestSchemaTables:
                                    trails=("trail",)),
         }
         read_off = {kind: fields() for kind in trace.EVENT_KINDS}
-        for kind, row in trace.EVENT_SHAPES:
-            for name, shape in row:
-                named = read_off[kind]
+        for row in trace._rows().values():
+            for name, shape in row.fields:
+                named = read_off[row.kind]
                 if shape in named and name not in named[shape]:
                     named[shape] += (name,)
         assert read_off == by_hand
         assert trace.EVENT_KINDS == tuple(by_hand)
-        assert trace._POLY_FIELDS == {kind: named["polynomial"] for kind, named in by_hand.items()}
         # the codec finds each row by its keys alone
         assert len(ROW_KEYS) == len(trace.EVENT_SHAPES)
+
+    def test_roles_are_the_walk_tables(self):
+        # the fields of each role in each row, as the walk's per-kind tables
+        # listed them by hand before they were read off the rows: the
+        # positions an earlier event created, the created position, and the
+        # copies of a position's signature, each with its multiplier; every
+        # row but CallBegin's and RuleAdded's has the enclosing call
+        pair = {"pos": ("pos", "p1", "p2"), "copies": ("msig:sig(mult*pos)",)}
+        candidate = {"pos": ("h", "cand"), "copies": ("msig:sig(mult*cand)",)}
+        by_hand = {
+            ("CallBegin", None): {"new": ("input_pos",), "positions": ("g_next",)},
+            ("CallEnd", None): {},
+            ("DegreeStep", None): {},
+            ("RuleAdded", None): {"owner": ("pos",)},
+            ("CritPairCreated", None): {"pos": ("p1", "p2"),
+                                        "copies": ("sig1:sig(u1*p1)", "sig2:sig(u2*p2)")},
+            ("F5CritPairReject", "is_reducible"): {**candidate, "pos": ("h", "cand", "blocked_by")},
+            ("F5CritPairReject", "crit_pair"): {**pair, "pos": ("pos", "blocked_by", "p1", "p2")},
+            ("RewrittenReject", "is_reducible"): {**candidate, "pos": ("h", "cand", "rewriter")},
+            ("RewrittenReject", "spol"): {**pair, "pos": ("pos", "rewriter", "p1", "p2")},
+            ("SPolCreated", None): {"new": ("pos",), "pos": ("p1", "p2")},
+            ("PhiPreReduce", None): {"pos": ("h", "reductor"), "copies": (
+                "h_sig:sig(h)", "h_index:index(h)", "reductor_index:index(reductor)")},
+            ("ReductionStep", None): {"pos": ("h", "reductor"),
+                                      "copies": ("h_sig:sig(h)", "msig:sig(mult*reductor)")},
+            ("NewFromTopReduction", None): {"new": ("pos",), "pos": ("j", "h")},
+            ("ReductionToZero", None): {"pos": ("pos",), "copies": ("sig:sig(pos)",)},
+            ("DoneInserted", None): {"pos": ("pos",), "copies": ("sig:sig(pos)",)},
+        }
+        read_off = {}
+        for row in trace._rows().values():
+            roles = {}
+            for name, role in row.roles.items():
+                if role.startswith(("sig(", "index(")):
+                    roles["copies"] = roles.get("copies", ()) + (f"{name}:{role}",)
+                elif role in ("new", "pos", "owner", "positions"):
+                    roles[role] = roles.get(role, ()) + (name,)
+            assert (row.roles.get("call") == "call") == (row.kind not in ("CallBegin",
+                                                                            "RuleAdded"))
+            read_off[row.kind, row.where] = roles
+        assert read_off == by_hand
+        assert trace.CREATION_FIELDS == {
+            "CallBegin": trace.CreationFields("input_pos"),
+            "SPolCreated": trace.CreationFields("pos", ("p1", "p2", "u1", "u2")),
+            "NewFromTopReduction": trace.CreationFields("pos", ("j", "h", "u", "u_under"))}
+
+    def test_engine_logs_keep_every_role(self):
+        # every event of the suite logs, under all three orders at both
+        # suite primes, fits its row and keeps each role: its call, where,
+        # positions and copies agree with the registry
+        for order in ("degrevlex", "deglex", "lex"):
+            for names, texts in SUITE.values():
+                for p in SUITE_PRIMES:
+                    ring = make_ring(p, names, order)
+                    registry = build_registry(incremental_f5(polys(ring, *texts)).events, ring)
+                    assert registry.damage is None, (names, p, order)
 
     def test_every_engine_event_takes_its_row_template(self, suite_logs, monkeypatch):
         # no event of the suite logs, of 400 random systems (budget exits
