@@ -299,7 +299,7 @@ class Engine:
         lay = self.lay
         guard, shift, lcm = lay.guard, lay.shift, lay.lcm
         vkey = self.order.vkey
-        exps = self.trace.exps
+        exps, sigs = self.trace.exps, self.trace.sigs
         log = self.trace.log
         counts = self.trace.counts
         blocks = self.divisor_memo
@@ -331,7 +331,7 @@ class Engine:
                 log({
                     "seq": None, "kind": "F5CritPairReject", "call": i,
                     "where": "crit_pair", "part": part, "pos": pos, "mult": exps[u],
-                    "msig": {"mono": exps[msig], "index": index},
+                    "msig": sigs[index][msig],
                     "blocked_by": blocked.tag,
                     "t": exps[t], "u1": exps[u1], "p1": p1, "u2": exps[u2], "p2": p2,
                 })
@@ -340,8 +340,7 @@ class Engine:
             deg = t >> shift
             log({
                 "seq": None, "kind": "CritPairCreated", "call": i, "deg": deg,
-                "sig1": {"mono": exps[m1], "index": i1},
-                "sig2": {"mono": exps[m2], "index": i2},
+                "sig1": sigs[i1][m1], "sig2": sigs[i2][m2],
                 "t": exps[t], "u1": exps[u1], "p1": p1, "u2": exps[u2], "p2": p2,
             })
             out.append(CriticalPair(
@@ -449,13 +448,14 @@ class Engine:
             return
         exps, log, rows = self.trace.exps, self.trace.log, self.rows
         trail = self.trails[h.pos]
-        h_pos, h_mono, h_index = h.pos, exps[h.sig.mono.v], h.index
+        h_pos, h_index = h.pos, h.index
+        h_sig = self.trace.sig_payload(h.sig)
         for c, u, pos in steps:
             mult = exps[u]
             trail.append(["phi", c, mult, pos])
             log({
                 "seq": None, "kind": "PhiPreReduce", "call": i, "h": h_pos,
-                "h_sig": {"mono": h_mono, "index": h_index}, "h_index": h_index,
+                "h_sig": h_sig, "h_index": h_index,
                 "reductor": pos, "reductor_index": rows[pos][2], "mult": mult, "coeff": c,
             })
         h.poly, s = poly.monic_scale()
@@ -567,7 +567,7 @@ class Engine:
             ev["h_head"] = exps[target]
             ev["cand"] = j_pos
             ev["mult"] = exps[u]
-            ev["msig"] = {"mono": exps[msig], "index": index}
+            ev["msig"] = self.trace.sigs[index][msig]
             ev[by] = by_pos
             self.trace.log(ev)
         return None

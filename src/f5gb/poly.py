@@ -14,7 +14,7 @@ oracle.
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from struct import Struct
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -23,8 +23,11 @@ LT, EQ, GT = -1, 0, 1
 ORDER_KINDS = ("degrevlex", "deglex", "lex")
 
 
+@lru_cache(maxsize=256, typed=True)
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid far beyond the 2^31 modulus cap."""
+    """Deterministic Miller-Rabin, valid far beyond the 2^31 modulus cap.
+    The answers for the latest 256 distinct arguments are kept: the parser
+    and every ``Ring`` ask again and again for the same few moduli."""
     if n < 2:
         return False
     for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):

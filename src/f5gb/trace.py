@@ -103,6 +103,8 @@ _WIRE = {"new": "int", "pos": "int", "owner": "int", "call": "int", "positions":
          "is": "str", "index": "int", "sig": "signature"}
 # a shape: its name, a copy's multiplier field and the field or value named
 _ROLE = re.compile(r"(\w+)(?:\((?:(\w+)\*)?(\w+)\))?")
+# how a message names a wire shape, where it differs from the shape
+_SHAPE_NAMES = {"vector": "exponent vector", "ints": "list of ints"}
 
 
 # each kind once, in the order of its first row
@@ -195,16 +197,22 @@ class Trace:
     A payload writes a monomial as ``trace.exps[v]``: ``exps`` decodes each
     packed value ``v`` once per run, under ``lay``, the packed form of the
     run's monomials, so every event holding that monomial shares one
-    immutable tuple.  The lists around the tuples (polynomial terms, trail
-    steps, ``g_next``, ``basis``) are fresh per event, so no two events share
-    one.  A trace that only holds or writes events needs no ``lay``.
+    immutable tuple.  It writes the signature of packed monomial ``v`` and
+    index ``i`` as ``trace.sigs[i][v]``, one dict per distinct signature of
+    the run, which every event holding it shares.  The lists (polynomial
+    terms, trail steps, ``g_next``, ``basis``) are fresh per event, so no two
+    events share one.  No code mutates a logged event, so nothing it shares
+    changes.  A trace that only holds or writes events needs no ``lay``.
     """
 
     def __init__(self, lay: Optional[Layout] = None):
         self.events: list[dict] = []
         # events logged per kind; an unknown kind raises KeyError at emit
         self.counts: dict[str, int] = dict.fromkeys(EVENT_KINDS, 0)
-        self.exps = Lazy(partial(Layout.unpack, lay))
+        exps = self.exps = Lazy(partial(Layout.unpack, lay))
+        # neither memo refers to the trace, so a finished run is freed
+        # without waiting for the cycle collector
+        self.sigs = Lazy(lambda index: Lazy(lambda v: {"mono": exps[v], "index": index}))
 
     def emit(self, kind: str, **payload) -> int:
         return self.log({"seq": None, "kind": kind, **payload})
@@ -221,7 +229,7 @@ class Trace:
         return self.exps[m.v]
 
     def sig_payload(self, s: Signature) -> dict:
-        return {"mono": self.exps[s.mono.v], "index": s.index}
+        return self.sigs[s.index][s.mono.v]
 
     def poly_payload(self, p: Polynomial) -> list:
         exps = self.exps
@@ -331,19 +339,19 @@ def _decode_line(line: str, lineno: int, read: Callable[[dict], dict]) -> dict:
 
 # the text of each field of a line that a pattern reads, as to_jsonl writes
 # it: a JSON integer; a JSON string with no escape or control character, so
-# that the text is the value; an exponent vector, whose text is checked as
-# JSON when it is new to the read; a signature
-_INT_TEXT = r"(-?(?:0|[1-9][0-9]*))"
-_VECTOR_TEXT = r"(\[[0-9,]*\])"
-_FIELD_TEXT = {"int": _INT_TEXT, "str": r'"([^"\\\x00-\x1f]*)"', "vector": _VECTOR_TEXT,
-               "signature": r'\{"mono":' + _VECTOR_TEXT + r',"index":' + _INT_TEXT + r"\}"}
-# the value of each field from its texts: T maps a vector's text to its
-# tuple, S a str to its shared string
-_FIELD_VALUE = {"int": "int({})", "str": "S({0}, {0})", "vector": "T[{}]",
-                "signature": '{{"mono": T[{}], "index": int({})}}'}
+# that the text is the value; an exponent vector or a signature, whose text
+# is checked as JSON when it is new to the read
+_INT_TEXT = "-?(?:0|[1-9][0-9]*)"
+_VECTOR_TEXT = r"\[[0-9,]*\]"
+_FIELD_TEXT = {"int": f"({_INT_TEXT})", "str": r'"([^"\\\x00-\x1f]*)"',
+               "vector": f"({_VECTOR_TEXT})",
+               "signature": r'(\{"mono":' + _VECTOR_TEXT + r',"index":' + _INT_TEXT + r"\})"}
+# the value of each field from its text: T maps a vector's text to its
+# tuple, G a signature's to its dict, S a str to its shared string
+_FIELD_VALUE = {"int": "int({})", "str": "S({0}, {0})", "vector": "T[{}]", "signature": "G[{}]"}
 
 
-def _line_builder(row: _Row, texts: dict) -> Callable[..., dict]:
+def _line_builder(row: _Row, texts: dict, sig_texts: dict) -> Callable[..., dict]:
     """The function from the texts of a line of ``row``, in log order, to
     its event: one dict literal, generated per row, as ``namedtuple``
     generates its class."""
@@ -352,14 +360,13 @@ def _line_builder(row: _Row, texts: dict) -> Callable[..., dict]:
         if name == "kind":
             items.append("'kind': kind")
             continue
-        texts_of = [f"_{len(args) + k}" for k in range(2 if shape == "signature" else 1)]
-        args += texts_of
-        items.append(f"{name!r}: " + _FIELD_VALUE[shape].format(*texts_of))
-    source = (f"def make(T, S, kind):\n def build({', '.join(args)}):\n"
+        args.append(f"_{len(args)}")
+        items.append(f"{name!r}: " + _FIELD_VALUE[shape].format(args[-1]))
+    source = (f"def make(T, G, S, kind):\n def build({', '.join(args)}):\n"
               f"  return {{{', '.join(items)}}}\n return build\n")
     namespace: dict = {}
     exec(source, namespace)
-    return namespace["make"](texts, _VALUES.get, row.kind)
+    return namespace["make"](texts, sig_texts, _VALUES.get, row.kind)
 
 
 def _unfit(kind, ev: dict) -> str:
@@ -376,17 +383,18 @@ def _event_reader() -> tuple[Callable[[dict], dict], Callable[[str], Optional[di
     For ``read``, the kind must be the row's and each value exactly of its
     shape, with vector entries ints from 0 to ``poly.BOUND`` - 1, as many as
     in the first vector read; otherwise ``ValueError`` names the first
-    fault.  Each vector becomes a tuple, one per distinct vector; the kind,
-    str fields and step kinds become the row's string or ``_VALUES``', if
-    any, and each key the row's, which every event of the read shares.
+    fault.  Each vector becomes a tuple, one per distinct vector, and each
+    signature a dict, one per distinct signature; the kind, str fields and
+    step kinds become the row's string or ``_VALUES``', if any, and each key
+    the row's, which every event of the read shares.
 
     A row with no polynomial, trail or int list has a line pattern, the
-    inverse of its ``_Row.template``: one group per int, str and vector
-    text, two per signature.  ``parse`` gives the event of a line that its
-    kind's pattern matches, built with no JSON list (``_line_builder``), or
-    None.  A vector text new to the read is checked once, by ``read``'s own
-    walk, which also gives its tuple; a line with a text that fails it gives
-    None, so its error is ``read``'s."""
+    inverse of its ``_Row.template``: one group per field text after the
+    kind.  ``parse`` gives the event of a line that its kind's pattern
+    matches, built with no JSON list (``_line_builder``), or None.  A vector
+    or signature text new to the read is checked once, by ``read``'s own
+    walk, which also gives its tuple or dict; a line with a text that fails
+    it gives None, so its error is ``read``'s."""
     shape = None  # [int] per entry of the first vector read: every vector's types
 
     def exponents(t: tuple) -> tuple:
@@ -407,12 +415,14 @@ def _event_reader() -> tuple[Callable[[dict], dict], Callable[[str], Optional[di
             raise TypeError
         return memo[tuple(value)]
 
+    # (vector, index) -> the one dict of that signature in the read
+    sigs = Lazy(lambda key: {"mono": key[0], "index": key[1]})
+
     def signature(value) -> dict:
         if (type(value) is not dict or tuple(value) != ("mono", "index")
                 or type(value["index"]) is not int):
             raise TypeError
-        value["mono"] = vector(value["mono"])
-        return value
+        return sigs[vector(value["mono"]), value["index"]]
 
     def polynomial(value) -> list:
         for term in value:
@@ -462,11 +472,18 @@ def _event_reader() -> tuple[Callable[[dict], dict], Callable[[str], Optional[di
                 raise TypeError
         except (TypeError, KeyError, IndexError):
             shape = dict(row.fields)[name]
-            shape = {"vector": "exponent vector", "ints": "list of ints"}.get(shape, shape)
+            shape = _SHAPE_NAMES.get(shape, shape)
             raise ValueError(f"field {name!r} is not a valid {shape}") from None
         return dict(zip(keys, ev.values()))
 
     texts = Lazy(lambda text: vector(json.loads(text)))
+
+    def signature_text(text: str) -> dict:
+        # the pattern's text {"mono":V,"index":I}, with V a vector text
+        mono, index = text[8:-1].split(',"index":')
+        return sigs[texts[mono], int(index)]
+
+    sig_texts = Lazy(signature_text)
     # kind -> (fullmatch, build) of each of its rows with a line pattern, the
     # last row of EVENT_SHAPES first: a rejection's pair row, which most of
     # a log's rejections fit
@@ -476,8 +493,9 @@ def _event_reader() -> tuple[Callable[[dict], dict], Callable[[str], Optional[di
             pattern = ",".join(f'"{name}":' + (re.escape(encode_basestring_ascii(row.kind))
                                                if name == "kind" else _FIELD_TEXT[shape])
                                for name, shape in row.fields)
-            patterns.setdefault(row.kind, []).insert(
-                0, (re.compile(r"\{" + pattern + r"\}\n?").fullmatch, _line_builder(row, texts)))
+            patterns.setdefault(row.kind, []).insert(0, (
+                re.compile(r"\{" + pattern + r"\}\n?").fullmatch,
+                _line_builder(row, texts, sig_texts)))
 
     def parse(line: str) -> Optional[dict]:
         # the kind is the text after the first '"kind":"'; the kind's
@@ -493,6 +511,25 @@ def _event_reader() -> tuple[Callable[[dict], dict], Callable[[str], Optional[di
         return None
 
     return read, parse
+
+
+def _mistyped(ev: dict) -> Optional[str]:
+    """Why ``events_from_jsonl`` rejects the line of the event ``ev``, whose
+    keys fit a row, or None: a field with a value of the wrong type, named
+    as the reader names it, after the kind.  A value that cannot be written
+    as JSON reads as null, which no shape takes."""
+
+    def as_json(value):
+        try:
+            return json.loads(json.dumps(value))
+        except (TypeError, ValueError, RecursionError):
+            return None
+
+    try:
+        _event_reader()[0]({name: as_json(value) for name, value in ev.items()})
+    except ValueError as exc:
+        return f"{ev['kind']} {exc}"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +602,8 @@ class Registry:
     # the log has no such CallEnd
     basis: list[int] = field(default_factory=list)
     # (seq, reason) of the first event that damages what the registry
-    # reads: one that fits no row, or not a step that fails its row's test
+    # reads: one that fits no row or holds a value of the wrong type, or not
+    # a step that fails its row's test
     # (``_role_check``); a CallBegin with a g_next position neither input
     # nor Done-inserted, or not after the CallEnd of call + 1 with its basis
     # as g_next; an empty input or insertion, or one that replays to zero;
@@ -612,6 +650,19 @@ _ROLE_TESTS = {
     "positions": "not P.keys() >= set({0})", "index": "{0} != entries[ev[{2!r}]].sig.index",
     "sig": "(c := {0})['index'] != (s := entries[ev[{2!r}]].sig).index"
            " or monos[T(c['mono'])].v != s.mono.v{1}"}
+# the test of the type of field {0}, by shape, where the walk would keep
+# its value unread, or read it only after it records something: a value
+# that fails is of the wrong type (``_WrongType``).  The walk reads every
+# other value before it records anything, so a wrong one raises first
+_TYPE_TESTS = {
+    **dict.fromkeys(("int", "new", "owner", "call"), "type({0}) is not int"),
+    "signature": "tuple(c := {0}) != ('mono', 'index') or type(c['index']) is not int",
+    "ints": "not all(type(p) is int for p in {0})"}
+
+
+class _WrongType(TypeError):
+    """Raised by a row's test (``_role_check``) for a field whose value fails
+    its ``_TYPE_TESTS``, with the message that names it as the reader would."""
 
 
 def _role_check(roles: tuple[tuple[str, str], ...]) -> Callable[..., Optional[str]]:
@@ -619,17 +670,24 @@ def _role_check(roles: tuple[tuple[str, str], ...]) -> Callable[..., Optional[st
     function of an event, the enclosing call, the replayed polynomials, the
     entries and a ``Monomial`` memo that names the first field failing its
     ``_ROLE_TESTS``, never reading a malformed polynomial or an unbuilt
-    position, or gives None; generated, as ``_line_builder``."""
+    position, or gives None; generated, as ``_line_builder``.  It raises
+    ``_WrongType`` first if a field fails its ``_TYPE_TESTS``."""
     tests = []
     for name, shape in roles:
         role, mult, named = _ROLE.fullmatch(shape).groups()
+        if role in _TYPE_TESTS:
+            wire = _WIRE.get(role, role)
+            message = f"field {name!r} is not a valid {_SHAPE_NAMES.get(wire, wire)}"
+            tests.append((-1, _TYPE_TESTS[role].format(f"ev[{name!r}]"),
+                          f"raise WrongType({message!r})"))
         if role in _ROLE_TESTS:  # the polynomials first, then the roles, then the copies
             product = f" + monos[T(ev[{mult!r}])].v" if mult else ""
-            tests.append(((role != "polynomial") + (role in ("sig", "index")), name,
-                          _ROLE_TESTS[role].format(f"ev[{name!r}]", product, named)))
-    body = "".join(f" if {test}: return {name!r}\n" for _, name, test in sorted(
+            tests.append(((role != "polynomial") + (role in ("sig", "index")),
+                          _ROLE_TESTS[role].format(f"ev[{name!r}]", product, named),
+                          f"return {name!r}"))
+    body = "".join(f" if {test}: {then}\n" for _, test, then in sorted(
         tests, key=itemgetter(0)))
-    namespace = {"is_term": _is_term}
+    namespace = {"is_term": _is_term, "WrongType": _WrongType}
     exec(f"def check(ev, call, P, entries, monos, T=tuple):\n{body} return None\n", namespace)
     return namespace["check"]
 
@@ -660,7 +718,11 @@ def build_registry(events: Iterable[dict], ring: Ring) -> Registry:
     vector once.  An event that fits no row or fails its test is damage,
     named by the field (``_broken``): a step's to the replay, which still
     replays it if every position it names was built, any other to the
-    registry.  An insertion is filed under the enclosing call.
+    registry.  So is an event with a value of the wrong type where the walk
+    reads it (``_TYPE_TESTS``), named as the reader names its line
+    (``_mistyped``), and the walk skips it as one that fits no row; an event
+    with no int ``seq`` is named by the seq after the previous event's.  An
+    insertion is filed under the enclosing call.
 
     The replay rebuilds every position's polynomial P from the log, in
     ``seq`` order, and checks it against the log.  An input is its logged
@@ -706,129 +768,148 @@ def build_registry(events: Iterable[dict], ring: Ring) -> Registry:
             trails[pos].append(["monic", s])
         return s
 
+    seq = -1  # the latest event's seq: one with no int seq is named by the next
     for ev in events:
-        kind, seq = ev["kind"], ev["seq"]
         row = rows.get(tuple(ev))
-        if row is None or row.kind != kind:
-            unknown = unknown or (seq, _unfit(kind, ev))
+        if row is None or row.kind != (kind := ev["kind"]):
+            seq = ev["seq"] if type(ev.get("seq")) is int else seq + 1
+            unknown = unknown or (seq, _unfit(ev.get("kind"), ev))
             continue
-        if phi_h is not None and not (kind == "PhiPreReduce" and ev["h"] == phi_h):
-            monic(phi_h)
-            phi_h = None
-        broken = row.check(ev, call, P, entries, monos)
-        why = broken and _broken(ev, row, broken, call, P)
-        step = "phi" if kind == "PhiPreReduce" else "top" if kind == "ReductionStep" else None
-        if why and step is None and unknown is None:
-            unknown = (seq, why)
-        if row.where == "is_reducible":
-            reducible.append((monos[tuple(ev["h_head"])].v,
-                              (ev["h"], ev["cand"], seq, None, monos[tuple(ev["mult"])].v)))
-        elif row.where is not None:
-            rejections.append((ev["p1"], ev["p2"], seq, monos[tuple(ev["u1"])].v,
-                               monos[tuple(ev["u2"])].v))
-        elif kind == "RuleAdded":
-            rules.setdefault(ev["index"], []).append((seq, monos[tuple(ev["mono"])], ev["pos"]))
-        elif kind == "CallEnd":
-            last_end, end = ev, ev if ev["call"] == 1 else end
-        elif kind == "DegreeStep":
-            degrees.setdefault(ev["call"], []).append(ev["d"])
-        if row.where is not None or kind in ("RuleAdded", "CallEnd", "DegreeStep",
-                                             "CritPairCreated"):
-            continue
-
-        # the replay reads the creations, the steps and the outcomes
-        malformed = broken is not None and row.roles[broken] == "polynomial"
-        built = broken is None or all(
-            ev[name] in P for name, role in row.roles.items() if role == "pos")
-        replayed = built and not malformed
-        if why and (step or not replayed):
-            failures.append((seq, why))
-            replay_damage = replay_damage or failures[-1]
-        if step is not None:
-            h = ev["h"]
-            outcome = built and (entries[h].done_seq is not None and "DoneInserted"
-                                 or entries[h].zero_seq is not None and "ReductionToZero")
-            if outcome:
-                failures.append((seq, f"step on r{h} after its {outcome}"))
-            elif built:
-                c, u, r = ev["coeff"], monos[tuple(ev["mult"])], ev["reductor"]
-                P[h] = poly_axpy(P[h], c, u, P[r])
-                ops.append((step, h, c, u, r))
-                trails[h].append([step, c, ev["mult"], r])
-                if step == "phi":
-                    phi_h = h
-                elif monic(h) != ev["post_scale"]:
-                    failures.append((seq, "post_scale differs from the replay"))
-            continue
-
-        # the registry reads the rest, a CallBegin's g_next too, and records
-        # each event it can
-        creation = CREATION_FIELDS.get(kind)
-        pos = ev[creation.pos if creation else "pos"]
-        unlinked = uninserted = None
-        if kind == "CallBegin":
-            # a call begins with inputs and earlier Done insertions alone, and
-            # every call but the log's first after the CallEnd of call + 1,
-            # with its basis as g_next
-            uninserted = broken is None and [
-                p for p in ev["g_next"] if entries[p].done_seq is None and not entries[p].is_input]
-            call = ev["call"]
-            if calls and (last_end is None or last_end["call"] != call + 1):
-                unlinked = (f"CallBegin of call {call} does not follow the CallEnd of call"
-                            f" {call + 1}")
-            elif calls and ev["g_next"] != last_end["basis"]:
-                unlinked = f"CallBegin g_next is not the basis of call {call + 1}'s CallEnd"
-            calls[call], last_end = ev, None
-        # an outcome of a position that already has its outcome
-        prior = creation is None and built and (
-            entries[pos].done_seq is not None and "DoneInserted"
-            or entries[pos].zero_seq is not None and "ReductionToZero")
-        if prior and second is None:
-            second = (seq, f"{kind} of r{pos} after its {prior}")
-        if creation is not None and not malformed:
-            gen = creation.genealogy
-            if gen is not None:
-                a, b, ua, ub = (ev[name] for name in gen)
-                ua, ub = monos[tuple(ua)], monos[tuple(ub)]
-                gen = (a, b, ua, ub)
-            entries[pos] = RegistryEntry(
-                pos, Signature(monos[tuple(ev["sig"]["mono"])], ev["sig"]["index"]), gen, seq)
-            if replayed:
-                if gen is None:
-                    q = ring.poly([(c, monos[tuple(exps)]) for c, exps in ev["poly"]])
-                    ops.append(("input", pos, ev["call"]))
+        try:
+            if type(own := ev["seq"]) is not int:
+                raise _WrongType("field 'seq' is not a valid int")
+            seq = own
+            if phi_h is not None and not (kind == "PhiPreReduce" and ev["h"] == phi_h):
+                monic(phi_h)
+                phi_h = None
+            broken = row.check(ev, call, P, entries, monos)
+            why = broken and _broken(ev, row, broken, call, P)
+            where = row.where
+            if where is not None:
+                if why and unknown is None:
+                    unknown = (seq, why)
+                if where == "is_reducible":
+                    reducible.append((monos[tuple(ev["h_head"])].v, (
+                        ev["h"], ev["cand"], seq, None, monos[tuple(ev["mult"])].v)))
                 else:
-                    q, s = poly_axpy(P[a].term_mul(1, ua), 1, ub, P[b]).monic_scale()
-                    ops.append(("new", pos, a, ua, b, ub, s))
-                if not _same_poly(q, ev["poly"], monos):
-                    failures.append((seq, f"{kind} polynomial differs from the replay"))
-                P[pos] = created[pos] = q
-                trails[pos] = []
-        elif kind == "ReductionToZero":
-            if built:
-                entries[pos].zero_seq = seq
-            if replayed and not P[pos].is_zero:
-                failures.append((seq, "nonzero on replay"))
-        elif kind == "DoneInserted" and replayed:
-            if call is not None:
-                entries[pos].done_seq = seq
-                insertions.setdefault(call, []).append((seq, pos))
-            checked += 1
-            if not _same_poly(P[pos], ev["poly"], monos):
-                failures.append((seq, "DoneInserted polynomial differs from the replay"))
-            if ev["trail"] != trails[pos]:
-                failures.append((seq, "trail differs from the replay"))
-            if not _same_poly(created[pos], ev["creation_poly"], monos):
-                failures.append((seq, "creation polynomial differs from the replay"))
-        damage = (uninserted and f"CallBegin g_next names r{uninserted[0]}, which no DoneInserted"
-                                 " inserted"
-                  or unlinked or kind in ("CallBegin", "DoneInserted") and (
-                      not ev["poly"] and f"empty {kind} polynomial of r{pos}"
-                      or replayed and P[pos].is_zero
-                      and f"{'input' if kind == 'CallBegin' else 'Done-inserted'} r{pos} replays"
-                          " to zero"))
-        if unknown is None and damage:
-            unknown = (seq, damage)
+                    rejections.append((ev["p1"], ev["p2"], seq, monos[tuple(ev["u1"])].v,
+                                       monos[tuple(ev["u2"])].v))
+                continue
+            step = "phi" if kind == "PhiPreReduce" else "top" if kind == "ReductionStep" else None
+            if why and step is None and unknown is None:
+                unknown = (seq, why)
+            if kind == "RuleAdded":
+                rule = (seq, monos[tuple(ev["mono"])], ev["pos"])
+                rules.setdefault(ev["index"], []).append(rule)
+            elif kind == "CallEnd":
+                last_end, end = ev, ev if ev["call"] == 1 else end
+            elif kind == "DegreeStep":
+                degrees.setdefault(ev["call"], []).append(ev["d"])
+            if kind in ("RuleAdded", "CallEnd", "DegreeStep", "CritPairCreated"):
+                continue
+
+            # the replay reads the creations, the steps and the outcomes
+            malformed = broken is not None and row.roles[broken] == "polynomial"
+            built = broken is None or all(
+                ev[name] in P for name, role in row.roles.items() if role == "pos")
+            replayed = built and not malformed
+            if why and (step or not replayed):
+                failures.append((seq, why))
+                replay_damage = replay_damage or failures[-1]
+            if step is not None:
+                h = ev["h"]
+                outcome = built and (entries[h].done_seq is not None and "DoneInserted"
+                                     or entries[h].zero_seq is not None and "ReductionToZero")
+                if outcome:
+                    failures.append((seq, f"step on r{h} after its {outcome}"))
+                elif built:
+                    c, u, r = ev["coeff"], monos[tuple(ev["mult"])], ev["reductor"]
+                    P[h] = poly_axpy(P[h], c, u, P[r])
+                    ops.append((step, h, c, u, r))
+                    trails[h].append([step, c, ev["mult"], r])
+                    if step == "phi":
+                        phi_h = h
+                    elif monic(h) != ev["post_scale"]:
+                        failures.append((seq, "post_scale differs from the replay"))
+                continue
+
+            # the registry reads the rest, a CallBegin's g_next too, and
+            # records each event it can, once it has read all it needs
+            creation = CREATION_FIELDS.get(kind)
+            pos = ev[creation.pos if creation else "pos"]
+            unlinked = uninserted = None
+            if kind == "CallBegin":
+                # a call begins with inputs and earlier Done insertions alone,
+                # and every call but the log's first after the CallEnd of
+                # call + 1, with its basis as g_next
+                uninserted = broken is None and [
+                    p for p in ev["g_next"]
+                    if entries[p].done_seq is None and not entries[p].is_input]
+                call = ev["call"]
+                if calls and (last_end is None or last_end["call"] != call + 1):
+                    unlinked = (f"CallBegin of call {call} does not follow the CallEnd of call"
+                                f" {call + 1}")
+                elif calls and ev["g_next"] != last_end["basis"]:
+                    unlinked = f"CallBegin g_next is not the basis of call {call + 1}'s CallEnd"
+                calls[call], last_end = ev, None
+            # an outcome of a position that already has its outcome
+            prior = creation is None and built and (
+                entries[pos].done_seq is not None and "DoneInserted"
+                or entries[pos].zero_seq is not None and "ReductionToZero")
+            if prior and second is None:
+                second = (seq, f"{kind} of r{pos} after its {prior}")
+            if creation is not None and not malformed:
+                gen = creation.genealogy
+                if gen is not None:
+                    a, b, ua, ub = (ev[name] for name in gen)
+                    ua, ub = monos[tuple(ua)], monos[tuple(ub)]
+                    gen = (a, b, ua, ub)
+                sig = Signature(monos[tuple(ev["sig"]["mono"])], ev["sig"]["index"])
+                if replayed:
+                    if gen is None:
+                        q = ring.poly([(c, monos[tuple(exps)]) for c, exps in ev["poly"]])
+                        op = ("input", pos, ev["call"])
+                    else:
+                        q, s = poly_axpy(P[a].term_mul(1, ua), 1, ub, P[b]).monic_scale()
+                        op = ("new", pos, a, ua, b, ub, s)
+                    if not _same_poly(q, ev["poly"], monos):
+                        failures.append((seq, f"{kind} polynomial differs from the replay"))
+                    ops.append(op)
+                    P[pos] = created[pos] = q
+                    trails[pos] = []
+                entries[pos] = RegistryEntry(pos, sig, gen, seq)
+            elif kind == "ReductionToZero":
+                if built:
+                    entries[pos].zero_seq = seq
+                if replayed and not P[pos].is_zero:
+                    failures.append((seq, "nonzero on replay"))
+            elif kind == "DoneInserted" and replayed:
+                same = (_same_poly(P[pos], ev["poly"], monos), ev["trail"] == trails[pos],
+                        _same_poly(created[pos], ev["creation_poly"], monos))
+                failures += [(seq, f"{what} differs from the replay") for what, held in zip(
+                    ("DoneInserted polynomial", "trail", "creation polynomial"), same) if not held]
+                if call is not None:
+                    entries[pos].done_seq = seq
+                    insertions.setdefault(call, []).append((seq, pos))
+                checked += 1
+            damage = (uninserted and f"CallBegin g_next names r{uninserted[0]}, which no"
+                                     " DoneInserted inserted"
+                      or unlinked or kind in ("CallBegin", "DoneInserted") and (
+                          not ev["poly"] and f"empty {kind} polynomial of r{pos}"
+                          or replayed and P[pos].is_zero
+                          and f"{'input' if kind == 'CallBegin' else 'Done-inserted'} r{pos}"
+                              " replays to zero"))
+            if unknown is None and damage:
+                unknown = (seq, damage)
+        except (TypeError, ValueError, KeyError, IndexError, OverflowError) as exc:
+            # a value of the wrong type is damage, named as the reader names
+            # a line that holds it, or by the test it failed where the line
+            # is one the reader takes; any other error is the walk's own
+            why = _mistyped(ev) or type(exc) is _WrongType and f"{kind} {exc}"
+            if not why:
+                raise
+            seq = ev["seq"] if type(ev["seq"]) is int else seq + 1
+            unknown = unknown or (seq, why)
 
     unknown = unknown or min(
         ((seq, f"RuleAdded pos names r{pos}, which no event creates")

@@ -18,7 +18,10 @@ rises is the one that sets the peak; and the GC-tracked objects the stage
 adds (``len(gc.get_objects())`` after it less before it, each count just
 after a ``gc.collect()``), counted in one more pass that is not timed, so
 the collections and the lists of the count touch neither the seconds nor
-the peak.  The input comes
+the peak.  The same untimed pass, under ``tracemalloc``, gives the MiB of
+Python allocations each stage retains (traced memory after it less before
+it, each just after the collection): the engine's result with its log, the
+read-back log, the registry.  The input comes
 from ``perfbench/workloads.py``, read and not changed.  pytest does not
 collect this script; ``test_cli.py::TestStageScripts`` runs one timed pass.
 """
@@ -31,6 +34,7 @@ import resource
 import sys
 import tempfile
 import time
+import tracemalloc
 from collections import defaultdict
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -105,24 +109,30 @@ def main() -> None:
                 best["pass"] = min(best["pass"], time.perf_counter() - t0)
                 gc_s["pass"] += collecting[0] - g0
             added: dict = {}  # stage -> GC-tracked objects it adds
+            kept: dict = {}  # stage -> MiB of allocations it retains
 
             def counted(stage: str, fn, *args):
                 gc.collect()
-                before = len(gc.get_objects())
+                before, traced = len(gc.get_objects()), tracemalloc.get_traced_memory()[0]
                 out = fn(*args)
                 gc.collect()
                 added[stage] = len(gc.get_objects()) - before
+                kept[stage] = (tracemalloc.get_traced_memory()[0] - traced) / 2**20
                 return out
 
+            tracemalloc.start()
             one_pass(problem, path, counted)
     finally:
+        tracemalloc.stop()
         gc.callbacks.remove(on_gc)
     print(f"audit-cyclic5 ({name}): best of {passes} passes; collector seconds per"
           f" pass; peak RSS after the first pass's stage, from {start_rss:.1f} MiB at"
-          " the start; GC-tracked objects the stage adds, in an untimed pass")
+          " the start; GC-tracked objects the stage adds and MiB it retains, in an"
+          " untimed pass")
     for stage in stages:
         print(f"  {stage:<22} {best[stage]:7.3f} s  gc {gc_s[stage] / passes:6.3f} s"
-              f"  {peak_after[stage]:7.1f} MiB  {added[stage]:+8d} objects")
+              f"  {peak_after[stage]:7.1f} MiB  {added[stage]:+8d} objects"
+              f"  {kept[stage]:+7.2f} MiB kept")
     print(f"  {'whole pass':<22} {best['pass']:7.3f} s  gc {gc_s['pass'] / passes:6.3f} s")
 
 

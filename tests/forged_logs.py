@@ -88,8 +88,11 @@ EXPECTED = {
 
 
 def _changed(events: list, k: int, change) -> list:
-    """The log with event ``k`` replaced by a copy that ``change`` edits."""
-    ev = copy.deepcopy(events[k])
+    """The log with event ``k`` replaced by a copy that ``change`` edits.
+    Each field is copied on its own: an event may hold one shared payload in
+    two fields (a pair's equal ``sig1`` and ``sig2``), and a forgery changes
+    only the field it names."""
+    ev = {name: copy.deepcopy(value) for name, value in events[k].items()}
     change(ev)
     return events[:k] + [ev] + events[k + 1:]
 

@@ -1021,6 +1021,29 @@ WHERE_FORGERIES = {
 }
 
 
+def _first_pair_changed(change):
+    """The forgery of a cyclic-4 log that ``change`` makes of its first
+    ``CritPairCreated``, seq 5."""
+    def forge(events):
+        first = next(ev for ev in events if ev["kind"] == "CritPairCreated")
+        return [change(ev) if ev is first else ev for ev in events]
+
+    return forge
+
+
+# a cyclic-4 log whose first pair holds a value of the wrong type, or lacks
+# its seq -> the walk's damage at seq 5, the kind and then the reader's
+# message on the line, which names the field
+TYPE_FORGERIES = {
+    "p1_list": (lambda ev: {**ev, "p1": [1]}, "CritPairCreated field 'p1' is not a valid int"),
+    "sig1_none": (lambda ev: {**ev, "sig1": None},
+                  "CritPairCreated field 'sig1' is not a valid signature"),
+    "no_seq": (lambda ev: {name: ev[name] for name in list(ev)[1:]},
+               "no CritPairCreated row has the keys ['kind', 'call', 'deg', 'sig1', 'sig2', 't',"
+               " 'u1', 'p1', 'u2', 'p2']"),
+}
+
+
 # the problem text of each system whose logs hold every row between them
 _SYSTEM_TEXTS = {system: problem_text(32003, *names_texts) for system, names_texts in
                  (("cyclic4", CYCLIC4), ("katsura3", SUITE["katsura3_homog"]))}
@@ -1173,6 +1196,25 @@ class TestDamagedLogCheck:
             events = engine.incremental_f5(problem.polynomials).events
             with pytest.raises(ValueError, match=re.escape(f"line {seq + 1}: {unfit}")):
                 _through_jsonl(forge(events))
+
+    @pytest.mark.parametrize("change, damage", TYPE_FORGERIES.values(),
+                             ids=list(TYPE_FORGERIES))
+    def test_wrongly_typed_event_is_damage(self, monkeypatch, change, damage):
+        # the walk names a value of the wrong type, and an event with no
+        # seq, as the reader names its line, instead of raising
+        forge = _first_pair_changed(change)
+        problem = parse_problem(_SYSTEM_TEXTS["cyclic4"])
+        events = forge(engine.incremental_f5(problem.polynomials).events)
+        registry = trace.build_registry(events, problem.ring)
+        assert registry.damage == (5, damage)
+        assert len(trace.run_all_checkers(events, problem.ring, registry)) == 8
+        reader = damage if damage.startswith("no ") else damage.split(" ", 1)[1]
+        with pytest.raises(ValueError, match=re.escape(f"line 6: {reader}")):
+            _through_jsonl(events)
+        _engine_returning(monkeypatch, forge)
+        report = _check_report(_SYSTEM_TEXTS["cyclic4"])
+        assert report["damaged_log"] == f"damaged log: seq 5: {damage}" and report["ok"] is False
+        assert [report["verdicts"][name] for name in DAMAGE_VERDICTS] == [False] * 4
 
     def test_descend_on_a_damaged_log_exits_2(self, tmp_path, monkeypatch):
         path = tmp_path / "cyclic4.txt"
@@ -1441,13 +1483,15 @@ class TestStageScripts:
                   "done_insertion_audit", "thm5_exhaustive", "buchberger", "ideal_equal"]
         output = self._output("audit_stages.py", "1")
         assert self._rows(output) == stages + ["whole pass"]
-        # each stage's row ends with the GC-tracked objects it adds: the
-        # decoded log holds some, and no checker keeps more than its report
-        added = dict(re.findall(r"^  (\S.*?)\s{2,}\d+\.\d{3} s .* MiB\s+([+-]\d+) objects$",
-                                output, re.M))
+        # each stage's row ends with the GC-tracked objects it adds and the
+        # MiB it retains: the decoded log holds some of both, and no checker
+        # keeps more than its report
+        added = {stage: (int(objects), float(mib)) for stage, objects, mib in re.findall(
+            r"^  (\S.*?)\s{2,}\d+\.\d{3} s .* MiB\s+([+-]\d+) objects"
+            r"\s+([+-]\d+\.\d{2}) MiB kept$", output, re.M)}
         assert list(added) == stages
-        assert int(added["events_from_jsonl"]) > 0
-        assert all(int(added[stage]) < 100 for stage in stages[4:11])
+        assert added["events_from_jsonl"][0] > 0 and added["events_from_jsonl"][1] > 1
+        assert all(added[stage][0] < 100 and added[stage][1] < 0.1 for stage in stages[4:11])
 
     def test_check_stages(self):
         import check_stages

@@ -709,6 +709,34 @@ class TestEventLogPin:
         ids = {id(exps) for ev in first for exps in exponent_vectors(ev)}
         assert not ids & {id(exps) for ev in second for exps in exponent_vectors(ev)}
 
+    def test_signatures_are_shared_dicts(self):
+        # within cyclic-4's run, and within one read of its JSON Lines, each
+        # distinct signature is one dict, on a line read through its row's
+        # pattern and on one decoded whole alike; two reads share none, and
+        # the log's bytes are the pinned ones
+        p, names, texts = PINNED_SYSTEMS["cyclic4"]
+        events = incremental_f5(polys(make_ring(p, names, "degrevlex"), *texts)).events
+        text = log_jsonl(events)
+        assert hashlib.sha256(text).hexdigest() == PINNED_LOGS[("cyclic4", "degrevlex")]
+        first, second = (events_from_jsonl(io.StringIO(text.decode())) for _ in range(2))
+        assert first == events
+
+        def signatures(ev):
+            return [ev[name] for name, shape in ROW_FIELDS[tuple(ev)] if shape == "signature"]
+
+        for log in (events, first, second):
+            sigs = [sig for ev in log for sig in signatures(ev)]
+            one = {}
+            assert all(one.setdefault((sig["mono"], sig["index"]), sig) is sig for sig in sigs)
+            assert len(sigs) > 2 * len(one)
+        # a line with a polynomial or a trail is decoded whole, any other
+        # read through its pattern: the two share their signatures
+        decoded = {id(sig) for ev in first if "poly" in ev for sig in signatures(ev)}
+        matched = {id(sig) for ev in first if "poly" not in ev for sig in signatures(ev)}
+        assert decoded & matched
+        assert not {id(sig) for ev in first for sig in signatures(ev)} & {
+            id(sig) for ev in second for sig in signatures(ev)}
+
     @pytest.mark.parametrize("order", ["degrevlex", "lex"])
     def test_rows_name_every_vector(self, order):
         # every event fits a row, and outside the row's vector, signature,

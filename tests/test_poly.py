@@ -656,6 +656,16 @@ def test_is_prime():
     assert not is_prime(1) and not is_prime(4) and not is_prime(32001)
 
 
+def test_is_prime_tests_each_modulus_once():
+    # rings over one modulus share one Miller-Rabin run; a bool or a float
+    # equal to an int gets its own answer, as it did uncached
+    is_prime.cache_clear()
+    for _ in range(3):
+        make_ring(32003, ["x", "y"])
+    assert is_prime.cache_info().misses == 1
+    assert is_prime(2) and not is_prime(True) and is_prime.cache_info().misses == 3
+
+
 def test_ring_rejects_bad_modulus():
     with pytest.raises(ValueError):
         make_ring(6, ["x"])
